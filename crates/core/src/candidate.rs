@@ -41,6 +41,7 @@ impl Candidate {
         hardware: &HardwareSpace,
         segments: &[Vec<usize>],
     ) -> Result<Self, DecodeError> {
+        let _span = crate::metrics::maybe_time(crate::metrics::candidate_decode_wall);
         let m = workload.num_tasks();
         let k = hardware.num_sub_accelerators();
         assert_eq!(

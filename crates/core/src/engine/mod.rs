@@ -889,6 +889,7 @@ impl EvalEngine {
     /// would have recorded.  De-duplication is skipped (along with the
     /// caches) when [`EngineConfig::caching`] is off.
     pub fn evaluate_batch(&self, candidates: &[Candidate]) -> Vec<Evaluation> {
+        let _span = crate::metrics::maybe_time_batch();
         if !self.config.caching || candidates.len() < 2 {
             return parallel_map(candidates, self.config.threads, |candidate| {
                 self.evaluate(candidate)
@@ -974,6 +975,7 @@ impl EvalEngine {
         &self,
         candidates: &[Option<Candidate>],
     ) -> Vec<Option<(HardwareMetrics, SpecCheck)>> {
+        let _span = crate::metrics::maybe_time_batch();
         if !self.config.caching || candidates.len() < 2 {
             return parallel_map(candidates, self.config.threads, |candidate| {
                 candidate

@@ -74,6 +74,21 @@ global_histogram!(
 );
 
 global_histogram!(
+    /// Wall time of decoding one controller sample into a candidate
+    /// (`nasaic_candidate_decode_wall_ns`).
+    candidate_decode_wall,
+    "nasaic_candidate_decode_wall_ns"
+);
+global_histogram!(
+    /// Own wall time of one engine batch — de-duplication, the cache-miss
+    /// partition, cache lookups and result fan-out — without the
+    /// evaluation leaves that ran inside it
+    /// (`nasaic_eval_batch_self_wall_ns`; see [`maybe_time_batch`]).
+    eval_batch_self_wall,
+    "nasaic_eval_batch_self_wall_ns"
+);
+
+global_histogram!(
     /// Size of one batch handed to the engine (`nasaic_eval_batch_size`).
     eval_batch_size,
     "nasaic_eval_batch_size"
@@ -96,6 +111,45 @@ pub fn maybe_time(histogram: fn() -> &'static Arc<Histogram>) -> Option<TimerSpa
     } else {
         None
     }
+}
+
+/// Total wall time recorded so far by the evaluation leaves (accuracy
+/// oracle, cost-table assembly, HAP solve).
+fn evaluation_leaves_ns() -> u64 {
+    eval_accuracy_wall().sum() + eval_cost_model_wall().sum() + eval_sched_solve_wall().sum()
+}
+
+/// A span recording an engine batch's self time into
+/// [`eval_batch_self_wall`] when dropped.
+#[must_use = "a BatchSpan records on drop; binding it to `_span` keeps the batch timed"]
+pub struct BatchSpan {
+    started: Instant,
+    leaves_at_start: u64,
+}
+
+impl Drop for BatchSpan {
+    fn drop(&mut self) {
+        let wall = self.started.elapsed().as_nanos() as u64;
+        let nested = evaluation_leaves_ns().saturating_sub(self.leaves_at_start);
+        eval_batch_self_wall().record(wall.saturating_sub(nested));
+    }
+}
+
+/// Start a batch self-time span when telemetry is enabled (`None`
+/// otherwise, like [`maybe_time`]).
+///
+/// Self time is the batch's wall minus what the evaluation leaf histograms
+/// grew by while it ran, so the profile can list the batch beside its
+/// leaves without counting anything twice.  That is exact when the batch
+/// is the only evaluation in flight — the single-threaded engine `nasaic
+/// profile` runs; leaves recorded concurrently elsewhere in the process
+/// are subtracted too, and the value saturates at zero.
+#[inline]
+pub fn maybe_time_batch() -> Option<BatchSpan> {
+    telemetry::enabled().then(|| BatchSpan {
+        started: Instant::now(),
+        leaves_at_start: evaluation_leaves_ns(),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -251,9 +305,11 @@ pub struct ProfileComponent {
 /// a run's measured wall went, split by pipeline stage.
 ///
 /// Components are *leaf* spans (the accuracy oracle, cost-table assembly,
-/// HAP solve, controller, checkpoint encode), so they never double-count;
-/// `coverage` is their sum over the measured wall.  The profile runs
-/// single-threaded so attribution sums are comparable to wall clock.
+/// HAP solve, controller, candidate decode, checkpoint encode) plus the
+/// engine batches' self time, which excludes the leaves nested in them, so
+/// nothing is counted twice; `coverage` is their sum over the measured
+/// wall.  The profile runs single-threaded so attribution sums are
+/// comparable to wall clock.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileBreakdown {
     /// Measured wall time of the profiled run, in milliseconds.
@@ -271,11 +327,13 @@ impl ProfileBreakdown {
     /// registry's leaf spans.  Call with telemetry enabled and the
     /// registry reset immediately before the run.
     pub fn collect(wall_ms: f64) -> Self {
-        let leaves: [(&str, &Arc<Histogram>); 5] = [
+        let leaves: [(&str, &Arc<Histogram>); 7] = [
             ("evaluation/accuracy-proxy", eval_accuracy_wall()),
             ("evaluation/cost-model", eval_cost_model_wall()),
             ("evaluation/scheduler", eval_sched_solve_wall()),
+            ("evaluation/engine-batch", eval_batch_self_wall()),
             ("controller", controller_wall()),
+            ("candidate-decode", candidate_decode_wall()),
             ("checkpointing", checkpoint_encode_wall()),
         ];
         let mut components: Vec<ProfileComponent> = leaves

@@ -55,8 +55,6 @@ impl Segment {
 pub struct ControllerConfig {
     /// Hidden size of the recurrent policy.
     pub hidden_size: usize,
-    /// Softmax sampling temperature (1.0 = on-policy sampling).
-    pub temperature: f64,
     /// REINFORCE settings.
     pub reinforce: ReinforceConfig,
 }
@@ -65,7 +63,6 @@ impl Default for ControllerConfig {
     fn default() -> Self {
         Self {
             hidden_size: 32,
-            temperature: 1.0,
             reinforce: ReinforceConfig::stable(),
         }
     }
@@ -89,7 +86,6 @@ pub struct Controller {
     segments: Vec<Segment>,
     policy: PolicyNetwork,
     trainer: ReinforceTrainer,
-    temperature: f64,
 }
 
 impl Controller {
@@ -113,7 +109,6 @@ impl Controller {
             segments,
             policy,
             trainer: ReinforceTrainer::new(config.reinforce),
-            temperature: config.temperature,
         }
     }
 
@@ -172,7 +167,7 @@ impl Controller {
 
     /// Sample one candidate (architectures + hardware allocation).
     pub fn sample<R: Rng>(&self, rng: &mut R) -> ControllerSample {
-        let episode = self.policy.sample_episode(rng, self.temperature);
+        let episode = self.policy.sample_episode(rng);
         ControllerSample {
             segments: self.split(&episode.actions),
             actions: episode.actions,

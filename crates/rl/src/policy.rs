@@ -2,9 +2,9 @@
 //! head per decision step, plus REINFORCE gradients computed by manual
 //! backpropagation-through-time.
 
-use crate::rnn::{RnnCell, RnnGradients, RnnStepCache};
-use nasaic_tensor::activation::{entropy, softmax};
-use nasaic_tensor::{init, Matrix, Optimizer, RmsProp};
+use crate::rnn::{RnnCell, RnnGradients};
+use nasaic_tensor::activation::{entropy, softmax_in_place};
+use nasaic_tensor::{init, kernel, Matrix, Optimizer, RmsProp};
 use rand::Rng;
 
 /// One sampled episode: the chosen action index for every decision step and
@@ -52,6 +52,21 @@ impl Default for UpdateConfig {
     }
 }
 
+/// One forward pass along a trajectory, recorded flat for the backward
+/// sweep: allocated once per call, never per step.
+struct Tape {
+    /// Hidden states `h_0 .. h_T`, `hidden` values each (`h_0` is the zero
+    /// state).
+    hidden: Vec<f64>,
+    /// Step `t`'s head output at `offsets[t]..offsets[t + 1]` (see
+    /// [`PolicyNetwork::forward`]).
+    probabilities: Vec<f64>,
+    /// One-hot input column of each step.
+    inputs: Vec<usize>,
+    /// Action taken at each step.
+    actions: Vec<usize>,
+}
+
 /// The recurrent policy network of the NASAIC controller.
 ///
 /// The network emits `T` decisions; decision `t` has
@@ -63,7 +78,9 @@ pub struct PolicyNetwork {
     cell: RnnCell,
     heads: Vec<(Matrix, Matrix)>,
     cardinalities: Vec<usize>,
-    input_size: usize,
+    /// Prefix sums of `cardinalities`: step `t`'s slice of a tape's
+    /// probabilities.
+    offsets: Vec<usize>,
     // Per-parameter RMSProp state (the paper trains the controller with
     // RMSProp).
     opt_w_x: RmsProp,
@@ -105,11 +122,17 @@ impl PolicyNetwork {
             .iter()
             .map(|_| (RmsProp::new(0.05, 0.9), RmsProp::new(0.05, 0.9)))
             .collect();
+        let offsets = std::iter::once(0)
+            .chain(cardinalities.iter().scan(0, |end, &c| {
+                *end += c;
+                Some(*end)
+            }))
+            .collect();
         Self {
             cell,
             heads,
             cardinalities,
-            input_size,
+            offsets,
             opt_w_x: RmsProp::new(0.05, 0.9),
             opt_w_h: RmsProp::new(0.05, 0.9),
             opt_b: RmsProp::new(0.05, 0.9),
@@ -127,70 +150,80 @@ impl PolicyNetwork {
         &self.cardinalities
     }
 
-    fn input_for(&self, step: usize, previous_action: Option<usize>) -> Matrix {
-        let mut x = Matrix::zeros(self.input_size, 1);
-        match previous_action {
-            None => x[(self.input_size - 1, 0)] = 1.0, // start token
-            Some(a) => {
-                debug_assert!(step > 0);
-                x[(a.min(self.input_size - 2), 0)] = 1.0;
+    /// Run the recurrent core and every head along one trajectory — the
+    /// only forward pass of the network.
+    ///
+    /// Step `t` writes its logits `U_t h_t + c_t` into the tape's
+    /// probability slot and calls `choose(t, logits)`, which may rewrite
+    /// them in place (sampling and replay turn them into probabilities)
+    /// and returns the step's action; that action is the next step's
+    /// one-hot input.
+    fn forward(&self, mut choose: impl FnMut(usize, &mut [f64]) -> usize) -> Tape {
+        let hidden = self.cell.hidden_size();
+        let steps = self.num_steps();
+        let start_token = self.cell.input_size() - 1;
+        let mut tape = Tape {
+            hidden: vec![0.0; (steps + 1) * hidden],
+            probabilities: vec![0.0; self.offsets[steps]],
+            inputs: Vec::with_capacity(steps),
+            actions: Vec::with_capacity(steps),
+        };
+        for (t, (u, c)) in self.heads.iter().enumerate() {
+            let input = match tape.actions.last() {
+                None => start_token,
+                Some(&a) => a.min(start_token - 1),
+            };
+            let (past, next) = tape.hidden.split_at_mut((t + 1) * hidden);
+            let h = &mut next[..hidden];
+            self.cell.forward(input, &past[t * hidden..], h);
+            let logits = &mut tape.probabilities[self.offsets[t]..self.offsets[t + 1]];
+            kernel::matvec(u.as_slice(), h, logits, u.rows(), hidden);
+            for (logit, &bias) in logits.iter_mut().zip(c.as_slice()) {
+                *logit += bias;
             }
+            let action = choose(t, logits);
+            tape.inputs.push(input);
+            tape.actions.push(action);
         }
-        x
+        tape
     }
 
-    /// Run the network forward for a fixed action trajectory, returning per
-    /// step (probabilities, cache).
-    fn replay(&self, actions: &[usize]) -> Vec<(Vec<f64>, RnnStepCache)> {
+    /// Forward pass along a fixed trajectory, recording probabilities.
+    fn replay_tape(&self, actions: &[usize]) -> Tape {
         assert_eq!(
             actions.len(),
             self.num_steps(),
             "trajectory length mismatch"
         );
-        let mut out = Vec::with_capacity(actions.len());
-        let mut h = self.cell.initial_state();
-        let mut prev = None;
-        for (t, &action) in actions.iter().enumerate() {
-            let x = self.input_for(t, prev);
-            let (h_new, cache) = self.cell.forward(&x, &h);
-            let (u, c) = &self.heads[t];
-            let logits = &u.matmul(&h_new) + c;
-            let probabilities = softmax(logits.as_slice());
-            out.push((probabilities, cache));
-            h = h_new;
-            prev = Some(action);
-        }
-        out
+        self.forward(|t, logits| {
+            softmax_in_place(logits);
+            actions[t]
+        })
     }
 
-    /// Sample an episode with a softmax temperature (1.0 = on-policy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `temperature` is not strictly positive.
-    pub fn sample_episode<R: Rng>(&self, rng: &mut R, temperature: f64) -> EpisodeSample {
-        assert!(temperature > 0.0, "temperature must be positive");
-        let mut actions = Vec::with_capacity(self.num_steps());
+    /// Each step's probabilities in a replayed tape, in step order.
+    fn step_probabilities<'a>(
+        &'a self,
+        tape: &'a Tape,
+    ) -> impl DoubleEndedIterator<Item = &'a [f64]> + ExactSizeIterator {
+        self.offsets
+            .windows(2)
+            .map(|span| &tape.probabilities[span[0]..span[1]])
+    }
+
+    /// Sample an on-policy episode.
+    pub fn sample_episode<R: Rng>(&self, rng: &mut R) -> EpisodeSample {
         let mut log_prob = 0.0;
         let mut entropy_sum = 0.0;
-        let mut h = self.cell.initial_state();
-        let mut prev = None;
-        for t in 0..self.num_steps() {
-            let x = self.input_for(t, prev);
-            let (h_new, _) = self.cell.forward(&x, &h);
-            let (u, c) = &self.heads[t];
-            let logits = &u.matmul(&h_new) + c;
-            let scaled: Vec<f64> = logits.as_slice().iter().map(|v| v / temperature).collect();
-            let probabilities = softmax(&scaled);
-            let action = sample_categorical(rng, &probabilities);
-            log_prob += probabilities[action].max(1e-300).ln();
-            entropy_sum += entropy(&probabilities);
-            actions.push(action);
-            h = h_new;
-            prev = Some(action);
-        }
+        let tape = self.forward(|_, logits| {
+            softmax_in_place(logits);
+            let action = sample_categorical(rng, logits);
+            log_prob += logits[action].max(1e-300).ln();
+            entropy_sum += entropy(logits);
+            action
+        });
         EpisodeSample {
-            actions,
+            actions: tape.actions,
             log_prob,
             mean_entropy: entropy_sum / self.num_steps() as f64,
         }
@@ -198,34 +231,23 @@ impl PolicyNetwork {
 
     /// Greedy (argmax) trajectory of the current policy.
     pub fn greedy_episode(&self) -> Vec<usize> {
-        let mut actions = Vec::with_capacity(self.num_steps());
-        let mut h = self.cell.initial_state();
-        let mut prev = None;
-        for t in 0..self.num_steps() {
-            let x = self.input_for(t, prev);
-            let (h_new, _) = self.cell.forward(&x, &h);
-            let (u, c) = &self.heads[t];
-            let logits = &u.matmul(&h_new) + c;
-            let action = logits
-                .as_slice()
+        self.forward(|_, logits| {
+            logits
                 .iter()
                 .enumerate()
                 .max_by(|a, b| a.1.total_cmp(b.1))
                 .map(|(i, _)| i)
-                .unwrap_or(0);
-            actions.push(action);
-            h = h_new;
-            prev = Some(action);
-        }
-        actions
+                .unwrap_or(0)
+        })
+        .actions
     }
 
     /// The REINFORCE objective for a trajectory:
     /// `advantage * sum_t log pi(a_t) + entropy_beta * sum_t H(pi_t)`.
     pub fn objective(&self, actions: &[usize], advantage: f64, entropy_beta: f64) -> f64 {
-        let steps = self.replay(actions);
+        let tape = self.replay_tape(actions);
         let mut value = 0.0;
-        for ((probabilities, _), &action) in steps.iter().zip(actions) {
+        for (probabilities, &action) in self.step_probabilities(&tape).zip(actions) {
             value += advantage * probabilities[action].max(1e-300).ln();
             value += entropy_beta * entropy(probabilities);
         }
@@ -239,21 +261,13 @@ impl PolicyNetwork {
         advantage: f64,
         entropy_beta: f64,
     ) -> PolicyGradients {
-        let steps = self.replay(actions);
-        self.gradients_from_steps(&steps, actions, advantage, entropy_beta)
+        self.backward(&self.replay_tape(actions), advantage, entropy_beta)
     }
 
-    /// Backward sweep over an already-replayed trajectory (shared by
-    /// [`compute_gradients`](Self::compute_gradients) and
-    /// [`reinforce_update`](Self::reinforce_update), which also needs the
-    /// replayed probabilities for the entropy-floor guard).
-    fn gradients_from_steps(
-        &self,
-        steps: &[(Vec<f64>, RnnStepCache)],
-        actions: &[usize],
-        advantage: f64,
-        entropy_beta: f64,
-    ) -> PolicyGradients {
+    /// Backward sweep over a replayed tape — the only backward pass of the
+    /// network.
+    fn backward(&self, tape: &Tape, advantage: f64, entropy_beta: f64) -> PolicyGradients {
+        let hidden = self.cell.hidden_size();
         let mut cell_grads = self.cell.zero_gradients();
         let mut head_grads: Vec<(Matrix, Matrix)> = self
             .heads
@@ -265,35 +279,43 @@ impl PolicyNetwork {
                 )
             })
             .collect();
-
-        // Backward sweep over time.
-        let mut dh_next = Matrix::zeros(self.cell.hidden_size(), 1);
-        for t in (0..actions.len()).rev() {
-            let (probabilities, cache) = &steps[t];
-            let action = actions[t];
+        let mut dlogits = vec![0.0; self.cell.input_size()];
+        let mut dh = vec![0.0; hidden];
+        let mut dh_next = vec![0.0; hidden];
+        for (t, probabilities) in self.step_probabilities(tape).enumerate().rev() {
+            let action = tape.actions[t];
             let step_entropy = entropy(probabilities);
             // d(objective)/dlogits for ascent:
             //   advantage * (onehot - p)  - entropy_beta * p * (ln p + H)
-            let dlogits_data: Vec<f64> = probabilities
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| {
-                    let onehot = if i == action { 1.0 } else { 0.0 };
-                    let policy_term = advantage * (onehot - p);
-                    let entropy_term = -entropy_beta * p * (p.max(1e-300).ln() + step_entropy);
-                    policy_term + entropy_term
-                })
-                .collect();
-            let dlogits = Matrix::col_vector(&dlogits_data);
+            let dlogits = &mut dlogits[..probabilities.len()];
+            for (i, (d, &p)) in dlogits.iter_mut().zip(probabilities).enumerate() {
+                let onehot = if i == action { 1.0 } else { 0.0 };
+                let policy_term = advantage * (onehot - p);
+                let entropy_term = -entropy_beta * p * (p.max(1e-300).ln() + step_entropy);
+                *d = policy_term + entropy_term;
+            }
+            let h_prev = &tape.hidden[t * hidden..(t + 1) * hidden];
+            let h = &tape.hidden[(t + 1) * hidden..(t + 2) * hidden];
             let (u, _) = &self.heads[t];
-            // Rank-1 head gradient and fused-transpose hidden gradient,
-            // bit-identical to the transpose-then-matmul composition.
-            head_grads[t].0.add_outer(&dlogits_data, cache.h.as_slice());
-            head_grads[t].1 += &dlogits;
-            let dh = &u.matmul_tn(&dlogits) + &dh_next;
-            dh_next = self.cell.backward(cache, &dh, &mut cell_grads);
+            let (g_u, g_c) = &mut head_grads[t];
+            g_u.add_outer(dlogits, h);
+            for (g, &d) in g_c.as_mut_slice().iter_mut().zip(&*dlogits) {
+                *g += d;
+            }
+            // dh = U_t^T dlogits + (gradient from step t + 1)
+            kernel::matvec_tn(u.as_slice(), dlogits, &mut dh, u.rows(), hidden);
+            for (g, &next) in dh.iter_mut().zip(&dh_next) {
+                *g += next;
+            }
+            self.cell.backward(
+                tape.inputs[t],
+                h_prev,
+                h,
+                &mut dh,
+                &mut cell_grads,
+                &mut dh_next,
+            );
         }
-
         PolicyGradients {
             cell: cell_grads,
             heads: head_grads,
@@ -306,52 +328,39 @@ impl PolicyNetwork {
     /// *ascent* on the objective, implemented by negating before the
     /// optimizer step).
     pub fn reinforce_update(&mut self, actions: &[usize], advantage: f64, config: &UpdateConfig) {
-        let steps = self.replay(actions);
+        let tape = self.replay_tape(actions);
         // Anti-collapse guard: when the replayed trajectory's mean entropy
         // sits below the floor, scale the entropy bonus up in proportion.
         // The scaled coefficient is a constant within this update, so the
         // gradient is the exact gradient of the (rescaled) objective.
         let mut entropy_beta = config.entropy_beta;
         if config.entropy_floor > 0.0 {
-            let mean_entropy = (steps
-                .iter()
-                .map(|(probabilities, _)| entropy(probabilities))
-                .sum::<f64>()
-                / steps.len().max(1) as f64)
-                .max(1e-3);
+            let steps = self.step_probabilities(&tape);
+            let count = steps.len();
+            let mean_entropy = (steps.map(entropy).sum::<f64>() / count.max(1) as f64).max(1e-3);
             if mean_entropy < config.entropy_floor {
                 entropy_beta *= config.entropy_floor / mean_entropy;
             }
         }
-        let mut grads = self.gradients_from_steps(&steps, actions, advantage, entropy_beta);
-        // Clip and negate (optimizers minimise).
+        let mut grads = self.backward(&tape, advantage, entropy_beta);
         let clip = config.gradient_clip;
-        for g in [&mut grads.cell.w_x, &mut grads.cell.w_h, &mut grads.cell.b] {
-            g.clip_inplace(clip);
-            g.map_inplace(|v| -v);
-        }
-        for (gu, gc) in &mut grads.heads {
-            gu.clip_inplace(clip);
-            gu.map_inplace(|v| -v);
-            gc.clip_inplace(clip);
-            gc.map_inplace(|v| -v);
-        }
-        self.opt_w_x.set_learning_rate(config.learning_rate);
-        self.opt_w_h.set_learning_rate(config.learning_rate);
-        self.opt_b.set_learning_rate(config.learning_rate);
-        self.opt_w_x.step(&mut self.cell.w_x, &grads.cell.w_x);
-        self.opt_w_h.step(&mut self.cell.w_h, &grads.cell.w_h);
-        self.opt_b.step(&mut self.cell.b, &grads.cell.b);
-        for (((u, c), (gu, gc)), (opt_u, opt_c)) in self
+        assert!(clip >= 0.0, "clip limit must be non-negative");
+        let cell = [
+            (&mut self.cell.w_x, &mut grads.cell.w_x, &mut self.opt_w_x),
+            (&mut self.cell.w_h, &mut grads.cell.w_h, &mut self.opt_w_h),
+            (&mut self.cell.b, &mut grads.cell.b, &mut self.opt_b),
+        ];
+        let heads = self
             .heads
             .iter_mut()
-            .zip(grads.heads.iter())
-            .zip(self.opt_heads.iter_mut())
-        {
-            opt_u.set_learning_rate(config.learning_rate);
-            opt_c.set_learning_rate(config.learning_rate);
-            opt_u.step(u, gu);
-            opt_c.step(c, gc);
+            .zip(&mut grads.heads)
+            .zip(&mut self.opt_heads)
+            .flat_map(|(((u, c), (g_u, g_c)), (opt_u, opt_c))| [(u, g_u, opt_u), (c, g_c, opt_c)]);
+        for (param, grad, optimizer) in cell.into_iter().chain(heads) {
+            // Clip and negate in one pass (optimizers minimise).
+            grad.map_inplace(|v| -v.max(-clip).min(clip));
+            optimizer.set_learning_rate(config.learning_rate);
+            optimizer.step(param, grad);
         }
     }
 
@@ -411,25 +420,6 @@ impl PolicyNetwork {
             opt_c.set_cache(sc.clone());
         }
     }
-
-    /// Direct access to a head's weight matrix (used by gradient-check
-    /// tests).
-    #[doc(hidden)]
-    pub fn head_weights_mut(&mut self, step: usize) -> &mut Matrix {
-        &mut self.heads[step].0
-    }
-
-    /// Direct access to the recurrent cell (used by gradient-check tests).
-    #[doc(hidden)]
-    pub fn cell_mut(&mut self) -> &mut RnnCell {
-        &mut self.cell
-    }
-
-    /// Gradient accessors used by tests.
-    #[doc(hidden)]
-    pub fn gradients_parts(grads: &PolicyGradients) -> (&RnnGradients, &[(Matrix, Matrix)]) {
-        (&grads.cell, &grads.heads)
-    }
 }
 
 fn sample_categorical<R: Rng>(rng: &mut R, probabilities: &[f64]) -> usize {
@@ -459,7 +449,7 @@ mod tests {
         let net = network(1);
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..50 {
-            let sample = net.sample_episode(&mut rng, 1.0);
+            let sample = net.sample_episode(&mut rng);
             assert_eq!(sample.actions.len(), 4);
             for (a, &card) in sample.actions.iter().zip(net.cardinalities()) {
                 assert!(*a < card);
@@ -485,16 +475,17 @@ mod tests {
         let net = network(4);
         let actions = vec![1, 2, 10, 5];
         let grads = net.compute_gradients(&actions, 1.0, 0.0);
-        let (_, head_grads) = PolicyNetwork::gradients_parts(&grads);
         // Finite-difference the objective w.r.t. head 2's weights.
-        let mut probe = net.clone();
-        let param = probe.head_weights_mut(2).clone();
-        let report =
-            nasaic_tensor::gradcheck::check_gradient(&param, &head_grads[2].0, 1e-5, |w| {
+        let report = nasaic_tensor::gradcheck::check_gradient(
+            &net.heads[2].0,
+            &grads.heads[2].0,
+            1e-5,
+            |w| {
                 let mut trial = net.clone();
-                *trial.head_weights_mut(2) = w.clone();
+                trial.heads[2].0 = w.clone();
                 trial.objective(&actions, 1.0, 0.0)
-            });
+            },
+        );
         assert!(report.passes(1e-4), "{report:?}");
     }
 
@@ -503,14 +494,16 @@ mod tests {
         let net = network(5);
         let actions = vec![0, 1, 3, 8];
         let grads = net.compute_gradients(&actions, 0.7, 0.0);
-        let (cell_grads, _) = PolicyNetwork::gradients_parts(&grads);
-        let param = net.clone().cell_mut().w_h.clone();
-        let report = nasaic_tensor::gradcheck::check_gradient(&param, &cell_grads.w_h, 1e-5, |w| {
-            let mut trial = net.clone();
-            trial.cell_mut().w_h = w.clone();
-            trial.objective(&actions, 0.7, 0.0)
-        });
-        assert!(report.passes(1e-4), "{report:?}");
+        let check = |param: &Matrix, grad: &Matrix, set: fn(&mut PolicyNetwork, Matrix)| {
+            let report = nasaic_tensor::gradcheck::check_gradient(param, grad, 1e-5, |w| {
+                let mut trial = net.clone();
+                set(&mut trial, w.clone());
+                trial.objective(&actions, 0.7, 0.0)
+            });
+            assert!(report.passes(1e-4), "{report:?}");
+        };
+        check(&net.cell.w_h, &grads.cell.w_h, |n, w| n.cell.w_h = w);
+        check(&net.cell.w_x, &grads.cell.w_x, |n, w| n.cell.w_x = w);
     }
 
     #[test]
@@ -518,14 +511,16 @@ mod tests {
         let net = network(6);
         let actions = vec![2, 0, 5, 1];
         let grads = net.compute_gradients(&actions, 0.0, 0.5);
-        let (_, head_grads) = PolicyNetwork::gradients_parts(&grads);
-        let param = net.heads[0].0.clone();
-        let report =
-            nasaic_tensor::gradcheck::check_gradient(&param, &head_grads[0].0, 1e-5, |w| {
+        let report = nasaic_tensor::gradcheck::check_gradient(
+            &net.heads[0].0,
+            &grads.heads[0].0,
+            1e-5,
+            |w| {
                 let mut trial = net.clone();
-                *trial.head_weights_mut(0) = w.clone();
+                trial.heads[0].0 = w.clone();
                 trial.objective(&actions, 0.0, 0.5)
-            });
+            },
+        );
         assert!(report.passes(1e-4), "{report:?}");
     }
 
@@ -573,7 +568,7 @@ mod tests {
         };
         let mut baseline = 0.0;
         for _ in 0..400 {
-            let sample = net.sample_episode(&mut rng, 1.0);
+            let sample = net.sample_episode(&mut rng);
             let reward = if sample.actions == target { 1.0 } else { 0.0 };
             baseline = 0.9 * baseline + 0.1 * reward;
             net.reinforce_update(&sample.actions, reward - baseline, &config);

@@ -170,7 +170,15 @@ impl ReinforceTrainer {
 
     /// Apply one REINFORCE update for a sampled trajectory and its terminal
     /// reward.  Returns the advantage that was used.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reward` is not finite: a non-finite reward would poison
+    /// the baseline and every weight, and the policy's gathered-column
+    /// gradient is only bit-identical to the dense update for finite
+    /// gradients.
     pub fn update(&mut self, policy: &mut PolicyNetwork, actions: &[usize], reward: f64) -> f64 {
+        assert!(reward.is_finite(), "reward must be finite, got {reward}");
         let advantage = self
             .advantage(reward, actions.len())
             .clamp(-self.config.advantage_clip, self.config.advantage_clip);
@@ -211,7 +219,7 @@ mod tests {
         let mut trainer = ReinforceTrainer::paper();
         assert_eq!(trainer.baseline(), None);
         for _ in 0..50 {
-            let sample = policy.sample_episode(&mut rng, 1.0);
+            let sample = policy.sample_episode(&mut rng);
             trainer.update(&mut policy, &sample.actions, 0.8);
         }
         let baseline = trainer.baseline().unwrap();
@@ -225,7 +233,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut policy = PolicyNetwork::new(&mut rng, vec![3], 8);
         let mut trainer = ReinforceTrainer::paper();
-        let sample = policy.sample_episode(&mut rng, 1.0);
+        let sample = policy.sample_episode(&mut rng);
         let advantage = trainer.update(&mut policy, &sample.actions, 0.5);
         assert_eq!(advantage, 0.0);
     }
@@ -237,13 +245,13 @@ mod tests {
         let mut trainer = ReinforceTrainer::paper();
         // Establish a baseline around 0.5.
         for _ in 0..20 {
-            let s = policy.sample_episode(&mut rng, 1.0);
+            let s = policy.sample_episode(&mut rng);
             trainer.update(&mut policy, &s.actions, 0.5);
         }
-        let s = policy.sample_episode(&mut rng, 1.0);
+        let s = policy.sample_episode(&mut rng);
         let advantage = trainer.update(&mut policy, &s.actions, 0.9);
         assert!(advantage > 0.0);
-        let s = policy.sample_episode(&mut rng, 1.0);
+        let s = policy.sample_episode(&mut rng);
         let advantage = trainer.update(&mut policy, &s.actions, 0.1);
         assert!(advantage < 0.0);
     }
@@ -259,7 +267,7 @@ mod tests {
         });
         let reward_of = |actions: &[usize]| if actions[0] == 2 { 1.0 } else { 0.2 };
         for _ in 0..300 {
-            let s = policy.sample_episode(&mut rng, 1.0);
+            let s = policy.sample_episode(&mut rng);
             let r = reward_of(&s.actions);
             trainer.update(&mut policy, &s.actions, r);
         }
@@ -275,6 +283,15 @@ mod tests {
             .collect();
         let mean_tail = tail.iter().sum::<f64>() / tail.len() as f64;
         assert!(mean_tail > 0.7, "late mean reward {mean_tail}");
+    }
+
+    #[test]
+    #[should_panic(expected = "reward must be finite")]
+    fn non_finite_rewards_are_rejected() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut policy = PolicyNetwork::new(&mut rng, vec![3], 8);
+        let sample = policy.sample_episode(&mut rng);
+        ReinforceTrainer::paper().update(&mut policy, &sample.actions, f64::NAN);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! serialize it with its own codec without `nasaic-rl` depending on it.
 //!
 //! Everything *not* in these structs is either reconstructed from the
-//! controller's configuration (segment layout, schedule, temperature) or
+//! controller's configuration (segment layout, schedule) or
 //! transient within a single update (gradients, the RNN hidden state,
 //! which is re-initialised per episode).
 

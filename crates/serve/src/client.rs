@@ -22,6 +22,9 @@ impl Client {
     pub fn connect(addr: &str) -> Result<Self, ServeError> {
         let stream = TcpStream::connect(addr)
             .map_err(|e| ServeError::new(format!("cannot connect to {addr}: {e}")))?;
+        // Requests are single small lines awaiting a reply: send each at
+        // once rather than letting Nagle's algorithm wait for an ACK.
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Self {
             reader,

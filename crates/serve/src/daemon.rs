@@ -964,6 +964,9 @@ fn serve(
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Responses and watch events are small lines the client waits on;
+        // Nagle's algorithm would hold each one back for a delayed ACK.
+        let _ = stream.set_nodelay(true);
         let connection_id = shared.next_connection.fetch_add(1, Ordering::SeqCst);
         if let Ok(clone) = stream.try_clone() {
             shared

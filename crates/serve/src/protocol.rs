@@ -183,13 +183,18 @@ pub fn error_response(message: impl Into<String>) -> ConfigValue {
 /// Write one value as a compact single JSON line and flush, so the peer
 /// sees it immediately (the daemon streams events as they happen).
 ///
+/// The line and its terminator go out in one `write_all`: written
+/// separately, the lone newline is a second small segment that Nagle's
+/// algorithm holds back until the peer's delayed ACK, stalling every
+/// message by tens of milliseconds.  Both ends also set `TCP_NODELAY`.
+///
 /// # Errors
 ///
 /// Propagates the underlying I/O error.
 pub fn write_line(writer: &mut impl Write, value: &ConfigValue) -> std::io::Result<()> {
-    let line = nasaic_core::scenario::value::to_json_compact(value);
+    let mut line = nasaic_core::scenario::value::to_json_compact(value);
+    line.push('\n');
     writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
     writer.flush()
 }
 
@@ -260,6 +265,31 @@ mod tests {
         let error = error_response("queue full");
         assert_eq!(error.get("ok").unwrap().as_bool(), Some(false));
         assert_eq!(error.get("error").unwrap().as_str(), Some("queue full"));
+    }
+
+    #[test]
+    fn each_line_goes_out_in_a_single_write() {
+        struct CountingWriter {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut writer = CountingWriter {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        write_line(&mut writer, &ok_response()).unwrap();
+        assert_eq!(writer.writes, 1);
+        assert_eq!(writer.bytes, b"{\"ok\":true}\n");
     }
 
     #[test]

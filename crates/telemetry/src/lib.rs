@@ -199,6 +199,11 @@ impl Histogram {
         }
     }
 
+    /// Exact sum of all samples recorded so far (one relaxed load).
+    pub fn sum(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
+    }
+
     /// A consistent-enough snapshot (relaxed loads; exact once writers are
     /// quiescent).
     pub fn snapshot(&self) -> HistogramSnapshot {

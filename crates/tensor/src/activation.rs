@@ -57,43 +57,32 @@ pub fn relu_derivative(x: f64) -> f64 {
 /// assert!((p[0] - 0.5).abs() < 1e-12);
 /// ```
 pub fn softmax(logits: &[f64]) -> Vec<f64> {
-    if logits.is_empty() {
-        return Vec::new();
-    }
-    let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = logits.iter().map(|&v| (v - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.into_iter().map(|v| v / sum).collect()
+    let mut out = logits.to_vec();
+    softmax_in_place(&mut out);
+    out
 }
 
 /// [`softmax`] into a caller-provided buffer — zero allocations once the
 /// buffer's capacity has grown to fit.
-///
-/// Performs exactly the same operations as [`softmax`] (subtract-max,
-/// exponentiate, normalise), so the results are bit-for-bit identical.
 pub fn softmax_into(logits: &[f64], out: &mut Vec<f64>) {
     out.clear();
-    if logits.is_empty() {
-        return;
-    }
-    let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    out.extend(logits.iter().map(|&v| (v - max).exp()));
-    let sum: f64 = out.iter().sum();
-    for v in out.iter_mut() {
-        *v /= sum;
-    }
+    out.extend_from_slice(logits);
+    softmax_in_place(out);
 }
 
-/// Softmax with a temperature parameter.  Temperatures above 1 flatten the
-/// distribution (more exploration), below 1 sharpen it.
+/// Replace a slice of logits with their softmax probabilities, in place.
 ///
-/// # Panics
-///
-/// Panics if `temperature` is not strictly positive.
-pub fn softmax_with_temperature(logits: &[f64], temperature: f64) -> Vec<f64> {
-    assert!(temperature > 0.0, "temperature must be positive");
-    let scaled: Vec<f64> = logits.iter().map(|&v| v / temperature).collect();
-    softmax(&scaled)
+/// Every softmax form runs through this one function (subtract-max,
+/// exponentiate, normalise), so all of them are bit-for-bit identical.
+pub fn softmax_in_place(values: &mut [f64]) {
+    let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    for v in values.iter_mut() {
+        *v = (*v - max).exp();
+    }
+    let sum: f64 = values.iter().sum();
+    for v in values.iter_mut() {
+        *v /= sum;
+    }
 }
 
 /// Natural log of the softmax probability of index `chosen`.
@@ -222,20 +211,6 @@ mod tests {
         }
         softmax_into(&[], &mut buffer);
         assert!(buffer.is_empty());
-    }
-
-    #[test]
-    fn high_temperature_flattens_distribution() {
-        let cold = softmax_with_temperature(&[1.0, 2.0], 0.5);
-        let hot = softmax_with_temperature(&[1.0, 2.0], 5.0);
-        assert!(hot[0] > cold[0]);
-        assert!(hot[1] < cold[1]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_temperature_panics() {
-        softmax_with_temperature(&[1.0], 0.0);
     }
 
     #[test]

@@ -53,7 +53,8 @@ fn axpy_row(out: &mut [f64], a: f64, rhs: &[f64]) {
     }
 }
 
-/// Sequential dot product (single accumulator, ascending `k`).
+/// Sequential dot product (single accumulator starting at `+0.0`,
+/// ascending `k`).
 ///
 /// Deliberately *not* multi-accumulator: splitting the sum would reorder
 /// the additions and break bit-identity with the naive reference.
@@ -134,14 +135,60 @@ pub fn matmul_nt(lhs: &[f64], rhs: &[f64], out: &mut [f64], m: usize, p: usize, 
     }
 }
 
+/// Dot products of `x` with every row of `m` (`cols` wide), handed to
+/// `emit(row, dot)` in row order.
+///
+/// Four rows run interleaved, each in its own accumulator with exactly
+/// [`dot`]'s order (start at `+0.0`, ascending `k`), so every result is
+/// bit-identical to `dot` while four independent addition chains keep
+/// the floating-point adder busy instead of waiting on one chain.
+#[inline]
+fn row_dots(m: &[f64], x: &[f64], rows: usize, cols: usize, mut emit: impl FnMut(usize, f64)) {
+    if cols == 0 {
+        // Empty sums: every row's dot is the accumulator's initial `+0.0`.
+        (0..rows).for_each(|row| emit(row, 0.0));
+        return;
+    }
+    let mut blocks = m.chunks_exact(4 * cols);
+    let mut row = 0;
+    for block in blocks.by_ref() {
+        let (r0, rest) = block.split_at(cols);
+        let (r1, rest) = rest.split_at(cols);
+        let (r2, r3) = rest.split_at(cols);
+        let mut acc = [0.0; 4];
+        for ((((&a, &b), &c), &d), &xk) in r0.iter().zip(r1).zip(r2).zip(r3).zip(x) {
+            acc[0] += a * xk;
+            acc[1] += b * xk;
+            acc[2] += c * xk;
+            acc[3] += d * xk;
+        }
+        for value in acc {
+            emit(row, value);
+            row += 1;
+        }
+    }
+    for tail in blocks.remainder().chunks_exact(cols) {
+        emit(row, dot(tail, x));
+        row += 1;
+    }
+}
+
 /// Matrix-vector product `out = m * x` (`m` is `rows x cols` row-major).
 pub fn matvec(m: &[f64], x: &[f64], out: &mut [f64], rows: usize, cols: usize) {
     debug_assert_eq!(m.len(), rows * cols);
     debug_assert_eq!(x.len(), cols);
     debug_assert_eq!(out.len(), rows);
-    for (i, slot) in out.iter_mut().enumerate() {
-        *slot = dot(&m[i * cols..(i + 1) * cols], x);
-    }
+    row_dots(m, x, rows, cols, |i, value| out[i] = value);
+}
+
+/// Accumulating matrix-vector product `out[i] = out[i] + (m * x)[i]`,
+/// where the product is computed exactly as [`matvec`] computes it and
+/// added last — the fused form of `&out + &m.matmul(x)`.
+pub fn matvec_add(m: &[f64], x: &[f64], out: &mut [f64], rows: usize, cols: usize) {
+    debug_assert_eq!(m.len(), rows * cols);
+    debug_assert_eq!(x.len(), cols);
+    debug_assert_eq!(out.len(), rows);
+    row_dots(m, x, rows, cols, |i, value| out[i] += value);
 }
 
 /// Transposed matrix-vector product `out = m^T * x` (`m` is
@@ -153,6 +200,44 @@ pub fn matvec_tn(m: &[f64], x: &[f64], out: &mut [f64], rows: usize, cols: usize
     out.fill(0.0);
     for (k, &xk) in x.iter().enumerate() {
         axpy_row(out, xk, &m[k * cols..(k + 1) * cols]);
+    }
+}
+
+/// Column gather `out[i] = m[i, col] + 0.0` (`m` is `rows x cols`
+/// row-major) — the product `m * e_col` with the one-hot vector `e_col`.
+///
+/// The reference product of a row with a one-hot vector accumulates
+/// `0.0 + m[i, 0] * 0.0 + ... + m[i, col] * 1.0 + ...`: every zero term is
+/// a signed zero, which leaves an accumulator that started at `+0.0`
+/// unchanged, and the one live term lands as `m[i, col] + 0.0` (a `-0.0`
+/// entry becomes `+0.0`).  So the gather is bit-identical to the product
+/// whenever the row is finite; an infinite entry elsewhere in the row
+/// makes the product's `inf * 0.0` term `NaN`, which the gather never
+/// evaluates.
+pub fn gather_column(m: &[f64], col: usize, out: &mut [f64], rows: usize, cols: usize) {
+    assert!(col < cols, "column {col} out of range for {cols} columns");
+    debug_assert_eq!(m.len(), rows * cols);
+    debug_assert_eq!(out.len(), rows);
+    for (slot, row) in out.iter_mut().zip(m.chunks_exact(cols)) {
+        *slot = row[col] + 0.0;
+    }
+}
+
+/// Column scatter `m[i, col] += v[i] + 0.0` (`m` is `rows x cols`
+/// row-major) — the rank-1 update `m += v * e_col^T` with a one-hot row.
+///
+/// [`add_outer`] adds `v[i] * 0.0 + 0.0 = +0.0` to every other column,
+/// which changes nothing as long as `v` is finite and the accumulator
+/// holds no `-0.0` (true of any buffer that starts zeroed and only
+/// receives `x + 0.0` terms, as gradient buffers do).  A non-finite
+/// `v[i]` turns the rank-1 update's whole row `NaN`; the scatter touches
+/// only `col`.
+pub fn scatter_add_column(m: &mut [f64], col: usize, v: &[f64], rows: usize, cols: usize) {
+    assert!(col < cols, "column {col} out of range for {cols} columns");
+    debug_assert_eq!(m.len(), rows * cols);
+    debug_assert_eq!(v.len(), rows);
+    for (row, &vi) in m.chunks_exact_mut(cols).zip(v) {
+        row[col] += vi + 0.0;
     }
 }
 

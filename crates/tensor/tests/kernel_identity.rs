@@ -9,7 +9,7 @@
 //! cover the edges the blocking logic has to get right: `0xN`, `Nx0`,
 //! `1xN`, and inner dimensions around and beyond the kernel block size.
 
-use nasaic_tensor::Matrix;
+use nasaic_tensor::{kernel, Matrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -119,6 +119,49 @@ proptest! {
             &Matrix::col_vector(&yt),
             &m.transpose().matmul_reference(&xt),
         );
+        // The accumulating form adds the product last: `base + m * x`.
+        let base = random_matrix(&mut rng, rows, 1);
+        let mut accumulated = base.clone().into_vec();
+        kernel::matvec_add(m.as_slice(), x.as_slice(), &mut accumulated, rows, cols);
+        assert_bits_equal(
+            &Matrix::col_vector(&accumulated),
+            &(&base + &m.matmul_reference(&x)),
+        );
+    }
+
+    /// The recurrent step's one-hot input products: the column gather is
+    /// the matmul with a one-hot vector, and the column scatter is the
+    /// rank-1 update with a one-hot row, bit for bit on finite operands
+    /// that include exact and negative zeros.
+    #[test]
+    fn one_hot_column_kernels_match_reference(
+        seed in any::<u64>(),
+        rows in 0usize..40,
+        cols in 1usize..24,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let m = random_matrix(&mut rng, rows, cols);
+        let col = rng.gen_range(0..cols);
+        let mut e = Matrix::zeros(cols, 1);
+        e[(col, 0)] = 1.0;
+        let mut gathered = vec![7.0; rows];
+        kernel::gather_column(m.as_slice(), col, &mut gathered, rows, cols);
+        assert_bits_equal(&Matrix::col_vector(&gathered), &m.matmul_reference(&e));
+
+        // Scatter into an accumulator the way gradient buffers are used:
+        // start zeroed, then take several updates on varying columns.
+        // Such a buffer never holds `-0.0` (see `negative_zero_and_non_finite_caveats`).
+        let mut scattered = Matrix::zeros(rows, cols);
+        let mut dense = Matrix::zeros(rows, cols);
+        for _ in 0..4 {
+            let col = rng.gen_range(0..cols);
+            let mut e = Matrix::zeros(1, cols);
+            e[(0, col)] = 1.0;
+            let v = random_matrix(&mut rng, rows, 1);
+            kernel::scatter_add_column(scattered.as_mut_slice(), col, v.as_slice(), rows, cols);
+            dense.add_outer(v.as_slice(), e.as_slice());
+            assert_bits_equal(&scattered, &dense);
+        }
     }
 
     /// Outer-product helpers match the rank-1 matmul composition bit for
@@ -195,4 +238,52 @@ fn zero_skip_semantics() {
         let b = random_matrix(&mut rng, p, n);
         assert_bits_equal(&matmul_with_zero_skip(&a, &b), &a.matmul(&b));
     }
+}
+
+/// Where the one-hot column kernels and the dense products they replace
+/// part ways — pinned so the preconditions the controller relies on are
+/// audited facts, not assumptions:
+///
+/// * an infinite weight elsewhere in the row makes the dense product's
+///   `inf * 0.0` term `NaN`, while the gather never reads it;
+/// * a non-finite update value turns the whole dense rank-1 row `NaN`,
+///   while the scatter touches one column;
+/// * the dense rank-1 update normalises a `-0.0` accumulator entry in
+///   another column to `+0.0`, while the scatter leaves it alone (in the
+///   updated column both add `v + 0.0` and agree).
+///
+/// None of these can reach the controller: gradient clipping keeps its
+/// weights finite, `ReinforceTrainer::update` rejects non-finite rewards
+/// (so every gradient is finite), and gradient buffers start at `+0.0`
+/// and only ever receive `x + 0.0` terms, which are never `-0.0`.
+#[test]
+fn negative_zero_and_non_finite_caveats() {
+    // Gather vs one-hot matmul with an infinite entry in another column.
+    let m = Matrix::row_vector(&[f64::INFINITY, 2.0]);
+    let mut gathered = [0.0];
+    kernel::gather_column(m.as_slice(), 1, &mut gathered, 1, 2);
+    assert_eq!(gathered[0], 2.0);
+    assert!(m.matmul_reference(&Matrix::col_vector(&[0.0, 1.0]))[(0, 0)].is_nan());
+
+    // Scatter vs rank-1 update with a non-finite value.
+    for bad in [f64::INFINITY, f64::NAN] {
+        let mut scattered = Matrix::zeros(1, 3);
+        kernel::scatter_add_column(scattered.as_mut_slice(), 1, &[bad], 1, 3);
+        let mut dense = Matrix::zeros(1, 3);
+        dense.add_outer(&[bad], &[0.0, 1.0, 0.0]);
+        assert_eq!((scattered[(0, 0)], scattered[(0, 2)]), (0.0, 0.0), "{bad}");
+        assert!(dense[(0, 0)].is_nan() && dense[(0, 2)].is_nan(), "{bad}");
+    }
+
+    // A `-0.0` accumulator entry: outside the updated column the dense
+    // update normalises it to `+0.0` and the scatter leaves it; inside the
+    // column both add `v + 0.0` and agree.
+    let mut scattered = Matrix::row_vector(&[-0.0, -0.0]);
+    kernel::scatter_add_column(scattered.as_mut_slice(), 1, &[-0.0], 1, 2);
+    let mut dense = Matrix::row_vector(&[-0.0, -0.0]);
+    dense.add_outer(&[-0.0], &[0.0, 1.0]);
+    assert_eq!(scattered[(0, 0)].to_bits(), (-0.0_f64).to_bits());
+    assert_eq!(dense[(0, 0)].to_bits(), 0.0_f64.to_bits());
+    assert_eq!(scattered[(0, 1)].to_bits(), 0.0_f64.to_bits());
+    assert_eq!(dense[(0, 1)].to_bits(), 0.0_f64.to_bits());
 }
