@@ -83,7 +83,7 @@ global_histogram!(
     /// Own wall time of one engine batch — de-duplication, the cache-miss
     /// partition, cache lookups and result fan-out — without the
     /// evaluation leaves that ran inside it
-    /// (`nasaic_eval_batch_self_wall_ns`; see [`maybe_time_batch`]).
+    /// (`nasaic_eval_batch_self_wall_ns`).
     eval_batch_self_wall,
     "nasaic_eval_batch_self_wall_ns"
 );
@@ -122,7 +122,7 @@ fn evaluation_leaves_ns() -> u64 {
 /// A span recording an engine batch's self time into
 /// [`eval_batch_self_wall`] when dropped.
 #[must_use = "a BatchSpan records on drop; binding it to `_span` keeps the batch timed"]
-pub struct BatchSpan {
+pub(crate) struct BatchSpan {
     started: Instant,
     leaves_at_start: u64,
 }
@@ -145,7 +145,7 @@ impl Drop for BatchSpan {
 /// profile` runs; leaves recorded concurrently elsewhere in the process
 /// are subtracted too, and the value saturates at zero.
 #[inline]
-pub fn maybe_time_batch() -> Option<BatchSpan> {
+pub(crate) fn maybe_time_batch() -> Option<BatchSpan> {
     telemetry::enabled().then(|| BatchSpan {
         started: Instant::now(),
         leaves_at_start: evaluation_leaves_ns(),
