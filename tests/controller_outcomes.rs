@@ -1,15 +1,16 @@
 //! Cross-version pin on the controller's numerics: seeded search outcomes
 //! and trained controller weights, recorded in a golden file.
 //!
-//! The other identity gates compare two paths of the *same* build (trait
-//! vs direct dispatch, telemetry on vs off, resumed vs uninterrupted), so a
-//! change that perturbed the RL controller's arithmetic in every path at
-//! once would pass all of them.  This file pins absolute results instead:
-//! for every builtin scenario and every RL-driven algorithm, a digest of
-//! the seeded event stream plus a readable best/explored/compliant line,
-//! and the exact weight bits of a controller after 200 sample/feedback
-//! rounds.  Any drift in sampling, the REINFORCE update or the optimizer
-//! shows up here as a changed line.
+//! The other identity gates compare two paths of the *same* build
+//! (telemetry on vs off, resumed vs uninterrupted, sharded vs
+//! single-process), so a change that perturbed a driver's arithmetic in
+//! every path at once would pass all of them.  This file pins absolute
+//! results instead: for every builtin scenario and every algorithm, a
+//! digest of the seeded event stream plus a readable
+//! best/explored/compliant line, and the exact weight bits of a controller
+//! after 200 sample/feedback rounds.  Any drift in sampling, the REINFORCE
+//! update, the optimizer or a baseline's loop shows up here as a changed
+//! line.
 //!
 //! Regenerate after an intentional numeric change with:
 //!
@@ -137,11 +138,7 @@ fn controller_line() -> String {
 fn seeded_outcomes_and_controller_weights_match_the_golden_pin() {
     let mut actual = Vec::new();
     for name in registry::names() {
-        for algorithm in [
-            Algorithm::Nasaic,
-            Algorithm::NasThenAsic,
-            Algorithm::AsicThenHwNas,
-        ] {
+        for algorithm in Algorithm::all() {
             actual.push(search_line(name, algorithm));
         }
     }
