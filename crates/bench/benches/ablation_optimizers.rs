@@ -41,20 +41,24 @@ fn regenerate_and_bench(c: &mut Criterion) {
     // to an isolated run while revisited candidates are paid for once.
     let engine = EvalEngine::from(&evaluator);
     let hardware = HardwareSpace::paper_default(2);
+    let ctx = SearchContext::new(
+        &workload,
+        specs,
+        &hardware,
+        &engine,
+        seed,
+        Budget::new(60, 4),
+    );
 
     println!("\n=== Ablation: optimizers on the NASAIC reward (workload W3) ===");
 
     // NASAIC with the optimizer selector.
-    let with_selector = Nasaic::new(
-        workload.clone(),
-        specs,
-        NasaicConfig {
-            episodes: 60,
-            hardware_trials: 4,
-            ..NasaicConfig::paper(seed)
-        },
-    )
-    .run();
+    let with_selector = Nasaic {
+        episodes: 60,
+        hardware_trials: 4,
+        ..Nasaic::paper(seed)
+    }
+    .run(&ctx);
     report_line(
         "RL controller (phi = 4)",
         with_selector.best_weighted_accuracy(),
@@ -62,16 +66,12 @@ fn regenerate_and_bench(c: &mut Criterion) {
     );
 
     // NASAIC without hardware-only steps (phi = 0).
-    let without_selector = Nasaic::new(
-        workload.clone(),
-        specs,
-        NasaicConfig {
-            episodes: 60,
-            hardware_trials: 0,
-            ..NasaicConfig::paper(seed)
-        },
-    )
-    .run();
+    let without_selector = Nasaic {
+        episodes: 60,
+        hardware_trials: 0,
+        ..Nasaic::paper(seed)
+    }
+    .run(&ctx);
     report_line(
         "RL controller (phi = 0)",
         without_selector.best_weighted_accuracy(),
@@ -84,7 +84,7 @@ fn regenerate_and_bench(c: &mut Criterion) {
         generations: 12,
         ..EvolutionarySearch::fast(seed)
     }
-    .run_with_engine(&workload, specs, &hardware, &engine);
+    .run(&ctx);
     report_line(
         "evolutionary algorithm",
         evolutionary.best_weighted_accuracy(),
@@ -93,8 +93,7 @@ fn regenerate_and_bench(c: &mut Criterion) {
 
     // Joint Monte-Carlo random search with a matched budget.
     let budget = with_selector.explored.len().max(60);
-    let random =
-        MonteCarloSearch { runs: budget, seed }.run_with_engine(&workload, &hardware, &engine);
+    let random = MonteCarloSearch { runs: budget, seed }.run(&ctx);
     report_line(
         "random search",
         random.best_weighted_accuracy(),
@@ -102,7 +101,7 @@ fn regenerate_and_bench(c: &mut Criterion) {
     );
 
     // Greedy hill climbing.
-    let climb = HillClimb::new(20).run_with_engine(&workload, specs, &hardware, &engine);
+    let climb = HillClimb::new(20).run(&ctx);
     report_line(
         "hill climbing",
         climb.best_weighted_accuracy(),
@@ -119,12 +118,9 @@ fn regenerate_and_bench(c: &mut Criterion) {
                 generations: 1,
                 ..EvolutionarySearch::fast(seed)
             };
-            black_box(
-                config
-                    .run_with_engine(&workload, specs, &hardware, &EvalEngine::from(&evaluator))
-                    .explored
-                    .len(),
-            )
+            let engine = EvalEngine::from(&evaluator);
+            let ctx = SearchContext::new(&workload, specs, &hardware, &engine, seed, ctx.budget);
+            black_box(config.run(&ctx).explored.len())
         })
     });
     group.finish();

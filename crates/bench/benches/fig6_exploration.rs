@@ -16,24 +16,15 @@ fn regenerate_and_bench(c: &mut Criterion) {
 
     // Benchmark: a short W1 co-exploration (4 episodes), the unit of work
     // that the figure repeats hundreds of times.
+    let mut scenario = registry::get("w1").expect("w1 is built in");
+    scenario.seed = seed;
+    scenario.search.episodes = 4;
+    scenario.search.hardware_trials = 2;
+    scenario.search.bound_samples = 4;
     let mut group = c.benchmark_group("fig6");
     group.sample_size(10);
     group.bench_function("nasaic_w1_four_episodes", |b| {
-        b.iter(|| {
-            let config = NasaicConfig {
-                episodes: 4,
-                hardware_trials: 2,
-                bound_samples: 4,
-                ..NasaicConfig::paper(seed)
-            };
-            let outcome = Nasaic::new(
-                Workload::w1(),
-                DesignSpecs::for_workload(WorkloadId::W1),
-                config,
-            )
-            .run();
-            black_box(outcome.explored.len())
-        })
+        b.iter(|| black_box(scenario.run_outcome().explored.len()))
     });
     group.finish();
 }

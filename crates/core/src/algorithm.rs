@@ -2,12 +2,9 @@
 //! baseline, one context carrying the run inputs, and a streaming
 //! observer for search telemetry.
 //!
-//! Before this module, the six search drivers had six incompatible entry
-//! points (`Nasaic::run_with_engine(engine)`,
-//! `MonteCarloSearch::run_with_engine(&workload, &hardware, engine)`, two
-//! tuple-returning successive baselines, …) and
-//! `Scenario::run_algorithm_with_engine` dispatched over their
-//! construction details by hand.  Now:
+//! This is the only way to run a search: a driver struct plus
+//! [`SearchAlgorithm::run_checkpointed`] (or [`SearchAlgorithm::run`]) over
+//! a [`SearchContext`].
 //!
 //! * [`SearchAlgorithm`] is the object-safe trait every driver implements:
 //!   `run_checkpointed(&self, ctx, resume, sink) -> SearchOutcome`, with
@@ -32,8 +29,9 @@
 //!   observers.
 //!
 //! Observation is passive: with any observer (including none), a seeded
-//! run's [`SearchOutcome`] is bit-identical to the pre-trait direct-call
-//! paths (asserted by `tests/algorithm_dispatch.rs`).
+//! run's [`SearchOutcome`] is the same (asserted by
+//! `tests/algorithm_dispatch.rs`); the outcomes themselves are pinned by
+//! `tests/controller_outcomes.rs`.
 //!
 //! # Running an algorithm through the trait
 //!
@@ -216,7 +214,7 @@ impl std::fmt::Debug for SearchContext<'_> {
 /// from a [`SearchCheckpoint`] and offers new checkpoints to a
 /// [`CheckpointSink`] as it progresses.  [`run`](Self::run) is the plain
 /// case (no resume, no sink).  The contract, gated by the resume-identity
-/// tests in `tests/algorithm_dispatch.rs` and the resume proptest, is
+/// tests in `tests/checkpoint_resume.rs` and the resume proptest, is
 /// *bit-identity*: resuming any checkpoint and running to the full budget
 /// must produce exactly the outcome of the uninterrupted run.
 ///
@@ -377,6 +375,30 @@ impl Algorithm {
             }),
         }
     }
+}
+
+/// Run `driver` on a paper workload under its specs, over the paper's
+/// two-sub-accelerator space and a fresh engine: the drivers' unit-test
+/// harness.  The context's seed and budget are descriptive for the
+/// built-in drivers, so they are left at zero.
+#[cfg(test)]
+pub(crate) fn run_paper_workload(
+    driver: &dyn SearchAlgorithm,
+    id: crate::spec::WorkloadId,
+) -> SearchOutcome {
+    use crate::evaluator::{AccuracyOracle, Evaluator};
+    let workload = Workload::for_id(id);
+    let specs = DesignSpecs::for_workload(id);
+    let hardware = HardwareSpace::paper_default(2);
+    let engine = EvalEngine::new(Evaluator::new(&workload, specs, AccuracyOracle::default()));
+    driver.run(&SearchContext::new(
+        &workload,
+        specs,
+        &hardware,
+        &engine,
+        0,
+        Budget::new(0, 0),
+    ))
 }
 
 // ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@
 //! co-exploration.
 
 use crate::algorithm::{
-    emit_search_finished, NullObserver, SearchAlgorithm, SearchContext, SearchEvent, SearchObserver,
+    emit_search_finished, SearchAlgorithm, SearchContext, SearchEvent, SearchObserver,
 };
 use crate::bounds::PenaltyBounds;
 use crate::candidate::Candidate;
-use crate::checkpoint::{self, CheckpointSink, NullCheckpointSink, SearchCheckpoint};
+use crate::checkpoint::{self, CheckpointSink, SearchCheckpoint};
 use crate::engine::EvalEngine;
 use crate::log::{ExploredSolution, PhaseSummary, SearchOutcome};
 use crate::scenario::value::ConfigValue;
@@ -63,38 +63,16 @@ impl AsicThenHwNas {
         }
     }
 
-    /// Phase 1 through a shared engine: Monte-Carlo hardware search for
-    /// the design closest to the specs.  Distance is measured with
-    /// mid-sized reference architectures (hardware cannot be judged
-    /// without *some* network), as the relative deviation of each metric
-    /// from its spec; designs exceeding a spec are penalised three-fold so
-    /// "closest" designs are preferentially inside the spec region.  The
-    /// sampled designs are evaluated as one parallel batch against the
-    /// fixed reference architectures, and the distance scan stays
-    /// sequential in sample order.
-    pub fn run_monte_carlo_hardware_with_engine(
-        &self,
-        workload: &Workload,
-        specs: &DesignSpecs,
-        hardware: &HardwareSpace,
-        engine: &EvalEngine,
-    ) -> Accelerator {
-        self.run_monte_carlo_hardware_observed(
-            workload,
-            specs,
-            hardware,
-            engine,
-            &NullObserver,
-            None,
-            &NullCheckpointSink,
-        )
-    }
-
-    /// The hardware Monte-Carlo loop, shared by
-    /// [`run_monte_carlo_hardware_with_engine`](Self::run_monte_carlo_hardware_with_engine)
-    /// and the trait path.  Each sampled design is one `EpisodeEvaluated`
-    /// event (accuracy-free: `weighted_accuracy` is `None`), so the trace
-    /// covers the phase's engine work.
+    /// Phase 1: Monte-Carlo hardware search for the design closest to the
+    /// specs.  Distance is measured with mid-sized reference architectures
+    /// (hardware cannot be judged without *some* network), as the relative
+    /// deviation of each metric from its spec; designs exceeding a spec are
+    /// penalised three-fold so "closest" designs are preferentially inside
+    /// the spec region.  The sampled designs are evaluated as one parallel
+    /// batch against the fixed reference architectures, and the distance
+    /// scan stays sequential in sample order.  Each sampled design is one
+    /// `EpisodeEvaluated` event (accuracy-free: `weighted_accuracy` is
+    /// `None`), so the trace covers the phase's engine work.
     ///
     /// Checkpoints fire between samples at `progress` = samples completed
     /// with state `{rng, best}`; the loop draws and evaluates in chunks
@@ -102,7 +80,7 @@ impl AsicThenHwNas {
     /// evaluation survives when no sink wants checkpoints.  `resume` is
     /// the pre-decoded `(rng, incumbent, samples completed)` triple.
     #[allow(clippy::too_many_arguments)]
-    fn run_monte_carlo_hardware_observed(
+    fn run_monte_carlo_hardware(
         &self,
         workload: &Workload,
         specs: &DesignSpecs,
@@ -188,41 +166,18 @@ impl AsicThenHwNas {
             .unwrap_or_else(|| hardware.sample_fully_allocated(&mut rng))
     }
 
-    /// Phase 2 through a shared engine: hardware-aware NAS on a fixed
-    /// accelerator design.  Revisited architectures hit both caches (the
-    /// accelerator is fixed, so the hardware key only varies with the
-    /// architectures).
-    pub fn run_hardware_aware_nas_with_engine(
-        &self,
-        workload: &Workload,
-        specs: DesignSpecs,
-        accelerator: &Accelerator,
-        engine: &EvalEngine,
-    ) -> SearchOutcome {
-        self.run_hardware_aware_nas_observed(
-            workload,
-            specs,
-            accelerator,
-            engine,
-            &NullObserver,
-            None,
-            &NullCheckpointSink,
-            0,
-        )
-    }
-
-    /// The hardware-aware NAS loop, shared by
-    /// [`run_hardware_aware_nas_with_engine`](Self::run_hardware_aware_nas_with_engine)
-    /// and the trait path.
+    /// Phase 2: hardware-aware NAS on a fixed accelerator design.
+    /// Revisited architectures hit both caches (the accelerator is fixed,
+    /// so the hardware key only varies with the architectures).
     ///
     /// Checkpoints fire per episode at `progress = progress_offset +
-    /// episodes completed` (the trait path passes the Monte-Carlo run
-    /// count as the offset so both phases share one progress axis) with
+    /// episodes completed` (the caller passes the Monte-Carlo run count as
+    /// the offset so both phases share one progress axis) with
     /// state `{rng, controller, outcome, accelerator}`.  `resume` is the
     /// pre-decoded `(rng, controller state, outcome, episodes completed)`
     /// tuple.
     #[allow(clippy::too_many_arguments)]
-    fn run_hardware_aware_nas_observed(
+    fn run_hardware_aware_nas(
         &self,
         workload: &Workload,
         specs: DesignSpecs,
@@ -332,8 +287,8 @@ impl AsicThenHwNas {
     }
 
     /// Offer a NAS-phase checkpoint (see
-    /// [`run_hardware_aware_nas_observed`](Self::run_hardware_aware_nas_observed)
-    /// for the progress and state conventions).
+    /// [`run_hardware_aware_nas`](Self::run_hardware_aware_nas) for the
+    /// progress and state conventions).
     #[allow(clippy::too_many_arguments)]
     fn offer_nas(
         &self,
@@ -358,49 +313,37 @@ impl AsicThenHwNas {
             state
         });
     }
+}
 
-    /// Run both phases through a shared engine; returns the chosen
-    /// accelerator and the NAS outcome.  The outcome carries both phases
-    /// as [`SearchOutcome::phases`] summaries (the chosen accelerator is
-    /// the `asic-monte-carlo` phase's detail), so it survives when only
-    /// the outcome is kept.
-    pub fn run_with_engine(
-        &self,
-        workload: &Workload,
-        specs: DesignSpecs,
-        hardware: &HardwareSpace,
-        engine: &EvalEngine,
-    ) -> (Accelerator, SearchOutcome) {
-        self.run_observed(
-            workload,
-            specs,
-            hardware,
-            engine,
-            &NullObserver,
-            None,
-            &NullCheckpointSink,
-        )
+impl SearchAlgorithm for AsicThenHwNas {
+    fn name(&self) -> &str {
+        "asic-then-hwnas"
     }
 
-    /// Both phases with phase events and summaries; shared by
-    /// [`run_with_engine`](Self::run_with_engine) and the trait path.
+    /// Run both phases over the context's workload/specs/hardware.  The
+    /// outcome is the hardware-aware NAS exploration log; the chosen
+    /// accelerator survives in [`SearchOutcome::phases`] (the
+    /// `asic-monte-carlo` phase's detail, and as `PhaseFinished` events).
     ///
     /// One progress axis spans both phases: `1..=max(monte_carlo_runs, 1)`
     /// are hardware samples, the rest are NAS episodes (the checkpoint's
     /// `phase` field disambiguates).  A run resumed mid-NAS skips the
     /// Monte-Carlo loop entirely — the chosen accelerator is rebuilt from
     /// the checkpoint.
-    #[allow(clippy::too_many_arguments)]
-    fn run_observed(
+    ///
+    /// The baseline stays on the sequential shard fallback: the NAS phase
+    /// is serial (the controller learns from every episode), and the
+    /// Monte-Carlo phase's output is a single accelerator whose selection
+    /// scan is cheap next to the batched hardware evaluations it follows.
+    fn run_checkpointed(
         &self,
-        workload: &Workload,
-        specs: DesignSpecs,
-        hardware: &HardwareSpace,
-        engine: &EvalEngine,
-        observer: &dyn SearchObserver,
+        ctx: &SearchContext<'_>,
         resume: Option<&SearchCheckpoint>,
         sink: &dyn CheckpointSink,
-    ) -> (Accelerator, SearchOutcome) {
+    ) -> SearchOutcome {
+        let (workload, specs, hardware, engine) =
+            (ctx.workload, ctx.specs, ctx.hardware, ctx.engine);
+        let observer = ctx.observer();
         let stats_start = engine.stats();
         let runs = self.monte_carlo_runs.max(1);
         let (mc_resume, nas_resume) = match resume {
@@ -481,7 +424,7 @@ impl AsicThenHwNas {
                     });
                     (rng, best, cp.progress)
                 });
-                let accelerator = self.run_monte_carlo_hardware_observed(
+                let accelerator = self.run_monte_carlo_hardware(
                     workload, &specs, hardware, engine, observer, mc_state, sink,
                 );
                 (accelerator, None)
@@ -505,7 +448,7 @@ impl AsicThenHwNas {
                 budget: self.nas_episodes,
             });
         }
-        let mut outcome = self.run_hardware_aware_nas_observed(
+        let mut outcome = self.run_hardware_aware_nas(
             workload,
             specs,
             &accelerator,
@@ -529,40 +472,7 @@ impl AsicThenHwNas {
         });
         outcome.phases = vec![hardware_summary, nas_summary];
         emit_search_finished(observer, &outcome, engine.stats().since(&stats_start));
-        (accelerator, outcome)
-    }
-}
-
-impl SearchAlgorithm for AsicThenHwNas {
-    fn name(&self) -> &str {
-        "asic-then-hwnas"
-    }
-
-    /// Run both phases over the context's workload/specs/hardware.  The
-    /// outcome is the hardware-aware NAS exploration log; the chosen
-    /// accelerator survives in [`SearchOutcome::phases`] (and as
-    /// `PhaseFinished` events).
-    ///
-    /// The baseline stays on the sequential shard fallback: the NAS phase
-    /// is serial (the controller learns from every episode), and the
-    /// Monte-Carlo phase's output is a single accelerator whose selection
-    /// scan is cheap next to the batched hardware evaluations it follows.
-    fn run_checkpointed(
-        &self,
-        ctx: &SearchContext<'_>,
-        resume: Option<&SearchCheckpoint>,
-        sink: &dyn CheckpointSink,
-    ) -> SearchOutcome {
-        self.run_observed(
-            ctx.workload,
-            ctx.specs,
-            ctx.hardware,
-            ctx.engine,
-            ctx.observer(),
-            resume,
-            sink,
-        )
-        .1
+        outcome
     }
 }
 
@@ -620,6 +530,8 @@ fn spec_distance(value: f64, spec: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::{run_paper_workload, NullObserver};
+    use crate::checkpoint::NullCheckpointSink;
     use crate::evaluator::{AccuracyOracle, Evaluator};
     use crate::spec::WorkloadId;
 
@@ -630,9 +542,15 @@ mod tests {
         let evaluator = Evaluator::new(&workload, specs, AccuracyOracle::default());
         let engine = EvalEngine::from(&evaluator);
         let hardware = HardwareSpace::paper_default(2);
-        let baseline = AsicThenHwNas::fast(5);
-        let accelerator =
-            baseline.run_monte_carlo_hardware_with_engine(&workload, &specs, &hardware, &engine);
+        let accelerator = AsicThenHwNas::fast(5).run_monte_carlo_hardware(
+            &workload,
+            &specs,
+            &hardware,
+            &engine,
+            &NullObserver,
+            None,
+            &NullCheckpointSink,
+        );
         // The chosen design must at least fit the area spec (area does not
         // depend on the reference architectures).
         let area = evaluator.cost_model().area_um2(&accelerator);
@@ -642,17 +560,12 @@ mod tests {
 
     #[test]
     fn hardware_aware_nas_finds_compliant_architectures_on_w1() {
-        let workload = Workload::w1();
-        let specs = DesignSpecs::for_workload(WorkloadId::W1);
-        let engine = EvalEngine::new(Evaluator::new(&workload, specs, AccuracyOracle::default()));
-        let hardware = HardwareSpace::paper_default(2);
-        let baseline = AsicThenHwNas::fast(7);
-        let (accelerator, outcome) = baseline.run_with_engine(&workload, specs, &hardware, &engine);
-        assert!(accelerator.has_capacity());
+        let outcome = run_paper_workload(&AsicThenHwNas::fast(7), WorkloadId::W1);
         let best = outcome
             .best
             .expect("hardware-aware NAS found a compliant solution");
         assert!(best.evaluation.meets_specs());
+        assert!(best.candidate.accelerator.has_capacity());
         // Accuracy must exceed the smallest-network lower bound.
         assert!(best.evaluation.weighted_accuracy > 0.715);
         // The chosen accelerator survives in the phase summaries.

@@ -9,17 +9,13 @@
 //! fitness is exactly the Eq. 4 reward.
 
 use crate::algorithm::{
-    emit_search_finished, NullObserver, SearchAlgorithm, SearchContext, SearchEvent, SearchObserver,
+    emit_search_finished, SearchAlgorithm, SearchContext, SearchEvent, SearchObserver,
 };
 use crate::bounds::PenaltyBounds;
 use crate::candidate::Candidate;
-use crate::checkpoint::{self, CheckpointSink, NullCheckpointSink, SearchCheckpoint};
-use crate::engine::EvalEngine;
+use crate::checkpoint::{self, CheckpointSink, SearchCheckpoint};
 use crate::log::{ExploredSolution, SearchOutcome};
 use crate::scenario::value::ConfigValue;
-use crate::spec::DesignSpecs;
-use crate::workload::Workload;
-use nasaic_accel::HardwareSpace;
 use nasaic_nn::space::SearchSpace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -68,48 +64,69 @@ impl EvolutionarySearch {
         }
     }
 
-    /// Run through a shared engine: every generation's population is
-    /// scored as one parallel batch, with elitism's surviving individuals
-    /// re-scored from the caches for free.
-    pub fn run_with_engine(
+    /// Offer a checkpoint after `generation` scored generations.
+    #[allow(clippy::too_many_arguments)]
+    fn offer(
         &self,
-        workload: &Workload,
-        specs: DesignSpecs,
-        hardware: &HardwareSpace,
-        engine: &EvalEngine,
-    ) -> SearchOutcome {
-        self.run_observed(
-            workload,
-            specs,
-            hardware,
-            engine,
-            &NullObserver,
-            None,
-            &NullCheckpointSink,
-        )
+        sink: &dyn CheckpointSink,
+        observer: &dyn SearchObserver,
+        generation: usize,
+        rng: &StdRng,
+        population: &[Vec<usize>],
+        fitness: &[f64],
+        outcome: &SearchOutcome,
+    ) {
+        checkpoint::offer_checkpoint(sink, observer, self.name(), self.seed, generation, || {
+            let mut state = ConfigValue::table();
+            state.insert("rng", checkpoint::rng_state_to_value(&rng.state()));
+            state.insert(
+                "population",
+                ConfigValue::Array(
+                    population
+                        .iter()
+                        .map(|genome| checkpoint::usizes_to_value(genome))
+                        .collect(),
+                ),
+            );
+            state.insert("fitness", checkpoint::floats_to_value(fitness));
+            state.insert("outcome", checkpoint::outcome_to_value(outcome));
+            state
+        });
+    }
+}
+
+impl SearchAlgorithm for EvolutionarySearch {
+    fn name(&self) -> &str {
+        "evolutionary"
     }
 
-    /// The generation loop, shared by
-    /// [`run_with_engine`](Self::run_with_engine) and the
-    /// [`SearchAlgorithm`] trait path.
+    /// Run over the context's workload, specs and hardware space.  The
+    /// genetic hyperparameters (population, tournament, mutation rate) and
+    /// the generation count come from this instance
+    /// ([`Algorithm::instantiate`](crate::scenario::Algorithm::instantiate)
+    /// maps them from the scenario's `SearchSpec`).
     ///
-    /// Checkpoints fire after each scored generation: `progress` counts
-    /// completed generations (the initial population is progress 0), and
-    /// the state carries `{rng, population, fitness, outcome}` — enough to
-    /// re-enter the loop at `progress` with the RNG stream, the live
-    /// population and the full exploration record bit-identical to the
-    /// uninterrupted run.
-    #[allow(clippy::too_many_arguments)]
-    fn run_observed(
+    /// Every generation's population is scored as one parallel batch,
+    /// with elitism's surviving individuals re-scored from the caches for
+    /// free.  Checkpoints fire after each scored generation: `progress`
+    /// counts completed generations (the initial population is progress
+    /// 0), and the state carries `{rng, population, fitness, outcome}` —
+    /// enough to re-enter the loop at `progress` with the RNG stream, the
+    /// live population and the full exploration record bit-identical to
+    /// the uninterrupted run.
+    ///
+    /// The search stays on the sequential shard fallback: every generation
+    /// is bred from the previous one's fitness, so generations cannot be
+    /// strided across workers without changing the evolutionary trajectory.
+    fn run_checkpointed(
         &self,
-        workload: &Workload,
-        specs: DesignSpecs,
-        hardware: &HardwareSpace,
-        engine: &EvalEngine,
-        observer: &dyn SearchObserver,
+        ctx: &SearchContext<'_>,
         resume: Option<&SearchCheckpoint>,
         sink: &dyn CheckpointSink,
     ) -> SearchOutcome {
+        let (workload, specs, hardware, engine) =
+            (ctx.workload, ctx.specs, ctx.hardware, ctx.engine);
+        let observer = ctx.observer();
         let stats_start = engine.stats();
         let scorer = engine.scorer(PenaltyBounds::from_specs(&specs, 3.0), self.rho);
         let arch_spaces: Vec<SearchSpace> = workload
@@ -310,68 +327,6 @@ impl EvolutionarySearch {
         emit_search_finished(observer, &outcome, engine.stats().since(&stats_start));
         outcome
     }
-
-    /// Offer a checkpoint after `generation` scored generations.
-    #[allow(clippy::too_many_arguments)]
-    fn offer(
-        &self,
-        sink: &dyn CheckpointSink,
-        observer: &dyn SearchObserver,
-        generation: usize,
-        rng: &StdRng,
-        population: &[Vec<usize>],
-        fitness: &[f64],
-        outcome: &SearchOutcome,
-    ) {
-        checkpoint::offer_checkpoint(sink, observer, self.name(), self.seed, generation, || {
-            let mut state = ConfigValue::table();
-            state.insert("rng", checkpoint::rng_state_to_value(&rng.state()));
-            state.insert(
-                "population",
-                ConfigValue::Array(
-                    population
-                        .iter()
-                        .map(|genome| checkpoint::usizes_to_value(genome))
-                        .collect(),
-                ),
-            );
-            state.insert("fitness", checkpoint::floats_to_value(fitness));
-            state.insert("outcome", checkpoint::outcome_to_value(outcome));
-            state
-        });
-    }
-}
-
-impl SearchAlgorithm for EvolutionarySearch {
-    fn name(&self) -> &str {
-        "evolutionary"
-    }
-
-    /// Run over the context's workload, specs and hardware space.  The
-    /// genetic hyperparameters (population, tournament, mutation rate) and
-    /// the generation count come from this instance
-    /// ([`Algorithm::instantiate`](crate::scenario::Algorithm::instantiate)
-    /// maps them from the scenario's `SearchSpec`).
-    ///
-    /// The search stays on the sequential shard fallback: every generation
-    /// is bred from the previous one's fitness, so generations cannot be
-    /// strided across workers without changing the evolutionary trajectory.
-    fn run_checkpointed(
-        &self,
-        ctx: &SearchContext<'_>,
-        resume: Option<&SearchCheckpoint>,
-        sink: &dyn CheckpointSink,
-    ) -> SearchOutcome {
-        self.run_observed(
-            ctx.workload,
-            ctx.specs,
-            ctx.hardware,
-            ctx.engine,
-            ctx.observer(),
-            resume,
-            sink,
-        )
-    }
 }
 
 fn argmax(values: &[f64]) -> usize {
@@ -402,17 +357,12 @@ fn tournament_select<'a, R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::{AccuracyOracle, Evaluator};
+    use crate::algorithm::run_paper_workload;
     use crate::spec::WorkloadId;
 
     #[test]
     fn evolutionary_search_finds_compliant_w3_solutions() {
-        let workload = Workload::w3();
-        let specs = DesignSpecs::for_workload(WorkloadId::W3);
-        let engine = EvalEngine::new(Evaluator::new(&workload, specs, AccuracyOracle::default()));
-        let hardware = HardwareSpace::paper_default(2);
-        let outcome =
-            EvolutionarySearch::fast(3).run_with_engine(&workload, specs, &hardware, &engine);
+        let outcome = run_paper_workload(&EvolutionarySearch::fast(3), WorkloadId::W3);
         assert!(outcome.best.is_some(), "no compliant solution found");
         assert!(outcome.best_weighted_accuracy().unwrap() > 0.80);
         for s in &outcome.spec_compliant {
@@ -422,12 +372,7 @@ mod tests {
 
     #[test]
     fn later_generations_do_not_regress_the_best_reward() {
-        let workload = Workload::w3();
-        let specs = DesignSpecs::for_workload(WorkloadId::W3);
-        let engine = EvalEngine::new(Evaluator::new(&workload, specs, AccuracyOracle::default()));
-        let hardware = HardwareSpace::paper_default(2);
-        let config = EvolutionarySearch::fast(7);
-        let outcome = config.run_with_engine(&workload, specs, &hardware, &engine);
+        let outcome = run_paper_workload(&EvolutionarySearch::fast(7), WorkloadId::W3);
         // Best-so-far reward over evaluation order must be non-decreasing by
         // construction (elitism); check the recorded rewards are consistent.
         let mut best = f64::NEG_INFINITY;
@@ -443,17 +388,13 @@ mod tests {
 
     #[test]
     fn deterministic_for_a_seed() {
-        let workload = Workload::w1();
-        let specs = DesignSpecs::for_workload(WorkloadId::W1);
-        let evaluator = Evaluator::new(&workload, specs, AccuracyOracle::default());
-        let hardware = HardwareSpace::paper_default(2);
         let config = EvolutionarySearch {
             population: 8,
             generations: 3,
             ..EvolutionarySearch::fast(11)
         };
-        let a = config.run_with_engine(&workload, specs, &hardware, &EvalEngine::from(&evaluator));
-        let b = config.run_with_engine(&workload, specs, &hardware, &EvalEngine::from(&evaluator));
+        let a = run_paper_workload(&config, WorkloadId::W1);
+        let b = run_paper_workload(&config, WorkloadId::W1);
         assert_eq!(a.best_weighted_accuracy(), b.best_weighted_accuracy());
         assert_eq!(a.explored.len(), b.explored.len());
     }

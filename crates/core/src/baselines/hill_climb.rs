@@ -6,17 +6,13 @@
 //! moves that improve the Eq. 4 reward.
 
 use crate::algorithm::{
-    emit_search_finished, NullObserver, SearchAlgorithm, SearchContext, SearchEvent, SearchObserver,
+    emit_search_finished, SearchAlgorithm, SearchContext, SearchEvent, SearchObserver,
 };
 use crate::bounds::PenaltyBounds;
 use crate::candidate::Candidate;
-use crate::checkpoint::{self, CheckpointSink, NullCheckpointSink, SearchCheckpoint};
-use crate::engine::EvalEngine;
+use crate::checkpoint::{self, CheckpointSink, SearchCheckpoint};
 use crate::log::{ExploredSolution, SearchOutcome};
 use crate::scenario::value::ConfigValue;
-use crate::spec::DesignSpecs;
-use crate::workload::Workload;
-use nasaic_accel::HardwareSpace;
 use serde::{Deserialize, Serialize};
 
 /// A candidate move of the local search: the architecture indices per task,
@@ -41,45 +37,64 @@ impl HillClimb {
         }
     }
 
-    /// Run through a shared engine: each step's whole neighbourhood is
-    /// scored as one parallel batch, and re-visited neighbours (common as
-    /// the climb slows down) come from the caches.
-    pub fn run_with_engine(
+    /// Offer a checkpoint after `step` accepted steps (the climb is
+    /// seedless, so the envelope's seed is fixed at 0).
+    fn offer(
         &self,
-        workload: &Workload,
-        specs: DesignSpecs,
-        hardware: &HardwareSpace,
-        engine: &EvalEngine,
-    ) -> SearchOutcome {
-        self.run_observed(
-            workload,
-            specs,
-            hardware,
-            engine,
-            &NullObserver,
-            None,
-            &NullCheckpointSink,
-        )
+        sink: &dyn CheckpointSink,
+        observer: &dyn SearchObserver,
+        step: usize,
+        arch_indices: &[Vec<usize>],
+        hw_indices: &[usize],
+        outcome: &SearchOutcome,
+    ) {
+        checkpoint::offer_checkpoint(sink, observer, self.name(), 0, step, || {
+            let mut state = ConfigValue::table();
+            state.insert(
+                "arch_indices",
+                ConfigValue::Array(
+                    arch_indices
+                        .iter()
+                        .map(|indices| checkpoint::usizes_to_value(indices))
+                        .collect(),
+                ),
+            );
+            state.insert("hw_indices", checkpoint::usizes_to_value(hw_indices));
+            state.insert("outcome", checkpoint::outcome_to_value(outcome));
+            state
+        });
+    }
+}
+
+impl SearchAlgorithm for HillClimb {
+    fn name(&self) -> &str {
+        "hill-climb"
     }
 
-    /// The climb loop, shared by [`run_with_engine`](Self::run_with_engine)
-    /// and the [`SearchAlgorithm`] trait path.
+    /// Run over the context's workload, specs and hardware space.  The
+    /// step limit and `rho` come from this instance
+    /// ([`Algorithm::instantiate`](crate::scenario::Algorithm::instantiate)
+    /// maps the budget's `episodes` onto `max_steps`).
     ///
-    /// The climb has no RNG, so the checkpoint state is minimal:
-    /// `{arch_indices, hw_indices, outcome}` at `progress` = accepted
-    /// steps.  The current evaluation and reward are re-derived by
-    /// re-scoring the current position on resume (the scorer is pure).
-    #[allow(clippy::too_many_arguments)]
-    fn run_observed(
+    /// Each step's whole neighbourhood is scored as one parallel batch,
+    /// and re-visited neighbours (common as the climb slows down) come
+    /// from the caches.  The climb has no RNG, so the checkpoint state is
+    /// minimal: `{arch_indices, hw_indices, outcome}` at `progress` =
+    /// accepted steps.  The current evaluation and reward are re-derived
+    /// by re-scoring the current position on resume (the scorer is pure).
+    ///
+    /// The climb stays on the sequential shard fallback: each step moves
+    /// from the previously accepted neighbour, so there is nothing
+    /// independent to stride across workers.
+    fn run_checkpointed(
         &self,
-        workload: &Workload,
-        specs: DesignSpecs,
-        hardware: &HardwareSpace,
-        engine: &EvalEngine,
-        observer: &dyn SearchObserver,
+        ctx: &SearchContext<'_>,
         resume: Option<&SearchCheckpoint>,
         sink: &dyn CheckpointSink,
     ) -> SearchOutcome {
+        let (workload, specs, hardware, engine) =
+            (ctx.workload, ctx.specs, ctx.hardware, ctx.engine);
+        let observer = ctx.observer();
         let stats_start = engine.stats();
         let scorer = engine.scorer(PenaltyBounds::from_specs(&specs, 3.0), self.rho);
 
@@ -240,80 +255,17 @@ impl HillClimb {
         emit_search_finished(observer, &outcome, engine.stats().since(&stats_start));
         outcome
     }
-
-    /// Offer a checkpoint after `step` accepted steps (the climb is
-    /// seedless, so the envelope's seed is fixed at 0).
-    fn offer(
-        &self,
-        sink: &dyn CheckpointSink,
-        observer: &dyn SearchObserver,
-        step: usize,
-        arch_indices: &[Vec<usize>],
-        hw_indices: &[usize],
-        outcome: &SearchOutcome,
-    ) {
-        checkpoint::offer_checkpoint(sink, observer, self.name(), 0, step, || {
-            let mut state = ConfigValue::table();
-            state.insert(
-                "arch_indices",
-                ConfigValue::Array(
-                    arch_indices
-                        .iter()
-                        .map(|indices| checkpoint::usizes_to_value(indices))
-                        .collect(),
-                ),
-            );
-            state.insert("hw_indices", checkpoint::usizes_to_value(hw_indices));
-            state.insert("outcome", checkpoint::outcome_to_value(outcome));
-            state
-        });
-    }
-}
-
-impl SearchAlgorithm for HillClimb {
-    fn name(&self) -> &str {
-        "hill-climb"
-    }
-
-    /// Run over the context's workload, specs and hardware space.  The
-    /// step limit and `rho` come from this instance
-    /// ([`Algorithm::instantiate`](crate::scenario::Algorithm::instantiate)
-    /// maps the budget's `episodes` onto `max_steps`).
-    ///
-    /// The climb stays on the sequential shard fallback: each step moves
-    /// from the previously accepted neighbour, so there is nothing
-    /// independent to stride across workers.
-    fn run_checkpointed(
-        &self,
-        ctx: &SearchContext<'_>,
-        resume: Option<&SearchCheckpoint>,
-        sink: &dyn CheckpointSink,
-    ) -> SearchOutcome {
-        self.run_observed(
-            ctx.workload,
-            ctx.specs,
-            ctx.hardware,
-            ctx.engine,
-            ctx.observer(),
-            resume,
-            sink,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::{AccuracyOracle, Evaluator};
+    use crate::algorithm::run_paper_workload;
     use crate::spec::WorkloadId;
 
     #[test]
     fn hill_climbing_improves_over_its_starting_point() {
-        let workload = Workload::w3();
-        let specs = DesignSpecs::for_workload(WorkloadId::W3);
-        let engine = EvalEngine::new(Evaluator::new(&workload, specs, AccuracyOracle::default()));
-        let hardware = HardwareSpace::paper_default(2);
-        let outcome = HillClimb::new(12).run_with_engine(&workload, specs, &hardware, &engine);
+        let outcome = run_paper_workload(&HillClimb::new(12), WorkloadId::W3);
         assert!(outcome.explored.len() >= 2, "no move was accepted");
         let first = outcome.explored.first().unwrap().reward;
         let last = outcome.explored.last().unwrap().reward;
@@ -322,11 +274,7 @@ mod tests {
 
     #[test]
     fn rewards_are_monotonically_non_decreasing() {
-        let workload = Workload::w1();
-        let specs = DesignSpecs::for_workload(WorkloadId::W1);
-        let engine = EvalEngine::new(Evaluator::new(&workload, specs, AccuracyOracle::default()));
-        let hardware = HardwareSpace::paper_default(2);
-        let outcome = HillClimb::new(8).run_with_engine(&workload, specs, &hardware, &engine);
+        let outcome = run_paper_workload(&HillClimb::new(8), WorkloadId::W1);
         for pair in outcome.explored.windows(2) {
             assert!(pair[1].reward >= pair[0].reward);
         }

@@ -21,14 +21,11 @@
 //!   solutions in draw order, reconstructing the exact single-process
 //!   outcome.
 
-use crate::algorithm::{
-    emit_search_finished, NullObserver, SearchAlgorithm, SearchContext, SearchEvent, SearchObserver,
-};
+use crate::algorithm::{emit_search_finished, SearchAlgorithm, SearchContext, SearchEvent};
 use crate::candidate::Candidate;
 use crate::checkpoint::{
-    self, CheckpointSink, NullCheckpointSink, SearchCheckpoint, ShardMode, ShardPartial, ShardPlan,
+    self, CheckpointSink, SearchCheckpoint, ShardMode, ShardPartial, ShardPlan,
 };
-use crate::engine::EvalEngine;
 use crate::log::{ExploredSolution, SearchOutcome};
 use crate::scenario::value::ConfigValue;
 use crate::workload::Workload;
@@ -55,26 +52,6 @@ impl MonteCarloSearch {
     /// A configuration small enough for tests.
     pub fn fast(seed: u64) -> Self {
         Self { runs: 200, seed }
-    }
-
-    /// Run the search through a shared evaluation engine: candidates are
-    /// drawn sequentially (one RNG stream), evaluated as parallel cached
-    /// batches, and recorded in draw order, so the outcome is identical to
-    /// the serial loop.
-    pub fn run_with_engine(
-        &self,
-        workload: &Workload,
-        hardware: &HardwareSpace,
-        engine: &EvalEngine,
-    ) -> SearchOutcome {
-        self.run_observed(
-            workload,
-            hardware,
-            engine,
-            &NullObserver,
-            None,
-            &NullCheckpointSink,
-        )
     }
 
     /// Draw the `episode`-th sample of the run's one RNG stream.
@@ -106,21 +83,32 @@ impl MonteCarloSearch {
         };
         Candidate::from_parts(architectures, accelerator)
     }
+}
 
-    /// The sampling loop, shared by [`run_with_engine`](Self::run_with_engine)
-    /// and the [`SearchAlgorithm`] trait path.
+impl SearchAlgorithm for MonteCarloSearch {
+    fn name(&self) -> &str {
+        "monte-carlo"
+    }
+
+    /// Run over the context's workload and hardware space.  The sample
+    /// count and seed come from this instance
+    /// ([`Algorithm::instantiate`](crate::scenario::Algorithm::instantiate)
+    /// maps the budget's
+    /// [`total_evaluations`](crate::algorithm::Budget::total_evaluations)
+    /// onto `runs`).
     ///
-    /// Checkpoint state: `{rng, outcome}` at `progress` = samples
-    /// completed.
-    fn run_observed(
+    /// Candidates are drawn sequentially (one RNG stream), evaluated as
+    /// parallel cached batches, and recorded in draw order, so the outcome
+    /// is identical to a serial loop.  Checkpoint state: `{rng, outcome}`
+    /// at `progress` = samples completed.
+    fn run_checkpointed(
         &self,
-        workload: &Workload,
-        hardware: &HardwareSpace,
-        engine: &EvalEngine,
-        observer: &dyn SearchObserver,
+        ctx: &SearchContext<'_>,
         resume: Option<&SearchCheckpoint>,
         sink: &dyn CheckpointSink,
     ) -> SearchOutcome {
+        let (workload, hardware, engine) = (ctx.workload, ctx.hardware, ctx.engine);
+        let observer = ctx.observer();
         let stats_start = engine.stats();
         let (mut rng, mut outcome, mut episode) = match resume {
             Some(cp) => {
@@ -198,34 +186,6 @@ impl MonteCarloSearch {
         emit_search_finished(observer, &outcome, engine.stats().since(&stats_start));
         outcome
     }
-}
-
-impl SearchAlgorithm for MonteCarloSearch {
-    fn name(&self) -> &str {
-        "monte-carlo"
-    }
-
-    /// Run over the context's workload and hardware space.  The sample
-    /// count and seed come from this instance
-    /// ([`Algorithm::instantiate`](crate::scenario::Algorithm::instantiate)
-    /// maps the budget's
-    /// [`total_evaluations`](crate::algorithm::Budget::total_evaluations)
-    /// onto `runs`).
-    fn run_checkpointed(
-        &self,
-        ctx: &SearchContext<'_>,
-        resume: Option<&SearchCheckpoint>,
-        sink: &dyn CheckpointSink,
-    ) -> SearchOutcome {
-        self.run_observed(
-            ctx.workload,
-            ctx.hardware,
-            ctx.engine,
-            ctx.observer(),
-            resume,
-            sink,
-        )
-    }
 
     /// Every sample is independent: stride them across the shards.
     fn shard_plan(&self, _ctx: &SearchContext<'_>, shards: usize) -> ShardPlan {
@@ -301,28 +261,19 @@ impl SearchAlgorithm for MonteCarloSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::Budget;
-    use crate::evaluator::{AccuracyOracle, Evaluator};
-    use crate::spec::{DesignSpecs, WorkloadId};
+    use crate::algorithm::run_paper_workload;
+    use crate::spec::WorkloadId;
 
     #[test]
     fn monte_carlo_explores_the_requested_number_of_samples() {
-        let workload = Workload::w3();
-        let specs = DesignSpecs::for_workload(WorkloadId::W3);
-        let engine = EvalEngine::new(Evaluator::new(&workload, specs, AccuracyOracle::default()));
-        let hardware = HardwareSpace::paper_default(2);
-        let outcome = MonteCarloSearch::fast(1).run_with_engine(&workload, &hardware, &engine);
+        let outcome = run_paper_workload(&MonteCarloSearch::fast(1), WorkloadId::W3);
         assert_eq!(outcome.explored.len(), 200);
         assert_eq!(outcome.episodes, 200);
     }
 
     #[test]
     fn monte_carlo_finds_compliant_solutions_on_w1() {
-        let workload = Workload::w1();
-        let specs = DesignSpecs::for_workload(WorkloadId::W1);
-        let engine = EvalEngine::new(Evaluator::new(&workload, specs, AccuracyOracle::default()));
-        let hardware = HardwareSpace::paper_default(2);
-        let outcome = MonteCarloSearch::fast(3).run_with_engine(&workload, &hardware, &engine);
+        let outcome = run_paper_workload(&MonteCarloSearch::fast(3), WorkloadId::W1);
         assert!(
             outcome.best.is_some(),
             "random search found no compliant design"
@@ -330,26 +281,5 @@ mod tests {
         let best = outcome.best.unwrap();
         assert!(best.evaluation.meets_specs());
         assert!(best.evaluation.weighted_accuracy > 0.715);
-    }
-
-    #[test]
-    fn trait_run_matches_the_engine_entry_point() {
-        let workload = Workload::w3();
-        let specs = DesignSpecs::for_workload(WorkloadId::W3);
-        let hardware = HardwareSpace::paper_default(2);
-        let mc = MonteCarloSearch { runs: 30, seed: 9 };
-        let engine_a = EvalEngine::new(Evaluator::new(&workload, specs, AccuracyOracle::default()));
-        let a = mc.run_with_engine(&workload, &hardware, &engine_a);
-        let engine_b = EvalEngine::new(Evaluator::new(&workload, specs, AccuracyOracle::default()));
-        let ctx = SearchContext::new(
-            &workload,
-            specs,
-            &hardware,
-            &engine_b,
-            9,
-            Budget::new(30, 0),
-        );
-        let b = mc.run(&ctx);
-        assert_eq!(a, b);
     }
 }

@@ -254,45 +254,22 @@ impl NasThenAsic {
         });
     }
 
-    /// Phase 2 through a shared engine: brute-force hardware exploration
-    /// for fixed architectures.  The fixed architectures make every sweep
-    /// sample share one accuracy query, and the hardware designs evaluate
-    /// as one parallel batch.  Returns the full exploration log; the
-    /// "result" of the baseline is the explored design with the smallest
-    /// spec violation (or the most accurate compliant design if one
-    /// exists).
-    pub fn run_asic_sweep_with_engine(
-        &self,
-        architectures: &[Architecture],
-        hardware: &HardwareSpace,
-        engine: &EvalEngine,
-    ) -> SearchOutcome {
-        self.run_asic_sweep_observed(
-            architectures,
-            hardware,
-            engine,
-            &NullObserver,
-            None,
-            &NullCheckpointSink,
-            0,
-        )
-    }
-
-    /// The sweep loop, shared by
-    /// [`run_asic_sweep_with_engine`](Self::run_asic_sweep_with_engine)
-    /// and the trait path.
+    /// Phase 2: brute-force hardware exploration for fixed architectures.
+    /// The fixed architectures make every sweep sample share one accuracy
+    /// query, and the hardware designs evaluate as one parallel batch.
+    /// Returns the full exploration log.
     ///
     /// Checkpoints fire between samples at `progress = progress_offset +
-    /// samples completed` (the trait path passes the NAS budget as the
-    /// offset so both phases share one progress axis) with state `{rng,
-    /// done, outcome}`; the loop draws and evaluates in chunks delimited
+    /// samples completed` (the caller passes the NAS budget as the offset
+    /// so both phases share one progress axis) with state `{rng, done,
+    /// outcome}`; the loop draws and evaluates in chunks delimited
     /// by the sink's next snapshot point, so the one-batch evaluation
     /// survives when no sink wants checkpoints.  `resume` is the
     /// pre-decoded `(rng, outcome, samples completed)` triple — the
     /// caller owns the workload needed to rebuild the outcome's
     /// candidates.
     #[allow(clippy::too_many_arguments)]
-    fn run_asic_sweep_observed(
+    fn run_asic_sweep(
         &self,
         architectures: &[Architecture],
         hardware: &HardwareSpace,
@@ -380,33 +357,70 @@ impl NasThenAsic {
         outcome
     }
 
-    /// Run both phases through a shared engine.  The outcome (the ASIC
-    /// sweep's exploration log) carries both phases as
-    /// [`SearchOutcome::phases`] summaries, so the NAS result and the
-    /// representative design are no longer lost when only the outcome is
-    /// kept; the returned solution is the least-violating design (by
-    /// number of violated specs, then by normalised excess), which is what
-    /// the paper reports in Table I.
-    pub fn run_with_engine(
+    /// The NAS phase summary — a pure function of the chosen architectures
+    /// and the engine, so both the plain run and the shard merge compute
+    /// the same one.
+    fn nas_summary(
         &self,
-        workload: &Workload,
-        specs: DesignSpecs,
-        hardware: &HardwareSpace,
         engine: &EvalEngine,
-    ) -> (SearchOutcome, Option<ExploredSolution>) {
-        self.run_observed(
-            workload,
-            specs,
-            hardware,
-            engine,
-            &NullObserver,
-            None,
-            &NullCheckpointSink,
-        )
+        nas_budget: usize,
+        architectures: &[Architecture],
+    ) -> PhaseSummary {
+        PhaseSummary {
+            name: "nas".to_string(),
+            episodes: nas_budget,
+            explored: 0,
+            spec_compliant: 0,
+            best_weighted_accuracy: Some(
+                engine.weighted_accuracy(&engine.accuracies(architectures)),
+            ),
+            detail: format!(
+                "architectures: {}",
+                architectures
+                    .iter()
+                    .map(Architecture::hyperparameter_string)
+                    .collect::<Vec<_>>()
+                    .join(" & ")
+            ),
+        }
     }
 
-    /// Both phases with phase events and summaries; shared by
-    /// [`run_with_engine`](Self::run_with_engine) and the trait path.
+    /// The sweep phase summary — a pure function of the (full) sweep
+    /// outcome, shared by the plain run and
+    /// [`SearchAlgorithm::merge_shards`].  Its representative is the most
+    /// accurate compliant design, else the [`least_violating`] one.
+    fn sweep_summary(&self, outcome: &SearchOutcome, specs: &DesignSpecs) -> PhaseSummary {
+        let representative = outcome
+            .best
+            .clone()
+            .or_else(|| least_violating(outcome, specs));
+        PhaseSummary {
+            name: "asic-sweep".to_string(),
+            episodes: self.hardware_samples,
+            explored: outcome.explored.len(),
+            spec_compliant: outcome.spec_compliant.len(),
+            best_weighted_accuracy: outcome.best_weighted_accuracy(),
+            detail: match &representative {
+                Some(solution) => format!(
+                    "representative ({} violation(s)): {}",
+                    solution.evaluation.spec_check.violations(),
+                    solution.candidate.summary()
+                ),
+                None => "no design explored".to_string(),
+            },
+        }
+    }
+}
+
+impl SearchAlgorithm for NasThenAsic {
+    fn name(&self) -> &str {
+        "nas-then-asic"
+    }
+
+    /// Run both phases over the context's workload/specs/hardware.  The
+    /// outcome is the ASIC sweep's exploration log; the NAS result and the
+    /// representative design (what the paper reports in Table I) survive
+    /// in [`SearchOutcome::phases`] (and as `PhaseFinished` events).
     ///
     /// One progress axis spans both phases: `1..=nas_budget` are NAS
     /// episodes, `nas_budget+1..=nas_budget+hardware_samples` are sweep
@@ -414,17 +428,15 @@ impl NasThenAsic {
     /// resumed mid-sweep skips the NAS loop entirely — the architectures
     /// are rebuilt from the checkpoint and the NAS phase summary is
     /// recomputed from them (a pure function of the engine's caches).
-    #[allow(clippy::too_many_arguments)]
-    fn run_observed(
+    fn run_checkpointed(
         &self,
-        workload: &Workload,
-        specs: DesignSpecs,
-        hardware: &HardwareSpace,
-        engine: &EvalEngine,
-        observer: &dyn SearchObserver,
+        ctx: &SearchContext<'_>,
         resume: Option<&SearchCheckpoint>,
         sink: &dyn CheckpointSink,
-    ) -> (SearchOutcome, Option<ExploredSolution>) {
+    ) -> SearchOutcome {
+        let (workload, specs, hardware, engine) =
+            (ctx.workload, ctx.specs, ctx.hardware, ctx.engine);
+        let observer = ctx.observer();
         let stats_start = engine.stats();
         let nas_budget = self.nas_episodes * workload.num_tasks();
         let (nas_resume, sweep_resume) = match resume {
@@ -495,7 +507,7 @@ impl NasThenAsic {
                 budget: self.hardware_samples,
             });
         }
-        let mut outcome = self.run_asic_sweep_observed(
+        let mut outcome = self.run_asic_sweep(
             &architectures,
             hardware,
             engine,
@@ -504,99 +516,14 @@ impl NasThenAsic {
             sink,
             nas_budget,
         );
-        let representative = outcome
-            .best
-            .clone()
-            .or_else(|| least_violating(&outcome, &specs));
-        let sweep_summary = self.sweep_summary(&outcome, representative.as_ref());
+        let sweep_summary = self.sweep_summary(&outcome, &specs);
         observer.on_event(&SearchEvent::PhaseFinished {
             phase: "asic-sweep".to_string(),
             summary: sweep_summary.clone(),
         });
         outcome.phases = vec![nas_summary, sweep_summary];
         emit_search_finished(observer, &outcome, engine.stats().since(&stats_start));
-        (outcome, representative)
-    }
-
-    /// The NAS phase summary — a pure function of the chosen architectures
-    /// and the engine, so both the plain run and the shard merge compute
-    /// the same one.
-    fn nas_summary(
-        &self,
-        engine: &EvalEngine,
-        nas_budget: usize,
-        architectures: &[Architecture],
-    ) -> PhaseSummary {
-        PhaseSummary {
-            name: "nas".to_string(),
-            episodes: nas_budget,
-            explored: 0,
-            spec_compliant: 0,
-            best_weighted_accuracy: Some(
-                engine.weighted_accuracy(&engine.accuracies(architectures)),
-            ),
-            detail: format!(
-                "architectures: {}",
-                architectures
-                    .iter()
-                    .map(Architecture::hyperparameter_string)
-                    .collect::<Vec<_>>()
-                    .join(" & ")
-            ),
-        }
-    }
-
-    /// The sweep phase summary — a pure function of the (full) sweep
-    /// outcome and its representative, shared by the plain run and
-    /// [`SearchAlgorithm::merge_shards`].
-    fn sweep_summary(
-        &self,
-        outcome: &SearchOutcome,
-        representative: Option<&ExploredSolution>,
-    ) -> PhaseSummary {
-        PhaseSummary {
-            name: "asic-sweep".to_string(),
-            episodes: self.hardware_samples,
-            explored: outcome.explored.len(),
-            spec_compliant: outcome.spec_compliant.len(),
-            best_weighted_accuracy: outcome.best_weighted_accuracy(),
-            detail: match representative {
-                Some(solution) => format!(
-                    "representative ({} violation(s)): {}",
-                    solution.evaluation.spec_check.violations(),
-                    solution.candidate.summary()
-                ),
-                None => "no design explored".to_string(),
-            },
-        }
-    }
-}
-
-impl SearchAlgorithm for NasThenAsic {
-    fn name(&self) -> &str {
-        "nas-then-asic"
-    }
-
-    /// Run both phases over the context's workload/specs/hardware.  The
-    /// outcome is the ASIC sweep's exploration log; the NAS result and the
-    /// least-violating representative survive in
-    /// [`SearchOutcome::phases`] (and as `PhaseFinished` events).
-    fn run_checkpointed(
-        &self,
-        ctx: &SearchContext<'_>,
-        resume: Option<&SearchCheckpoint>,
-        sink: &dyn CheckpointSink,
-    ) -> SearchOutcome {
-        self.run_observed(
-            ctx.workload,
-            ctx.specs,
-            ctx.hardware,
-            ctx.engine,
-            ctx.observer(),
-            resume,
-            sink,
-        )
-        .0
+        outcome
     }
 
     /// The sweep's samples are independent: stride them across the
@@ -714,11 +641,7 @@ impl SearchAlgorithm for NasThenAsic {
     ) -> SearchOutcome {
         let mut outcome = checkpoint::merge_replay(plan, partials);
         if plan.mode == ShardMode::Strided {
-            let representative = outcome
-                .best
-                .clone()
-                .or_else(|| least_violating(&outcome, &ctx.specs));
-            let sweep_summary = self.sweep_summary(&outcome, representative.as_ref());
+            let sweep_summary = self.sweep_summary(&outcome, &ctx.specs);
             outcome.phases.push(sweep_summary);
         }
         outcome
@@ -787,6 +710,7 @@ pub fn least_violating(outcome: &SearchOutcome, specs: &DesignSpecs) -> Option<E
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::run_paper_workload;
     use crate::evaluator::{AccuracyOracle, Evaluator};
     use crate::spec::WorkloadId;
 
@@ -811,18 +735,13 @@ mod tests {
     fn asic_sweep_cannot_rescue_accuracy_optimal_architectures_on_w1() {
         // The paper's core claim for Table I: for the architectures that
         // NAS identifies, no explored accelerator design meets the specs.
-        let workload = Workload::w1();
         let specs = DesignSpecs::for_workload(WorkloadId::W1);
-        let engine = EvalEngine::new(Evaluator::new(&workload, specs, AccuracyOracle::default()));
-        let hardware = HardwareSpace::paper_default(2);
-        let baseline = NasThenAsic::fast(2);
-        let (outcome, representative) =
-            baseline.run_with_engine(&workload, specs, &hardware, &engine);
+        let outcome = run_paper_workload(&NasThenAsic::fast(2), WorkloadId::W1);
         assert!(
             outcome.best.is_none(),
             "NAS->ASIC unexpectedly met the specs"
         );
-        let representative = representative.expect("sweep explored designs");
+        let representative = least_violating(&outcome, &specs).expect("sweep explored designs");
         assert!(!representative.evaluation.meets_specs());
         assert!(representative.evaluation.spec_check.violations() >= 1);
         // Both phases survive in the outcome instead of being dropped.
@@ -834,13 +753,8 @@ mod tests {
 
     #[test]
     fn least_violating_prefers_fewer_violations() {
-        let workload = Workload::w1();
         let specs = DesignSpecs::for_workload(WorkloadId::W1);
-        let engine = EvalEngine::new(Evaluator::new(&workload, specs, AccuracyOracle::default()));
-        let hardware = HardwareSpace::paper_default(2);
-        let baseline = NasThenAsic::fast(3);
-        let architectures = baseline.run_nas_with_engine(&workload, &engine);
-        let outcome = baseline.run_asic_sweep_with_engine(&architectures, &hardware, &engine);
+        let outcome = run_paper_workload(&NasThenAsic::fast(3), WorkloadId::W1);
         let best = least_violating(&outcome, &specs).unwrap();
         let min_violations = outcome
             .explored

@@ -16,6 +16,7 @@
 //! single-task CIFAR-10 workload with the W3 specs scaled for one network
 //! instance (latency and energy halved), documented in DESIGN.md.
 
+use crate::algorithm::{Budget, SearchAlgorithm, SearchContext};
 use crate::baselines::{AsicThenHwNas, MonteCarloSearch, NasThenAsic};
 use crate::engine::EvalEngine;
 use crate::evaluator::{AccuracyOracle, Evaluator};
@@ -98,21 +99,24 @@ pub fn fig1_setting() -> (Workload, DesignSpecs) {
 
 /// Run the Fig. 1 experiment at a given scale.
 ///
-/// All four series evaluate through one shared [`EvalEngine`] — the
+/// All four series run through one [`SearchContext`] and its shared
+/// [`EvalEngine`] — the
 /// Monte-Carlo sweep and the baselines revisit overlapping regions of the
 /// single-task design space, so the caches carry across series.
 pub fn run(scale: ExperimentScale, seed: u64) -> Fig1Result {
     let (workload, specs) = fig1_setting();
     let engine = EvalEngine::new(Evaluator::new(&workload, specs, AccuracyOracle::default()));
     let hardware = HardwareSpace::paper_default(2);
+    let budget = Budget::new(scale.episodes(), scale.hardware_trials());
+    let ctx = SearchContext::new(&workload, specs, &hardware, &engine, seed, budget);
 
     // Circles: successive NAS then brute-force ASIC sweep.
-    let nas_baseline = NasThenAsic {
+    let sweep = NasThenAsic {
         nas_episodes: scale.episodes(),
         hardware_samples: scale.hardware_samples(),
         seed,
-    };
-    let (sweep, _) = nas_baseline.run_with_engine(&workload, specs, &hardware, &engine);
+    }
+    .run(&ctx);
     let nas_then_asic: Vec<ScatterPoint> = sweep
         .explored
         .iter()
@@ -126,13 +130,13 @@ pub fn run(scale: ExperimentScale, seed: u64) -> Fig1Result {
         .collect();
 
     // Triangle: hardware-aware NAS on the Monte-Carlo-selected design.
-    let hwnas_baseline = AsicThenHwNas {
+    let hwnas_outcome = AsicThenHwNas {
         monte_carlo_runs: scale.monte_carlo_runs() / 2,
         nas_episodes: scale.episodes(),
         rho: 10.0,
         seed: seed ^ 0x17,
-    };
-    let (_, hwnas_outcome) = hwnas_baseline.run_with_engine(&workload, specs, &hardware, &engine);
+    }
+    .run(&ctx);
     let hw_aware_nas = hwnas_outcome.best.as_ref().map(|s| ScatterPoint {
         latency_cycles: s.evaluation.metrics.latency_cycles,
         energy_nj: s.evaluation.metrics.energy_nj,
@@ -142,11 +146,11 @@ pub fn run(scale: ExperimentScale, seed: u64) -> Fig1Result {
     });
 
     // Star + square: joint Monte-Carlo search.
-    let mc = MonteCarloSearch {
+    let mc_outcome = MonteCarloSearch {
         runs: scale.monte_carlo_runs(),
         seed: seed ^ 0x2a,
-    };
-    let mc_outcome = mc.run_with_engine(&workload, &hardware, &engine);
+    }
+    .run(&ctx);
     let monte_carlo_optimal = mc_outcome.best.as_ref().map(|s| ScatterPoint {
         latency_cycles: s.evaluation.metrics.latency_cycles,
         energy_nj: s.evaluation.metrics.energy_nj,

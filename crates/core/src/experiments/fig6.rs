@@ -6,9 +6,11 @@
 //! random accelerator designs (blue crosses), and the best solution found
 //! (red star).
 
-use crate::engine::{parallel_map, pool::divided_threads, EngineConfig};
+use crate::algorithm::{Budget, SearchAlgorithm, SearchContext};
+use crate::engine::{parallel_map, pool::divided_threads, EngineConfig, EvalEngine};
+use crate::evaluator::{AccuracyOracle, Evaluator};
 use crate::experiments::{ExperimentScale, ScatterPoint};
-use crate::search::{Nasaic, NasaicConfig};
+use crate::search::Nasaic;
 use crate::spec::{DesignSpecs, WorkloadId};
 use crate::workload::Workload;
 use nasaic_accel::HardwareSpace;
@@ -117,19 +119,25 @@ pub fn run_panel_with_threads(
     seed: u64,
     engine_threads: usize,
 ) -> Fig6Panel {
-    let engine_config = EngineConfig {
-        threads: engine_threads,
-        ..EngineConfig::default()
-    };
     let workload = Workload::for_id(workload_id);
     let specs = DesignSpecs::for_workload(workload_id);
-    let config = NasaicConfig {
+    let hardware = HardwareSpace::paper_default(2);
+    let engine = EvalEngine::with_config(
+        Evaluator::new(&workload, specs, AccuracyOracle::default()),
+        EngineConfig {
+            threads: engine_threads,
+            ..EngineConfig::default()
+        },
+    );
+    let budget = Budget::new(scale.episodes(), scale.hardware_trials());
+    let outcome = Nasaic {
         episodes: scale.episodes(),
         hardware_trials: scale.hardware_trials(),
-        ..NasaicConfig::paper(seed)
-    };
-    let search = Nasaic::new(workload.clone(), specs, config).with_engine_config(engine_config);
-    let outcome = search.run();
+        ..Nasaic::paper(seed)
+    }
+    .run(&SearchContext::new(
+        &workload, specs, &hardware, &engine, seed, budget,
+    ));
 
     let explored: Vec<ScatterPoint> = outcome
         .spec_compliant
@@ -154,14 +162,12 @@ pub fn run_panel_with_threads(
     // drawn sequentially and metric-evaluated as one parallel batch through
     // the search's own engine, so any designs the search already visited
     // come straight from its caches.
-    let engine = search.engine();
     let smallest: Vec<Architecture> = workload
         .tasks
         .iter()
         .map(|t| t.backbone.smallest_architecture())
         .collect();
     let lower_bound_accuracies = engine.accuracies(&smallest);
-    let hardware = HardwareSpace::paper_default(2);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x1b);
     let accelerators: Vec<_> = (0..scale.hardware_samples() / 2)
         .map(|i| {

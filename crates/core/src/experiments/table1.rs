@@ -1,12 +1,13 @@
 //! Table I — NAS→ASIC vs ASIC→HW-NAS vs NASAIC on the multi-dataset
 //! workloads W1 and W2.
 
+use crate::algorithm::{Budget, SearchAlgorithm, SearchContext};
 use crate::baselines::{nas_then_asic::least_violating, AsicThenHwNas, NasThenAsic};
 use crate::engine::{parallel_map, pool::divided_threads, EngineConfig, EvalEngine};
 use crate::evaluator::{AccuracyOracle, Evaluator};
 use crate::experiments::ExperimentScale;
-use crate::log::ExploredSolution;
-use crate::search::{Nasaic, NasaicConfig};
+use crate::log::{ExploredSolution, SearchOutcome};
+use crate::search::Nasaic;
 use crate::spec::{DesignSpecs, WorkloadId};
 use crate::workload::Workload;
 use nasaic_accel::HardwareSpace;
@@ -147,9 +148,10 @@ fn row_from_solution(
 
 /// Run Table I for one workload.
 ///
-/// The three approaches share one [`EvalEngine`], so e.g. the hardware
-/// sweeps of NAS→ASIC and ASIC→HW-NAS reuse each other's cached cost
-/// tables where their samples overlap.
+/// The three approaches run through one [`SearchContext`] and so share
+/// one [`EvalEngine`]: e.g. the hardware sweeps of NAS→ASIC and
+/// ASIC→HW-NAS reuse each other's cached cost tables where their samples
+/// overlap.
 pub fn run_workload(workload_id: WorkloadId, scale: ExperimentScale, seed: u64) -> Vec<Table1Row> {
     run_workload_with_threads(workload_id, scale, seed, 0)
 }
@@ -163,77 +165,58 @@ pub fn run_workload_with_threads(
     seed: u64,
     engine_threads: usize,
 ) -> Vec<Table1Row> {
-    let engine_config = EngineConfig {
-        threads: engine_threads,
-        ..EngineConfig::default()
-    };
     let workload = Workload::for_id(workload_id);
     let specs = DesignSpecs::for_workload(workload_id);
     let engine = EvalEngine::with_config(
         Evaluator::new(&workload, specs, AccuracyOracle::default()),
-        engine_config,
+        EngineConfig {
+            threads: engine_threads,
+            ..EngineConfig::default()
+        },
     );
     let hardware = HardwareSpace::paper_default(2);
-    let datasets = dataset_names(&workload);
-    let mut rows = Vec::with_capacity(3);
-
-    // NAS -> ASIC.
-    let nas_baseline = NasThenAsic {
+    let budget = Budget::new(scale.episodes(), scale.hardware_trials());
+    let ctx = SearchContext::new(&workload, specs, &hardware, &engine, seed, budget);
+    let nas_then_asic = NasThenAsic {
         nas_episodes: scale.episodes(),
         hardware_samples: scale.hardware_samples(),
         seed,
-    };
-    let (sweep, representative) =
-        nas_baseline.run_with_engine(&workload, specs, &hardware, &engine);
-    let representative = representative.or_else(|| least_violating(&sweep, &specs));
-    if let Some(solution) = representative {
-        rows.push(row_from_solution(
-            workload_id,
-            Approach::NasThenAsic,
-            &datasets,
-            &solution,
-        ));
     }
-
-    // ASIC -> HW-NAS.
-    let hwnas_baseline = AsicThenHwNas {
+    .run(&ctx);
+    let asic_then_hwnas = AsicThenHwNas {
         monte_carlo_runs: scale.monte_carlo_runs() / 2,
         nas_episodes: scale.episodes(),
         rho: 10.0,
         seed: seed ^ 0x51,
-    };
-    let (_, hwnas_outcome) = hwnas_baseline.run_with_engine(&workload, specs, &hardware, &engine);
-    if let Some(best) = hwnas_outcome
-        .best
-        .clone()
-        .or_else(|| least_violating(&hwnas_outcome, &specs))
-    {
-        rows.push(row_from_solution(
-            workload_id,
-            Approach::AsicThenHwNas,
-            &datasets,
-            &best,
-        ));
     }
-
-    // NASAIC.
-    let config = NasaicConfig {
+    .run(&ctx);
+    let nasaic = Nasaic {
         episodes: scale.episodes(),
         hardware_trials: scale.hardware_trials(),
-        ..NasaicConfig::paper(seed ^ 0x99)
-    };
-    let outcome = Nasaic::new(workload.clone(), specs, config)
-        .with_engine_config(engine_config)
-        .run();
-    if let Some(best) = outcome.best {
-        rows.push(row_from_solution(
-            workload_id,
-            Approach::Nasaic,
-            &datasets,
-            &best,
-        ));
+        ..Nasaic::paper(seed ^ 0x99)
     }
-    rows
+    .run(&ctx);
+
+    // The successive baselines report their best compliant design, else
+    // the least-violating one (what the paper reports when no design meets
+    // the specs); NASAIC's row needs a compliant design.
+    let representative = |outcome: &SearchOutcome| {
+        outcome
+            .best
+            .clone()
+            .or_else(|| least_violating(outcome, &specs))
+    };
+    let datasets = dataset_names(&workload);
+    [
+        (Approach::NasThenAsic, representative(&nas_then_asic)),
+        (Approach::AsicThenHwNas, representative(&asic_then_hwnas)),
+        (Approach::Nasaic, nasaic.best),
+    ]
+    .into_iter()
+    .filter_map(|(approach, solution)| {
+        solution.map(|s| row_from_solution(workload_id, approach, &datasets, &s))
+    })
+    .collect()
 }
 
 /// Run the full Table I (W1 and W2).

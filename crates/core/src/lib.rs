@@ -31,16 +31,41 @@
 //!
 //! # Quickstart
 //!
+//! Every search runs one way: a driver ([`search::Nasaic`] or a
+//! [`baselines`] struct) plus [`algorithm::SearchAlgorithm::run`] over a
+//! [`algorithm::SearchContext`] holding the workload, specs, hardware
+//! space and engine.  A [`scenario::Scenario`] builds all of that from a
+//! config:
+//!
+//! ```
+//! use nasaic_core::prelude::*;
+//!
+//! let mut scenario = registry::get("w1").unwrap();
+//! scenario.seed = 7;
+//! scenario.search.episodes = 40;
+//! scenario.search.hardware_trials = 4;
+//! scenario.search.bound_samples = 10;
+//! let outcome = scenario.run_outcome();
+//! // Every solution NASAIC reports satisfies the design specs.
+//! for solution in &outcome.spec_compliant {
+//!     assert!(solution.evaluation.meets_specs());
+//! }
+//! ```
+//!
+//! The same search over a hand-built context:
+//!
 //! ```
 //! use nasaic_core::prelude::*;
 //!
 //! let workload = Workload::w1();
 //! let specs = DesignSpecs::for_workload(WorkloadId::W1);
-//! let outcome = Nasaic::new(workload, specs, NasaicConfig::fast_demo(7)).run();
-//! // Every solution NASAIC reports satisfies the design specs.
-//! for solution in &outcome.spec_compliant {
-//!     assert!(solution.evaluation.meets_specs());
-//! }
+//! let hardware = HardwareSpace::paper_default(2);
+//! let engine = EvalEngine::new(Evaluator::new(&workload, specs, AccuracyOracle::default()));
+//! let search = Nasaic::fast_demo(7);
+//! let budget = Budget::new(search.episodes, search.hardware_trials);
+//! let ctx = SearchContext::new(&workload, specs, &hardware, &engine, search.seed, budget);
+//! let outcome = search.run(&ctx);
+//! assert!(outcome.best.is_some());
 //! ```
 
 #![deny(missing_docs)]
@@ -85,7 +110,7 @@ pub mod prelude {
     pub use crate::reward::Reward;
     pub use crate::scenario::report::RunReport;
     pub use crate::scenario::{registry, Algorithm, Scenario};
-    pub use crate::search::{Nasaic, NasaicConfig};
+    pub use crate::search::Nasaic;
     pub use crate::spec::{DesignSpecs, WorkloadId};
     pub use crate::workload::{Task, Workload};
     pub use nasaic_accel::{Accelerator, Dataflow, HardwareSpace, ResourceBudget, SubAccelerator};

@@ -50,13 +50,11 @@ use crate::checkpoint::{
 use crate::engine::EvalEngine;
 use crate::evaluator::{AccuracyOracle, Evaluator};
 use crate::log::SearchOutcome;
-use crate::search::NasaicConfig;
 use crate::spec::DesignSpecs;
 use crate::workload::Workload;
 use nasaic_accel::{Dataflow, HardwareSpace, ResourceBudget};
 use nasaic_cost::CostModel;
 use nasaic_nn::backbone::Backbone;
-use nasaic_rl::ControllerConfig;
 use nasaic_sched::{select_tier, SchedulerPolicy, TierDecision};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -754,24 +752,6 @@ impl Scenario {
         self.hardware.space()
     }
 
-    /// The [`NasaicConfig`] equivalent of this scenario's search setup
-    /// (controller hyperparameters and accuracy oracle are the defaults,
-    /// exactly as the hardcoded `W1`–`W3` paths use them).
-    pub fn nasaic_config(&self) -> NasaicConfig {
-        NasaicConfig {
-            episodes: self.search.episodes,
-            hardware_trials: self.search.hardware_trials,
-            rho: self.search.rho,
-            num_sub_accelerators: self.hardware.sub_accelerators,
-            homogeneous: self.search.homogeneous,
-            accuracy_in_hardware_reward: self.search.accuracy_in_hardware_reward,
-            bound_samples: self.search.bound_samples,
-            seed: self.seed,
-            controller: ControllerConfig::default(),
-            oracle: AccuracyOracle::default(),
-        }
-    }
-
     /// A fresh [`EvalEngine`] for this scenario (evaluator over the
     /// declared workload, specs, the default oracle and the scenario's
     /// scheduler policy).
@@ -1278,17 +1258,6 @@ area_um2 = 4e9
             Algorithm::NasThenAsic
         );
         assert!(Algorithm::from_str("simulated-annealing").is_err());
-    }
-
-    #[test]
-    fn nasaic_config_mirrors_search_spec() {
-        let mut scenario = Scenario::from_toml_str(minimal_toml()).unwrap();
-        scenario.seed = 17;
-        scenario.search.episodes = 40;
-        scenario.search.hardware_trials = 4;
-        scenario.search.bound_samples = 10;
-        let config = scenario.nasaic_config();
-        assert_eq!(config, NasaicConfig::fast_demo(17));
     }
 
     #[test]

@@ -9,8 +9,21 @@
 //! bare keys, basic strings, integers, floats, booleans, inline arrays,
 //! `[table]` headers and `[[array-of-tables]]` headers — and rejects
 //! everything else with a line-numbered error instead of guessing.
+//!
+//! Nesting is bounded: a document whose tables and arrays nest deeper than
+//! 64 levels is rejected with a line-numbered error, so no input (a
+//! scenario file, a wire request, a checkpoint, a shard partial or a cache
+//! export) can exhaust the stack of the recursive parser, the emitters or
+//! the value's destructor.
 
 use std::fmt;
+
+/// The deepest nesting of tables and arrays a parsed document may have.
+/// In JSON every object and array is one level; in TOML every dotted
+/// header segment is one level, and a value's arrays count on from its
+/// table's depth.  The deepest documents this system writes (checkpoints)
+/// nest 8 levels.
+const MAX_NESTING: usize = 64;
 
 /// A parsed configuration value (the common data model of the TOML and
 /// JSON frontends).
@@ -219,7 +232,7 @@ pub fn parse_toml(input: &str) -> Result<ConfigValue, ConfigError> {
                 value_text.push_str(strip_comment(lines[index]).trim());
                 index += 1;
             }
-            let value = parse_toml_value(&value_text, line_no)?;
+            let value = parse_toml_value(&value_text, line_no, cursor.len())?;
             let table = navigate(&mut root, &cursor, line_no, false)?;
             if table.get(&key).is_some() {
                 return Err(ConfigError::at(line_no, format!("duplicate key `{key}`")));
@@ -273,6 +286,9 @@ struct PathStep {
 fn parse_header_path(header: &str, line: usize) -> Result<Vec<PathStep>, ConfigError> {
     let mut steps = Vec::new();
     for part in header.split('.') {
+        if steps.len() == MAX_NESTING {
+            return Err(too_deep(line));
+        }
         steps.push(PathStep {
             key: parse_key(part.trim(), line)?,
             array_element: false,
@@ -386,8 +402,10 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-fn parse_toml_value(text: &str, line: usize) -> Result<ConfigValue, ConfigError> {
+/// Parse one `key = value` value of a table nested `depth` levels deep.
+fn parse_toml_value(text: &str, line: usize, depth: usize) -> Result<ConfigValue, ConfigError> {
     let mut cursor = Cursor::new(text, line);
+    cursor.depth = depth;
     let value = cursor.parse_value(ValueSyntax::Toml)?;
     cursor.skip_whitespace();
     if !cursor.at_end() {
@@ -428,11 +446,12 @@ enum ValueSyntax {
 }
 
 /// A character cursor over an input slice, tracking the current line for
-/// error messages.
+/// error messages and the nesting depth of the value being parsed.
 struct Cursor {
     chars: Vec<char>,
     pos: usize,
     line: usize,
+    depth: usize,
 }
 
 impl Cursor {
@@ -441,7 +460,17 @@ impl Cursor {
             chars: input.chars().collect(),
             pos: 0,
             line: start_line,
+            depth: 0,
         }
+    }
+
+    /// Open one more level of nesting, or fail past `MAX_NESTING`.
+    fn enter(&mut self) -> Result<(), ConfigError> {
+        if self.depth == MAX_NESTING {
+            return Err(too_deep(self.line));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn at_end(&self) -> bool {
@@ -524,11 +553,13 @@ impl Cursor {
 
     fn parse_array(&mut self, syntax: ValueSyntax) -> Result<ConfigValue, ConfigError> {
         self.expect('[')?;
+        self.enter()?;
         let mut items = Vec::new();
         loop {
             self.skip_whitespace();
             if self.peek() == Some(']') {
                 self.bump();
+                self.depth -= 1;
                 return Ok(ConfigValue::Array(items));
             }
             items.push(self.parse_value(syntax)?);
@@ -550,11 +581,13 @@ impl Cursor {
 
     fn parse_object(&mut self) -> Result<ConfigValue, ConfigError> {
         self.expect('{')?;
+        self.enter()?;
         let mut entries: Vec<(String, ConfigValue)> = Vec::new();
         loop {
             self.skip_whitespace();
             if self.peek() == Some('}') {
                 self.bump();
+                self.depth -= 1;
                 return Ok(ConfigValue::Table(entries));
             }
             let key = self.parse_string()?;
@@ -617,6 +650,13 @@ impl Cursor {
         };
         value.ok_or_else(|| ConfigError::at(self.line, format!("invalid number `{text}`")))
     }
+}
+
+fn too_deep(line: usize) -> ConfigError {
+    ConfigError::at(
+        line,
+        format!("tables and arrays nest deeper than {MAX_NESTING} levels"),
+    )
 }
 
 fn fmt_char(c: Option<char>) -> String {
@@ -961,6 +1001,45 @@ weight = 0.5
         let err = parse_toml("[specs]\na = 1\n\n[specs]\nb = 2\n").unwrap_err();
         assert!(err.message.contains("declared twice"), "{err}");
         assert_eq!(err.line, 4);
+    }
+
+    #[test]
+    fn json_nesting_is_capped_with_a_line_numbered_error() {
+        let nested =
+            |depth: usize| format!("{{\"ping\":\n{}{}}}", "[".repeat(depth), "]".repeat(depth));
+        // The object is level 1, so 63 arrays inside it reach the cap.
+        assert!(parse_json(&nested(MAX_NESTING - 1)).is_ok());
+        let err = parse_json(&nested(MAX_NESTING)).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("nest deeper than 64"), "{err}");
+        // Deep enough to overflow the stack of an unbounded parser.
+        let err = parse_json(&nested(100_000)).unwrap_err();
+        assert!(err.message.contains("nest deeper"), "{err}");
+        let objects = "{\"a\":".repeat(100_000);
+        assert!(parse_json(&objects)
+            .unwrap_err()
+            .message
+            .contains("nest deeper"));
+    }
+
+    #[test]
+    fn toml_nesting_is_capped_with_a_line_numbered_error() {
+        // Inline arrays count from the depth of their table.
+        let inline =
+            |depth: usize| format!("[a]\nx = {}{}\n", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_toml(&inline(MAX_NESTING - 1)).is_ok());
+        let err = parse_toml(&inline(MAX_NESTING)).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("nest deeper than 64"), "{err}");
+        assert!(parse_toml(&inline(100_000)).is_err());
+        // Dotted header paths count one level per segment.
+        let header = |segments: usize| format!("x = 1\n[{}]\n", vec!["a"; segments].join("."));
+        assert!(parse_toml(&header(MAX_NESTING)).is_ok());
+        let err = parse_toml(&header(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("nest deeper"), "{err}");
+        let err = parse_toml(&header(1_000_000)).unwrap_err();
+        assert!(err.message.contains("nest deeper"), "{err}");
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //!   heterogeneous sub-accelerators and two independently searched
 //!   networks.
 
+use crate::algorithm::{Budget, SearchAlgorithm, SearchContext};
 use crate::engine::{parallel_map, pool::divided_threads, EngineConfig, EvalEngine};
 use crate::evaluator::{AccuracyOracle, Evaluator};
-use crate::search::{Nasaic, NasaicConfig};
+use crate::log::SearchOutcome;
+use crate::search::Nasaic;
 use crate::spec::{DesignSpecs, WorkloadId};
 use crate::workload::{Task, Workload};
 use nasaic_accel::{Accelerator, Dataflow, HardwareSpace, ResourceBudget, SubAccelerator};
@@ -129,12 +131,27 @@ impl StudyConfig {
         }
     }
 
-    fn nasaic_config(&self) -> NasaicConfig {
-        NasaicConfig {
+    /// Run this study's NASAIC search over `hardware` through a fresh
+    /// engine for `workload` under `specs`.
+    fn run_nasaic(
+        &self,
+        workload: &Workload,
+        specs: DesignSpecs,
+        hardware: &HardwareSpace,
+    ) -> SearchOutcome {
+        let engine = EvalEngine::with_config(
+            Evaluator::new(workload, specs, AccuracyOracle::default()),
+            self.engine_config(),
+        );
+        let search = Nasaic {
             episodes: self.episodes,
             hardware_trials: self.hardware_trials,
-            ..NasaicConfig::paper(self.seed)
-        }
+            ..Nasaic::paper(self.seed)
+        };
+        let budget = Budget::new(self.episodes, self.hardware_trials);
+        search.run(&SearchContext::new(
+            workload, specs, hardware, &engine, self.seed, budget,
+        ))
     }
 
     fn engine_config(&self) -> EngineConfig {
@@ -232,13 +249,7 @@ fn run_single(specs: DesignSpecs, config: &StudyConfig) -> StudyRow {
     // halved (the network runs twice sequentially).
     let workload = single_cifar_workload();
     let search_specs = specs.scaled(0.5, 0.5, 1.0);
-    let nasaic_config = NasaicConfig {
-        num_sub_accelerators: 1,
-        ..config.nasaic_config()
-    };
-    let outcome = Nasaic::new(workload, search_specs, nasaic_config)
-        .with_engine_config(config.engine_config())
-        .run();
+    let outcome = config.run_nasaic(&workload, search_specs, &HardwareSpace::paper_default(1));
     match outcome.best {
         Some(best) => StudyRow {
             study: AcceleratorStudy::SingleAccelerator,
@@ -264,14 +275,7 @@ fn run_homogeneous(specs: DesignSpecs, config: &StudyConfig) -> StudyRow {
     let search_specs = specs.scaled(1.0, 0.5, 0.5);
     let half_budget = ResourceBudget::paper().scaled(0.5);
     let hardware = HardwareSpace::new(half_budget, 1, Dataflow::all().to_vec());
-    let nasaic_config = NasaicConfig {
-        num_sub_accelerators: 1,
-        ..config.nasaic_config()
-    };
-    let outcome = Nasaic::new(workload, search_specs, nasaic_config)
-        .with_hardware_space(hardware)
-        .with_engine_config(config.engine_config())
-        .run();
+    let outcome = config.run_nasaic(&workload, search_specs, &hardware);
     match outcome.best {
         Some(best) => {
             let sub = best.candidate.accelerator.sub_accelerators()[0];
@@ -297,9 +301,7 @@ fn run_homogeneous(specs: DesignSpecs, config: &StudyConfig) -> StudyRow {
 }
 
 fn run_heterogeneous(specs: DesignSpecs, config: &StudyConfig) -> StudyRow {
-    let outcome = Nasaic::new(Workload::w3(), specs, config.nasaic_config())
-        .with_engine_config(config.engine_config())
-        .run();
+    let outcome = config.run_nasaic(&Workload::w3(), specs, &HardwareSpace::paper_default(2));
     match outcome.best {
         Some(best) => StudyRow {
             study: AcceleratorStudy::Heterogeneous,

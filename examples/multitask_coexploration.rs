@@ -30,11 +30,16 @@ fn main() {
             // Custom episode budget: run the search directly.
             let workload = Workload::for_id(workload_id);
             let specs = DesignSpecs::for_workload(workload_id);
-            let config = NasaicConfig {
+            let hardware = HardwareSpace::paper_default(2);
+            let engine =
+                EvalEngine::new(Evaluator::new(&workload, specs, AccuracyOracle::default()));
+            let search = Nasaic {
                 episodes,
-                ..NasaicConfig::paper(seed)
+                ..Nasaic::paper(seed)
             };
-            let outcome = Nasaic::new(workload, specs, config).run();
+            let budget = Budget::new(episodes, search.hardware_trials);
+            let ctx = SearchContext::new(&workload, specs, &hardware, &engine, seed, budget);
+            let outcome = search.run(&ctx);
             println!("== {workload_id}: {outcome}");
             println!();
             continue;

@@ -41,23 +41,24 @@ fn main() {
     }
 
     // Run a very small co-exploration with the proxy trainer as the
-    // accuracy oracle.  This exercises the identical search code path the
-    // surrogate uses — only the "training and validating" box of Fig. 4
-    // changes.
+    // evaluator's accuracy oracle.  This exercises the identical search
+    // code path the surrogate uses — only the "training and validating"
+    // box of Fig. 4 changes.
     println!("\nrunning a short W3 co-exploration with the proxy trainer in the loop...");
-    let config = NasaicConfig {
+    let workload = Workload::w3();
+    let specs = DesignSpecs::for_workload(WorkloadId::W3);
+    let hardware = HardwareSpace::paper_default(2);
+    let oracle = AccuracyOracle::Proxy(ProxyAccuracyModel::default());
+    let engine = EvalEngine::new(Evaluator::new(&workload, specs, oracle));
+    let search = Nasaic {
         episodes: 8,
         hardware_trials: 2,
         bound_samples: 5,
-        oracle: AccuracyOracle::Proxy(ProxyAccuracyModel::default()),
-        ..NasaicConfig::fast_demo(5)
+        ..Nasaic::fast_demo(5)
     };
-    let outcome = Nasaic::new(
-        Workload::w3(),
-        DesignSpecs::for_workload(WorkloadId::W3),
-        config,
-    )
-    .run();
+    let budget = Budget::new(search.episodes, search.hardware_trials);
+    let ctx = SearchContext::new(&workload, specs, &hardware, &engine, search.seed, budget);
+    let outcome = search.run(&ctx);
     println!("{outcome}");
     println!(
         "\nNote: the proxy task is synthetic, so its absolute accuracy is not comparable \

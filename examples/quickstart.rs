@@ -11,22 +11,28 @@
 use nasaic::core::prelude::*;
 
 fn main() {
-    // 1. Pick a workload and its design specs (Section V-A of the paper).
+    // 1. Pick a workload and its design specs (Section V-A of the paper),
+    //    the hardware space (two sub-accelerators sharing the paper's
+    //    resource budget) and an evaluation engine.
     let workload = Workload::w1();
     let specs = DesignSpecs::for_workload(WorkloadId::W1);
+    let hardware = HardwareSpace::paper_default(2);
+    let engine = EvalEngine::new(Evaluator::new(&workload, specs, AccuracyOracle::default()));
     println!("workload: {workload}");
     println!("specs:    {specs}");
 
     // 2. Configure the search.  `fast_demo` keeps the run to a few seconds;
-    //    `NasaicConfig::paper(seed)` reproduces the paper's 500-episode run.
-    let config = NasaicConfig::fast_demo(42);
+    //    `Nasaic::paper(seed)` reproduces the paper's 500-episode run.
+    let search = Nasaic::fast_demo(42);
     println!(
         "search:   {} episodes x (1 joint + {} hardware-only) steps, rho = {}",
-        config.episodes, config.hardware_trials, config.rho
+        search.episodes, search.hardware_trials, search.rho
     );
 
-    // 3. Run NASAIC.
-    let outcome = Nasaic::new(workload, specs, config).run();
+    // 3. Run NASAIC over a context bundling the run inputs.
+    let budget = Budget::new(search.episodes, search.hardware_trials);
+    let ctx = SearchContext::new(&workload, specs, &hardware, &engine, search.seed, budget);
+    let outcome = search.run(&ctx);
     println!("\n{outcome}\n");
 
     // 4. Inspect the best solution.

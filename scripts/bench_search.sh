@@ -3,7 +3,7 @@
 #
 #   scripts/bench_search.sh                      # full run, appends to BENCH_search.json
 #   scripts/bench_search.sh --quick --label ci   # CI mode: short budget, still gates
-#                                                # on the dispatch-consistency suite
+#                                                # on event-stream determinism
 #
 # All arguments are forwarded to the `search_baseline` binary
 # (see `crates/bench/src/bin/search_baseline.rs` for the full flag list,

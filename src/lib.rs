@@ -21,21 +21,31 @@
 //!
 //! # Quickstart
 //!
+//! Every search runs one way: a driver (`Nasaic` or a baseline) run over
+//! a `SearchContext` holding the workload, specs, hardware space and
+//! evaluation engine.
+//!
 //! ```
 //! use nasaic::core::prelude::*;
 //!
-//! // Workload W3 from the paper: two CIFAR-10 classification tasks.
+//! // Workload W3 from the paper: two CIFAR-10 classification tasks, on
+//! // the paper's two-sub-accelerator hardware space.
 //! let workload = Workload::w3();
 //! let specs = DesignSpecs::for_workload(WorkloadId::W3);
-//! let config = NasaicConfig::fast_demo(7);
-//! let outcome = Nasaic::new(workload, specs, config).run();
+//! let hardware = HardwareSpace::paper_default(2);
+//! let engine = EvalEngine::new(Evaluator::new(&workload, specs, AccuracyOracle::default()));
+//! let search = Nasaic::fast_demo(7);
+//! let budget = Budget::new(search.episodes, search.hardware_trials);
+//! let ctx = SearchContext::new(&workload, specs, &hardware, &engine, search.seed, budget);
+//! let outcome = search.run(&ctx);
 //! assert!(outcome.best.is_some());
 //! # let best = outcome.best.unwrap();
 //! # assert!(best.evaluation.meets_specs());
 //! ```
 //!
 //! The same run, declaratively through the scenario layer (what the
-//! `nasaic` CLI binary does — see `docs/scenarios.md`):
+//! `nasaic` CLI binary does — see `docs/scenarios.md`), which builds the
+//! context from a config:
 //!
 //! ```
 //! use nasaic::core::scenario::registry;

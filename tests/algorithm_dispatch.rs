@@ -1,13 +1,9 @@
-//! The `SearchAlgorithm` trait + `Algorithm::instantiate` factory must be
-//! a pure refactor: for every builtin scenario and every algorithm, the
-//! seeded outcome through the trait path is bit-identical to constructing
-//! and running the concrete driver directly (the pre-refactor dispatch),
-//! and observation is passive and deterministic.
+//! The `SearchAlgorithm` trait + `Algorithm::instantiate` factory: the
+//! instantiated drivers carry the declared budget, and observation is
+//! passive and deterministic for every algorithm.  The seeded outcomes
+//! themselves are pinned in `tests/controller_outcomes.rs`.
 
 use nasaic::core::algorithm::Budget;
-use nasaic::core::baselines::{
-    AsicThenHwNas, EvolutionarySearch, HillClimb, MonteCarloSearch, NasThenAsic,
-};
 use nasaic::core::prelude::*;
 
 /// Shrink a scenario to a test-sized budget (same shape, seconds not
@@ -18,77 +14,6 @@ fn shrink(mut scenario: Scenario) -> Scenario {
     scenario.search.bound_samples = 3;
     scenario.seed = 7;
     scenario
-}
-
-/// The pre-refactor dispatch: construct each concrete driver by hand with
-/// the exact budget mapping `Scenario::run_algorithm_with_engine` used to
-/// inline, and call its direct `run_with_engine` entry point.
-fn direct_construction(scenario: &Scenario, algorithm: Algorithm) -> SearchOutcome {
-    let workload = scenario.workload();
-    let hardware = scenario.hardware_space();
-    let engine = scenario.engine();
-    let search = &scenario.search;
-    let hardware_budget = (search.episodes * search.hardware_trials).max(1);
-    match algorithm {
-        Algorithm::Nasaic => Nasaic::new(workload, scenario.specs, scenario.nasaic_config())
-            .with_hardware_space(hardware)
-            .run_with_engine(&engine),
-        Algorithm::MonteCarlo => MonteCarloSearch {
-            runs: search.total_evaluations(),
-            seed: scenario.seed,
-        }
-        .run_with_engine(&workload, &hardware, &engine),
-        Algorithm::HillClimb => HillClimb {
-            max_steps: search.episodes,
-            rho: search.rho,
-        }
-        .run_with_engine(&workload, scenario.specs, &hardware, &engine),
-        Algorithm::Evolutionary => EvolutionarySearch {
-            population: 24,
-            generations: (search.total_evaluations() / 24).max(1),
-            tournament: 3,
-            mutation_rate: 0.2,
-            rho: search.rho,
-            seed: scenario.seed,
-        }
-        .run_with_engine(&workload, scenario.specs, &hardware, &engine),
-        Algorithm::NasThenAsic => {
-            NasThenAsic {
-                nas_episodes: search.episodes,
-                hardware_samples: hardware_budget,
-                seed: scenario.seed,
-            }
-            .run_with_engine(&workload, scenario.specs, &hardware, &engine)
-            .0
-        }
-        Algorithm::AsicThenHwNas => {
-            AsicThenHwNas {
-                monte_carlo_runs: hardware_budget,
-                nas_episodes: search.episodes,
-                rho: search.rho,
-                seed: scenario.seed,
-            }
-            .run_with_engine(&workload, scenario.specs, &hardware, &engine)
-            .1
-        }
-    }
-}
-
-#[test]
-fn trait_factory_path_is_bit_identical_to_direct_construction_everywhere() {
-    for name in registry::names() {
-        let mut scenario = shrink(registry::get(name).expect("built-in"));
-        for algorithm in Algorithm::all() {
-            scenario.search.algorithm = algorithm;
-            let through_trait = scenario.run_algorithm_with_engine(algorithm, &scenario.engine());
-            let direct = direct_construction(&scenario, algorithm);
-            assert_eq!(
-                through_trait, direct,
-                "trait-factory outcome diverged from direct construction \
-                 on scenario `{name}` with algorithm `{algorithm}`"
-            );
-        }
-    }
 }
 
 #[test]

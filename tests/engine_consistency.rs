@@ -107,19 +107,31 @@ fn search_outcome_is_unchanged_by_engine_thread_count() {
     // stays sequential, so the same seed must give the same outcome no
     // matter how the batch is scheduled: pin one run to a single worker and
     // one to many and compare everything.
+    let workload = Workload::w3();
     let specs = DesignSpecs::for_workload(WorkloadId::W3);
-    let serial = Nasaic::new(Workload::w3(), specs, NasaicConfig::fast_demo(5))
-        .with_engine_config(EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        })
-        .run();
-    let parallel = Nasaic::new(Workload::w3(), specs, NasaicConfig::fast_demo(5))
-        .with_engine_config(EngineConfig {
-            threads: 8,
-            ..EngineConfig::default()
-        })
-        .run();
+    let hardware = HardwareSpace::paper_default(2);
+    let search = Nasaic::fast_demo(5);
+    let run = |config: EngineConfig| {
+        let evaluator = Evaluator::new(&workload, specs, AccuracyOracle::default());
+        let engine = EvalEngine::with_config(evaluator, config);
+        let budget = Budget::new(search.episodes, search.hardware_trials);
+        search.run(&SearchContext::new(
+            &workload,
+            specs,
+            &hardware,
+            &engine,
+            search.seed,
+            budget,
+        ))
+    };
+    let serial = run(EngineConfig {
+        threads: 1,
+        ..EngineConfig::default()
+    });
+    let parallel = run(EngineConfig {
+        threads: 8,
+        ..EngineConfig::default()
+    });
     assert_eq!(
         serial.best_weighted_accuracy(),
         parallel.best_weighted_accuracy()
@@ -127,7 +139,7 @@ fn search_outcome_is_unchanged_by_engine_thread_count() {
     assert_eq!(serial.explored.len(), parallel.explored.len());
     assert_eq!(serial.reward_history, parallel.reward_history);
     // And against the auto-sized default.
-    let auto = Nasaic::new(Workload::w3(), specs, NasaicConfig::fast_demo(5)).run();
+    let auto = run(EngineConfig::default());
     assert_eq!(auto.reward_history, serial.reward_history);
 }
 
@@ -179,31 +191,26 @@ fn generated_scenarios_are_bit_identical_across_engine_thread_counts() {
 }
 
 #[test]
-fn baseline_engine_entry_points_match_the_trait_path() {
+fn baseline_outcome_is_unchanged_by_a_warm_shared_engine() {
     use nasaic::core::baselines::MonteCarloSearch;
 
+    // Searches that share one engine (`nasaic compare`, the daemon, the
+    // experiment harness) must see exactly what an isolated run sees: a
+    // run answered from the caches equals the cold run.
     let workload = Workload::w3();
     let specs = DesignSpecs::for_workload(WorkloadId::W3);
     let hardware = HardwareSpace::paper_default(2);
     let mc = MonteCarloSearch { runs: 40, seed: 9 };
-
     let engine = EvalEngine::new(Evaluator::new(&workload, specs, AccuracyOracle::default()));
-    let through_engine = mc.run_with_engine(&workload, &hardware, &engine);
-
-    let trait_engine = EvalEngine::new(Evaluator::new(&workload, specs, AccuracyOracle::default()));
-    let ctx = SearchContext::new(
-        &workload,
-        specs,
-        &hardware,
-        &trait_engine,
-        9,
-        Budget::new(40, 0),
-    );
-    let through_trait = mc.run(&ctx);
-    assert_eq!(through_engine, through_trait);
-    assert_eq!(through_engine.explored.len(), through_trait.explored.len());
+    let ctx = SearchContext::new(&workload, specs, &hardware, &engine, 9, Budget::new(40, 0));
+    let cold = mc.run(&ctx);
+    let misses = engine.stats().hardware_misses;
+    let warm = mc.run(&ctx);
     assert_eq!(
-        through_engine.best_weighted_accuracy(),
-        through_trait.best_weighted_accuracy()
+        engine.stats().hardware_misses,
+        misses,
+        "the repeat run should be answered from the caches"
     );
+    assert_eq!(cold, warm);
+    assert_eq!(cold.explored.len(), 40);
 }

@@ -3,8 +3,9 @@
 //! 1. every built-in scenario round-trips losslessly through both config
 //!    formats (TOML and JSON);
 //! 2. the declarative `nasaic run --scenario w1` path is **bit-identical**
-//!    to the pre-existing hardcoded `Workload::w1()` search path for the
-//!    same seed and budget;
+//!    to the same search over a hand-built context of the paper's
+//!    constants (`Workload::w1()`, its specs, the paper's hardware space)
+//!    for the same seed and budget;
 //! 3. the beyond-paper scenarios actually run end to end.
 
 use nasaic::core::prelude::*;
@@ -17,6 +18,24 @@ fn tiny(mut scenario: Scenario, seed: u64) -> Scenario {
     scenario.search.bound_samples = 4;
     scenario.seed = seed;
     scenario
+}
+
+/// The hardcoded path: `search` over a hand-built context of the paper's
+/// constants for workload `id`, run through the trait.
+fn hardcoded(id: WorkloadId, search: Nasaic) -> SearchOutcome {
+    let workload = Workload::for_id(id);
+    let specs = DesignSpecs::for_workload(id);
+    let hardware = HardwareSpace::paper_default(2);
+    let engine = EvalEngine::new(Evaluator::new(&workload, specs, AccuracyOracle::default()));
+    let budget = Budget::new(search.episodes, search.hardware_trials);
+    search.run(&SearchContext::new(
+        &workload,
+        specs,
+        &hardware,
+        &engine,
+        search.seed,
+        budget,
+    ))
 }
 
 #[test]
@@ -34,13 +53,7 @@ fn every_builtin_round_trips_through_toml_and_json() {
 
 #[test]
 fn scenario_w1_is_bit_identical_to_the_hardcoded_path() {
-    // The pre-existing hardcoded path, exactly as PR 1 left it.
-    let direct = Nasaic::new(
-        Workload::w1(),
-        DesignSpecs::for_workload(WorkloadId::W1),
-        NasaicConfig::fast_demo(7),
-    )
-    .run();
+    let direct = hardcoded(WorkloadId::W1, Nasaic::fast_demo(7));
 
     // The declarative path: registry -> Scenario -> run.
     let mut scenario = registry::get("w1").unwrap();
@@ -48,7 +61,10 @@ fn scenario_w1_is_bit_identical_to_the_hardcoded_path() {
     scenario.search.episodes = 40;
     scenario.search.hardware_trials = 4;
     scenario.search.bound_samples = 10;
-    assert_eq!(scenario.nasaic_config(), NasaicConfig::fast_demo(7));
+    assert_eq!(
+        Nasaic::from_search_spec(&scenario.search, scenario.seed),
+        Nasaic::fast_demo(7)
+    );
     let declarative = scenario.run_outcome();
 
     // Full structural equality: every explored candidate, every
@@ -64,18 +80,13 @@ fn scenario_w1_is_bit_identical_to_the_hardcoded_path() {
 #[test]
 fn scenario_w3_matches_hardcoded_path_at_test_scale() {
     let scenario = tiny(registry::get("w3").unwrap(), 13);
-    let config = NasaicConfig {
+    let search = Nasaic {
         episodes: 3,
         hardware_trials: 2,
         bound_samples: 4,
-        ..NasaicConfig::paper(13)
+        ..Nasaic::paper(13)
     };
-    let direct = Nasaic::new(
-        Workload::w3(),
-        DesignSpecs::for_workload(WorkloadId::W3),
-        config,
-    )
-    .run();
+    let direct = hardcoded(WorkloadId::W3, search);
     assert_eq!(scenario.run_outcome(), direct);
 }
 

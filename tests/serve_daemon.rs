@@ -229,6 +229,42 @@ fn full_queue_rejects_submits_with_a_reason() {
 }
 
 #[test]
+fn deeply_nested_request_is_rejected_and_the_daemon_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let handle = Daemon::start(ephemeral_config()).expect("daemon starts");
+    let addr = handle.addr().to_string();
+
+    // One line nesting 100k arrays: an unbounded recursive parser
+    // overflows its thread's stack and aborts the whole daemon.
+    let depth = 100_000;
+    let line = format!("{{\"ping\":{}{}}}\n", "[".repeat(depth), "]".repeat(depth));
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    stream.write_all(line.as_bytes()).expect("send nested line");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut response = String::new();
+    reader.read_line(&mut response).expect("read response");
+    let response = nasaic_core::scenario::value::parse_json(&response).expect("JSON response");
+    assert_eq!(
+        response.get("ok").and_then(ConfigValue::as_bool),
+        Some(false)
+    );
+    let error = response
+        .get("error")
+        .and_then(ConfigValue::as_str)
+        .expect("error message");
+    assert!(error.contains("nest deeper than 64"), "{error}");
+
+    // The same daemon still answers, on a fresh connection.
+    let mut client = Client::connect(&addr).expect("connect after the nested line");
+    let pong = client.request(&Request::Ping).expect("ping");
+    assert_eq!(pong.get("ok").and_then(ConfigValue::as_bool), Some(true));
+
+    shutdown(&addr);
+    handle.join().expect("clean shutdown");
+}
+
+#[test]
 fn cancel_stops_a_running_job_and_reports_cancelled() {
     let handle = Daemon::start(ephemeral_config()).expect("daemon starts");
     let addr = handle.addr().to_string();

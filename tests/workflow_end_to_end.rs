@@ -4,14 +4,25 @@
 
 use nasaic::core::prelude::*;
 
+/// A built-in paper scenario at `Nasaic::fast_demo`'s budget.
+fn fast_demo(name: &str, seed: u64) -> Scenario {
+    let mut scenario = registry::get(name).expect("built-in scenario");
+    let demo = Nasaic::fast_demo(seed);
+    scenario.seed = seed;
+    scenario.search.episodes = demo.episodes;
+    scenario.search.hardware_trials = demo.hardware_trials;
+    scenario.search.bound_samples = demo.bound_samples;
+    scenario
+}
+
 #[test]
 fn w1_co_exploration_end_to_end() {
     let workload = Workload::w1();
     let specs = DesignSpecs::for_workload(WorkloadId::W1);
-    let outcome = Nasaic::new(workload.clone(), specs, NasaicConfig::fast_demo(2024)).run();
+    let outcome = fast_demo("w1", 2024).run_outcome();
 
     // The search ran to completion and found compliant solutions.
-    assert_eq!(outcome.episodes, NasaicConfig::fast_demo(2024).episodes);
+    assert_eq!(outcome.episodes, Nasaic::fast_demo(2024).episodes);
     let best = outcome
         .best
         .as_ref()
@@ -54,12 +65,10 @@ fn w2_co_exploration_improves_over_smallest_networks() {
     // W2 is the hardest workload for spec compliance (random STL-10
     // architectures are huge), so give the quick run a larger episode
     // budget than the other workloads.
-    let config = NasaicConfig {
-        episodes: 200,
-        hardware_trials: 6,
-        ..NasaicConfig::fast_demo(2020)
-    };
-    let outcome = Nasaic::new(workload, specs, config).run();
+    let mut scenario = fast_demo("w2", 2020);
+    scenario.search.episodes = 200;
+    scenario.search.hardware_trials = 6;
+    let outcome = scenario.run_outcome();
     let best = outcome.best.expect("W2 search finds a compliant solution");
     assert!(
         best.evaluation.weighted_accuracy > lower_bound,
@@ -73,12 +82,7 @@ fn w2_co_exploration_improves_over_smallest_networks() {
 fn every_reported_solution_satisfies_the_specs() {
     // The paper's first observation on Fig. 6: NASAIC guarantees that all
     // explored (reported) solutions meet the design specs.
-    let outcome = Nasaic::new(
-        Workload::w3(),
-        DesignSpecs::for_workload(WorkloadId::W3),
-        NasaicConfig::fast_demo(99),
-    )
-    .run();
+    let outcome = fast_demo("w3", 99).run_outcome();
     for solution in &outcome.spec_compliant {
         assert!(solution.evaluation.meets_specs());
     }
