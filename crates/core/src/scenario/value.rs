@@ -1042,6 +1042,103 @@ weight = 0.5
         assert!(err.message.contains("nest deeper"), "{err}");
     }
 
+    /// One document covering every emitter path: nested and empty tables
+    /// and arrays, escaped strings, signed zero, the smallest subnormal and
+    /// a near-maximal float, and integer extremes.
+    fn emitter_pin_document() -> ConfigValue {
+        let mut empty_inside = ConfigValue::table();
+        empty_inside.insert("table", ConfigValue::table());
+        empty_inside.insert("array", ConfigValue::Array(Vec::new()));
+        let mut inner = ConfigValue::table();
+        inner.insert("empty", empty_inside);
+        inner.insert(
+            "nested",
+            ConfigValue::Array(vec![
+                ConfigValue::Array(vec![ConfigValue::Integer(-3), ConfigValue::Bool(false)]),
+                ConfigValue::table(),
+                ConfigValue::Array(Vec::new()),
+            ]),
+        );
+        let mut root = ConfigValue::table();
+        root.insert(
+            "text",
+            ConfigValue::Str("quote \" backslash \\ newline \n tab \t return \r é".to_string()),
+        );
+        root.insert(
+            "floats",
+            ConfigValue::Array(
+                [-0.0, 5e-324, 1e308, 0.1, 2.0, -1.5e-7, 123456.75]
+                    .into_iter()
+                    .map(ConfigValue::Float)
+                    .collect(),
+            ),
+        );
+        root.insert(
+            "ints",
+            ConfigValue::Array(
+                [0, -1, i64::MIN, i64::MAX]
+                    .into_iter()
+                    .map(ConfigValue::Integer)
+                    .collect(),
+            ),
+        );
+        root.insert("inner", inner);
+        root.insert("flag", ConfigValue::Bool(true));
+        root
+    }
+
+    /// The emitters' exact bytes for [`emitter_pin_document`], as the
+    /// string-building emitter produced them; the buffer-writing emitter
+    /// must match byte for byte.
+    #[test]
+    fn emitter_bytes_are_pinned() {
+        const PRETTY: &str = r#"{
+  "text": "quote \" backslash \\ newline \n tab \t return \r é",
+  "floats": [
+    -0.0,
+    5e-324,
+    1e308,
+    0.1,
+    2.0,
+    -1.5e-7,
+    123456.75
+  ],
+  "ints": [
+    0,
+    -1,
+    -9223372036854775808,
+    9223372036854775807
+  ],
+  "inner": {
+    "empty": {
+      "table": {},
+      "array": []
+    },
+    "nested": [
+      [
+        -3,
+        false
+      ],
+      {},
+      []
+    ]
+  },
+  "flag": true
+}"#;
+        const COMPACT: &str = concat!(
+            r#"{"text":"quote \" backslash \\ newline \n tab \t return \r é","#,
+            r#""floats":[-0.0,5e-324,1e308,0.1,2.0,-1.5e-7,123456.75],"#,
+            r#""ints":[0,-1,-9223372036854775808,9223372036854775807],"#,
+            r#""inner":{"empty":{"table":{},"array":[]},"nested":[[-3,false],{},[]]},"#,
+            r#""flag":true}"#
+        );
+        let document = emitter_pin_document();
+        assert_eq!(to_json(&document), PRETTY);
+        assert_eq!(to_json_compact(&document), COMPACT);
+        assert_eq!(parse_json(PRETTY).unwrap(), document);
+        assert_eq!(parse_json(COMPACT).unwrap(), document);
+    }
+
     #[test]
     fn plain_header_cannot_reopen_an_array_of_tables() {
         let err = parse_toml("[[tasks]]\na = 1\n\n[tasks]\nb = 2\n").unwrap_err();
