@@ -17,6 +17,7 @@
 //! the value's destructor.
 
 use std::fmt;
+use std::fmt::Write as _;
 
 /// The deepest nesting of tables and arrays a parsed document may have.
 /// In JSON every object and array is one level; in TOML every dotted
@@ -728,10 +729,6 @@ fn emit_toml_table(table: &ConfigValue, path: &str, out: &mut String) {
 
 fn emit_toml_inline(value: &ConfigValue, out: &mut String) {
     match value {
-        ConfigValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        ConfigValue::Integer(i) => out.push_str(&i.to_string()),
-        ConfigValue::Float(x) => out.push_str(&format_float(*x)),
-        ConfigValue::Str(s) => emit_string(s, out),
         ConfigValue::Array(items) => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
@@ -745,13 +742,14 @@ fn emit_toml_inline(value: &ConfigValue, out: &mut String) {
         ConfigValue::Table(_) => {
             unreachable!("tables are emitted as [sections], not inline")
         }
+        scalar => emit_scalar(scalar, out),
     }
 }
 
 /// Serialize a value as pretty-printed JSON.
 pub fn to_json(value: &ConfigValue) -> String {
     let mut out = String::new();
-    emit_json(value, 0, &mut out);
+    emit_json(value, true, 0, &mut out);
     out
 }
 
@@ -760,102 +758,162 @@ pub fn to_json(value: &ConfigValue) -> String {
 /// [`parse_json`] into the same value.
 pub fn to_json_compact(value: &ConfigValue) -> String {
     let mut out = String::new();
-    emit_json_compact(value, &mut out);
+    write_json_compact(value, &mut out);
     out
 }
 
-fn emit_json_compact(value: &ConfigValue, out: &mut String) {
-    match value {
-        ConfigValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        ConfigValue::Integer(i) => out.push_str(&i.to_string()),
-        ConfigValue::Float(x) => out.push_str(&format_float(*x)),
-        ConfigValue::Str(s) => emit_string(s, out),
-        ConfigValue::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                emit_json_compact(item, out);
-            }
-            out.push(']');
+/// Append `value` to `out` as single-line JSON (the bytes of
+/// [`to_json_compact`]), so many values can share one buffer.
+pub fn write_json_compact(value: &ConfigValue, out: &mut String) {
+    emit_json(value, false, 0, out);
+}
+
+/// A JSON object written field by field straight into a buffer.
+///
+/// A document can thereby wrap borrowed parts — a large sub-tree, a slice
+/// of values — without first cloning them into one [`ConfigValue`].  The
+/// bytes equal [`to_json`] (pretty) or [`to_json_compact`] of the table
+/// with the same fields.
+pub struct JsonObject<'a> {
+    out: &'a mut String,
+    pretty: bool,
+    indent: usize,
+    fields: usize,
+}
+
+impl<'a> JsonObject<'a> {
+    /// Open a top-level object in `out`, pretty-printed or compact.
+    pub fn new(out: &'a mut String, pretty: bool) -> Self {
+        Self::at(out, pretty, 0)
+    }
+
+    fn at(out: &'a mut String, pretty: bool, indent: usize) -> Self {
+        out.push('{');
+        Self {
+            out,
+            pretty,
+            indent,
+            fields: 0,
         }
-        ConfigValue::Table(entries) => {
-            out.push('{');
-            for (i, (key, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                emit_string(key, out);
-                out.push(':');
-                emit_json_compact(item, out);
-            }
-            out.push('}');
+    }
+
+    fn key(&mut self, key: &str) {
+        if self.fields > 0 {
+            self.out.push(',');
         }
+        self.fields += 1;
+        if self.pretty {
+            self.out.push('\n');
+            push_pad(self.out, self.indent + 1);
+        }
+        emit_string(key, self.out);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+    }
+
+    /// Write one field.
+    pub fn field(&mut self, key: &str, value: &ConfigValue) -> &mut Self {
+        self.key(key);
+        emit_json(value, self.pretty, self.indent + 1, self.out);
+        self
+    }
+
+    /// Write one field whose value is the array `items`.
+    pub fn array_field(&mut self, key: &str, items: &[ConfigValue]) -> &mut Self {
+        self.key(key);
+        emit_json_array(items, self.pretty, self.indent + 1, self.out);
+        self
+    }
+
+    /// Close the object.
+    pub fn finish(self) {
+        if self.pretty && self.fields > 0 {
+            self.out.push('\n');
+            push_pad(self.out, self.indent);
+        }
+        self.out.push('}');
     }
 }
 
-fn emit_json(value: &ConfigValue, indent: usize, out: &mut String) {
-    let pad = "  ".repeat(indent);
-    let pad_inner = "  ".repeat(indent + 1);
+fn emit_json(value: &ConfigValue, pretty: bool, indent: usize, out: &mut String) {
+    match value {
+        ConfigValue::Array(items) => emit_json_array(items, pretty, indent, out),
+        ConfigValue::Table(entries) => {
+            let mut object = JsonObject::at(out, pretty, indent);
+            for (key, item) in entries {
+                object.field(key, item);
+            }
+            object.finish();
+        }
+        scalar => emit_scalar(scalar, out),
+    }
+}
+
+fn emit_json_array(items: &[ConfigValue], pretty: bool, indent: usize, out: &mut String) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if pretty {
+            out.push('\n');
+            push_pad(out, indent + 1);
+        }
+        emit_json(item, pretty, indent + 1, out);
+    }
+    if pretty && !items.is_empty() {
+        out.push('\n');
+        push_pad(out, indent);
+    }
+    out.push(']');
+}
+
+fn push_pad(out: &mut String, indent: usize) {
+    for _ in 0..indent {
+        out.push_str("  ");
+    }
+}
+
+/// Write a scalar the same way in every emitter; containers are the
+/// caller's.
+fn emit_scalar(value: &ConfigValue, out: &mut String) {
     match value {
         ConfigValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        ConfigValue::Integer(i) => out.push_str(&i.to_string()),
-        ConfigValue::Float(x) => out.push_str(&format_float(*x)),
-        ConfigValue::Str(s) => emit_string(s, out),
-        ConfigValue::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                out.push_str(&pad_inner);
-                emit_json(item, indent + 1, out);
-                out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-            }
-            out.push_str(&pad);
-            out.push(']');
+        ConfigValue::Integer(i) => {
+            let _ = write!(out, "{i}");
         }
-        ConfigValue::Table(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push_str("{\n");
-            for (i, (key, item)) in entries.iter().enumerate() {
-                out.push_str(&pad_inner);
-                emit_string(key, out);
-                out.push_str(": ");
-                emit_json(item, indent + 1, out);
-                out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
-            }
-            out.push_str(&pad);
-            out.push('}');
+        ConfigValue::Float(x) => write_float(*x, out),
+        ConfigValue::Str(s) => emit_string(s, out),
+        ConfigValue::Array(_) | ConfigValue::Table(_) => {
+            unreachable!("containers are emitted by their caller")
         }
     }
 }
 
 fn emit_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
+    let mut plain = 0;
+    for (i, c) in s.char_indices() {
+        let escaped = match c {
+            '"' => "\\\"",
+            '\\' => "\\\\",
+            '\n' => "\\n",
+            '\t' => "\\t",
+            '\r' => "\\r",
+            _ => continue,
+        };
+        out.push_str(&s[plain..i]);
+        out.push_str(escaped);
+        plain = i + 1;
     }
+    out.push_str(&s[plain..]);
     out.push('"');
 }
 
-/// Format a float so it parses back as a float (Rust's `Debug` for `f64`
-/// is the shortest representation that round-trips and always carries a
-/// `.` or an exponent).
-fn format_float(x: f64) -> String {
-    format!("{x:?}")
+/// Write a float so it parses back as a float (Rust's `Debug` for `f64` is
+/// the shortest representation that round-trips and always carries a `.`
+/// or an exponent).
+fn write_float(x: f64, out: &mut String) {
+    let _ = write!(out, "{x:?}");
 }
 
 #[cfg(test)]
@@ -969,7 +1027,8 @@ weight = 0.5
     #[test]
     fn floats_emit_reparseably() {
         for x in [0.5, 2.0e9, 10.0, 1.0e-3, 123456.75] {
-            let text = format_float(x);
+            let mut text = String::new();
+            write_float(x, &mut text);
             assert_eq!(text.parse::<f64>().unwrap(), x, "{text}");
             assert!(
                 text.contains('.') || text.contains('e'),
