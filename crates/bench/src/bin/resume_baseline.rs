@@ -3,7 +3,8 @@
 //! externalized search state costs and buys —
 //!
 //! * checkpoint overhead: wall-time delta per snapshot between a plain
-//!   run and one writing a checkpoint file at every snapshot point;
+//!   run and one writing a checkpoint file at every snapshot point, and
+//!   the final sizes of that checkpoint's head and journal;
 //! * resume payoff: wall-time of resuming from the mid-run checkpoint
 //!   versus re-running from scratch;
 //! * shard fan-out: the slowest of 4 monte-carlo shards plus the merge,
@@ -231,6 +232,9 @@ fn main() {
         std::process::exit(1);
     }
     assert_eq!(outcome, baseline, "checkpointing changed the outcome");
+    let file_size = |path: &std::path::Path| std::fs::metadata(path).map_or(0, |m| m.len());
+    let journal = nasaic_core::checkpoint::journal_path(&path);
+    let (head_bytes, journal_bytes) = (file_size(&path), file_size(&journal));
     // Recapture in memory for the resume measurement (same snapshot
     // points, no file I/O in the way of the resume pick).
     let recorder = RecordingCheckpointSink::every(1);
@@ -243,11 +247,17 @@ fn main() {
     );
     let checkpoints = recorder.checkpoints();
     let count = checkpoints.len();
+    if SearchCheckpoint::load(&path).ok().as_ref() != checkpoints.last() {
+        eprintln!("FAIL: the checkpoint file does not load back to the last checkpoint");
+        std::process::exit(1);
+    }
     let overhead_us = ((checkpointed_ms - plain_ms).max(0.0) / count.max(1) as f64) * 1e3;
     println!(
         "plain {plain_ms:.0} ms; {count} file checkpoints {checkpointed_ms:.0} ms \
-         ({overhead_us:.0} us/checkpoint)"
+         ({overhead_us:.0} us/checkpoint); final head {head_bytes} B, journal {journal_bytes} B"
     );
+    let _ = std::fs::remove_file(&journal);
+    let _ = std::fs::remove_file(&path);
 
     // Resume payoff: restart from the mid-run checkpoint and finish.
     let midpoint = &checkpoints[count / 2];
@@ -344,6 +354,8 @@ fn main() {
         "checkpoint_overhead_us",
         ConfigValue::Float(overhead_us.round()),
     );
+    entry.insert("head_bytes", ConfigValue::Integer(head_bytes as i64));
+    entry.insert("journal_bytes", ConfigValue::Integer(journal_bytes as i64));
     entry.insert(
         "resume_progress",
         ConfigValue::Integer(parsed.progress as i64),

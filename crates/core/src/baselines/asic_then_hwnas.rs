@@ -12,7 +12,7 @@ use crate::algorithm::{
 };
 use crate::bounds::PenaltyBounds;
 use crate::candidate::Candidate;
-use crate::checkpoint::{self, CheckpointSink, SearchCheckpoint};
+use crate::checkpoint::{self, CheckpointCursor, CheckpointSink, SearchCheckpoint};
 use crate::engine::EvalEngine;
 use crate::log::{ExploredSolution, PhaseSummary, SearchOutcome};
 use crate::scenario::value::ConfigValue;
@@ -109,6 +109,8 @@ impl AsicThenHwNas {
             run <= runs,
             "monte-carlo checkpoint has {run} samples, budget is {runs}"
         );
+        // The phase explores no (network, accelerator) records.
+        let mut cursor = CheckpointCursor::new(self.name(), self.seed, 0);
         while run < runs {
             let chunk_end = (run + 1..runs).find(|&r| sink.wants(r)).unwrap_or(runs);
             let accelerators: Vec<Accelerator> = (run..chunk_end)
@@ -149,7 +151,7 @@ impl AsicThenHwNas {
                 }
             }
             run = chunk_end;
-            checkpoint::offer_checkpoint(sink, observer, self.name(), self.seed, run, || {
+            checkpoint::offer_checkpoint(sink, observer, &mut cursor, run, &[], || {
                 let mut state = ConfigValue::table();
                 state.insert("phase", ConfigValue::Str("mc".to_string()));
                 state.insert("rng", checkpoint::rng_state_to_value(&rng.state()));
@@ -217,6 +219,7 @@ impl AsicThenHwNas {
             "hw-nas checkpoint has {start_episode} episodes, budget is {}",
             self.nas_episodes
         );
+        let mut cursor = CheckpointCursor::new(self.name(), self.seed, outcome.explored.len());
         let scorer = engine.scorer(PenaltyBounds::from_specs(&specs, 3.0), self.rho);
         for episode in start_episode..self.nas_episodes {
             let sample = controller.sample(&mut rng);
@@ -240,6 +243,7 @@ impl AsicThenHwNas {
                 self.offer_nas(
                     sink,
                     observer,
+                    &mut cursor,
                     progress_offset + episode + 1,
                     &rng,
                     &controller,
@@ -274,6 +278,7 @@ impl AsicThenHwNas {
             self.offer_nas(
                 sink,
                 observer,
+                &mut cursor,
                 progress_offset + episode + 1,
                 &rng,
                 &controller,
@@ -294,13 +299,15 @@ impl AsicThenHwNas {
         &self,
         sink: &dyn CheckpointSink,
         observer: &dyn SearchObserver,
+        cursor: &mut CheckpointCursor<'_>,
         progress: usize,
         rng: &StdRng,
         controller: &Controller,
         outcome: &SearchOutcome,
         accelerator: &Accelerator,
     ) {
-        checkpoint::offer_checkpoint(sink, observer, self.name(), self.seed, progress, || {
+        let explored = &outcome.explored;
+        checkpoint::offer_checkpoint(sink, observer, cursor, progress, explored, || {
             let mut state = ConfigValue::table();
             state.insert("phase", ConfigValue::Str("nas".to_string()));
             state.insert("rng", checkpoint::rng_state_to_value(&rng.state()));
@@ -308,7 +315,7 @@ impl AsicThenHwNas {
                 "controller",
                 checkpoint::controller_state_to_value(&controller.export_state()),
             );
-            state.insert("outcome", checkpoint::outcome_to_value(outcome));
+            state.insert("outcome", checkpoint::outcome_counters_to_value(outcome));
             state.insert("accelerator", encode_accelerator(accelerator));
             state
         });
@@ -385,13 +392,9 @@ impl SearchAlgorithm for AsicThenHwNas {
                         .expect("asic-then-hwnas checkpoint: controller"),
                 )
                 .expect("asic-then-hwnas checkpoint: valid controller state");
-                let outcome = checkpoint::outcome_from_value(
-                    cp.state
-                        .get("outcome")
-                        .expect("asic-then-hwnas checkpoint: outcome"),
-                    workload,
-                )
-                .expect("asic-then-hwnas checkpoint: valid outcome");
+                let outcome = cp
+                    .restore_outcome(workload)
+                    .expect("asic-then-hwnas checkpoint: valid outcome");
                 (accelerator, Some((rng, state, outcome, cp.progress - runs)))
             }
             None => {

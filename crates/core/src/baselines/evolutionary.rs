@@ -13,7 +13,7 @@ use crate::algorithm::{
 };
 use crate::bounds::PenaltyBounds;
 use crate::candidate::Candidate;
-use crate::checkpoint::{self, CheckpointSink, SearchCheckpoint};
+use crate::checkpoint::{self, CheckpointCursor, CheckpointSink, SearchCheckpoint};
 use crate::log::{ExploredSolution, SearchOutcome};
 use crate::scenario::value::ConfigValue;
 use nasaic_nn::space::SearchSpace;
@@ -70,13 +70,15 @@ impl EvolutionarySearch {
         &self,
         sink: &dyn CheckpointSink,
         observer: &dyn SearchObserver,
+        cursor: &mut CheckpointCursor<'_>,
         generation: usize,
         rng: &StdRng,
         population: &[Vec<usize>],
         fitness: &[f64],
         outcome: &SearchOutcome,
     ) {
-        checkpoint::offer_checkpoint(sink, observer, self.name(), self.seed, generation, || {
+        let explored = &outcome.explored;
+        checkpoint::offer_checkpoint(sink, observer, cursor, generation, explored, || {
             let mut state = ConfigValue::table();
             state.insert("rng", checkpoint::rng_state_to_value(&rng.state()));
             state.insert(
@@ -89,7 +91,7 @@ impl EvolutionarySearch {
                 ),
             );
             state.insert("fitness", checkpoint::floats_to_value(fitness));
-            state.insert("outcome", checkpoint::outcome_to_value(outcome));
+            state.insert("outcome", checkpoint::outcome_counters_to_value(outcome));
             state
         });
     }
@@ -204,13 +206,9 @@ impl SearchAlgorithm for EvolutionarySearch {
                     fitness.len(),
                     "evolutionary checkpoint: population and fitness lengths disagree"
                 );
-                let outcome = checkpoint::outcome_from_value(
-                    cp.state
-                        .get("outcome")
-                        .expect("evolutionary checkpoint: outcome"),
-                    workload,
-                )
-                .expect("evolutionary checkpoint: valid outcome");
+                let outcome = cp
+                    .restore_outcome(workload)
+                    .expect("evolutionary checkpoint: valid outcome");
                 (rng, population, fitness, outcome, cp.progress)
             }
             None => (
@@ -222,6 +220,7 @@ impl SearchAlgorithm for EvolutionarySearch {
             ),
         };
         let mut evaluations = outcome.explored.len();
+        let mut cursor = CheckpointCursor::new(self.name(), self.seed, evaluations);
         // Score one whole generation: decode every genome, evaluate the
         // decodable ones as a parallel batch, and record them in genome
         // order (identical bookkeeping to the old one-at-a-time loop).
@@ -279,7 +278,16 @@ impl SearchAlgorithm for EvolutionarySearch {
                 .collect();
             fitness = generation_fitness(&population, &mut outcome);
             generation_event(0, population.len(), &fitness, 0, &outcome);
-            self.offer(sink, observer, 0, &rng, &population, &fitness, &outcome);
+            self.offer(
+                sink,
+                observer,
+                &mut cursor,
+                0,
+                &rng,
+                &population,
+                &fitness,
+                &outcome,
+            );
         }
 
         for generation in start_generation..self.generations {
@@ -315,6 +323,7 @@ impl SearchAlgorithm for EvolutionarySearch {
             self.offer(
                 sink,
                 observer,
+                &mut cursor,
                 generation + 1,
                 &rng,
                 &population,

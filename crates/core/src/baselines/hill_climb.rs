@@ -10,7 +10,7 @@ use crate::algorithm::{
 };
 use crate::bounds::PenaltyBounds;
 use crate::candidate::Candidate;
-use crate::checkpoint::{self, CheckpointSink, SearchCheckpoint};
+use crate::checkpoint::{self, CheckpointCursor, CheckpointSink, SearchCheckpoint};
 use crate::log::{ExploredSolution, SearchOutcome};
 use crate::scenario::value::ConfigValue;
 use serde::{Deserialize, Serialize};
@@ -39,16 +39,19 @@ impl HillClimb {
 
     /// Offer a checkpoint after `step` accepted steps (the climb is
     /// seedless, so the envelope's seed is fixed at 0).
+    #[allow(clippy::too_many_arguments)]
     fn offer(
         &self,
         sink: &dyn CheckpointSink,
         observer: &dyn SearchObserver,
+        cursor: &mut CheckpointCursor<'_>,
         step: usize,
         arch_indices: &[Vec<usize>],
         hw_indices: &[usize],
         outcome: &SearchOutcome,
     ) {
-        checkpoint::offer_checkpoint(sink, observer, self.name(), 0, step, || {
+        let explored = &outcome.explored;
+        checkpoint::offer_checkpoint(sink, observer, cursor, step, explored, || {
             let mut state = ConfigValue::table();
             state.insert(
                 "arch_indices",
@@ -60,7 +63,7 @@ impl HillClimb {
                 ),
             );
             state.insert("hw_indices", checkpoint::usizes_to_value(hw_indices));
-            state.insert("outcome", checkpoint::outcome_to_value(outcome));
+            state.insert("outcome", checkpoint::outcome_counters_to_value(outcome));
             state
         });
     }
@@ -130,13 +133,9 @@ impl SearchAlgorithm for HillClimb {
                         .expect("hill-climb checkpoint: hw_indices"),
                 )
                 .expect("hill-climb checkpoint: valid hw indices");
-                let outcome = checkpoint::outcome_from_value(
-                    cp.state
-                        .get("outcome")
-                        .expect("hill-climb checkpoint: outcome"),
-                    workload,
-                )
-                .expect("hill-climb checkpoint: valid outcome");
+                let outcome = cp
+                    .restore_outcome(workload)
+                    .expect("hill-climb checkpoint: valid outcome");
                 (arch_indices, hw_indices, outcome, cp.progress + 1)
             }
             None => {
@@ -156,6 +155,7 @@ impl SearchAlgorithm for HillClimb {
             }
         };
 
+        let mut cursor = CheckpointCursor::new(self.name(), 0, outcome.explored.len());
         let mut current = build(&arch_indices, &hw_indices);
         let (mut current_eval, mut current_reward) = scorer.score(&current);
         if resume.is_none() {
@@ -179,7 +179,15 @@ impl SearchAlgorithm for HillClimb {
                 entropy: None,
                 baseline: None,
             });
-            self.offer(sink, observer, 0, &arch_indices, &hw_indices, &outcome);
+            self.offer(
+                sink,
+                observer,
+                &mut cursor,
+                0,
+                &arch_indices,
+                &hw_indices,
+                &outcome,
+            );
         }
 
         for step in start_step..=self.max_steps {
@@ -250,7 +258,15 @@ impl SearchAlgorithm for HillClimb {
                 entropy: None,
                 baseline: None,
             });
-            self.offer(sink, observer, step, &arch_indices, &hw_indices, &outcome);
+            self.offer(
+                sink,
+                observer,
+                &mut cursor,
+                step,
+                &arch_indices,
+                &hw_indices,
+                &outcome,
+            );
         }
         emit_search_finished(observer, &outcome, engine.stats().since(&stats_start));
         outcome

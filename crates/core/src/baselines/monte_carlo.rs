@@ -24,7 +24,7 @@
 use crate::algorithm::{emit_search_finished, SearchAlgorithm, SearchContext, SearchEvent};
 use crate::candidate::Candidate;
 use crate::checkpoint::{
-    self, CheckpointSink, SearchCheckpoint, ShardMode, ShardPartial, ShardPlan,
+    self, CheckpointCursor, CheckpointSink, SearchCheckpoint, ShardMode, ShardPartial, ShardPlan,
 };
 use crate::log::{ExploredSolution, SearchOutcome};
 use crate::scenario::value::ConfigValue;
@@ -124,13 +124,9 @@ impl SearchAlgorithm for MonteCarloSearch {
                 )
                 .map(StdRng::from_state)
                 .expect("monte-carlo checkpoint: valid rng state");
-                let outcome = checkpoint::outcome_from_value(
-                    cp.state
-                        .get("outcome")
-                        .expect("monte-carlo checkpoint: outcome"),
-                    workload,
-                )
-                .expect("monte-carlo checkpoint: valid outcome");
+                let outcome = cp
+                    .restore_outcome(workload)
+                    .expect("monte-carlo checkpoint: valid outcome");
                 (rng, outcome, cp.progress)
             }
             None => (
@@ -139,6 +135,7 @@ impl SearchAlgorithm for MonteCarloSearch {
                 0,
             ),
         };
+        let mut cursor = CheckpointCursor::new(self.name(), self.seed, outcome.explored.len());
         while episode < self.runs {
             // Evaluate up to the sink's next snapshot point as one batch;
             // with no snapshot points wanted, this is the whole run.
@@ -175,12 +172,19 @@ impl SearchAlgorithm for MonteCarloSearch {
             }
             episode = chunk_end;
             outcome.episodes = episode;
-            checkpoint::offer_checkpoint(sink, observer, self.name(), self.seed, episode, || {
-                let mut state = ConfigValue::table();
-                state.insert("rng", checkpoint::rng_state_to_value(&rng.state()));
-                state.insert("outcome", checkpoint::outcome_to_value(&outcome));
-                state
-            });
+            checkpoint::offer_checkpoint(
+                sink,
+                observer,
+                &mut cursor,
+                episode,
+                &outcome.explored,
+                || {
+                    let mut state = ConfigValue::table();
+                    state.insert("rng", checkpoint::rng_state_to_value(&rng.state()));
+                    state.insert("outcome", checkpoint::outcome_counters_to_value(&outcome));
+                    state
+                },
+            );
         }
         outcome.episodes = self.runs;
         emit_search_finished(observer, &outcome, engine.stats().since(&stats_start));

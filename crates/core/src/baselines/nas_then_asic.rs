@@ -13,7 +13,8 @@ use crate::algorithm::{
 };
 use crate::candidate::Candidate;
 use crate::checkpoint::{
-    self, CheckpointSink, NullCheckpointSink, SearchCheckpoint, ShardMode, ShardPartial, ShardPlan,
+    self, CheckpointCursor, CheckpointSink, NullCheckpointSink, SearchCheckpoint, ShardMode,
+    ShardPartial, ShardPlan,
 };
 use crate::engine::EvalEngine;
 use crate::log::{ExploredSolution, PhaseSummary, SearchOutcome};
@@ -233,7 +234,10 @@ impl NasThenAsic {
         controller: Option<&Controller>,
         best: Option<&(f64, Architecture)>,
     ) {
-        checkpoint::offer_checkpoint(sink, observer, self.name(), self.seed, progress, || {
+        // The phase explores no (network, accelerator) records, so every
+        // checkpoint's record cursor stays at 0.
+        let mut cursor = CheckpointCursor::new(self.name(), self.seed, 0);
+        checkpoint::offer_checkpoint(sink, observer, &mut cursor, progress, &[], || {
             let mut state = ConfigValue::table();
             state.insert("phase", ConfigValue::Str("nas".to_string()));
             state.insert("rng", checkpoint::rng_state_to_value(&rng.state()));
@@ -296,6 +300,7 @@ impl NasThenAsic {
             sample,
             self.hardware_samples
         );
+        let mut cursor = CheckpointCursor::new(self.name(), self.seed, outcome.explored.len());
         while sample < self.hardware_samples {
             let chunk_end = (sample + 1..self.hardware_samples)
                 .find(|&s| sink.wants(progress_offset + s))
@@ -340,15 +345,15 @@ impl NasThenAsic {
             checkpoint::offer_checkpoint(
                 sink,
                 observer,
-                self.name(),
-                self.seed,
+                &mut cursor,
                 progress_offset + sample,
+                &outcome.explored,
                 || {
                     let mut state = ConfigValue::table();
                     state.insert("phase", ConfigValue::Str("sweep".to_string()));
                     state.insert("rng", checkpoint::rng_state_to_value(&rng.state()));
                     state.insert("done", encode_architectures(architectures));
-                    state.insert("outcome", checkpoint::outcome_to_value(&outcome));
+                    state.insert("outcome", checkpoint::outcome_counters_to_value(&outcome));
                     state
                 },
             );
@@ -472,13 +477,9 @@ impl SearchAlgorithm for NasThenAsic {
                     )
                     .expect("nas-then-asic checkpoint: valid rng state"),
                 );
-                let outcome = checkpoint::outcome_from_value(
-                    cp.state
-                        .get("outcome")
-                        .expect("nas-then-asic checkpoint: outcome"),
-                    workload,
-                )
-                .expect("nas-then-asic checkpoint: valid outcome");
+                let outcome = cp
+                    .restore_outcome(workload)
+                    .expect("nas-then-asic checkpoint: valid outcome");
                 (
                     architectures,
                     Some((rng, outcome, cp.progress - nas_budget)),

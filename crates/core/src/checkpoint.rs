@@ -8,12 +8,18 @@
 //!
 //! * [`SearchCheckpoint`] is the versioned envelope: algorithm name, seed,
 //!   a monotonic `progress` counter (the driver's own unit: samples,
-//!   episodes, accepted steps, generations) and an opaque driver-specific
-//!   `state` tree.  It round-trips through the scenario JSON codec, so a
-//!   checkpoint written by `nasaic run --checkpoint` is plain JSON.
+//!   episodes, accepted steps, generations), the explored records added
+//!   since the previous checkpoint, and an opaque driver-specific `state`
+//!   tree holding everything else.  It round-trips through the scenario
+//!   JSON codec, so a checkpoint is plain JSON.
 //! * [`CheckpointSink`] decides *when* checkpoints are taken
 //!   ([`CheckpointSink::wants`]) and receives them.  Drivers build the
 //!   state tree lazily, so a [`NullCheckpointSink`] run pays nothing.
+//! * [`FileCheckpointSink`] keeps a checkpoint on disk as a small *head*
+//!   file plus an append-only *journal* of explored records, one compact
+//!   JSON line each, so each checkpoint writes only what the run added
+//!   since the previous one.  [`SearchCheckpoint::load`] reassembles the
+//!   complete checkpoint from the two.
 //! * [`ShardPlan`] / [`ShardPartial`] split one run across `N`
 //!   deterministic workers.  A *strided* plan assigns partitionable unit
 //!   `i` to shard `i % N`; [`merge_replay`] re-plays every shard's keyed
@@ -26,21 +32,24 @@
 //! determined by its `explored` record sequence plus a handful of scalar
 //! counters — `best` and `spec_compliant` are derived by `record`.  Both
 //! the outcome codec and shard merging therefore serialize only the
-//! record sequence and replay it on the way back in.
+//! record sequence and replay it on the way back in, and a checkpoint's
+//! record sequence only ever grows, which is what lets it be journaled.
 //!
 //! Floats are serialized with the shortest-round-trip formatter, so every
 //! finite `f64` survives exactly.  Non-finite metrics (infeasible mappings
 //! carry `INFINITY` costs) are encoded as the strings `"inf"`, `"-inf"`
 //! and `"nan"` because the JSON grammar has no literal for them.
 
-use std::fs;
+use std::ffi::OsString;
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use crate::candidate::Candidate;
 use crate::evaluator::Evaluation;
 use crate::log::{ExploredSolution, PhaseSummary, SearchOutcome};
-use crate::scenario::value::{self, ConfigError, ConfigValue};
+use crate::scenario::value::{self, ConfigError, ConfigValue, JsonObject};
 use crate::spec::SpecCheck;
 use crate::workload::Workload;
 use nasaic_accel::{Accelerator, Dataflow, SubAccelerator};
@@ -50,8 +59,9 @@ use nasaic_tensor::Matrix;
 use rand::rngs::StdRngState;
 
 /// The checkpoint format version this build writes (and the only one it
-/// accepts).
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// accepts).  Version 2 carries the explored records in the envelope
+/// (`records_from`, `records`) instead of inside `state`.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------------
 // The checkpoint envelope
@@ -60,9 +70,14 @@ pub const CHECKPOINT_VERSION: u32 = 1;
 /// A versioned, serializable snapshot of a search driver's mutable state.
 ///
 /// The envelope is driver-agnostic; `state` is the driver's own table (see
-/// each driver's `run_checkpointed` for its layout).  Checkpoints are only
-/// valid for the same algorithm, seed, workload and budget they were taken
-/// from — drivers assert the first two and trust the caller for the rest.
+/// each driver's `run_checkpointed` for its layout), and `records` are the
+/// run's explored records ([`solution_to_value`]) from index
+/// `records_from` on.  A checkpoint is *complete* when `records_from` is
+/// 0; drivers resume only from complete checkpoints, which
+/// [`RecordingCheckpointSink`] and [`SearchCheckpoint::load`] return.
+/// Checkpoints are only valid for the same algorithm, seed, workload and
+/// budget they were taken from — drivers assert the first two and trust
+/// the caller for the rest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchCheckpoint {
     /// Format version ([`CHECKPOINT_VERSION`]).
@@ -74,31 +89,80 @@ pub struct SearchCheckpoint {
     /// Progress units completed when the snapshot was taken (the driver's
     /// own unit: samples, episodes, accepted steps, generations).
     pub progress: usize,
+    /// Index in the run's explored sequence of the first entry of
+    /// `records` (earlier checkpoints carried the ones before it).
+    pub records_from: usize,
+    /// Encoded explored records, from index `records_from` on.
+    pub records: Vec<ConfigValue>,
     /// The driver-specific state tree.
     pub state: ConfigValue,
 }
 
 impl SearchCheckpoint {
-    /// Wrap a driver state tree in a version-1 envelope.
+    /// Wrap a driver state tree in a complete envelope with no records.
     pub fn new(algorithm: &str, seed: u64, progress: usize, state: ConfigValue) -> Self {
         Self {
             version: CHECKPOINT_VERSION,
             algorithm: algorithm.to_string(),
             seed,
             progress,
+            records_from: 0,
+            records: Vec::new(),
             state,
         }
     }
 
-    /// The checkpoint as a [`ConfigValue`] table.
+    /// Does this checkpoint carry the run's whole explored sequence?
+    pub fn is_complete(&self) -> bool {
+        self.records_from == 0
+    }
+
+    /// The checkpoint as a [`ConfigValue`] table (a deep copy; the JSON
+    /// emitters below write the envelope without one).
     pub fn to_value(&self) -> ConfigValue {
         let mut root = ConfigValue::table();
-        root.insert("version", ConfigValue::Integer(self.version as i64));
-        root.insert("algorithm", ConfigValue::Str(self.algorithm.clone()));
-        root.insert("seed", ConfigValue::Integer(self.seed as i64));
-        root.insert("progress", ConfigValue::Integer(self.progress as i64));
+        for (key, value) in self.header() {
+            root.insert(key, value);
+        }
+        root.insert("records", ConfigValue::Array(self.records.clone()));
         root.insert("state", self.state.clone());
         root
+    }
+
+    /// The scalar envelope fields, in their serialized order.
+    fn header(&self) -> [(&'static str, ConfigValue); 5] {
+        [
+            ("version", ConfigValue::Integer(i64::from(self.version))),
+            ("algorithm", ConfigValue::Str(self.algorithm.clone())),
+            ("seed", ConfigValue::Integer(self.seed as i64)),
+            ("progress", ConfigValue::Integer(self.progress as i64)),
+            (
+                "records_from",
+                ConfigValue::Integer(self.records_from as i64),
+            ),
+        ]
+    }
+
+    /// Write the envelope into `out`, with `records_from` and `records`
+    /// overridden — the file sink's head carries no records.
+    fn write_json(
+        &self,
+        records_from: usize,
+        records: &[ConfigValue],
+        pretty: bool,
+        out: &mut String,
+    ) {
+        let mut object = JsonObject::new(out, pretty);
+        for (key, value) in self.header() {
+            if key == "records_from" {
+                object.field(key, &ConfigValue::Integer(records_from as i64));
+            } else {
+                object.field(key, &value);
+            }
+        }
+        object.array_field("records", records);
+        object.field("state", &self.state);
+        object.finish();
     }
 
     /// Parse a checkpoint from its [`ConfigValue`] form.
@@ -108,10 +172,11 @@ impl SearchCheckpoint {
     /// Returns a schema error for missing/ill-typed fields or an
     /// unsupported version.
     pub fn from_value(value: &ConfigValue) -> Result<Self, ConfigError> {
-        let version = usize_field(value, "version")? as u32;
+        let raw = int_field(value, "version")?;
+        let version = u32::try_from(raw).unwrap_or(0);
         if version != CHECKPOINT_VERSION {
             return Err(ConfigError::schema(format!(
-                "unsupported checkpoint version {version} (this build reads {CHECKPOINT_VERSION})"
+                "unsupported checkpoint version {raw} (this build reads {CHECKPOINT_VERSION})"
             )));
         }
         Ok(Self {
@@ -119,16 +184,22 @@ impl SearchCheckpoint {
             algorithm: str_field(value, "algorithm")?.to_string(),
             seed: int_field(value, "seed")? as u64,
             progress: usize_field(value, "progress")?,
+            records_from: usize_field(value, "records_from")?,
+            records: array_field(value, "records")?.to_vec(),
             state: field(value, "state")?.clone(),
         })
     }
 
-    /// Serialize to pretty JSON (the on-disk format).
+    /// Serialize to pretty JSON, records included.
     pub fn to_json(&self) -> String {
-        value::to_json(&self.to_value())
+        let mut out = String::new();
+        self.write_json(self.records_from, &self.records, true, &mut out);
+        out
     }
 
-    /// Parse from JSON text.
+    /// Parse from JSON text — a whole checkpoint, or a
+    /// [`FileCheckpointSink`] head on its own (whose records live in the
+    /// journal; see [`load`](Self::load)).
     ///
     /// # Errors
     ///
@@ -136,6 +207,56 @@ impl SearchCheckpoint {
     /// [`from_value`](Self::from_value).
     pub fn parse_json(text: &str) -> Result<Self, ConfigError> {
         Self::from_value(&value::parse_json(text)?)
+    }
+
+    /// Load the complete checkpoint a [`FileCheckpointSink`] left at
+    /// `path`: the head, plus the first `records_from` lines of
+    /// `<path>.journal`.  Journal lines past the head's count (a torn
+    /// last line, or records appended before a kill stopped the head
+    /// write) are ignored.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when either file cannot be read, the head does
+    /// not parse, or the journal holds fewer than `records_from` complete,
+    /// well-formed lines.
+    pub fn load(path: &Path) -> Result<Self, ConfigError> {
+        let read_error = |path: &Path, error: io::Error| {
+            ConfigError::schema(format!("cannot read {}: {error}", path.display()))
+        };
+        let text = fs::read_to_string(path).map_err(|e| read_error(path, e))?;
+        let mut checkpoint = Self::parse_json(&text)?;
+        if checkpoint.is_complete() {
+            return Ok(checkpoint);
+        }
+        let journal_path = journal_path(path);
+        let journal = fs::read(&journal_path).map_err(|e| read_error(&journal_path, e))?;
+        let wanted = checkpoint.records_from;
+        let mut records = Vec::with_capacity(wanted + checkpoint.records.len());
+        let mut lines = journal.split_inclusive(|&byte| byte == b'\n');
+        for index in 0..wanted {
+            let line = lines
+                .next()
+                .and_then(|line| line.strip_suffix(b"\n"))
+                .ok_or_else(|| {
+                    ConfigError::schema(format!(
+                        "checkpoint journal {} holds {index} complete records, its head needs \
+                         {wanted}",
+                        journal_path.display()
+                    ))
+                })?;
+            let record = std::str::from_utf8(line)
+                .map_err(|_| ConfigError::schema(format!("journal record {index} is not UTF-8")))
+                .and_then(value::parse_json)
+                .map_err(|error| {
+                    ConfigError::schema(format!("journal record {index}: {}", error.message))
+                })?;
+            records.push(record);
+        }
+        records.append(&mut checkpoint.records);
+        checkpoint.records = records;
+        checkpoint.records_from = 0;
+        Ok(checkpoint)
     }
 
     /// Assert that this checkpoint belongs to the given driver and seed.
@@ -157,6 +278,25 @@ impl SearchCheckpoint {
             self.seed
         );
     }
+
+    /// Rebuild the run's outcome: replay `records` through
+    /// [`SearchOutcome::record`] and restore the counters the driver
+    /// stored as `state.outcome` ([`outcome_counters_to_value`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a schema error for an incomplete checkpoint, missing or
+    /// ill-typed fields, or records that do not fit `workload`.
+    pub fn restore_outcome(&self, workload: &Workload) -> Result<SearchOutcome, ConfigError> {
+        if !self.is_complete() {
+            return Err(ConfigError::schema(format!(
+                "checkpoint: records start at {}, resume needs a complete checkpoint \
+                 (SearchCheckpoint::load)",
+                self.records_from
+            )));
+        }
+        outcome_from_parts(&self.records, field(&self.state, "outcome")?, workload)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -169,7 +309,8 @@ impl SearchCheckpoint {
 /// Drivers call [`wants`](Self::wants) *before* building the (possibly
 /// expensive) state tree; a sink that always answers `false` makes
 /// checkpointing free.  `on_checkpoint` is called at most once per
-/// progress value, in increasing progress order.
+/// progress value, in increasing progress order, and each checkpoint's
+/// `records` continue exactly where the previous one's ended.
 pub trait CheckpointSink {
     /// Should a checkpoint be taken after `progress` units of work?
     fn wants(&self, progress: usize) -> bool;
@@ -192,10 +333,20 @@ impl CheckpointSink for NullCheckpointSink {
 
 /// A sink that keeps every checkpoint in memory — the test harness for
 /// resume-identity gates.
+///
+/// It accumulates the records of the checkpoints it receives, so every
+/// checkpoint it returns is complete — provided it saw the run from its
+/// start (a resumed run's checkpoints are kept as they came).
 #[derive(Debug)]
 pub struct RecordingCheckpointSink {
     every: usize,
-    checkpoints: Mutex<Vec<SearchCheckpoint>>,
+    recorded: Mutex<Recorded>,
+}
+
+#[derive(Debug, Default)]
+struct Recorded {
+    records: Vec<ConfigValue>,
+    checkpoints: Vec<SearchCheckpoint>,
 }
 
 impl RecordingCheckpointSink {
@@ -209,15 +360,16 @@ impl RecordingCheckpointSink {
         assert!(every > 0, "checkpoint interval must be positive");
         Self {
             every,
-            checkpoints: Mutex::new(Vec::new()),
+            recorded: Mutex::new(Recorded::default()),
         }
     }
 
     /// The recorded checkpoints, in capture order.
     pub fn checkpoints(&self) -> Vec<SearchCheckpoint> {
-        self.checkpoints
+        self.recorded
             .lock()
             .expect("recording checkpoint sink lock")
+            .checkpoints
             .clone()
     }
 }
@@ -228,29 +380,97 @@ impl CheckpointSink for RecordingCheckpointSink {
     }
 
     fn on_checkpoint(&self, checkpoint: &SearchCheckpoint) {
-        self.checkpoints
+        let mut recorded = self
+            .recorded
             .lock()
-            .expect("recording checkpoint sink lock")
-            .push(checkpoint.clone());
+            .expect("recording checkpoint sink lock");
+        let Recorded {
+            records,
+            checkpoints,
+        } = &mut *recorded;
+        if checkpoint.records_from > records.len() {
+            checkpoints.push(checkpoint.clone());
+            return;
+        }
+        records.truncate(checkpoint.records_from);
+        records.extend_from_slice(&checkpoint.records);
+        checkpoints.push(SearchCheckpoint {
+            version: checkpoint.version,
+            algorithm: checkpoint.algorithm.clone(),
+            seed: checkpoint.seed,
+            progress: checkpoint.progress,
+            records_from: 0,
+            records: records.clone(),
+            state: checkpoint.state.clone(),
+        });
     }
 }
 
-/// A sink that writes the latest checkpoint to a file — the CLI's
-/// `nasaic run --checkpoint <file> --checkpoint-every <n>` sink.
+/// `path` with `suffix` appended to its file name: `run.ckpt` and
+/// `.journal` give `run.ckpt.journal`.  Unlike
+/// [`Path::with_extension`], distinct targets always derive distinct
+/// names, and a derived name never equals its target.
+pub fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = OsString::from(path.as_os_str());
+    name.push(suffix);
+    PathBuf::from(name)
+}
+
+/// The journal a [`FileCheckpointSink`] writing `head` appends records to:
+/// `<head>.journal`.
+pub fn journal_path(head: &Path) -> PathBuf {
+    with_suffix(head, ".journal")
+}
+
+/// Replace `path` with `contents` atomically: write `<path>.tmp`, then
+/// rename it over `path`, so a reader (or a process killed mid-write)
+/// sees the old file or the new one, never half of one.
 ///
-/// Each write goes to `<file>.tmp` first and is renamed over the target,
-/// so a crash mid-write leaves the previous checkpoint intact.  Write
-/// errors are swallowed (the checkpoint is a safety net, not the result);
-/// the last error, if any, is kept for the caller to surface.
+/// # Errors
+///
+/// Propagates the write or rename error.
+pub fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
+    let tmp = with_suffix(path, ".tmp");
+    fs::write(&tmp, contents)?;
+    fs::rename(&tmp, path)
+}
+
+/// A sink that keeps the latest checkpoint on disk — the CLI's
+/// `nasaic run --checkpoint <file> --checkpoint-every <n>` sink and the
+/// daemon's per-job sink.
+///
+/// Each checkpoint first appends its `records` to `<file>.journal`, one
+/// compact JSON line each, then replaces `<file>` ([`write_atomic`]) with
+/// a compact *head*: the envelope with no records and `records_from` set
+/// to the number of records journaled so far.  The head is written last,
+/// so it never counts a record the journal lacks; a crash leaves the
+/// previous head plus, at worst, journal lines past its count, which
+/// [`SearchCheckpoint::load`] ignores and this sink's first append
+/// truncates away.
+///
+/// Write errors are swallowed (the checkpoint is a safety net, not the
+/// result): after the first one the sink writes nothing more, so a head
+/// never points past a gap, and keeps the error for
+/// [`take_error`](Self::take_error).
 #[derive(Debug)]
 pub struct FileCheckpointSink {
     path: PathBuf,
     every: usize,
-    last_error: Mutex<Option<std::io::Error>>,
+    journal: Mutex<JournalWriter>,
+}
+
+#[derive(Debug, Default)]
+struct JournalWriter {
+    /// The open journal and the records it holds; `None` before the
+    /// first checkpoint.
+    file: Option<(File, usize)>,
+    failed: bool,
+    error: Option<io::Error>,
 }
 
 impl FileCheckpointSink {
-    /// Write to `path` every `every` progress units.
+    /// Write to `path` (and `<path>.journal`) every `every` progress
+    /// units.
     ///
     /// # Panics
     ///
@@ -260,16 +480,92 @@ impl FileCheckpointSink {
         Self {
             path: path.to_path_buf(),
             every,
-            last_error: Mutex::new(None),
+            journal: Mutex::new(JournalWriter::default()),
         }
     }
 
-    /// The first/last swallowed I/O error, if any (taking it clears it).
-    pub fn take_error(&self) -> Option<std::io::Error> {
-        self.last_error
+    /// The swallowed I/O error, if any (taking it clears it; the sink
+    /// stays stopped).
+    pub fn take_error(&self) -> Option<io::Error> {
+        self.journal
             .lock()
             .expect("file checkpoint sink lock")
+            .error
             .take()
+    }
+
+    /// Open the journal for the run's first checkpoint, keeping exactly
+    /// its first `records` lines.  A fresh run (`records == 0`) also
+    /// removes a head left by an earlier run, so no head ever counts
+    /// records of another run's journal.
+    fn open_journal(&self, records: usize) -> io::Result<File> {
+        if records == 0 {
+            match fs::remove_file(&self.path) {
+                Err(error) if error.kind() != io::ErrorKind::NotFound => return Err(error),
+                _ => {}
+            }
+        }
+        let mut file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(journal_path(&self.path))?;
+        let keep = if records == 0 {
+            0
+        } else {
+            let mut bytes = Vec::new();
+            file.seek(SeekFrom::Start(0))?;
+            file.read_to_end(&mut bytes)?;
+            let end = bytes
+                .iter()
+                .enumerate()
+                .filter(|&(_, &byte)| byte == b'\n')
+                .nth(records - 1)
+                .map(|(index, _)| index + 1)
+                .ok_or_else(|| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "checkpoint journal holds fewer than the {records} records resumed"
+                        ),
+                    )
+                })?;
+            end as u64
+        };
+        file.set_len(keep)?;
+        Ok(file)
+    }
+
+    fn write(&self, journal: &mut JournalWriter, checkpoint: &SearchCheckpoint) -> io::Result<()> {
+        let (file, journaled) = match &mut journal.file {
+            Some(open) => open,
+            None => {
+                let file = self.open_journal(checkpoint.records_from)?;
+                journal.file.insert((file, checkpoint.records_from))
+            }
+        };
+        if checkpoint.records_from != *journaled {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "checkpoint records start at {}, the journal holds {journaled}",
+                    checkpoint.records_from
+                ),
+            ));
+        }
+        if !checkpoint.records.is_empty() {
+            let mut lines = String::new();
+            for record in &checkpoint.records {
+                value::write_json_compact(record, &mut lines);
+                lines.push('\n');
+            }
+            file.write_all(lines.as_bytes())?;
+            *journaled += checkpoint.records.len();
+        }
+        let mut head = String::new();
+        checkpoint.write_json(*journaled, &[], false, &mut head);
+        head.push('\n');
+        write_atomic(&self.path, head.as_bytes())
     }
 }
 
@@ -279,11 +575,13 @@ impl CheckpointSink for FileCheckpointSink {
     }
 
     fn on_checkpoint(&self, checkpoint: &SearchCheckpoint) {
-        let tmp = self.path.with_extension("tmp");
-        let result =
-            fs::write(&tmp, checkpoint.to_json()).and_then(|()| fs::rename(&tmp, &self.path));
-        if let Err(error) = result {
-            *self.last_error.lock().expect("file checkpoint sink lock") = Some(error);
+        let mut journal = self.journal.lock().expect("file checkpoint sink lock");
+        if journal.failed {
+            return;
+        }
+        if let Err(error) = self.write(&mut journal, checkpoint) {
+            journal.failed = true;
+            journal.error = Some(error);
         }
     }
 }
@@ -557,22 +855,61 @@ pub fn merge_replay(plan: &ShardPlan, mut partials: Vec<ShardPartial>) -> Search
     outcome
 }
 
-/// Offer a checkpoint to `sink` at `progress`, building the state tree
-/// only if the sink wants it, and announcing the save on the observer
-/// stream — the one snapshot-point helper all drivers share.
+/// Where a run stands in its checkpoint stream: the driver and seed its
+/// checkpoints carry, and how many explored records earlier checkpoints
+/// already handed to the sink.
+#[derive(Debug, Clone)]
+pub struct CheckpointCursor<'a> {
+    algorithm: &'a str,
+    seed: u64,
+    records: usize,
+}
+
+impl<'a> CheckpointCursor<'a> {
+    /// A cursor for a run of `algorithm` at `seed` whose outcome already
+    /// holds `records` explored records: 0 for a fresh run, the restored
+    /// count for a resumed one.
+    pub fn new(algorithm: &'a str, seed: u64, records: usize) -> Self {
+        Self {
+            algorithm,
+            seed,
+            records,
+        }
+    }
+}
+
+/// Offer a checkpoint to `sink` at `progress` — the one snapshot-point
+/// helper all drivers share.
+///
+/// Only if the sink wants it does this build the state tree, encode the
+/// records `explored[cursor..]` added since the previous checkpoint, and
+/// advance the cursor; the save is announced on the observer stream.
+///
+/// # Panics
+///
+/// Panics if `explored` is shorter than the records already offered.
 pub fn offer_checkpoint(
     sink: &dyn CheckpointSink,
     observer: &dyn crate::algorithm::SearchObserver,
-    algorithm: &str,
-    seed: u64,
+    cursor: &mut CheckpointCursor<'_>,
     progress: usize,
+    explored: &[ExploredSolution],
     state: impl FnOnce() -> ConfigValue,
 ) {
     if sink.wants(progress) {
-        // The span covers building the state tree and handing it to the
-        // sink (for a file sink: JSON encode + write).
+        // The span covers building the state tree and the new records and
+        // handing them to the sink (for a file sink: journal append plus
+        // head encode and write).
         let _span = crate::metrics::maybe_time(crate::metrics::checkpoint_encode_wall);
-        let checkpoint = SearchCheckpoint::new(algorithm, seed, progress, state());
+        let checkpoint = SearchCheckpoint {
+            records_from: cursor.records,
+            records: explored[cursor.records..]
+                .iter()
+                .map(solution_to_value)
+                .collect(),
+            ..SearchCheckpoint::new(cursor.algorithm, cursor.seed, progress, state())
+        };
+        cursor.records = explored.len();
         sink.on_checkpoint(&checkpoint);
         observer.on_event(&crate::algorithm::SearchEvent::CheckpointSaved { progress });
     }
@@ -1114,7 +1451,7 @@ pub fn phase_summary_from_value(value: &ConfigValue) -> Result<PhaseSummary, Con
     })
 }
 
-/// Encode a full search outcome.
+/// Encode a full search outcome (the shard partials' form).
 ///
 /// Only the `explored` record sequence and the scalar counters are
 /// written: `best` and `spec_compliant` are reconstructed by replaying the
@@ -1126,6 +1463,19 @@ pub fn outcome_to_value(outcome: &SearchOutcome) -> ConfigValue {
         "explored",
         ConfigValue::Array(outcome.explored.iter().map(solution_to_value).collect()),
     );
+    if let ConfigValue::Table(counters) = outcome_counters_to_value(outcome) {
+        for (key, value) in counters {
+            root.insert(&key, value);
+        }
+    }
+    root
+}
+
+/// Encode an outcome's counters — everything but the `explored` records,
+/// which a checkpoint carries in its envelope.  Drivers store this as
+/// `state.outcome`; [`SearchCheckpoint::restore_outcome`] reads it back.
+pub fn outcome_counters_to_value(outcome: &SearchOutcome) -> ConfigValue {
+    let mut root = ConfigValue::table();
     root.insert("episodes", ConfigValue::Integer(outcome.episodes as i64));
     root.insert(
         "pruned_episodes",
@@ -1149,14 +1499,24 @@ pub fn outcome_from_value(
     value: &ConfigValue,
     workload: &Workload,
 ) -> Result<SearchOutcome, ConfigError> {
+    outcome_from_parts(array_field(value, "explored")?, value, workload)
+}
+
+/// Replay `records` into an outcome and restore the counters of
+/// [`outcome_counters_to_value`] from `counters`.
+fn outcome_from_parts(
+    records: &[ConfigValue],
+    counters: &ConfigValue,
+    workload: &Workload,
+) -> Result<SearchOutcome, ConfigError> {
     let mut outcome = SearchOutcome::empty();
-    for solution in array_field(value, "explored")? {
+    for solution in records {
         outcome.record(solution_from_value(solution, workload)?);
     }
-    outcome.episodes = usize_field(value, "episodes")?;
-    outcome.pruned_episodes = usize_field(value, "pruned_episodes")?;
-    outcome.reward_history = floats_from_value(field(value, "reward_history")?)?;
-    for phase in array_field(value, "phases")? {
+    outcome.episodes = usize_field(counters, "episodes")?;
+    outcome.pruned_episodes = usize_field(counters, "pruned_episodes")?;
+    outcome.reward_history = floats_from_value(field(counters, "reward_history")?)?;
+    for phase in array_field(counters, "phases")? {
         outcome.phases.push(phase_summary_from_value(phase)?);
     }
     Ok(outcome)
@@ -1318,6 +1678,193 @@ mod tests {
         let read = SearchCheckpoint::parse_json(&fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(read, checkpoint);
         fs::remove_file(&path).unwrap();
+        fs::remove_file(journal_path(&path)).unwrap();
+    }
+
+    /// A fresh directory for one test's files.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("nasaic-checkpoint-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// An incremental checkpoint at `progress` carrying the stand-in
+    /// records `from..to` (the sink and loader treat records as opaque).
+    fn increment(progress: usize, from: usize, to: usize) -> SearchCheckpoint {
+        let mut state = ConfigValue::table();
+        state.insert("progress_seen", ConfigValue::Integer(progress as i64));
+        SearchCheckpoint {
+            records_from: from,
+            records: (from..to).map(|i| ConfigValue::Integer(i as i64)).collect(),
+            ..SearchCheckpoint::new("monte-carlo", 5, progress, state)
+        }
+    }
+
+    /// The complete checkpoint `increment(progress, from, to)` stands for.
+    fn complete(progress: usize, to: usize) -> SearchCheckpoint {
+        increment(progress, 0, to)
+    }
+
+    fn append(path: &Path, text: &str) {
+        let mut file = OpenOptions::new().append(true).open(path).unwrap();
+        file.write_all(text.as_bytes()).unwrap();
+    }
+
+    #[test]
+    fn file_sink_journals_only_new_records_and_load_reassembles_them() {
+        let path = scratch_dir("journal").join("run.ckpt");
+        let sink = FileCheckpointSink::new(&path, 1);
+        sink.on_checkpoint(&increment(1, 0, 3));
+        let first_head = fs::metadata(&path).unwrap().len();
+        sink.on_checkpoint(&increment(2, 3, 3));
+        sink.on_checkpoint(&increment(3, 3, 7));
+        assert!(sink.take_error().is_none());
+        assert_eq!(
+            fs::read_to_string(journal_path(&path)).unwrap(),
+            "0\n1\n2\n3\n4\n5\n6\n"
+        );
+        let head = SearchCheckpoint::parse_json(&fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!((head.records_from, head.records.len()), (7, 0));
+        assert!(fs::metadata(&path).unwrap().len() <= first_head + 1);
+        assert_eq!(SearchCheckpoint::load(&path).unwrap(), complete(3, 7));
+    }
+
+    #[test]
+    fn a_torn_journal_tail_loads_the_heads_checkpoint() {
+        let path = scratch_dir("torn").join("run.ckpt");
+        let sink = FileCheckpointSink::new(&path, 1);
+        sink.on_checkpoint(&increment(1, 0, 2));
+        // Killed mid-append: half a record past the head's count.
+        append(&journal_path(&path), "{\"half");
+        assert_eq!(SearchCheckpoint::load(&path).unwrap(), complete(1, 2));
+    }
+
+    #[test]
+    fn records_appended_before_a_kill_are_ignored_then_truncated() {
+        let path = scratch_dir("extra").join("run.ckpt");
+        let sink = FileCheckpointSink::new(&path, 1);
+        sink.on_checkpoint(&increment(1, 0, 2));
+        // Killed between the append and the head rename: complete lines
+        // the head does not count yet.
+        append(&journal_path(&path), "2\n3\n");
+        let loaded = SearchCheckpoint::load(&path).unwrap();
+        assert_eq!(loaded, complete(1, 2));
+        // The resumed run's sink drops them on its first append.
+        let resumed = FileCheckpointSink::new(&path, 1);
+        resumed.on_checkpoint(&increment(2, 2, 3));
+        assert!(resumed.take_error().is_none());
+        assert_eq!(
+            fs::read_to_string(journal_path(&path)).unwrap(),
+            "0\n1\n2\n"
+        );
+        assert_eq!(SearchCheckpoint::load(&path).unwrap(), complete(2, 3));
+    }
+
+    #[test]
+    fn a_journal_shorter_than_its_head_is_an_error() {
+        let path = scratch_dir("short").join("run.ckpt");
+        let sink = FileCheckpointSink::new(&path, 1);
+        sink.on_checkpoint(&increment(1, 0, 3));
+        let journal = journal_path(&path);
+        fs::write(&journal, "0\n1\n").unwrap();
+        let error = SearchCheckpoint::load(&path).unwrap_err();
+        assert!(
+            error.message.contains("holds 2 complete records"),
+            "{error}"
+        );
+        // An unterminated last counted line is short too.
+        fs::write(&journal, "0\n1\n2").unwrap();
+        assert!(SearchCheckpoint::load(&path).is_err());
+        // So are a malformed line and a missing journal.
+        fs::write(&journal, "0\n{\n2\n").unwrap();
+        assert!(SearchCheckpoint::load(&path).is_err());
+        fs::remove_file(&journal).unwrap();
+        assert!(SearchCheckpoint::load(&path).is_err());
+        // A sink resuming past the journal's end writes nothing more.
+        fs::write(&journal, "0\n").unwrap();
+        let resumed = FileCheckpointSink::new(&path, 1);
+        resumed.on_checkpoint(&increment(2, 3, 4));
+        assert!(resumed.take_error().is_some());
+        resumed.on_checkpoint(&increment(3, 4, 5));
+        assert!(resumed.take_error().is_none(), "the error was taken");
+        assert_eq!(fs::read_to_string(&journal).unwrap(), "0\n");
+    }
+
+    #[test]
+    fn a_fresh_run_replaces_an_earlier_runs_head_and_journal() {
+        let path = scratch_dir("fresh").join("run.ckpt");
+        let sink = FileCheckpointSink::new(&path, 1);
+        sink.on_checkpoint(&increment(1, 0, 3));
+        let rerun = FileCheckpointSink::new(&path, 1);
+        rerun.on_checkpoint(&increment(1, 0, 1));
+        assert!(rerun.take_error().is_none());
+        assert_eq!(fs::read_to_string(journal_path(&path)).unwrap(), "0\n");
+        assert_eq!(SearchCheckpoint::load(&path).unwrap(), complete(1, 1));
+    }
+
+    #[test]
+    fn envelopes_of_other_versions_are_rejected() {
+        let dir = scratch_dir("versions");
+        let v1 = dir.join("v1.json");
+        fs::write(
+            &v1,
+            r#"{"version": 1, "algorithm": "nasaic", "seed": 1, "progress": 2, "state": {}}"#,
+        )
+        .unwrap();
+        let error = SearchCheckpoint::load(&v1).unwrap_err();
+        assert!(
+            error.message.contains("unsupported checkpoint version 1"),
+            "{error}"
+        );
+        // 2^32 + 2 must not wrap around to the supported version 2.
+        let wrapped =
+            complete(1, 0)
+                .to_json()
+                .replacen("\"version\": 2", "\"version\": 4294967298", 1);
+        let error = SearchCheckpoint::parse_json(&wrapped).unwrap_err();
+        assert!(error.message.contains("4294967298"), "{error}");
+    }
+
+    #[test]
+    fn envelope_json_matches_its_value_form() {
+        let checkpoint = increment(4, 2, 5);
+        assert_eq!(checkpoint.to_json(), value::to_json(&checkpoint.to_value()));
+        assert_eq!(
+            SearchCheckpoint::parse_json(&checkpoint.to_json()).unwrap(),
+            checkpoint
+        );
+    }
+
+    #[test]
+    fn recording_sink_returns_complete_checkpoints() {
+        let sink = RecordingCheckpointSink::every(1);
+        sink.on_checkpoint(&increment(1, 0, 2));
+        sink.on_checkpoint(&increment(2, 2, 5));
+        assert_eq!(sink.checkpoints(), vec![complete(1, 2), complete(2, 5)]);
+    }
+
+    #[test]
+    fn atomic_writes_use_a_temp_file_named_after_the_whole_target() {
+        let dir = scratch_dir("atomic");
+        // A target that itself ends in `.tmp` is still replaced through a
+        // separate temp file.
+        let target = dir.join("run.tmp");
+        assert_eq!(with_suffix(&target, ".tmp"), dir.join("run.tmp.tmp"));
+        write_atomic(&target, b"one").unwrap();
+        write_atomic(&target, b"two").unwrap();
+        assert_eq!(fs::read_to_string(&target).unwrap(), "two");
+        assert!(!dir.join("run.tmp.tmp").exists());
+        // Targets that differ only in extension get distinct temp files.
+        let (json, ckpt) = (dir.join("a.json"), dir.join("a.ckpt"));
+        assert_ne!(with_suffix(&json, ".tmp"), with_suffix(&ckpt, ".tmp"));
+        write_atomic(&json, b"json").unwrap();
+        write_atomic(&ckpt, b"ckpt").unwrap();
+        assert_eq!(fs::read_to_string(&json).unwrap(), "json");
+        assert_eq!(fs::read_to_string(&ckpt).unwrap(), "ckpt");
+        assert_eq!(journal_path(&ckpt), dir.join("a.ckpt.journal"));
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::algorithm::{emit_search_finished, SearchAlgorithm, SearchContext, SearchEvent};
 use crate::bounds::PenaltyBounds;
 use crate::candidate::Candidate;
-use crate::checkpoint::{self, CheckpointSink, SearchCheckpoint};
+use crate::checkpoint::{self, CheckpointCursor, CheckpointSink, SearchCheckpoint};
 use crate::log::{ExploredSolution, SearchOutcome};
 use crate::penalty::Penalty;
 use crate::reward::Reward;
@@ -209,11 +209,9 @@ impl SearchAlgorithm for Nasaic {
                 )
                 .expect("nasaic checkpoint: valid controller state");
                 controller.restore_state(&state);
-                let outcome = checkpoint::outcome_from_value(
-                    cp.state.get("outcome").expect("nasaic checkpoint: outcome"),
-                    workload,
-                )
-                .expect("nasaic checkpoint: valid outcome");
+                let outcome = cp
+                    .restore_outcome(workload)
+                    .expect("nasaic checkpoint: valid outcome");
                 (rng, outcome, cp.progress)
             }
             None => (
@@ -222,6 +220,7 @@ impl SearchAlgorithm for Nasaic {
                 0,
             ),
         };
+        let mut cursor = CheckpointCursor::new("nasaic", self.seed, outcome.explored.len());
         let m = workload.num_tasks();
 
         for episode in start_episode..self.episodes {
@@ -348,16 +347,23 @@ impl SearchAlgorithm for Nasaic {
                 entropy: Some(joint_sample.mean_entropy),
                 baseline: controller.baseline(),
             });
-            checkpoint::offer_checkpoint(sink, observer, "nasaic", self.seed, episode + 1, || {
-                let mut state = ConfigValue::table();
-                state.insert("rng", checkpoint::rng_state_to_value(&rng.state()));
-                state.insert(
-                    "controller",
-                    checkpoint::controller_state_to_value(&controller.export_state()),
-                );
-                state.insert("outcome", checkpoint::outcome_to_value(&outcome));
-                state
-            });
+            checkpoint::offer_checkpoint(
+                sink,
+                observer,
+                &mut cursor,
+                episode + 1,
+                &outcome.explored,
+                || {
+                    let mut state = ConfigValue::table();
+                    state.insert("rng", checkpoint::rng_state_to_value(&rng.state()));
+                    state.insert(
+                        "controller",
+                        checkpoint::controller_state_to_value(&controller.export_state()),
+                    );
+                    state.insert("outcome", checkpoint::outcome_counters_to_value(&outcome));
+                    state
+                },
+            );
         }
         outcome.reward_history = controller.reward_history().to_vec();
         emit_search_finished(observer, &outcome, engine.stats().since(&stats_start));

@@ -21,7 +21,8 @@ use crate::protocol::{self, Request, PROTOCOL_VERSION};
 use crate::ServeError;
 use nasaic_core::algorithm::{SearchEvent, SearchObserver};
 use nasaic_core::checkpoint::{
-    CheckpointSink, FileCheckpointSink, NullCheckpointSink, SearchCheckpoint,
+    journal_path, write_atomic, CheckpointSink, FileCheckpointSink, NullCheckpointSink,
+    SearchCheckpoint,
 };
 use nasaic_core::engine::{CacheStats, EngineConfig, EvalEngine};
 use nasaic_core::scenario::value::{parse_json, to_json};
@@ -487,7 +488,7 @@ impl Shared {
             JobState::Failed(error) => root.insert("error", ConfigValue::Str(error.clone())),
             _ => {}
         }
-        if let Err(error) = write_atomic(&path, &to_json(&root)) {
+        if let Err(error) = write_atomic(&path, json_file(&root).as_bytes()) {
             eprintln!(
                 "nasaic serve: cannot persist result of job {}: {error}",
                 job.id
@@ -495,6 +496,7 @@ impl Shared {
         }
         // The checkpoint has served its purpose once the job is terminal.
         if let Some(ckpt) = self.job_path(job.id, "ckpt.json") {
+            let _ = std::fs::remove_file(journal_path(&ckpt));
             let _ = std::fs::remove_file(ckpt);
         }
     }
@@ -527,20 +529,20 @@ impl Shared {
             return;
         }
         job.set_state(JobState::Running);
+        // A bad checkpoint (unreadable, another version, a journal cut
+        // below its head) reruns the job from scratch; the new run's first
+        // checkpoint replaces it.
         let resume = self
             .job_path(job.id, "ckpt.json")
             .filter(|path| path.exists())
-            .and_then(|path| {
-                let text = std::fs::read_to_string(&path).ok()?;
-                match SearchCheckpoint::parse_json(&text) {
-                    Ok(checkpoint) => Some(checkpoint),
-                    Err(error) => {
-                        eprintln!(
-                            "nasaic serve: ignoring bad checkpoint of job {}: {error}",
-                            job.id
-                        );
-                        None
-                    }
+            .and_then(|path| match SearchCheckpoint::load(&path) {
+                Ok(checkpoint) => Some(checkpoint),
+                Err(error) => {
+                    eprintln!(
+                        "nasaic serve: ignoring bad checkpoint of job {}: {error}",
+                        job.id
+                    );
+                    None
                 }
             });
         if resume.is_some() && nasaic_telemetry::enabled() {
@@ -565,6 +567,7 @@ impl Shared {
                 sink,
             )
         }));
+        drop(file_sink);
         let state = match result {
             Ok(report) => JobState::Finished(report.to_value()),
             Err(payload) => {
@@ -615,17 +618,11 @@ impl Shared {
     }
 }
 
-/// Atomic file write (same temp-then-rename discipline as the core's
-/// checkpoint sink): readers never observe a half-written file.
-fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
-    let mut tmp = path.to_path_buf();
-    let file_name = tmp
-        .file_name()
-        .map(|name| name.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    tmp.set_file_name(format!("{file_name}.tmp"));
-    std::fs::write(&tmp, format!("{text}\n"))?;
-    std::fs::rename(&tmp, path)
+/// A state-dir file's contents: pretty JSON plus a final newline.
+fn json_file(value: &ConfigValue) -> String {
+    let mut text = to_json(value);
+    text.push('\n');
+    text
 }
 
 /// Wire form of one engine's cache statistics.
@@ -1011,7 +1008,7 @@ fn serve(
 
     if let Some(state_dir) = &shared.config.state_dir {
         let path = state_dir.join("caches.json");
-        write_atomic(&path, &to_json(&shared.engines.export_all()))
+        write_atomic(&path, json_file(&shared.engines.export_all()).as_bytes())
             .map_err(|e| ServeError::new(format!("cannot persist caches: {e}")))?;
     }
     let jobs = shared.jobs.lock().expect("jobs lock");
@@ -1036,8 +1033,15 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
     loop {
-        let line = match protocol::read_line(&mut reader) {
+        let line = match protocol::read_line_capped(&mut reader, protocol::MAX_REQUEST_LINE) {
             Ok(Some(line)) => line,
+            // An oversized or non-UTF-8 line: say why, then drop the
+            // connection rather than read the rest of it.
+            Err(error) if error.kind() == std::io::ErrorKind::InvalidData => {
+                let _ =
+                    protocol::write_line(&mut writer, &protocol::error_response(error.to_string()));
+                return;
+            }
             Ok(None) | Err(_) => return,
         };
         if line.trim().is_empty() {
@@ -1184,7 +1188,7 @@ fn handle_submit(
         root.insert("version", ConfigValue::Integer(1));
         root.insert("job", ConfigValue::Integer(id as i64));
         root.insert("scenario", scenario.to_value());
-        if let Err(error) = write_atomic(&path, &to_json(&root)) {
+        if let Err(error) = write_atomic(&path, json_file(&root).as_bytes()) {
             return protocol::error_response(format!("cannot journal job: {error}"));
         }
     }

@@ -21,7 +21,7 @@
 //! ```
 
 use nasaic_core::scenario::{ConfigError, ConfigValue};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Protocol revision carried in `ping` responses; bumped on breaking wire
 /// changes.
@@ -198,21 +198,49 @@ pub fn write_line(writer: &mut impl Write, value: &ConfigValue) -> std::io::Resu
     writer.flush()
 }
 
+/// The longest request line the daemon reads, in bytes (1 MiB).  A
+/// 1000-layer generated scenario submits as a ~3.3 KB line.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
 /// Read one line (without the terminator); `None` at end of stream.
 ///
 /// # Errors
 ///
-/// Propagates the underlying I/O error.
+/// Propagates the underlying I/O error; a line that is not UTF-8 is an
+/// `InvalidData` error.
 pub fn read_line(reader: &mut impl BufRead) -> std::io::Result<Option<String>> {
-    let mut line = String::new();
-    let read = reader.read_line(&mut line)?;
+    read_line_capped(reader, usize::MAX)
+}
+
+/// Read one line of at most `max` bytes (without the terminator); `None`
+/// at end of stream.
+///
+/// # Errors
+///
+/// Propagates the underlying I/O error.  A longer line is an
+/// `InvalidData` error naming the cap, after reading at most `max + 1` of
+/// its bytes (the rest stays unread); so is a line that is not UTF-8.
+pub fn read_line_capped(reader: &mut impl BufRead, max: usize) -> std::io::Result<Option<String>> {
+    let mut line = Vec::new();
+    let limit = u64::try_from(max).unwrap_or(u64::MAX).saturating_add(1);
+    let read = reader.by_ref().take(limit).read_until(b'\n', &mut line)?;
     if read == 0 {
         return Ok(None);
     }
-    while line.ends_with('\n') || line.ends_with('\r') {
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    } else if read > max {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("request line exceeds the {max}-byte limit"),
+        ));
+    }
+    while line.last() == Some(&b'\r') {
         line.pop();
     }
-    Ok(Some(line))
+    String::from_utf8(line).map(Some).map_err(|_| {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, "line is not valid UTF-8")
+    })
 }
 
 #[cfg(test)]

@@ -25,10 +25,11 @@
 //! implied by `--trace`) prints a human-readable progress line to stderr
 //! on each improvement.
 //!
-//! `--checkpoint FILE` snapshots the live search state to `FILE` (atomic
-//! rename) every `--checkpoint-every N` progress units; `--resume FILE`
-//! continues an interrupted run from such a snapshot, bit-identically to
-//! the uninterrupted run.  `--shards N --shard-index I` runs the `I`-th
+//! `--checkpoint FILE` snapshots the live search state every
+//! `--checkpoint-every N` progress units into two files: the explored
+//! records are appended to `FILE.journal` and a small head replaces
+//! `FILE` (atomic rename); `--resume FILE` continues an interrupted run
+//! from the pair, bit-identically to the uninterrupted run.  `--shards N --shard-index I` runs the `I`-th
 //! shard of a deterministic `N`-way split and writes a partial result to
 //! `--shard-out FILE`; `nasaic merge --partials ...` folds the partials
 //! into the exact single-process report.
@@ -113,9 +114,10 @@ OPTIONS:
     --output <file>          Write the result there instead of stdout
     --trace <file>           Stream search events as JSON lines (run; implies --progress)
     --progress               Print search progress lines to stderr (run)
-    --checkpoint <file>      Snapshot the search state to this file (run)
+    --checkpoint <file>      Snapshot the search state to this file plus an
+                             append-only <file>.journal of explored records (run)
     --checkpoint-every <N>   Checkpoint every N progress units (run; default 1)
-    --resume <file>          Continue from a checkpoint file (run)
+    --resume <file>          Continue from a checkpoint file and its journal (run)
     --shards <N>             Split the run into N deterministic shards (run)
     --shard-index <I>        Which shard this process runs, 0-based (run)
     --shard-out <file>       Where the shard writes its partial result (run)
@@ -502,9 +504,7 @@ fn cmd_run(options: &Options) -> Result<String, CliError> {
         .resume
         .as_deref()
         .map(|path| {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| CliError::new(format!("cannot read checkpoint {path}: {e}")))?;
-            SearchCheckpoint::parse_json(&text)
+            SearchCheckpoint::load(Path::new(path))
                 .map_err(|e| CliError::new(format!("bad checkpoint {path}: {e}")))
         })
         .transpose()?;

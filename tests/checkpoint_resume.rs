@@ -259,3 +259,101 @@ fn resume_rejects_checkpoints_from_another_algorithm() {
         "a monte-carlo checkpoint must not resume an evolutionary run"
     );
 }
+
+/// A file sink that stops wanting checkpoints after `until` — a run cut
+/// off there, as a killed process would leave its files — and records the
+/// head's size after every checkpoint it took.
+struct CutOff<'a> {
+    inner: &'a FileCheckpointSink,
+    head: &'a std::path::Path,
+    until: usize,
+    head_sizes: std::sync::Mutex<Vec<u64>>,
+}
+
+impl CheckpointSink for CutOff<'_> {
+    fn wants(&self, progress: usize) -> bool {
+        progress <= self.until && self.inner.wants(progress)
+    }
+
+    fn on_checkpoint(&self, checkpoint: &SearchCheckpoint) {
+        self.inner.on_checkpoint(checkpoint);
+        let size = std::fs::metadata(self.head).expect("head written").len();
+        self.head_sizes.lock().unwrap().push(size);
+    }
+}
+
+#[test]
+fn a_file_checkpoint_cut_off_mid_run_loads_and_resumes_bit_identically() {
+    let dir = std::env::temp_dir().join(format!("nasaic-cutoff-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut scenario = shrink(registry::get("w1").expect("built-in"));
+    // Enough budget for several generations of the evolutionary search.
+    scenario.search.episodes = 12;
+    scenario.search.population = 6;
+    for algorithm in Algorithm::all() {
+        scenario.search.algorithm = algorithm;
+        let baseline = scenario.run_algorithm_with_engine(algorithm, &scenario.engine());
+        let recorder = RecordingCheckpointSink::every(1);
+        scenario.run_algorithm_checkpointed(
+            algorithm,
+            &scenario.engine(),
+            &NullObserver,
+            None,
+            &recorder,
+        );
+        let checkpoints = recorder.checkpoints();
+        let midpoint = &checkpoints[checkpoints.len() / 2];
+
+        let head = dir.join(format!("{algorithm}.ckpt"));
+        let file_sink = FileCheckpointSink::new(&head, 1);
+        let cut = CutOff {
+            inner: &file_sink,
+            head: &head,
+            until: midpoint.progress,
+            head_sizes: std::sync::Mutex::new(Vec::new()),
+        };
+        let cut_run = scenario.run_algorithm_checkpointed(
+            algorithm,
+            &scenario.engine(),
+            &NullObserver,
+            None,
+            &cut,
+        );
+        assert_eq!(
+            baseline, cut_run,
+            "{algorithm}: the file sink changed the outcome"
+        );
+        assert!(
+            file_sink.take_error().is_none(),
+            "{algorithm}: the file sink failed"
+        );
+
+        let loaded = SearchCheckpoint::load(&head).expect("head and journal load");
+        assert_eq!(
+            &loaded, midpoint,
+            "{algorithm}: the loaded checkpoint differs"
+        );
+        let resumed = scenario.run_algorithm_checkpointed(
+            algorithm,
+            &scenario.engine(),
+            &NullObserver,
+            Some(&loaded),
+            &NullCheckpointSink,
+        );
+        assert_eq!(
+            baseline, resumed,
+            "{algorithm}: resume from the file diverged"
+        );
+
+        // Heads hold fixed-size state only: records go to the journal.
+        let sizes = cut.head_sizes.into_inner().unwrap();
+        if matches!(algorithm, Algorithm::MonteCarlo | Algorithm::Evolutionary) {
+            let (first, last) = (sizes[0], sizes[sizes.len() - 1]);
+            assert!(
+                last <= first + 64,
+                "{algorithm}: the head grew from {first} to {last} bytes"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -265,6 +265,49 @@ fn deeply_nested_request_is_rejected_and_the_daemon_keeps_serving() {
 }
 
 #[test]
+fn oversized_request_line_is_rejected_and_the_daemon_keeps_serving() {
+    use nasaic::serve::protocol::MAX_REQUEST_LINE;
+    use std::io::{BufRead, BufReader, Write};
+
+    let handle = Daemon::start(ephemeral_config()).expect("daemon starts");
+    let addr = handle.addr().to_string();
+
+    // Twice the cap and no newline: a reader that waits for the newline
+    // grows its buffer for as long as the client keeps sending.
+    let stream = std::net::TcpStream::connect(&addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let sender = std::thread::spawn(move || {
+        // The daemon hangs up mid-line, so this write may fail.
+        let _ = writer.write_all(&vec![b'x'; 2 * MAX_REQUEST_LINE]);
+    });
+    let mut reader = BufReader::new(stream);
+    let mut response = String::new();
+    reader.read_line(&mut response).expect("read response");
+    let response = nasaic_core::scenario::value::parse_json(&response).expect("JSON response");
+    assert_eq!(
+        response.get("ok").and_then(ConfigValue::as_bool),
+        Some(false)
+    );
+    let error = response
+        .get("error")
+        .and_then(ConfigValue::as_str)
+        .expect("error message");
+    assert!(
+        error.contains(&format!("exceeds the {MAX_REQUEST_LINE}-byte limit")),
+        "{error}"
+    );
+    sender.join().expect("sender thread");
+
+    // The same daemon still answers, on a fresh connection.
+    let mut client = Client::connect(&addr).expect("connect after the oversized line");
+    let pong = client.request(&Request::Ping).expect("ping");
+    assert_eq!(pong.get("ok").and_then(ConfigValue::as_bool), Some(true));
+
+    shutdown(&addr);
+    handle.join().expect("clean shutdown");
+}
+
+#[test]
 fn cancel_stops_a_running_job_and_reports_cancelled() {
     let handle = Daemon::start(ephemeral_config()).expect("daemon starts");
     let addr = handle.addr().to_string();
@@ -587,7 +630,9 @@ fn killed_daemon_resumes_its_job_bit_identically_on_restart() {
         .expect("job id") as u64;
     let ckpt = state_dir.join("jobs").join(format!("{job_id}.ckpt.json"));
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-    while !ckpt.exists() {
+    // Wait for a head that counts at least one journaled record, so the
+    // journal can be cut below it further down.
+    while journaled_records(&ckpt) == 0 {
         assert!(
             std::time::Instant::now() < deadline,
             "job never checkpointed"
@@ -605,6 +650,14 @@ fn killed_daemon_resumes_its_job_bit_identically_on_restart() {
             .exists(),
         "the job must not have finished before the kill"
     );
+    // The killed state, for a second restart below.
+    let cut_dir = temp_dir("crash-cut");
+    std::fs::create_dir_all(cut_dir.join("jobs")).expect("create jobs dir");
+    for entry in std::fs::read_dir(state_dir.join("jobs")).expect("jobs dir") {
+        let entry = entry.expect("jobs entry");
+        std::fs::copy(entry.path(), cut_dir.join("jobs").join(entry.file_name()))
+            .expect("copy job file");
+    }
 
     // Restart over the same state dir: the journaled job is re-queued and
     // resumed from its checkpoint.
@@ -651,4 +704,86 @@ fn killed_daemon_resumes_its_job_bit_identically_on_restart() {
     let _ = client.request(&Request::Shutdown);
     child.wait().expect("daemon exits after shutdown");
     let _ = std::fs::remove_dir_all(&state_dir);
+
+    // Second restart, from the same killed state with the job's journal
+    // cut below its head: the checkpoint does not load, so the daemon
+    // reruns the job from scratch, to the same result.
+    let cut_ckpt = cut_dir.join("jobs").join(format!("{job_id}.ckpt.json"));
+    let counted = journaled_records(&cut_ckpt);
+    let journal = nasaic_core::checkpoint::journal_path(&cut_ckpt);
+    let text = std::fs::read_to_string(&journal).expect("journal");
+    let kept: String = text.split_inclusive('\n').take(counted - 1).collect();
+    std::fs::write(&journal, kept).expect("cut the journal");
+    assert!(nasaic_core::checkpoint::SearchCheckpoint::load(&cut_ckpt).is_err());
+
+    let (mut child, addr) = spawn_daemon(&cut_dir, &["--workers", "1"]);
+    let mut client = Client::connect(&addr).expect("connect");
+    let report = wait_for_result(&mut client, &cut_dir, job_id);
+    assert_eq!(
+        outcome_only(&report),
+        outcome_only(&expected),
+        "a rerun after a cut journal diverged from the uninterrupted run"
+    );
+    let metrics = client.request(&Request::ShowMetrics).expect("show metrics");
+    let resumes = metrics
+        .get("metrics")
+        .and_then(ConfigValue::as_array)
+        .expect("metrics array")
+        .iter()
+        .find(|m| m.get("name").and_then(ConfigValue::as_str) == Some("nasaic_serve_resumes_total"))
+        .and_then(|m| m.get("value").and_then(ConfigValue::as_integer));
+    assert_eq!(
+        resumes.unwrap_or(0),
+        0,
+        "the cut checkpoint must not be resumed"
+    );
+    for leftover in [cut_ckpt.clone(), journal] {
+        assert!(
+            !leftover.exists(),
+            "{} outlived its job",
+            leftover.display()
+        );
+    }
+    let _ = client.request(&Request::Shutdown);
+    child.wait().expect("daemon exits after shutdown");
+    let _ = std::fs::remove_dir_all(&cut_dir);
+}
+
+/// The number of records a checkpoint head counts (0 while it is absent).
+fn journaled_records(head: &Path) -> usize {
+    std::fs::read_to_string(head)
+        .ok()
+        .and_then(|text| nasaic_core::checkpoint::SearchCheckpoint::parse_json(&text).ok())
+        .map_or(0, |checkpoint| checkpoint.records_from)
+}
+
+/// Poll `show jobs` until job `job_id` finishes; return its persisted
+/// report.
+fn wait_for_result(client: &mut Client, state_dir: &Path, job_id: u64) -> ConfigValue {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    loop {
+        let jobs = client.request(&Request::ShowJobs).expect("show jobs");
+        let rows = jobs
+            .get("jobs")
+            .and_then(ConfigValue::as_array)
+            .expect("jobs array");
+        let row = rows
+            .iter()
+            .find(|row| row.get("job").and_then(ConfigValue::as_integer) == Some(job_id as i64))
+            .expect("restarted daemon must remember the journaled job");
+        match row.get("state").and_then(ConfigValue::as_str) {
+            Some("finished") => {
+                let text = std::fs::read_to_string(
+                    state_dir.join("jobs").join(format!("{job_id}.result.json")),
+                )
+                .expect("persisted result");
+                let result =
+                    nasaic_core::scenario::value::parse_json(&text).expect("result parses");
+                return result.get("report").expect("report").clone();
+            }
+            Some("failed") => panic!("job failed: {row:?}"),
+            _ => std::thread::sleep(std::time::Duration::from_millis(50)),
+        }
+        assert!(std::time::Instant::now() < deadline, "job never finished");
+    }
 }
