@@ -121,7 +121,7 @@ impl SearchCheckpoint {
     /// emitters below write the envelope without one).
     pub fn to_value(&self) -> ConfigValue {
         let mut root = ConfigValue::table();
-        for (key, value) in self.header() {
+        for (key, value) in self.header(self.records_from) {
             root.insert(key, value);
         }
         root.insert("records", ConfigValue::Array(self.records.clone()));
@@ -130,16 +130,13 @@ impl SearchCheckpoint {
     }
 
     /// The scalar envelope fields, in their serialized order.
-    fn header(&self) -> [(&'static str, ConfigValue); 5] {
+    fn header(&self, records_from: usize) -> [(&'static str, ConfigValue); 5] {
         [
             ("version", ConfigValue::Integer(i64::from(self.version))),
             ("algorithm", ConfigValue::Str(self.algorithm.clone())),
             ("seed", ConfigValue::Integer(self.seed as i64)),
             ("progress", ConfigValue::Integer(self.progress as i64)),
-            (
-                "records_from",
-                ConfigValue::Integer(self.records_from as i64),
-            ),
+            ("records_from", ConfigValue::Integer(records_from as i64)),
         ]
     }
 
@@ -153,12 +150,8 @@ impl SearchCheckpoint {
         out: &mut String,
     ) {
         let mut object = JsonObject::new(out, pretty);
-        for (key, value) in self.header() {
-            if key == "records_from" {
-                object.field(key, &ConfigValue::Integer(records_from as i64));
-            } else {
-                object.field(key, &value);
-            }
+        for (key, value) in self.header(records_from) {
+            object.field(key, &value);
         }
         object.array_field("records", records);
         object.field("state", &self.state);

@@ -38,6 +38,7 @@
 //! assert_eq!(reparsed, scenario);
 //! ```
 
+mod float;
 pub mod generate;
 pub mod registry;
 pub mod report;
