@@ -567,7 +567,6 @@ impl Shared {
                 sink,
             )
         }));
-        drop(file_sink);
         let state = match result {
             Ok(report) => JobState::Finished(report.to_value()),
             Err(payload) => {
