@@ -224,8 +224,9 @@ impl SearchCheckpoint {
         }
         let journal_path = journal_path(path);
         let journal = fs::read(&journal_path).map_err(|e| read_error(&journal_path, e))?;
+        // `records_from` comes from the file: never allocate by it.
         let wanted = checkpoint.records_from;
-        let mut records = Vec::with_capacity(wanted + checkpoint.records.len());
+        let mut records = Vec::new();
         let mut lines = journal.split_inclusive(|&byte| byte == b'\n');
         for index in 0..wanted {
             let line = lines
@@ -1773,6 +1774,17 @@ mod tests {
         // So are a malformed line and a missing journal.
         fs::write(&journal, "0\n{\n2\n").unwrap();
         assert!(SearchCheckpoint::load(&path).is_err());
+        // A head claiming more records than memory could hold.
+        let head = fs::read_to_string(&path).unwrap();
+        let inflated = head.replacen(
+            "\"records_from\":3",
+            &format!("\"records_from\":{}", i64::MAX),
+            1,
+        );
+        assert_ne!(inflated, head);
+        fs::write(&path, inflated).unwrap();
+        assert!(SearchCheckpoint::load(&path).is_err());
+        fs::write(&path, head).unwrap();
         fs::remove_file(&journal).unwrap();
         assert!(SearchCheckpoint::load(&path).is_err());
         // A sink resuming past the journal's end writes nothing more.

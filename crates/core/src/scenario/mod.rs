@@ -38,7 +38,6 @@
 //! assert_eq!(reparsed, scenario);
 //! ```
 
-mod float;
 pub mod generate;
 pub mod registry;
 pub mod report;

@@ -909,11 +909,11 @@ fn emit_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Write a float so it parses back as a float: the bytes of Rust's `Debug`
-/// for `f64`, the shortest representation that round-trips, which always
-/// carries a `.` or an exponent.
+/// Write a float so it parses back as a float (Rust's `Debug` for `f64` is
+/// the shortest representation that round-trips and always carries a `.`
+/// or an exponent).
 fn write_float(x: f64, out: &mut String) {
-    super::float::write_f64(x, out);
+    let _ = write!(out, "{x:?}");
 }
 
 #[cfg(test)]
