@@ -404,7 +404,7 @@ impl CheckpointSink for RecordingCheckpointSink {
 /// `.journal` give `run.ckpt.journal`.  Unlike
 /// [`Path::with_extension`], distinct targets always derive distinct
 /// names, and a derived name never equals its target.
-pub fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
+fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
     let mut name = OsString::from(path.as_os_str());
     name.push(suffix);
     PathBuf::from(name)

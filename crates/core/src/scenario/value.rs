@@ -764,7 +764,7 @@ pub fn to_json_compact(value: &ConfigValue) -> String {
 
 /// Append `value` to `out` as single-line JSON (the bytes of
 /// [`to_json_compact`]), so many values can share one buffer.
-pub fn write_json_compact(value: &ConfigValue, out: &mut String) {
+pub(crate) fn write_json_compact(value: &ConfigValue, out: &mut String) {
     emit_json(value, false, 0, out);
 }
 
@@ -774,7 +774,7 @@ pub fn write_json_compact(value: &ConfigValue, out: &mut String) {
 /// of values — without first cloning them into one [`ConfigValue`].  The
 /// bytes equal [`to_json`] (pretty) or [`to_json_compact`] of the table
 /// with the same fields.
-pub struct JsonObject<'a> {
+pub(crate) struct JsonObject<'a> {
     out: &'a mut String,
     pretty: bool,
     indent: usize,
