@@ -1676,7 +1676,7 @@ mod tests {
     }
 
     /// A fresh directory for one test's files.
-    fn scratch_dir(tag: &str) -> PathBuf {
+    fn test_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("nasaic-checkpoint-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -1708,7 +1708,7 @@ mod tests {
 
     #[test]
     fn file_sink_journals_only_new_records_and_load_reassembles_them() {
-        let path = scratch_dir("journal").join("run.ckpt");
+        let path = test_dir("journal").join("run.ckpt");
         let sink = FileCheckpointSink::new(&path, 1);
         sink.on_checkpoint(&increment(1, 0, 3));
         let first_head = fs::metadata(&path).unwrap().len();
@@ -1727,7 +1727,7 @@ mod tests {
 
     #[test]
     fn a_torn_journal_tail_loads_the_heads_checkpoint() {
-        let path = scratch_dir("torn").join("run.ckpt");
+        let path = test_dir("torn").join("run.ckpt");
         let sink = FileCheckpointSink::new(&path, 1);
         sink.on_checkpoint(&increment(1, 0, 2));
         // Killed mid-append: half a record past the head's count.
@@ -1737,7 +1737,7 @@ mod tests {
 
     #[test]
     fn records_appended_before_a_kill_are_ignored_then_truncated() {
-        let path = scratch_dir("extra").join("run.ckpt");
+        let path = test_dir("extra").join("run.ckpt");
         let sink = FileCheckpointSink::new(&path, 1);
         sink.on_checkpoint(&increment(1, 0, 2));
         // Killed between the append and the head rename: complete lines
@@ -1758,7 +1758,7 @@ mod tests {
 
     #[test]
     fn a_journal_shorter_than_its_head_is_an_error() {
-        let path = scratch_dir("short").join("run.ckpt");
+        let path = test_dir("short").join("run.ckpt");
         let sink = FileCheckpointSink::new(&path, 1);
         sink.on_checkpoint(&increment(1, 0, 3));
         let journal = journal_path(&path);
@@ -1799,7 +1799,7 @@ mod tests {
 
     #[test]
     fn a_fresh_run_replaces_an_earlier_runs_head_and_journal() {
-        let path = scratch_dir("fresh").join("run.ckpt");
+        let path = test_dir("fresh").join("run.ckpt");
         let sink = FileCheckpointSink::new(&path, 1);
         sink.on_checkpoint(&increment(1, 0, 3));
         let rerun = FileCheckpointSink::new(&path, 1);
@@ -1811,7 +1811,7 @@ mod tests {
 
     #[test]
     fn envelopes_of_other_versions_are_rejected() {
-        let dir = scratch_dir("versions");
+        let dir = test_dir("versions");
         let v1 = dir.join("v1.json");
         fs::write(
             &v1,
@@ -1852,7 +1852,7 @@ mod tests {
 
     #[test]
     fn atomic_writes_use_a_temp_file_named_after_the_whole_target() {
-        let dir = scratch_dir("atomic");
+        let dir = test_dir("atomic");
         // A target that itself ends in `.tmp` is still replaced through a
         // separate temp file.
         let target = dir.join("run.tmp");
