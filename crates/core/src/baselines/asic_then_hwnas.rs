@@ -110,7 +110,7 @@ impl AsicThenHwNas {
             "monte-carlo checkpoint has {run} samples, budget is {runs}"
         );
         // The phase explores no (network, accelerator) records.
-        let mut cursor = CheckpointCursor::new(self.name(), self.seed, 0);
+        let mut cursor = CheckpointCursor::new(self.name(), self.seed);
         while run < runs {
             let chunk_end = (run + 1..runs).find(|&r| sink.wants(r)).unwrap_or(runs);
             let accelerators: Vec<Accelerator> = (run..chunk_end)
@@ -219,7 +219,7 @@ impl AsicThenHwNas {
             "hw-nas checkpoint has {start_episode} episodes, budget is {}",
             self.nas_episodes
         );
-        let mut cursor = CheckpointCursor::new(self.name(), self.seed, outcome.explored.len());
+        let mut cursor = CheckpointCursor::new(self.name(), self.seed);
         let scorer = engine.scorer(PenaltyBounds::from_specs(&specs, 3.0), self.rho);
         for episode in start_episode..self.nas_episodes {
             let sample = controller.sample(&mut rng);

@@ -220,7 +220,7 @@ impl SearchAlgorithm for EvolutionarySearch {
             ),
         };
         let mut evaluations = outcome.explored.len();
-        let mut cursor = CheckpointCursor::new(self.name(), self.seed, evaluations);
+        let mut cursor = CheckpointCursor::new(self.name(), self.seed);
         // Score one whole generation: decode every genome, evaluate the
         // decodable ones as a parallel batch, and record them in genome
         // order (identical bookkeeping to the old one-at-a-time loop).

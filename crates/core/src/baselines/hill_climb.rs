@@ -155,7 +155,7 @@ impl SearchAlgorithm for HillClimb {
             }
         };
 
-        let mut cursor = CheckpointCursor::new(self.name(), 0, outcome.explored.len());
+        let mut cursor = CheckpointCursor::new(self.name(), 0);
         let mut current = build(&arch_indices, &hw_indices);
         let (mut current_eval, mut current_reward) = scorer.score(&current);
         if resume.is_none() {

@@ -135,7 +135,7 @@ impl SearchAlgorithm for MonteCarloSearch {
                 0,
             ),
         };
-        let mut cursor = CheckpointCursor::new(self.name(), self.seed, outcome.explored.len());
+        let mut cursor = CheckpointCursor::new(self.name(), self.seed);
         while episode < self.runs {
             // Evaluate up to the sink's next snapshot point as one batch;
             // with no snapshot points wanted, this is the whole run.

@@ -236,7 +236,7 @@ impl NasThenAsic {
     ) {
         // The phase explores no (network, accelerator) records, so every
         // checkpoint's record cursor stays at 0.
-        let mut cursor = CheckpointCursor::new(self.name(), self.seed, 0);
+        let mut cursor = CheckpointCursor::new(self.name(), self.seed);
         checkpoint::offer_checkpoint(sink, observer, &mut cursor, progress, &[], || {
             let mut state = ConfigValue::table();
             state.insert("phase", ConfigValue::Str("nas".to_string()));
@@ -300,7 +300,7 @@ impl NasThenAsic {
             sample,
             self.hardware_samples
         );
-        let mut cursor = CheckpointCursor::new(self.name(), self.seed, outcome.explored.len());
+        let mut cursor = CheckpointCursor::new(self.name(), self.seed);
         while sample < self.hardware_samples {
             let chunk_end = (sample + 1..self.hardware_samples)
                 .find(|&s| sink.wants(progress_offset + s))

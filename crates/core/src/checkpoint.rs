@@ -41,8 +41,8 @@
 //! and `"nan"` because the JSON grammar has no literal for them.
 
 use std::ffi::OsString;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::fs::{self, File};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -303,8 +303,9 @@ impl SearchCheckpoint {
 /// Drivers call [`wants`](Self::wants) *before* building the (possibly
 /// expensive) state tree; a sink that always answers `false` makes
 /// checkpointing free.  `on_checkpoint` is called at most once per
-/// progress value, in increasing progress order, and each checkpoint's
-/// `records` continue exactly where the previous one's ended.
+/// progress value, in increasing progress order; a run's first
+/// checkpoint is complete, and each later one's `records` continue
+/// exactly where the previous one's ended.
 pub trait CheckpointSink {
     /// Should a checkpoint be taken after `progress` units of work?
     fn wants(&self, progress: usize) -> bool;
@@ -329,8 +330,7 @@ impl CheckpointSink for NullCheckpointSink {
 /// resume-identity gates.
 ///
 /// It accumulates the records of the checkpoints it receives, so every
-/// checkpoint it returns is complete — provided it saw the run from its
-/// start (a resumed run's checkpoints are kept as they came).
+/// checkpoint it returns is complete.
 #[derive(Debug)]
 pub struct RecordingCheckpointSink {
     every: usize,
@@ -382,10 +382,12 @@ impl CheckpointSink for RecordingCheckpointSink {
             records,
             checkpoints,
         } = &mut *recorded;
-        if checkpoint.records_from > records.len() {
-            checkpoints.push(checkpoint.clone());
-            return;
-        }
+        assert!(
+            checkpoint.records_from <= records.len(),
+            "checkpoint records start at {}, the sink holds {}",
+            checkpoint.records_from,
+            records.len()
+        );
         records.truncate(checkpoint.records_from);
         records.extend_from_slice(&checkpoint.records);
         checkpoints.push(SearchCheckpoint {
@@ -439,8 +441,13 @@ pub fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
 /// to the number of records journaled so far.  The head is written last,
 /// so it never counts a record the journal lacks; a crash leaves the
 /// previous head plus, at worst, journal lines past its count, which
-/// [`SearchCheckpoint::load`] ignores and this sink's first append
-/// truncates away.
+/// [`SearchCheckpoint::load`] ignores.
+///
+/// The first checkpoint must be complete (every run's is, see
+/// [`CheckpointCursor`]): it removes the head and journal an earlier run
+/// left and starts both afresh.  So resuming into the file the run was
+/// loaded from rewrites its whole history once, and a kill during that
+/// first write leaves no head — the run then starts over from scratch.
 ///
 /// Write errors are swallowed (the checkpoint is a safety net, not the
 /// result): after the first one the sink writes nothing more, so a head
@@ -488,57 +495,20 @@ impl FileCheckpointSink {
             .take()
     }
 
-    /// Open the journal for the run's first checkpoint, keeping exactly
-    /// its first `records` lines.  A fresh run (`records == 0`) also
-    /// removes a head left by an earlier run, so no head ever counts
-    /// records of another run's journal.
-    fn open_journal(&self, records: usize) -> io::Result<File> {
-        if records == 0 {
-            match fs::remove_file(&self.path) {
-                Err(error) if error.kind() != io::ErrorKind::NotFound => return Err(error),
-                _ => {}
-            }
+    /// Start the run's journal: remove the head an earlier run left (so
+    /// no head ever counts records of another run's journal) and truncate
+    /// the journal.
+    fn open_journal(&self) -> io::Result<File> {
+        match fs::remove_file(&self.path) {
+            Err(error) if error.kind() != io::ErrorKind::NotFound => return Err(error),
+            _ => {}
         }
-        let mut file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .create(true)
-            .open(journal_path(&self.path))?;
-        let keep = if records == 0 {
-            0
-        } else {
-            let mut bytes = Vec::new();
-            file.seek(SeekFrom::Start(0))?;
-            file.read_to_end(&mut bytes)?;
-            let end = bytes
-                .iter()
-                .enumerate()
-                .filter(|&(_, &byte)| byte == b'\n')
-                .nth(records - 1)
-                .map(|(index, _)| index + 1)
-                .ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "checkpoint journal holds fewer than the {records} records resumed"
-                        ),
-                    )
-                })?;
-            end as u64
-        };
-        file.set_len(keep)?;
-        Ok(file)
+        File::create(journal_path(&self.path))
     }
 
     fn write(&self, journal: &mut JournalWriter, checkpoint: &SearchCheckpoint) -> io::Result<()> {
-        let (file, journaled) = match &mut journal.file {
-            Some(open) => open,
-            None => {
-                let file = self.open_journal(checkpoint.records_from)?;
-                journal.file.insert((file, checkpoint.records_from))
-            }
-        };
-        if checkpoint.records_from != *journaled {
+        let journaled = journal.file.as_ref().map_or(0, |(_, records)| *records);
+        if checkpoint.records_from != journaled {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!(
@@ -547,6 +517,10 @@ impl FileCheckpointSink {
                 ),
             ));
         }
+        let (file, journaled) = match &mut journal.file {
+            Some(open) => open,
+            None => journal.file.insert((self.open_journal()?, 0)),
+        };
         if !checkpoint.records.is_empty() {
             let mut lines = String::new();
             for record in &checkpoint.records {
@@ -860,14 +834,14 @@ pub struct CheckpointCursor<'a> {
 }
 
 impl<'a> CheckpointCursor<'a> {
-    /// A cursor for a run of `algorithm` at `seed` whose outcome already
-    /// holds `records` explored records: 0 for a fresh run, the restored
-    /// count for a resumed one.
-    pub fn new(algorithm: &'a str, seed: u64, records: usize) -> Self {
+    /// A cursor for a run of `algorithm` at `seed`.  It starts at record 0
+    /// even for a resumed run, so every run's first checkpoint is complete
+    /// and a sink never depends on what an earlier run handed it.
+    pub fn new(algorithm: &'a str, seed: u64) -> Self {
         Self {
             algorithm,
             seed,
-            records,
+            records: 0,
         }
     }
 }
@@ -1524,6 +1498,7 @@ mod tests {
     use nasaic_rl::{Controller, ControllerConfig, Segment};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::fs::OpenOptions;
 
     fn sample_solution(episode: usize, compliant: bool) -> ExploredSolution {
         let workload = Workload::w1();
@@ -1745,9 +1720,10 @@ mod tests {
         append(&journal_path(&path), "2\n3\n");
         let loaded = SearchCheckpoint::load(&path).unwrap();
         assert_eq!(loaded, complete(1, 2));
-        // The resumed run's sink drops them on its first append.
+        // The resumed run's first checkpoint is complete; its sink
+        // rewrites the journal, dropping them.
         let resumed = FileCheckpointSink::new(&path, 1);
-        resumed.on_checkpoint(&increment(2, 2, 3));
+        resumed.on_checkpoint(&complete(2, 3));
         assert!(resumed.take_error().is_none());
         assert_eq!(
             fs::read_to_string(journal_path(&path)).unwrap(),
@@ -1787,14 +1763,26 @@ mod tests {
         fs::write(&path, head).unwrap();
         fs::remove_file(&journal).unwrap();
         assert!(SearchCheckpoint::load(&path).is_err());
-        // A sink resuming past the journal's end writes nothing more.
-        fs::write(&journal, "0\n").unwrap();
-        let resumed = FileCheckpointSink::new(&path, 1);
-        resumed.on_checkpoint(&increment(2, 3, 4));
-        assert!(resumed.take_error().is_some());
-        resumed.on_checkpoint(&increment(3, 4, 5));
-        assert!(resumed.take_error().is_none(), "the error was taken");
-        assert_eq!(fs::read_to_string(&journal).unwrap(), "0\n");
+    }
+
+    #[test]
+    fn a_file_sink_refuses_an_incomplete_first_checkpoint_and_stops() {
+        let path = test_dir("first").join("run.ckpt");
+        let sink = FileCheckpointSink::new(&path, 1);
+        sink.on_checkpoint(&increment(1, 0, 3));
+        let (head, journal) = (
+            fs::read(&path).unwrap(),
+            fs::read(journal_path(&path)).unwrap(),
+        );
+        // A second sink that never saw records 0..3 cannot continue them;
+        // the earlier run's files stay as they were.
+        let stray = FileCheckpointSink::new(&path, 1);
+        stray.on_checkpoint(&increment(2, 3, 4));
+        assert!(stray.take_error().is_some());
+        stray.on_checkpoint(&complete(3, 5));
+        assert!(stray.take_error().is_none(), "the error was taken");
+        assert_eq!(fs::read(&path).unwrap(), head);
+        assert_eq!(fs::read(journal_path(&path)).unwrap(), journal);
     }
 
     #[test]

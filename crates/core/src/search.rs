@@ -220,7 +220,7 @@ impl SearchAlgorithm for Nasaic {
                 0,
             ),
         };
-        let mut cursor = CheckpointCursor::new("nasaic", self.seed, outcome.explored.len());
+        let mut cursor = CheckpointCursor::new("nasaic", self.seed);
         let m = workload.num_tasks();
 
         for episode in start_episode..self.episodes {

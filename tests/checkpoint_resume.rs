@@ -333,16 +333,29 @@ fn a_file_checkpoint_cut_off_mid_run_loads_and_resumes_bit_identically() {
             &loaded, midpoint,
             "{algorithm}: the loaded checkpoint differs"
         );
+        // Resume into a new checkpoint file: its first checkpoint carries
+        // the whole history, so it loads on its own.
+        let next = dir.join(format!("{algorithm}.resumed.ckpt"));
+        let next_sink = FileCheckpointSink::new(&next, 1);
         let resumed = scenario.run_algorithm_checkpointed(
             algorithm,
             &scenario.engine(),
             &NullObserver,
             Some(&loaded),
-            &NullCheckpointSink,
+            &next_sink,
         );
         assert_eq!(
             baseline, resumed,
             "{algorithm}: resume from the file diverged"
+        );
+        assert!(
+            next_sink.take_error().is_none(),
+            "{algorithm}: the resumed run's file sink failed"
+        );
+        assert_eq!(
+            &SearchCheckpoint::load(&next).expect("resumed head and journal load"),
+            checkpoints.last().unwrap(),
+            "{algorithm}: the resumed run's last checkpoint differs"
         );
 
         // Heads hold fixed-size state only: records go to the journal.

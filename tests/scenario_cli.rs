@@ -51,6 +51,48 @@ fn run_accepts_a_config_file_path() {
 }
 
 #[test]
+fn run_resumes_into_its_own_or_a_new_checkpoint_file() {
+    use nasaic::core::prelude::{
+        CheckpointSink, FileCheckpointSink, NullObserver, RecordingCheckpointSink, SearchCheckpoint,
+    };
+
+    let dir = std::env::temp_dir().join(format!("nasaic-cli-resume-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut scenario = registry::get("w1").unwrap();
+    scenario.search.episodes = 4;
+    let config = dir.join("w1.toml");
+    std::fs::write(&config, scenario.to_toml_string()).unwrap();
+    let recorder = RecordingCheckpointSink::every(1);
+    scenario.run_algorithm_checkpointed(
+        scenario.search.algorithm,
+        &scenario.engine(),
+        &NullObserver,
+        None,
+        &recorder,
+    );
+    let checkpoints = recorder.checkpoints();
+    let last = checkpoints.last().unwrap();
+
+    // A checkpoint file cut off after episode 2, as a killed run leaves it.
+    let started = dir.join("a.ckpt");
+    FileCheckpointSink::new(&started, 1).on_checkpoint(&checkpoints[1]);
+    for target in [dir.join("b.ckpt"), started.clone()] {
+        cli(&[
+            "run",
+            "--scenario",
+            config.to_str().unwrap(),
+            "--resume",
+            started.to_str().unwrap(),
+            "--checkpoint",
+            target.to_str().unwrap(),
+        ]);
+        let loaded = SearchCheckpoint::load(&target).expect("the resumed run's checkpoint loads");
+        assert_eq!(&loaded, last, "resumed into {}", target.display());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn compare_runs_selected_algorithms_as_csv() {
     let csv = cli(&[
         "compare",
