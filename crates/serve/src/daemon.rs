@@ -28,8 +28,8 @@ use nasaic_core::engine::{CacheStats, EngineConfig, EvalEngine};
 use nasaic_core::scenario::value::{parse_json, to_json};
 use nasaic_core::scenario::{ConfigValue, Scenario};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -530,8 +530,8 @@ impl Shared {
         }
         job.set_state(JobState::Running);
         // A bad checkpoint (unreadable, another version, a journal cut
-        // below its head) reruns the job from scratch; the new run's first
-        // checkpoint replaces it.
+        // below its head) reruns the job from scratch.  Either way the
+        // run's first checkpoint replaces the files.
         let resume = self
             .job_path(job.id, "ckpt.json")
             .filter(|path| path.exists())
@@ -886,7 +886,7 @@ fn load_job_journal(jobs_dir: &Path) -> (Vec<Arc<Job>>, u64) {
 /// with the full registry rendering, close.  That is all a scraper needs
 /// and it keeps the daemon free of an HTTP dependency.
 fn metrics_exposition_loop(listener: TcpListener, shared: &Shared) {
-    use std::io::{Read, Write};
+    use std::io::Write;
     while !shared.shutdown.load(Ordering::SeqCst) {
         let mut stream = match listener.accept() {
             Ok((stream, _)) => stream,
@@ -1034,11 +1034,12 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     loop {
         let line = match protocol::read_line_capped(&mut reader, protocol::MAX_REQUEST_LINE) {
             Ok(Some(line)) => line,
-            // An oversized or non-UTF-8 line: say why, then drop the
-            // connection rather than read the rest of it.
+            // An oversized or non-UTF-8 line: say why, then hang up
+            // rather than parse the rest of it.
             Err(error) if error.kind() == std::io::ErrorKind::InvalidData => {
                 let _ =
                     protocol::write_line(&mut writer, &protocol::error_response(error.to_string()));
+                hang_up(&writer);
                 return;
             }
             Ok(None) | Err(_) => return,
@@ -1061,6 +1062,28 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
         }
         if is_shutdown {
             return;
+        }
+    }
+}
+
+/// Close a connection whose input the daemon stops reading mid-line.
+/// Closing a socket with unread input sends a reset, which can destroy
+/// the answer still in flight; so end the answers first, then discard
+/// what the client still sends (for at most 2 s and 4 MiB) before the
+/// socket closes.
+fn hang_up(mut stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + Duration::from_secs(2);
+    let mut budget = 4 * protocol::MAX_REQUEST_LINE;
+    let mut buffer = [0u8; 8192];
+    while budget > 0 {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut buffer) {
+            Ok(0) | Err(_) => return,
+            Ok(read) => budget = budget.saturating_sub(read),
         }
     }
 }

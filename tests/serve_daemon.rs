@@ -277,8 +277,13 @@ fn oversized_request_line_is_rejected_and_the_daemon_keeps_serving() {
     let stream = std::net::TcpStream::connect(&addr).expect("connect");
     let mut writer = stream.try_clone().expect("clone stream");
     let sender = std::thread::spawn(move || {
-        // The daemon hangs up mid-line, so this write may fail.
-        let _ = writer.write_all(&vec![b'x'; 2 * MAX_REQUEST_LINE]);
+        // The daemon discards the rest of the line before it hangs up.
+        writer
+            .write_all(&vec![b'x'; 2 * MAX_REQUEST_LINE])
+            .expect("the daemon takes the whole line");
+        writer
+            .shutdown(std::net::Shutdown::Write)
+            .expect("end the request");
     });
     let mut reader = BufReader::new(stream);
     let mut response = String::new();
@@ -297,6 +302,9 @@ fn oversized_request_line_is_rejected_and_the_daemon_keeps_serving() {
         "{error}"
     );
     sender.join().expect("sender thread");
+    // The answer is followed by a clean end of stream, not a reset.
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).expect("end of stream"), 0);
 
     // The same daemon still answers, on a fresh connection.
     let mut client = Client::connect(&addr).expect("connect after the oversized line");
