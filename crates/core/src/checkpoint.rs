@@ -35,10 +35,14 @@
 //! record sequence and replay it on the way back in, and a checkpoint's
 //! record sequence only ever grows, which is what lets it be journaled.
 //!
-//! Floats are serialized with the shortest-round-trip formatter, so every
-//! finite `f64` survives exactly.  Non-finite metrics (infeasible mappings
-//! carry `INFINITY` costs) are encoded as the strings `"inf"`, `"-inf"`
-//! and `"nan"` because the JSON grammar has no literal for them.
+//! Record and counter floats are serialized with the shortest-round-trip
+//! formatter, so every finite `f64` survives exactly.  Non-finite metrics
+//! (infeasible mappings carry `INFINITY` costs) are encoded as the strings
+//! `"inf"`, `"-inf"` and `"nan"` because the JSON grammar has no literal
+//! for them.  The controller's bulk state — weight and accumulator
+//! matrices, the trainer's reward history — is written as exact bits
+//! instead ([`matrix_to_value`]): one string per array, 16 hex digits per
+//! element, which is several times cheaper to write and to parse.
 
 use std::ffi::OsString;
 use std::fs::{self, File};
@@ -60,8 +64,10 @@ use rand::rngs::StdRngState;
 
 /// The checkpoint format version this build writes (and the only one it
 /// accepts).  Version 2 carries the explored records in the envelope
-/// (`records_from`, `records`) instead of inside `state`.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// (`records_from`, `records`) instead of inside `state`; version 3
+/// writes controller matrices and reward histories as hex bit strings
+/// ([`matrix_to_value`]).
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 // ---------------------------------------------------------------------------
 // The checkpoint envelope
@@ -208,16 +214,33 @@ impl SearchCheckpoint {
     /// last line, or records appended before a kill stopped the head
     /// write) are ignored.
     ///
+    /// The head is `path` itself.  Only when `path` is absent is it
+    /// `<path>.tmp` — complete, because the sink removes `path` only after
+    /// writing it (a kill fell between that remove and the rename).  Beside
+    /// `path` a `.tmp` may be torn, so it is never read then; at most the
+    /// newest checkpoint is lost.
+    ///
     /// # Errors
     ///
-    /// Returns an error when either file cannot be read, the head does
-    /// not parse, or the journal holds fewer than `records_from` complete,
-    /// well-formed lines.
+    /// Returns an error (naming `path` when neither head exists) when no
+    /// head or the journal cannot be read, the head does not parse, or the
+    /// journal holds fewer than `records_from` complete, well-formed lines.
     pub fn load(path: &Path) -> Result<Self, ConfigError> {
         let read_error = |path: &Path, error: io::Error| {
             ConfigError::schema(format!("cannot read {}: {error}", path.display()))
         };
-        let text = fs::read_to_string(path).map_err(|e| read_error(path, e))?;
+        let text = match fs::read_to_string(path) {
+            Err(error) if error.kind() == io::ErrorKind::NotFound => {
+                let tmp = tmp_path(path);
+                match fs::read_to_string(&tmp) {
+                    Err(tmp_error) if tmp_error.kind() == io::ErrorKind::NotFound => {
+                        return Err(read_error(path, error))
+                    }
+                    read => read.map_err(|e| read_error(&tmp, e))?,
+                }
+            }
+            read => read.map_err(|e| read_error(path, e))?,
+        };
         let mut checkpoint = Self::parse_json(&text)?;
         if checkpoint.is_complete() {
             return Ok(checkpoint);
@@ -250,6 +273,21 @@ impl SearchCheckpoint {
         records.append(&mut checkpoint.records);
         checkpoint.records = records;
         checkpoint.records_from = 0;
+        Ok(checkpoint)
+    }
+
+    /// [`load`](Self::load) a checkpoint to resume a run on `workload`
+    /// from, and check up front that its records rebuild the run's outcome
+    /// ([`restore_outcome`](Self::restore_outcome)): a driver restores the
+    /// outcome again on resume and panics on a record that does not fit.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of `load` or of `restore_outcome`, which names
+    /// the offending record.
+    pub fn load_for_resume(path: &Path, workload: &Workload) -> Result<Self, ConfigError> {
+        let checkpoint = Self::load(path)?;
+        checkpoint.restore_outcome(workload)?;
         Ok(checkpoint)
     }
 
@@ -418,15 +456,39 @@ pub fn journal_path(head: &Path) -> PathBuf {
     with_suffix(head, ".journal")
 }
 
+/// The temp file `<path>.tmp` that [`write_atomic`] and
+/// [`FileCheckpointSink`] write before renaming it to `path`.
+pub fn tmp_path(path: &Path) -> PathBuf {
+    with_suffix(path, ".tmp")
+}
+
+/// Remove `path`; a file that is already gone is not an error.
+fn remove_if_present(path: &Path) -> io::Result<()> {
+    match fs::remove_file(path) {
+        Err(error) if error.kind() != io::ErrorKind::NotFound => Err(error),
+        _ => Ok(()),
+    }
+}
+
 /// Replace `path` with `contents` atomically: write `<path>.tmp`, then
 /// rename it over `path`, so a reader (or a process killed mid-write)
-/// sees the old file or the new one, never half of one.
+/// sees the old file or the new one, never half of one, and `path` itself
+/// always exists once written.
+///
+/// This is the contract for files written once or twice per job — the
+/// daemon's job, result and cache files — whose readers (the daemon's
+/// start-up scan, perfbench's result check, operators) expect the file
+/// itself.  A rename over an existing file can cost a forced writeback
+/// (ext4's `auto_da_alloc`), which a once-per-job file does not notice.
+/// The checkpoint head, replaced at every progress unit, avoids it
+/// instead (see [`FileCheckpointSink`]); it can, because only the head
+/// has a loader that knows the `<path>.tmp` fallback.
 ///
 /// # Errors
 ///
 /// Propagates the write or rename error.
 pub fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
-    let tmp = with_suffix(path, ".tmp");
+    let tmp = tmp_path(path);
     fs::write(&tmp, contents)?;
     fs::rename(&tmp, path)
 }
@@ -436,23 +498,39 @@ pub fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
 /// daemon's per-job sink.
 ///
 /// Each checkpoint first appends its `records` to `<file>.journal`, one
-/// compact JSON line each, then replaces `<file>` ([`write_atomic`]) with
-/// a compact *head*: the envelope with no records and `records_from` set
-/// to the number of records journaled so far.  The head is written last,
-/// so it never counts a record the journal lacks; a crash leaves the
-/// previous head plus, at worst, journal lines past its count, which
+/// compact JSON line each, then replaces `<file>` with a compact *head*:
+/// the envelope with no records and `records_from` set to the number of
+/// records journaled so far.  The head is written last, so it never
+/// counts a record the journal lacks; a crash leaves the previous head
+/// plus, at worst, journal lines past its count, which
 /// [`SearchCheckpoint::load`] ignores.
 ///
+/// The head is replaced without renaming over it: the sink writes
+/// `<file>.tmp`, removes `<file>`, then renames `<file>.tmp` into the
+/// free name.  On ext4 a rename (or a truncation) that replaces a file
+/// forces the new file's data out to disk, which makes a head write
+/// several times dearer; a rename into a free name does not.  In steady state
+/// `<file>.tmp` is absent, so nothing is truncated either.  A kill
+/// between the remove and the rename leaves only the complete
+/// `<file>.tmp`, which [`SearchCheckpoint::load`] reads when `<file>` is
+/// absent.  When [`on_checkpoint`](CheckpointSink::on_checkpoint) returns,
+/// the complete head is at `<file>` itself.
+///
 /// The first checkpoint must be complete (every run's is, see
-/// [`CheckpointCursor`]): it removes the head and journal an earlier run
-/// left and starts both afresh.  So resuming into the file the run was
-/// loaded from rewrites its whole history once, and a kill during that
+/// [`CheckpointCursor`]): it removes the head, temp head and journal an
+/// earlier run left and starts afresh.  So resuming into the file the run
+/// was loaded from rewrites its whole history once, and a kill during that
 /// first write leaves no head — the run then starts over from scratch.
 ///
 /// Write errors are swallowed (the checkpoint is a safety net, not the
 /// result): after the first one the sink writes nothing more, so a head
 /// never points past a gap, and keeps the error for
 /// [`take_error`](Self::take_error).
+///
+/// Neither file is `fsync`ed: both survive a killed process, not a power
+/// cut.  After one, a head that is empty or unreadable makes the daemon
+/// rerun the job from scratch — progress can be lost, never turned into a
+/// wrong result.
 #[derive(Debug)]
 pub struct FileCheckpointSink {
     path: PathBuf,
@@ -495,15 +573,45 @@ impl FileCheckpointSink {
             .take()
     }
 
-    /// Start the run's journal: remove the head an earlier run left (so
-    /// no head ever counts records of another run's journal) and truncate
-    /// the journal.
+    /// Did a sink leave a head at `path` — under its own name or, after a
+    /// kill between the remove and the rename, only at `<path>.tmp`?
+    pub fn head_exists(path: &Path) -> bool {
+        path.exists() || tmp_path(path).exists()
+    }
+
+    /// Delete the files a sink keeps for `path`: the journal, the temp head
+    /// and the head.  Every removal is attempted; files already gone are
+    /// skipped.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first removal error other than a missing file.
+    pub fn remove_files(path: &Path) -> io::Result<()> {
+        // `array::map` is eager: every file is removed before the first
+        // error is picked.
+        [journal_path(path), tmp_path(path), path.to_path_buf()]
+            .map(|file| remove_if_present(&file))
+            .into_iter()
+            .collect()
+    }
+
+    /// Start the run's journal: remove the temp head and the head an
+    /// earlier run left (so no head ever counts records of another run's
+    /// journal), in that order so that a kill in between leaves the old
+    /// pair consistent, then truncate the journal.
     fn open_journal(&self) -> io::Result<File> {
-        match fs::remove_file(&self.path) {
-            Err(error) if error.kind() != io::ErrorKind::NotFound => return Err(error),
-            _ => {}
-        }
+        remove_if_present(&tmp_path(&self.path))?;
+        remove_if_present(&self.path)?;
         File::create(journal_path(&self.path))
+    }
+
+    /// Replace the head with `contents`: write `<file>.tmp`, remove
+    /// `<file>`, rename `<file>.tmp` to `<file>`.
+    fn replace_head(&self, contents: &[u8]) -> io::Result<()> {
+        let tmp = tmp_path(&self.path);
+        fs::write(&tmp, contents)?;
+        remove_if_present(&self.path)?;
+        fs::rename(&tmp, &self.path)
     }
 
     fn write(&self, journal: &mut JournalWriter, checkpoint: &SearchCheckpoint) -> io::Result<()> {
@@ -533,7 +641,7 @@ impl FileCheckpointSink {
         let mut head = String::new();
         checkpoint.write_json(*journaled, &[], false, &mut head);
         head.push('\n');
-        write_atomic(&self.path, head.as_bytes())
+        self.replace_head(head.as_bytes())
     }
 }
 
@@ -1041,12 +1149,96 @@ pub fn rng_state_from_value(value: &ConfigValue) -> Result<StdRngState, ConfigEr
     })
 }
 
-/// Encode a matrix as `{rows, cols, data}`.
+/// Encode `xs` exactly, as one string of 16 lowercase hex digits per
+/// element: the big-endian [`f64::to_bits`].  Signed zeros, subnormals,
+/// infinities and NaN payloads all survive, and the whole array is one
+/// JSON token, written into one pre-sized buffer.
+pub(crate) fn float_bits_to_value(xs: &[f64]) -> ConfigValue {
+    let mut text = vec![0; xs.len() * 16];
+    for (digits, x) in text.chunks_exact_mut(16).zip(xs) {
+        for (pair, byte) in digits.chunks_exact_mut(2).zip(x.to_bits().to_be_bytes()) {
+            pair.copy_from_slice(&HEX_PAIRS[usize::from(byte)]);
+        }
+    }
+    ConfigValue::Str(String::from_utf8(text).expect("hex digits are ASCII"))
+}
+
+/// The lowercase hex digits, indexed by value.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Each byte's two lowercase hex digits, most significant first.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    let mut table = [[0; 2]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        table[byte] = [HEX_DIGITS[byte >> 4], HEX_DIGITS[byte & 0xf]];
+        byte += 1;
+    }
+    table
+};
+
+/// Decode an array written by [`float_bits_to_value`].
+///
+/// # Errors
+///
+/// Returns a schema error for a value that is not a string, a length that
+/// is not a multiple of 16, or a byte that is not a lowercase hex digit.
+pub(crate) fn float_bits_from_value(value: &ConfigValue) -> Result<Vec<f64>, ConfigError> {
+    let text = value.as_str().ok_or_else(|| {
+        ConfigError::schema(format!(
+            "checkpoint: expected a hex float string, found {}",
+            value.kind()
+        ))
+    })?;
+    if !text.len().is_multiple_of(16) {
+        return Err(ConfigError::schema(format!(
+            "checkpoint: hex float string has {} digits, not a multiple of 16",
+            text.len()
+        )));
+    }
+    let mut xs = Vec::with_capacity(text.len() / 16);
+    for digits in text.as_bytes().chunks_exact(16) {
+        let (mut bits, mut seen) = (0u64, 0u8);
+        for &digit in digits {
+            let nibble = HEX_VALUES[usize::from(digit)];
+            seen |= nibble;
+            bits = (bits << 4) | u64::from(nibble & 0xf);
+        }
+        if seen > 0xf {
+            let digit = digits
+                .iter()
+                .find(|&&digit| HEX_VALUES[usize::from(digit)] > 0xf)
+                .expect("a byte was not a digit");
+            return Err(ConfigError::schema(format!(
+                "checkpoint: hex float string holds byte 0x{digit:02x}, not a lowercase hex \
+                 digit"
+            )));
+        }
+        xs.push(f64::from_bits(bits));
+    }
+    Ok(xs)
+}
+
+/// Each byte's value as a lowercase hex digit, or `0xff` for a byte that
+/// is not one.
+const HEX_VALUES: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut value = 0;
+    while value < 16 {
+        table[HEX_DIGITS[value] as usize] = value as u8;
+        value += 1;
+    }
+    table
+};
+
+/// Encode a matrix as `{rows, cols, data}`, `data` being its row-major
+/// elements as one string of 16 lowercase hex digits each, the
+/// big-endian [`f64::to_bits`] (so every value survives exactly).
 pub fn matrix_to_value(matrix: &Matrix) -> ConfigValue {
     let mut root = ConfigValue::table();
     root.insert("rows", ConfigValue::Integer(matrix.rows() as i64));
     root.insert("cols", ConfigValue::Integer(matrix.cols() as i64));
-    root.insert("data", floats_to_value(matrix.as_slice()));
+    root.insert("data", float_bits_to_value(matrix.as_slice()));
     root
 }
 
@@ -1054,13 +1246,15 @@ pub fn matrix_to_value(matrix: &Matrix) -> ConfigValue {
 ///
 /// # Errors
 ///
-/// Returns a schema error for missing fields or a data length that does
-/// not match `rows * cols`.
+/// Returns a schema error for missing fields, a `data` that is not a
+/// string, whose length is not a multiple of 16 or that holds a byte other
+/// than a lowercase hex digit, or an element count other than
+/// `rows * cols`.
 pub fn matrix_from_value(value: &ConfigValue) -> Result<Matrix, ConfigError> {
     let rows = usize_field(value, "rows")?;
     let cols = usize_field(value, "cols")?;
-    let data = floats_from_value(field(value, "data")?)?;
-    if data.len() != rows * cols {
+    let data = float_bits_from_value(field(value, "data")?)?;
+    if rows.checked_mul(cols) != Some(data.len()) {
         return Err(ConfigError::schema(format!(
             "checkpoint: matrix data has {} elements, expected {rows}x{cols}",
             data.len()
@@ -1084,7 +1278,8 @@ fn opt_matrix_from_value(value: &ConfigValue) -> Result<Option<Matrix>, ConfigEr
 }
 
 /// Encode a controller snapshot (policy weights, RMSProp accumulators,
-/// trainer baseline/counters).
+/// trainer baseline/counters).  The matrices ([`matrix_to_value`]) and the
+/// trainer's reward history are written as hex bit strings.
 pub fn controller_state_to_value(state: &ControllerState) -> ConfigValue {
     let policy = &state.policy;
     let mut policy_table = ConfigValue::table();
@@ -1134,7 +1329,10 @@ pub fn controller_state_to_value(state: &ControllerState) -> ConfigValue {
         trainer_table.insert("baseline", float_to_value(baseline));
     }
     trainer_table.insert("updates", ConfigValue::Integer(trainer.updates as i64));
-    trainer_table.insert("reward_history", floats_to_value(&trainer.reward_history));
+    trainer_table.insert(
+        "reward_history",
+        float_bits_to_value(&trainer.reward_history),
+    );
     let mut root = ConfigValue::table();
     root.insert("policy", policy_table);
     root.insert("trainer", trainer_table);
@@ -1212,7 +1410,7 @@ pub fn controller_state_from_value(value: &ConfigValue) -> Result<ControllerStat
     let trainer = TrainerState {
         baseline,
         updates: int_field(trainer_value, "updates")? as u64,
-        reward_history: floats_from_value(field(trainer_value, "reward_history")?)?,
+        reward_history: float_bits_from_value(field(trainer_value, "reward_history")?)?,
     };
     Ok(ControllerState { policy, trainer })
 }
@@ -1272,8 +1470,9 @@ pub fn candidate_to_value(candidate: &Candidate) -> ConfigValue {
 ///
 /// # Errors
 ///
-/// Returns a schema error for missing fields, a task-count mismatch, or an
-/// unknown dataflow index.
+/// Returns a schema error for missing fields, a task-count mismatch,
+/// architecture values that do not fit their task's backbone, an unknown
+/// dataflow index, or no sub-accelerator at all.
 pub fn candidate_from_value(
     value: &ConfigValue,
     workload: &Workload,
@@ -1288,10 +1487,11 @@ pub fn candidate_from_value(
     }
     let mut architectures = Vec::with_capacity(arch_values.len());
     for (task, values) in workload.tasks.iter().zip(arch_values) {
-        architectures.push(
-            task.backbone
-                .materialize_values(&usizes_from_value(values)?),
-        );
+        let architecture = task
+            .backbone
+            .try_materialize_values(&usizes_from_value(values)?)
+            .map_err(|reason| ConfigError::schema(format!("checkpoint: {reason}")))?;
+        architectures.push(architecture);
     }
     let mut architecture_indices = Vec::new();
     for indices in array_field(value, "arch_indices")? {
@@ -1309,6 +1509,11 @@ pub fn candidate_from_value(
             ConfigError::schema(format!("checkpoint: unknown dataflow index {}", triple[0]))
         })?;
         subs.push(SubAccelerator::new(dataflow, triple[1], triple[2]));
+    }
+    if subs.is_empty() {
+        return Err(ConfigError::schema(
+            "checkpoint: candidate has no sub-accelerators",
+        ));
     }
     Ok(Candidate {
         architectures,
@@ -1478,8 +1683,15 @@ fn outcome_from_parts(
     workload: &Workload,
 ) -> Result<SearchOutcome, ConfigError> {
     let mut outcome = SearchOutcome::empty();
-    for solution in records {
-        outcome.record(solution_from_value(solution, workload)?);
+    for (index, solution) in records.iter().enumerate() {
+        let solution = solution_from_value(solution, workload).map_err(|error| {
+            let reason = error.message.strip_prefix("checkpoint: ");
+            ConfigError::schema(format!(
+                "checkpoint record {index}: {}",
+                reason.unwrap_or(&error.message)
+            ))
+        })?;
+        outcome.record(solution);
     }
     outcome.episodes = usize_field(counters, "episodes")?;
     outcome.pruned_episodes = usize_field(counters, "pruned_episodes")?;
@@ -1495,6 +1707,7 @@ mod tests {
     use super::*;
     use crate::evaluator::{AccuracyOracle, Evaluator};
     use crate::spec::{DesignSpecs, WorkloadId};
+    use nasaic_nn::backbone::Backbone;
     use nasaic_rl::{Controller, ControllerConfig, Segment};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1591,11 +1804,127 @@ mod tests {
         }
         let state = controller.export_state();
         let decoded = controller_state_from_value(&controller_state_to_value(&state)).unwrap();
-        assert_eq!(decoded, state);
+        assert_eq!(state_bits(&decoded), state_bits(&state));
         // And a fresh (pre-update) state with its `None` accumulators.
         let fresh = Controller::new(segments, ControllerConfig::default(), 5).export_state();
         let decoded = controller_state_from_value(&controller_state_to_value(&fresh)).unwrap();
-        assert_eq!(decoded, fresh);
+        assert_eq!(state_bits(&decoded), state_bits(&fresh));
+    }
+
+    /// A matrix's shape and the raw bits of its elements.
+    type MatrixBits = (usize, usize, Vec<u64>);
+
+    fn matrix_bits(matrix: &Matrix) -> MatrixBits {
+        let bits = matrix.as_slice().iter().map(|x| x.to_bits()).collect();
+        (matrix.rows(), matrix.cols(), bits)
+    }
+
+    /// Every float of a controller snapshot as raw bits — each weight,
+    /// accumulator (`None` before the first update), the baseline and
+    /// every reward — so a comparison tells `-0.0` from `0.0` and sees NaN.
+    fn state_bits(state: &ControllerState) -> Vec<Option<MatrixBits>> {
+        let policy = &state.policy;
+        let mut out = vec![
+            Some(matrix_bits(&policy.w_x)),
+            Some(matrix_bits(&policy.w_h)),
+            Some(matrix_bits(&policy.b)),
+        ];
+        for (weights, bias) in &policy.heads {
+            out.extend([Some(matrix_bits(weights)), Some(matrix_bits(bias))]);
+        }
+        for slot in &policy.opt_cell {
+            out.push(slot.as_ref().map(matrix_bits));
+        }
+        for (weights, bias) in &policy.opt_heads {
+            out.extend([
+                weights.as_ref().map(matrix_bits),
+                bias.as_ref().map(matrix_bits),
+            ]);
+        }
+        let trainer = &state.trainer;
+        out.push(trainer.baseline.map(|x| (0, 0, vec![x.to_bits()])));
+        let rewards = trainer.reward_history.iter().map(|x| x.to_bits());
+        out.push(Some((trainer.updates as usize, 0, rewards.collect())));
+        out
+    }
+
+    #[test]
+    fn matrix_bits_survive_every_special_value() {
+        let values = [
+            -0.0,
+            0.0,
+            5e-324,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(0x7ff8_0000_dead_beef),
+            -1.5,
+            f64::MAX,
+            f64::from_bits(0x0123_4567_89ab_cdef),
+        ];
+        let matrix = Matrix::from_vec(3, 3, values.to_vec());
+        let encoded = matrix_to_value(&matrix);
+        assert_eq!(
+            encoded.get("data").and_then(ConfigValue::as_str),
+            Some(concat!(
+                "8000000000000000",
+                "0000000000000000",
+                "0000000000000001",
+                "7ff0000000000000",
+                "fff0000000000000",
+                "7ff80000deadbeef",
+                "bff8000000000000",
+                "7fefffffffffffff",
+                "0123456789abcdef",
+            ))
+        );
+        // Through the JSON text, as a checkpoint file carries it.
+        let reparsed = value::parse_json(&value::to_json_compact(&encoded)).unwrap();
+        for decoded in [
+            matrix_from_value(&encoded).unwrap(),
+            matrix_from_value(&reparsed).unwrap(),
+        ] {
+            assert_eq!(matrix_bits(&decoded), matrix_bits(&matrix));
+        }
+    }
+
+    #[test]
+    fn malformed_bit_strings_are_errors_not_panics() {
+        let good = matrix_to_value(&Matrix::from_vec(1, 2, vec![1.0, -2.0]));
+        let one = "3ff0000000000000";
+        let cases = [
+            ("15 digits", ConfigValue::Str(one[1..].to_string())),
+            ("17 digits", ConfigValue::Str(format!("{one}0"))),
+            (
+                "a non-hex byte",
+                ConfigValue::Str(format!("{one}3ff000000000000x")),
+            ),
+            (
+                "an upper-case digit",
+                ConfigValue::Str(format!("{one}3FF0000000000000")),
+            ),
+            (
+                "a multi-byte character",
+                ConfigValue::Str(format!("{one}3ff00000000000é")),
+            ),
+            ("one element for 1x2", ConfigValue::Str(one.to_string())),
+            ("three elements for 1x2", ConfigValue::Str(one.repeat(3))),
+            ("a number", ConfigValue::Float(1.0)),
+            ("a decimal array", floats_to_value(&[1.0, -2.0])),
+        ];
+        for (what, data) in cases {
+            let mut matrix = good.clone();
+            matrix.insert("data", data);
+            let error = matrix_from_value(&matrix).expect_err(what);
+            assert!(error.message.starts_with("checkpoint:"), "{what}: {error}");
+        }
+        // A shape whose element count overflows is a mismatch too.
+        let mut matrix = good.clone();
+        matrix.insert("rows", ConfigValue::Integer(i64::MAX));
+        assert!(matrix_from_value(&matrix).is_err());
+        assert_eq!(
+            matrix_bits(&matrix_from_value(&good).unwrap()),
+            matrix_bits(&Matrix::from_vec(1, 2, vec![1.0, -2.0]))
+        );
     }
 
     #[test]
@@ -1609,6 +1938,66 @@ mod tests {
         solution.evaluation.mapping_feasible = false;
         let decoded = solution_from_value(&solution_to_value(&solution), &workload).unwrap();
         assert_eq!(decoded, solution);
+    }
+
+    #[test]
+    fn architecture_values_that_do_not_fit_their_backbone_are_errors() {
+        let workload = Workload::w1();
+        assert_eq!(
+            workload
+                .tasks
+                .iter()
+                .map(|task| task.backbone)
+                .collect::<Vec<_>>(),
+            [Backbone::ResNet9Cifar10, Backbone::UNetNuclei]
+        );
+        let record = solution_to_value(&sample_solution(0, true));
+        let resnet_ok = vec![16, 32, 1, 64, 1, 128, 1];
+        let unet_ok = vec![2, 8, 16, 32, 64, 128];
+        let bad: [(Vec<usize>, Vec<usize>); 10] = [
+            (vec![1], unet_ok.clone()),
+            (vec![16, 32], unet_ok.clone()),
+            (vec![16, 32, 1, 64], unet_ok.clone()),
+            (vec![0, 32, 1, 64, 1, 128, 1], unet_ok.clone()),
+            (vec![16, 32, 1, 0, 1, 128, 1], unet_ok.clone()),
+            (resnet_ok.clone(), vec![]),
+            (resnet_ok.clone(), vec![0, 8]),
+            (resnet_ok.clone(), vec![6, 8, 16, 32, 64, 128, 256]),
+            (resnet_ok.clone(), vec![3, 8, 16]),
+            (resnet_ok.clone(), vec![2, 8, 0, 32, 64, 128]),
+        ];
+        let with_values = |resnet: &[usize], unet: &[usize]| {
+            let mut candidate = record.get("candidate").unwrap().clone();
+            candidate.insert(
+                "arch_values",
+                ConfigValue::Array(vec![usizes_to_value(resnet), usizes_to_value(unet)]),
+            );
+            let mut record = record.clone();
+            record.insert("candidate", candidate);
+            record
+        };
+        assert!(solution_from_value(&with_values(&resnet_ok, &unet_ok), &workload).is_ok());
+        for (resnet, unet) in bad {
+            let mut checkpoint = complete(1, 0);
+            checkpoint.records = vec![record.clone(), with_values(&resnet, &unet)];
+            checkpoint.state.insert(
+                "outcome",
+                outcome_counters_to_value(&SearchOutcome::empty()),
+            );
+            let error = checkpoint.restore_outcome(&workload).unwrap_err();
+            assert!(
+                error.message.starts_with("checkpoint record 1: "),
+                "{resnet:?} {unet:?}: {error}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_candidate_without_sub_accelerators_is_an_error() {
+        let mut candidate = candidate_to_value(&sample_solution(0, true).candidate);
+        candidate.insert("subs", ConfigValue::Array(Vec::new()));
+        let error = candidate_from_value(&candidate, &Workload::w1()).unwrap_err();
+        assert!(error.message.contains("no sub-accelerators"), "{error}");
     }
 
     #[test]
@@ -1798,6 +2187,97 @@ mod tests {
     }
 
     #[test]
+    fn a_file_sink_run_leaves_a_head_and_a_journal_and_no_temp_head() {
+        let dir = test_dir("no-tmp");
+        let path = dir.join("run.ckpt");
+        let sink = FileCheckpointSink::new(&path, 1);
+        sink.on_checkpoint(&increment(1, 0, 2));
+        sink.on_checkpoint(&increment(2, 2, 3));
+        assert!(sink.take_error().is_none());
+        let mut names: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["run.ckpt", "run.ckpt.journal"]);
+        assert!(!tmp_path(&path).exists());
+    }
+
+    #[test]
+    fn a_head_left_only_at_its_temp_name_loads() {
+        // Killed between removing the old head and renaming the new one in.
+        let path = test_dir("tmp-only").join("run.ckpt");
+        let sink = FileCheckpointSink::new(&path, 1);
+        sink.on_checkpoint(&increment(1, 0, 2));
+        sink.on_checkpoint(&increment(2, 2, 4));
+        fs::rename(&path, tmp_path(&path)).unwrap();
+        assert_eq!(SearchCheckpoint::load(&path).unwrap(), complete(2, 4));
+    }
+
+    #[test]
+    fn a_sinks_files_are_found_and_removed_under_either_head_name() {
+        let dir = test_dir("remove-files");
+        let path = dir.join("run.ckpt");
+        assert!(!FileCheckpointSink::head_exists(&path));
+        FileCheckpointSink::new(&path, 1).on_checkpoint(&increment(1, 0, 2));
+        assert!(FileCheckpointSink::head_exists(&path));
+        fs::rename(&path, tmp_path(&path)).unwrap();
+        assert!(FileCheckpointSink::head_exists(&path));
+        FileCheckpointSink::remove_files(&path).unwrap();
+        assert!(!FileCheckpointSink::head_exists(&path));
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
+        FileCheckpointSink::remove_files(&path).unwrap();
+    }
+
+    #[test]
+    fn a_head_beside_a_torn_temp_head_loads_the_head() {
+        // Killed while writing the next head's temp file.
+        let path = test_dir("torn-tmp").join("run.ckpt");
+        let sink = FileCheckpointSink::new(&path, 1);
+        sink.on_checkpoint(&increment(1, 0, 2));
+        let head = fs::read_to_string(&path).unwrap();
+        append(&journal_path(&path), "2\n");
+        fs::write(tmp_path(&path), &head[..head.len() / 2]).unwrap();
+        assert_eq!(SearchCheckpoint::load(&path).unwrap(), complete(1, 2));
+    }
+
+    #[test]
+    fn loading_without_either_head_names_the_head() {
+        let path = test_dir("no-head").join("run.ckpt");
+        let error = SearchCheckpoint::load(&path).unwrap_err();
+        let named = format!("cannot read {}:", path.display());
+        assert!(error.message.starts_with(&named), "{error}");
+    }
+
+    #[test]
+    fn a_first_checkpoint_removes_a_stale_temp_head() {
+        let path = test_dir("stale-tmp").join("run.ckpt");
+        fs::write(tmp_path(&path), "{\"torn").unwrap();
+        let sink = FileCheckpointSink::new(&path, 1);
+        sink.on_checkpoint(&increment(1, 0, 1));
+        assert!(sink.take_error().is_none());
+        assert!(!tmp_path(&path).exists());
+        assert_eq!(SearchCheckpoint::load(&path).unwrap(), complete(1, 1));
+    }
+
+    #[test]
+    fn a_failed_head_write_stops_the_sink() {
+        let path = test_dir("failed-head").join("run.ckpt");
+        let sink = FileCheckpointSink::new(&path, 1);
+        sink.on_checkpoint(&increment(1, 0, 2));
+        let head = fs::read(&path).unwrap();
+        // A directory in the temp head's place fails the next write.
+        fs::create_dir(tmp_path(&path)).unwrap();
+        sink.on_checkpoint(&increment(2, 2, 3));
+        assert!(sink.take_error().is_some());
+        fs::remove_dir(tmp_path(&path)).unwrap();
+        sink.on_checkpoint(&increment(3, 3, 4));
+        assert!(!tmp_path(&path).exists(), "the sink wrote after a failure");
+        assert_eq!(fs::read(&path).unwrap(), head);
+        assert_eq!(SearchCheckpoint::load(&path).unwrap(), complete(1, 2));
+    }
+
+    #[test]
     fn envelopes_of_other_versions_are_rejected() {
         let dir = test_dir("versions");
         let v1 = dir.join("v1.json");
@@ -1811,13 +2291,23 @@ mod tests {
             error.message.contains("unsupported checkpoint version 1"),
             "{error}"
         );
-        // 2^32 + 2 must not wrap around to the supported version 2.
+        // 2^32 + 3 must not wrap around to the supported version 3.
         let wrapped =
             complete(1, 0)
                 .to_json()
-                .replacen("\"version\": 2", "\"version\": 4294967298", 1);
+                .replacen("\"version\": 3", "\"version\": 4294967299", 1);
         let error = SearchCheckpoint::parse_json(&wrapped).unwrap_err();
-        assert!(error.message.contains("4294967298"), "{error}");
+        assert!(error.message.contains("4294967299"), "{error}");
+        // Version 2 wrote controller state as decimal arrays; no reader
+        // for it is kept.
+        let v2 = complete(1, 0)
+            .to_json()
+            .replacen("\"version\": 3", "\"version\": 2", 1);
+        let error = SearchCheckpoint::parse_json(&v2).unwrap_err();
+        assert!(
+            error.message.contains("unsupported checkpoint version 2"),
+            "{error}"
+        );
     }
 
     #[test]

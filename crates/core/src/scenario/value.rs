@@ -889,16 +889,20 @@ fn emit_scalar(value: &ConfigValue, out: &mut String) {
     }
 }
 
+/// Write `s` as a JSON string.  The scan is over bytes: every escaped
+/// character is ASCII and no byte of a multi-byte UTF-8 character is, so
+/// each escape sits on a char boundary, and each run between escapes is
+/// copied with one `push_str`.
 fn emit_string(s: &str, out: &mut String) {
     out.push('"');
     let mut plain = 0;
-    for (i, c) in s.char_indices() {
-        let escaped = match c {
-            '"' => "\\\"",
-            '\\' => "\\\\",
-            '\n' => "\\n",
-            '\t' => "\\t",
-            '\r' => "\\r",
+    for (i, byte) in s.bytes().enumerate() {
+        let escaped = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\r' => "\\r",
             _ => continue,
         };
         out.push_str(&s[plain..i]);

@@ -94,19 +94,34 @@ impl Backbone {
     /// # Panics
     ///
     /// Panics if the values are structurally invalid for the backbone
-    /// (e.g. wrong vector length).
+    /// (e.g. wrong vector length); see
+    /// [`try_materialize_values`](Self::try_materialize_values).
     pub fn materialize_values(&self, values: &[usize]) -> Architecture {
-        match self {
+        self.try_materialize_values(values)
+            .unwrap_or_else(|reason| panic!("{reason}"))
+    }
+
+    /// Materialise an architecture from concrete hyperparameter values, or
+    /// say why they do not fit the backbone's configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns the configuration constructor's reason: a ResNet vector
+    /// whose length is not odd and at least 3, a U-Net vector that is
+    /// empty, has a height outside `1..=MAX_HEIGHT`, or is not longer than
+    /// its height, or a zero filter count.
+    pub fn try_materialize_values(&self, values: &[usize]) -> Result<Architecture, String> {
+        Ok(match self {
             Backbone::ResNet9Cifar10 => {
-                ResNetConfig::from_hyperparameters(Dataset::Cifar10, values).build()
+                ResNetConfig::try_from_hyperparameters(Dataset::Cifar10, values)?.build()
             }
             Backbone::ResNet9Stl10 => {
-                ResNetConfig::from_hyperparameters(Dataset::Stl10, values).build()
+                ResNetConfig::try_from_hyperparameters(Dataset::Stl10, values)?.build()
             }
             Backbone::UNetNuclei => {
-                UNetConfig::from_hyperparameters(Dataset::Nuclei, values).build()
+                UNetConfig::try_from_hyperparameters(Dataset::Nuclei, values)?.build()
             }
-        }
+        })
     }
 
     /// The smallest architecture in the search space (the paper's accuracy

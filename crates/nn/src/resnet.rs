@@ -42,26 +42,51 @@ impl ResNetConfig {
     /// # Panics
     ///
     /// Panics if the vector length is not odd and at least 3
-    /// (`1 + 2 * blocks`).
+    /// (`1 + 2 * blocks`) or a filter count is zero;
+    /// [`try_from_hyperparameters`](Self::try_from_hyperparameters)
+    /// returns that as an error instead.
     pub fn from_hyperparameters(dataset: Dataset, hyperparameters: &[usize]) -> Self {
-        assert!(
-            hyperparameters.len() >= 3 && hyperparameters.len() % 2 == 1,
-            "ResNet hyperparameter vector must have odd length >= 3, got {}",
-            hyperparameters.len()
-        );
+        Self::try_from_hyperparameters(dataset, hyperparameters).unwrap_or_else(|reason| {
+            panic!("{reason}");
+        })
+    }
+
+    /// Build a configuration from the flat hyperparameter vector, or say
+    /// why it does not describe one.
+    ///
+    /// # Errors
+    ///
+    /// Returns the reason when the vector length is not odd and at least 3,
+    /// or when a filter count (`FN_0` or an `FN_i`) is zero, which no
+    /// convolution layer accepts.
+    pub fn try_from_hyperparameters(
+        dataset: Dataset,
+        hyperparameters: &[usize],
+    ) -> Result<Self, String> {
+        if hyperparameters.len() < 3 || hyperparameters.len().is_multiple_of(2) {
+            return Err(format!(
+                "ResNet hyperparameter vector must have odd length >= 3, got {}",
+                hyperparameters.len()
+            ));
+        }
         let stem_filters = hyperparameters[0];
-        let blocks = hyperparameters[1..]
+        let blocks: Vec<_> = hyperparameters[1..]
             .chunks(2)
             .map(|pair| ResidualBlockConfig {
                 filters: pair[0],
                 skip_convs: pair[1],
             })
             .collect();
-        Self {
+        if stem_filters == 0 || blocks.iter().any(|block| block.filters == 0) {
+            return Err(format!(
+                "ResNet filter counts must be > 0, got {hyperparameters:?}"
+            ));
+        }
+        Ok(Self {
             dataset,
             stem_filters,
             blocks,
-        }
+        })
     }
 
     /// Flatten back to the paper's hyperparameter vector.

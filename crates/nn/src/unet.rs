@@ -35,29 +35,52 @@ impl UNetConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the vector is shorter than `1 + height` or the height is
-    /// outside `1..=MAX_HEIGHT`.
+    /// Panics if the vector is shorter than `1 + height`, the height is
+    /// outside `1..=MAX_HEIGHT` or a filter count is zero;
+    /// [`try_from_hyperparameters`](Self::try_from_hyperparameters)
+    /// returns that as an error instead.
     pub fn from_hyperparameters(dataset: Dataset, hyperparameters: &[usize]) -> Self {
-        assert!(
-            !hyperparameters.is_empty(),
-            "U-Net hyperparameter vector is empty"
-        );
-        let height = hyperparameters[0];
-        assert!(
-            (1..=MAX_HEIGHT).contains(&height),
-            "U-Net height {height} outside 1..={MAX_HEIGHT}"
-        );
-        assert!(
-            hyperparameters.len() > height,
-            "U-Net hyperparameter vector too short: height {height} needs {} filter entries, got {}",
-            height,
-            hyperparameters.len() - 1
-        );
-        Self {
+        Self::try_from_hyperparameters(dataset, hyperparameters).unwrap_or_else(|reason| {
+            panic!("{reason}");
+        })
+    }
+
+    /// Build a configuration from the flat hyperparameter vector, or say
+    /// why it does not describe one.
+    ///
+    /// # Errors
+    ///
+    /// Returns the reason when the vector is empty, the height is outside
+    /// `1..=MAX_HEIGHT`, the vector is shorter than `1 + height`, or a
+    /// filter count is zero, which no convolution layer accepts.
+    pub fn try_from_hyperparameters(
+        dataset: Dataset,
+        hyperparameters: &[usize],
+    ) -> Result<Self, String> {
+        let Some(&height) = hyperparameters.first() else {
+            return Err("U-Net hyperparameter vector is empty".to_string());
+        };
+        if !(1..=MAX_HEIGHT).contains(&height) {
+            return Err(format!("U-Net height {height} outside 1..={MAX_HEIGHT}"));
+        }
+        if hyperparameters.len() <= height {
+            return Err(format!(
+                "U-Net hyperparameter vector too short: height {height} needs {} filter \
+                 entries, got {}",
+                height,
+                hyperparameters.len() - 1
+            ));
+        }
+        if hyperparameters[1..].contains(&0) {
+            return Err(format!(
+                "U-Net filter counts must be > 0, got {hyperparameters:?}"
+            ));
+        }
+        Ok(Self {
             dataset,
             height,
             filters: hyperparameters[1..].to_vec(),
-        }
+        })
     }
 
     /// Flatten back to the hyperparameter vector `<Height, FN_1, ...>`.

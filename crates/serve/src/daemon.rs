@@ -21,8 +21,7 @@ use crate::protocol::{self, Request, PROTOCOL_VERSION};
 use crate::ServeError;
 use nasaic_core::algorithm::{SearchEvent, SearchObserver};
 use nasaic_core::checkpoint::{
-    journal_path, write_atomic, CheckpointSink, FileCheckpointSink, NullCheckpointSink,
-    SearchCheckpoint,
+    write_atomic, CheckpointSink, FileCheckpointSink, NullCheckpointSink, SearchCheckpoint,
 };
 use nasaic_core::engine::{CacheStats, EngineConfig, EvalEngine};
 use nasaic_core::scenario::value::{parse_json, to_json};
@@ -496,8 +495,7 @@ impl Shared {
         }
         // The checkpoint has served its purpose once the job is terminal.
         if let Some(ckpt) = self.job_path(job.id, "ckpt.json") {
-            let _ = std::fs::remove_file(journal_path(&ckpt));
-            let _ = std::fs::remove_file(ckpt);
+            let _ = FileCheckpointSink::remove_files(&ckpt);
         }
     }
 
@@ -530,19 +528,35 @@ impl Shared {
         }
         job.set_state(JobState::Running);
         // A bad checkpoint (unreadable, another version, a journal cut
-        // below its head) reruns the job from scratch.  Either way the
-        // run's first checkpoint replaces the files.
+        // below its head, records that do not fit the workload) reruns the
+        // job from scratch.  Either way the run's first checkpoint replaces
+        // the files.  The records are replayed here, outside the job's
+        // `catch_unwind` below, so a record that still trips an assertion
+        // must not unwind the worker: it counts as a bad checkpoint too.
         let resume = self
             .job_path(job.id, "ckpt.json")
-            .filter(|path| path.exists())
-            .and_then(|path| match SearchCheckpoint::load(&path) {
-                Ok(checkpoint) => Some(checkpoint),
-                Err(error) => {
-                    eprintln!(
-                        "nasaic serve: ignoring bad checkpoint of job {}: {error}",
-                        job.id
-                    );
-                    None
+            .filter(|path| FileCheckpointSink::head_exists(path))
+            .and_then(|path| {
+                let loaded = catch_unwind(|| {
+                    SearchCheckpoint::load_for_resume(&path, &job.scenario.workload())
+                });
+                match loaded {
+                    Ok(Ok(checkpoint)) => Some(checkpoint),
+                    Ok(Err(error)) => {
+                        eprintln!(
+                            "nasaic serve: ignoring bad checkpoint of job {}: {error}",
+                            job.id
+                        );
+                        None
+                    }
+                    Err(_) => {
+                        eprintln!(
+                            "nasaic serve: ignoring bad checkpoint of job {}: replaying its \
+                             records panicked",
+                            job.id
+                        );
+                        None
+                    }
                 }
             });
         if resume.is_some() && nasaic_telemetry::enabled() {

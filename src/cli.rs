@@ -28,8 +28,10 @@
 //! `--checkpoint FILE` snapshots the live search state every
 //! `--checkpoint-every N` progress units into two files: the explored
 //! records are appended to `FILE.journal` and a small head replaces
-//! `FILE` (atomic rename); `--resume FILE` continues an interrupted run
-//! from the pair, bit-identically to the uninterrupted run.  `--shards N --shard-index I` runs the `I`-th
+//! `FILE` (written as `FILE.tmp`, then renamed to `FILE` once the old
+//! head is removed); `--resume FILE` continues an interrupted run from
+//! the pair — reading `FILE.tmp` when a kill left no `FILE` —
+//! bit-identically to the uninterrupted run.  `--shards N --shard-index I` runs the `I`-th
 //! shard of a deterministic `N`-way split and writes a partial result to
 //! `--shard-out FILE`; `nasaic merge --partials ...` folds the partials
 //! into the exact single-process report.
@@ -504,7 +506,7 @@ fn cmd_run(options: &Options) -> Result<String, CliError> {
         .resume
         .as_deref()
         .map(|path| {
-            SearchCheckpoint::load(Path::new(path))
+            SearchCheckpoint::load_for_resume(Path::new(path), &scenario.workload())
                 .map_err(|e| CliError::new(format!("bad checkpoint {path}: {e}")))
         })
         .transpose()?;

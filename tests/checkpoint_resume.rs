@@ -333,6 +333,15 @@ fn a_file_checkpoint_cut_off_mid_run_loads_and_resumes_bit_identically() {
             &loaded, midpoint,
             "{algorithm}: the loaded checkpoint differs"
         );
+        // A kill between the sink's remove and rename leaves the head only
+        // at its temp name; it loads the same.
+        let tmp = nasaic::core::checkpoint::tmp_path(&head);
+        std::fs::rename(&head, &tmp).expect("move the head to its temp name");
+        assert_eq!(
+            SearchCheckpoint::load(&head).expect("temp head and journal load"),
+            loaded,
+            "{algorithm}: the temp head loads differently"
+        );
         // Resume into a new checkpoint file: its first checkpoint carries
         // the whole history, so it loads on its own.
         let next = dir.join(format!("{algorithm}.resumed.ckpt"));

@@ -285,3 +285,44 @@ fn errors_are_reported_not_panicked() {
     .unwrap_err();
     assert!(err.to_string().contains("neither"), "{err}");
 }
+
+#[test]
+fn a_resume_from_a_record_that_does_not_fit_its_backbone_is_an_error_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("nasaic-cli-bad-record-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let head = dir.join("w3.ckpt");
+    let args = |flag: &'static str| {
+        [
+            "run",
+            "--scenario",
+            "w3",
+            "--algorithm",
+            "monte-carlo",
+            "--budget-episodes",
+            "2",
+            flag,
+            head.to_str().unwrap(),
+        ]
+    };
+    cli(&args("--checkpoint"));
+    // The first journaled record's first architecture becomes a one-entry
+    // ResNet vector, which no ResNet configuration accepts.
+    let journal = nasaic::core::checkpoint::journal_path(&head);
+    let text = std::fs::read_to_string(&journal).unwrap();
+    let start = text.find("\"arch_values\":[[").unwrap() + "\"arch_values\":[[".len();
+    let end = start + text[start..].find(']').unwrap();
+    let corrupted = format!("{}1{}", &text[..start], &text[end..]);
+    std::fs::write(&journal, corrupted).unwrap();
+
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_nasaic"))
+        .args(args("--resume"))
+        .output()
+        .expect("run nasaic");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("bad checkpoint"), "{stderr}");
+    assert!(stderr.contains("record 0"), "{stderr}");
+    assert!(stderr.contains("odd length >= 3, got 1"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -8,7 +8,9 @@
 //! bit-identically.
 
 use nasaic::serve::{Client, Daemon, Request, ServeConfig};
-use nasaic_core::scenario::value::ConfigValue;
+use nasaic_core::algorithm::NullObserver;
+use nasaic_core::checkpoint::{journal_path, tmp_path, FileCheckpointSink};
+use nasaic_core::scenario::value::{to_json, ConfigValue};
 use nasaic_core::scenario::{registry, Scenario};
 use std::path::{Path, PathBuf};
 
@@ -492,6 +494,74 @@ fn warm_restart_imports_caches_and_changes_wall_time_only() {
 }
 
 #[test]
+fn a_checkpoint_record_that_cannot_be_rebuilt_reruns_its_job_and_the_worker_keeps_serving() {
+    let state_dir = temp_dir("bad-record");
+    let jobs_dir = state_dir.join("jobs");
+    std::fs::create_dir_all(&jobs_dir).expect("create jobs dir");
+    let scenario = quick_scenario(67);
+    let expected = scenario.run_report().to_value();
+
+    // A journaled job with a checkpoint, as a killed daemon leaves them...
+    let mut entry = ConfigValue::table();
+    entry.insert("version", ConfigValue::Integer(1));
+    entry.insert("job", ConfigValue::Integer(1));
+    entry.insert("scenario", scenario.to_value());
+    std::fs::write(jobs_dir.join("1.job.json"), to_json(&entry)).expect("journal the job");
+    let ckpt = jobs_dir.join("1.ckpt.json");
+    scenario.run_algorithm_checkpointed(
+        scenario.search.algorithm,
+        &scenario.engine(),
+        &NullObserver,
+        None,
+        &FileCheckpointSink::new(&ckpt, 1),
+    );
+    // ...whose first record's accelerator has no sub-accelerators, which
+    // `Accelerator::new` asserts against.
+    let journal = journal_path(&ckpt);
+    let text = std::fs::read_to_string(&journal).expect("journal");
+    let start = text.find("\"subs\":[").expect("a record's subs") + "\"subs\":[".len();
+    let end = start + text[start..].find("]]").expect("the end of its subs") + 1;
+    std::fs::write(&journal, format!("{}{}", &text[..start], &text[end..]))
+        .expect("empty the first record's subs");
+
+    // One worker: if replaying the records unwound it, the job would stay
+    // running and the second job below would never start.
+    let config = ServeConfig {
+        state_dir: Some(state_dir.clone()),
+        workers: 1,
+        ..ephemeral_config()
+    };
+    let handle = Daemon::start(config).expect("daemon starts");
+    let addr = handle.addr().to_string();
+    let mut client = Client::connect(&addr).expect("connect");
+    let report = wait_for_result(&mut client, &state_dir, 1);
+    assert_eq!(
+        outcome_only(&report),
+        outcome_only(&expected),
+        "the rerun diverged from the direct run"
+    );
+    assert_eq!(
+        resumes_total(&mut client).unwrap_or(0),
+        0,
+        "a checkpoint whose records cannot be rebuilt must not be resumed"
+    );
+    let pong = client.request(&Request::Ping).expect("ping");
+    assert_eq!(pong.get("ok").and_then(ConfigValue::as_bool), Some(true));
+    let next = client
+        .submit_watch(quick_scenario(68).to_value(), |_| {})
+        .expect("a second job");
+    assert_eq!(
+        next.get("state").and_then(ConfigValue::as_str),
+        Some("finished"),
+        "{next:?}"
+    );
+
+    shutdown(&addr);
+    handle.join().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+#[test]
 fn metrics_endpoint_serves_prometheus_families_after_a_job() {
     let config = ServeConfig {
         metrics_addr: Some("127.0.0.1:0".to_string()),
@@ -660,12 +730,16 @@ fn killed_daemon_resumes_its_job_bit_identically_on_restart() {
     );
     // The killed state, for a second restart below.
     let cut_dir = temp_dir("crash-cut");
-    std::fs::create_dir_all(cut_dir.join("jobs")).expect("create jobs dir");
-    for entry in std::fs::read_dir(state_dir.join("jobs")).expect("jobs dir") {
-        let entry = entry.expect("jobs entry");
-        std::fs::copy(entry.path(), cut_dir.join("jobs").join(entry.file_name()))
-            .expect("copy job file");
+    copy_jobs(&state_dir, &cut_dir);
+    // And for a third: a copy in which the job's head exists only at its
+    // temp name, as a kill between the sink's remove and rename leaves it.
+    let tmp_dir = temp_dir("crash-tmp");
+    copy_jobs(&state_dir, &tmp_dir);
+    let tmp_ckpt = tmp_dir.join("jobs").join(format!("{job_id}.ckpt.json"));
+    if tmp_ckpt.exists() {
+        std::fs::rename(&tmp_ckpt, tmp_path(&tmp_ckpt)).expect("move the head to its temp name");
     }
+    assert!(!tmp_ckpt.exists() && tmp_path(&tmp_ckpt).exists());
 
     // Restart over the same state dir: the journaled job is re-queued and
     // resumed from its checkpoint.
@@ -718,7 +792,7 @@ fn killed_daemon_resumes_its_job_bit_identically_on_restart() {
     // reruns the job from scratch, to the same result.
     let cut_ckpt = cut_dir.join("jobs").join(format!("{job_id}.ckpt.json"));
     let counted = journaled_records(&cut_ckpt);
-    let journal = nasaic_core::checkpoint::journal_path(&cut_ckpt);
+    let journal = journal_path(&cut_ckpt);
     let text = std::fs::read_to_string(&journal).expect("journal");
     let kept: String = text.split_inclusive('\n').take(counted - 1).collect();
     std::fs::write(&journal, kept).expect("cut the journal");
@@ -732,14 +806,7 @@ fn killed_daemon_resumes_its_job_bit_identically_on_restart() {
         outcome_only(&expected),
         "a rerun after a cut journal diverged from the uninterrupted run"
     );
-    let metrics = client.request(&Request::ShowMetrics).expect("show metrics");
-    let resumes = metrics
-        .get("metrics")
-        .and_then(ConfigValue::as_array)
-        .expect("metrics array")
-        .iter()
-        .find(|m| m.get("name").and_then(ConfigValue::as_str) == Some("nasaic_serve_resumes_total"))
-        .and_then(|m| m.get("value").and_then(ConfigValue::as_integer));
+    let resumes = resumes_total(&mut client);
     assert_eq!(
         resumes.unwrap_or(0),
         0,
@@ -755,11 +822,66 @@ fn killed_daemon_resumes_its_job_bit_identically_on_restart() {
     let _ = client.request(&Request::Shutdown);
     child.wait().expect("daemon exits after shutdown");
     let _ = std::fs::remove_dir_all(&cut_dir);
+
+    // Third restart, from the killed state with the head only at its temp
+    // name: the daemon resumes the job from it rather than rerunning it.
+    let (mut child, addr) = spawn_daemon(&tmp_dir, &["--workers", "1"]);
+    let mut client = Client::connect(&addr).expect("connect");
+    let report = wait_for_result(&mut client, &tmp_dir, job_id);
+    assert_eq!(
+        outcome_only(&report),
+        outcome_only(&expected),
+        "a resume from the temp head diverged from the uninterrupted run"
+    );
+    assert_eq!(
+        resumes_total(&mut client),
+        Some(1),
+        "the temp head must be resumed"
+    );
+    for leftover in [
+        tmp_ckpt.clone(),
+        tmp_path(&tmp_ckpt),
+        journal_path(&tmp_ckpt),
+    ] {
+        assert!(
+            !leftover.exists(),
+            "{} outlived its job",
+            leftover.display()
+        );
+    }
+    let _ = client.request(&Request::Shutdown);
+    child.wait().expect("daemon exits after shutdown");
+    let _ = std::fs::remove_dir_all(&tmp_dir);
+}
+
+/// Copy `from`'s job files into a fresh `to/jobs`.
+fn copy_jobs(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to.join("jobs")).expect("create jobs dir");
+    for entry in std::fs::read_dir(from.join("jobs")).expect("jobs dir") {
+        let entry = entry.expect("jobs entry");
+        std::fs::copy(entry.path(), to.join("jobs").join(entry.file_name()))
+            .expect("copy job file");
+    }
+}
+
+/// The daemon's `nasaic_serve_resumes_total`, if it has counted any.
+fn resumes_total(client: &mut Client) -> Option<i64> {
+    let metrics = client.request(&Request::ShowMetrics).expect("show metrics");
+    metrics
+        .get("metrics")
+        .and_then(ConfigValue::as_array)
+        .expect("metrics array")
+        .iter()
+        .find(|m| m.get("name").and_then(ConfigValue::as_str) == Some("nasaic_serve_resumes_total"))
+        .and_then(|m| m.get("value").and_then(ConfigValue::as_integer))
 }
 
 /// The number of records a checkpoint head counts (0 while it is absent).
+/// A kill between the sink's remove and rename leaves the head only at
+/// its temp name, so that is read when the head itself is absent.
 fn journaled_records(head: &Path) -> usize {
     std::fs::read_to_string(head)
+        .or_else(|_| std::fs::read_to_string(tmp_path(head)))
         .ok()
         .and_then(|text| nasaic_core::checkpoint::SearchCheckpoint::parse_json(&text).ok())
         .map_or(0, |checkpoint| checkpoint.records_from)
