@@ -157,7 +157,7 @@ pub fn curve_for(backbone: Backbone) -> CalibrationCurve {
 
 /// Fit a backbone's curve from scratch, bypassing the memo table.
 ///
-/// Retained as the reference for the `eval_baseline` identity gate and
+/// Retained as the reference for the `nasaic-bench eval` identity gate and
 /// for tests asserting the table serves exactly what a fresh fit
 /// produces.  Not a hot-path API.
 pub fn curve_for_reference(backbone: Backbone) -> CalibrationCurve {

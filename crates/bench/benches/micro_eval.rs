@@ -4,7 +4,7 @@
 //! memoised layer-cost table vs the from-scratch build.
 //!
 //! Each pair is bit-identical by construction (see the kernel identity
-//! suite and the `eval_baseline` gate); this bench tracks the *speed* gap
+//! suite and the `nasaic-bench eval` gate); this bench tracks the *speed* gap
 //! so regressions in either path are visible.
 
 use criterion::{criterion_group, criterion_main, Criterion};

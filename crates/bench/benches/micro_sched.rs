@@ -4,7 +4,7 @@
 //! replay, and the bound-tightened exact solver.
 //!
 //! The committed perf trajectory (`BENCH_sched.json`) is produced by the
-//! `sched_baseline` binary over the same instances
+//! `nasaic-bench sched` over the same instances
 //! (`nasaic_bench::sched_instances`).
 
 use criterion::{criterion_group, criterion_main, Criterion};

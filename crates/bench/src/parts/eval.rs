@@ -1,79 +1,37 @@
-//! Evaluator hot-path snapshot: identity gates over every optimised
-//! kernel/cache against its retained naive reference, plus a per-candidate
-//! timing point appended to `BENCH_eval.json`.
-//!
-//! ```text
-//! eval_baseline [--quick] [--check] [--label <label>] [--output <path>]
-//! ```
-//!
-//! * `--quick` — shrink the replayed episode stream (CI); the identity
-//!   gates always run in full.
-//! * `--check` — run the identity gates only: no timing, no file write
-//!   (the deterministic CI gate).
-//! * `--label` — entry label (default `local`).
-//! * `--output` — trajectory file to append to (default `BENCH_eval.json`
-//!   in the current directory), holding
-//!   `{"schema": 1, "bench": "eval_hotpath", "entries": [...]}`.
+//! `eval`: the evaluator hot path against its retained naive references.
 //!
 //! The identity gates compare, bit for bit:
 //!
 //! 1. the blocked/unrolled matmul kernels against the naive i-k-j
-//!    reference ([`Matrix::matmul_reference`]), including the fused
+//!    reference (`Matrix::matmul_reference`), including the fused
 //!    transpose variants;
-//! 2. memoised layer-cost tables ([`LayerCostCache::workload_costs`])
-//!    against the from-scratch [`WorkloadCosts::build`];
+//! 2. memoised layer-cost tables (`LayerCostCache::workload_costs`)
+//!    against the from-scratch `WorkloadCosts::build`;
 //! 3. the memoised calibration-curve table against a fresh fit;
 //! 4. the evaluator's cached hardware path against
 //!    `hardware_metrics_reference`;
 //! 5. the engine's de-duplicated batch path against slot-by-slot direct
 //!    evaluation.
 //!
-//! The measurement then replays a duplicate-bearing episode stream (the
-//! shape the NASAIC controller actually produces) through the retained
-//! naive path and through the optimised engine, and **fails (exit 1) when
-//! the optimised path is not at least 2x faster per candidate**, so CI can
-//! gate on the perf floor as well as on correctness.
+//! Timing: a duplicate-bearing W1 episode stream (the shape the NASAIC
+//! controller actually produces) replayed through the naive path and
+//! through the optimised engine, appended to `BENCH_eval.json`
+//! (`"bench": "eval_hotpath"`).  The part **fails (exit 1) when the
+//! optimised path is not at least 2x faster per candidate**, so the perf
+//! floor is gated as well as correctness.  `--quick` shrinks the stream;
+//! the gates always run in full.
 
 use nasaic_accel::HardwareSpace;
 use nasaic_accuracy::calibration;
+use nasaic_bench::{fail, gate, round, Options};
 use nasaic_core::prelude::*;
-use nasaic_core::scenario::value::{self, ConfigValue};
+use nasaic_core::scenario::value::ConfigValue::{Float, Integer, Str};
 use nasaic_cost::{CostModel, LayerCostCache, WorkloadCosts};
 use nasaic_nn::backbone::Backbone;
 use nasaic_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
-
-struct Args {
-    quick: bool,
-    check: bool,
-    label: String,
-    output: String,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        quick: false,
-        check: false,
-        label: "local".to_string(),
-        output: "BENCH_eval.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => args.quick = true,
-            "--check" => args.check = true,
-            "--label" => args.label = it.next().expect("--label needs a value"),
-            "--output" => args.output = it.next().expect("--output needs a value"),
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
 
 fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
     let data = (0..rows * cols)
@@ -272,13 +230,11 @@ fn run_engine(engine: &EvalEngine, stream: &[Vec<Candidate>]) -> f64 {
     acc
 }
 
-fn main() {
-    let args = parse_args();
-
+pub fn run(options: &Options) {
     let workload = Workload::w1();
     let specs = DesignSpecs::for_workload(WorkloadId::W1);
     let evaluator = Evaluator::new(&workload, specs, AccuracyOracle::default());
-    let (episodes, phi, arch_pool, accel_pool) = if args.quick {
+    let (episodes, phi, arch_pool, accel_pool) = if options.quick {
         (12, 5, 2, 6)
     } else {
         (40, 5, 4, 8)
@@ -290,16 +246,12 @@ fn main() {
     failures.extend(cost_table_failures());
     failures.extend(curve_failures());
     failures.extend(evaluator_failures(&evaluator, &stream));
-    if failures.is_empty() {
-        println!("ok: optimised kernels, cost tables, curves, caches and batch dedup");
-        println!("    are bit-identical to their retained naive references");
-    } else {
-        for failure in &failures {
-            eprintln!("FAIL: {failure}");
-        }
-        std::process::exit(1);
-    }
-    if args.check {
+    gate(
+        "optimised kernels, cost tables, curves, caches and batch dedup\n    \
+         are bit-identical to their retained naive references",
+        failures,
+    );
+    if options.check {
         return;
     }
 
@@ -338,71 +290,31 @@ fn main() {
         stats.hardware_hit_rate() * 100.0,
     );
     if speedup < 2.0 {
-        eprintln!("FAIL: optimised path is only {speedup:.2}x faster (floor: 2x)");
-        std::process::exit(1);
+        fail(&format!(
+            "optimised path is only {speedup:.2}x faster (floor: 2x)"
+        ));
     }
 
-    let mut entry = ConfigValue::table();
-    entry.insert("label", ConfigValue::Str(args.label.clone()));
-    entry.insert(
-        "mode",
-        ConfigValue::Str(if args.quick { "quick" } else { "full" }.to_string()),
-    );
-    entry.insert("date", ConfigValue::Str(nasaic_bench::today_utc()));
-    entry.insert("scenario", ConfigValue::Str("w1".to_string()));
-    entry.insert("episodes", ConfigValue::Integer(episodes as i64));
-    entry.insert("evaluations", ConfigValue::Integer(evaluations as i64));
-    entry.insert(
-        "naive_wall_ms",
-        ConfigValue::Float((naive_wall.as_secs_f64() * 1e4).round() / 10.0),
-    );
-    entry.insert(
-        "wall_ms",
-        ConfigValue::Float((engine_wall.as_secs_f64() * 1e4).round() / 10.0),
-    );
-    entry.insert("naive_ns_per_eval", ConfigValue::Float(naive_ns.round()));
-    entry.insert("ns_per_eval", ConfigValue::Float(engine_ns.round()));
-    entry.insert(
-        "speedup",
-        ConfigValue::Float((speedup * 100.0).round() / 100.0),
-    );
-    entry.insert(
-        "cache_hit_rate",
-        ConfigValue::Float((stats.hit_rate() * 1e4).round() / 1e4),
-    );
-    entry.insert(
-        "accuracy_hit_rate",
-        ConfigValue::Float((stats.accuracy_hit_rate() * 1e4).round() / 1e4),
-    );
-    entry.insert(
-        "hardware_hit_rate",
-        ConfigValue::Float((stats.hardware_hit_rate() * 1e4).round() / 1e4),
-    );
-    entry.insert("identity_gate", ConfigValue::Str("ok".to_string()));
-
-    let mut root = match std::fs::read_to_string(&args.output) {
-        Ok(existing) => value::parse_json(&existing).unwrap_or_else(|e| {
-            eprintln!("cannot parse existing {}: {e}", args.output);
-            std::process::exit(1);
-        }),
-        Err(_) => {
-            let mut fresh = ConfigValue::table();
-            fresh.insert("schema", ConfigValue::Integer(1));
-            fresh.insert("bench", ConfigValue::Str("eval_hotpath".to_string()));
-            fresh.insert("entries", ConfigValue::Array(Vec::new()));
-            fresh
-        }
-    };
-    let mut entries = root
-        .get("entries")
-        .and_then(|e| e.as_array())
-        .map(<[ConfigValue]>::to_vec)
-        .unwrap_or_default();
-    entries.push(entry);
-    root.insert("entries", ConfigValue::Array(entries));
-    std::fs::write(&args.output, value::to_json(&root) + "\n").unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", args.output);
-        std::process::exit(1);
-    });
-    println!("wrote {}", args.output);
+    options.record(vec![
+        ("scenario", Str("w1".to_string())),
+        ("episodes", Integer(episodes as i64)),
+        ("evaluations", Integer(evaluations as i64)),
+        (
+            "naive_wall_ms",
+            Float(round(naive_wall.as_secs_f64() * 1e3, 1)),
+        ),
+        ("wall_ms", Float(round(engine_wall.as_secs_f64() * 1e3, 1))),
+        ("naive_ns_per_eval", Float(naive_ns.round())),
+        ("ns_per_eval", Float(engine_ns.round())),
+        ("speedup", Float(round(speedup, 2))),
+        ("cache_hit_rate", Float(round(stats.hit_rate(), 4))),
+        (
+            "accuracy_hit_rate",
+            Float(round(stats.accuracy_hit_rate(), 4)),
+        ),
+        (
+            "hardware_hit_rate",
+            Float(round(stats.hardware_hit_rate(), 4)),
+        ),
+    ]);
 }

@@ -1,6 +1,12 @@
-//! Checkpoint/resume and sharded-execution perf snapshot: runs the NASAIC
-//! search on the W1 scenario (fixed seed, fixed budget) and measures what
-//! externalized search state costs and buys —
+//! `resume`: what externalized search state costs and buys.
+//!
+//! Gates, on a shrunk W1 for every algorithm: resuming from the mid-run
+//! checkpoint must be bit-identical to the uninterrupted run, and a merged
+//! 4-shard outcome must be bit-identical to the single-process run, both
+//! through their JSON round trips.
+//!
+//! Timing, on the W1 snapshot (60 episodes, 6 under `--quick`), appended
+//! to `BENCH_resume.json` (`"bench": "resume"`):
 //!
 //! * checkpoint overhead: wall-time delta per snapshot between a plain
 //!   run and one writing a checkpoint file at every snapshot point, and
@@ -9,88 +15,15 @@
 //!   versus re-running from scratch;
 //! * shard fan-out: the slowest of 4 monte-carlo shards plus the merge,
 //!   versus the single-process run.
-//!
-//! ```text
-//! resume_baseline [--quick] [--check] [--label <label>] [--output <path>]
-//! ```
-//!
-//! * `--quick` — short budget (CI); default is the full budget used for
-//!   committed trajectory points.
-//! * `--check` — run the identity gates only and skip the timing write
-//!   (the gates are deterministic; CI runners are too noisy for the
-//!   timing numbers to be meaningful).
-//! * `--label` — entry label (default `local`).
-//! * `--output` — trajectory file to append to (default
-//!   `BENCH_resume.json`), holding
-//!   `{"schema": 1, "bench": "resume", "entries": [...]}`.
-//!
-//! The process exits non-zero when an identity gate fails: a resumed run
-//! must be bit-identical to the uninterrupted one, and a merged N-shard
-//! outcome must be bit-identical to the single-process run, both through
-//! their JSON round trips.
 
+use nasaic_bench::{fail, gate, gate_scenario, round, scenario_fields, w1_snapshot, Options};
 use nasaic_core::prelude::*;
-use nasaic_core::scenario::value::{self, ConfigValue};
+use nasaic_core::scenario::value::ConfigValue::{Float, Integer};
 use std::time::Instant;
 
-struct Args {
-    quick: bool,
-    check: bool,
-    label: String,
-    output: String,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        quick: false,
-        check: false,
-        label: "local".to_string(),
-        output: "BENCH_resume.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => args.quick = true,
-            "--check" => args.check = true,
-            "--label" => args.label = it.next().expect("--label needs a value"),
-            "--output" => args.output = it.next().expect("--output needs a value"),
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
-
-/// The scenario the snapshot measures: W1 at a fixed seed with a fixed
-/// mid-sized budget (`--quick` shrinks it for CI).
-fn snapshot_scenario(quick: bool) -> Scenario {
-    let mut scenario = registry::get("w1").expect("w1 is built in");
-    scenario.seed = 2020;
-    if quick {
-        scenario.search.episodes = 6;
-        scenario.search.hardware_trials = 3;
-        scenario.search.bound_samples = 5;
-    } else {
-        scenario.search.episodes = 60;
-        scenario.search.hardware_trials = 5;
-        scenario.search.bound_samples = 20;
-    }
-    scenario
-}
-
-/// The identity gates on a shrunk W1: resuming any run from its mid-run
-/// checkpoint (through JSON) must be bit-identical to the uninterrupted
-/// run, and the merged 4-shard outcome (through JSON) must be
-/// bit-identical to the single-process run.  Returns the failures
-/// (empty = pass).
+/// The identity gates; returns the failures (empty = pass).
 fn identity_failures() -> Vec<String> {
-    let mut scenario = registry::get("w1").expect("w1 is built in");
-    scenario.seed = 11;
-    scenario.search.episodes = 3;
-    scenario.search.hardware_trials = 2;
-    scenario.search.bound_samples = 3;
+    let mut scenario = gate_scenario("w1");
     let workload = scenario.workload();
     let mut failures = Vec::new();
 
@@ -180,27 +113,18 @@ fn identity_failures() -> Vec<String> {
     failures
 }
 
-fn main() {
-    let args = parse_args();
-
+pub fn run(options: &Options) {
     println!("== resume/shard identity gates ==");
-    let failures = identity_failures();
-    if failures.is_empty() {
-        println!(
-            "ok: mid-run resume and 4-shard merge are bit-identical to the \
-             uninterrupted single-process run for every algorithm"
-        );
-    } else {
-        for failure in &failures {
-            eprintln!("FAIL: {failure}");
-        }
-        std::process::exit(1);
-    }
-    if args.check {
+    gate(
+        "mid-run resume and 4-shard merge are bit-identical to the \
+         uninterrupted single-process run for every algorithm",
+        identity_failures(),
+    );
+    if options.check {
         return;
     }
 
-    let scenario = snapshot_scenario(args.quick);
+    let scenario = w1_snapshot(options.quick, 60);
     println!(
         "== checkpoint/resume measurement (w1, seed {}, {} episodes x (1 + {}) designs) ==",
         scenario.seed, scenario.search.episodes, scenario.search.hardware_trials
@@ -214,7 +138,7 @@ fn main() {
 
     // Checkpointing run: a checkpoint file rewritten at every snapshot
     // point — the worst-case cadence.
-    let dir = std::env::temp_dir().join("nasaic-resume-baseline");
+    let dir = std::env::temp_dir().join("nasaic-bench-resume");
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let path = dir.join("checkpoint.json");
     let file_sink = FileCheckpointSink::new(&path, 1);
@@ -228,8 +152,7 @@ fn main() {
     );
     let checkpointed_ms = start.elapsed().as_secs_f64() * 1e3;
     if let Some(e) = file_sink.take_error() {
-        eprintln!("FAIL: checkpoint file sink errored: {e}");
-        std::process::exit(1);
+        fail(&format!("checkpoint file sink errored: {e}"));
     }
     assert_eq!(outcome, baseline, "checkpointing changed the outcome");
     let file_size = |path: &std::path::Path| std::fs::metadata(path).map_or(0, |m| m.len());
@@ -248,8 +171,7 @@ fn main() {
     let checkpoints = recorder.checkpoints();
     let count = checkpoints.len();
     if SearchCheckpoint::load(&path).ok().as_ref() != checkpoints.last() {
-        eprintln!("FAIL: the checkpoint file does not load back to the last checkpoint");
-        std::process::exit(1);
+        fail("the checkpoint file does not load back to the last checkpoint");
     }
     let overhead_us = ((checkpointed_ms - plain_ms).max(0.0) / count.max(1) as f64) * 1e3;
     println!(
@@ -273,8 +195,7 @@ fn main() {
     );
     let resume_ms = start.elapsed().as_secs_f64() * 1e3;
     if resumed != baseline {
-        eprintln!("FAIL: resume from the mid-run checkpoint diverged on the snapshot budget");
-        std::process::exit(1);
+        fail("resume from the mid-run checkpoint diverged on the snapshot budget");
     }
     println!(
         "resume from progress {}/{}: {resume_ms:.0} ms vs {plain_ms:.0} ms from scratch \
@@ -316,95 +237,32 @@ fn main() {
         scenario.merge_algorithm_shards(Algorithm::MonteCarlo, &scenario.engine(), &plan, partials);
     let merge_ms = start.elapsed().as_secs_f64() * 1e3;
     if merged != single {
-        eprintln!("FAIL: merged {shards}-shard outcome diverged on the snapshot budget");
-        std::process::exit(1);
+        fail(&format!(
+            "merged {shards}-shard outcome diverged on the snapshot budget"
+        ));
     }
     let shard_wall_ms = slowest_shard_ms + merge_ms;
+    let shard_speedup = single_ms / shard_wall_ms.max(f64::MIN_POSITIVE);
     println!(
         "monte-carlo {shards} shards: slowest shard {slowest_shard_ms:.0} ms + merge \
          {merge_ms:.1} ms = {shard_wall_ms:.0} ms vs single-process {single_ms:.0} ms \
-         ({:.2}x)",
-        single_ms / shard_wall_ms.max(f64::MIN_POSITIVE)
+         ({shard_speedup:.2}x)"
     );
 
-    let mut entry = ConfigValue::table();
-    entry.insert("label", ConfigValue::Str(args.label.clone()));
-    entry.insert(
-        "mode",
-        ConfigValue::Str(if args.quick { "quick" } else { "full" }.to_string()),
-    );
-    entry.insert("date", ConfigValue::Str(nasaic_bench::today_utc()));
-    entry.insert("scenario", ConfigValue::Str(scenario.name.clone()));
-    entry.insert("seed", ConfigValue::Integer(scenario.seed as i64));
-    entry.insert(
-        "episodes",
-        ConfigValue::Integer(scenario.search.episodes as i64),
-    );
-    entry.insert(
-        "hardware_trials",
-        ConfigValue::Integer(scenario.search.hardware_trials as i64),
-    );
-    entry.insert("plain_wall_ms", ConfigValue::Float(plain_ms.round()));
-    entry.insert(
-        "checkpointed_wall_ms",
-        ConfigValue::Float(checkpointed_ms.round()),
-    );
-    entry.insert("checkpoints", ConfigValue::Integer(count as i64));
-    entry.insert(
-        "checkpoint_overhead_us",
-        ConfigValue::Float(overhead_us.round()),
-    );
-    entry.insert("head_bytes", ConfigValue::Integer(head_bytes as i64));
-    entry.insert("journal_bytes", ConfigValue::Integer(journal_bytes as i64));
-    entry.insert(
-        "resume_progress",
-        ConfigValue::Integer(parsed.progress as i64),
-    );
-    entry.insert("resume_wall_ms", ConfigValue::Float(resume_ms.round()));
-    entry.insert("shards", ConfigValue::Integer(shards as i64));
-    entry.insert(
-        "single_process_wall_ms",
-        ConfigValue::Float(single_ms.round()),
-    );
-    entry.insert(
-        "slowest_shard_wall_ms",
-        ConfigValue::Float(slowest_shard_ms.round()),
-    );
-    entry.insert(
-        "merge_wall_ms",
-        ConfigValue::Float((merge_ms * 1e1).round() / 1e1),
-    );
-    entry.insert(
-        "shard_speedup",
-        ConfigValue::Float(
-            ((single_ms / shard_wall_ms.max(f64::MIN_POSITIVE)) * 1e2).round() / 1e2,
-        ),
-    );
-    entry.insert("identity_gate", ConfigValue::Str("ok".to_string()));
-
-    let mut root = match std::fs::read_to_string(&args.output) {
-        Ok(existing) => value::parse_json(&existing).unwrap_or_else(|e| {
-            eprintln!("cannot parse existing {}: {e}", args.output);
-            std::process::exit(1);
-        }),
-        Err(_) => {
-            let mut fresh = ConfigValue::table();
-            fresh.insert("schema", ConfigValue::Integer(1));
-            fresh.insert("bench", ConfigValue::Str("resume".to_string()));
-            fresh.insert("entries", ConfigValue::Array(Vec::new()));
-            fresh
-        }
-    };
-    let mut entries = root
-        .get("entries")
-        .and_then(|e| e.as_array())
-        .map(<[ConfigValue]>::to_vec)
-        .unwrap_or_default();
-    entries.push(entry);
-    root.insert("entries", ConfigValue::Array(entries));
-    std::fs::write(&args.output, value::to_json(&root) + "\n").unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", args.output);
-        std::process::exit(1);
-    });
-    println!("wrote {}", args.output);
+    let fields = [
+        ("plain_wall_ms", Float(plain_ms.round())),
+        ("checkpointed_wall_ms", Float(checkpointed_ms.round())),
+        ("checkpoints", Integer(count as i64)),
+        ("checkpoint_overhead_us", Float(overhead_us.round())),
+        ("head_bytes", Integer(head_bytes as i64)),
+        ("journal_bytes", Integer(journal_bytes as i64)),
+        ("resume_progress", Integer(parsed.progress as i64)),
+        ("resume_wall_ms", Float(resume_ms.round())),
+        ("shards", Integer(shards as i64)),
+        ("single_process_wall_ms", Float(single_ms.round())),
+        ("slowest_shard_wall_ms", Float(slowest_shard_ms.round())),
+        ("merge_wall_ms", Float(round(merge_ms, 1))),
+        ("shard_speedup", Float(round(shard_speedup, 2))),
+    ];
+    options.record(scenario_fields(&scenario).into_iter().chain(fields));
 }

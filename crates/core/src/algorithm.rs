@@ -646,7 +646,7 @@ impl SearchEvent {
 /// Every driver — including custom [`SearchAlgorithm`] implementations —
 /// must call this exactly once, at the very end of a run, with the
 /// cache-stat delta of the run (`engine.stats().since(&snapshot_at_start)`);
-/// trace consumers (and the CI `search_baseline --validate-trace` gate)
+/// trace consumers (and the CI `nasaic-bench validate-trace` gate)
 /// rely on `search_finished` being the stream's final event.
 pub fn emit_search_finished(
     observer: &dyn SearchObserver,

@@ -234,7 +234,7 @@ impl Evaluator {
 
     /// [`Evaluator::hardware_metrics`] with every layer cost recomputed
     /// from scratch (no memo).  Retained as the reference path for the
-    /// `eval_baseline` identity gate and timing comparison.
+    /// `nasaic-bench eval` identity gate and timing comparison.
     pub fn hardware_metrics_reference(
         &self,
         architectures: &[Architecture],

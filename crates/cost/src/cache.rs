@@ -17,7 +17,7 @@
 //! is a pure function of (shape, sub), so serving the memoised
 //! [`LayerCost`] (a `Copy` struct) is bit-identical to recomputing —
 //! [`WorkloadCosts::build`] is retained as the uncached reference and the
-//! `eval_baseline` gate compares full tables against it.
+//! `nasaic-bench eval` gate compares full tables against it.
 
 use crate::model::{CostModel, LayerCost};
 use crate::table::{LayerCostRow, NetworkCosts, WorkloadCosts};

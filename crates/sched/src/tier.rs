@@ -9,7 +9,7 @@
 //! and every decision carries a human-readable [`TierDecision::reason`]
 //! that the `RunReport` surfaces in text/JSON/CSV.
 //!
-//! The ladder rule (measured on the `scale_baseline` rungs, see
+//! The ladder rule (measured on the `nasaic-bench scale` rungs, see
 //! `docs/performance.md`):
 //!
 //! | total layers            | tier        |

@@ -709,7 +709,7 @@ impl Daemon {
         // The daemon is observability's primary consumer: its metrics are
         // the whole point of the exposition surfaces, so collection is on
         // for the process.  Collection is passive — job outcomes stay
-        // bit-identical (the `telemetry_baseline` identity gate).
+        // bit-identical (the `nasaic-bench telemetry` identity gate).
         nasaic_telemetry::set_enabled(true);
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| ServeError::new(format!("cannot bind {}: {e}", config.addr)))?;
@@ -968,7 +968,11 @@ fn serve(
         })
         .collect();
 
-    let handlers: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
+    // Only this thread touches the handler list.  Finished handlers leave
+    // it as new ones arrive: a thread whose handle is kept keeps its stack
+    // mapped, so clients that open one connection per request would
+    // otherwise run the process into the kernel's mapping limit.
+    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
     for stream in listener.incoming() {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
@@ -985,19 +989,33 @@ fn serve(
                 .expect("connections lock")
                 .insert(connection_id, clone);
         }
-        let shared = shared.clone();
-        let handle = std::thread::Builder::new()
+        let handler_shared = shared.clone();
+        let spawned = std::thread::Builder::new()
             .name("nasaic-serve-conn".to_string())
             .spawn(move || {
-                handle_connection(stream, &shared);
+                handle_connection(stream, &handler_shared);
+                handler_shared
+                    .connections
+                    .lock()
+                    .expect("connections lock")
+                    .remove(&connection_id);
+            });
+        match spawned {
+            Ok(handle) => {
+                // Dropping a finished thread's handle releases its stack.
+                handlers.retain(|handler| !handler.is_finished());
+                handlers.push(handle);
+            }
+            Err(e) => {
+                // The failed spawn dropped the stream; drop its clone too.
                 shared
                     .connections
                     .lock()
                     .expect("connections lock")
                     .remove(&connection_id);
-            })
-            .expect("spawn connection thread");
-        handlers.lock().expect("handlers lock").push(handle);
+                eprintln!("nasaic serve: cannot start a connection handler: {e}");
+            }
+        }
     }
 
     // Shutdown: workers first (they finish their running jobs), then the
@@ -1012,7 +1030,7 @@ fn serve(
     for (_, connection) in shared.connections.lock().expect("connections lock").iter() {
         let _ = connection.shutdown(std::net::Shutdown::Read);
     }
-    for handler in handlers.into_inner().expect("handlers lock") {
+    for handler in handlers {
         let _ = handler.join();
     }
     if let Some(thread) = metrics_thread {

@@ -17,7 +17,7 @@
 //! Observation is *passive by contract*: nothing in this crate feeds back
 //! into the instrumented computation, and the process-wide switch
 //! ([`set_enabled`]/[`enabled`]) lets cold binaries skip even the atomic
-//! updates — a disabled site costs one relaxed load.  `telemetry_baseline`
+//! updates — a disabled site costs one relaxed load.  `nasaic-bench telemetry`
 //! gates the enabled overhead (< 2% on the w1 full run, see
 //! `docs/observability.md`).
 //!

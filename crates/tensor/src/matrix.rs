@@ -259,7 +259,7 @@ impl Matrix {
     ///
     /// This is the oracle the blocked kernels are property-tested against
     /// (`crates/tensor/tests/kernel_identity.rs` asserts `to_bits`
-    /// equality) and the baseline `eval_baseline` times the optimized
+    /// equality) and `nasaic-bench eval` times the optimized
     /// path against.  It is **not** the hot path — use [`Matrix::matmul`].
     ///
     /// # Panics

@@ -317,6 +317,46 @@ fn oversized_request_line_is_rejected_and_the_daemon_keeps_serving() {
     handle.join().expect("clean shutdown");
 }
 
+/// Lines in this process's memory map.  Every live or unjoined thread adds
+/// its stack (and a guard page) to it.
+#[cfg(target_os = "linux")]
+fn mapping_count() -> usize {
+    std::fs::read_to_string("/proc/self/maps")
+        .expect("read /proc/self/maps")
+        .lines()
+        .count()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn one_ping_connections_give_their_handler_threads_back() {
+    let handle = Daemon::start(ephemeral_config()).expect("daemon starts");
+    let addr = handle.addr().to_string();
+
+    // `nasaic client` opens one connection per request.  A daemon that
+    // keeps every finished handler thread unjoined grows its map by two
+    // lines per connection, until thread spawns fail at the kernel's
+    // mapping limit.
+    let before = mapping_count();
+    for _ in 0..2_000 {
+        let mut client = Client::connect(&addr).expect("connect");
+        let pong = client.request(&Request::Ping).expect("ping");
+        assert_eq!(pong.get("ok").and_then(ConfigValue::as_bool), Some(true));
+    }
+    let grown = mapping_count().saturating_sub(before);
+    assert!(
+        grown < 400,
+        "2000 connections grew the map by {grown} lines"
+    );
+
+    let mut client = Client::connect(&addr).expect("connect after the connections");
+    let pong = client.request(&Request::Ping).expect("ping");
+    assert_eq!(pong.get("ok").and_then(ConfigValue::as_bool), Some(true));
+
+    shutdown(&addr);
+    handle.join().expect("clean shutdown");
+}
+
 #[test]
 fn cancel_stops_a_running_job_and_reports_cancelled() {
     let handle = Daemon::start(ephemeral_config()).expect("daemon starts");

@@ -1,6 +1,6 @@
 //! Telemetry is observationally pure: turning the metrics registry and
 //! the [`MetricsObserver`] on must not perturb a seeded search in any
-//! way.  This is the test-suite twin of the `telemetry_baseline` identity
+//! way.  This is the test-suite twin of the `nasaic-bench telemetry` identity
 //! gate (which also measures overhead).
 
 use nasaic_core::prelude::*;
