@@ -19,7 +19,9 @@
 //!   file plus an append-only *journal* of explored records, one compact
 //!   JSON line each, so each checkpoint writes only what the run added
 //!   since the previous one.  [`SearchCheckpoint::load`] reassembles the
-//!   complete checkpoint from the two.
+//!   complete checkpoint from the two.  Its cadence is either exact and
+//!   unsynced (the CLI's) or cost-budgeted and synced (the daemon's,
+//!   [`budgeted_step`]).
 //! * [`ShardPlan`] / [`ShardPartial`] split one run across `N`
 //!   deterministic workers.  A *strided* plan assigns partitionable unit
 //!   `i` to shard `i % N`; [`merge_replay`] re-plays every shard's keyed
@@ -48,7 +50,9 @@ use std::ffi::OsString;
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use crate::candidate::Candidate;
 use crate::evaluator::Evaluation;
@@ -470,32 +474,117 @@ fn remove_if_present(path: &Path) -> io::Result<()> {
     }
 }
 
-/// Replace `path` with `contents` atomically: write `<path>.tmp`, then
-/// rename it over `path`, so a reader (or a process killed mid-write)
-/// sees the old file or the new one, never half of one, and `path` itself
-/// always exists once written.
+/// `fsync` the directory holding `path`, so that a file created, renamed
+/// or removed there survives a power cut.
+fn sync_parent(path: &Path) -> io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
+}
+
+/// Replace `path` with `contents` atomically and durably: write
+/// `<path>.tmp` and `fdatasync` it, rename it over `path`, then `fsync`
+/// the directory.  A reader, a killed process or a power cut sees the old
+/// file or the new one, never half of one, and `path` itself always
+/// exists once written.
 ///
-/// This is the contract for files written once or twice per job — the
-/// daemon's job, result and cache files — whose readers (the daemon's
-/// start-up scan, perfbench's result check, operators) expect the file
-/// itself.  A rename over an existing file can cost a forced writeback
-/// (ext4's `auto_da_alloc`), which a once-per-job file does not notice.
-/// The checkpoint head, replaced at every progress unit, avoids it
-/// instead (see [`FileCheckpointSink`]); it can, because only the head
-/// has a loader that knows the `<path>.tmp` fallback.
+/// This is the contract for the daemon's job, result and cache files,
+/// whose readers (the daemon's start-up scan, perfbench's result check,
+/// operators) expect the file itself, and for the head of a budgeted
+/// [`FileCheckpointSink`].  The temp file is on disk before the rename,
+/// so renaming over an existing file forces no further writeback (ext4's
+/// `auto_da_alloc`).
 ///
 /// # Errors
 ///
-/// Propagates the write or rename error.
+/// Propagates the write, sync or rename error.
 pub fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
     let tmp = tmp_path(path);
-    fs::write(&tmp, contents)?;
-    fs::rename(&tmp, path)
+    let mut file = File::create(&tmp)?;
+    file.write_all(contents)?;
+    file.sync_data()?;
+    fs::rename(&tmp, path)?;
+    sync_parent(path)
+}
+
+/// K: a cost-budgeted [`FileCheckpointSink`] lets the search run K times a
+/// checkpoint's fixed cost before it takes the next one, so after a run's
+/// first checkpoint, checkpoints take about 1/(K + 1) of its wall.
+pub const CHECKPOINT_BUDGET: u32 = 20;
+
+/// How many progress units a budgeted sink waits after a checkpoint whose
+/// fixed cost was `cost`, when the search ran `units` units in `search`
+/// since the checkpoint before: `max(1, ⌈K·c/u⌉)` with `u = search /
+/// units`, computed exactly in nanoseconds.  A `search` of zero counts as
+/// one nanosecond; the step saturates at `usize::MAX`.
+///
+/// This is a fixed overhead budget, after Young's first-order interval
+/// argument (J. W. Young, "A first order approximation to the optimum
+/// checkpoint interval", CACM 1974): overhead is `c / (step · u)`, at
+/// most `1/K` once the step exceeds one.
+pub fn budgeted_step(cost: Duration, search: Duration, units: usize) -> usize {
+    let budget = cost
+        .as_nanos()
+        .saturating_mul(u128::from(CHECKPOINT_BUDGET))
+        .saturating_mul(units as u128);
+    let step = budget.div_ceil(search.as_nanos().max(1));
+    usize::try_from(step).unwrap_or(usize::MAX).max(1)
+}
+
+/// Where a budgeted sink stands in its cadence.
+#[derive(Debug)]
+struct Schedule {
+    /// The previous checkpoint's progress; `None` before the first.
+    last: Option<usize>,
+    /// When the previous checkpoint ended (before the first: when the sink
+    /// was made).
+    since: Instant,
+}
+
+impl Schedule {
+    /// The progress unit to checkpoint at next, after a checkpoint at
+    /// `progress` that began at `start`, had appended its records at
+    /// `appended` and ended at `end`.  Its fixed cost is `end - appended`:
+    /// records are paid once each at any cadence, so they are not charged.
+    /// The search ran from the previous checkpoint's end to `start`.
+    fn next_after(
+        &mut self,
+        progress: usize,
+        start: Instant,
+        appended: Instant,
+        end: Instant,
+    ) -> usize {
+        // A run's first checkpoint is at the first unit it ran.
+        let units = self.last.map_or(1, |last| progress.saturating_sub(last));
+        let step = budgeted_step(
+            end.saturating_duration_since(appended),
+            start.saturating_duration_since(self.since),
+            units.max(1),
+        );
+        *self = Self {
+            last: Some(progress),
+            since: end,
+        };
+        progress.saturating_add(step)
+    }
+}
+
+/// What a [`FileCheckpointSink`] has written so far.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CheckpointStats {
+    /// Checkpoints written.
+    pub checkpoints: usize,
+    /// Their total wall inside the sink: journal append, head encode and
+    /// write, syncs.  The driver's state build before each is not in it.
+    pub wall: Duration,
 }
 
 /// A sink that keeps the latest checkpoint on disk — the CLI's
-/// `nasaic run --checkpoint <file> --checkpoint-every <n>` sink and the
-/// daemon's per-job sink.
+/// `nasaic run --checkpoint <file> --checkpoint-every <n>` sink
+/// ([`new`](Self::new)) and the daemon's per-job sink
+/// ([`budgeted`](Self::budgeted)).
 ///
 /// Each checkpoint first appends its `records` to `<file>.journal`, one
 /// compact JSON line each, then replaces `<file>` with a compact *head*:
@@ -505,7 +594,7 @@ pub fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
 /// plus, at worst, journal lines past its count, which
 /// [`SearchCheckpoint::load`] ignores.
 ///
-/// The head is replaced without renaming over it: the sink writes
+/// An unsynced head is replaced without renaming over it: the sink writes
 /// `<file>.tmp`, removes `<file>`, then renames `<file>.tmp` into the
 /// free name.  On ext4 a rename (or a truncation) that replaces a file
 /// forces the new file's data out to disk, which makes a head write
@@ -513,8 +602,10 @@ pub fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
 /// `<file>.tmp` is absent, so nothing is truncated either.  A kill
 /// between the remove and the rename leaves only the complete
 /// `<file>.tmp`, which [`SearchCheckpoint::load`] reads when `<file>` is
-/// absent.  When [`on_checkpoint`](CheckpointSink::on_checkpoint) returns,
-/// the complete head is at `<file>` itself.
+/// absent.  A synced head is on disk before its rename, so it is renamed
+/// over `<file>` ([`write_atomic`]).  When
+/// [`on_checkpoint`](CheckpointSink::on_checkpoint) returns, the complete
+/// head is at `<file>` itself.
 ///
 /// The first checkpoint must be complete (every run's is, see
 /// [`CheckpointCursor`]): it removes the head, temp head and journal an
@@ -527,50 +618,91 @@ pub fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
 /// never points past a gap, and keeps the error for
 /// [`take_error`](Self::take_error).
 ///
-/// Neither file is `fsync`ed: both survive a killed process, not a power
-/// cut.  After one, a head that is empty or unreadable makes the daemon
-/// rerun the job from scratch — progress can be lost, never turned into a
-/// wrong result.
+/// Cadence and durability depend on the constructor:
+///
+/// * [`new`](Self::new) checkpoints exactly every `n` progress units and
+///   syncs nothing: both files survive a killed process, not a power cut.
+///   After one, a head that is empty or unreadable makes `--resume` report
+///   a bad checkpoint — progress can be lost, never turned into a wrong
+///   result.
+/// * [`budgeted`](Self::budgeted) wants the first progress unit, then
+///   schedules each next checkpoint at `last + `[`budgeted_step`] units,
+///   from that checkpoint's measured fixed cost and the search's wall per
+///   unit since the checkpoint before.  It `fdatasync`s the journal after
+///   each append and the temp head before its rename over the head, then
+///   `fsync`s the directory, so a power cut costs at most the units since
+///   the last checkpoint.
 #[derive(Debug)]
 pub struct FileCheckpointSink {
     path: PathBuf,
-    every: usize,
+    /// `Some(n)`: every `n` units, unsynced; `None`: budgeted and synced.
+    every: Option<usize>,
+    /// The first progress unit a budgeted sink wants next (1 before its
+    /// first checkpoint, `usize::MAX` after a failure).
+    next: AtomicUsize,
     journal: Mutex<JournalWriter>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct JournalWriter {
     /// The open journal and the records it holds; `None` before the
     /// first checkpoint.
     file: Option<(File, usize)>,
     failed: bool,
     error: Option<io::Error>,
+    schedule: Schedule,
+    stats: CheckpointStats,
 }
 
 impl FileCheckpointSink {
     /// Write to `path` (and `<path>.journal`) every `every` progress
-    /// units.
+    /// units, without syncing either file.
     ///
     /// # Panics
     ///
     /// Panics if `every` is zero.
     pub fn new(path: &Path, every: usize) -> Self {
         assert!(every > 0, "checkpoint interval must be positive");
+        Self::with_cadence(path, Some(every))
+    }
+
+    /// Write to `path` (and `<path>.journal`) at the cost-budgeted
+    /// cadence, syncing every checkpoint (see the type's docs).
+    pub fn budgeted(path: &Path) -> Self {
+        Self::with_cadence(path, None)
+    }
+
+    fn with_cadence(path: &Path, every: Option<usize>) -> Self {
         Self {
             path: path.to_path_buf(),
             every,
-            journal: Mutex::new(JournalWriter::default()),
+            next: AtomicUsize::new(1),
+            journal: Mutex::new(JournalWriter {
+                file: None,
+                failed: false,
+                error: None,
+                schedule: Schedule {
+                    last: None,
+                    since: Instant::now(),
+                },
+                stats: CheckpointStats::default(),
+            }),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, JournalWriter> {
+        self.journal.lock().expect("file checkpoint sink lock")
     }
 
     /// The swallowed I/O error, if any (taking it clears it; the sink
     /// stays stopped).
     pub fn take_error(&self) -> Option<io::Error> {
-        self.journal
-            .lock()
-            .expect("file checkpoint sink lock")
-            .error
-            .take()
+        self.lock().error.take()
+    }
+
+    /// How many checkpoints the sink has written, and their wall.
+    pub fn stats(&self) -> CheckpointStats {
+        self.lock().stats
     }
 
     /// Did a sink leave a head at `path` — under its own name or, after a
@@ -605,16 +737,26 @@ impl FileCheckpointSink {
         File::create(journal_path(&self.path))
     }
 
-    /// Replace the head with `contents`: write `<file>.tmp`, remove
-    /// `<file>`, rename `<file>.tmp` to `<file>`.
+    /// Replace the head with `contents`.  An exact sink writes
+    /// `<file>.tmp`, removes `<file>`, then renames `<file>.tmp` to
+    /// `<file>`; a budgeted one calls [`write_atomic`].
     fn replace_head(&self, contents: &[u8]) -> io::Result<()> {
+        if self.every.is_none() {
+            return write_atomic(&self.path, contents);
+        }
         let tmp = tmp_path(&self.path);
         fs::write(&tmp, contents)?;
         remove_if_present(&self.path)?;
         fs::rename(&tmp, &self.path)
     }
 
-    fn write(&self, journal: &mut JournalWriter, checkpoint: &SearchCheckpoint) -> io::Result<()> {
+    /// Append the checkpoint's records and replace the head; returns when
+    /// the records were appended, where the checkpoint's fixed cost starts.
+    fn write(
+        &self,
+        journal: &mut JournalWriter,
+        checkpoint: &SearchCheckpoint,
+    ) -> io::Result<Instant> {
         let journaled = journal.file.as_ref().map_or(0, |(_, records)| *records);
         if checkpoint.records_from != journaled {
             return Err(io::Error::new(
@@ -638,26 +780,51 @@ impl FileCheckpointSink {
             file.write_all(lines.as_bytes())?;
             *journaled += checkpoint.records.len();
         }
+        let appended = Instant::now();
+        if self.every.is_none() {
+            file.sync_data()?;
+        }
         let mut head = String::new();
         checkpoint.write_json(*journaled, &[], false, &mut head);
         head.push('\n');
-        self.replace_head(head.as_bytes())
+        self.replace_head(head.as_bytes())?;
+        Ok(appended)
     }
 }
 
 impl CheckpointSink for FileCheckpointSink {
     fn wants(&self, progress: usize) -> bool {
-        progress > 0 && progress.is_multiple_of(self.every)
+        progress > 0
+            && match self.every {
+                Some(every) => progress.is_multiple_of(every),
+                None => progress >= self.next.load(Ordering::Relaxed),
+            }
     }
 
     fn on_checkpoint(&self, checkpoint: &SearchCheckpoint) {
-        let mut journal = self.journal.lock().expect("file checkpoint sink lock");
+        let mut journal = self.lock();
         if journal.failed {
             return;
         }
-        if let Err(error) = self.write(&mut journal, checkpoint) {
-            journal.failed = true;
-            journal.error = Some(error);
+        let start = Instant::now();
+        match self.write(&mut journal, checkpoint) {
+            Ok(appended) => {
+                let end = Instant::now();
+                journal.stats.checkpoints += 1;
+                journal.stats.wall += end - start;
+                if self.every.is_none() {
+                    let next =
+                        journal
+                            .schedule
+                            .next_after(checkpoint.progress, start, appended, end);
+                    self.next.store(next, Ordering::Relaxed);
+                }
+            }
+            Err(error) => {
+                journal.failed = true;
+                journal.error = Some(error);
+                self.next.store(usize::MAX, Ordering::Relaxed);
+            }
         }
     }
 }
@@ -2079,6 +2246,7 @@ mod tests {
         sink.on_checkpoint(&increment(2, 3, 3));
         sink.on_checkpoint(&increment(3, 3, 7));
         assert!(sink.take_error().is_none());
+        assert_eq!(sink.stats().checkpoints, 3);
         assert_eq!(
             fs::read_to_string(journal_path(&path)).unwrap(),
             "0\n1\n2\n3\n4\n5\n6\n"
@@ -2275,6 +2443,110 @@ mod tests {
         assert!(!tmp_path(&path).exists(), "the sink wrote after a failure");
         assert_eq!(fs::read(&path).unwrap(), head);
         assert_eq!(SearchCheckpoint::load(&path).unwrap(), complete(1, 2));
+    }
+
+    #[test]
+    fn a_budgeted_step_is_k_times_the_fixed_cost_over_the_unit_wall() {
+        let us = Duration::from_micros;
+        // u = 1 ms: the next checkpoint comes after 20 units.
+        assert_eq!(budgeted_step(us(1000), us(1000), 1), 20);
+        // u = 40 ms / 20 units = 2 ms.
+        assert_eq!(budgeted_step(us(1000), us(40_000), 20), 10);
+        // The step rounds up: 20 · 1 µs / 3 µs = 6.67.
+        assert_eq!(budgeted_step(us(1), us(3), 1), 7);
+        // At least one unit, however cheap the checkpoint.
+        assert_eq!(budgeted_step(Duration::ZERO, us(1000), 1), 1);
+        assert_eq!(budgeted_step(us(1), Duration::from_secs(1), 1), 1);
+        // A search that took no measurable time counts as 1 ns.
+        assert_eq!(
+            budgeted_step(Duration::from_nanos(1), Duration::ZERO, 1),
+            20
+        );
+        assert_eq!(
+            budgeted_step(Duration::MAX, Duration::ZERO, usize::MAX),
+            usize::MAX
+        );
+    }
+
+    #[test]
+    fn a_schedule_charges_the_fixed_cost_and_not_the_records() {
+        let t0 = Instant::now();
+        let at = |micros: u64| t0 + Duration::from_micros(micros);
+        // One checkpoint at unit 10 after 5 ms of search over 5 units
+        // (u = 1 ms), with 1 ms of fixed cost, however long its records
+        // took to append before it.
+        for records_us in [0, 50, 50_000] {
+            let mut schedule = Schedule {
+                last: Some(5),
+                since: t0,
+            };
+            let start = at(5_000);
+            let appended = at(5_000 + records_us);
+            let end = at(6_000 + records_us);
+            assert_eq!(schedule.next_after(10, start, appended, end), 10 + 20);
+            assert_eq!((schedule.last, schedule.since), (Some(10), end));
+        }
+        // A run's first checkpoint is its first unit, resumed or not: the
+        // wall since the sink was made is one unit's.
+        let mut first = Schedule {
+            last: None,
+            since: t0,
+        };
+        assert_eq!(
+            first.next_after(41, at(2_000), at(2_000), at(2_100)),
+            41 + 1
+        );
+        // The next interval is measured from that checkpoint's end.
+        assert_eq!(
+            first.next_after(42, at(2_200), at(2_200), at(2_300)),
+            42 + 20
+        );
+    }
+
+    #[test]
+    fn budgeted_wants_depends_on_progress_alone_between_checkpoints() {
+        let path = test_dir("budgeted-wants").join("run.ckpt");
+        let sink = FileCheckpointSink::budgeted(&path);
+        let probe = |sink: &FileCheckpointSink| (0..200).map(|p| sink.wants(p)).collect::<Vec<_>>();
+        // Before the first checkpoint every unit is wanted.
+        let before = probe(&sink);
+        assert_eq!(before, (0..200).map(|p| p > 0).collect::<Vec<_>>());
+        sink.on_checkpoint(&increment(1, 0, 2));
+        assert!(sink.take_error().is_none());
+        // After it, wanted from one step on, and probes agree every time.
+        let after = probe(&sink);
+        let next = after.iter().position(|&wanted| wanted).unwrap_or(200);
+        assert!(next >= 2, "a step is at least one unit");
+        assert_eq!(after, (0..200).map(|p| p >= next).collect::<Vec<_>>());
+        for _ in 0..100 {
+            assert_eq!(probe(&sink), after);
+        }
+    }
+
+    #[test]
+    fn a_budgeted_sinks_first_checkpoint_is_its_first_unit_and_complete() {
+        // A run resumed at progress 40: its first unit is wanted, and its
+        // first checkpoint carries the whole history.
+        let path = test_dir("budgeted-first").join("run.ckpt");
+        let sink = FileCheckpointSink::budgeted(&path);
+        assert!(sink.wants(41));
+        sink.on_checkpoint(&complete(41, 3));
+        assert!(sink.take_error().is_none());
+        assert_eq!(SearchCheckpoint::load(&path).unwrap(), complete(41, 3));
+        sink.on_checkpoint(&increment(50, 3, 5));
+        assert_eq!(SearchCheckpoint::load(&path).unwrap(), complete(50, 5));
+        assert!(!tmp_path(&path).exists());
+        assert_eq!(sink.stats().checkpoints, 2);
+        assert!(sink.stats().wall > Duration::ZERO);
+        // An incomplete first checkpoint is refused, and a failed sink
+        // wants nothing more.
+        let stray = FileCheckpointSink::budgeted(&path);
+        assert!(stray.wants(51));
+        stray.on_checkpoint(&increment(51, 5, 6));
+        assert!(stray.take_error().is_some());
+        assert!((0..1000).all(|p| !stray.wants(p)));
+        assert_eq!(stray.stats(), CheckpointStats::default());
+        assert_eq!(SearchCheckpoint::load(&path).unwrap(), complete(50, 5));
     }
 
     #[test]

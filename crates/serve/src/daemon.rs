@@ -10,9 +10,10 @@
 //!
 //! Durability: with a `state_dir`, every submitted job is journaled before
 //! it is queued, running jobs checkpoint through
-//! [`FileCheckpointSink`], and results are persisted on completion — so a
-//! killed daemon re-queues its unfinished jobs on restart and resumes them
-//! from their checkpoints bit-identically.  A *graceful* shutdown
+//! [`FileCheckpointSink::budgeted`] (cost-budgeted and synced), and
+//! results are persisted on completion — so a killed daemon re-queues its
+//! unfinished jobs on restart and resumes them from their checkpoints
+//! bit-identically.  A *graceful* shutdown
 //! additionally exports every engine's caches; the next start imports
 //! them, which changes wall time only, never outcomes (cached values are
 //! pure).
@@ -21,7 +22,8 @@ use crate::protocol::{self, Request, PROTOCOL_VERSION};
 use crate::ServeError;
 use nasaic_core::algorithm::{SearchEvent, SearchObserver};
 use nasaic_core::checkpoint::{
-    write_atomic, CheckpointSink, FileCheckpointSink, NullCheckpointSink, SearchCheckpoint,
+    write_atomic, CheckpointSink, CheckpointStats, FileCheckpointSink, NullCheckpointSink,
+    SearchCheckpoint,
 };
 use nasaic_core::engine::{CacheStats, EngineConfig, EvalEngine};
 use nasaic_core::scenario::value::{parse_json, to_json};
@@ -77,6 +79,13 @@ fn resumes_counter() -> &'static Arc<nasaic_telemetry::Counter> {
     HANDLE.get_or_init(|| nasaic_telemetry::global().counter("nasaic_serve_resumes_total", &[]))
 }
 
+fn checkpoint_failures_counter() -> &'static Arc<nasaic_telemetry::Counter> {
+    static HANDLE: OnceLock<Arc<nasaic_telemetry::Counter>> = OnceLock::new();
+    HANDLE.get_or_init(|| {
+        nasaic_telemetry::global().counter("nasaic_serve_checkpoint_failures_total", &[])
+    })
+}
+
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -99,9 +108,12 @@ pub struct ServeConfig {
     pub accuracy_capacity: usize,
     /// Hardware-cache bound per engine, in entries (`0` = unbounded).
     pub hardware_capacity: usize,
-    /// Checkpoint running jobs every N progress units (only with a
-    /// `state_dir`).
-    pub checkpoint_every: usize,
+    /// Checkpoint cadence of running jobs (only with a `state_dir`).
+    /// `None`, the default, is the cost-budgeted, synced cadence
+    /// ([`FileCheckpointSink::budgeted`]); `Some(n)` checkpoints exactly
+    /// every `n` progress units, unsynced, for tests and benchmarks that
+    /// pin the cadence.
+    pub checkpoint_every: Option<usize>,
     /// Optional Prometheus text-format exposition address (`host:port`;
     /// port `0` binds an ephemeral port, reported via
     /// [`DaemonHandle::metrics_addr`]).  `None` disables the endpoint;
@@ -122,7 +134,7 @@ impl Default for ServeConfig {
             // eviction only ever costs recomputation.
             accuracy_capacity: 1 << 16,
             hardware_capacity: 1 << 16,
-            checkpoint_every: 1,
+            checkpoint_every: None,
             metrics_addr: None,
         }
     }
@@ -240,6 +252,9 @@ struct Job {
     started: Mutex<Option<Instant>>,
     /// When the job reached a terminal state; `None` before that.
     finished: Mutex<Option<Instant>>,
+    /// What the job's checkpoint sink wrote, and the error that stopped
+    /// it; set when a job run with a state dir ends.
+    checkpoints: Mutex<Option<(CheckpointStats, Option<String>)>>,
 }
 
 impl Job {
@@ -255,6 +270,7 @@ impl Job {
             enqueued: Instant::now(),
             started: Mutex::new(None),
             finished: Mutex::new(None),
+            checkpoints: Mutex::new(None),
         }
     }
 
@@ -324,6 +340,20 @@ impl Job {
                 "run_ms",
                 ConfigValue::Integer((end - started).as_millis() as i64),
             );
+        }
+        let checkpoints = self.checkpoints.lock().expect("job checkpoints lock");
+        if let Some((stats, error)) = &*checkpoints {
+            row.insert(
+                "checkpoints",
+                ConfigValue::Integer(stats.checkpoints as i64),
+            );
+            // Microsecond resolution: a job's checkpoints often take
+            // less than a millisecond in all.
+            let micros = stats.wall.as_micros() as f64;
+            row.insert("checkpoint_ms", ConfigValue::Float(micros / 1e3));
+            if let Some(error) = error {
+                row.insert("checkpoint_error", ConfigValue::Str(error.clone()));
+            }
         }
         row
     }
@@ -563,9 +593,12 @@ impl Shared {
             resumes_counter().inc();
         }
         let engine = self.engines.engine_for(&job.scenario);
-        let file_sink = self
-            .job_path(job.id, "ckpt.json")
-            .map(|path| FileCheckpointSink::new(&path, self.config.checkpoint_every));
+        let file_sink =
+            self.job_path(job.id, "ckpt.json")
+                .map(|path| match self.config.checkpoint_every {
+                    Some(every) => FileCheckpointSink::new(&path, every),
+                    None => FileCheckpointSink::budgeted(&path),
+                });
         let sink: &dyn CheckpointSink = match &file_sink {
             Some(sink) => sink,
             None => &NullCheckpointSink,
@@ -596,6 +629,21 @@ impl Shared {
                 }
             }
         };
+        // A failed checkpoint write does not fail the job (the sink stops
+        // and the search goes on), but it must not pass unseen.
+        if let Some(sink) = &file_sink {
+            let error = sink.take_error().map(|error| {
+                eprintln!(
+                    "nasaic serve: checkpoints of job {} stopped: {error}",
+                    job.id
+                );
+                if nasaic_telemetry::enabled() {
+                    checkpoint_failures_counter().inc();
+                }
+                error.to_string()
+            });
+            *job.checkpoints.lock().expect("job checkpoints lock") = Some((sink.stats(), error));
+        }
         self.finish_job(job, state, Some(engine.as_ref()));
     }
 
@@ -738,12 +786,16 @@ impl Daemon {
         let mut next_id = 1;
         if let Some(state_dir) = &config.state_dir {
             let jobs_dir = state_dir.join("jobs");
-            std::fs::create_dir_all(&jobs_dir).map_err(|e| {
-                ServeError::new(format!(
-                    "cannot create state dir {}: {e}",
-                    jobs_dir.display()
-                ))
-            })?;
+            // Synced once, so that the jobs directory outlives a power cut
+            // with the jobs in it (each job file syncs the directory).
+            std::fs::create_dir_all(&jobs_dir)
+                .and_then(|()| std::fs::File::open(state_dir)?.sync_all())
+                .map_err(|e| {
+                    ServeError::new(format!(
+                        "cannot create state dir {}: {e}",
+                        jobs_dir.display()
+                    ))
+                })?;
             preloaded = load_cache_exports(&state_dir.join("caches.json"));
             let (jobs, max_id) = load_job_journal(&jobs_dir);
             restored = jobs;

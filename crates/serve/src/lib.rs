@@ -23,8 +23,11 @@
 //! * the job queue is **bounded** with explicit backpressure — a full
 //!   queue rejects the submit with a reason instead of queuing silently;
 //! * running jobs **checkpoint** through the core
-//!   [`CheckpointSink`](nasaic_core::CheckpointSink) machinery, so a
-//!   killed daemon resumes its in-flight jobs bit-identically on restart.
+//!   [`CheckpointSink`](nasaic_core::CheckpointSink) machinery, at a
+//!   cadence that keeps checkpoints near 1/20 of a job and with every
+//!   checkpoint synced, so a killed daemon resumes its in-flight jobs
+//!   bit-identically on restart, and a power cut costs at most one
+//!   checkpoint interval.
 //!
 //! The wire format reuses the hand-rolled JSON of
 //! `nasaic_core::scenario::value` — the workspace is offline, so there is

@@ -118,7 +118,9 @@ OPTIONS:
     --progress               Print search progress lines to stderr (run)
     --checkpoint <file>      Snapshot the search state to this file plus an
                              append-only <file>.journal of explored records (run)
-    --checkpoint-every <N>   Checkpoint every N progress units (run; default 1)
+    --checkpoint-every <N>   Checkpoint every N progress units (run; default 1).
+                             serve: an exact, unsynced cadence instead of
+                             the default cost-budgeted, synced one
     --resume <file>          Continue from a checkpoint file and its journal (run)
     --shards <N>             Split the run into N deterministic shards (run)
     --shard-index <I>        Which shard this process runs, 0-based (run)
@@ -1012,9 +1014,7 @@ fn cmd_serve(options: &Options) -> Result<String, CliError> {
     if let Some(capacity) = options.hardware_capacity {
         config.hardware_capacity = capacity;
     }
-    if let Some(every) = options.checkpoint_every {
-        config.checkpoint_every = every;
-    }
+    config.checkpoint_every = options.checkpoint_every;
     let handle = Daemon::start(config).map_err(|e| CliError::new(e.to_string()))?;
     let addr = handle.addr();
     // stderr, so scripts capturing stdout see only the final summary; the

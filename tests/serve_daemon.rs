@@ -9,9 +9,11 @@
 
 use nasaic::serve::{Client, Daemon, Request, ServeConfig};
 use nasaic_core::algorithm::NullObserver;
-use nasaic_core::checkpoint::{journal_path, tmp_path, FileCheckpointSink};
+use nasaic_core::checkpoint::{
+    journal_path, tmp_path, FileCheckpointSink, RecordingCheckpointSink,
+};
 use nasaic_core::scenario::value::{to_json, ConfigValue};
-use nasaic_core::scenario::{registry, Scenario};
+use nasaic_core::scenario::{registry, Algorithm, Scenario};
 use std::path::{Path, PathBuf};
 
 /// A fast scenario: small budgets so each job takes well under a second.
@@ -601,6 +603,137 @@ fn a_checkpoint_record_that_cannot_be_rebuilt_reruns_its_job_and_the_worker_keep
     let _ = std::fs::remove_dir_all(&state_dir);
 }
 
+/// Job `job_id`'s `show jobs` row.
+fn job_row(client: &mut Client, job_id: i64) -> ConfigValue {
+    let jobs = client.request(&Request::ShowJobs).expect("show jobs");
+    jobs.get("jobs")
+        .and_then(ConfigValue::as_array)
+        .expect("jobs array")
+        .iter()
+        .find(|row| row.get("job").and_then(ConfigValue::as_integer) == Some(job_id))
+        .expect("the job's row")
+        .clone()
+}
+
+#[test]
+fn a_finished_jobs_checkpoints_are_between_one_and_its_progress_units() {
+    let state_dir = temp_dir("checkpoint-count");
+    let config = ServeConfig {
+        state_dir: Some(state_dir.clone()),
+        ..ephemeral_config()
+    };
+    let handle = Daemon::start(config).expect("daemon starts");
+    let addr = handle.addr().to_string();
+    let mut client = Client::connect(&addr).expect("connect");
+    for algorithm in [
+        Algorithm::Nasaic,
+        Algorithm::MonteCarlo,
+        Algorithm::Evolutionary,
+    ] {
+        let mut scenario = quick_scenario(71);
+        scenario.search.algorithm = algorithm;
+        scenario.search.episodes = 24;
+        // Every snapshot point the driver offers is one progress unit.
+        let every_unit = RecordingCheckpointSink::every(1);
+        scenario.run_algorithm_checkpointed(
+            algorithm,
+            &scenario.engine(),
+            &NullObserver,
+            None,
+            &every_unit,
+        );
+        let units = every_unit.checkpoints().len() as i64;
+        let response = client
+            .submit_watch(scenario.to_value(), |_| {})
+            .expect("watched submit");
+        assert_eq!(
+            response.get("state").and_then(ConfigValue::as_str),
+            Some("finished"),
+            "{response:?}"
+        );
+        assert_eq!(
+            outcome_only(response.get("report").expect("report")),
+            outcome_only(&scenario.run_report().to_value()),
+            "{algorithm}: the checkpointed job diverged from the direct run"
+        );
+        let job = response
+            .get("job")
+            .and_then(ConfigValue::as_integer)
+            .unwrap();
+        let row = job_row(&mut client, job);
+        let checkpoints = row.get("checkpoints").and_then(ConfigValue::as_integer);
+        assert!(
+            checkpoints.is_some_and(|taken| (1..=units).contains(&taken)),
+            "{algorithm}: {checkpoints:?} checkpoints for {units} progress units: {row:?}"
+        );
+        let wall = row.get("checkpoint_ms").and_then(ConfigValue::as_float);
+        assert!(wall.is_some_and(|ms| ms >= 0.0), "{row:?}");
+        assert!(row.get("checkpoint_error").is_none(), "{row:?}");
+    }
+    shutdown(&addr);
+    handle.join().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+#[test]
+fn a_failed_checkpoint_write_is_reported_and_its_job_still_finishes() {
+    let state_dir = temp_dir("checkpoint-error");
+    // A directory where job 1's journal goes fails its first checkpoint.
+    std::fs::create_dir_all(journal_path(&state_dir.join("jobs").join("1.ckpt.json")))
+        .expect("block the journal");
+    let config = ServeConfig {
+        state_dir: Some(state_dir.clone()),
+        ..ephemeral_config()
+    };
+    let handle = Daemon::start(config).expect("daemon starts");
+    let addr = handle.addr().to_string();
+    let mut client = Client::connect(&addr).expect("connect");
+    let scenario = quick_scenario(73);
+    let response = client
+        .submit_watch(scenario.to_value(), |_| {})
+        .expect("watched submit");
+    assert_eq!(
+        response.get("job").and_then(ConfigValue::as_integer),
+        Some(1)
+    );
+    assert_eq!(
+        response.get("state").and_then(ConfigValue::as_str),
+        Some("finished"),
+        "{response:?}"
+    );
+    assert_eq!(
+        outcome_only(response.get("report").expect("report")),
+        outcome_only(&scenario.run_report().to_value()),
+        "a failed checkpoint changed the job's outcome"
+    );
+    let row = job_row(&mut client, 1);
+    let error = row.get("checkpoint_error").and_then(ConfigValue::as_str);
+    assert!(
+        error.is_some_and(|error| !error.is_empty()),
+        "the row must carry the sink's error: {row:?}"
+    );
+    assert_eq!(
+        row.get("checkpoints").and_then(ConfigValue::as_integer),
+        Some(0)
+    );
+    let metrics = client.request(&Request::ShowMetrics).expect("show metrics");
+    let failures = metrics
+        .get("metrics")
+        .and_then(ConfigValue::as_array)
+        .expect("metrics array")
+        .iter()
+        .find(|m| {
+            m.get("name").and_then(ConfigValue::as_str)
+                == Some("nasaic_serve_checkpoint_failures_total")
+        })
+        .and_then(|m| m.get("value").and_then(ConfigValue::as_integer));
+    // At least this job's failure: the registry is process-global.
+    assert!(failures.is_some_and(|count| count >= 1), "{failures:?}");
+    shutdown(&addr);
+    handle.join().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
 #[test]
 fn metrics_endpoint_serves_prometheus_families_after_a_job() {
     let config = ServeConfig {
@@ -724,14 +857,14 @@ fn spawn_daemon(state_dir: &Path, extra: &[&str]) -> (std::process::Child, Strin
 fn killed_daemon_resumes_its_job_bit_identically_on_restart() {
     let state_dir = temp_dir("crash");
 
-    // A job big enough to survive until the kill, checkpointing every
-    // progress unit.
+    // A job big enough to survive until the kill, at the daemon's own
+    // cost-budgeted cadence (its first progress unit is always
+    // checkpointed).
     let mut scenario = quick_scenario(53);
     scenario.search.episodes = 300;
     let expected = scenario.run_report().to_value();
 
-    let (mut child, addr) =
-        spawn_daemon(&state_dir, &["--checkpoint-every", "1", "--workers", "1"]);
+    let (mut child, addr) = spawn_daemon(&state_dir, &["--workers", "1"]);
 
     // Submit without watching (the reply returns immediately), then wait
     // until the job has checkpointed at least once.
@@ -772,7 +905,8 @@ fn killed_daemon_resumes_its_job_bit_identically_on_restart() {
     let cut_dir = temp_dir("crash-cut");
     copy_jobs(&state_dir, &cut_dir);
     // And for a third: a copy in which the job's head exists only at its
-    // temp name, as a kill between the sink's remove and rename leaves it.
+    // temp name, as a kill between an unsynced sink's remove and rename
+    // leaves it.
     let tmp_dir = temp_dir("crash-tmp");
     copy_jobs(&state_dir, &tmp_dir);
     let tmp_ckpt = tmp_dir.join("jobs").join(format!("{job_id}.ckpt.json"));
