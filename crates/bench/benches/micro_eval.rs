@@ -1,16 +1,16 @@
 //! Micro-benchmark of the evaluator hot-path pieces introduced by the
 //! zero-alloc rework: blocked matmul vs the naive reference, the proxy
 //! MLP's scratch-reusing train step vs the allocating wrapper, and the
-//! memoised layer-cost table vs the from-scratch build.
+//! W1 layer-cost table, which every hardware evaluation rebuilds.
 //!
 //! Each pair is bit-identical by construction (see the kernel identity
 //! suite and the `nasaic-bench eval` gate); this bench tracks the *speed* gap
 //! so regressions in either path are visible.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nasaic_accel::{Accelerator, Dataflow, HardwareSpace, SubAccelerator};
+use nasaic_accel::{Accelerator, Dataflow, SubAccelerator};
 use nasaic_accuracy::proxy::{Mlp, MlpScratch};
-use nasaic_cost::{CostModel, LayerCostCache, WorkloadCosts};
+use nasaic_cost::{CostModel, WorkloadCosts};
 use nasaic_nn::backbone::Backbone;
 use nasaic_tensor::Matrix;
 use rand::rngs::StdRng;
@@ -76,23 +76,6 @@ fn bench_cost_table(c: &mut Criterion) {
     let mut group = c.benchmark_group("workload_cost_table");
     group.bench_function("build_from_scratch", |b| {
         b.iter(|| black_box(WorkloadCosts::build(&model, &architectures, &accelerator)))
-    });
-    group.bench_function("memoised_warm", |b| {
-        let cache = LayerCostCache::new();
-        cache.workload_costs(&model, &architectures, &accelerator);
-        b.iter(|| black_box(cache.workload_costs(&model, &architectures, &accelerator)))
-    });
-    // Revisit pattern: accelerators resampled from a pool, as in a search.
-    group.bench_function("memoised_accelerator_pool", |b| {
-        let hardware = HardwareSpace::paper_default(2);
-        let mut rng = StdRng::seed_from_u64(13);
-        let pool: Vec<_> = (0..8).map(|_| hardware.sample(&mut rng)).collect();
-        let cache = LayerCostCache::new();
-        let mut i = 0;
-        b.iter(|| {
-            i = (i + 1) % pool.len();
-            black_box(cache.workload_costs(&model, &architectures, &pool[i]))
-        })
     });
     group.finish();
 }

@@ -5,13 +5,14 @@
 //! 1. the blocked/unrolled matmul kernels against the naive i-k-j
 //!    reference (`Matrix::matmul_reference`), including the fused
 //!    transpose variants;
-//! 2. memoised layer-cost tables (`LayerCostCache::workload_costs`)
-//!    against the from-scratch `WorkloadCosts::build`;
-//! 3. the memoised calibration-curve table against a fresh fit;
-//! 4. the evaluator's cached hardware path against
-//!    `hardware_metrics_reference`;
-//! 5. the engine's de-duplicated batch path against slot-by-slot direct
+//! 2. the memoised calibration-curve table against a fresh fit;
+//! 3. the engine's cached hardware path (`EvalEngine::hardware_metrics`)
+//!    against the evaluator's direct `Evaluator::hardware_metrics`;
+//! 4. the engine's de-duplicated batch path against slot-by-slot direct
 //!    evaluation.
+//!
+//! Cost tables have no optimised path to gate: every hardware evaluation
+//! builds its table with `WorkloadCosts::build`.
 //!
 //! Timing: a duplicate-bearing W1 episode stream (the shape the NASAIC
 //! controller actually produces) replayed through the naive path and
@@ -26,7 +27,6 @@ use nasaic_accuracy::calibration;
 use nasaic_bench::{fail, gate, round, Options};
 use nasaic_core::prelude::*;
 use nasaic_core::scenario::value::ConfigValue::{Float, Integer, Str};
-use nasaic_cost::{CostModel, LayerCostCache, WorkloadCosts};
 use nasaic_nn::backbone::Backbone;
 use nasaic_tensor::Matrix;
 use rand::rngs::StdRng;
@@ -90,33 +90,7 @@ fn kernel_failures() -> Vec<String> {
     failures
 }
 
-/// Gate 2: memoised layer-cost tables vs the from-scratch build.
-fn cost_table_failures() -> Vec<String> {
-    let model = CostModel::paper_calibrated();
-    let cache = LayerCostCache::new();
-    let workload = Workload::w1();
-    let architectures: Vec<_> = workload
-        .tasks
-        .iter()
-        .map(|t| t.backbone.largest_architecture())
-        .collect();
-    let hardware = HardwareSpace::paper_default(2);
-    let mut rng = StdRng::seed_from_u64(0xc057);
-    let mut failures = Vec::new();
-    for _ in 0..4 {
-        let accelerator = hardware.sample(&mut rng);
-        let reference = WorkloadCosts::build(&model, &architectures, &accelerator);
-        // Cold (filling) and warm (serving) must both match.
-        for pass in ["cold", "warm"] {
-            if cache.workload_costs(&model, &architectures, &accelerator) != reference {
-                failures.push(format!("{pass} layer-cost table diverged from build"));
-            }
-        }
-    }
-    failures
-}
-
-/// Gate 3: the memoised calibration-curve table vs a fresh fit.
+/// Gate 2: the memoised calibration-curve table vs a fresh fit.
 fn curve_failures() -> Vec<String> {
     let mut failures = Vec::new();
     for backbone in Backbone::all() {
@@ -134,22 +108,31 @@ fn curve_failures() -> Vec<String> {
     failures
 }
 
-/// Gates 4 and 5: the evaluator's cached hardware path and the engine's
-/// de-duplicated batch path vs their direct equivalents.
+/// Gates 3 and 4: the engine's cached hardware path and its de-duplicated
+/// batch path vs the evaluator's direct equivalents.
 fn evaluator_failures(evaluator: &Evaluator, stream: &[Vec<Candidate>]) -> Vec<String> {
     let mut failures = Vec::new();
-    let engine = EvalEngine::new(evaluator.clone());
+    // Separate engines, so the batch gate starts cold and exercises its
+    // miss path.
+    let (hardware_engine, engine) = (
+        EvalEngine::new(evaluator.clone()),
+        EvalEngine::new(evaluator.clone()),
+    );
     for episode in stream.iter().take(6) {
         for candidate in episode {
-            let cached =
-                evaluator.hardware_metrics(&candidate.architectures, &candidate.accelerator);
-            let reference = evaluator
-                .hardware_metrics_reference(&candidate.architectures, &candidate.accelerator);
-            let same = cached.latency_cycles.to_bits() == reference.latency_cycles.to_bits()
-                && cached.energy_nj.to_bits() == reference.energy_nj.to_bits()
-                && cached.area_um2.to_bits() == reference.area_um2.to_bits();
-            if !same {
-                failures.push("cached hardware metrics diverged from reference".to_string());
+            let (architectures, accelerator) = (&candidate.architectures, &candidate.accelerator);
+            let direct = evaluator.hardware_metrics(architectures, accelerator);
+            // Cold (a miss the first time a design is seen) and warm (a hit).
+            for pass in ["cold", "warm"] {
+                let cached = hardware_engine.hardware_metrics(architectures, accelerator);
+                let same = cached.latency_cycles.to_bits() == direct.latency_cycles.to_bits()
+                    && cached.energy_nj.to_bits() == direct.energy_nj.to_bits()
+                    && cached.area_um2.to_bits() == direct.area_um2.to_bits();
+                if !same {
+                    failures.push(format!(
+                        "{pass} cached hardware metrics diverged from direct"
+                    ));
+                }
             }
         }
         let batched = engine.evaluate_batch(episode);
@@ -203,15 +186,15 @@ fn episode_stream(
         .collect()
 }
 
-/// The retained naive path: per candidate, fresh cost tables
-/// (`hardware_metrics_reference`), no memoisation, no batching.
+/// The naive path: per candidate, the evaluator's direct accuracy and
+/// hardware paths, no caching, no batching.
 fn run_naive(evaluator: &Evaluator, stream: &[Vec<Candidate>]) -> f64 {
     let mut acc = 0.0;
     for episode in stream {
         for candidate in episode {
             let accuracies = evaluator.accuracies(&candidate.architectures);
-            let metrics = evaluator
-                .hardware_metrics_reference(&candidate.architectures, &candidate.accelerator);
+            let metrics =
+                evaluator.hardware_metrics(&candidate.architectures, &candidate.accelerator);
             acc += evaluator
                 .assemble_evaluation(accuracies, metrics)
                 .weighted_accuracy;
@@ -243,11 +226,10 @@ pub fn run(options: &Options) {
 
     println!("== identity gates ==");
     let mut failures = kernel_failures();
-    failures.extend(cost_table_failures());
     failures.extend(curve_failures());
     failures.extend(evaluator_failures(&evaluator, &stream));
     gate(
-        "optimised kernels, cost tables, curves, caches and batch dedup\n    \
+        "optimised kernels, curves, caches and batch dedup\n    \
          are bit-identical to their retained naive references",
         failures,
     );
@@ -263,10 +245,8 @@ pub fn run(options: &Options) {
     let naive_start = Instant::now();
     let naive_sum = run_naive(&evaluator, &stream);
     let naive_wall = naive_start.elapsed();
-    // A fresh evaluator so the optimised side starts with cold caches
-    // (the identity gates above partially warmed the shared layer-cost
-    // memo of `evaluator`).
-    let engine = EvalEngine::new(Evaluator::new(&workload, specs, AccuracyOracle::default()));
+    // A fresh engine, so the optimised side starts with cold caches.
+    let engine = EvalEngine::new(evaluator.clone());
     let engine_start = Instant::now();
     let engine_sum = run_engine(&engine, &stream);
     let engine_wall = engine_start.elapsed();

@@ -50,20 +50,34 @@ impl Candidate {
             "expected {m} architecture segments + {k} hardware segments, got {}",
             segments.len()
         );
-        let mut architectures = Vec::with_capacity(m);
-        let mut architecture_indices = Vec::with_capacity(m);
-        for (task, segment) in workload.tasks.iter().zip(&segments[..m]) {
-            architectures.push(task.backbone.materialize(segment)?);
-            architecture_indices.push(segment.clone());
-        }
+        let architectures = Self::decode_architectures(workload, &segments[..m])?;
         let hardware_indices: Vec<usize> = segments[m..].iter().flatten().copied().collect();
         let accelerator = hardware.decode(&hardware_indices)?;
         Ok(Self {
             architectures,
             accelerator,
-            architecture_indices,
+            architecture_indices: segments[..m].to_vec(),
             hardware_indices,
         })
+    }
+
+    /// Decode one architecture per task from its controller segment (the
+    /// architecture half of [`Candidate::from_segments`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError`] if a segment does not fit its task's
+    /// search space.
+    pub fn decode_architectures(
+        workload: &Workload,
+        segments: &[Vec<usize>],
+    ) -> Result<Vec<Architecture>, DecodeError> {
+        workload
+            .tasks
+            .iter()
+            .zip(segments)
+            .map(|(task, segment)| task.backbone.materialize(segment))
+            .collect()
     }
 
     /// Build a candidate directly from concrete parts (used by baselines

@@ -15,12 +15,11 @@ use crate::workload::Workload;
 use nasaic_accel::Accelerator;
 use nasaic_accuracy::proxy::ProxyAccuracyModel;
 use nasaic_accuracy::{AccuracyCombiner, AccuracyModel, SurrogateModel};
-use nasaic_cost::{CostModel, HardwareMetrics, LayerCostCache, WorkloadCosts};
+use nasaic_cost::{CostModel, HardwareMetrics, WorkloadCosts};
 use nasaic_nn::layer::Architecture;
 use nasaic_sched::{solve_heuristic, solve_with_policy, HapProblem, SchedulerPolicy};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
 
 /// The accuracy oracle used by the evaluator.
 ///
@@ -101,11 +100,12 @@ impl fmt::Display for Evaluation {
 /// The evaluator: accuracy path + hardware path for a fixed workload and
 /// spec set.
 ///
-/// Layer-cost analyses are memoised in a [`LayerCostCache`] shared by all
-/// clones of this evaluator (layer shapes and quantised sub-accelerators
-/// form small discrete spaces, so the same cells recur across a search).
-/// The memo is valid per cost model; [`Evaluator::with_cost_model`]
-/// starts a fresh one.
+/// The evaluator holds no per-design state: every hardware evaluation
+/// builds its cost table afresh with [`WorkloadCosts::build`] (a table
+/// cell is a few dozen nanoseconds of arithmetic, cheaper than a memo
+/// lookup), so a long-lived evaluator does not grow with the designs it
+/// sees.  Repeated candidates are memoised one level up, in the bounded
+/// caches of [`crate::engine::EvalEngine`].
 #[derive(Debug, Clone)]
 pub struct Evaluator {
     workload: Workload,
@@ -113,7 +113,6 @@ pub struct Evaluator {
     cost_model: CostModel,
     oracle: AccuracyOracle,
     combiner: AccuracyCombiner,
-    layer_cost_cache: Arc<LayerCostCache>,
     scheduler: SchedulerPolicy,
 }
 
@@ -127,18 +126,13 @@ impl Evaluator {
             cost_model: CostModel::paper_calibrated(),
             oracle,
             combiner: workload.combiner(),
-            layer_cost_cache: Arc::new(LayerCostCache::new()),
             scheduler: SchedulerPolicy::Heuristic,
         }
     }
 
     /// Replace the cost model (e.g. for a re-calibrated technology).
-    ///
-    /// The layer-cost memo is keyed by the model it was filled against,
-    /// so this also starts a fresh (un-shared) cache.
     pub fn with_cost_model(mut self, cost_model: CostModel) -> Self {
         self.cost_model = cost_model;
-        self.layer_cost_cache = Arc::new(LayerCostCache::new());
         self
     }
 
@@ -209,33 +203,9 @@ impl Evaluator {
     }
 
     /// Hardware metrics of a set of architectures on an accelerator
-    /// (mapping/scheduling path): solve the HAP under the latency spec and
-    /// combine with the accelerator area.
-    ///
-    /// The cost table is assembled from the shared layer-cost memo, so
-    /// repeated layer geometries across candidates pay the mapping
-    /// analysis once.  Bit-identical to
-    /// [`Evaluator::hardware_metrics_reference`].
+    /// (mapping/scheduling path): build the cost table, solve the HAP under
+    /// the latency spec and combine with the accelerator area.
     pub fn hardware_metrics(
-        &self,
-        architectures: &[Architecture],
-        accelerator: &Accelerator,
-    ) -> HardwareMetrics {
-        if !accelerator.has_capacity() {
-            return HardwareMetrics::infeasible();
-        }
-        let costs = {
-            let _span = crate::metrics::maybe_time(crate::metrics::eval_cost_model_wall);
-            self.layer_cost_cache
-                .workload_costs(&self.cost_model, architectures, accelerator)
-        };
-        self.metrics_from_costs(costs, accelerator)
-    }
-
-    /// [`Evaluator::hardware_metrics`] with every layer cost recomputed
-    /// from scratch (no memo).  Retained as the reference path for the
-    /// `nasaic-bench eval` identity gate and timing comparison.
-    pub fn hardware_metrics_reference(
         &self,
         architectures: &[Architecture],
         accelerator: &Accelerator,
@@ -247,16 +217,6 @@ impl Evaluator {
             let _span = crate::metrics::maybe_time(crate::metrics::eval_cost_model_wall);
             WorkloadCosts::build(&self.cost_model, architectures, accelerator)
         };
-        self.metrics_from_costs(costs, accelerator)
-    }
-
-    /// Shared tail of the hardware path: schedulability check, HAP solve,
-    /// area.
-    fn metrics_from_costs(
-        &self,
-        costs: WorkloadCosts,
-        accelerator: &Accelerator,
-    ) -> HardwareMetrics {
         if !costs.is_schedulable() {
             return HardwareMetrics::infeasible();
         }
@@ -367,37 +327,6 @@ mod tests {
         assert!(metrics.is_feasible());
         assert!(metrics.latency_cycles > 0.0);
         assert!(metrics.area_um2 > 1e8);
-    }
-
-    #[test]
-    fn cached_hardware_metrics_match_reference_bit_for_bit() {
-        let workload = Workload::w1();
-        let specs = DesignSpecs::for_workload(WorkloadId::W1);
-        let evaluator = Evaluator::new(&workload, specs, AccuracyOracle::default());
-        let archs = small_architectures(&workload);
-        let acc = two_sub_accelerator();
-        let reference = evaluator.hardware_metrics_reference(&archs, &acc);
-        // Cold (filling the memo) and warm (serving from it) both match.
-        for _ in 0..2 {
-            let cached = evaluator.hardware_metrics(&archs, &acc);
-            assert_eq!(
-                cached.latency_cycles.to_bits(),
-                reference.latency_cycles.to_bits()
-            );
-            assert_eq!(cached.energy_nj.to_bits(), reference.energy_nj.to_bits());
-            assert_eq!(cached.area_um2.to_bits(), reference.area_um2.to_bits());
-        }
-        // Clones share the memo; a swapped cost model starts a fresh one.
-        let clone = evaluator.clone();
-        assert!(Arc::ptr_eq(
-            &evaluator.layer_cost_cache,
-            &clone.layer_cost_cache
-        ));
-        let swapped = clone.with_cost_model(CostModel::paper_calibrated());
-        assert!(!Arc::ptr_eq(
-            &evaluator.layer_cost_cache,
-            &swapped.layer_cost_cache
-        ));
     }
 
     #[test]

@@ -111,25 +111,19 @@ impl Nasaic {
         }
     }
 
-    fn decode_candidate(
-        &self,
-        workload: &Workload,
-        hardware: &HardwareSpace,
-        sample: &ControllerSample,
-    ) -> Result<Candidate, nasaic_nn::space::DecodeError> {
-        let m = workload.num_tasks();
-        if self.homogeneous {
-            // Duplicate the single hardware segment across the
-            // sub-accelerators.
-            let mut segments: Vec<Vec<usize>> = sample.segments[..m].to_vec();
-            let hw_segment = sample.segments[m].clone();
-            for _ in 0..hardware.num_sub_accelerators() {
-                segments.push(hw_segment.clone());
-            }
-            Candidate::from_segments(workload, hardware, &segments)
+    /// A step's hardware indices: its hardware segments, in order.  In
+    /// homogeneous mode the controller predicts a single sub-accelerator,
+    /// whose segment is repeated once per sub-accelerator, so both modes
+    /// decode through one path.
+    fn hardware_indices(&self, hardware: &HardwareSpace, segments: &[Vec<usize>]) -> Vec<usize> {
+        let copies = if self.homogeneous {
+            hardware.num_sub_accelerators()
         } else {
-            Candidate::from_segments(workload, hardware, &sample.segments)
-        }
+            1
+        };
+        (0..copies)
+            .flat_map(|_| segments.iter().flatten().copied())
+            .collect()
     }
 }
 
@@ -250,19 +244,32 @@ impl SearchAlgorithm for Nasaic {
                 episode_samples.push(hw_sample);
             }
 
-            // Decode and evaluate the hardware of every step.
-            let mut candidates = Vec::with_capacity(episode_samples.len());
-            for sample in &episode_samples {
-                match self.decode_candidate(workload, hardware, sample) {
-                    Ok(candidate) => candidates.push(Some(candidate)),
-                    Err(_) => candidates.push(None),
-                }
-            }
-            let architectures = candidates
-                .iter()
-                .flatten()
-                .next()
-                .map(|c| c.architectures.clone());
+            // Decode the episode: its architectures once, from the joint
+            // sample, and each step's accelerator from its own hardware
+            // segments.  An undecodable architecture leaves every step
+            // without a candidate.
+            let (architectures, candidates) = {
+                let _span = crate::metrics::maybe_time(crate::metrics::candidate_decode_wall);
+                let architecture_indices = &joint_sample.segments[..m];
+                let architectures =
+                    Candidate::decode_architectures(workload, architecture_indices).ok();
+                let candidates: Vec<Option<Candidate>> = episode_samples
+                    .iter()
+                    .map(|sample| {
+                        let architectures = architectures.as_ref()?;
+                        let hardware_indices =
+                            self.hardware_indices(hardware, &sample.segments[m..]);
+                        let accelerator = hardware.decode(&hardware_indices).ok()?;
+                        Some(Candidate {
+                            architectures: architectures.clone(),
+                            accelerator,
+                            architecture_indices: architecture_indices.to_vec(),
+                            hardware_indices,
+                        })
+                    })
+                    .collect();
+                (architectures, candidates)
+            };
             // All of the episode's hardware designs are independent:
             // evaluate them as one parallel, cached batch.
             let hardware_evaluations = engine.evaluate_hardware_batch(&candidates);

@@ -86,6 +86,13 @@ fn checkpoint_failures_counter() -> &'static Arc<nasaic_telemetry::Counter> {
     })
 }
 
+fn checkpoint_cleanup_failures_counter() -> &'static Arc<nasaic_telemetry::Counter> {
+    static HANDLE: OnceLock<Arc<nasaic_telemetry::Counter>> = OnceLock::new();
+    HANDLE.get_or_init(|| {
+        nasaic_telemetry::global().counter("nasaic_serve_checkpoint_cleanup_failures_total", &[])
+    })
+}
+
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -525,7 +532,15 @@ impl Shared {
         }
         // The checkpoint has served its purpose once the job is terminal.
         if let Some(ckpt) = self.job_path(job.id, "ckpt.json") {
-            let _ = FileCheckpointSink::remove_files(&ckpt);
+            if let Err(error) = FileCheckpointSink::remove_files(&ckpt) {
+                eprintln!(
+                    "nasaic serve: cannot remove checkpoint files of job {}: {error}",
+                    job.id
+                );
+                if nasaic_telemetry::enabled() {
+                    checkpoint_cleanup_failures_counter().inc();
+                }
+            }
         }
     }
 

@@ -583,7 +583,7 @@ fn a_checkpoint_record_that_cannot_be_rebuilt_reruns_its_job_and_the_worker_keep
         "the rerun diverged from the direct run"
     );
     assert_eq!(
-        resumes_total(&mut client).unwrap_or(0),
+        counter(&mut client, "nasaic_serve_resumes_total").unwrap_or(0),
         0,
         "a checkpoint whose records cannot be rebuilt must not be resumed"
     );
@@ -716,19 +716,16 @@ fn a_failed_checkpoint_write_is_reported_and_its_job_still_finishes() {
         row.get("checkpoints").and_then(ConfigValue::as_integer),
         Some(0)
     );
-    let metrics = client.request(&Request::ShowMetrics).expect("show metrics");
-    let failures = metrics
-        .get("metrics")
-        .and_then(ConfigValue::as_array)
-        .expect("metrics array")
-        .iter()
-        .find(|m| {
-            m.get("name").and_then(ConfigValue::as_str)
-                == Some("nasaic_serve_checkpoint_failures_total")
-        })
-        .and_then(|m| m.get("value").and_then(ConfigValue::as_integer));
-    // At least this job's failure: the registry is process-global.
+    // At least this job's failures: the registry is process-global.
+    let failures = counter(&mut client, "nasaic_serve_checkpoint_failures_total");
     assert!(failures.is_some_and(|count| count >= 1), "{failures:?}");
+    // The journal's path is a directory, so the finished job's checkpoint
+    // files cannot all be removed either, and that is counted too.
+    let cleanup = counter(
+        &mut client,
+        "nasaic_serve_checkpoint_cleanup_failures_total",
+    );
+    assert!(cleanup.is_some_and(|count| count >= 1), "{cleanup:?}");
     shutdown(&addr);
     handle.join().expect("clean shutdown");
     let _ = std::fs::remove_dir_all(&state_dir);
@@ -980,7 +977,7 @@ fn killed_daemon_resumes_its_job_bit_identically_on_restart() {
         outcome_only(&expected),
         "a rerun after a cut journal diverged from the uninterrupted run"
     );
-    let resumes = resumes_total(&mut client);
+    let resumes = counter(&mut client, "nasaic_serve_resumes_total");
     assert_eq!(
         resumes.unwrap_or(0),
         0,
@@ -1008,7 +1005,7 @@ fn killed_daemon_resumes_its_job_bit_identically_on_restart() {
         "a resume from the temp head diverged from the uninterrupted run"
     );
     assert_eq!(
-        resumes_total(&mut client),
+        counter(&mut client, "nasaic_serve_resumes_total"),
         Some(1),
         "the temp head must be resumed"
     );
@@ -1028,6 +1025,65 @@ fn killed_daemon_resumes_its_job_bit_identically_on_restart() {
     let _ = std::fs::remove_dir_all(&tmp_dir);
 }
 
+/// A process's resident set (`VmRSS`), in KiB.
+#[cfg(target_os = "linux")]
+fn resident_kib(pid: u32) -> u64 {
+    std::fs::read_to_string(format!("/proc/{pid}/status"))
+        .expect("read the daemon's status")
+        .lines()
+        .find_map(|line| line.strip_prefix("VmRSS:"))
+        .and_then(|kib| kib.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("a VmRSS line")
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_daemons_memory_stays_flat_once_its_engine_caches_are_full() {
+    let state_dir = temp_dir("flat-rss");
+    let (mut child, addr) = spawn_daemon(
+        &state_dir,
+        &[
+            "--workers",
+            "1",
+            "--job-threads",
+            "1",
+            "--accuracy-capacity",
+            "256",
+            "--hardware-capacity",
+            "256",
+        ],
+    );
+    let mut client = Client::connect(&addr).expect("connect");
+    // Every job draws accelerators the engine has not seen.  Its two
+    // caches are full after the first few jobs, and from then on nothing
+    // per design may accumulate; a finished job keeps only its row.
+    let mut resident = Vec::new();
+    for seed in 0..60 {
+        let mut scenario = registry::get("w3").expect("built-in scenario");
+        scenario.search.algorithm = Algorithm::MonteCarlo;
+        scenario.search.episodes = 10;
+        scenario.seed = 900 + seed;
+        let response = client
+            .submit_watch(scenario.to_value(), |_| {})
+            .expect("watched submit");
+        assert_eq!(
+            response.get("state").and_then(ConfigValue::as_str),
+            Some("finished"),
+            "{response:?}"
+        );
+        resident.push(resident_kib(child.id()));
+    }
+    let _ = client.request(&Request::Shutdown);
+    child.wait().expect("daemon exits after shutdown");
+    let _ = std::fs::remove_dir_all(&state_dir);
+    eprintln!("daemon VmRSS after each job (KiB): {resident:?}");
+    let grown = resident[59].saturating_sub(resident[4]);
+    assert!(
+        grown < 2048,
+        "the daemon grew by {grown} KiB from job 5 to job 60: {resident:?}"
+    );
+}
+
 /// Copy `from`'s job files into a fresh `to/jobs`.
 fn copy_jobs(from: &Path, to: &Path) {
     std::fs::create_dir_all(to.join("jobs")).expect("create jobs dir");
@@ -1038,15 +1094,15 @@ fn copy_jobs(from: &Path, to: &Path) {
     }
 }
 
-/// The daemon's `nasaic_serve_resumes_total`, if it has counted any.
-fn resumes_total(client: &mut Client) -> Option<i64> {
+/// The daemon's counter `name`, if it has counted anything.
+fn counter(client: &mut Client, name: &str) -> Option<i64> {
     let metrics = client.request(&Request::ShowMetrics).expect("show metrics");
     metrics
         .get("metrics")
         .and_then(ConfigValue::as_array)
         .expect("metrics array")
         .iter()
-        .find(|m| m.get("name").and_then(ConfigValue::as_str) == Some("nasaic_serve_resumes_total"))
+        .find(|m| m.get("name").and_then(ConfigValue::as_str) == Some(name))
         .and_then(|m| m.get("value").and_then(ConfigValue::as_integer))
 }
 
