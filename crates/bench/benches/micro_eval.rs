@@ -27,19 +27,12 @@ fn bench_matmul(c: &mut Criterion) {
     // The controller's largest recurring product shape (hidden x hidden).
     let lhs = random_matrix(&mut rng, 64, 64);
     let rhs = random_matrix(&mut rng, 64, 64);
-    let mut out = Matrix::zeros(64, 64);
     let mut group = c.benchmark_group("matmul_64x64");
     group.bench_function("naive_reference", |b| {
         b.iter(|| black_box(lhs.matmul_reference(black_box(&rhs))))
     });
     group.bench_function("blocked", |b| {
         b.iter(|| black_box(lhs.matmul(black_box(&rhs))))
-    });
-    group.bench_function("blocked_into_scratch", |b| {
-        b.iter(|| {
-            lhs.matmul_into(black_box(&rhs), &mut out);
-            black_box(out.as_slice()[0])
-        })
     });
     group.finish();
 }

@@ -14,9 +14,9 @@
 //! the workspace root).  `--quick` shrinks the timed workload for CI.
 //!
 //! One part runs per invocation: `telemetry` toggles the process-wide
-//! metrics registry and `serve` installs a process-wide panic hook, so
-//! parts run back to back in one process would leak state into each
-//! other.
+//! metrics registry and `serve` switches it on for good (a daemon enables
+//! collection for its whole process), so parts run back to back in one
+//! process would leak state into each other.
 
 use nasaic_bench::{Command, Part, USAGE};
 

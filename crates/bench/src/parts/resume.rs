@@ -102,12 +102,12 @@ fn identity_failures() -> Vec<String> {
         if !round_trip_ok {
             continue;
         }
-        let merged =
-            scenario.merge_algorithm_shards(algorithm, &scenario.engine(), &plan, partials);
-        if merged != baseline {
-            failures.push(format!(
+        match scenario.merge_algorithm_shards(algorithm, &scenario.engine(), &plan, partials) {
+            Ok(merged) if merged == baseline => {}
+            Ok(_) => failures.push(format!(
                 "{algorithm}: merged {shards}-shard outcome diverged from the single-process run"
-            ));
+            )),
+            Err(e) => failures.push(format!("{algorithm}: {shards}-shard merge failed ({e})")),
         }
     }
     failures
@@ -233,8 +233,9 @@ pub fn run(options: &Options) {
         );
     }
     let start = Instant::now();
-    let merged =
-        scenario.merge_algorithm_shards(Algorithm::MonteCarlo, &scenario.engine(), &plan, partials);
+    let merged = scenario
+        .merge_algorithm_shards(Algorithm::MonteCarlo, &scenario.engine(), &plan, partials)
+        .expect("shard partials of one run merge");
     let merge_ms = start.elapsed().as_secs_f64() * 1e3;
     if merged != single {
         fail(&format!(

@@ -67,11 +67,12 @@
 //! ```
 
 use crate::checkpoint::{
-    merge_replay, CheckpointSink, NullCheckpointSink, SearchCheckpoint, ShardPartial, ShardPlan,
+    merge_replay, CheckpointSink, NullCheckpointSink, SearchCheckpoint, ShardMode, ShardPartial,
+    ShardPlan,
 };
 use crate::engine::{CacheStats, EvalEngine};
 use crate::log::{PhaseSummary, SearchOutcome};
-use crate::scenario::value::ConfigValue;
+use crate::scenario::value::{ConfigError, ConfigValue};
 use crate::scenario::{Algorithm, SearchSpec};
 use crate::spec::DesignSpecs;
 use crate::workload::Workload;
@@ -148,6 +149,7 @@ pub struct SearchContext<'a> {
     /// The declared evaluation budget.
     pub budget: Budget,
     observer: Option<&'a dyn SearchObserver>,
+    shard: Option<(&'a ShardPlan, usize)>,
 }
 
 impl<'a> SearchContext<'a> {
@@ -169,6 +171,7 @@ impl<'a> SearchContext<'a> {
             seed,
             budget,
             observer: None,
+            shard: None,
         }
     }
 
@@ -182,6 +185,21 @@ impl<'a> SearchContext<'a> {
     pub fn observer(&self) -> &dyn SearchObserver {
         self.observer.unwrap_or(&NullObserver)
     }
+
+    /// Restrict the context to shard `shard_index` of a strided `plan`:
+    /// [`owns`](Self::owns) then holds only for that shard's units.
+    pub(crate) fn with_shard(mut self, plan: &'a ShardPlan, shard_index: usize) -> Self {
+        self.shard = Some((plan, shard_index));
+        self
+    }
+
+    /// Does this run evaluate partitionable unit `unit`?  Always true,
+    /// except in a strided shard, which owns only the units its plan
+    /// [`assigns`](ShardPlan::assigns) to it.
+    pub fn owns(&self, unit: usize) -> bool {
+        self.shard
+            .is_none_or(|(plan, shard_index)| plan.assigns(unit, shard_index))
+    }
 }
 
 impl std::fmt::Debug for SearchContext<'_> {
@@ -192,6 +210,7 @@ impl std::fmt::Debug for SearchContext<'_> {
             .field("seed", &self.seed)
             .field("budget", &self.budget)
             .field("observed", &self.observer.is_some())
+            .field("shard", &self.shard.map(|(_, shard_index)| shard_index))
             .finish()
     }
 }
@@ -224,14 +243,19 @@ impl std::fmt::Debug for SearchContext<'_> {
 /// deterministic workers, [`run_shard`](Self::run_shard) executes one
 /// worker's share, and [`merge_shards`](Self::merge_shards) folds the
 /// partials back into the single-process outcome — again bit-identically.
-/// The defaults implement the *sequential fallback* (shard 0 runs
+/// The default plan is the *sequential fallback* (shard 0 runs
 /// everything) used by the inherently serial drivers, where every unit of
 /// work depends on the previous one's feedback: NASAIC and hardware-aware
 /// NAS (the controller updates after every episode), hill climbing (each
 /// step moves from the accepted neighbour) and the evolutionary search
 /// (each generation breeds from the previous population).  Drivers whose
 /// trials are independent (Monte-Carlo sampling, the successive
-/// baselines' sweep phase) override all three with strided plans.
+/// baselines' sweep phase) return strided plans instead; the provided
+/// `run_shard` then runs the driver's own search over a context that
+/// [`owns`](SearchContext::owns) only the shard's stride.  The contract for
+/// such a driver: evaluate and record only the units `ctx.owns`, and set
+/// each record's `episode` to its unit index, which is what the merge
+/// replays the shards' records by.
 pub trait SearchAlgorithm {
     /// The algorithm's stable machine-readable name (matches
     /// [`Algorithm::name`] for the built-ins).
@@ -285,9 +309,10 @@ pub trait SearchAlgorithm {
         ShardPlan::sequential(self.name(), shards)
     }
 
-    /// Execute one shard of `plan`.  The default implements the
-    /// sequential fallback; drivers that return strided plans from
-    /// [`shard_plan`](Self::shard_plan) must override this accordingly.
+    /// Execute one shard of `plan`.  Under a sequential plan shard 0 runs
+    /// the whole search and every other shard returns an empty outcome;
+    /// under a strided plan every shard runs the search over a context
+    /// that owns only its stride.
     ///
     /// # Panics
     ///
@@ -303,24 +328,30 @@ pub trait SearchAlgorithm {
             "shard index {shard_index} out of range for {} shards",
             plan.shards
         );
-        if shard_index == 0 {
-            ShardPartial::completed(self.name(), plan.shards, self.run(ctx))
-        } else {
-            ShardPartial::empty(self.name(), plan.shards, shard_index)
-        }
+        let outcome = match plan.mode {
+            ShardMode::Sequential if shard_index > 0 => SearchOutcome::empty(),
+            ShardMode::Sequential => self.run(ctx),
+            ShardMode::Strided => self.run(&ctx.with_shard(plan, shard_index)),
+        };
+        ShardPartial::new(plan, ctx.seed, shard_index, outcome)
     }
 
     /// Merge every shard's partial back into the single-process outcome.
-    /// The default replays keyed solutions in global order (strided
-    /// plans) or short-circuits to shard 0's complete outcome
-    /// (sequential plans); see [`merge_replay`].
+    /// The default replays the shards' records in unit order (strided
+    /// plans) or returns shard 0's outcome (sequential plans); see
+    /// [`merge_replay`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the partials do not form one consistent set
+    /// for this run (see [`merge_replay`]).
     fn merge_shards(
         &self,
-        _ctx: &SearchContext<'_>,
+        ctx: &SearchContext<'_>,
         plan: &ShardPlan,
         partials: Vec<ShardPartial>,
-    ) -> SearchOutcome {
-        merge_replay(plan, partials)
+    ) -> Result<SearchOutcome, ConfigError> {
+        merge_replay(plan, ctx.seed, partials)
     }
 }
 

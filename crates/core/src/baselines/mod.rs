@@ -24,3 +24,88 @@ pub use evolutionary::EvolutionarySearch;
 pub use hill_climb::HillClimb;
 pub use monte_carlo::MonteCarloSearch;
 pub use nas_then_asic::NasThenAsic;
+
+use crate::algorithm::{SearchContext, SearchEvent};
+use crate::candidate::Candidate;
+use crate::checkpoint::{self, CheckpointCursor, CheckpointSink};
+use crate::log::{ExploredSolution, SearchOutcome};
+use crate::scenario::value::ConfigValue;
+use rand::rngs::StdRng;
+
+/// The independent-sampling loop shared by Monte-Carlo search and the
+/// NAS→ASIC sweep.  It continues a run from `(rng, outcome, from)` — the
+/// RNG, the outcome so far and the samples already drawn — to `samples`
+/// samples: each candidate comes from `draw(rng, index)` on the one RNG
+/// stream, candidates are evaluated as cached batches, and records are
+/// kept in draw order with the sample index as `episode`.
+///
+/// Every sample is drawn, so every shard walks the whole RNG stream, but
+/// only the samples the context [`owns`](SearchContext::owns) are
+/// evaluated and recorded.  The loop evaluates in chunks delimited by the
+/// sink's next snapshot point at `progress_offset + samples done` (one
+/// chunk, the whole run, when no sink wants checkpoints), and offers a
+/// checkpoint with `state(rng, outcome)` after each chunk.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sampling_loop(
+    ctx: &SearchContext<'_>,
+    sink: &dyn CheckpointSink,
+    cursor: &mut CheckpointCursor<'_>,
+    (mut rng, mut outcome, from): (StdRng, SearchOutcome, usize),
+    samples: usize,
+    progress_offset: usize,
+    mut draw: impl FnMut(&mut StdRng, usize) -> Candidate,
+    state: impl Fn(&StdRng, &SearchOutcome) -> ConfigValue,
+) -> SearchOutcome {
+    let observer = ctx.observer();
+    let mut sample = from;
+    while sample < samples {
+        let chunk_end = (sample + 1..samples)
+            .find(|&s| sink.wants(progress_offset + s))
+            .unwrap_or(samples);
+        let mut owned = Vec::new();
+        let mut candidates = Vec::new();
+        for episode in sample..chunk_end {
+            let candidate = draw(&mut rng, episode);
+            if ctx.owns(episode) {
+                owned.push(episode);
+                candidates.push(candidate);
+            }
+        }
+        let evaluations = ctx.engine.evaluate_batch(&candidates);
+        for ((episode, candidate), evaluation) in owned.into_iter().zip(candidates).zip(evaluations)
+        {
+            let weighted_accuracy = evaluation.weighted_accuracy;
+            let any_compliant = evaluation.meets_specs();
+            outcome.record_observed(
+                ExploredSolution {
+                    episode,
+                    candidate,
+                    evaluation,
+                    reward: 0.0,
+                },
+                observer,
+            );
+            observer.on_event(&SearchEvent::EpisodeEvaluated {
+                episode,
+                evaluations: 1,
+                weighted_accuracy: Some(weighted_accuracy),
+                any_compliant,
+                reward: 0.0,
+                entropy: None,
+                baseline: None,
+            });
+        }
+        sample = chunk_end;
+        outcome.episodes = sample;
+        checkpoint::offer_checkpoint(
+            sink,
+            observer,
+            cursor,
+            progress_offset + sample,
+            &outcome.explored,
+            || state(&rng, &outcome),
+        );
+    }
+    outcome.episodes = samples;
+    outcome
+}

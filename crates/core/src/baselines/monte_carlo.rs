@@ -15,18 +15,17 @@
 //!   RNG position and the outcome so far; the loop draws and evaluates in
 //!   chunks delimited by the sink's next snapshot point (one chunk — the
 //!   whole run — when no sink wants checkpoints), so batching survives.
-//! * **Shards** redraw the *entire* sample stream (keeping the one RNG
-//!   stream identical to the single-process run) but evaluate only the
-//!   samples assigned by the strided plan; the merge replays all shards'
-//!   solutions in draw order, reconstructing the exact single-process
-//!   outcome.
+//! * **Shards** run the same loop over a context that owns one stride of
+//!   the samples: each shard redraws the *entire* sample stream (keeping
+//!   the one RNG stream identical to the single-process run) but evaluates
+//!   only the samples it owns; the merge replays all shards' records in
+//!   draw order, reconstructing the exact single-process outcome.
 
-use crate::algorithm::{emit_search_finished, SearchAlgorithm, SearchContext, SearchEvent};
+use super::sampling_loop;
+use crate::algorithm::{emit_search_finished, SearchAlgorithm, SearchContext};
 use crate::candidate::Candidate;
-use crate::checkpoint::{
-    self, CheckpointCursor, CheckpointSink, SearchCheckpoint, ShardMode, ShardPartial, ShardPlan,
-};
-use crate::log::{ExploredSolution, SearchOutcome};
+use crate::checkpoint::{self, CheckpointCursor, CheckpointSink, SearchCheckpoint, ShardPlan};
+use crate::log::SearchOutcome;
 use crate::scenario::value::ConfigValue;
 use crate::workload::Workload;
 use nasaic_accel::HardwareSpace;
@@ -108,9 +107,8 @@ impl SearchAlgorithm for MonteCarloSearch {
         sink: &dyn CheckpointSink,
     ) -> SearchOutcome {
         let (workload, hardware, engine) = (ctx.workload, ctx.hardware, ctx.engine);
-        let observer = ctx.observer();
         let stats_start = engine.stats();
-        let (mut rng, mut outcome, mut episode) = match resume {
+        let start = match resume {
             Some(cp) => {
                 cp.expect_run(self.name(), self.seed);
                 assert!(
@@ -136,129 +134,28 @@ impl SearchAlgorithm for MonteCarloSearch {
             ),
         };
         let mut cursor = CheckpointCursor::new(self.name(), self.seed);
-        while episode < self.runs {
-            // Evaluate up to the sink's next snapshot point as one batch;
-            // with no snapshot points wanted, this is the whole run.
-            let chunk_end = (episode + 1..self.runs)
-                .find(|&progress| sink.wants(progress))
-                .unwrap_or(self.runs);
-            let candidates: Vec<Candidate> = (episode..chunk_end)
-                .map(|e| self.draw(workload, hardware, &mut rng, e))
-                .collect();
-            let evaluations = engine.evaluate_batch(&candidates);
-            for (e, (candidate, evaluation)) in
-                (episode..chunk_end).zip(candidates.into_iter().zip(evaluations))
-            {
-                let weighted_accuracy = evaluation.weighted_accuracy;
-                let any_compliant = evaluation.meets_specs();
-                outcome.record_observed(
-                    ExploredSolution {
-                        episode: e,
-                        candidate,
-                        evaluation,
-                        reward: 0.0,
-                    },
-                    observer,
-                );
-                observer.on_event(&SearchEvent::EpisodeEvaluated {
-                    episode: e,
-                    evaluations: 1,
-                    weighted_accuracy: Some(weighted_accuracy),
-                    any_compliant,
-                    reward: 0.0,
-                    entropy: None,
-                    baseline: None,
-                });
-            }
-            episode = chunk_end;
-            outcome.episodes = episode;
-            checkpoint::offer_checkpoint(
-                sink,
-                observer,
-                &mut cursor,
-                episode,
-                &outcome.explored,
-                || {
-                    let mut state = ConfigValue::table();
-                    state.insert("rng", checkpoint::rng_state_to_value(&rng.state()));
-                    state.insert("outcome", checkpoint::outcome_counters_to_value(&outcome));
-                    state
-                },
-            );
-        }
-        outcome.episodes = self.runs;
-        emit_search_finished(observer, &outcome, engine.stats().since(&stats_start));
+        let outcome = sampling_loop(
+            ctx,
+            sink,
+            &mut cursor,
+            start,
+            self.runs,
+            0,
+            |rng, episode| self.draw(workload, hardware, rng, episode),
+            |rng, outcome| {
+                let mut state = ConfigValue::table();
+                state.insert("rng", checkpoint::rng_state_to_value(&rng.state()));
+                state.insert("outcome", checkpoint::outcome_counters_to_value(outcome));
+                state
+            },
+        );
+        emit_search_finished(ctx.observer(), &outcome, engine.stats().since(&stats_start));
         outcome
     }
 
     /// Every sample is independent: stride them across the shards.
     fn shard_plan(&self, _ctx: &SearchContext<'_>, shards: usize) -> ShardPlan {
         ShardPlan::strided(self.name(), shards, self.runs)
-    }
-
-    /// Redraw the full sample stream (keeping the RNG identical to the
-    /// single-process run), evaluate only this shard's stride, and key
-    /// the solutions by draw index for the replay merge.
-    fn run_shard(
-        &self,
-        ctx: &SearchContext<'_>,
-        plan: &ShardPlan,
-        shard_index: usize,
-    ) -> ShardPartial {
-        assert!(
-            shard_index < plan.shards,
-            "shard index {shard_index} out of range for {} shards",
-            plan.shards
-        );
-        assert_eq!(
-            plan.mode,
-            ShardMode::Strided,
-            "monte-carlo plans are strided"
-        );
-        let observer = ctx.observer();
-        let stats_start = ctx.engine.stats();
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x1111_2222);
-        let mut assigned_episodes = Vec::new();
-        let mut assigned = Vec::new();
-        for episode in 0..self.runs {
-            let candidate = self.draw(ctx.workload, ctx.hardware, &mut rng, episode);
-            if plan.assigns(episode, shard_index) {
-                assigned_episodes.push(episode);
-                assigned.push(candidate);
-            }
-        }
-        let evaluations = ctx.engine.evaluate_batch(&assigned);
-        let mut partial = ShardPartial::empty(self.name(), plan.shards, shard_index);
-        partial.episodes = self.runs;
-        // Shard-local telemetry mirrors the plain run over the assigned
-        // stride (incumbents are relative to this shard only).
-        let mut local = SearchOutcome::empty();
-        for ((episode, candidate), evaluation) in
-            assigned_episodes.into_iter().zip(assigned).zip(evaluations)
-        {
-            let solution = ExploredSolution {
-                episode,
-                candidate,
-                evaluation,
-                reward: 0.0,
-            };
-            partial.solutions.push((episode, solution.clone()));
-            let weighted_accuracy = solution.evaluation.weighted_accuracy;
-            let any_compliant = solution.evaluation.meets_specs();
-            local.record_observed(solution, observer);
-            observer.on_event(&SearchEvent::EpisodeEvaluated {
-                episode,
-                evaluations: 1,
-                weighted_accuracy: Some(weighted_accuracy),
-                any_compliant,
-                reward: 0.0,
-                entropy: None,
-                baseline: None,
-            });
-        }
-        local.episodes = self.runs;
-        emit_search_finished(observer, &local, ctx.engine.stats().since(&stats_start));
-        partial
     }
 }
 

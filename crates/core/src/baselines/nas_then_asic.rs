@@ -8,6 +8,7 @@
 //! rescue the architectures NAS picks — they violate the specs on every
 //! workload.
 
+use super::sampling_loop;
 use crate::algorithm::{
     emit_search_finished, NullObserver, SearchAlgorithm, SearchContext, SearchEvent, SearchObserver,
 };
@@ -18,10 +19,9 @@ use crate::checkpoint::{
 };
 use crate::engine::EvalEngine;
 use crate::log::{ExploredSolution, PhaseSummary, SearchOutcome};
-use crate::scenario::value::ConfigValue;
+use crate::scenario::value::{ConfigError, ConfigValue};
 use crate::spec::DesignSpecs;
 use crate::workload::Workload;
-use nasaic_accel::HardwareSpace;
 use nasaic_nn::layer::Architecture;
 use nasaic_rl::{Controller, ControllerConfig, Segment};
 use rand::rngs::StdRng;
@@ -258,27 +258,22 @@ impl NasThenAsic {
         });
     }
 
-    /// Phase 2: brute-force hardware exploration for fixed architectures.
-    /// The fixed architectures make every sweep sample share one accuracy
-    /// query, and the hardware designs evaluate as one parallel batch.
-    /// Returns the full exploration log.
+    /// Phase 2: brute-force hardware exploration for fixed architectures,
+    /// through the shared [`sampling_loop`].  The fixed architectures make
+    /// every sweep sample share one accuracy query, and the hardware
+    /// designs evaluate as one parallel batch.  Returns the full
+    /// exploration log.
     ///
     /// Checkpoints fire between samples at `progress = progress_offset +
     /// samples completed` (the caller passes the NAS budget as the offset
     /// so both phases share one progress axis) with state `{rng, done,
-    /// outcome}`; the loop draws and evaluates in chunks delimited
-    /// by the sink's next snapshot point, so the one-batch evaluation
-    /// survives when no sink wants checkpoints.  `resume` is the
-    /// pre-decoded `(rng, outcome, samples completed)` triple — the
-    /// caller owns the workload needed to rebuild the outcome's
-    /// candidates.
-    #[allow(clippy::too_many_arguments)]
+    /// outcome}`.  `resume` is the pre-decoded `(rng, outcome, samples
+    /// completed)` triple — the caller owns the workload needed to rebuild
+    /// the outcome's candidates.
     fn run_asic_sweep(
         &self,
+        ctx: &SearchContext<'_>,
         architectures: &[Architecture],
-        hardware: &HardwareSpace,
-        engine: &EvalEngine,
-        observer: &dyn SearchObserver,
         resume: Option<(StdRng, SearchOutcome, usize)>,
         sink: &dyn CheckpointSink,
         progress_offset: usize,
@@ -286,8 +281,8 @@ impl NasThenAsic {
         // Warm the accuracy cache once up front: every sweep sample shares
         // these fixed architectures, so the parallel batch below can never
         // race duplicate oracle queries for them.
-        engine.accuracies(architectures);
-        let (mut rng, mut outcome, mut sample) = resume.unwrap_or_else(|| {
+        ctx.engine.accuracies(architectures);
+        let (rng, outcome, sample) = resume.unwrap_or_else(|| {
             (
                 StdRng::seed_from_u64(self.seed ^ 0xbbbb),
                 SearchOutcome::empty(),
@@ -301,65 +296,30 @@ impl NasThenAsic {
             self.hardware_samples
         );
         let mut cursor = CheckpointCursor::new(self.name(), self.seed);
-        while sample < self.hardware_samples {
-            let chunk_end = (sample + 1..self.hardware_samples)
-                .find(|&s| sink.wants(progress_offset + s))
-                .unwrap_or(self.hardware_samples);
-            let candidates: Vec<Candidate> = (sample..chunk_end)
-                .map(|episode| {
-                    let accelerator = if episode % 2 == 0 {
-                        hardware.sample_fully_allocated(&mut rng)
-                    } else {
-                        hardware.sample(&mut rng)
-                    };
-                    Candidate::from_parts(architectures.to_vec(), accelerator)
-                })
-                .collect();
-            let evaluations = engine.evaluate_batch(&candidates);
-            for (episode, (candidate, evaluation)) in
-                (sample..chunk_end).zip(candidates.into_iter().zip(evaluations))
-            {
-                let weighted_accuracy = evaluation.weighted_accuracy;
-                let any_compliant = evaluation.meets_specs();
-                outcome.record_observed(
-                    ExploredSolution {
-                        episode,
-                        candidate,
-                        evaluation,
-                        reward: 0.0,
-                    },
-                    observer,
-                );
-                observer.on_event(&SearchEvent::EpisodeEvaluated {
-                    episode,
-                    evaluations: 1,
-                    weighted_accuracy: Some(weighted_accuracy),
-                    any_compliant,
-                    reward: 0.0,
-                    entropy: None,
-                    baseline: None,
-                });
-            }
-            sample = chunk_end;
-            outcome.episodes = sample;
-            checkpoint::offer_checkpoint(
-                sink,
-                observer,
-                &mut cursor,
-                progress_offset + sample,
-                &outcome.explored,
-                || {
-                    let mut state = ConfigValue::table();
-                    state.insert("phase", ConfigValue::Str("sweep".to_string()));
-                    state.insert("rng", checkpoint::rng_state_to_value(&rng.state()));
-                    state.insert("done", encode_architectures(architectures));
-                    state.insert("outcome", checkpoint::outcome_counters_to_value(&outcome));
-                    state
-                },
-            );
-        }
-        outcome.episodes = self.hardware_samples;
-        outcome
+        sampling_loop(
+            ctx,
+            sink,
+            &mut cursor,
+            (rng, outcome, sample),
+            self.hardware_samples,
+            progress_offset,
+            |rng, episode| {
+                let accelerator = if episode % 2 == 0 {
+                    ctx.hardware.sample_fully_allocated(rng)
+                } else {
+                    ctx.hardware.sample(rng)
+                };
+                Candidate::from_parts(architectures.to_vec(), accelerator)
+            },
+            |rng, outcome| {
+                let mut state = ConfigValue::table();
+                state.insert("phase", ConfigValue::Str("sweep".to_string()));
+                state.insert("rng", checkpoint::rng_state_to_value(&rng.state()));
+                state.insert("done", encode_architectures(architectures));
+                state.insert("outcome", checkpoint::outcome_counters_to_value(outcome));
+                state
+            },
+        )
     }
 
     /// The NAS phase summary — a pure function of the chosen architectures
@@ -439,8 +399,7 @@ impl SearchAlgorithm for NasThenAsic {
         resume: Option<&SearchCheckpoint>,
         sink: &dyn CheckpointSink,
     ) -> SearchOutcome {
-        let (workload, specs, hardware, engine) =
-            (ctx.workload, ctx.specs, ctx.hardware, ctx.engine);
+        let (workload, specs, engine) = (ctx.workload, ctx.specs, ctx.engine);
         let observer = ctx.observer();
         let stats_start = engine.stats();
         let nas_budget = self.nas_episodes * workload.num_tasks();
@@ -508,15 +467,7 @@ impl SearchAlgorithm for NasThenAsic {
                 budget: self.hardware_samples,
             });
         }
-        let mut outcome = self.run_asic_sweep(
-            &architectures,
-            hardware,
-            engine,
-            observer,
-            sweep_state,
-            sink,
-            nas_budget,
-        );
+        let mut outcome = self.run_asic_sweep(ctx, &architectures, sweep_state, sink, nas_budget);
         let sweep_summary = self.sweep_summary(&outcome, &specs);
         observer.on_event(&SearchEvent::PhaseFinished {
             phase: "asic-sweep".to_string(),
@@ -530,122 +481,30 @@ impl SearchAlgorithm for NasThenAsic {
     /// The sweep's samples are independent: stride them across the
     /// shards.  The NAS phase is *redundant* — every shard re-runs it
     /// (it is deterministic and cheap next to the sweep), so each worker
-    /// holds the architectures without any cross-shard handoff.
+    /// holds the architectures without any cross-shard handoff, and shard
+    /// 0's outcome carries the NAS summary into the merge.
     fn shard_plan(&self, _ctx: &SearchContext<'_>, shards: usize) -> ShardPlan {
         ShardPlan::strided(self.name(), shards, self.hardware_samples)
     }
 
-    /// Re-run NAS, redraw the full sweep stream (keeping the RNG identical
-    /// to the single-process run), evaluate only this shard's stride, and
-    /// key the solutions by draw index for the replay merge.  Shard 0's
-    /// partial carries the NAS phase summary; the sweep summary is
-    /// rebuilt at merge time from the merged outcome.
-    fn run_shard(
-        &self,
-        ctx: &SearchContext<'_>,
-        plan: &ShardPlan,
-        shard_index: usize,
-    ) -> ShardPartial {
-        assert!(
-            shard_index < plan.shards,
-            "shard index {shard_index} out of range for {} shards",
-            plan.shards
-        );
-        assert_eq!(
-            plan.mode,
-            ShardMode::Strided,
-            "nas-then-asic plans are strided"
-        );
-        let observer = ctx.observer();
-        let stats_start = ctx.engine.stats();
-        let nas_budget = self.nas_episodes * ctx.workload.num_tasks();
-        observer.on_event(&SearchEvent::PhaseStarted {
-            phase: "nas".to_string(),
-            budget: nas_budget,
-        });
-        let architectures = self.run_nas_observed(
-            ctx.workload,
-            ctx.engine,
-            observer,
-            None,
-            &NullCheckpointSink,
-        );
-        let nas_summary = self.nas_summary(ctx.engine, nas_budget, &architectures);
-        observer.on_event(&SearchEvent::PhaseFinished {
-            phase: "nas".to_string(),
-            summary: nas_summary.clone(),
-        });
-
-        observer.on_event(&SearchEvent::PhaseStarted {
-            phase: "asic-sweep".to_string(),
-            budget: self.hardware_samples,
-        });
-        ctx.engine.accuracies(&architectures);
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0xbbbb);
-        let mut assigned_episodes = Vec::new();
-        let mut assigned = Vec::new();
-        for episode in 0..self.hardware_samples {
-            let accelerator = if episode % 2 == 0 {
-                ctx.hardware.sample_fully_allocated(&mut rng)
-            } else {
-                ctx.hardware.sample(&mut rng)
-            };
-            if plan.assigns(episode, shard_index) {
-                assigned_episodes.push(episode);
-                assigned.push(Candidate::from_parts(architectures.to_vec(), accelerator));
-            }
-        }
-        let evaluations = ctx.engine.evaluate_batch(&assigned);
-        let mut partial = ShardPartial::empty(self.name(), plan.shards, shard_index);
-        partial.episodes = self.hardware_samples;
-        partial.phases = vec![nas_summary];
-        // Shard-local telemetry mirrors the plain run over the assigned
-        // stride (incumbents are relative to this shard only).
-        let mut local = SearchOutcome::empty();
-        for ((episode, candidate), evaluation) in
-            assigned_episodes.into_iter().zip(assigned).zip(evaluations)
-        {
-            let solution = ExploredSolution {
-                episode,
-                candidate,
-                evaluation,
-                reward: 0.0,
-            };
-            partial.solutions.push((episode, solution.clone()));
-            let weighted_accuracy = solution.evaluation.weighted_accuracy;
-            let any_compliant = solution.evaluation.meets_specs();
-            local.record_observed(solution, observer);
-            observer.on_event(&SearchEvent::EpisodeEvaluated {
-                episode,
-                evaluations: 1,
-                weighted_accuracy: Some(weighted_accuracy),
-                any_compliant,
-                reward: 0.0,
-                entropy: None,
-                baseline: None,
-            });
-        }
-        local.episodes = self.hardware_samples;
-        emit_search_finished(observer, &local, ctx.engine.stats().since(&stats_start));
-        partial
-    }
-
-    /// Replay-merge the sweep strides, then rebuild the sweep summary
-    /// (explored counts, incumbent, representative) from the merged
-    /// outcome — shard 0 only contributed the (shard-independent) NAS
-    /// summary.
+    /// Replay-merge the sweep strides, then replace shard 0's sweep
+    /// summary, which covers its own stride only, with one rebuilt from the
+    /// merged outcome; the NAS summary is the same on every shard.
     fn merge_shards(
         &self,
         ctx: &SearchContext<'_>,
         plan: &ShardPlan,
         partials: Vec<ShardPartial>,
-    ) -> SearchOutcome {
-        let mut outcome = checkpoint::merge_replay(plan, partials);
+    ) -> Result<SearchOutcome, ConfigError> {
+        let mut outcome = checkpoint::merge_replay(plan, ctx.seed, partials)?;
         if plan.mode == ShardMode::Strided {
             let sweep_summary = self.sweep_summary(&outcome, &ctx.specs);
+            outcome
+                .phases
+                .retain(|phase| phase.name != sweep_summary.name);
             outcome.phases.push(sweep_summary);
         }
-        outcome
+        Ok(outcome)
     }
 }
 

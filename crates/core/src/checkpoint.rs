@@ -24,11 +24,13 @@
 //!   [`budgeted_step`]).
 //! * [`ShardPlan`] / [`ShardPartial`] split one run across `N`
 //!   deterministic workers.  A *strided* plan assigns partitionable unit
-//!   `i` to shard `i % N`; [`merge_replay`] re-plays every shard's keyed
-//!   solutions in global draw order through [`SearchOutcome::record`], so
-//!   the merged outcome is bit-identical to the single-process run.  A
-//!   *sequential* plan is the fallback for inherently serial drivers
-//!   (shard 0 runs the whole search, the rest return empty partials).
+//!   `i` to shard `i % N`; each shard's partial is its own outcome, whose
+//!   records carry their global unit index as `episode`, and
+//!   [`merge_replay`] re-plays every shard's records in that order through
+//!   [`SearchOutcome::record`], so the merged outcome is bit-identical to
+//!   the single-process run.  A *sequential* plan is the fallback for
+//!   inherently serial drivers (shard 0 runs the whole search, the rest
+//!   return empty outcomes).
 //!
 //! The invariant the whole module leans on: [`SearchOutcome`] is fully
 //! determined by its `explored` record sequence plus a handful of scalar
@@ -897,56 +899,36 @@ impl ShardPlan {
     }
 }
 
-/// One shard's contribution to a sharded run.
+/// One shard's contribution to a sharded run: the outcome of the shard's
+/// own search, tagged with the run it belongs to.
 ///
-/// Strided shards carry their assigned solutions keyed by the *global*
-/// unit index, so [`merge_replay`] can reconstruct the single-process
-/// record order.  Sequential shard 0 carries the whole outcome in
-/// `complete` instead.
+/// A strided shard's outcome records only the units it owns, each under
+/// its global unit index as `episode`, so [`merge_replay`] can rebuild the
+/// single-process record order.  A sequential shard 0 carries the whole
+/// run's outcome; the other sequential shards carry an empty one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardPartial {
     /// The driver that produced the partial.
     pub algorithm: String,
+    /// The run's seed.
+    pub seed: u64,
     /// Total number of shards in the plan.
     pub shards: usize,
     /// This shard's index in `0..shards`.
     pub shard_index: usize,
-    /// Solutions evaluated by this shard, keyed by global unit index.
-    pub solutions: Vec<(usize, ExploredSolution)>,
-    /// The episode count the full run would report (each shard knows the
-    /// plan's total; the merge takes the maximum).
-    pub episodes: usize,
-    /// Phase summaries contributed by this shard (redundant phases — every
-    /// shard re-runs them — are taken from shard 0 at merge time).
-    pub phases: Vec<PhaseSummary>,
-    /// The full outcome, for sequential plans (shard 0 only).
-    pub complete: Option<SearchOutcome>,
+    /// The shard's own search outcome.
+    pub outcome: SearchOutcome,
 }
 
 impl ShardPartial {
-    /// An empty partial (a sequential shard other than 0).
-    pub fn empty(algorithm: &str, shards: usize, shard_index: usize) -> Self {
+    /// The partial of shard `shard_index` of `plan`, for a run at `seed`.
+    pub fn new(plan: &ShardPlan, seed: u64, shard_index: usize, outcome: SearchOutcome) -> Self {
         Self {
-            algorithm: algorithm.to_string(),
-            shards,
+            algorithm: plan.algorithm.clone(),
+            seed,
+            shards: plan.shards,
             shard_index,
-            solutions: Vec::new(),
-            episodes: 0,
-            phases: Vec::new(),
-            complete: None,
-        }
-    }
-
-    /// A partial carrying the complete outcome (sequential shard 0).
-    pub fn completed(algorithm: &str, shards: usize, outcome: SearchOutcome) -> Self {
-        Self {
-            algorithm: algorithm.to_string(),
-            shards,
-            shard_index: 0,
-            solutions: Vec::new(),
-            episodes: outcome.episodes,
-            phases: Vec::new(),
-            complete: Some(outcome),
+            outcome,
         }
     }
 
@@ -954,30 +936,10 @@ impl ShardPartial {
     pub fn to_value(&self) -> ConfigValue {
         let mut root = ConfigValue::table();
         root.insert("algorithm", ConfigValue::Str(self.algorithm.clone()));
+        root.insert("seed", ConfigValue::Integer(self.seed as i64));
         root.insert("shards", ConfigValue::Integer(self.shards as i64));
         root.insert("shard_index", ConfigValue::Integer(self.shard_index as i64));
-        root.insert(
-            "solutions",
-            ConfigValue::Array(
-                self.solutions
-                    .iter()
-                    .map(|(key, solution)| {
-                        let mut entry = ConfigValue::table();
-                        entry.insert("key", ConfigValue::Integer(*key as i64));
-                        entry.insert("solution", solution_to_value(solution));
-                        entry
-                    })
-                    .collect(),
-            ),
-        );
-        root.insert("episodes", ConfigValue::Integer(self.episodes as i64));
-        root.insert(
-            "phases",
-            ConfigValue::Array(self.phases.iter().map(PhaseSummary::to_value).collect()),
-        );
-        if let Some(outcome) = &self.complete {
-            root.insert("complete", outcome_to_value(outcome));
-        }
+        root.insert("outcome", outcome_to_value(&self.outcome));
         root
     }
 
@@ -989,28 +951,12 @@ impl ShardPartial {
     /// Returns a schema error for missing/ill-typed fields or candidates
     /// that do not fit the workload.
     pub fn from_value(value: &ConfigValue, workload: &Workload) -> Result<Self, ConfigError> {
-        let mut solutions = Vec::new();
-        for entry in array_field(value, "solutions")? {
-            let key = usize_field(entry, "key")?;
-            let solution = solution_from_value(field(entry, "solution")?, workload)?;
-            solutions.push((key, solution));
-        }
-        let mut phases = Vec::new();
-        for phase in array_field(value, "phases")? {
-            phases.push(phase_summary_from_value(phase)?);
-        }
-        let complete = match value.get("complete") {
-            Some(outcome) => Some(outcome_from_value(outcome, workload)?),
-            None => None,
-        };
         Ok(Self {
             algorithm: str_field(value, "algorithm")?.to_string(),
+            seed: int_field(value, "seed")? as u64,
             shards: usize_field(value, "shards")?,
             shard_index: usize_field(value, "shard_index")?,
-            solutions,
-            episodes: usize_field(value, "episodes")?,
-            phases,
-            complete,
+            outcome: outcome_from_value(field(value, "outcome")?, workload)?,
         })
     }
 
@@ -1030,72 +976,80 @@ impl ShardPartial {
     }
 }
 
-/// Merge shard partials by replaying their solutions in global unit order
-/// — the pure merge behind
+/// Merge the partials of every shard of `plan` for a run at `seed` — the
+/// pure merge behind
 /// [`SearchAlgorithm::merge_shards`](crate::algorithm::SearchAlgorithm::merge_shards).
 ///
-/// Sequential plans short-circuit to shard 0's complete outcome.  Strided
-/// plans sort all keyed solutions and feed them through
-/// [`SearchOutcome::record`], reconstructing `best` and `spec_compliant`
-/// exactly as the single-process run did; `episodes` is the maximum the
-/// shards report, and phases are taken from shard 0.
+/// A sequential plan returns shard 0's outcome.  A strided plan sorts
+/// every shard's records by `episode` (the global unit index) and replays
+/// them through [`SearchOutcome::record`], reconstructing `best` and
+/// `spec_compliant` exactly as the single-process run did; `episodes` is
+/// the plan's unit count, which every strided shard reports, and phases
+/// are taken from shard 0.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when the partials do not form exactly one complete, consistent
-/// set for the plan (wrong count, duplicate/missing shard indices, a
-/// different algorithm, or a sequential shard 0 without an outcome).
-pub fn merge_replay(plan: &ShardPlan, mut partials: Vec<ShardPartial>) -> SearchOutcome {
-    assert_eq!(
-        partials.len(),
-        plan.shards,
-        "merge needs exactly one partial per shard"
-    );
+/// Returns an error when the partials do not form exactly one consistent
+/// set for the plan: a wrong count, a duplicate or missing shard index, a
+/// partial of another algorithm, shard count or seed, or a strided
+/// partial whose episode count is not the plan's unit count.
+pub fn merge_replay(
+    plan: &ShardPlan,
+    seed: u64,
+    mut partials: Vec<ShardPartial>,
+) -> Result<SearchOutcome, ConfigError> {
+    if partials.len() != plan.shards {
+        return Err(ConfigError::schema(format!(
+            "a {}-shard merge needs one partial per shard, got {}",
+            plan.shards,
+            partials.len()
+        )));
+    }
     partials.sort_by_key(|partial| partial.shard_index);
     for (index, partial) in partials.iter().enumerate() {
-        assert_eq!(
-            partial.shard_index, index,
-            "duplicate or missing shard index {index}"
-        );
-        assert_eq!(
-            partial.algorithm, plan.algorithm,
-            "shard {index} belongs to algorithm `{}`, not `{}`",
-            partial.algorithm, plan.algorithm
-        );
-        assert_eq!(
-            partial.shards, plan.shards,
-            "shard {index} was produced for a {}-shard plan, not {}",
-            partial.shards, plan.shards
-        );
+        let mismatch = if partial.shard_index != index {
+            format!("duplicate or missing shard index {index}")
+        } else if partial.algorithm != plan.algorithm {
+            format!(
+                "shard {index} belongs to algorithm `{}`, not `{}`",
+                partial.algorithm, plan.algorithm
+            )
+        } else if partial.shards != plan.shards {
+            format!(
+                "shard {index} was produced for a {}-shard plan, not {}",
+                partial.shards, plan.shards
+            )
+        } else if partial.seed != seed {
+            format!("shard {index} ran at seed {}, not {seed}", partial.seed)
+        } else if plan.mode == ShardMode::Strided && partial.outcome.episodes != plan.items {
+            format!(
+                "shard {index} ran {} episode(s), but the plan has {}",
+                partial.outcome.episodes, plan.items
+            )
+        } else {
+            continue;
+        };
+        return Err(ConfigError::schema(format!(
+            "cannot merge shards: {mismatch}"
+        )));
     }
+    let mut outcomes = partials.into_iter().map(|partial| partial.outcome);
+    let mut shard0 = outcomes.next().expect("a plan has at least one shard");
     if plan.mode == ShardMode::Sequential {
-        let shard0 = partials.into_iter().next().expect("at least one shard");
-        return shard0
-            .complete
-            .expect("sequential shard 0 must carry the complete outcome");
+        return Ok(shard0);
     }
-    let mut keyed: Vec<(usize, ExploredSolution)> = Vec::new();
-    let mut episodes = 0;
-    let mut phases = Vec::new();
-    for (index, partial) in partials.into_iter().enumerate() {
-        assert!(
-            partial.complete.is_none(),
-            "strided shard {index} must not carry a complete outcome"
-        );
-        keyed.extend(partial.solutions);
-        episodes = episodes.max(partial.episodes);
-        if index == 0 {
-            phases = partial.phases;
-        }
+    let mut merged = SearchOutcome::empty();
+    merged.phases = std::mem::take(&mut shard0.phases);
+    let mut records: Vec<ExploredSolution> = std::iter::once(shard0)
+        .chain(outcomes)
+        .flat_map(|outcome| outcome.explored)
+        .collect();
+    records.sort_by_key(|solution| solution.episode);
+    for solution in records {
+        merged.record(solution);
     }
-    keyed.sort_by_key(|(key, _)| *key);
-    let mut outcome = SearchOutcome::empty();
-    for (_, solution) in keyed {
-        outcome.record(solution);
-    }
-    outcome.episodes = episodes;
-    outcome.phases = phases;
-    outcome
+    merged.episodes = plan.items;
+    Ok(merged)
 }
 
 /// Where a run stands in its checkpoint stream: the driver and seed its
@@ -2623,50 +2577,62 @@ mod tests {
     }
 
     #[test]
-    fn strided_merge_replays_solutions_in_global_order() {
+    fn strided_merge_replays_records_in_episode_order() {
         let plan = ShardPlan::strided("monte-carlo", 2, 4);
         assert!(plan.assigns(0, 0) && plan.assigns(2, 0));
         assert!(plan.assigns(1, 1) && plan.assigns(3, 1));
         let solutions: Vec<_> = (0..4).map(|i| sample_solution(i, i % 2 == 1)).collect();
         let mut reference = SearchOutcome::empty();
-        for solution in &solutions {
+        let mut shards = [SearchOutcome::empty(), SearchOutcome::empty()];
+        for (i, solution) in solutions.into_iter().enumerate() {
             reference.record(solution.clone());
+            shards[i % 2].record(solution);
         }
         reference.episodes = 4;
-        let mut shard0 = ShardPartial::empty("monte-carlo", 2, 0);
-        let mut shard1 = ShardPartial::empty("monte-carlo", 2, 1);
-        for (i, solution) in solutions.into_iter().enumerate() {
-            let target = if i % 2 == 0 { &mut shard0 } else { &mut shard1 };
-            target.solutions.push((i, solution));
-        }
-        shard0.episodes = 4;
-        shard1.episodes = 4;
+        let [shard0, shard1] = shards.map(|mut outcome| {
+            outcome.episodes = 4;
+            outcome
+        });
         // Merge accepts partials in any order.
-        let merged = merge_replay(&plan, vec![shard1, shard0]);
-        assert_eq!(merged, reference);
+        let partials = vec![
+            ShardPartial::new(&plan, 7, 1, shard1),
+            ShardPartial::new(&plan, 7, 0, shard0),
+        ];
+        assert_eq!(merge_replay(&plan, 7, partials.clone()).unwrap(), reference);
+        // Partials of another run are errors, not panics.
+        let error = merge_replay(&plan, 8, partials.clone()).unwrap_err();
+        assert!(error.message.contains("seed 7, not 8"), "{error}");
+        let twice = vec![partials[0].clone(), partials[0].clone()];
+        let error = merge_replay(&plan, 7, twice).unwrap_err();
+        assert!(error.message.contains("duplicate or missing"), "{error}");
+        let longer = ShardPlan::strided("monte-carlo", 2, 6);
+        let error = merge_replay(&longer, 7, partials).unwrap_err();
+        assert!(error.message.contains("the plan has 6"), "{error}");
     }
 
     #[test]
-    fn sequential_merge_short_circuits_to_shard_zero() {
+    fn sequential_merge_returns_shard_zeros_outcome() {
         let plan = ShardPlan::sequential("nasaic", 3);
         let mut outcome = SearchOutcome::empty();
         outcome.record(sample_solution(0, true));
         outcome.episodes = 1;
         let partials = vec![
-            ShardPartial::completed("nasaic", 3, outcome.clone()),
-            ShardPartial::empty("nasaic", 3, 1),
-            ShardPartial::empty("nasaic", 3, 2),
+            ShardPartial::new(&plan, 2, 0, outcome.clone()),
+            ShardPartial::new(&plan, 2, 1, SearchOutcome::empty()),
+            ShardPartial::new(&plan, 2, 2, SearchOutcome::empty()),
         ];
-        assert_eq!(merge_replay(&plan, partials), outcome);
+        assert_eq!(merge_replay(&plan, 2, partials.clone()).unwrap(), outcome);
+        assert!(merge_replay(&plan, 2, partials[..2].to_vec()).is_err());
     }
 
     #[test]
     fn shard_partial_round_trips_through_json() {
         let workload = Workload::w1();
-        let mut partial = ShardPartial::empty("nas-then-asic", 2, 1);
-        partial.solutions.push((3, sample_solution(3, true)));
-        partial.episodes = 6;
-        partial.phases.push(PhaseSummary {
+        let plan = ShardPlan::strided("nas-then-asic", 2, 6);
+        let mut outcome = SearchOutcome::empty();
+        outcome.record(sample_solution(3, true));
+        outcome.episodes = 6;
+        outcome.phases.push(PhaseSummary {
             name: "nas".to_string(),
             episodes: 2,
             explored: 2,
@@ -2674,13 +2640,9 @@ mod tests {
             best_weighted_accuracy: None,
             detail: "archs".to_string(),
         });
+        // A seed past `i64::MAX` survives the round trip.
+        let partial = ShardPartial::new(&plan, u64::MAX - 1, 1, outcome);
         let parsed = ShardPartial::parse_json(&partial.to_json(), &workload).unwrap();
         assert_eq!(parsed, partial);
-        // And the complete-outcome form.
-        let mut outcome = SearchOutcome::empty();
-        outcome.record(sample_solution(0, false));
-        let complete = ShardPartial::completed("nasaic", 2, outcome);
-        let parsed = ShardPartial::parse_json(&complete.to_json(), &workload).unwrap();
-        assert_eq!(parsed, complete);
     }
 }

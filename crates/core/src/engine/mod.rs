@@ -99,15 +99,13 @@ fn batch_key(candidate: &Candidate) -> BatchKey {
     )
 }
 
-/// Engine tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Engine tuning knobs; the default is an unbounded engine using the
+/// machine's available parallelism.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Worker-thread ceiling for batch evaluation; `0` uses the machine's
     /// available parallelism.
     pub threads: usize,
-    /// When `false`, every call recomputes (useful for measuring the cache
-    /// itself; the default is `true`).
-    pub caching: bool,
     /// Accuracy-cache capacity in entries; `0` (the default) keeps the
     /// cache unbounded.  A full cache evicts its oldest entry (FIFO), which
     /// can only cost recomputation — cached values are pure, so eviction
@@ -116,17 +114,6 @@ pub struct EngineConfig {
     /// Hardware-metrics-cache capacity in entries; `0` (the default) keeps
     /// the cache unbounded.  Same FIFO eviction as `accuracy_capacity`.
     pub hardware_capacity: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            threads: 0,
-            caching: true,
-            accuracy_capacity: 0,
-            hardware_capacity: 0,
-        }
-    }
 }
 
 /// A FIFO-bounded hash map: at most `capacity` resident entries (`0` =
@@ -737,9 +724,6 @@ impl EvalEngine {
     /// Accuracy of every architecture (training/validation path), memoised
     /// per `(task, architecture)`.
     pub fn accuracies(&self, architectures: &[Architecture]) -> Vec<f64> {
-        if !self.config.caching {
-            return self.evaluator.accuracies(architectures);
-        }
         // The direct path zips tasks with architectures (truncating to the
         // shorter of the two); mirror that exactly.
         let num_tasks = self.evaluator.workload().num_tasks();
@@ -760,9 +744,6 @@ impl EvalEngine {
     ///
     /// Panics if `task_index` is out of range for the workload.
     pub fn accuracy_for_task(&self, task_index: usize, arch: &Architecture) -> f64 {
-        if !self.config.caching {
-            return self.evaluator.accuracy_for_task(task_index, arch);
-        }
         let key: AccuracyKey = (task_index, arch.name.clone(), arch.hyperparameters.clone());
         if let Some(&cached) = self
             .accuracy_cache
@@ -804,9 +785,6 @@ impl EvalEngine {
         architectures: &[Architecture],
         accelerator: &Accelerator,
     ) -> HardwareMetrics {
-        if !self.config.caching {
-            return self.evaluator.hardware_metrics(architectures, accelerator);
-        }
         let key = self.hardware_key(architectures, accelerator);
         if let Some(&cached) = self
             .hardware_cache
@@ -886,11 +864,10 @@ impl EvalEngine {
     /// suppressed duplicate is counted as the cache hits it would have
     /// scored — one hardware hit plus one accuracy hit per evaluated task —
     /// so the stats match what sequential evaluation through the caches
-    /// would have recorded.  De-duplication is skipped (along with the
-    /// caches) when [`EngineConfig::caching`] is off.
+    /// would have recorded.
     pub fn evaluate_batch(&self, candidates: &[Candidate]) -> Vec<Evaluation> {
         let _span = crate::metrics::maybe_time_batch();
-        if !self.config.caching || candidates.len() < 2 {
+        if candidates.len() < 2 {
             return parallel_map(candidates, self.config.threads, |candidate| {
                 self.evaluate(candidate)
             });
@@ -976,7 +953,7 @@ impl EvalEngine {
         candidates: &[Option<Candidate>],
     ) -> Vec<Option<(HardwareMetrics, SpecCheck)>> {
         let _span = crate::metrics::maybe_time_batch();
-        if !self.config.caching || candidates.len() < 2 {
+        if candidates.len() < 2 {
             return parallel_map(candidates, self.config.threads, |candidate| {
                 candidate
                     .as_ref()
@@ -1212,7 +1189,6 @@ mod tests {
                 threads: 1,
                 accuracy_capacity: 2,
                 hardware_capacity: 2,
-                ..EngineConfig::default()
             },
         );
         let candidates = random_candidates(8, 53);
@@ -1421,33 +1397,6 @@ mod tests {
         assert_eq!(results.len(), 4);
         assert!(results[1].is_none());
         assert!(results[0].is_some() && results[2].is_some() && results[3].is_some());
-    }
-
-    #[test]
-    fn disabling_caching_still_matches_direct_results() {
-        let workload = Workload::w1();
-        let specs = DesignSpecs::for_workload(WorkloadId::W1);
-        let evaluator = Evaluator::new(&workload, specs, AccuracyOracle::default());
-        let engine = EvalEngine::with_config(
-            evaluator.clone(),
-            EngineConfig {
-                caching: false,
-                ..EngineConfig::default()
-            },
-        );
-        for candidate in random_candidates(4, 23) {
-            assert_eq!(engine.evaluate(&candidate), evaluator.evaluate(&candidate));
-        }
-        // Batch dedup is part of the caching machinery: with caching off a
-        // duplicated batch is evaluated slot by slot and counts nothing.
-        let repeated = vec![random_candidates(1, 47).remove(0); 3];
-        let batch = engine.evaluate_batch(&repeated);
-        assert_eq!(batch[0], evaluator.evaluate(&repeated[0]));
-        assert_eq!(batch[0], batch[1]);
-        assert_eq!(batch[0], batch[2]);
-        let stats = engine.stats();
-        assert_eq!(stats.hardware_hits + stats.hardware_misses, 0);
-        assert_eq!(stats.accuracy_hits + stats.accuracy_misses, 0);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod registry;
 pub mod report;
 pub mod value;
 
-use crate::algorithm::{NullObserver, SearchContext, SearchObserver};
+use crate::algorithm::{NullObserver, SearchAlgorithm, SearchContext, SearchObserver};
 use crate::checkpoint::{
     CheckpointSink, NullCheckpointSink, SearchCheckpoint, ShardPartial, ShardPlan,
 };
@@ -850,7 +850,7 @@ impl Scenario {
     /// (the `compare` path runs every algorithm over one warm cache).
     ///
     /// Dispatch goes through the [`Algorithm::instantiate`] factory and
-    /// the [`SearchAlgorithm`](crate::algorithm::SearchAlgorithm) trait;
+    /// the [`SearchAlgorithm`] trait;
     /// the per-algorithm budget mapping lives on
     /// [`Budget`](crate::algorithm::Budget) (full table in
     /// `docs/scenarios.md`).
@@ -910,44 +910,23 @@ impl Scenario {
         resume: Option<&SearchCheckpoint>,
         sink: &dyn CheckpointSink,
     ) -> SearchOutcome {
-        self.check_engine(engine);
-        let workload = self.workload();
-        let hardware = self.hardware_space();
-        let driver = algorithm.instantiate(&self.search, self.seed);
-        let ctx = SearchContext::new(
-            &workload,
-            self.specs,
-            &hardware,
-            engine,
-            self.seed,
-            self.search.budget(),
-        )
-        .with_observer(observer);
-        driver.run_checkpointed(&ctx, resume, sink)
+        self.with_driver(algorithm, engine, observer, |driver, ctx| {
+            driver.run_checkpointed(ctx, resume, sink)
+        })
     }
 
     /// The algorithm's shard plan for splitting this scenario's run over
     /// `shards` workers (see
-    /// [`SearchAlgorithm::shard_plan`](crate::algorithm::SearchAlgorithm::shard_plan)).
+    /// [`SearchAlgorithm::shard_plan`]).
     pub fn algorithm_shard_plan(
         &self,
         algorithm: Algorithm,
         engine: &EvalEngine,
         shards: usize,
     ) -> ShardPlan {
-        self.check_engine(engine);
-        let workload = self.workload();
-        let hardware = self.hardware_space();
-        let driver = algorithm.instantiate(&self.search, self.seed);
-        let ctx = SearchContext::new(
-            &workload,
-            self.specs,
-            &hardware,
-            engine,
-            self.seed,
-            self.search.budget(),
-        );
-        driver.shard_plan(&ctx, shards)
+        self.with_driver(algorithm, engine, &NullObserver, |driver, ctx| {
+            driver.shard_plan(ctx, shards)
+        })
     }
 
     /// Run one shard of this scenario's search under `plan`; the returned
@@ -957,8 +936,8 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// As [`Scenario::run_algorithm_observed`], plus when `plan` names a
-    /// different algorithm or `shard_index >= plan.shards`.
+    /// As [`Scenario::run_algorithm_observed`], plus when
+    /// `shard_index >= plan.shards`.
     pub fn run_algorithm_shard(
         &self,
         algorithm: Algorithm,
@@ -967,6 +946,46 @@ impl Scenario {
         plan: &ShardPlan,
         shard_index: usize,
     ) -> ShardPartial {
+        self.with_driver(algorithm, engine, observer, |driver, ctx| {
+            driver.run_shard(ctx, plan, shard_index)
+        })
+    }
+
+    /// Merge the partials of every shard of `plan` into the single-process
+    /// [`SearchOutcome`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when partials are missing or duplicated, or come
+    /// from another plan, seed or budget (see
+    /// [`merge_replay`](crate::checkpoint::merge_replay)).
+    ///
+    /// # Panics
+    ///
+    /// As [`Scenario::run_algorithm_observed`].
+    pub fn merge_algorithm_shards(
+        &self,
+        algorithm: Algorithm,
+        engine: &EvalEngine,
+        plan: &ShardPlan,
+        partials: Vec<ShardPartial>,
+    ) -> Result<SearchOutcome, ConfigError> {
+        self.with_driver(algorithm, engine, &NullObserver, |driver, ctx| {
+            driver.merge_shards(ctx, plan, partials)
+        })
+    }
+
+    /// The setup every run entry point shares: check `engine` against this
+    /// scenario, then hand `f` the configured driver for `algorithm` and a
+    /// context over this scenario's problem, seed and budget, observed by
+    /// `observer`.
+    fn with_driver<R>(
+        &self,
+        algorithm: Algorithm,
+        engine: &EvalEngine,
+        observer: &dyn SearchObserver,
+        f: impl FnOnce(&dyn SearchAlgorithm, &SearchContext<'_>) -> R,
+    ) -> R {
         self.check_engine(engine);
         let workload = self.workload();
         let hardware = self.hardware_space();
@@ -980,36 +999,7 @@ impl Scenario {
             self.search.budget(),
         )
         .with_observer(observer);
-        driver.run_shard(&ctx, plan, shard_index)
-    }
-
-    /// Merge the partials of every shard of `plan` into the single-process
-    /// [`SearchOutcome`].
-    ///
-    /// # Panics
-    ///
-    /// As [`Scenario::run_algorithm_observed`], plus when partials are
-    /// missing, duplicated, or from a different plan.
-    pub fn merge_algorithm_shards(
-        &self,
-        algorithm: Algorithm,
-        engine: &EvalEngine,
-        plan: &ShardPlan,
-        partials: Vec<ShardPartial>,
-    ) -> SearchOutcome {
-        self.check_engine(engine);
-        let workload = self.workload();
-        let hardware = self.hardware_space();
-        let driver = algorithm.instantiate(&self.search, self.seed);
-        let ctx = SearchContext::new(
-            &workload,
-            self.specs,
-            &hardware,
-            engine,
-            self.seed,
-            self.search.budget(),
-        );
-        driver.merge_shards(&ctx, plan, partials)
+        f(driver.as_ref(), &ctx)
     }
 
     /// The engine/scenario compatibility gate shared by every run entry

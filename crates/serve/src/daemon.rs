@@ -34,7 +34,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Once, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -152,7 +152,6 @@ impl ServeConfig {
     fn engine_config(&self) -> EngineConfig {
         EngineConfig {
             threads: self.job_threads,
-            caching: true,
             accuracy_capacity: self.accuracy_capacity,
             hardware_capacity: self.hardware_capacity,
         }
@@ -190,24 +189,9 @@ pub fn engine_key(scenario: &Scenario) -> String {
 }
 
 /// Cancellation sentinel: the job observer unwinds the driver with this
-/// payload, the worker catches it.  A dedicated type so the panic hook can
-/// silence it and the worker can tell it apart from a real panic.
+/// payload through `resume_unwind`, which skips the panic hook, and the
+/// worker's `catch_unwind` tells it apart from a real panic.
 struct JobCancelled;
-
-/// Silence the cancellation sentinel in the global panic hook (installed
-/// once per process; all other panics go to the previous hook).
-fn install_cancel_hook() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<JobCancelled>().is_some() {
-                return;
-            }
-            previous(info);
-        }));
-    });
-}
 
 /// Terminal and in-flight states of one job.
 #[derive(Debug, Clone, PartialEq)]
@@ -379,7 +363,7 @@ impl SearchObserver for JobObserver {
         // lock held, so unwinding here is safe and prompt (at most one
         // episode after the cancel landed).
         if self.job.cancel.load(Ordering::Relaxed) {
-            std::panic::panic_any(JobCancelled);
+            std::panic::resume_unwind(Box::new(JobCancelled));
         }
         if let SearchEvent::NewIncumbent { .. } = event {
             let mut value = event.to_value();
@@ -768,7 +752,6 @@ impl Daemon {
     /// Returns an error when the address cannot be bound or the state
     /// directory cannot be created.
     pub fn start(config: ServeConfig) -> Result<DaemonHandle, ServeError> {
-        install_cancel_hook();
         // The daemon is observability's primary consumer: its metrics are
         // the whole point of the exposition surfaces, so collection is on
         // for the process.  Collection is passive — job outcomes stay

@@ -97,44 +97,6 @@ pub fn matmul(lhs: &[f64], rhs: &[f64], out: &mut [f64], m: usize, p: usize, n: 
     }
 }
 
-/// `out = lhs^T * rhs` for row-major `lhs` (`p x m`), `rhs` (`p x n`),
-/// `out` (`m x n`) — the transpose is folded into the access pattern, no
-/// transposed copy is materialised.  `out` is overwritten.
-pub fn matmul_tn(lhs: &[f64], rhs: &[f64], out: &mut [f64], m: usize, p: usize, n: usize) {
-    debug_assert_eq!(lhs.len(), p * m);
-    debug_assert_eq!(rhs.len(), p * n);
-    debug_assert_eq!(out.len(), m * n);
-    out.fill(0.0);
-    let mut kb = 0;
-    while kb < p {
-        let kend = (kb + K_BLOCK).min(p);
-        for k in kb..kend {
-            let lhs_row = &lhs[k * m..(k + 1) * m];
-            let rhs_row = &rhs[k * n..(k + 1) * n];
-            for i in 0..m {
-                axpy_row(&mut out[i * n..(i + 1) * n], lhs_row[i], rhs_row);
-            }
-        }
-        kb = kend;
-    }
-}
-
-/// `out = lhs * rhs^T` for row-major `lhs` (`m x p`), `rhs` (`n x p`),
-/// `out` (`m x n`) — each output element is a row-by-row dot product, so
-/// both operands stream along their natural layout.  `out` is overwritten.
-pub fn matmul_nt(lhs: &[f64], rhs: &[f64], out: &mut [f64], m: usize, p: usize, n: usize) {
-    debug_assert_eq!(lhs.len(), m * p);
-    debug_assert_eq!(rhs.len(), n * p);
-    debug_assert_eq!(out.len(), m * n);
-    for i in 0..m {
-        let lhs_row = &lhs[i * p..(i + 1) * p];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for (j, slot) in out_row.iter_mut().enumerate() {
-            *slot = dot(lhs_row, &rhs[j * p..(j + 1) * p]);
-        }
-    }
-}
-
 /// Dot products of `x` with every row of `m` (`cols` wide), handed to
 /// `emit(row, dot)` in row order.
 ///
@@ -293,36 +255,7 @@ mod tests {
     fn empty_dimensions_are_no_ops() {
         let mut out: Vec<f64> = Vec::new();
         matmul(&[], &[1.0, 2.0], &mut out, 0, 1, 2);
-        matmul_tn(&[], &[], &mut out, 0, 0, 0);
-        matmul_nt(&[], &[], &mut out, 0, 3, 0);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn tn_matches_explicit_transpose() {
-        // lhs is 3x2 (p=3, m=2), rhs is 3x2 (p=3, n=2).
-        let lhs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let rhs = [0.5, -1.0, 2.0, 0.0, 1.0, 3.0];
-        let mut fused = vec![0.0; 4];
-        matmul_tn(&lhs, &rhs, &mut fused, 2, 3, 2);
-        // Explicit transpose of lhs: 2x3.
-        let lhs_t = [1.0, 3.0, 5.0, 2.0, 4.0, 6.0];
-        let mut reference = vec![0.0; 4];
-        matmul(&lhs_t, &rhs, &mut reference, 2, 3, 2);
-        assert_eq!(fused, reference);
-    }
-
-    #[test]
-    fn nt_matches_explicit_transpose() {
-        // lhs is 2x3, rhs is 2x3 (n=2, p=3).
-        let lhs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let rhs = [0.5, -1.0, 2.0, 0.0, 1.0, 3.0];
-        let mut fused = vec![0.0; 4];
-        matmul_nt(&lhs, &rhs, &mut fused, 2, 3, 2);
-        let rhs_t = [0.5, 0.0, -1.0, 1.0, 2.0, 3.0];
-        let mut reference = vec![0.0; 4];
-        matmul(&lhs, &rhs_t, &mut reference, 2, 3, 2);
-        assert_eq!(fused, reference);
     }
 
     #[test]

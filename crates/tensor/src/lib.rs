@@ -29,7 +29,7 @@ pub mod kernel;
 pub mod matrix;
 pub mod optim;
 
-pub use matrix::{Matrix, ShapeError};
+pub use matrix::Matrix;
 pub use optim::{Adam, GradientDescent, Optimizer, RmsProp};
 
 /// Numerically stable mean of a slice. Returns `0.0` for an empty slice.

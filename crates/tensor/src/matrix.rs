@@ -1,46 +1,20 @@
 //! Dense row-major matrix of `f64` with the handful of operations the
 //! NASAIC controller and proxy trainer need.
 //!
-//! The multiplication entry points (`matmul`, the fused-transpose
-//! variants and the `*_into` scratch-buffer forms) all run on the
-//! blocked, branch-free kernels in [`crate::kernel`], and all of them are
-//! bit-for-bit identical to the retained naive reference
-//! [`Matrix::matmul_reference`] — see the kernel module docs for why.
+//! [`Matrix::matmul`] runs on the blocked, branch-free kernel in
+//! [`crate::kernel`] and is bit-for-bit identical to the retained naive
+//! reference [`Matrix::matmul_reference`] — see the kernel module docs
+//! for why.
 
 use crate::kernel;
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub};
 
-/// Error returned when two matrices have incompatible shapes for an
-/// operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShapeError {
-    /// Shape of the left-hand operand `(rows, cols)`.
-    pub lhs: (usize, usize),
-    /// Shape of the right-hand operand `(rows, cols)`.
-    pub rhs: (usize, usize),
-    /// Name of the operation that failed.
-    pub op: &'static str,
-}
-
-impl fmt::Display for ShapeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "incompatible shapes for {}: {}x{} vs {}x{}",
-            self.op, self.lhs.0, self.lhs.1, self.rhs.0, self.rhs.1
-        )
-    }
-}
-
-impl std::error::Error for ShapeError {}
-
 /// A dense, row-major matrix of `f64`.
 ///
 /// The matrix is deliberately simple: contiguous storage, no views, no
-/// broadcasting.  All binary operations panic on shape mismatch (the
-/// fallible variants `try_*` return [`ShapeError`] instead), matching the
-/// way the controller uses fixed-shape parameters.
+/// broadcasting.  All binary operations panic on shape mismatch, matching
+/// the way the controller uses fixed-shape parameters.
 ///
 /// # Example
 ///
@@ -225,23 +199,13 @@ impl Matrix {
     ///
     /// Panics if `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        self.try_matmul(rhs)
-            .unwrap_or_else(|e| panic!("matmul shape mismatch: {e}"))
-    }
-
-    /// Fallible matrix product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `self.cols() != rhs.rows()`.
-    pub fn try_matmul(&self, rhs: &Matrix) -> Result<Matrix, ShapeError> {
-        if self.cols != rhs.rows {
-            return Err(ShapeError {
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-                op: "matmul",
-            });
-        }
+        assert_eq!(
+            self.cols,
+            rhs.rows,
+            "matmul shape mismatch: {:?} vs {:?}",
+            self.shape(),
+            rhs.shape()
+        );
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         kernel::matmul(
             &self.data,
@@ -251,7 +215,7 @@ impl Matrix {
             self.cols,
             rhs.cols,
         );
-        Ok(out)
+        out
     }
 
     /// Retained naive matrix product: the plain `i`-`k`-`j` triple loop,
@@ -283,107 +247,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Matrix product into a caller-provided output, reusing its buffer.
-    ///
-    /// After warm-up (once `out`'s capacity has grown to fit), repeated
-    /// calls perform zero heap allocations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols,
-            rhs.rows,
-            "matmul_into shape mismatch: {:?} vs {:?}",
-            self.shape(),
-            rhs.shape()
-        );
-        out.reset_shape(self.rows, rhs.cols);
-        kernel::matmul(
-            &self.data,
-            &rhs.data,
-            &mut out.data,
-            self.rows,
-            self.cols,
-            rhs.cols,
-        );
-    }
-
-    /// Fused product `self^T * rhs` without materialising the transpose.
-    ///
-    /// Bit-identical to `self.transpose().matmul(rhs)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows() != rhs.rows()`.
-    pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.matmul_tn_into(rhs, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul_tn`] into a caller-provided output buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows() != rhs.rows()`.
-    pub fn matmul_tn_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.rows,
-            rhs.rows,
-            "matmul_tn shape mismatch: {:?} vs {:?}",
-            self.shape(),
-            rhs.shape()
-        );
-        out.reset_shape(self.cols, rhs.cols);
-        kernel::matmul_tn(
-            &self.data,
-            &rhs.data,
-            &mut out.data,
-            self.cols,
-            self.rows,
-            rhs.cols,
-        );
-    }
-
-    /// Fused product `self * rhs^T` without materialising the transpose.
-    ///
-    /// Bit-identical to `self.matmul(&rhs.transpose())`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.cols()`.
-    pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.matmul_nt_into(rhs, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul_nt`] into a caller-provided output buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.cols()`.
-    pub fn matmul_nt_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols,
-            rhs.cols,
-            "matmul_nt shape mismatch: {:?} vs {:?}",
-            self.shape(),
-            rhs.shape()
-        );
-        out.reset_shape(self.rows, rhs.rows);
-        kernel::matmul_nt(
-            &self.data,
-            &rhs.data,
-            &mut out.data,
-            self.rows,
-            self.cols,
-            rhs.rows,
-        );
     }
 
     /// Matrix-vector product `self * x` into a caller-provided vector.
@@ -667,34 +530,10 @@ mod tests {
     }
 
     #[test]
-    fn try_matmul_reports_shape_error() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        let err = a.try_matmul(&b).unwrap_err();
-        assert_eq!(err.op, "matmul");
-        assert_eq!(err.lhs, (2, 3));
-        assert_eq!(err.rhs, (2, 3));
-        assert!(err.to_string().contains("matmul"));
-    }
-
-    #[test]
-    fn matmul_matches_reference_and_into_variant() {
+    fn matmul_matches_reference() {
         let a = Matrix::from_rows(&[&[1.0, -2.0, 0.0][..], &[0.5, 4.0, -1.0][..]]);
         let b = Matrix::from_rows(&[&[2.0, 1.0][..], &[0.0, -3.0][..], &[1.5, 0.25][..]]);
-        let fast = a.matmul(&b);
-        assert_eq!(fast, a.matmul_reference(&b));
-        let mut out = Matrix::zeros(5, 5); // wrong shape on purpose: must be reset
-        a.matmul_into(&b, &mut out);
-        assert_eq!(out, fast);
-    }
-
-    #[test]
-    fn fused_transpose_products_match_explicit_transpose() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0][..], &[4.0, 5.0, 6.0][..]]);
-        let b = Matrix::from_rows(&[&[0.5, -1.0][..], &[2.0, 0.0][..]]);
-        assert_eq!(a.matmul_tn(&b), a.transpose().matmul(&b));
-        let c = Matrix::from_rows(&[&[1.0, 0.0, -1.0][..], &[2.0, 2.0, 2.0][..]]);
-        assert_eq!(a.matmul_nt(&c), a.matmul(&c.transpose()));
+        assert_eq!(a.matmul(&b), a.matmul_reference(&b));
     }
 
     #[test]
@@ -727,15 +566,6 @@ mod tests {
         let mut m = Matrix::zeros(4, 4);
         m.set_col_vector(&[1.0, 2.0]);
         assert_eq!(m, Matrix::col_vector(&[1.0, 2.0]));
-    }
-
-    #[test]
-    #[should_panic]
-    fn matmul_into_rejects_shape_mismatch() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        let mut out = Matrix::default();
-        a.matmul_into(&b, &mut out);
     }
 
     #[test]

@@ -619,11 +619,7 @@ fn cmd_run_shard(options: &Options, scenario: &Scenario) -> Result<String, CliEr
         .map_err(|e| CliError::new(format!("cannot write shard partial {out}: {e}")))?;
     Ok(format!(
         "wrote shard {shard_index}/{shards} partial ({} solution(s)) to {out}",
-        partial.solutions.len()
-            + partial
-                .complete
-                .as_ref()
-                .map_or(0, |outcome| outcome.explored.len())
+        partial.outcome.explored.len()
     ))
 }
 
@@ -688,7 +684,7 @@ fn cmd_merge(options: &Options) -> Result<String, CliError> {
     }
     let engine = scenario.engine();
     let plan = scenario.algorithm_shard_plan(algorithm, &engine, partials.len());
-    let outcome = scenario.merge_algorithm_shards(algorithm, &engine, &plan, partials);
+    let outcome = scenario.merge_algorithm_shards(algorithm, &engine, &plan, partials)?;
     let report = scenario.report_for_outcome(algorithm, &outcome);
     Ok(match format {
         Format::Text => report.to_string(),

@@ -98,8 +98,9 @@ fn merged_shards_reproduce_the_single_process_run() {
                         .expect("shard partial JSON round trip")
                 })
                 .collect();
-            let merged =
-                scenario.merge_algorithm_shards(algorithm, &scenario.engine(), &plan, partials);
+            let merged = scenario
+                .merge_algorithm_shards(algorithm, &scenario.engine(), &plan, partials)
+                .expect("shard partials of one run merge");
             assert_eq!(
                 baseline, merged,
                 "{name}/{algorithm}: merged {shards}-shard outcome diverged"
@@ -134,8 +135,9 @@ fn shard_counts_are_interchangeable_for_strided_plans() {
                     )
                 })
                 .collect();
-            let merged =
-                scenario.merge_algorithm_shards(algorithm, &scenario.engine(), &plan, partials);
+            let merged = scenario
+                .merge_algorithm_shards(algorithm, &scenario.engine(), &plan, partials)
+                .expect("shard partials of one run merge");
             assert_eq!(
                 baseline, merged,
                 "{algorithm}: {shards}-shard merge diverged"

@@ -116,8 +116,9 @@ proptest! {
                         .expect("shard partial JSON round trip")
                 })
                 .collect();
-            let merged =
-                scenario.merge_algorithm_shards(algorithm, &scenario.engine(), &plan, partials);
+            let merged = scenario
+                .merge_algorithm_shards(algorithm, &scenario.engine(), &plan, partials)
+                .expect("shard partials of one run merge");
             prop_assert_eq!(
                 &baseline,
                 &merged,

@@ -326,3 +326,80 @@ fn a_resume_from_a_record_that_does_not_fit_its_backbone_is_an_error_not_a_panic
     assert!(!stderr.contains("panicked"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn merging_partials_of_different_runs_is_an_error_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("nasaic-cli-bad-merge-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let shard = |name: &str, index: &str, extra: &[&str]| {
+        let out = dir.join(name);
+        let mut args = vec![
+            "run",
+            "--scenario",
+            "w1",
+            "--algorithm",
+            "monte-carlo",
+            "--shards",
+            "2",
+            "--shard-index",
+            index,
+            "--shard-out",
+            out.to_str().unwrap(),
+        ];
+        args.extend_from_slice(extra);
+        cli(&args);
+        out.to_str().unwrap().to_string()
+    };
+    let s0 = shard("s0.json", "0", &["--budget-episodes", "2"]);
+    let s1 = shard("s1.json", "1", &["--budget-episodes", "2"]);
+    let s1_seed7 = shard(
+        "s1-seed7.json",
+        "1",
+        &["--budget-episodes", "2", "--seed", "7"],
+    );
+    let s1_longer = shard("s1-longer.json", "1", &["--budget-episodes", "3"]);
+    let merge = |partials: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_nasaic"))
+            .args([
+                "merge",
+                "--scenario",
+                "w1",
+                "--algorithm",
+                "monte-carlo",
+                "--budget-episodes",
+                "2",
+                "--partials",
+                &partials.join(","),
+            ])
+            .output()
+            .expect("run nasaic")
+    };
+    for (partials, reason) in [
+        (
+            [s0.as_str(), s0.as_str()],
+            "duplicate or missing shard index 1",
+        ),
+        (
+            [s0.as_str(), s1_seed7.as_str()],
+            "shard 1 ran at seed 7, not 2020",
+        ),
+        (
+            [s0.as_str(), s1_longer.as_str()],
+            "shard 1 ran 33 episode(s), but the plan has 22",
+        ),
+    ] {
+        let output = merge(&partials);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{partials:?}: {stderr}");
+        assert!(stderr.contains(reason), "{partials:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{partials:?}: {stderr}");
+    }
+    // The consistent pair still merges.
+    let output = merge(&[&s0, &s1]);
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -816,6 +816,15 @@ fn metrics_endpoint_serves_prometheus_families_after_a_job() {
 /// Start the real `nasaic serve` binary on an ephemeral port, wait for the
 /// addr file, and return (child, addr).
 fn spawn_daemon(state_dir: &Path, extra: &[&str]) -> (std::process::Child, String) {
+    spawn_daemon_with_stderr(state_dir, extra, std::process::Stdio::null())
+}
+
+/// [`spawn_daemon`] with the daemon's stderr sent to `stderr`.
+fn spawn_daemon_with_stderr(
+    state_dir: &Path,
+    extra: &[&str],
+    stderr: std::process::Stdio,
+) -> (std::process::Child, String) {
     let addr_file = state_dir.join("addr");
     let _ = std::fs::remove_file(&addr_file);
     let mut command = std::process::Command::new(env!("CARGO_BIN_EXE_nasaic"));
@@ -831,7 +840,7 @@ fn spawn_daemon(state_dir: &Path, extra: &[&str]) -> (std::process::Child, Strin
         ])
         .args(extra)
         .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null());
+        .stderr(stderr);
     let child = command.spawn().expect("spawn nasaic serve");
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     let addr = loop {
@@ -848,6 +857,59 @@ fn spawn_daemon(state_dir: &Path, extra: &[&str]) -> (std::process::Child, Strin
         std::thread::sleep(std::time::Duration::from_millis(20));
     };
     (child, addr)
+}
+
+#[test]
+fn cancelling_a_job_writes_nothing_to_the_daemons_stderr() {
+    // A cancel unwinds the job without the panic machinery's report, so
+    // the binary's stderr keeps only its "listening" line.
+    let state_dir = temp_dir("cancel-stderr");
+    let log_path = state_dir.join("stderr.log");
+    let log = std::fs::File::create(&log_path).expect("create stderr log");
+    let (mut child, addr) = spawn_daemon_with_stderr(&state_dir, &[], log.into());
+    let mut scenario = quick_scenario(61);
+    scenario.search.episodes = 400;
+    let mut client = Client::connect(&addr).expect("connect");
+    let submitted = client
+        .request(&Request::Submit {
+            scenario: scenario.to_value(),
+            watch: false,
+        })
+        .expect("submit");
+    let job_id = submitted
+        .get("job")
+        .and_then(ConfigValue::as_integer)
+        .expect("job id");
+    while job_row(&mut client, job_id)
+        .get("state")
+        .and_then(ConfigValue::as_str)
+        == Some("queued")
+    {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let response = client
+        .request(&Request::Cancel { job: job_id as u64 })
+        .expect("cancel");
+    assert_eq!(
+        response.get("ok").and_then(ConfigValue::as_bool),
+        Some(true),
+        "{response:?}"
+    );
+    loop {
+        let state = job_row(&mut client, job_id);
+        match state.get("state").and_then(ConfigValue::as_str) {
+            Some("cancelled") => break,
+            Some("queued" | "running") => std::thread::sleep(std::time::Duration::from_millis(10)),
+            other => panic!("job ended {other:?} instead of cancelled: {state:?}"),
+        }
+    }
+    let _ = client.request(&Request::Shutdown);
+    child.wait().expect("daemon exits after shutdown");
+    let stderr = std::fs::read_to_string(&log_path).expect("read stderr log");
+    let _ = std::fs::remove_dir_all(&state_dir);
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines.len(), 1, "{stderr}");
+    assert!(lines[0].contains("listening"), "{stderr}");
 }
 
 #[test]
