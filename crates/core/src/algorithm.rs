@@ -280,29 +280,6 @@ pub trait SearchAlgorithm {
         self.run_checkpointed(ctx, None, &NullCheckpointSink)
     }
 
-    /// Resume a checkpointed run to completion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint belongs to a different algorithm; the
-    /// drivers additionally assert their own seed inside
-    /// [`run_checkpointed`](Self::run_checkpointed).
-    fn resume(
-        &self,
-        ctx: &SearchContext<'_>,
-        checkpoint: &SearchCheckpoint,
-        sink: &dyn CheckpointSink,
-    ) -> SearchOutcome {
-        assert_eq!(
-            checkpoint.algorithm,
-            self.name(),
-            "checkpoint belongs to algorithm `{}`, not `{}`",
-            checkpoint.algorithm,
-            self.name()
-        );
-        self.run_checkpointed(ctx, Some(checkpoint), sink)
-    }
-
     /// How this driver splits one run across `shards` workers.  The
     /// default is the sequential fallback: shard 0 runs the whole search.
     fn shard_plan(&self, _ctx: &SearchContext<'_>, shards: usize) -> ShardPlan {
@@ -333,7 +310,7 @@ pub trait SearchAlgorithm {
             ShardMode::Sequential => self.run(ctx),
             ShardMode::Strided => self.run(&ctx.with_shard(plan, shard_index)),
         };
-        ShardPartial::new(plan, ctx.seed, shard_index, outcome)
+        ShardPartial::new(plan, ctx.seed, ctx.budget, shard_index, outcome)
     }
 
     /// Merge every shard's partial back into the single-process outcome.
@@ -351,7 +328,7 @@ pub trait SearchAlgorithm {
         plan: &ShardPlan,
         partials: Vec<ShardPartial>,
     ) -> Result<SearchOutcome, ConfigError> {
-        merge_replay(plan, ctx.seed, partials)
+        merge_replay(plan, ctx.seed, ctx.budget, partials)
     }
 }
 

@@ -496,7 +496,7 @@ impl SearchAlgorithm for NasThenAsic {
         plan: &ShardPlan,
         partials: Vec<ShardPartial>,
     ) -> Result<SearchOutcome, ConfigError> {
-        let mut outcome = checkpoint::merge_replay(plan, ctx.seed, partials)?;
+        let mut outcome = checkpoint::merge_replay(plan, ctx.seed, ctx.budget, partials)?;
         if plan.mode == ShardMode::Strided {
             let sweep_summary = self.sweep_summary(&outcome, &ctx.specs);
             outcome

@@ -56,6 +56,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use crate::algorithm::Budget;
 use crate::candidate::Candidate;
 use crate::evaluator::Evaluation;
 use crate::log::{ExploredSolution, PhaseSummary, SearchOutcome};
@@ -912,6 +913,8 @@ pub struct ShardPartial {
     pub algorithm: String,
     /// The run's seed.
     pub seed: u64,
+    /// The run's declared budget.
+    pub budget: Budget,
     /// Total number of shards in the plan.
     pub shards: usize,
     /// This shard's index in `0..shards`.
@@ -921,11 +924,19 @@ pub struct ShardPartial {
 }
 
 impl ShardPartial {
-    /// The partial of shard `shard_index` of `plan`, for a run at `seed`.
-    pub fn new(plan: &ShardPlan, seed: u64, shard_index: usize, outcome: SearchOutcome) -> Self {
+    /// The partial of shard `shard_index` of `plan`, for a run at `seed`
+    /// on `budget`.
+    pub fn new(
+        plan: &ShardPlan,
+        seed: u64,
+        budget: Budget,
+        shard_index: usize,
+        outcome: SearchOutcome,
+    ) -> Self {
         Self {
             algorithm: plan.algorithm.clone(),
             seed,
+            budget,
             shards: plan.shards,
             shard_index,
             outcome,
@@ -937,6 +948,16 @@ impl ShardPartial {
         let mut root = ConfigValue::table();
         root.insert("algorithm", ConfigValue::Str(self.algorithm.clone()));
         root.insert("seed", ConfigValue::Integer(self.seed as i64));
+        let mut budget = ConfigValue::table();
+        budget.insert(
+            "episodes",
+            ConfigValue::Integer(self.budget.episodes as i64),
+        );
+        budget.insert(
+            "hardware_trials",
+            ConfigValue::Integer(self.budget.hardware_trials as i64),
+        );
+        root.insert("budget", budget);
         root.insert("shards", ConfigValue::Integer(self.shards as i64));
         root.insert("shard_index", ConfigValue::Integer(self.shard_index as i64));
         root.insert("outcome", outcome_to_value(&self.outcome));
@@ -951,9 +972,14 @@ impl ShardPartial {
     /// Returns a schema error for missing/ill-typed fields or candidates
     /// that do not fit the workload.
     pub fn from_value(value: &ConfigValue, workload: &Workload) -> Result<Self, ConfigError> {
+        let budget = field(value, "budget")?;
         Ok(Self {
             algorithm: str_field(value, "algorithm")?.to_string(),
             seed: int_field(value, "seed")? as u64,
+            budget: Budget::new(
+                usize_field(budget, "episodes")?,
+                usize_field(budget, "hardware_trials")?,
+            ),
             shards: usize_field(value, "shards")?,
             shard_index: usize_field(value, "shard_index")?,
             outcome: outcome_from_value(field(value, "outcome")?, workload)?,
@@ -976,8 +1002,8 @@ impl ShardPartial {
     }
 }
 
-/// Merge the partials of every shard of `plan` for a run at `seed` — the
-/// pure merge behind
+/// Merge the partials of every shard of `plan` for a run at `seed` on
+/// `budget` — the pure merge behind
 /// [`SearchAlgorithm::merge_shards`](crate::algorithm::SearchAlgorithm::merge_shards).
 ///
 /// A sequential plan returns shard 0's outcome.  A strided plan sorts
@@ -991,11 +1017,13 @@ impl ShardPartial {
 ///
 /// Returns an error when the partials do not form exactly one consistent
 /// set for the plan: a wrong count, a duplicate or missing shard index, a
-/// partial of another algorithm, shard count or seed, or a strided
-/// partial whose episode count is not the plan's unit count.
+/// partial of another algorithm, shard count or seed, a strided partial
+/// whose episode count is not the plan's unit count, or a partial of
+/// another budget.
 pub fn merge_replay(
     plan: &ShardPlan,
     seed: u64,
+    budget: Budget,
     mut partials: Vec<ShardPartial>,
 ) -> Result<SearchOutcome, ConfigError> {
     if partials.len() != plan.shards {
@@ -1025,6 +1053,15 @@ pub fn merge_replay(
             format!(
                 "shard {index} ran {} episode(s), but the plan has {}",
                 partial.outcome.episodes, plan.items
+            )
+        } else if partial.budget != budget {
+            format!(
+                "shard {index} ran on a budget of {} episode(s) with {} hardware trial(s) \
+                 each, not {} with {}",
+                partial.budget.episodes,
+                partial.budget.hardware_trials,
+                budget.episodes,
+                budget.hardware_trials
             )
         } else {
             continue;
@@ -2579,6 +2616,7 @@ mod tests {
     #[test]
     fn strided_merge_replays_records_in_episode_order() {
         let plan = ShardPlan::strided("monte-carlo", 2, 4);
+        let budget = Budget::new(4, 0);
         assert!(plan.assigns(0, 0) && plan.assigns(2, 0));
         assert!(plan.assigns(1, 1) && plan.assigns(3, 1));
         let solutions: Vec<_> = (0..4).map(|i| sample_solution(i, i % 2 == 1)).collect();
@@ -2595,34 +2633,43 @@ mod tests {
         });
         // Merge accepts partials in any order.
         let partials = vec![
-            ShardPartial::new(&plan, 7, 1, shard1),
-            ShardPartial::new(&plan, 7, 0, shard0),
+            ShardPartial::new(&plan, 7, budget, 1, shard1),
+            ShardPartial::new(&plan, 7, budget, 0, shard0),
         ];
-        assert_eq!(merge_replay(&plan, 7, partials.clone()).unwrap(), reference);
+        assert_eq!(
+            merge_replay(&plan, 7, budget, partials.clone()).unwrap(),
+            reference
+        );
         // Partials of another run are errors, not panics.
-        let error = merge_replay(&plan, 8, partials.clone()).unwrap_err();
+        let error = merge_replay(&plan, 8, budget, partials.clone()).unwrap_err();
         assert!(error.message.contains("seed 7, not 8"), "{error}");
         let twice = vec![partials[0].clone(), partials[0].clone()];
-        let error = merge_replay(&plan, 7, twice).unwrap_err();
+        let error = merge_replay(&plan, 7, budget, twice).unwrap_err();
         assert!(error.message.contains("duplicate or missing"), "{error}");
         let longer = ShardPlan::strided("monte-carlo", 2, 6);
-        let error = merge_replay(&longer, 7, partials).unwrap_err();
+        let error = merge_replay(&longer, 7, budget, partials.clone()).unwrap_err();
         assert!(error.message.contains("the plan has 6"), "{error}");
+        let error = merge_replay(&plan, 7, Budget::new(2, 1), partials).unwrap_err();
+        assert!(error.message.contains("budget of 4 episode(s)"), "{error}");
     }
 
     #[test]
     fn sequential_merge_returns_shard_zeros_outcome() {
         let plan = ShardPlan::sequential("nasaic", 3);
+        let budget = Budget::new(1, 10);
         let mut outcome = SearchOutcome::empty();
         outcome.record(sample_solution(0, true));
         outcome.episodes = 1;
         let partials = vec![
-            ShardPartial::new(&plan, 2, 0, outcome.clone()),
-            ShardPartial::new(&plan, 2, 1, SearchOutcome::empty()),
-            ShardPartial::new(&plan, 2, 2, SearchOutcome::empty()),
+            ShardPartial::new(&plan, 2, budget, 0, outcome.clone()),
+            ShardPartial::new(&plan, 2, budget, 1, SearchOutcome::empty()),
+            ShardPartial::new(&plan, 2, budget, 2, SearchOutcome::empty()),
         ];
-        assert_eq!(merge_replay(&plan, 2, partials.clone()).unwrap(), outcome);
-        assert!(merge_replay(&plan, 2, partials[..2].to_vec()).is_err());
+        assert_eq!(
+            merge_replay(&plan, 2, budget, partials.clone()).unwrap(),
+            outcome
+        );
+        assert!(merge_replay(&plan, 2, budget, partials[..2].to_vec()).is_err());
     }
 
     #[test]
@@ -2641,7 +2688,7 @@ mod tests {
             detail: "archs".to_string(),
         });
         // A seed past `i64::MAX` survives the round trip.
-        let partial = ShardPartial::new(&plan, u64::MAX - 1, 1, outcome);
+        let partial = ShardPartial::new(&plan, u64::MAX - 1, Budget::new(3, 1), 1, outcome);
         let parsed = ShardPartial::parse_json(&partial.to_json(), &workload).unwrap();
         assert_eq!(parsed, partial);
     }

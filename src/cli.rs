@@ -5,25 +5,17 @@
 //! `src/bin/nasaic.rs` binary is a three-line wrapper) so the whole CLI is
 //! exercisable from integration tests without spawning processes.
 //!
-//! ```text
-//! nasaic run --scenario <name|path> [--budget-episodes N] [--seed N]
-//!            [--algorithm NAME] [--format text|json|csv] [--output FILE]
-//!            [--trace FILE] [--progress]
-//!            [--checkpoint FILE] [--checkpoint-every N] [--resume FILE]
-//!            [--shards N --shard-index I --shard-out FILE]
-//! nasaic merge --scenario <name|path> [--algorithm NAME]
-//!              --partials a.json,b.json,... [--format text|json|csv]
-//! nasaic compare --scenario <name|path> [--algorithms a,b,c] [...]
-//! nasaic list-scenarios [--format text|json]
-//! nasaic show --scenario <name|path> [--format toml|json]
-//! nasaic serve [--addr HOST:PORT] [--state-dir DIR] [--workers N] [...]
-//! nasaic client --request <name> [--addr HOST:PORT] [--scenario ...] [--watch]
-//! ```
+//! The CLI is described once, as data: `COMMANDS` holds each command and
+//! the output formats it takes, `FLAGS` each flag's value kind and the
+//! commands it applies to.  Parsing, the "does not apply" check, the
+//! `--format` check and the usage text all read those two tables; `nasaic
+//! help` prints every command with its flags.
 //!
 //! `--trace FILE` streams every search event (episodes, incumbents, phase
 //! boundaries, the final cache summary) as JSON lines; `--progress` (also
 //! implied by `--trace`) prints a human-readable progress line to stderr
-//! on each improvement.
+//! on each improvement.  A whole run, a resumed run and a shard all report
+//! to the same observers.
 //!
 //! `--checkpoint FILE` snapshots the live search state every
 //! `--checkpoint-every N` progress units into two files: the explored
@@ -46,6 +38,7 @@ use nasaic_core::scenario::report::RunReport;
 use nasaic_core::scenario::value::{self, ConfigValue};
 use nasaic_core::scenario::{registry, Algorithm, ConfigError, Scenario};
 use nasaic_serve::{Client, Daemon, Request, ServeConfig};
+use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::str::FromStr;
@@ -79,10 +72,193 @@ impl From<ConfigError> for CliError {
     }
 }
 
-/// Top-level usage text (also the output of `nasaic help`); the built-in
-/// list comes from the registry so it never goes stale.
+/// One `nasaic` command.
+struct Command {
+    name: &'static str,
+    /// Its handler, which returns the text printed to stdout.
+    run: fn(&Options) -> Result<String, CliError>,
+    /// Its `--format` values, the first being the default; empty when
+    /// `--format` does not apply.
+    formats: &'static [&'static str],
+    /// Its line in the usage text.
+    about: &'static str,
+}
+
+/// Every command, in usage order.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "run", run: cmd_run, formats: &["text", "json", "csv"],
+              about: "Run one scenario's declared search algorithm" },
+    Command { name: "merge", run: cmd_merge, formats: &["text", "json", "csv"],
+              about: "Merge shard partials into the single-process result" },
+    Command { name: "compare", run: cmd_compare, formats: &["text", "json", "csv"],
+              about: "Run several algorithms on one scenario over a shared engine" },
+    Command { name: "list-scenarios", run: cmd_list, formats: &["text", "json"],
+              about: "List the built-in scenario registry" },
+    Command { name: "show", run: cmd_show, formats: &["toml", "json"],
+              about: "Print a scenario's config (authoring starting point)" },
+    Command { name: "gen", run: cmd_gen, formats: &["toml", "json", "text"],
+              about: "Generate a seeded scenario (always feasible or diagnosed)" },
+    Command { name: "profile", run: cmd_profile, formats: &["text", "json"],
+              about: "Run a scenario and print its wall-time breakdown" },
+    Command { name: "serve", run: cmd_serve, formats: &[],
+              about: "Run the long-lived search daemon (shared warm engines)" },
+    Command { name: "client", run: cmd_client, formats: &[],
+              about: "Talk to a running daemon (submit/cancel/show/shutdown)" },
+];
+
+/// How a flag's value is read; each kind has one error message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// No value: given or not.
+    Switch,
+    /// Any text.
+    Text,
+    /// A `usize` of 0 or more.
+    Count,
+    /// A `usize` of 1 or more.
+    Positive,
+    /// A `u64` no larger than `i64::MAX`: configs and the wire store
+    /// integers as `i64`, so larger values would not round-trip.
+    Id,
+    /// Any number.
+    Number,
+    /// A number in `0..=1`.
+    Fraction,
+}
+
+/// One flag: its name, value kind and placeholder, the commands it
+/// applies to, and its prose in the usage text.
+struct Flag {
+    name: &'static str,
+    kind: Kind,
+    value: &'static str,
+    commands: &'static [&'static str],
+    help: &'static str,
+}
+
+/// Every flag, in usage order.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { name: "--scenario", kind: Kind::Text, value: "<name|path>",
+           commands: &["run", "merge", "compare", "show", "profile", "client"],
+           help: "Registry name or path to a .toml/.json config" },
+    Flag { name: "--budget-episodes", kind: Kind::Positive, value: "<N>",
+           commands: &["run", "merge", "compare", "show", "profile", "client"],
+           help: "Override the scenario's episode budget" },
+    Flag { name: "--seed", kind: Kind::Id, value: "<N>",
+           commands: &["run", "merge", "compare", "show", "gen", "profile", "client"],
+           help: "Override the scenario's RNG seed" },
+    Flag { name: "--algorithm", kind: Kind::Text, value: "<name>",
+           commands: &["run", "merge", "show", "profile", "client"],
+           help: "Override the scenario's algorithm" },
+    Flag { name: "--algorithms", kind: Kind::Text, value: "<a,b,..>",
+           commands: &["compare"],
+           help: "Comma-separated algorithm list (default all)" },
+    Flag { name: "--networks", kind: Kind::Positive, value: "<N>",
+           commands: &["gen"],
+           help: "Task count of the generated workload" },
+    Flag { name: "--layers", kind: Kind::Text, value: "<LO..HI|N>",
+           commands: &["gen"],
+           help: "Total nominal layer range (`N` means N-5..N)" },
+    Flag { name: "--subs", kind: Kind::Positive, value: "<N>",
+           commands: &["gen"],
+           help: "Sub-accelerators in the generated pool (default 2)" },
+    Flag { name: "--tightness", kind: Kind::Number, value: "<X>",
+           commands: &["gen"],
+           help: "Generated spec tightness (default 1.0)" },
+    Flag { name: "--format", kind: Kind::Text, value: "<fmt>",
+           commands: &["run", "merge", "compare", "list-scenarios", "show", "gen", "profile"],
+           help: "Output format: one of the command's formats listed above, the first \
+                  being the default" },
+    Flag { name: "--output", kind: Kind::Text, value: "<file>",
+           commands: &["run", "merge", "compare", "list-scenarios", "show", "gen", "profile",
+                       "serve", "client"],
+           help: "Write the result there instead of stdout" },
+    Flag { name: "--trace", kind: Kind::Text, value: "<file>",
+           commands: &["run"],
+           help: "Stream search events as JSON lines (implies --progress)" },
+    Flag { name: "--progress", kind: Kind::Switch, value: "",
+           commands: &["run"],
+           help: "Print search progress lines to stderr" },
+    Flag { name: "--checkpoint", kind: Kind::Text, value: "<file>",
+           commands: &["run"],
+           help: "Snapshot the search state to this file plus an append-only \
+                  <file>.journal of explored records" },
+    Flag { name: "--checkpoint-every", kind: Kind::Positive, value: "<N>",
+           commands: &["run", "serve"],
+           help: "Checkpoint every N progress units (run: default 1; serve: an exact, \
+                  unsynced cadence instead of the default cost-budgeted, synced one)" },
+    Flag { name: "--resume", kind: Kind::Text, value: "<file>",
+           commands: &["run"],
+           help: "Continue from a checkpoint file and its journal" },
+    Flag { name: "--shards", kind: Kind::Positive, value: "<N>",
+           commands: &["run"],
+           help: "Split the run into N deterministic shards" },
+    Flag { name: "--shard-index", kind: Kind::Count, value: "<I>",
+           commands: &["run"],
+           help: "Which shard this process runs, 0-based" },
+    Flag { name: "--shard-out", kind: Kind::Text, value: "<file>",
+           commands: &["run"],
+           help: "Where the shard writes its partial result" },
+    Flag { name: "--partials", kind: Kind::Text, value: "<a,b,..>",
+           commands: &["merge"],
+           help: "Comma-separated shard partial files" },
+    Flag { name: "--min-coverage", kind: Kind::Fraction, value: "<X>",
+           commands: &["profile"],
+           help: "Fail when attributed time covers less than this fraction of the wall \
+                  (0..1; default: report only)" },
+    Flag { name: "--addr", kind: Kind::Text, value: "<host:port>",
+           commands: &["serve", "client"],
+           help: "Daemon listen/connect address (default 127.0.0.1:7764, port 0 = \
+                  ephemeral)" },
+    Flag { name: "--addr-file", kind: Kind::Text, value: "<file>",
+           commands: &["serve"],
+           help: "Write the actually bound address there" },
+    Flag { name: "--metrics-addr", kind: Kind::Text, value: "<h:p>",
+           commands: &["serve"],
+           help: "Also expose Prometheus text-format metrics over HTTP there (port 0 = \
+                  ephemeral)" },
+    Flag { name: "--metrics-addr-file", kind: Kind::Text, value: "<f>",
+           commands: &["serve"],
+           help: "Write the bound metrics address there" },
+    Flag { name: "--state-dir", kind: Kind::Text, value: "<dir>",
+           commands: &["serve"],
+           help: "Durability root: job journal, checkpoints and persisted caches \
+                  (default: no persistence)" },
+    Flag { name: "--queue-capacity", kind: Kind::Count, value: "<N>",
+           commands: &["serve"],
+           help: "Max queued jobs before submits are rejected (default 16)" },
+    Flag { name: "--workers", kind: Kind::Positive, value: "<N>",
+           commands: &["serve"],
+           help: "Concurrently running jobs (default 2)" },
+    Flag { name: "--job-threads", kind: Kind::Count, value: "<N>",
+           commands: &["serve"],
+           help: "Engine threads per job (0 = all cores)" },
+    Flag { name: "--accuracy-capacity", kind: Kind::Count, value: "<N>",
+           commands: &["serve"],
+           help: "Accuracy-cache entries per engine (0 = unbounded)" },
+    Flag { name: "--hardware-capacity", kind: Kind::Count, value: "<N>",
+           commands: &["serve"],
+           help: "Hardware-cache entries per engine (0 = unbounded)" },
+    Flag { name: "--request", kind: Kind::Text, value: "<name>",
+           commands: &["client"],
+           help: "One of ping, submit, cancel, show-jobs, show-cache, show-incumbent, \
+                  show-metrics, shutdown" },
+    Flag { name: "--job", kind: Kind::Id, value: "<N>",
+           commands: &["client"],
+           help: "Job id for cancel/show-incumbent" },
+    Flag { name: "--watch", kind: Kind::Switch, value: "",
+           commands: &["client"],
+           help: "Stream incumbent events to stderr and wait for the final report \
+                  (with --request submit)" },
+];
+
+/// Top-level usage text (also the output of `nasaic help`), built from
+/// `COMMANDS` and `FLAGS`; the built-in list comes from the registry, so
+/// none of it goes stale.
 pub fn usage() -> String {
-    format!(
+    let mut text = String::from(
         "\
 nasaic — neural architecture / ASIC accelerator co-exploration (DAC 2020)
 
@@ -90,345 +266,245 @@ USAGE:
     nasaic <COMMAND> [OPTIONS]
 
 COMMANDS:
-    run             Run one scenario's declared search algorithm
-    merge           Merge shard partials into the single-process result
-    compare         Run several algorithms on one scenario over a shared engine
-    list-scenarios  List the built-in scenario registry
-    show            Print a scenario's config (authoring starting point)
-    gen             Generate a seeded scenario (always feasible or diagnosed)
-    profile         Run a scenario and print its wall-time breakdown
-    serve           Run the long-lived search daemon (shared warm engines)
-    client          Talk to a running daemon (submit/cancel/show/shutdown)
-    help            Show this message
-
-OPTIONS:
-    --scenario <name|path>   Registry name or path to a .toml/.json config
-    --budget-episodes <N>    Override the scenario's episode budget
-    --seed <N>               Override the scenario's RNG seed (run/show/gen)
-    --algorithm <name>       Override the scenario's algorithm (run/show)
-    --algorithms <a,b,..>    Comma-separated algorithm list (compare; default all)
-    --networks <N>           Task count of the generated workload (gen)
-    --layers <LO..HI|N>      Total nominal layer range (gen; `N` means N-5..N)
-    --subs <N>               Sub-accelerator count of the generated pool (gen)
-    --tightness <X>          Spec tightness of the generated scenario (gen; default 1.0)
-    --format <fmt>           text|json|csv (run/compare), text|json (list),
-                             toml|json (show), toml|json|text (gen)
-    --output <file>          Write the result there instead of stdout
-    --trace <file>           Stream search events as JSON lines (run; implies --progress)
-    --progress               Print search progress lines to stderr (run)
-    --checkpoint <file>      Snapshot the search state to this file plus an
-                             append-only <file>.journal of explored records (run)
-    --checkpoint-every <N>   Checkpoint every N progress units (run; default 1).
-                             serve: an exact, unsynced cadence instead of
-                             the default cost-budgeted, synced one
-    --resume <file>          Continue from a checkpoint file and its journal (run)
-    --shards <N>             Split the run into N deterministic shards (run)
-    --shard-index <I>        Which shard this process runs, 0-based (run)
-    --shard-out <file>       Where the shard writes its partial result (run)
-    --partials <a,b,..>      Comma-separated shard partial files (merge)
-    --min-coverage <X>       Fail `profile` when attributed time covers less
-                             than this fraction of the wall (0..1; default: report only)
-    --addr <host:port>       Daemon listen/connect address (serve/client;
-                             default 127.0.0.1:7764, port 0 = ephemeral)
-    --addr-file <file>       Write the actually bound address there (serve)
-    --metrics-addr <h:p>     Also expose Prometheus text-format metrics over
-                             HTTP there (serve; port 0 = ephemeral)
-    --metrics-addr-file <f>  Write the bound metrics address there (serve)
-    --state-dir <dir>        Durability root: job journal, checkpoints and
-                             persisted caches (serve; default: no persistence)
-    --queue-capacity <N>     Max queued jobs before submits are rejected (serve)
-    --workers <N>            Concurrently running jobs (serve; default 2)
-    --job-threads <N>        Engine threads per job (serve; 0 = all cores)
-    --accuracy-capacity <N>  Accuracy-cache bound per engine, entries (serve; 0 = unbounded)
-    --hardware-capacity <N>  Hardware-cache bound per engine, entries (serve; 0 = unbounded)
-    --request <name>         ping|submit|cancel|show-jobs|show-cache|
-                             show-incumbent|show-metrics|shutdown (client)
-    --job <N>                Job id for cancel/show-incumbent (client)
-    --watch                  Stream incumbent events to stderr and wait for
-                             the final report (client --request submit)
-
-Protocol and ops runbook: docs/serve.md.
-Scenario schema: docs/scenarios.md.  Built-ins: {}.",
+",
+    );
+    for command in COMMANDS {
+        let flags: Vec<String> = command
+            .flags()
+            .map(|flag| match flag.name {
+                "--format" => format!("--format {}", command.formats.join("|")),
+                name => name.to_string(),
+            })
+            .collect();
+        text += &format!(
+            "    {:<15} {}\n{:20}{}\n",
+            command.name,
+            command.about,
+            "",
+            wrap(flags.iter().map(String::as_str), 20)
+        );
+    }
+    text += "    help            Show this message\n\nOPTIONS:\n";
+    for flag in FLAGS {
+        let head = format!("{} {}", flag.name, flag.value);
+        text += &format!(
+            "    {:<24} {}\n",
+            head.trim_end(),
+            wrap(flag.help.split_whitespace(), 29)
+        );
+    }
+    text + &format!(
+        "\nProtocol and ops runbook: docs/serve.md.\n\
+             Scenario schema: docs/scenarios.md.  Built-ins: {}.",
         registry::names().join(" ")
     )
 }
 
-/// Output format of `run` / `compare` / `list-scenarios` / `show`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
-    Csv,
-    Toml,
+/// `words` joined by spaces into lines of at most 80 columns, for text
+/// that starts at column `indent`; every line after the first is indented
+/// to that column.
+fn wrap<'a>(words: impl Iterator<Item = &'a str>, indent: usize) -> String {
+    let mut text = String::new();
+    let mut column = indent;
+    for word in words {
+        if column > indent && column + 1 + word.len() > 80 {
+            text += &format!("\n{:indent$}", "");
+            column = indent;
+        } else if column > indent {
+            text.push(' ');
+            column += 1;
+        }
+        text += word;
+        column += word.len();
+    }
+    text
 }
 
-impl Format {
-    fn parse(text: &str, allowed: &[Format], ctx: &str) -> Result<Format, CliError> {
-        let format = match text.trim().to_ascii_lowercase().as_str() {
-            "text" => Format::Text,
-            "json" => Format::Json,
-            "csv" => Format::Csv,
-            "toml" => Format::Toml,
-            other => return Err(CliError::new(format!("unknown format `{other}`"))),
-        };
-        if !allowed.contains(&format) {
-            return Err(CliError::new(format!(
-                "format `{text}` is not valid for {ctx}"
-            )));
-        }
-        Ok(format)
+impl Command {
+    /// The flags that apply to this command, in `FLAGS` order.
+    fn flags(&self) -> impl Iterator<Item = &'static Flag> + '_ {
+        FLAGS
+            .iter()
+            .filter(|flag| flag.commands.contains(&self.name))
     }
 }
 
-/// Parsed command-line options (shared by all subcommands; each declares
-/// the subset that applies via [`Options::ensure_only`]).
-#[derive(Debug, Default)]
+/// A flag's checked value.
+enum Value {
+    Switch,
+    Text(String),
+    Count(usize),
+    Id(u64),
+    Number(f64),
+}
+
+impl Flag {
+    /// Read this flag's value from `text`, checked against its kind.
+    fn read(&self, text: &str) -> Result<Value, CliError> {
+        let (value, wants) = match self.kind {
+            Kind::Switch => (Some(Value::Switch), "no value"),
+            Kind::Text => (Some(Value::Text(text.to_string())), "text"),
+            Kind::Count => (
+                text.parse().ok().map(Value::Count),
+                "a non-negative integer",
+            ),
+            Kind::Positive => (
+                text.parse()
+                    .ok()
+                    .filter(|&n: &usize| n > 0)
+                    .map(Value::Count),
+                "a positive integer",
+            ),
+            Kind::Id => (
+                text.parse()
+                    .ok()
+                    .filter(|&n: &u64| n <= i64::MAX as u64)
+                    .map(Value::Id),
+                "an integer in 0..=9223372036854775807 (so configs and the wire round-trip it)",
+            ),
+            Kind::Number => (text.parse().ok().map(Value::Number), "a number"),
+            Kind::Fraction => (
+                text.parse()
+                    .ok()
+                    .filter(|x: &f64| (0.0..=1.0).contains(x))
+                    .map(Value::Number),
+                "a fraction in 0..1",
+            ),
+        };
+        value.ok_or_else(|| CliError::new(format!("{} needs {wants}, got `{text}`", self.name)))
+    }
+}
+
+/// The flags given to one command, each read and checked against `FLAGS`.
 struct Options {
-    scenario: Option<String>,
-    budget_episodes: Option<usize>,
-    seed: Option<u64>,
-    algorithm: Option<String>,
-    algorithms: Option<String>,
-    networks: Option<usize>,
-    layers: Option<String>,
-    subs: Option<usize>,
-    tightness: Option<f64>,
-    format: Option<String>,
-    output: Option<String>,
-    trace: Option<String>,
-    progress: bool,
-    checkpoint: Option<String>,
-    checkpoint_every: Option<usize>,
-    resume: Option<String>,
-    shards: Option<usize>,
-    shard_index: Option<usize>,
-    shard_out: Option<String>,
-    partials: Option<String>,
-    addr: Option<String>,
-    addr_file: Option<String>,
-    metrics_addr: Option<String>,
-    metrics_addr_file: Option<String>,
-    min_coverage: Option<f64>,
-    state_dir: Option<String>,
-    queue_capacity: Option<usize>,
-    workers: Option<usize>,
-    job_threads: Option<usize>,
-    accuracy_capacity: Option<usize>,
-    hardware_capacity: Option<usize>,
-    request: Option<String>,
-    job: Option<u64>,
-    watch: bool,
-    /// The flag names actually given, for applicability checks.
-    provided: Vec<String>,
+    command: &'static Command,
+    values: HashMap<&'static str, Value>,
 }
 
 impl Options {
+    /// Parse `<command> [flags]`: resolve the command, then reject an
+    /// unknown or inapplicable flag (never ignore it: `compare
+    /// --algorithm`, a typo for `--algorithms`, must not run all six
+    /// algorithms) and read each value by its flag's kind.  A flag given
+    /// twice keeps its last value.
     fn parse(args: &[String]) -> Result<Self, CliError> {
-        let mut options = Options::default();
-        let mut iter = args.iter();
-        while let Some(flag) = iter.next() {
-            let mut take = || {
-                iter.next()
-                    .cloned()
-                    .ok_or_else(|| CliError::new(format!("`{flag}` needs a value")))
-            };
-            match flag.as_str() {
-                "--scenario" => options.scenario = Some(take()?),
-                "--budget-episodes" => {
-                    let text = take()?;
-                    options.budget_episodes = Some(text.parse().map_err(|_| {
-                        CliError::new(format!(
-                            "--budget-episodes needs a positive integer, got `{text}`"
-                        ))
-                    })?)
-                }
-                "--seed" => {
-                    let text = take()?;
-                    let seed: u64 = text.parse().map_err(|_| {
-                        CliError::new(format!("--seed needs a non-negative integer, got `{text}`"))
-                    })?;
-                    // The config format stores integers as i64, so larger
-                    // seeds could not round-trip through `show`/config
-                    // files; reject them up front.
-                    if seed > i64::MAX as u64 {
-                        return Err(CliError::new(format!(
-                            "--seed must be at most {} so scenario configs round-trip",
-                            i64::MAX
-                        )));
-                    }
-                    options.seed = Some(seed);
-                }
-                "--algorithm" => options.algorithm = Some(take()?),
-                "--algorithms" => options.algorithms = Some(take()?),
-                "--networks" => {
-                    let text = take()?;
-                    options.networks = Some(text.parse().map_err(|_| {
-                        CliError::new(format!("--networks needs a positive integer, got `{text}`"))
-                    })?)
-                }
-                "--layers" => options.layers = Some(take()?),
-                "--subs" => {
-                    let text = take()?;
-                    options.subs = Some(text.parse().map_err(|_| {
-                        CliError::new(format!("--subs needs a positive integer, got `{text}`"))
-                    })?)
-                }
-                "--tightness" => {
-                    let text = take()?;
-                    options.tightness = Some(text.parse().map_err(|_| {
-                        CliError::new(format!("--tightness needs a number, got `{text}`"))
-                    })?)
-                }
-                "--format" => options.format = Some(take()?),
-                "--output" => options.output = Some(take()?),
-                "--trace" => options.trace = Some(take()?),
-                "--progress" => options.progress = true,
-                "--checkpoint" => options.checkpoint = Some(take()?),
-                "--checkpoint-every" => {
-                    let text = take()?;
-                    let every: usize = text.parse().map_err(|_| {
-                        CliError::new(format!(
-                            "--checkpoint-every needs a positive integer, got `{text}`"
-                        ))
-                    })?;
-                    if every == 0 {
-                        return Err(CliError::new("--checkpoint-every must be at least 1"));
-                    }
-                    options.checkpoint_every = Some(every);
-                }
-                "--resume" => options.resume = Some(take()?),
-                "--shards" => {
-                    let text = take()?;
-                    let shards: usize = text.parse().map_err(|_| {
-                        CliError::new(format!("--shards needs a positive integer, got `{text}`"))
-                    })?;
-                    if shards == 0 {
-                        return Err(CliError::new("--shards must be at least 1"));
-                    }
-                    options.shards = Some(shards);
-                }
-                "--shard-index" => {
-                    let text = take()?;
-                    options.shard_index = Some(text.parse().map_err(|_| {
-                        CliError::new(format!(
-                            "--shard-index needs a non-negative integer, got `{text}`"
-                        ))
-                    })?)
-                }
-                "--shard-out" => options.shard_out = Some(take()?),
-                "--partials" => options.partials = Some(take()?),
-                "--addr" => options.addr = Some(take()?),
-                "--addr-file" => options.addr_file = Some(take()?),
-                "--metrics-addr" => options.metrics_addr = Some(take()?),
-                "--metrics-addr-file" => options.metrics_addr_file = Some(take()?),
-                "--min-coverage" => {
-                    let text = take()?;
-                    let coverage: f64 = text.parse().map_err(|_| {
-                        CliError::new(format!(
-                            "--min-coverage needs a fraction in 0..1, got `{text}`"
-                        ))
-                    })?;
-                    if !(0.0..=1.0).contains(&coverage) {
-                        return Err(CliError::new(format!(
-                            "--min-coverage needs a fraction in 0..1, got `{text}`"
-                        )));
-                    }
-                    options.min_coverage = Some(coverage);
-                }
-                "--state-dir" => options.state_dir = Some(take()?),
-                "--queue-capacity" => {
-                    let text = take()?;
-                    options.queue_capacity = Some(text.parse().map_err(|_| {
-                        CliError::new(format!(
-                            "--queue-capacity needs a non-negative integer, got `{text}`"
-                        ))
-                    })?)
-                }
-                "--workers" => {
-                    let text = take()?;
-                    let workers: usize = text.parse().map_err(|_| {
-                        CliError::new(format!("--workers needs a positive integer, got `{text}`"))
-                    })?;
-                    if workers == 0 {
-                        return Err(CliError::new("--workers must be at least 1"));
-                    }
-                    options.workers = Some(workers);
-                }
-                "--job-threads" => {
-                    let text = take()?;
-                    options.job_threads = Some(text.parse().map_err(|_| {
-                        CliError::new(format!(
-                            "--job-threads needs a non-negative integer, got `{text}`"
-                        ))
-                    })?)
-                }
-                "--accuracy-capacity" => {
-                    let text = take()?;
-                    options.accuracy_capacity = Some(text.parse().map_err(|_| {
-                        CliError::new(format!(
-                            "--accuracy-capacity needs a non-negative integer, got `{text}`"
-                        ))
-                    })?)
-                }
-                "--hardware-capacity" => {
-                    let text = take()?;
-                    options.hardware_capacity = Some(text.parse().map_err(|_| {
-                        CliError::new(format!(
-                            "--hardware-capacity needs a non-negative integer, got `{text}`"
-                        ))
-                    })?)
-                }
-                "--request" => options.request = Some(take()?),
-                "--job" => {
-                    let text = take()?;
-                    options.job = Some(text.parse().map_err(|_| {
-                        CliError::new(format!("--job needs a non-negative integer, got `{text}`"))
-                    })?)
-                }
-                "--watch" => options.watch = true,
-                other => {
-                    return Err(CliError::new(format!(
-                        "unknown option `{other}` (see `nasaic help`)"
-                    )))
-                }
-            }
-            options.provided.push(flag.clone());
-        }
-        Ok(options)
-    }
-
-    /// Error out on flags the subcommand does not use, instead of silently
-    /// ignoring them (e.g. `compare --algorithm` — a typo for
-    /// `--algorithms` — must not run all six algorithms).
-    fn ensure_only(&self, command: &str, allowed: &[&str]) -> Result<(), CliError> {
-        for flag in &self.provided {
-            if !allowed.contains(&flag.as_str()) {
+        let (name, flags) = args
+            .split_first()
+            .ok_or_else(|| CliError::new("missing command (see `nasaic help`)"))?;
+        let command = COMMANDS
+            .iter()
+            .find(|command| command.name == name)
+            .ok_or_else(|| {
+                CliError::new(format!("unknown command `{name}` (see `nasaic help`)"))
+            })?;
+        let mut values = HashMap::new();
+        let mut flags = flags.iter();
+        while let Some(given) = flags.next() {
+            let flag = FLAGS
+                .iter()
+                .find(|flag| flag.name == given)
+                .ok_or_else(|| {
+                    CliError::new(format!("unknown option `{given}` (see `nasaic help`)"))
+                })?;
+            if !flag.commands.contains(&command.name) {
+                let allowed: Vec<&str> = command.flags().map(|flag| flag.name).collect();
                 return Err(CliError::new(format!(
-                    "`{flag}` does not apply to `nasaic {command}` (allowed: {})",
+                    "`{given}` does not apply to `nasaic {}` (allowed: {})",
+                    command.name,
                     allowed.join(", ")
                 )));
             }
+            let value = match flag.kind {
+                Kind::Switch => Value::Switch,
+                _ => flag.read(
+                    flags
+                        .next()
+                        .ok_or_else(|| CliError::new(format!("`{given}` needs a value")))?,
+                )?,
+            };
+            values.insert(flag.name, value);
         }
-        Ok(())
+        Ok(Self { command, values })
+    }
+
+    /// The value given for `name`, which must be a `FLAGS` row of one of
+    /// `kinds`: a typo or a wrong getter trips the tests instead of
+    /// silently reading `None`.
+    fn value(&self, name: &str, kinds: &[Kind]) -> Option<&Value> {
+        debug_assert!(
+            FLAGS
+                .iter()
+                .any(|flag| flag.name == name && kinds.contains(&flag.kind)),
+            "`{name}` is not a flag of kind {kinds:?}"
+        );
+        self.values.get(name)
+    }
+
+    fn switch(&self, name: &str) -> bool {
+        self.value(name, &[Kind::Switch]).is_some()
+    }
+
+    fn text(&self, name: &str) -> Option<&str> {
+        match self.value(name, &[Kind::Text])? {
+            Value::Text(text) => Some(text),
+            _ => None,
+        }
+    }
+
+    fn count(&self, name: &str) -> Option<usize> {
+        match self.value(name, &[Kind::Count, Kind::Positive])? {
+            Value::Count(count) => Some(*count),
+            _ => None,
+        }
+    }
+
+    fn id(&self, name: &str) -> Option<u64> {
+        match self.value(name, &[Kind::Id])? {
+            Value::Id(id) => Some(*id),
+            _ => None,
+        }
+    }
+
+    fn number(&self, name: &str) -> Option<f64> {
+        match self.value(name, &[Kind::Number, Kind::Fraction])? {
+            Value::Number(number) => Some(*number),
+            _ => None,
+        }
+    }
+
+    /// The `--format` value, checked against the command's `COMMANDS` row;
+    /// the row's first format when none is given.
+    fn format(&self) -> Result<&'static str, CliError> {
+        let formats = self.command.formats;
+        let Some(text) = self.text("--format") else {
+            return Ok(formats[0]);
+        };
+        formats
+            .iter()
+            .find(|format| format.eq_ignore_ascii_case(text.trim()))
+            .copied()
+            .ok_or_else(|| {
+                CliError::new(format!(
+                    "unknown format `{text}` for `nasaic {}` (formats: {})",
+                    self.command.name,
+                    formats.join(", ")
+                ))
+            })
     }
 
     /// Resolve the scenario reference and apply the override flags.
     fn scenario(&self) -> Result<Scenario, CliError> {
         let reference = self
-            .scenario
-            .as_deref()
+            .text("--scenario")
             .ok_or_else(|| CliError::new("missing `--scenario <name|path>`"))?;
         let mut scenario = registry::resolve(reference)?;
-        if let Some(episodes) = self.budget_episodes {
-            if episodes == 0 {
-                return Err(CliError::new("--budget-episodes must be at least 1"));
-            }
+        if let Some(episodes) = self.count("--budget-episodes") {
             scenario.search.episodes = episodes;
         }
-        if let Some(seed) = self.seed {
+        if let Some(seed) = self.id("--seed") {
             scenario.seed = seed;
         }
-        if let Some(name) = &self.algorithm {
+        if let Some(name) = self.text("--algorithm") {
             scenario.search.algorithm = Algorithm::from_str(name)?;
         }
         Ok(scenario)
@@ -443,29 +519,15 @@ impl Options {
 /// Returns a [`CliError`] with the message the binary prints to stderr
 /// (exit code 2).
 pub fn run_command(args: &[String]) -> Result<String, CliError> {
-    let (command, rest) = match args.split_first() {
-        None => return Ok(usage()),
-        Some((first, rest)) => (first.as_str(), rest),
-    };
-    let options = Options::parse(rest)?;
-    let output = match command {
-        "run" => cmd_run(&options)?,
-        "merge" => cmd_merge(&options)?,
-        "compare" => cmd_compare(&options)?,
-        "list-scenarios" => cmd_list(&options)?,
-        "show" => cmd_show(&options)?,
-        "gen" => cmd_gen(&options)?,
-        "profile" => cmd_profile(&options)?,
-        "serve" => cmd_serve(&options)?,
-        "client" => cmd_client(&options)?,
-        "help" | "--help" | "-h" => usage(),
-        other => {
-            return Err(CliError::new(format!(
-                "unknown command `{other}` (see `nasaic help`)"
-            )))
-        }
-    };
-    match &options.output {
+    if matches!(
+        args.first().map(String::as_str),
+        None | Some("help" | "--help" | "-h")
+    ) {
+        return Ok(usage());
+    }
+    let options = Options::parse(args)?;
+    let output = (options.command.run)(&options)?;
+    match options.text("--output") {
         None => Ok(output),
         Some(path) => {
             std::fs::write(path, format!("{output}\n"))
@@ -475,44 +537,34 @@ pub fn run_command(args: &[String]) -> Result<String, CliError> {
     }
 }
 
-fn cmd_run(options: &Options) -> Result<String, CliError> {
-    options.ensure_only(
-        "run",
-        &[
-            "--scenario",
-            "--budget-episodes",
-            "--seed",
-            "--algorithm",
-            "--format",
-            "--output",
-            "--trace",
-            "--progress",
-            "--checkpoint",
-            "--checkpoint-every",
-            "--resume",
-            "--shards",
-            "--shard-index",
-            "--shard-out",
-        ],
-    )?;
-    let scenario = options.scenario()?;
-    if options.shards.is_some() || options.shard_index.is_some() || options.shard_out.is_some() {
-        return cmd_run_shard(options, &scenario);
+/// A run report in one of the `run`/`merge` formats.
+fn render_report(report: &RunReport, format: &str) -> String {
+    match format {
+        "json" => report.to_json(),
+        "csv" => format!("{}\n{}", RunReport::CSV_HEADER, report.to_csv_row()),
+        _ => report.to_string(),
     }
-    let format = Format::parse(
-        options.format.as_deref().unwrap_or("text"),
-        &[Format::Text, Format::Json, Format::Csv],
-        "run",
-    )?;
+}
+
+/// The `run` command: a whole run (optionally checkpointed or resumed) or,
+/// with `--shards N --shard-index I`, one shard of a deterministic N-way
+/// split whose partial goes to `--shard-out`.  Either reports to one
+/// observer set: the `--trace` file plus progress lines.
+fn cmd_run(options: &Options) -> Result<String, CliError> {
+    let scenario = options.scenario()?;
+    let format = options.format()?;
+    let shard = shard_flags(options)?;
     let resume = options
-        .resume
-        .as_deref()
+        .text("--resume")
         .map(|path| {
             SearchCheckpoint::load_for_resume(Path::new(path), &scenario.workload())
                 .map_err(|e| CliError::new(format!("bad checkpoint {path}: {e}")))
         })
         .transpose()?;
-    let file_sink = match (&options.checkpoint, options.checkpoint_every) {
+    let file_sink = match (
+        options.text("--checkpoint"),
+        options.count("--checkpoint-every"),
+    ) {
         (Some(path), every) => Some(FileCheckpointSink::new(Path::new(path), every.unwrap_or(1))),
         (None, Some(_)) => {
             return Err(CliError::new(
@@ -525,128 +577,101 @@ fn cmd_run(options: &Options) -> Result<String, CliError> {
         Some(sink) => sink,
         None => &NullCheckpointSink,
     };
-    let report =
-        if options.trace.is_some() || options.progress || resume.is_some() || file_sink.is_some() {
-            let engine = scenario.engine();
-            let trace =
-                match &options.trace {
-                    None => None,
-                    Some(path) => Some(TraceObserver::create(Path::new(path)).map_err(|e| {
-                        CliError::new(format!("cannot create trace file {path}: {e}"))
-                    })?),
-                };
-            let progress =
-                ProgressObserver::new(format!("{} {}", scenario.name, scenario.search.algorithm));
-            let mut observers = MulticastObserver::new();
-            if let Some(trace) = &trace {
-                observers.push(trace);
-            }
-            if options.trace.is_some() || options.progress {
-                observers.push(&progress);
-            }
+    let algorithm = scenario.search.algorithm;
+    let engine = scenario.engine();
+    let trace = options
+        .text("--trace")
+        .map(|path| {
+            TraceObserver::create(Path::new(path))
+                .map_err(|e| CliError::new(format!("cannot create trace file {path}: {e}")))
+        })
+        .transpose()?;
+    let progress = ProgressObserver::new(match shard {
+        Some((shards, index, _)) => format!("{} {algorithm} shard {index}/{shards}", scenario.name),
+        None => format!("{} {algorithm}", scenario.name),
+    });
+    let mut observers = MulticastObserver::new();
+    if let Some(trace) = &trace {
+        observers.push(trace);
+    }
+    if trace.is_some() || options.switch("--progress") {
+        observers.push(&progress);
+    }
+    let output = match shard {
+        Some((shards, index, out)) => {
+            let plan = scenario.algorithm_shard_plan(algorithm, &engine, shards);
+            let partial =
+                scenario.run_algorithm_shard(algorithm, &engine, &observers, &plan, index);
+            std::fs::write(out, format!("{}\n", partial.to_json()))
+                .map(|()| {
+                    format!(
+                        "wrote shard {index}/{shards} partial ({} solution(s)) to {out}",
+                        partial.outcome.explored.len()
+                    )
+                })
+                .map_err(|e| CliError::new(format!("cannot write shard partial {out}: {e}")))
+        }
+        None => {
             let report = scenario.run_report_checkpointed(
-                scenario.search.algorithm,
+                algorithm,
                 &engine,
                 &observers,
                 resume.as_ref(),
                 sink,
             );
-            if let Some(trace) = trace {
-                let path = options.trace.as_deref().unwrap_or_default();
-                trace
-                    .finish()
-                    .map_err(|e| CliError::new(format!("cannot write trace file {path}: {e}")))?;
-                eprintln!("trace written to {path}");
+            match file_sink.as_ref().and_then(FileCheckpointSink::take_error) {
+                Some(error) => Err(CliError::new(format!(
+                    "cannot write checkpoint {}: {error}",
+                    options.text("--checkpoint").unwrap_or_default()
+                ))),
+                None => Ok(render_report(&report, format)),
             }
-            report
-        } else {
-            scenario.run_report()
-        };
-    if let Some(sink) = &file_sink {
-        if let Some(error) = sink.take_error() {
-            let path = options.checkpoint.as_deref().unwrap_or_default();
-            return Err(CliError::new(format!(
-                "cannot write checkpoint {path}: {error}"
-            )));
         }
+    };
+    if let (Some(trace), Some(path)) = (trace, options.text("--trace")) {
+        trace
+            .finish()
+            .map_err(|e| CliError::new(format!("cannot write trace file {path}: {e}")))?;
+        eprintln!("trace written to {path}");
     }
-    Ok(match format {
-        Format::Text => report.to_string(),
-        Format::Json => report.to_json(),
-        Format::Csv => format!("{}\n{}", RunReport::CSV_HEADER, report.to_csv_row()),
-        Format::Toml => unreachable!("rejected by Format::parse"),
-    })
+    output
 }
 
-/// The `run --shards N --shard-index I` path: run one shard of the
-/// deterministic N-way split and write its partial to `--shard-out`.
-fn cmd_run_shard(options: &Options, scenario: &Scenario) -> Result<String, CliError> {
-    let shards = options
-        .shards
-        .ok_or_else(|| CliError::new("sharded runs need `--shards <N>`"))?;
-    let shard_index = options
-        .shard_index
-        .ok_or_else(|| CliError::new("sharded runs need `--shard-index <I>`"))?;
-    if shard_index >= shards {
+/// The `(shards, shard index, partial file)` of a sharded `run`, or `None`
+/// when no shard flag is given.
+fn shard_flags(options: &Options) -> Result<Option<(usize, usize, &str)>, CliError> {
+    let (shards, index, out) = (
+        options.count("--shards"),
+        options.count("--shard-index"),
+        options.text("--shard-out"),
+    );
+    if shards.is_none() && index.is_none() && out.is_none() {
+        return Ok(None);
+    }
+    let shards = shards.ok_or_else(|| CliError::new("sharded runs need `--shards <N>`"))?;
+    let index = index.ok_or_else(|| CliError::new("sharded runs need `--shard-index <I>`"))?;
+    if index >= shards {
         return Err(CliError::new(format!(
-            "--shard-index {shard_index} is out of range for {shards} shard(s)"
+            "--shard-index {index} is out of range for {shards} shard(s)"
         )));
     }
-    if options.resume.is_some() || options.checkpoint.is_some() {
+    if options.text("--resume").is_some() || options.text("--checkpoint").is_some() {
         return Err(CliError::new(
             "`--shards` does not combine with `--checkpoint`/`--resume` (checkpoint the \
              single-process run, or re-run the cheap shard from scratch)",
         ));
     }
-    let out = options
-        .shard_out
-        .as_deref()
-        .ok_or_else(|| CliError::new("sharded runs need `--shard-out <file>`"))?;
-    let engine = scenario.engine();
-    let algorithm = scenario.search.algorithm;
-    let plan = scenario.algorithm_shard_plan(algorithm, &engine, shards);
-    let progress = ProgressObserver::new(format!(
-        "{} {} shard {shard_index}/{shards}",
-        scenario.name, scenario.search.algorithm
-    ));
-    let partial = if options.progress {
-        scenario.run_algorithm_shard(algorithm, &engine, &progress, &plan, shard_index)
-    } else {
-        let observer = nasaic_core::algorithm::NullObserver;
-        scenario.run_algorithm_shard(algorithm, &engine, &observer, &plan, shard_index)
-    };
-    std::fs::write(out, format!("{}\n", partial.to_json()))
-        .map_err(|e| CliError::new(format!("cannot write shard partial {out}: {e}")))?;
-    Ok(format!(
-        "wrote shard {shard_index}/{shards} partial ({} solution(s)) to {out}",
-        partial.outcome.explored.len()
-    ))
+    let out = out.ok_or_else(|| CliError::new("sharded runs need `--shard-out <file>`"))?;
+    Ok(Some((shards, index, out)))
 }
 
 /// The `merge` subcommand: fold shard partials back into the exact
 /// single-process outcome and report it.
 fn cmd_merge(options: &Options) -> Result<String, CliError> {
-    options.ensure_only(
-        "merge",
-        &[
-            "--scenario",
-            "--budget-episodes",
-            "--seed",
-            "--algorithm",
-            "--partials",
-            "--format",
-            "--output",
-        ],
-    )?;
     let scenario = options.scenario()?;
-    let format = Format::parse(
-        options.format.as_deref().unwrap_or("text"),
-        &[Format::Text, Format::Json, Format::Csv],
-        "merge",
-    )?;
+    let format = options.format()?;
     let paths: Vec<&str> = options
-        .partials
-        .as_deref()
+        .text("--partials")
         .ok_or_else(|| CliError::new("missing `--partials <a.json,b.json,...>`"))?
         .split(',')
         .map(str::trim)
@@ -686,28 +711,12 @@ fn cmd_merge(options: &Options) -> Result<String, CliError> {
     let plan = scenario.algorithm_shard_plan(algorithm, &engine, partials.len());
     let outcome = scenario.merge_algorithm_shards(algorithm, &engine, &plan, partials)?;
     let report = scenario.report_for_outcome(algorithm, &outcome);
-    Ok(match format {
-        Format::Text => report.to_string(),
-        Format::Json => report.to_json(),
-        Format::Csv => format!("{}\n{}", RunReport::CSV_HEADER, report.to_csv_row()),
-        Format::Toml => unreachable!("rejected by Format::parse"),
-    })
+    Ok(render_report(&report, format))
 }
 
 fn cmd_compare(options: &Options) -> Result<String, CliError> {
-    options.ensure_only(
-        "compare",
-        &[
-            "--scenario",
-            "--budget-episodes",
-            "--seed",
-            "--algorithms",
-            "--format",
-            "--output",
-        ],
-    )?;
     let scenario = options.scenario()?;
-    let algorithms: Vec<Algorithm> = match &options.algorithms {
+    let algorithms: Vec<Algorithm> = match options.text("--algorithms") {
         None => Algorithm::all().to_vec(),
         Some(list) => list
             .split(',')
@@ -718,30 +727,27 @@ fn cmd_compare(options: &Options) -> Result<String, CliError> {
     if algorithms.is_empty() {
         return Err(CliError::new("--algorithms needs at least one name"));
     }
-    let format = Format::parse(
-        options.format.as_deref().unwrap_or("text"),
-        &[Format::Text, Format::Json, Format::Csv],
-        "compare",
-    )?;
+    let format = options.format()?;
     let comparison = compare::run(&scenario, &algorithms);
     Ok(match format {
-        Format::Text => comparison.to_string(),
-        Format::Json => comparison.to_json(),
-        Format::Csv => comparison.to_csv(),
-        Format::Toml => unreachable!("rejected by Format::parse"),
+        "json" => comparison.to_json(),
+        "csv" => comparison.to_csv(),
+        _ => comparison.to_string(),
     })
 }
 
 fn cmd_list(options: &Options) -> Result<String, CliError> {
-    options.ensure_only("list-scenarios", &["--format", "--output"])?;
-    let format = Format::parse(
-        options.format.as_deref().unwrap_or("text"),
-        &[Format::Text, Format::Json],
-        "list-scenarios",
-    )?;
     let scenarios = registry::all();
-    Ok(match format {
-        Format::Text => {
+    Ok(match options.format()? {
+        "json" => {
+            let mut root = ConfigValue::table();
+            root.insert(
+                "scenarios",
+                ConfigValue::Array(scenarios.iter().map(Scenario::to_value).collect()),
+            );
+            value::to_json(&root)
+        }
+        _ => {
             let mut out = String::from("built-in scenarios:\n");
             for scenario in &scenarios {
                 out.push_str(&format!(
@@ -754,40 +760,14 @@ fn cmd_list(options: &Options) -> Result<String, CliError> {
             out.push_str("\nrun one with: nasaic run --scenario <name>");
             out
         }
-        Format::Json => {
-            let mut root = ConfigValue::table();
-            root.insert(
-                "scenarios",
-                ConfigValue::Array(scenarios.iter().map(Scenario::to_value).collect()),
-            );
-            value::to_json(&root)
-        }
-        _ => unreachable!("rejected by Format::parse"),
     })
 }
 
 fn cmd_show(options: &Options) -> Result<String, CliError> {
-    options.ensure_only(
-        "show",
-        &[
-            "--scenario",
-            "--budget-episodes",
-            "--seed",
-            "--algorithm",
-            "--format",
-            "--output",
-        ],
-    )?;
     let scenario = options.scenario()?;
-    let format = Format::parse(
-        options.format.as_deref().unwrap_or("toml"),
-        &[Format::Toml, Format::Json],
-        "show",
-    )?;
-    Ok(match format {
-        Format::Toml => scenario.to_toml_string(),
-        Format::Json => scenario.to_json_string(),
-        _ => unreachable!("rejected by Format::parse"),
+    Ok(match options.format()? {
+        "json" => scenario.to_json_string(),
+        _ => scenario.to_toml_string(),
     })
 }
 
@@ -815,50 +795,34 @@ fn parse_layer_range(text: &str) -> Result<(usize, usize), CliError> {
 }
 
 fn cmd_gen(options: &Options) -> Result<String, CliError> {
-    options.ensure_only(
-        "gen",
-        &[
-            "--seed",
-            "--networks",
-            "--layers",
-            "--subs",
-            "--tightness",
-            "--format",
-            "--output",
-        ],
-    )?;
-    let format = Format::parse(
-        options.format.as_deref().unwrap_or("toml"),
-        &[Format::Toml, Format::Json, Format::Text],
-        "gen",
-    )?;
+    let format = options.format()?;
     let range = options
-        .layers
-        .as_deref()
+        .text("--layers")
         .map(parse_layer_range)
         .transpose()?;
     let mut spec = GeneratorSpec::sized(
         range
             .map(|(_, hi)| hi)
             .unwrap_or(GeneratorSpec::default().layer_range.1),
-        options.subs.unwrap_or(2),
-        options.seed.unwrap_or(GeneratorSpec::default().seed),
+        options.count("--subs").unwrap_or(2),
+        options
+            .id("--seed")
+            .unwrap_or(GeneratorSpec::default().seed),
     );
     if let Some(range) = range {
         spec.layer_range = range;
         spec.fit_network_count();
     }
-    if let Some(networks) = options.networks {
+    if let Some(networks) = options.count("--networks") {
         spec.network_count = networks;
     }
-    if let Some(tightness) = options.tightness {
+    if let Some(tightness) = options.number("--tightness") {
         spec.constraint_tightness = tightness;
     }
     let generated = spec.generate().map_err(|e| CliError::new(e.to_string()))?;
     Ok(match format {
-        Format::Toml => generated.scenario.to_toml_string(),
-        Format::Json => generated.scenario.to_json_string(),
-        Format::Text => {
+        "json" => generated.scenario.to_json_string(),
+        "text" => {
             let backbones: Vec<&str> = generated
                 .scenario
                 .tasks
@@ -885,7 +849,7 @@ fn cmd_gen(options: &Options) -> Result<String, CliError> {
                 generated.scenario.specs.area_um2,
             )
         }
-        Format::Csv => unreachable!("rejected by Format::parse"),
+        _ => generated.scenario.to_toml_string(),
     })
 }
 
@@ -893,24 +857,8 @@ fn cmd_gen(options: &Options) -> Result<String, CliError> {
 /// report where the wall time went (accuracy proxy vs cost model vs
 /// scheduler vs controller vs checkpointing).
 fn cmd_profile(options: &Options) -> Result<String, CliError> {
-    options.ensure_only(
-        "profile",
-        &[
-            "--scenario",
-            "--budget-episodes",
-            "--seed",
-            "--algorithm",
-            "--format",
-            "--output",
-            "--min-coverage",
-        ],
-    )?;
     let scenario = options.scenario()?;
-    let format = Format::parse(
-        options.format.as_deref().unwrap_or("text"),
-        &[Format::Text, Format::Json],
-        "profile",
-    )?;
+    let format = options.format()?;
     // Attribution needs a single-threaded engine: with parallel evaluation
     // the per-component spans overlap and would sum past the wall.
     let engine = scenario.engine_with_config(nasaic_core::engine::EngineConfig {
@@ -932,7 +880,7 @@ fn cmd_profile(options: &Options) -> Result<String, CliError> {
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     let breakdown = nasaic_core::metrics::ProfileBreakdown::collect(wall_ms);
     nasaic_telemetry::set_enabled(was_enabled);
-    if let Some(min) = options.min_coverage {
+    if let Some(min) = options.number("--min-coverage") {
         if breakdown.coverage < min {
             return Err(CliError::new(format!(
                 "profile coverage {:.1}% is below the required {:.1}% — instrumented spans \
@@ -943,15 +891,7 @@ fn cmd_profile(options: &Options) -> Result<String, CliError> {
         }
     }
     Ok(match format {
-        Format::Text => format!(
-            "profile: {} {} (seed {}, {} episode(s))\n{}",
-            scenario.name,
-            scenario.search.algorithm,
-            scenario.seed,
-            report.episodes,
-            breakdown.render_text()
-        ),
-        Format::Json => {
+        "json" => {
             let mut root = breakdown.to_value();
             root.insert("scenario", ConfigValue::Str(scenario.name.clone()));
             root.insert(
@@ -962,67 +902,56 @@ fn cmd_profile(options: &Options) -> Result<String, CliError> {
             root.insert("episodes", ConfigValue::Integer(report.episodes as i64));
             value::to_json(&root)
         }
-        _ => unreachable!("rejected by Format::parse"),
+        _ => format!(
+            "profile: {} {} (seed {}, {} episode(s))\n{}",
+            scenario.name,
+            scenario.search.algorithm,
+            scenario.seed,
+            report.episodes,
+            breakdown.render_text()
+        ),
     })
 }
 
 fn cmd_serve(options: &Options) -> Result<String, CliError> {
-    options.ensure_only(
-        "serve",
-        &[
-            "--addr",
-            "--addr-file",
-            "--metrics-addr",
-            "--metrics-addr-file",
-            "--state-dir",
-            "--queue-capacity",
-            "--workers",
-            "--job-threads",
-            "--accuracy-capacity",
-            "--hardware-capacity",
-            "--checkpoint-every",
-            "--output",
-        ],
-    )?;
-    if options.metrics_addr_file.is_some() && options.metrics_addr.is_none() {
+    let metrics_addr = options.text("--metrics-addr");
+    if options.text("--metrics-addr-file").is_some() && metrics_addr.is_none() {
         return Err(CliError::new(
             "--metrics-addr-file needs `--metrics-addr <host:port>`",
         ));
     }
-    let mut config = ServeConfig::default();
-    if let Some(addr) = &options.addr {
-        config.addr = addr.clone();
-    }
-    config.metrics_addr = options.metrics_addr.clone();
-    config.state_dir = options.state_dir.as_ref().map(std::path::PathBuf::from);
-    if let Some(capacity) = options.queue_capacity {
-        config.queue_capacity = capacity;
-    }
-    if let Some(workers) = options.workers {
-        config.workers = workers;
-    }
-    if let Some(threads) = options.job_threads {
-        config.job_threads = threads;
-    }
-    if let Some(capacity) = options.accuracy_capacity {
-        config.accuracy_capacity = capacity;
-    }
-    if let Some(capacity) = options.hardware_capacity {
-        config.hardware_capacity = capacity;
-    }
-    config.checkpoint_every = options.checkpoint_every;
+    let defaults = ServeConfig::default();
+    let config = ServeConfig {
+        addr: options.text("--addr").map_or(defaults.addr, str::to_string),
+        state_dir: options.text("--state-dir").map(std::path::PathBuf::from),
+        queue_capacity: options
+            .count("--queue-capacity")
+            .unwrap_or(defaults.queue_capacity),
+        workers: options.count("--workers").unwrap_or(defaults.workers),
+        job_threads: options
+            .count("--job-threads")
+            .unwrap_or(defaults.job_threads),
+        accuracy_capacity: options
+            .count("--accuracy-capacity")
+            .unwrap_or(defaults.accuracy_capacity),
+        hardware_capacity: options
+            .count("--hardware-capacity")
+            .unwrap_or(defaults.hardware_capacity),
+        checkpoint_every: options.count("--checkpoint-every"),
+        metrics_addr: metrics_addr.map(str::to_string),
+    };
     let handle = Daemon::start(config).map_err(|e| CliError::new(e.to_string()))?;
     let addr = handle.addr();
     // stderr, so scripts capturing stdout see only the final summary; the
     // addr file resolves ephemeral ports (`--addr 127.0.0.1:0`) for them.
     eprintln!("nasaic serve: listening on {addr}");
-    if let Some(path) = &options.addr_file {
+    if let Some(path) = options.text("--addr-file") {
         std::fs::write(path, format!("{addr}\n"))
             .map_err(|e| CliError::new(format!("cannot write {path}: {e}")))?;
     }
     if let Some(metrics_addr) = handle.metrics_addr() {
         eprintln!("nasaic serve: metrics on http://{metrics_addr}/metrics");
-        if let Some(path) = &options.metrics_addr_file {
+        if let Some(path) = options.text("--metrics-addr-file") {
             std::fs::write(path, format!("{metrics_addr}\n"))
                 .map_err(|e| CliError::new(format!("cannot write {path}: {e}")))?;
         }
@@ -1030,60 +959,47 @@ fn cmd_serve(options: &Options) -> Result<String, CliError> {
     handle.join().map_err(|e| CliError::new(e.to_string()))
 }
 
+/// The `client` command: build the request from the flags (so a bad one
+/// fails before any connection), send it, and print the daemon's answer.
 fn cmd_client(options: &Options) -> Result<String, CliError> {
-    options.ensure_only(
-        "client",
-        &[
-            "--addr",
-            "--request",
-            "--job",
-            "--watch",
-            "--scenario",
-            "--budget-episodes",
-            "--seed",
-            "--algorithm",
-            "--output",
-        ],
-    )?;
     const REQUESTS: &str =
         "ping, submit, cancel, show-jobs, show-cache, show-incumbent, show-metrics, shutdown";
-    let addr = options.addr.as_deref().unwrap_or("127.0.0.1:7764");
-    let request_name = options
-        .request
-        .as_deref()
+    let name = options
+        .text("--request")
         .ok_or_else(|| CliError::new(format!("missing `--request <name>` ({REQUESTS})")))?;
     let job = || {
         options
-            .job
-            .ok_or_else(|| CliError::new(format!("`--request {request_name}` needs `--job <N>`")))
+            .id("--job")
+            .ok_or_else(|| CliError::new(format!("`--request {name}` needs `--job <N>`")))
     };
-    let mut client = Client::connect(addr).map_err(|e| CliError::new(e.to_string()))?;
-    let response = match request_name {
-        "ping" => client.request(&Request::Ping),
-        "submit" => {
-            let scenario = options.scenario()?;
-            if options.watch {
-                client.submit_watch(scenario.to_value(), |event| {
-                    eprintln!("{}", value::to_json_compact(event));
-                })
-            } else {
-                client.request(&Request::Submit {
-                    scenario: scenario.to_value(),
-                    watch: false,
-                })
-            }
-        }
-        "cancel" => client.request(&Request::Cancel { job: job()? }),
-        "show-jobs" => client.request(&Request::ShowJobs),
-        "show-cache" => client.request(&Request::ShowCache),
-        "show-incumbent" => client.request(&Request::ShowIncumbent { job: job()? }),
-        "show-metrics" => client.request(&Request::ShowMetrics),
-        "shutdown" => client.request(&Request::Shutdown),
+    let request = match name {
+        "ping" => Request::Ping,
+        "submit" => Request::Submit {
+            scenario: options.scenario()?.to_value(),
+            watch: options.switch("--watch"),
+        },
+        "cancel" => Request::Cancel { job: job()? },
+        "show-jobs" => Request::ShowJobs,
+        "show-cache" => Request::ShowCache,
+        "show-incumbent" => Request::ShowIncumbent { job: job()? },
+        "show-metrics" => Request::ShowMetrics,
+        "shutdown" => Request::Shutdown,
         other => {
             return Err(CliError::new(format!(
                 "unknown request `{other}` ({REQUESTS})"
             )))
         }
+    };
+    let addr = options.text("--addr").unwrap_or("127.0.0.1:7764");
+    let mut client = Client::connect(addr).map_err(|e| CliError::new(e.to_string()))?;
+    let response = match request {
+        Request::Submit {
+            scenario,
+            watch: true,
+        } => client.submit_watch(scenario, |event| {
+            eprintln!("{}", value::to_json_compact(event));
+        }),
+        request => client.request(&request),
     }
     .map_err(|e| CliError::new(e.to_string()))?;
     if response.get("ok").and_then(ConfigValue::as_bool) == Some(false) {
@@ -1251,6 +1167,107 @@ mod tests {
         // An impossible generator spec surfaces the structured reason.
         let err = run(&["gen", "--layers", "10..12", "--networks", "50"]).unwrap_err();
         assert!(err.to_string().contains("achievable"), "{err}");
+    }
+
+    #[test]
+    fn every_flag_and_command_is_declared_once_and_shown_in_usage() {
+        let text = usage();
+        for (index, flag) in FLAGS.iter().enumerate() {
+            assert!(
+                FLAGS[..index].iter().all(|other| other.name != flag.name),
+                "{} is declared twice",
+                flag.name
+            );
+            assert!(!flag.commands.is_empty(), "{} applies nowhere", flag.name);
+            for command in flag.commands {
+                assert!(
+                    COMMANDS.iter().any(|row| row.name == *command),
+                    "{} names the unknown command `{command}`",
+                    flag.name
+                );
+            }
+            assert!(text.contains(flag.name), "usage misses {}", flag.name);
+        }
+        for command in COMMANDS {
+            assert!(text.contains(command.name), "usage misses {}", command.name);
+            // `Options::format` defaults to the first format.
+            assert_eq!(
+                command.formats.is_empty(),
+                command.flags().all(|flag| flag.name != "--format"),
+                "{} lists formats iff it takes --format",
+                command.name
+            );
+        }
+    }
+
+    const JUNK: [&str; 6] = ["", "0", "-1", "x", "0.5", "18446744073709551616"];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// Any sequence of command names, flag names and junk values
+        /// parses to an error or to options holding only flags that
+        /// apply to their command; it never panics.
+        #[test]
+        fn parsing_never_panics_and_keeps_only_applicable_flags(
+            lead in 0..COMMANDS.len() + 1,
+            names in proptest::collection::vec(0..COMMANDS.len() + FLAGS.len(), 0..5),
+            values in proptest::collection::vec(0..JUNK.len(), 5..6),
+        ) {
+            let name = |index: usize| {
+                COMMANDS
+                    .iter()
+                    .map(|command| command.name)
+                    .chain(FLAGS.iter().map(|flag| flag.name))
+                    .nth(index)
+                    .unwrap_or("frobnicate")
+            };
+            let mut args = vec![name(lead).to_string()];
+            for (&index, &value) in names.iter().zip(&values) {
+                args.push(name(index).to_string());
+                args.push(JUNK[value].to_string());
+            }
+            if let Ok(options) = Options::parse(&args) {
+                for flag in options.values.keys() {
+                    let row = FLAGS.iter().find(|row| row.name == *flag).unwrap();
+                    proptest::prop_assert!(row.commands.contains(&options.command.name));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bad_values_are_rejected_before_anything_runs() {
+        for (args, message) in [
+            (
+                &["serve", "--workers", "0"][..],
+                "--workers needs a positive integer, got `0`",
+            ),
+            (
+                &["gen", "--subs", "0"],
+                "--subs needs a positive integer, got `0`",
+            ),
+            (
+                &["client", "--job", "9223372036854775808"],
+                "--job needs an integer in 0..=9223372036854775807",
+            ),
+            (
+                &["profile", "--min-coverage", "1.5"],
+                "--min-coverage needs a fraction in 0..1, got `1.5`",
+            ),
+            (
+                &["show", "--scenario", "w1", "--format", "csv"],
+                "unknown format `csv` for `nasaic show` (formats: toml, json)",
+            ),
+            // The request is checked before any connection is tried.
+            (
+                &["client", "--request", "cancel", "--addr", "127.0.0.1:1"],
+                "`--request cancel` needs `--job <N>`",
+            ),
+        ] {
+            let err = run(args).unwrap_err().to_string();
+            assert!(err.contains(message), "{args:?}: {err}");
+        }
     }
 
     #[test]

@@ -331,14 +331,14 @@ fn a_resume_from_a_record_that_does_not_fit_its_backbone_is_an_error_not_a_panic
 fn merging_partials_of_different_runs_is_an_error_not_a_panic() {
     let dir = std::env::temp_dir().join(format!("nasaic-cli-bad-merge-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let shard = |name: &str, index: &str, extra: &[&str]| {
+    let shard = |name: &str, algorithm: &str, index: &str, extra: &[&str]| {
         let out = dir.join(name);
         let mut args = vec![
             "run",
             "--scenario",
             "w1",
             "--algorithm",
-            "monte-carlo",
+            algorithm,
             "--shards",
             "2",
             "--shard-index",
@@ -350,22 +350,32 @@ fn merging_partials_of_different_runs_is_an_error_not_a_panic() {
         cli(&args);
         out.to_str().unwrap().to_string()
     };
-    let s0 = shard("s0.json", "0", &["--budget-episodes", "2"]);
-    let s1 = shard("s1.json", "1", &["--budget-episodes", "2"]);
+    let s0 = shard("s0.json", "monte-carlo", "0", &["--budget-episodes", "2"]);
+    let s1 = shard("s1.json", "monte-carlo", "1", &["--budget-episodes", "2"]);
     let s1_seed7 = shard(
         "s1-seed7.json",
+        "monte-carlo",
         "1",
         &["--budget-episodes", "2", "--seed", "7"],
     );
-    let s1_longer = shard("s1-longer.json", "1", &["--budget-episodes", "3"]);
-    let merge = |partials: &[&str]| {
+    let s1_longer = shard(
+        "s1-longer.json",
+        "monte-carlo",
+        "1",
+        &["--budget-episodes", "3"],
+    );
+    // A sequential plan's shard 0 carries the whole run, so only the
+    // recorded budget tells a 3-episode run from the 2-episode one.
+    let n0_longer = shard("n0-longer.json", "nasaic", "0", &["--budget-episodes", "3"]);
+    let n1 = shard("n1.json", "nasaic", "1", &["--budget-episodes", "2"]);
+    let merge = |algorithm: &str, partials: &[&str]| {
         std::process::Command::new(env!("CARGO_BIN_EXE_nasaic"))
             .args([
                 "merge",
                 "--scenario",
                 "w1",
                 "--algorithm",
-                "monte-carlo",
+                algorithm,
                 "--budget-episodes",
                 "2",
                 "--partials",
@@ -374,32 +384,83 @@ fn merging_partials_of_different_runs_is_an_error_not_a_panic() {
             .output()
             .expect("run nasaic")
     };
-    for (partials, reason) in [
+    for (algorithm, partials, reason) in [
         (
+            "monte-carlo",
             [s0.as_str(), s0.as_str()],
             "duplicate or missing shard index 1",
         ),
         (
+            "monte-carlo",
             [s0.as_str(), s1_seed7.as_str()],
             "shard 1 ran at seed 7, not 2020",
         ),
         (
+            "monte-carlo",
             [s0.as_str(), s1_longer.as_str()],
             "shard 1 ran 33 episode(s), but the plan has 22",
         ),
+        (
+            "nasaic",
+            [n0_longer.as_str(), n1.as_str()],
+            "shard 0 ran on a budget of 3 episode(s) with 10 hardware trial(s) each, not 2",
+        ),
     ] {
-        let output = merge(&partials);
+        let output = merge(algorithm, &partials);
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(2), "{partials:?}: {stderr}");
         assert!(stderr.contains(reason), "{partials:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{partials:?}: {stderr}");
     }
     // The consistent pair still merges.
-    let output = merge(&[&s0, &s1]);
+    let output = merge("monte-carlo", &[&s0, &s1]);
     assert!(
         output.status.success(),
         "{}",
         String::from_utf8_lossy(&output.stderr)
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_sharded_run_streams_its_trace() {
+    let dir = std::env::temp_dir().join(format!("nasaic-cli-shard-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("s0.jsonl");
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_nasaic"))
+        .args([
+            "run",
+            "--scenario",
+            "w1",
+            "--algorithm",
+            "monte-carlo",
+            "--budget-episodes",
+            "2",
+            "--shards",
+            "2",
+            "--shard-index",
+            "0",
+            "--shard-out",
+            dir.join("s0.json").to_str().unwrap(),
+            "--trace",
+            trace.to_str().unwrap(),
+        ])
+        .output()
+        .expect("run nasaic");
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let text = std::fs::read_to_string(&trace).expect("the shard wrote its trace");
+    let kinds: Vec<String> = text
+        .lines()
+        .map(|line| {
+            let event =
+                value::parse_json(line).unwrap_or_else(|e| panic!("bad line `{line}`: {e}"));
+            event.get("event").unwrap().as_str().unwrap().to_string()
+        })
+        .collect();
+    assert_eq!(kinds.last().map(String::as_str), Some("search_finished"));
     let _ = std::fs::remove_dir_all(&dir);
 }
