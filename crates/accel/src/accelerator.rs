@@ -15,7 +15,7 @@ use std::fmt;
 ///   *homogeneous*;
 /// * several active sub-accelerators with differing dataflows or resources
 ///   → *heterogeneous*.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Accelerator {
     subs: Vec<SubAccelerator>,
 }

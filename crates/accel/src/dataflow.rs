@@ -17,7 +17,10 @@ use std::str::FromStr;
 ///   layers with many channels and low resolution (late ResNet blocks).
 /// * **Row-stationary** (Eyeriss) — balances reuse of weights, inputs and
 ///   partial sums along rows; a good all-rounder with higher buffer cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// The variants are declared in [`index`](Self::index) order, so the
+/// derived `Ord` orders dataflows (and accelerators) as their indices do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Dataflow {
     /// Shidiannao-style output-stationary dataflow.
     Shidiannao,

@@ -10,7 +10,7 @@ use std::fmt;
 /// A sub-accelerator with zero PEs is *inactive*: the design degenerates to
 /// fewer sub-accelerators (the paper uses this to express single-accelerator
 /// designs inside the same framework).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct SubAccelerator {
     /// Dataflow template of this sub-accelerator.
     pub dataflow: Dataflow,

@@ -7,8 +7,9 @@
 //! a [`SearchContext`].
 //!
 //! * [`SearchAlgorithm`] is the object-safe trait every driver implements:
-//!   `run_checkpointed(&self, ctx, resume, sink) -> SearchOutcome`, with
-//!   `run(&self, ctx)` as the plain no-resume case, plus shard-plan /
+//!   `run_checkpointed(&self, ctx, resume, sink) -> Result<SearchOutcome,
+//!   ConfigError>`, with `run(&self, ctx)` as the plain no-resume case,
+//!   which cannot fail, plus shard-plan /
 //!   run-shard / merge-shards hooks for deterministic multi-process
 //!   execution (see [`crate::checkpoint`]).
 //! * [`SearchContext`] bundles what the old signatures passed piecemeal —
@@ -235,7 +236,12 @@ impl std::fmt::Debug for SearchContext<'_> {
 /// case (no resume, no sink).  The contract, gated by the resume-identity
 /// tests in `tests/checkpoint_resume.rs` and the resume proptest, is
 /// *bit-identity*: resuming any checkpoint and running to the full budget
-/// must produce exactly the outcome of the uninterrupted run.
+/// must produce exactly the outcome of the uninterrupted run.  A driver
+/// decodes its whole resume state through the [`SearchCheckpoint`]
+/// accessors before it does any work, and returns the first decode error
+/// instead of panicking: a checkpoint of another algorithm, seed or
+/// layout, or past the run's budget, is rejected before the engine or the
+/// sink sees anything.
 ///
 /// # Sharding
 ///
@@ -262,22 +268,29 @@ pub trait SearchAlgorithm {
     fn name(&self) -> &str;
 
     /// Run the search, optionally resuming from a checkpoint, offering
-    /// new checkpoints to `sink` at the driver's snapshot points.
+    /// new checkpoints to `sink` at the driver's snapshot points.  With
+    /// `resume == None` and a [`NullCheckpointSink`] this is exactly the
+    /// plain run.
     ///
-    /// `resume` must come from the same algorithm, seed, workload and
-    /// budget (drivers assert the first two).  With `resume == None` and
-    /// a [`NullCheckpointSink`] this is exactly the plain run.
+    /// # Errors
+    ///
+    /// Returns the first error decoding `resume`: another algorithm or
+    /// seed, progress past the run's budget, or a state or record that
+    /// does not decode or does not fit the run.  Nothing has run then.
     fn run_checkpointed(
         &self,
         ctx: &SearchContext<'_>,
         resume: Option<&SearchCheckpoint>,
         sink: &dyn CheckpointSink,
-    ) -> SearchOutcome;
+    ) -> Result<SearchOutcome, ConfigError>;
 
     /// Run the search over the context's workload/specs/hardware through
     /// its engine, reporting progress to the context's observer.
     fn run(&self, ctx: &SearchContext<'_>) -> SearchOutcome {
-        self.run_checkpointed(ctx, None, &NullCheckpointSink)
+        match self.run_checkpointed(ctx, None, &NullCheckpointSink) {
+            Ok(outcome) => outcome,
+            Err(error) => unreachable!("a run without a checkpoint decoded one: {error}"),
+        }
     }
 
     /// How this driver splits one run across `shards` workers.  The

@@ -15,12 +15,12 @@ use crate::candidate::Candidate;
 use crate::checkpoint::{self, CheckpointCursor, CheckpointSink, SearchCheckpoint};
 use crate::engine::EvalEngine;
 use crate::log::{ExploredSolution, PhaseSummary, SearchOutcome};
-use crate::scenario::value::ConfigValue;
+use crate::scenario::value::{ConfigError, ConfigValue};
 use crate::spec::DesignSpecs;
 use crate::workload::Workload;
-use nasaic_accel::{Accelerator, Dataflow, HardwareSpace, SubAccelerator};
+use nasaic_accel::{Accelerator, HardwareSpace};
 use nasaic_nn::layer::Architecture;
-use nasaic_rl::{Controller, ControllerConfig, ControllerState, Segment};
+use nasaic_rl::{Controller, ControllerConfig, Segment};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -28,6 +28,10 @@ use serde::{Deserialize, Serialize};
 /// Pre-decoded phase-1 resume state: the Monte-Carlo RNG, the incumbent
 /// `(distance, accelerator)` if any, and the samples completed.
 type McResume = (StdRng, Option<(f64, Accelerator)>, usize);
+
+/// Where phase 2 starts: its RNG, controller and outcome, and the episodes
+/// completed.
+type NasStart = (StdRng, Controller, SearchOutcome, usize);
 
 /// Configuration of the ASIC→HW-NAS baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -105,10 +109,6 @@ impl AsicThenHwNas {
         let runs = self.monte_carlo_runs.max(1);
         let (mut rng, mut best, mut run) =
             resume.unwrap_or_else(|| (StdRng::seed_from_u64(self.seed ^ 0xcccc), None, 0));
-        assert!(
-            run <= runs,
-            "monte-carlo checkpoint has {run} samples, budget is {runs}"
-        );
         // The phase explores no (network, accelerator) records.
         let mut cursor = CheckpointCursor::new(self.name(), self.seed);
         while run < runs {
@@ -158,7 +158,7 @@ impl AsicThenHwNas {
                 if let Some((distance, accelerator)) = &best {
                     let mut incumbent = ConfigValue::table();
                     incumbent.insert("distance", checkpoint::float_to_value(*distance));
-                    incumbent.insert("accelerator", encode_accelerator(accelerator));
+                    incumbent.insert("accelerator", checkpoint::accelerator_to_value(accelerator));
                     state.insert("best", incumbent);
                 }
                 state
@@ -175,9 +175,9 @@ impl AsicThenHwNas {
     /// Checkpoints fire per episode at `progress = progress_offset +
     /// episodes completed` (the caller passes the Monte-Carlo run count as
     /// the offset so both phases share one progress axis) with
-    /// state `{rng, controller, outcome, accelerator}`.  `resume` is the
-    /// pre-decoded `(rng, controller state, outcome, episodes completed)`
-    /// tuple.
+    /// state `{rng, controller, outcome, accelerator}`.  `start` is the
+    /// fresh or pre-decoded `(rng, controller, outcome, episodes
+    /// completed)` tuple.
     #[allow(clippy::too_many_arguments)]
     fn run_hardware_aware_nas(
         &self,
@@ -186,39 +186,10 @@ impl AsicThenHwNas {
         accelerator: &Accelerator,
         engine: &EvalEngine,
         observer: &dyn SearchObserver,
-        resume: Option<(StdRng, ControllerState, SearchOutcome, usize)>,
+        (mut rng, mut controller, mut outcome, start_episode): NasStart,
         sink: &dyn CheckpointSink,
         progress_offset: usize,
     ) -> SearchOutcome {
-        let segments: Vec<Segment> = workload
-            .tasks
-            .iter()
-            .enumerate()
-            .map(|(i, task)| {
-                Segment::new(
-                    &format!("dnn{i}-{}", task.name),
-                    task.backbone.search_space().cardinalities(),
-                )
-            })
-            .collect();
-        let mut controller =
-            Controller::new(segments, ControllerConfig::default(), self.seed ^ 0xdddd);
-        let (mut rng, mut outcome, start_episode) = match resume {
-            Some((rng, state, outcome, episode)) => {
-                controller.restore_state(&state);
-                (rng, outcome, episode)
-            }
-            None => (
-                StdRng::seed_from_u64(self.seed ^ 0xeeee),
-                SearchOutcome::empty(),
-                0,
-            ),
-        };
-        assert!(
-            start_episode <= self.nas_episodes,
-            "hw-nas checkpoint has {start_episode} episodes, budget is {}",
-            self.nas_episodes
-        );
         let mut cursor = CheckpointCursor::new(self.name(), self.seed);
         let scorer = engine.scorer(PenaltyBounds::from_specs(&specs, 3.0), self.rho);
         for episode in start_episode..self.nas_episodes {
@@ -291,6 +262,22 @@ impl AsicThenHwNas {
         outcome
     }
 
+    /// Phase 2's fresh controller: one architecture segment per task.
+    fn nas_controller(&self, workload: &Workload) -> Controller {
+        let segments: Vec<Segment> = workload
+            .tasks
+            .iter()
+            .enumerate()
+            .map(|(i, task)| {
+                Segment::new(
+                    &format!("dnn{i}-{}", task.name),
+                    task.backbone.search_space().cardinalities(),
+                )
+            })
+            .collect();
+        Controller::new(segments, ControllerConfig::default(), self.seed ^ 0xdddd)
+    }
+
     /// Offer a NAS-phase checkpoint (see
     /// [`run_hardware_aware_nas`](Self::run_hardware_aware_nas) for the
     /// progress and state conventions).
@@ -316,7 +303,7 @@ impl AsicThenHwNas {
                 checkpoint::controller_state_to_value(&controller.export_state()),
             );
             state.insert("outcome", checkpoint::outcome_counters_to_value(outcome));
-            state.insert("accelerator", encode_accelerator(accelerator));
+            state.insert("accelerator", checkpoint::accelerator_to_value(accelerator));
             state
         });
     }
@@ -347,90 +334,64 @@ impl SearchAlgorithm for AsicThenHwNas {
         ctx: &SearchContext<'_>,
         resume: Option<&SearchCheckpoint>,
         sink: &dyn CheckpointSink,
-    ) -> SearchOutcome {
+    ) -> Result<SearchOutcome, ConfigError> {
         let (workload, specs, hardware, engine) =
             (ctx.workload, ctx.specs, ctx.hardware, ctx.engine);
         let observer = ctx.observer();
         let stats_start = engine.stats();
         let runs = self.monte_carlo_runs.max(1);
+        // A resume is decoded before any work: phase 1's `(rng, incumbent,
+        // samples)`, or phase 2's accelerator and start.
         let (mc_resume, nas_resume) = match resume {
+            None => (None, None),
             Some(cp) => {
-                cp.expect_run(self.name(), self.seed);
-                assert!(
-                    cp.progress <= runs + self.nas_episodes,
-                    "asic-then-hwnas checkpoint progress {} exceeds the total budget {}",
-                    cp.progress,
-                    runs + self.nas_episodes
-                );
-                if cp.progress <= runs {
-                    (Some(cp), None)
+                let progress = cp.progress_for(self.name(), self.seed, runs + self.nas_episodes)?;
+                if progress <= runs {
+                    let best = match cp.state.get("best") {
+                        Some(incumbent) => Some((
+                            checkpoint::float_field(incumbent, "distance")?,
+                            fitting_accelerator(
+                                checkpoint::field(incumbent, "accelerator")?,
+                                hardware,
+                            )?,
+                        )),
+                        None => None,
+                    };
+                    (Some((cp.rng()?, best, progress)), None)
                 } else {
-                    (None, Some(cp))
+                    let accelerator =
+                        fitting_accelerator(cp.state_field("accelerator")?, hardware)?;
+                    let mut controller = self.nas_controller(workload);
+                    cp.restore_controller(&mut controller)?;
+                    let outcome = cp.restore_outcome(workload)?;
+                    (
+                        None,
+                        Some((
+                            accelerator,
+                            (cp.rng()?, controller, outcome, progress - runs),
+                        )),
+                    )
                 }
             }
-            None => (None, None),
         };
-
-        let (accelerator, nas_state) = match nas_resume {
-            Some(cp) => {
-                let accelerator = decode_accelerator(
-                    cp.state
-                        .get("accelerator")
-                        .expect("asic-then-hwnas checkpoint: accelerator"),
-                );
-                let rng = StdRng::from_state(
-                    checkpoint::rng_state_from_value(
-                        cp.state
-                            .get("rng")
-                            .expect("asic-then-hwnas checkpoint: rng"),
-                    )
-                    .expect("asic-then-hwnas checkpoint: valid rng state"),
-                );
-                let state = checkpoint::controller_state_from_value(
-                    cp.state
-                        .get("controller")
-                        .expect("asic-then-hwnas checkpoint: controller"),
-                )
-                .expect("asic-then-hwnas checkpoint: valid controller state");
-                let outcome = cp
-                    .restore_outcome(workload)
-                    .expect("asic-then-hwnas checkpoint: valid outcome");
-                (accelerator, Some((rng, state, outcome, cp.progress - runs)))
-            }
+        let resumed_nas = nas_resume.is_some();
+        let (accelerator, nas_start) = match nas_resume {
+            Some((accelerator, start)) => (accelerator, start),
             None => {
                 observer.on_event(&SearchEvent::PhaseStarted {
                     phase: "asic-monte-carlo".to_string(),
                     budget: self.monte_carlo_runs,
                 });
-                let mc_state = mc_resume.map(|cp| {
-                    let rng = StdRng::from_state(
-                        checkpoint::rng_state_from_value(
-                            cp.state
-                                .get("rng")
-                                .expect("asic-then-hwnas checkpoint: rng"),
-                        )
-                        .expect("asic-then-hwnas checkpoint: valid rng state"),
-                    );
-                    let best = cp.state.get("best").map(|incumbent| {
-                        let distance = checkpoint::float_from_value(
-                            incumbent
-                                .get("distance")
-                                .expect("asic-then-hwnas checkpoint: incumbent distance"),
-                        )
-                        .expect("asic-then-hwnas checkpoint: valid incumbent distance");
-                        let accelerator = decode_accelerator(
-                            incumbent
-                                .get("accelerator")
-                                .expect("asic-then-hwnas checkpoint: incumbent accelerator"),
-                        );
-                        (distance, accelerator)
-                    });
-                    (rng, best, cp.progress)
-                });
                 let accelerator = self.run_monte_carlo_hardware(
-                    workload, &specs, hardware, engine, observer, mc_state, sink,
+                    workload, &specs, hardware, engine, observer, mc_resume, sink,
                 );
-                (accelerator, None)
+                let start = (
+                    StdRng::seed_from_u64(self.seed ^ 0xeeee),
+                    self.nas_controller(workload),
+                    SearchOutcome::empty(),
+                    0,
+                );
+                (accelerator, start)
             }
         };
         let hardware_summary = PhaseSummary {
@@ -441,7 +402,7 @@ impl SearchAlgorithm for AsicThenHwNas {
             best_weighted_accuracy: None,
             detail: format!("selected accelerator: {accelerator}"),
         };
-        if nas_resume.is_none() {
+        if !resumed_nas {
             observer.on_event(&SearchEvent::PhaseFinished {
                 phase: "asic-monte-carlo".to_string(),
                 summary: hardware_summary.clone(),
@@ -457,7 +418,7 @@ impl SearchAlgorithm for AsicThenHwNas {
             &accelerator,
             engine,
             observer,
-            nas_state,
+            nas_start,
             sink,
             runs,
         );
@@ -475,48 +436,26 @@ impl SearchAlgorithm for AsicThenHwNas {
         });
         outcome.phases = vec![hardware_summary, nas_summary];
         emit_search_finished(observer, &outcome, engine.stats().since(&stats_start));
-        outcome
+        Ok(outcome)
     }
 }
 
-/// Encode an accelerator as its sub-accelerator `(dataflow, PEs,
-/// bandwidth)` triples.
-fn encode_accelerator(accelerator: &Accelerator) -> ConfigValue {
-    ConfigValue::Array(
-        accelerator
-            .sub_accelerators()
-            .iter()
-            .map(|sub| {
-                ConfigValue::Array(vec![
-                    ConfigValue::Integer(sub.dataflow.index() as i64),
-                    ConfigValue::Integer(sub.num_pes as i64),
-                    ConfigValue::Integer(sub.bandwidth_gbps as i64),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Decode an accelerator written by [`encode_accelerator`].
-fn decode_accelerator(value: &ConfigValue) -> Accelerator {
-    let subs = value
-        .as_array()
-        .expect("asic-then-hwnas checkpoint: accelerator is an array")
-        .iter()
-        .map(|sub| {
-            let triple = checkpoint::usizes_from_value(sub)
-                .expect("asic-then-hwnas checkpoint: valid sub-accelerator triple");
-            assert_eq!(
-                triple.len(),
-                3,
-                "asic-then-hwnas checkpoint: sub-accelerator triple must have 3 entries"
-            );
-            let dataflow = Dataflow::from_index(triple[0])
-                .expect("asic-then-hwnas checkpoint: known dataflow index");
-            SubAccelerator::new(dataflow, triple[1], triple[2])
-        })
-        .collect();
-    Accelerator::new(subs)
+/// Decode a checkpointed accelerator ([`checkpoint::accelerator_from_value`])
+/// that must fit `hardware`: one sub-accelerator per slot, within the
+/// resource budget.
+fn fitting_accelerator(
+    value: &ConfigValue,
+    hardware: &HardwareSpace,
+) -> Result<Accelerator, ConfigError> {
+    let accelerator = checkpoint::accelerator_from_value(value)?;
+    if accelerator.sub_accelerators().len() != hardware.num_sub_accelerators()
+        || !hardware.budget().admits(&accelerator)
+    {
+        return Err(ConfigError::schema(format!(
+            "checkpoint: accelerator {accelerator} does not fit the hardware space"
+        )));
+    }
+    Ok(accelerator)
 }
 
 fn spec_distance(value: f64, spec: f64) -> f64 {

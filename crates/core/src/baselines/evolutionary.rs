@@ -15,7 +15,7 @@ use crate::bounds::PenaltyBounds;
 use crate::candidate::Candidate;
 use crate::checkpoint::{self, CheckpointCursor, CheckpointSink, SearchCheckpoint};
 use crate::log::{ExploredSolution, SearchOutcome};
-use crate::scenario::value::ConfigValue;
+use crate::scenario::value::{ConfigError, ConfigValue};
 use nasaic_nn::space::SearchSpace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -125,7 +125,7 @@ impl SearchAlgorithm for EvolutionarySearch {
         ctx: &SearchContext<'_>,
         resume: Option<&SearchCheckpoint>,
         sink: &dyn CheckpointSink,
-    ) -> SearchOutcome {
+    ) -> Result<SearchOutcome, ConfigError> {
         let (workload, specs, hardware, engine) =
             (ctx.workload, ctx.specs, ctx.hardware, ctx.engine);
         let observer = ctx.observer();
@@ -171,45 +171,41 @@ impl SearchAlgorithm for EvolutionarySearch {
 
         let (mut rng, mut population, mut fitness, mut outcome, start_generation) = match resume {
             Some(cp) => {
-                cp.expect_run(self.name(), self.seed);
-                assert!(
-                    cp.progress <= self.generations,
-                    "evolutionary checkpoint progress {} exceeds the configured {} generations",
-                    cp.progress,
-                    self.generations
-                );
-                let rng = StdRng::from_state(
-                    checkpoint::rng_state_from_value(
-                        cp.state.get("rng").expect("evolutionary checkpoint: rng"),
-                    )
-                    .expect("evolutionary checkpoint: valid rng state"),
-                );
-                let population: Vec<Vec<usize>> = cp
-                    .state
-                    .get("population")
-                    .and_then(ConfigValue::as_array)
-                    .expect("evolutionary checkpoint: population")
+                let progress = cp.progress_for(self.name(), self.seed, self.generations)?;
+                let population = cp
+                    .state_field("population")?
+                    .as_array()
+                    .ok_or_else(|| ConfigError::schema("checkpoint: population is not an array"))?
                     .iter()
-                    .map(|genome| {
-                        checkpoint::usizes_from_value(genome)
-                            .expect("evolutionary checkpoint: valid genome")
-                    })
-                    .collect();
-                let fitness = checkpoint::floats_from_value(
-                    cp.state
-                        .get("fitness")
-                        .expect("evolutionary checkpoint: fitness"),
+                    .map(checkpoint::usizes_from_value)
+                    .collect::<Result<Vec<_>, _>>()?;
+                let fitness = checkpoint::floats_from_value(cp.state_field("fitness")?)?;
+                let fits = |genome: &Vec<usize>| {
+                    genome.len() == genome_length
+                        && genome
+                            .iter()
+                            .zip(&cardinalities)
+                            .all(|(gene, card)| gene < card)
+                };
+                if population.len() != self.population.max(2)
+                    || fitness.len() != population.len()
+                    || !population.iter().all(fits)
+                {
+                    return Err(ConfigError::schema(format!(
+                        "checkpoint: a population of {} genomes with {} fitness values does not \
+                         fit {} genomes of {genome_length} genes",
+                        population.len(),
+                        fitness.len(),
+                        self.population.max(2)
+                    )));
+                }
+                (
+                    cp.rng()?,
+                    population,
+                    fitness,
+                    cp.restore_outcome(workload)?,
+                    progress,
                 )
-                .expect("evolutionary checkpoint: valid fitness");
-                assert_eq!(
-                    population.len(),
-                    fitness.len(),
-                    "evolutionary checkpoint: population and fitness lengths disagree"
-                );
-                let outcome = cp
-                    .restore_outcome(workload)
-                    .expect("evolutionary checkpoint: valid outcome");
-                (rng, population, fitness, outcome, cp.progress)
             }
             None => (
                 StdRng::seed_from_u64(self.seed ^ 0x5eed_5eed),
@@ -334,7 +330,7 @@ impl SearchAlgorithm for EvolutionarySearch {
 
         outcome.episodes = self.generations;
         emit_search_finished(observer, &outcome, engine.stats().since(&stats_start));
-        outcome
+        Ok(outcome)
     }
 }
 

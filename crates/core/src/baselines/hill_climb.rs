@@ -12,7 +12,7 @@ use crate::bounds::PenaltyBounds;
 use crate::candidate::Candidate;
 use crate::checkpoint::{self, CheckpointCursor, CheckpointSink, SearchCheckpoint};
 use crate::log::{ExploredSolution, SearchOutcome};
-use crate::scenario::value::ConfigValue;
+use crate::scenario::value::{ConfigError, ConfigValue};
 use serde::{Deserialize, Serialize};
 
 /// A candidate move of the local search: the architecture indices per task,
@@ -94,7 +94,7 @@ impl SearchAlgorithm for HillClimb {
         ctx: &SearchContext<'_>,
         resume: Option<&SearchCheckpoint>,
         sink: &dyn CheckpointSink,
-    ) -> SearchOutcome {
+    ) -> Result<SearchOutcome, ConfigError> {
         let (workload, specs, hardware, engine) =
             (ctx.workload, ctx.specs, ctx.hardware, ctx.engine);
         let observer = ctx.observer();
@@ -102,41 +102,30 @@ impl SearchAlgorithm for HillClimb {
         let scorer = engine.scorer(PenaltyBounds::from_specs(&specs, 3.0), self.rho);
 
         let hw_space_search = hardware.search_space();
-        let build = |arch_indices: &[Vec<usize>], hw_indices: &[usize]| -> Candidate {
-            let architectures = workload
-                .tasks
-                .iter()
-                .zip(arch_indices)
-                .map(|(t, idx)| t.backbone.materialize(idx).expect("valid indices"))
-                .collect();
-            let accelerator = hardware.decode(hw_indices).expect("valid hardware indices");
-            Candidate::from_parts(architectures, accelerator)
+        // `None` for a position outside the space (only a checkpoint can
+        // hold one: the start and every neighbour lie inside it).
+        let build = |arch_indices: &[Vec<usize>], hw_indices: &[usize]| -> Option<Candidate> {
+            if arch_indices.len() != workload.num_tasks() {
+                return None;
+            }
+            let architectures = Candidate::decode_architectures(workload, arch_indices).ok()?;
+            let accelerator = hardware.decode(hw_indices).ok()?;
+            Some(Candidate::from_parts(architectures, accelerator))
         };
 
         let (mut arch_indices, mut hw_indices, mut outcome, start_step) = match resume {
             Some(cp) => {
-                cp.expect_run(self.name(), 0);
-                let arch_indices: Vec<Vec<usize>> = cp
-                    .state
-                    .get("arch_indices")
-                    .and_then(ConfigValue::as_array)
-                    .expect("hill-climb checkpoint: arch_indices")
+                let progress = cp.progress_for(self.name(), 0, self.max_steps)?;
+                let arch_indices = cp
+                    .state_field("arch_indices")?
+                    .as_array()
+                    .ok_or_else(|| ConfigError::schema("checkpoint: arch_indices is not an array"))?
                     .iter()
-                    .map(|indices| {
-                        checkpoint::usizes_from_value(indices)
-                            .expect("hill-climb checkpoint: valid arch indices")
-                    })
-                    .collect();
-                let hw_indices = checkpoint::usizes_from_value(
-                    cp.state
-                        .get("hw_indices")
-                        .expect("hill-climb checkpoint: hw_indices"),
-                )
-                .expect("hill-climb checkpoint: valid hw indices");
-                let outcome = cp
-                    .restore_outcome(workload)
-                    .expect("hill-climb checkpoint: valid outcome");
-                (arch_indices, hw_indices, outcome, cp.progress + 1)
+                    .map(checkpoint::usizes_from_value)
+                    .collect::<Result<Vec<_>, _>>()?;
+                let hw_indices = checkpoint::usizes_from_value(cp.state_field("hw_indices")?)?;
+                let outcome = cp.restore_outcome(workload)?;
+                (arch_indices, hw_indices, outcome, progress + 1)
             }
             None => {
                 // Starting point: smallest architectures, balanced
@@ -154,9 +143,11 @@ impl SearchAlgorithm for HillClimb {
                 (arch_indices, hw_indices, SearchOutcome::empty(), 1)
             }
         };
+        let mut current = build(&arch_indices, &hw_indices).ok_or_else(|| {
+            ConfigError::schema("checkpoint: the climb's position does not fit the search space")
+        })?;
 
         let mut cursor = CheckpointCursor::new(self.name(), 0);
-        let mut current = build(&arch_indices, &hw_indices);
         let (mut current_eval, mut current_reward) = scorer.score(&current);
         if resume.is_none() {
             let start_compliant = current_eval.meets_specs();
@@ -200,13 +191,15 @@ impl SearchAlgorithm for HillClimb {
                 for neighbour in space.neighbours(&arch_indices[task_index]) {
                     let mut trial_arch = arch_indices.clone();
                     trial_arch[task_index] = neighbour;
-                    let candidate = build(&trial_arch, &hw_indices);
-                    moves.push((trial_arch, hw_indices.clone(), candidate));
+                    if let Some(candidate) = build(&trial_arch, &hw_indices) {
+                        moves.push((trial_arch, hw_indices.clone(), candidate));
+                    }
                 }
             }
             for neighbour in hw_space_search.neighbours(&hw_indices) {
-                let candidate = build(&arch_indices, &neighbour);
-                moves.push((arch_indices.clone(), neighbour, candidate));
+                if let Some(candidate) = build(&arch_indices, &neighbour) {
+                    moves.push((arch_indices.clone(), neighbour, candidate));
+                }
             }
             let candidates: Vec<Candidate> = moves
                 .iter()
@@ -269,7 +262,7 @@ impl SearchAlgorithm for HillClimb {
             );
         }
         emit_search_finished(observer, &outcome, engine.stats().since(&stats_start));
-        outcome
+        Ok(outcome)
     }
 }
 

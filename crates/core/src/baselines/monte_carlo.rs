@@ -26,7 +26,7 @@ use crate::algorithm::{emit_search_finished, SearchAlgorithm, SearchContext};
 use crate::candidate::Candidate;
 use crate::checkpoint::{self, CheckpointCursor, CheckpointSink, SearchCheckpoint, ShardPlan};
 use crate::log::SearchOutcome;
-use crate::scenario::value::ConfigValue;
+use crate::scenario::value::{ConfigError, ConfigValue};
 use crate::workload::Workload;
 use nasaic_accel::HardwareSpace;
 use rand::rngs::StdRng;
@@ -105,27 +105,13 @@ impl SearchAlgorithm for MonteCarloSearch {
         ctx: &SearchContext<'_>,
         resume: Option<&SearchCheckpoint>,
         sink: &dyn CheckpointSink,
-    ) -> SearchOutcome {
+    ) -> Result<SearchOutcome, ConfigError> {
         let (workload, hardware, engine) = (ctx.workload, ctx.hardware, ctx.engine);
         let stats_start = engine.stats();
         let start = match resume {
             Some(cp) => {
-                cp.expect_run(self.name(), self.seed);
-                assert!(
-                    cp.progress <= self.runs,
-                    "checkpoint progress {} exceeds the {}-sample budget",
-                    cp.progress,
-                    self.runs
-                );
-                let rng = checkpoint::rng_state_from_value(
-                    cp.state.get("rng").expect("monte-carlo checkpoint: rng"),
-                )
-                .map(StdRng::from_state)
-                .expect("monte-carlo checkpoint: valid rng state");
-                let outcome = cp
-                    .restore_outcome(workload)
-                    .expect("monte-carlo checkpoint: valid outcome");
-                (rng, outcome, cp.progress)
+                let progress = cp.progress_for(self.name(), self.seed, self.runs)?;
+                (cp.rng()?, cp.restore_outcome(workload)?, progress)
             }
             None => (
                 StdRng::seed_from_u64(self.seed ^ 0x1111_2222),
@@ -150,7 +136,7 @@ impl SearchAlgorithm for MonteCarloSearch {
             },
         );
         emit_search_finished(ctx.observer(), &outcome, engine.stats().since(&stats_start));
-        outcome
+        Ok(outcome)
     }
 
     /// Every sample is independent: stride them across the shards.

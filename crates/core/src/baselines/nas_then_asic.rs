@@ -21,12 +21,26 @@ use crate::engine::EvalEngine;
 use crate::log::{ExploredSolution, PhaseSummary, SearchOutcome};
 use crate::scenario::value::{ConfigError, ConfigValue};
 use crate::spec::DesignSpecs;
-use crate::workload::Workload;
+use crate::workload::{Task, Workload};
 use nasaic_nn::layer::Architecture;
 use nasaic_rl::{Controller, ControllerConfig, Segment};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+
+/// Where the NAS phase starts: fresh, or decoded from a checkpoint.
+struct NasStart {
+    /// The RNG every task's search draws from.
+    rng: StdRng,
+    /// The finished tasks' architectures.
+    done: Vec<Architecture>,
+    /// The task and episode to continue at.
+    task: usize,
+    episode: usize,
+    /// Mid-task: that task's controller and incumbent.
+    controller: Option<Controller>,
+    best: Option<(f64, Architecture)>,
+}
 
 /// Configuration of the NAS→ASIC baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -66,11 +80,43 @@ impl NasThenAsic {
         workload: &Workload,
         engine: &EvalEngine,
     ) -> Vec<Architecture> {
-        self.run_nas_observed(workload, engine, &NullObserver, None, &NullCheckpointSink)
+        self.run_nas_observed(
+            workload,
+            engine,
+            &NullObserver,
+            self.fresh_nas(),
+            &NullCheckpointSink,
+        )
     }
 
-    /// The NAS loop, shared by [`run_nas_with_engine`](Self::run_nas_with_engine)
-    /// and the trait path.  Episode events are numbered
+    /// A NAS phase from its first episode.
+    fn fresh_nas(&self) -> NasStart {
+        NasStart {
+            rng: StdRng::seed_from_u64(self.seed ^ 0xaaaa),
+            done: Vec::new(),
+            task: 0,
+            episode: 0,
+            controller: None,
+            best: None,
+        }
+    }
+
+    /// Task `task_index`'s fresh NAS controller.
+    fn task_controller(&self, task_index: usize, task: &Task) -> Controller {
+        let segments = vec![Segment::new(
+            &task.name,
+            task.backbone.search_space().cardinalities(),
+        )];
+        Controller::new(
+            segments,
+            ControllerConfig::default(),
+            self.seed + task_index as u64,
+        )
+    }
+
+    /// The NAS loop from `start`, shared by
+    /// [`run_nas_with_engine`](Self::run_nas_with_engine) and the trait
+    /// path.  Episode events are numbered
     /// `task_index * nas_episodes + episode` across the per-task searches.
     ///
     /// Checkpoints fire per NAS episode at `progress = task_index *
@@ -84,87 +130,27 @@ impl NasThenAsic {
         workload: &Workload,
         engine: &EvalEngine,
         observer: &dyn SearchObserver,
-        resume: Option<&SearchCheckpoint>,
+        start: NasStart,
         sink: &dyn CheckpointSink,
     ) -> Vec<Architecture> {
-        let (mut rng, mut architectures, start_task, start_episode, mut resume_controller) =
-            match resume {
-                Some(cp) => {
-                    let nas_budget = self.nas_episodes * workload.num_tasks();
-                    assert!(
-                        cp.progress <= nas_budget,
-                        "NAS checkpoint progress {} exceeds the {}-episode NAS budget",
-                        cp.progress,
-                        nas_budget
-                    );
-                    let rng = StdRng::from_state(
-                        checkpoint::rng_state_from_value(
-                            cp.state.get("rng").expect("nas-then-asic checkpoint: rng"),
-                        )
-                        .expect("nas-then-asic checkpoint: valid rng state"),
-                    );
-                    let task_index = cp.progress / self.nas_episodes.max(1);
-                    let architectures = decode_architectures(
-                        cp.state
-                            .get("done")
-                            .expect("nas-then-asic checkpoint: done architectures"),
-                        workload,
-                        task_index,
-                    );
-                    let controller = cp.state.get("controller").map(|value| {
-                        checkpoint::controller_state_from_value(value)
-                            .expect("nas-then-asic checkpoint: valid controller state")
-                    });
-                    let episode = cp.progress % self.nas_episodes.max(1);
-                    (rng, architectures, task_index, episode, controller)
-                }
-                None => (
-                    StdRng::seed_from_u64(self.seed ^ 0xaaaa),
-                    Vec::new(),
-                    0,
-                    0,
-                    None,
-                ),
+        let NasStart {
+            mut rng,
+            done: mut architectures,
+            task: start_task,
+            episode: start_episode,
+            mut controller,
+            mut best,
+        } = start;
+        for (task_index, task) in workload.tasks.iter().enumerate().skip(start_task) {
+            let mut controller = controller
+                .take()
+                .unwrap_or_else(|| self.task_controller(task_index, task));
+            let mut best = best.take();
+            let first_episode = if task_index == start_task {
+                start_episode
+            } else {
+                0
             };
-        let mut resume_best = resume.and_then(|cp| {
-            cp.state.get("best").map(|incumbent| {
-                let accuracy = checkpoint::float_from_value(
-                    incumbent
-                        .get("accuracy")
-                        .expect("nas-then-asic checkpoint: incumbent accuracy"),
-                )
-                .expect("nas-then-asic checkpoint: valid incumbent accuracy");
-                let values = checkpoint::usizes_from_value(
-                    incumbent
-                        .get("values")
-                        .expect("nas-then-asic checkpoint: incumbent values"),
-                )
-                .expect("nas-then-asic checkpoint: valid incumbent values");
-                let arch = workload.tasks[start_task]
-                    .backbone
-                    .materialize_values(&values);
-                (accuracy, arch)
-            })
-        });
-
-        for task_index in start_task..workload.num_tasks() {
-            let task = &workload.tasks[task_index];
-            let space = task.backbone.search_space();
-            let segments = vec![Segment::new(&task.name, space.cardinalities())];
-            let mut controller = Controller::new(
-                segments,
-                ControllerConfig::default(),
-                self.seed + task_index as u64,
-            );
-            let mut best: Option<(f64, Architecture)> = None;
-            let mut first_episode = 0;
-            if task_index == start_task {
-                if let Some(state) = resume_controller.take() {
-                    controller.restore_state(&state);
-                }
-                best = resume_best.take();
-                first_episode = start_episode;
-            }
             for episode in first_episode..self.nas_episodes {
                 let sample = controller.sample(&mut rng);
                 let (accuracy, evaluated) = match task.backbone.materialize(&sample.segments[0]) {
@@ -241,7 +227,7 @@ impl NasThenAsic {
             let mut state = ConfigValue::table();
             state.insert("phase", ConfigValue::Str("nas".to_string()));
             state.insert("rng", checkpoint::rng_state_to_value(&rng.state()));
-            state.insert("done", encode_architectures(architectures));
+            state.insert("done", checkpoint::architectures_to_value(architectures));
             if let Some(controller) = controller {
                 state.insert(
                     "controller",
@@ -251,7 +237,7 @@ impl NasThenAsic {
             if let Some((accuracy, arch)) = best {
                 let mut incumbent = ConfigValue::table();
                 incumbent.insert("accuracy", checkpoint::float_to_value(*accuracy));
-                incumbent.insert("values", checkpoint::usizes_to_value(&arch.hyperparameters));
+                incumbent.insert("values", checkpoint::architecture_to_value(arch));
                 state.insert("best", incumbent);
             }
             state
@@ -282,25 +268,19 @@ impl NasThenAsic {
         // these fixed architectures, so the parallel batch below can never
         // race duplicate oracle queries for them.
         ctx.engine.accuracies(architectures);
-        let (rng, outcome, sample) = resume.unwrap_or_else(|| {
+        let start = resume.unwrap_or_else(|| {
             (
                 StdRng::seed_from_u64(self.seed ^ 0xbbbb),
                 SearchOutcome::empty(),
                 0,
             )
         });
-        assert!(
-            sample <= self.hardware_samples,
-            "sweep checkpoint has {} samples, budget is {}",
-            sample,
-            self.hardware_samples
-        );
         let mut cursor = CheckpointCursor::new(self.name(), self.seed);
         sampling_loop(
             ctx,
             sink,
             &mut cursor,
-            (rng, outcome, sample),
+            start,
             self.hardware_samples,
             progress_offset,
             |rng, episode| {
@@ -315,11 +295,52 @@ impl NasThenAsic {
                 let mut state = ConfigValue::table();
                 state.insert("phase", ConfigValue::Str("sweep".to_string()));
                 state.insert("rng", checkpoint::rng_state_to_value(&rng.state()));
-                state.insert("done", encode_architectures(architectures));
+                state.insert("done", checkpoint::architectures_to_value(architectures));
                 state.insert("outcome", checkpoint::outcome_counters_to_value(outcome));
                 state
             },
         )
+    }
+
+    /// Decode a NAS-phase checkpoint at `progress` (at most the NAS
+    /// budget): the finished tasks' architectures and, mid-task, the
+    /// current task's controller and incumbent.
+    fn decode_nas(
+        &self,
+        cp: &SearchCheckpoint,
+        workload: &Workload,
+        progress: usize,
+    ) -> Result<NasStart, ConfigError> {
+        // `progress <= nas_episodes * num_tasks`, so `task <= num_tasks`.
+        let task = progress / self.nas_episodes.max(1);
+        let done =
+            checkpoint::architectures_from_value(cp.state_field("done")?, &workload.tasks[..task])?;
+        let (controller, best) = match workload.tasks.get(task) {
+            Some(current) if cp.state.get("controller").is_some() => {
+                let mut controller = self.task_controller(task, current);
+                cp.restore_controller(&mut controller)?;
+                let best = match cp.state.get("best") {
+                    Some(incumbent) => Some((
+                        checkpoint::float_field(incumbent, "accuracy")?,
+                        checkpoint::architecture_from_value(
+                            checkpoint::field(incumbent, "values")?,
+                            current,
+                        )?,
+                    )),
+                    None => None,
+                };
+                (Some(controller), best)
+            }
+            _ => (None, None),
+        };
+        Ok(NasStart {
+            rng: cp.rng()?,
+            done,
+            task,
+            episode: progress % self.nas_episodes.max(1),
+            controller,
+            best,
+        })
     }
 
     /// The NAS phase summary — a pure function of the chosen architectures
@@ -398,66 +419,43 @@ impl SearchAlgorithm for NasThenAsic {
         ctx: &SearchContext<'_>,
         resume: Option<&SearchCheckpoint>,
         sink: &dyn CheckpointSink,
-    ) -> SearchOutcome {
+    ) -> Result<SearchOutcome, ConfigError> {
         let (workload, specs, engine) = (ctx.workload, ctx.specs, ctx.engine);
         let observer = ctx.observer();
         let stats_start = engine.stats();
         let nas_budget = self.nas_episodes * workload.num_tasks();
-        let (nas_resume, sweep_resume) = match resume {
-            Some(cp) => {
-                cp.expect_run(self.name(), self.seed);
-                assert!(
-                    cp.progress <= nas_budget + self.hardware_samples,
-                    "nas-then-asic checkpoint progress {} exceeds the total budget {}",
-                    cp.progress,
-                    nas_budget + self.hardware_samples
-                );
-                if cp.progress <= nas_budget {
-                    (Some(cp), None)
-                } else {
-                    (None, Some(cp))
-                }
+        // A resume is decoded before any work: the NAS phase's start, or
+        // the sweep's architectures and `(rng, outcome, samples)`.
+        let (mut nas_start, mut sweep_start) = (self.fresh_nas(), None);
+        if let Some(cp) = resume {
+            let progress =
+                cp.progress_for(self.name(), self.seed, nas_budget + self.hardware_samples)?;
+            if progress <= nas_budget {
+                nas_start = self.decode_nas(cp, workload, progress)?;
+            } else {
+                let architectures =
+                    checkpoint::architectures_from_value(cp.state_field("done")?, &workload.tasks)?;
+                let outcome = cp.restore_outcome(workload)?;
+                sweep_start = Some((architectures, (cp.rng()?, outcome, progress - nas_budget)));
             }
-            None => (None, None),
-        };
-
-        let (architectures, sweep_state) = match sweep_resume {
-            Some(cp) => {
-                let architectures = decode_architectures(
-                    cp.state
-                        .get("done")
-                        .expect("nas-then-asic checkpoint: done architectures"),
-                    workload,
-                    workload.num_tasks(),
-                );
-                let rng = StdRng::from_state(
-                    checkpoint::rng_state_from_value(
-                        cp.state.get("rng").expect("nas-then-asic checkpoint: rng"),
-                    )
-                    .expect("nas-then-asic checkpoint: valid rng state"),
-                );
-                let outcome = cp
-                    .restore_outcome(workload)
-                    .expect("nas-then-asic checkpoint: valid outcome");
-                (
-                    architectures,
-                    Some((rng, outcome, cp.progress - nas_budget)),
-                )
-            }
+        }
+        let resumed_sweep = sweep_start.is_some();
+        let (architectures, sweep_state) = match sweep_start {
+            Some((architectures, state)) => (architectures, Some(state)),
             None => {
                 observer.on_event(&SearchEvent::PhaseStarted {
                     phase: "nas".to_string(),
                     budget: nas_budget,
                 });
                 let architectures =
-                    self.run_nas_observed(workload, engine, observer, nas_resume, sink);
+                    self.run_nas_observed(workload, engine, observer, nas_start, sink);
                 (architectures, None)
             }
         };
         // The chosen architectures' accuracies are cached from the NAS
         // loop, so summarising them here is free.
         let nas_summary = self.nas_summary(engine, nas_budget, &architectures);
-        if sweep_resume.is_none() {
+        if !resumed_sweep {
             observer.on_event(&SearchEvent::PhaseFinished {
                 phase: "nas".to_string(),
                 summary: nas_summary.clone(),
@@ -475,7 +473,7 @@ impl SearchAlgorithm for NasThenAsic {
         });
         outcome.phases = vec![nas_summary, sweep_summary];
         emit_search_finished(observer, &outcome, engine.stats().since(&stats_start));
-        outcome
+        Ok(outcome)
     }
 
     /// The sweep's samples are independent: stride them across the
@@ -506,45 +504,6 @@ impl SearchAlgorithm for NasThenAsic {
         }
         Ok(outcome)
     }
-}
-
-/// Encode architectures as their hyperparameter-value arrays (rebuilt
-/// against the workload's backbones by [`decode_architectures`]).
-fn encode_architectures(architectures: &[Architecture]) -> ConfigValue {
-    ConfigValue::Array(
-        architectures
-            .iter()
-            .map(|arch| checkpoint::usizes_to_value(&arch.hyperparameters))
-            .collect(),
-    )
-}
-
-/// Decode `expected` architectures (one per leading workload task) from
-/// their checkpointed hyperparameter values.
-fn decode_architectures(
-    value: &ConfigValue,
-    workload: &Workload,
-    expected: usize,
-) -> Vec<Architecture> {
-    let done = value
-        .as_array()
-        .expect("nas-then-asic checkpoint: done is an array");
-    assert_eq!(
-        done.len(),
-        expected,
-        "nas-then-asic checkpoint: {} finished architectures, expected {}",
-        done.len(),
-        expected
-    );
-    done.iter()
-        .zip(&workload.tasks)
-        .map(|(values, task)| {
-            task.backbone.materialize_values(
-                &checkpoint::usizes_from_value(values)
-                    .expect("nas-then-asic checkpoint: valid architecture values"),
-            )
-        })
-        .collect()
 }
 
 /// The explored solution with the fewest violated specs, ties broken by the

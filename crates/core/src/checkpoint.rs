@@ -62,12 +62,13 @@ use crate::evaluator::Evaluation;
 use crate::log::{ExploredSolution, PhaseSummary, SearchOutcome};
 use crate::scenario::value::{self, ConfigError, ConfigValue, JsonObject};
 use crate::spec::SpecCheck;
-use crate::workload::Workload;
+use crate::workload::{Task, Workload};
 use nasaic_accel::{Accelerator, Dataflow, SubAccelerator};
 use nasaic_cost::HardwareMetrics;
-use nasaic_rl::{ControllerState, PolicyState, TrainerState};
+use nasaic_nn::layer::Architecture;
+use nasaic_rl::{Controller, ControllerState, PolicyState, TrainerState};
 use nasaic_tensor::Matrix;
-use rand::rngs::StdRngState;
+use rand::rngs::{StdRng, StdRngState};
 
 /// The checkpoint format version this build writes (and the only one it
 /// accepts).  Version 2 carries the explored records in the envelope
@@ -88,9 +89,14 @@ pub const CHECKPOINT_VERSION: u32 = 3;
 /// `records_from` on.  A checkpoint is *complete* when `records_from` is
 /// 0; drivers resume only from complete checkpoints, which
 /// [`RecordingCheckpointSink`] and [`SearchCheckpoint::load`] return.
-/// Checkpoints are only valid for the same algorithm, seed, workload and
-/// budget they were taken from — drivers assert the first two and trust
-/// the caller for the rest.
+/// A driver decodes a checkpoint once, before it does any work, through
+/// the accessors below: [`progress_for`](Self::progress_for) checks the
+/// algorithm, the seed and the progress against the run's budget,
+/// [`rng`](Self::rng) and [`restore_controller`](Self::restore_controller)
+/// decode the shared parts of `state`, and
+/// [`restore_outcome`](Self::restore_outcome) replays the records.  Each
+/// returns an error instead of panicking, so a checkpoint of another run
+/// is rejected as a whole.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchCheckpoint {
     /// Format version ([`CHECKPOINT_VERSION`]).
@@ -283,39 +289,69 @@ impl SearchCheckpoint {
         Ok(checkpoint)
     }
 
-    /// [`load`](Self::load) a checkpoint to resume a run on `workload`
-    /// from, and check up front that its records rebuild the run's outcome
-    /// ([`restore_outcome`](Self::restore_outcome)): a driver restores the
-    /// outcome again on resume and panics on a record that does not fit.
+    /// The progress of this checkpoint, checked to come from a run of
+    /// `algorithm` at `seed` whose budget is `units` progress units: the
+    /// run identity every driver checks before it decodes its state.
     ///
     /// # Errors
     ///
-    /// Returns the error of `load` or of `restore_outcome`, which names
-    /// the offending record.
-    pub fn load_for_resume(path: &Path, workload: &Workload) -> Result<Self, ConfigError> {
-        let checkpoint = Self::load(path)?;
-        checkpoint.restore_outcome(workload)?;
-        Ok(checkpoint)
+    /// Returns an error naming the mismatch for a checkpoint of another
+    /// algorithm or seed, or one whose progress exceeds `units`.
+    pub fn progress_for(
+        &self,
+        algorithm: &str,
+        seed: u64,
+        units: usize,
+    ) -> Result<usize, ConfigError> {
+        let mismatch = if self.algorithm != algorithm {
+            format!(
+                "the checkpoint belongs to algorithm `{}`, not `{algorithm}`",
+                self.algorithm
+            )
+        } else if self.seed != seed {
+            format!("the checkpoint was taken at seed {}, not {seed}", self.seed)
+        } else if self.progress > units {
+            format!(
+                "the checkpoint's progress {} exceeds this run's budget of {units} units",
+                self.progress
+            )
+        } else {
+            return Ok(self.progress);
+        };
+        Err(ConfigError::schema(mismatch))
     }
 
-    /// Assert that this checkpoint belongs to the given driver and seed.
+    /// Field `key` of the driver state.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a descriptive message on a mismatch — resuming a
-    /// checkpoint under a different algorithm or seed would silently
-    /// diverge, which is strictly worse than failing.
-    pub fn expect_run(&self, algorithm: &str, seed: u64) {
-        assert_eq!(
-            self.algorithm, algorithm,
-            "checkpoint belongs to algorithm `{}`, not `{algorithm}`",
-            self.algorithm
-        );
-        assert_eq!(
-            self.seed, seed,
-            "checkpoint was taken at seed {}, not {seed}",
-            self.seed
-        );
+    /// Returns a schema error when the state has no such field.
+    pub fn state_field(&self, key: &str) -> Result<&ConfigValue, ConfigError> {
+        field(&self.state, key)
+    }
+
+    /// The run's RNG, stored as `state.rng` ([`rng_state_to_value`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of [`rng_state_from_value`].
+    pub fn rng(&self) -> Result<StdRng, ConfigError> {
+        rng_state_from_value(self.state_field("rng")?).map(StdRng::from_state)
+    }
+
+    /// Restore `controller` from `state.controller`
+    /// ([`controller_state_to_value`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the decode error, or the first weight, head or accumulator
+    /// whose shape does not fit `controller`; the controller is then left
+    /// unchanged.
+    pub fn restore_controller(&self, controller: &mut Controller) -> Result<(), ConfigError> {
+        let state = controller_state_from_value(self.state_field("controller")?)?;
+        controller
+            .restore_state(&state)
+            .map_err(|reason| ConfigError::schema(format!("checkpoint: {reason}")))
     }
 
     /// Rebuild the run's outcome: replay `records` through
@@ -1153,7 +1189,7 @@ pub fn offer_checkpoint(
 // Value codecs
 // ---------------------------------------------------------------------------
 
-fn field<'a>(table: &'a ConfigValue, key: &str) -> Result<&'a ConfigValue, ConfigError> {
+pub(crate) fn field<'a>(table: &'a ConfigValue, key: &str) -> Result<&'a ConfigValue, ConfigError> {
     table
         .get(key)
         .ok_or_else(|| ConfigError::schema(format!("checkpoint: missing field `{key}`")))
@@ -1183,7 +1219,7 @@ fn bool_field(table: &ConfigValue, key: &str) -> Result<bool, ConfigError> {
         .ok_or_else(|| ConfigError::schema(format!("checkpoint: field `{key}` is not a boolean")))
 }
 
-fn float_field(table: &ConfigValue, key: &str) -> Result<f64, ConfigError> {
+pub(crate) fn float_field(table: &ConfigValue, key: &str) -> Result<f64, ConfigError> {
     float_from_value(field(table, key)?)
         .map_err(|_| ConfigError::schema(format!("checkpoint: field `{key}` is not a float")))
 }
@@ -1283,8 +1319,8 @@ pub fn rng_state_to_value(state: &StdRngState) -> ConfigValue {
 ///
 /// # Errors
 ///
-/// Returns a schema error for missing/ill-typed fields or a key that is
-/// not exactly 8 words.
+/// Returns a schema error for missing/ill-typed fields, a key that is not
+/// exactly 8 words, or a buffer index past the 64-word buffer.
 pub fn rng_state_from_value(value: &ConfigValue) -> Result<StdRngState, ConfigError> {
     let words = array_field(value, "key")?;
     if words.len() != 8 {
@@ -1300,10 +1336,16 @@ pub fn rng_state_from_value(value: &ConfigValue) -> Result<StdRngState, ConfigEr
             .and_then(|raw| u32::try_from(raw).ok())
             .ok_or_else(|| ConfigError::schema("checkpoint: rng key word out of range"))?;
     }
+    let index = usize_field(value, "index")?;
+    if index > 64 {
+        return Err(ConfigError::schema(format!(
+            "checkpoint: rng buffer index {index} exceeds 64"
+        )));
+    }
     Ok(StdRngState {
         key,
         counter: int_field(value, "counter")? as u64,
-        index: usize_field(value, "index")?,
+        index,
     })
 }
 
@@ -1573,21 +1615,116 @@ pub fn controller_state_from_value(value: &ConfigValue) -> Result<ControllerStat
     Ok(ControllerState { policy, trainer })
 }
 
-/// Encode a candidate: per-task architecture hyperparameter values (the
-/// architectures are rebuilt from the workload's backbones), the
-/// controller index vectors, and the accelerator's sub-accelerator
-/// triples.
+/// Encode an accelerator as its sub-accelerators' `[dataflow, PEs,
+/// bandwidth]` triples: the one accelerator codec of candidate records,
+/// driver states and engine cache exports.
+pub fn accelerator_to_value(accelerator: &Accelerator) -> ConfigValue {
+    ConfigValue::Array(
+        accelerator
+            .sub_accelerators()
+            .iter()
+            .map(|sub| usizes_to_value(&[sub.dataflow.index(), sub.num_pes, sub.bandwidth_gbps]))
+            .collect(),
+    )
+}
+
+/// Decode an accelerator written by [`accelerator_to_value`].
+///
+/// # Errors
+///
+/// Returns a schema error for a value that is not an array of
+/// non-negative integer triples, an unknown dataflow index, or no
+/// sub-accelerator at all.
+pub fn accelerator_from_value(value: &ConfigValue) -> Result<Accelerator, ConfigError> {
+    let triples = value
+        .as_array()
+        .ok_or_else(|| ConfigError::schema("checkpoint: expected an array of sub-accelerators"))?;
+    let mut subs = Vec::with_capacity(triples.len());
+    for triple in triples {
+        let [dataflow, pes, bandwidth] = usizes_from_value(triple)?[..] else {
+            return Err(ConfigError::schema(
+                "checkpoint: sub-accelerator triple must have 3 entries",
+            ));
+        };
+        let dataflow = Dataflow::from_index(dataflow).ok_or_else(|| {
+            ConfigError::schema(format!("checkpoint: unknown dataflow index {dataflow}"))
+        })?;
+        subs.push(SubAccelerator::new(dataflow, pes, bandwidth));
+    }
+    if subs.is_empty() {
+        return Err(ConfigError::schema(
+            "checkpoint: accelerator has no sub-accelerators",
+        ));
+    }
+    Ok(Accelerator::new(subs))
+}
+
+/// Encode an architecture as its hyperparameter values, from which
+/// [`architecture_from_value`] rebuilds it against its task's backbone:
+/// the one architecture codec of candidate records and driver states.
+pub fn architecture_to_value(architecture: &Architecture) -> ConfigValue {
+    usizes_to_value(&architecture.hyperparameters)
+}
+
+/// Rebuild `task`'s architecture from values written by
+/// [`architecture_to_value`].
+///
+/// # Errors
+///
+/// Returns a schema error for values that are not non-negative integers
+/// or do not fit the task's backbone.
+pub fn architecture_from_value(
+    value: &ConfigValue,
+    task: &Task,
+) -> Result<Architecture, ConfigError> {
+    task.backbone
+        .try_materialize_values(&usizes_from_value(value)?)
+        .map_err(|reason| ConfigError::schema(format!("checkpoint: {reason}")))
+}
+
+/// Encode architectures, one per task, as an array of
+/// [`architecture_to_value`]s.
+pub fn architectures_to_value(architectures: &[Architecture]) -> ConfigValue {
+    ConfigValue::Array(architectures.iter().map(architecture_to_value).collect())
+}
+
+/// Rebuild one architecture per task of `tasks` from an array written by
+/// [`architectures_to_value`].
+///
+/// # Errors
+///
+/// Returns a schema error for a value that is not an array, an array of
+/// another length than `tasks`, or values that do not fit their task
+/// ([`architecture_from_value`]).
+pub fn architectures_from_value(
+    value: &ConfigValue,
+    tasks: &[Task],
+) -> Result<Vec<Architecture>, ConfigError> {
+    let values = value
+        .as_array()
+        .ok_or_else(|| ConfigError::schema("checkpoint: expected an array of architectures"))?;
+    if values.len() != tasks.len() {
+        return Err(ConfigError::schema(format!(
+            "checkpoint: {} architectures for {} tasks",
+            values.len(),
+            tasks.len()
+        )));
+    }
+    values
+        .iter()
+        .zip(tasks)
+        .map(|(values, task)| architecture_from_value(values, task))
+        .collect()
+}
+
+/// Encode a candidate: its architectures ([`architectures_to_value`]), the
+/// controller index vectors, and its accelerator
+/// ([`accelerator_to_value`]).
 pub fn candidate_to_value(candidate: &Candidate) -> ConfigValue {
     let mut root = ConfigValue::table();
     root.insert(
         "arch_values",
-        ConfigValue::Array(
-            candidate
-                .architectures
-                .iter()
-                .map(|arch| usizes_to_value(&arch.hyperparameters))
-                .collect(),
-        ),
+        architectures_to_value(&candidate.architectures),
     );
     root.insert(
         "arch_indices",
@@ -1603,23 +1740,7 @@ pub fn candidate_to_value(candidate: &Candidate) -> ConfigValue {
         "hardware_indices",
         usizes_to_value(&candidate.hardware_indices),
     );
-    root.insert(
-        "subs",
-        ConfigValue::Array(
-            candidate
-                .accelerator
-                .sub_accelerators()
-                .iter()
-                .map(|sub| {
-                    ConfigValue::Array(vec![
-                        ConfigValue::Integer(sub.dataflow.index() as i64),
-                        ConfigValue::Integer(sub.num_pes as i64),
-                        ConfigValue::Integer(sub.bandwidth_gbps as i64),
-                    ])
-                })
-                .collect(),
-        ),
-    );
+    root.insert("subs", accelerator_to_value(&candidate.accelerator));
     root
 }
 
@@ -1628,54 +1749,19 @@ pub fn candidate_to_value(candidate: &Candidate) -> ConfigValue {
 ///
 /// # Errors
 ///
-/// Returns a schema error for missing fields, a task-count mismatch,
-/// architecture values that do not fit their task's backbone, an unknown
-/// dataflow index, or no sub-accelerator at all.
+/// Returns a schema error for missing fields, or the error of
+/// [`architectures_from_value`] or [`accelerator_from_value`].
 pub fn candidate_from_value(
     value: &ConfigValue,
     workload: &Workload,
 ) -> Result<Candidate, ConfigError> {
-    let arch_values = array_field(value, "arch_values")?;
-    if arch_values.len() != workload.tasks.len() {
-        return Err(ConfigError::schema(format!(
-            "checkpoint: candidate has {} architectures, workload has {} tasks",
-            arch_values.len(),
-            workload.tasks.len()
-        )));
-    }
-    let mut architectures = Vec::with_capacity(arch_values.len());
-    for (task, values) in workload.tasks.iter().zip(arch_values) {
-        let architecture = task
-            .backbone
-            .try_materialize_values(&usizes_from_value(values)?)
-            .map_err(|reason| ConfigError::schema(format!("checkpoint: {reason}")))?;
-        architectures.push(architecture);
-    }
     let mut architecture_indices = Vec::new();
     for indices in array_field(value, "arch_indices")? {
         architecture_indices.push(usizes_from_value(indices)?);
     }
-    let mut subs = Vec::new();
-    for sub in array_field(value, "subs")? {
-        let triple = usizes_from_value(sub)?;
-        if triple.len() != 3 {
-            return Err(ConfigError::schema(
-                "checkpoint: sub-accelerator triple must have 3 entries",
-            ));
-        }
-        let dataflow = Dataflow::from_index(triple[0]).ok_or_else(|| {
-            ConfigError::schema(format!("checkpoint: unknown dataflow index {}", triple[0]))
-        })?;
-        subs.push(SubAccelerator::new(dataflow, triple[1], triple[2]));
-    }
-    if subs.is_empty() {
-        return Err(ConfigError::schema(
-            "checkpoint: candidate has no sub-accelerators",
-        ));
-    }
     Ok(Candidate {
-        architectures,
-        accelerator: Accelerator::new(subs),
+        architectures: architectures_from_value(field(value, "arch_values")?, &workload.tasks)?,
+        accelerator: accelerator_from_value(field(value, "subs")?)?,
         architecture_indices,
         hardware_indices: usizes_from_value(field(value, "hardware_indices")?)?,
     })
@@ -1918,9 +2004,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
     fn mismatched_algorithm_is_rejected() {
-        SearchCheckpoint::new("nasaic", 1, 0, ConfigValue::table()).expect_run("monte-carlo", 1);
+        let checkpoint = SearchCheckpoint::new("nasaic", 1, 3, ConfigValue::table());
+        let error = checkpoint.progress_for("monte-carlo", 1, 5).unwrap_err();
+        assert!(error.message.contains("algorithm `nasaic`"), "{error}");
+        let error = checkpoint.progress_for("nasaic", 2, 5).unwrap_err();
+        assert!(error.message.contains("seed 1, not 2"), "{error}");
+        let error = checkpoint.progress_for("nasaic", 1, 2).unwrap_err();
+        assert!(error.message.contains("progress 3 exceeds"), "{error}");
+        assert_eq!(checkpoint.progress_for("nasaic", 1, 3).unwrap(), 3);
     }
 
     #[test]
@@ -1946,6 +2038,11 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(rng.gen_range(0..17usize), restored.gen_range(0..17usize));
         }
+        // `StdRng::from_state` asserts the index fits its 64-word buffer.
+        let mut past = rng_state_to_value(&state);
+        past.insert("index", ConfigValue::Integer(65));
+        let error = rng_state_from_value(&past).unwrap_err();
+        assert!(error.message.contains("index 65"), "{error}");
     }
 
     #[test]

@@ -42,7 +42,7 @@ use crate::penalty::Penalty;
 use crate::reward::Reward;
 use crate::scenario::value::{ConfigError, ConfigValue};
 use crate::spec::SpecCheck;
-use nasaic_accel::{Accelerator, Dataflow, SubAccelerator};
+use nasaic_accel::Accelerator;
 use nasaic_cost::HardwareMetrics;
 use nasaic_nn::layer::Architecture;
 use std::collections::hash_map::Entry;
@@ -73,11 +73,6 @@ type AccuracyKey = (usize, String, Vec<usize>);
 /// and `Scenario::run_algorithm_with_engine` rejects engines whose cost
 /// model differs from the scenario's.
 type HardwareKey = (u64, Vec<(String, Vec<usize>)>, Accelerator);
-
-/// One row of the hardware-cache export: the cache key, the accelerator's
-/// `(dataflow index, PEs, bandwidth)` triples (the sortable stand-in for
-/// `Accelerator`, which has no `Ord`), and the cached metrics.
-type HardwareExportRow = (HardwareKey, Vec<(usize, usize, usize)>, HardwareMetrics);
 
 fn architectures_key(architectures: &[Architecture]) -> Vec<(String, Vec<usize>)> {
     architectures
@@ -463,22 +458,14 @@ impl EvalEngine {
             .map(|(key, &value)| (key.clone(), value))
             .collect();
         accuracy.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut hardware: Vec<HardwareExportRow> = self
+        let mut hardware: Vec<(HardwareKey, HardwareMetrics)> = self
             .hardware_cache
             .read()
             .expect("hardware cache lock")
             .iter()
-            .map(|(key, &metrics)| {
-                let subs: Vec<(usize, usize, usize)> = key
-                    .2
-                    .sub_accelerators()
-                    .iter()
-                    .map(|sub| (sub.dataflow.index(), sub.num_pes, sub.bandwidth_gbps))
-                    .collect();
-                (key.clone(), subs, metrics)
-            })
+            .map(|(key, &metrics)| (key.clone(), metrics))
             .collect();
-        hardware.sort_by(|a, b| (a.0 .0, &a.0 .1, &a.1).cmp(&(b.0 .0, &b.0 .1, &b.1)));
+        hardware.sort_by(|(a, _), (b, _)| a.cmp(b));
 
         let mut root = ConfigValue::table();
         root.insert("version", ConfigValue::Integer(1));
@@ -505,7 +492,7 @@ impl EvalEngine {
             ConfigValue::Array(
                 hardware
                     .into_iter()
-                    .map(|((latency_bits, archs, _), subs, metrics)| {
+                    .map(|((latency_bits, archs, accelerator), metrics)| {
                         let mut entry = ConfigValue::table();
                         entry.insert("latency_bits", ConfigValue::Integer(latency_bits as i64));
                         entry.insert(
@@ -522,16 +509,7 @@ impl EvalEngine {
                                     .collect(),
                             ),
                         );
-                        entry.insert(
-                            "subs",
-                            ConfigValue::Array(
-                                subs.into_iter()
-                                    .map(|(dataflow, pes, bandwidth)| {
-                                        checkpoint::usizes_to_value(&[dataflow, pes, bandwidth])
-                                    })
-                                    .collect(),
-                            ),
-                        );
+                        entry.insert("subs", checkpoint::accelerator_to_value(&accelerator));
                         entry.insert(
                             "latency_cycles",
                             checkpoint::float_to_value(metrics.latency_cycles),
@@ -563,8 +541,11 @@ impl EvalEngine {
     /// `accuracy[3]`) for an unknown version, a declared length that does
     /// not match the actual array (a truncated or corrupted file), a task
     /// index out of range for this engine's workload (a stale export from
-    /// another scenario), or an out-of-range value (accuracies outside
-    /// `[0, 1]`, non-finite or negative hardware metrics).
+    /// another scenario), an accelerator that does not decode
+    /// ([`checkpoint::accelerator_from_value`]: no sub-accelerators, a
+    /// short triple, an unknown dataflow), or an out-of-range value
+    /// (accuracies outside `[0, 1]`, non-finite or negative hardware
+    /// metrics).
     pub fn import_caches(&self, value: &ConfigValue) -> Result<(), ConfigError> {
         let version = value
             .get("version")
@@ -665,30 +646,11 @@ impl EvalEngine {
                     })?,
                 ));
             }
-            let mut subs = Vec::new();
-            for sub in entry
-                .get("subs")
-                .and_then(ConfigValue::as_array)
-                .ok_or_else(|| ConfigError::schema(format!("cache export: {at}: missing subs")))?
-            {
-                let triple = checkpoint::usizes_from_value(sub).map_err(|err| {
-                    ConfigError::schema(format!("cache export: {at}: subs: {err}"))
-                })?;
-                if triple.len() != 3 {
-                    return Err(ConfigError::schema(format!(
-                        "cache export: {at}: sub-accelerator triple must have 3 entries, \
-                         found {}",
-                        triple.len()
-                    )));
-                }
-                let dataflow = Dataflow::from_index(triple[0]).ok_or_else(|| {
-                    ConfigError::schema(format!(
-                        "cache export: {at}: unknown dataflow index {}",
-                        triple[0]
-                    ))
-                })?;
-                subs.push(SubAccelerator::new(dataflow, triple[1], triple[2]));
-            }
+            let accelerator =
+                checkpoint::accelerator_from_value(entry.get("subs").ok_or_else(|| {
+                    ConfigError::schema(format!("cache export: {at}: missing subs"))
+                })?)
+                .map_err(|err| ConfigError::schema(format!("cache export: {at}: subs: {err}")))?;
             let latency_cycles = entry_float(entry, &at, "latency_cycles")?;
             let energy_nj = entry_float(entry, &at, "energy_nj")?;
             let area_um2 = entry_float(entry, &at, "area_um2")?;
@@ -706,7 +668,7 @@ impl EvalEngine {
                 }
             }
             let metrics = HardwareMetrics::new(latency_cycles, energy_nj, area_um2);
-            hardware_entries.push(((latency_bits, archs, Accelerator::new(subs)), metrics));
+            hardware_entries.push(((latency_bits, archs, accelerator), metrics));
         }
 
         let mut accuracy_cache = self.accuracy_cache.write().expect("accuracy cache lock");
@@ -1168,6 +1130,33 @@ mod tests {
                 engine.evaluator().evaluate(&candidate)
             );
         }
+    }
+
+    #[test]
+    fn import_rejects_an_accelerator_without_sub_accelerators() {
+        let donor = w1_engine();
+        donor.evaluate_batch(&random_candidates(3, 41));
+        let mut bad = donor.export_caches();
+        let ConfigValue::Array(rows) = bad.get("hardware").unwrap().clone() else {
+            panic!("hardware rows");
+        };
+        let mut first = rows[0].clone();
+        first.insert("subs", ConfigValue::Array(Vec::new()));
+        bad.insert(
+            "hardware",
+            ConfigValue::Array(std::iter::once(first).chain(rows[1..].to_vec()).collect()),
+        );
+        let engine = w1_engine();
+        let message = engine
+            .import_caches(&bad)
+            .expect_err("must reject")
+            .to_string();
+        assert!(
+            message.contains("hardware[0]") && message.contains("no sub-accelerators"),
+            "unhelpful error: {message}"
+        );
+        assert_eq!(engine.stats().accuracy_entries, 0);
+        assert_eq!(engine.stats().hardware_entries, 0);
     }
 
     #[test]

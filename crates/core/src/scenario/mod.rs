@@ -900,8 +900,11 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// As [`Scenario::run_algorithm_observed`], plus when `resume` was
-    /// written by a different algorithm or seed.
+    /// As [`Scenario::run_algorithm_observed`], plus with the decode error
+    /// when the driver rejects `resume`
+    /// ([`SearchAlgorithm::run_checkpointed`]);
+    /// [`run_report_checkpointed`](Self::run_report_checkpointed) returns
+    /// that error instead.
     pub fn run_algorithm_checkpointed(
         &self,
         algorithm: Algorithm,
@@ -913,6 +916,7 @@ impl Scenario {
         self.with_driver(algorithm, engine, observer, |driver, ctx| {
             driver.run_checkpointed(ctx, resume, sink)
         })
+        .unwrap_or_else(|error| panic!("bad checkpoint: {error}"))
     }
 
     /// The algorithm's shard plan for splitting this scenario's run over

@@ -1,7 +1,7 @@
 //! Result summaries the CLI emits: one [`RunReport`] per (scenario,
 //! algorithm) run, serializable as JSON, CSV or human-readable text.
 
-use super::value::{self, ConfigValue};
+use super::value::{self, ConfigError, ConfigValue};
 use super::{Algorithm, Scenario};
 use crate::algorithm::{NullObserver, SearchObserver};
 use crate::checkpoint::{CheckpointSink, NullCheckpointSink, SearchCheckpoint};
@@ -396,12 +396,22 @@ impl Scenario {
         engine: &EvalEngine,
         observer: &dyn SearchObserver,
     ) -> RunReport {
-        self.run_report_checkpointed(algorithm, engine, observer, None, &NullCheckpointSink)
+        match self.run_report_checkpointed(algorithm, engine, observer, None, &NullCheckpointSink) {
+            Ok(report) => report,
+            Err(error) => unreachable!("a run without a checkpoint decoded one: {error}"),
+        }
     }
 
     /// [`run_report_observed`](Self::run_report_observed) with checkpoint
-    /// plumbing (the CLI's `--checkpoint`/`--resume` path): `resume`
-    /// continues from a saved checkpoint, `sink` receives new ones.
+    /// plumbing (the CLI's `--checkpoint`/`--resume` path and the
+    /// daemon's jobs): `resume` continues from a saved checkpoint, `sink`
+    /// receives new ones.
+    ///
+    /// # Errors
+    ///
+    /// Returns the driver's error decoding `resume`
+    /// ([`SearchAlgorithm::run_checkpointed`](crate::algorithm::SearchAlgorithm::run_checkpointed));
+    /// nothing has run then.
     pub fn run_report_checkpointed(
         &self,
         algorithm: Algorithm,
@@ -409,18 +419,20 @@ impl Scenario {
         observer: &dyn SearchObserver,
         resume: Option<&SearchCheckpoint>,
         sink: &dyn CheckpointSink,
-    ) -> RunReport {
+    ) -> Result<RunReport, ConfigError> {
         let stats_before = engine.stats();
         let start = Instant::now();
-        let outcome = self.run_algorithm_checkpointed(algorithm, engine, observer, resume, sink);
+        let outcome = self.with_driver(algorithm, engine, observer, |driver, ctx| {
+            driver.run_checkpointed(ctx, resume, sink)
+        })?;
         let wall_ms = start.elapsed().as_millis() as u64;
-        RunReport::new(
+        Ok(RunReport::new(
             self,
             algorithm,
             &outcome,
             engine.stats().since(&stats_before),
             wall_ms,
-        )
+        ))
     }
 
     /// Summarise an already-computed outcome (the `nasaic merge` path,

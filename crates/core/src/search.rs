@@ -14,7 +14,7 @@ use crate::checkpoint::{self, CheckpointCursor, CheckpointSink, SearchCheckpoint
 use crate::log::{ExploredSolution, SearchOutcome};
 use crate::penalty::Penalty;
 use crate::reward::Reward;
-use crate::scenario::value::ConfigValue;
+use crate::scenario::value::{ConfigError, ConfigValue};
 use crate::scenario::SearchSpec;
 use crate::selector::OptimizerSelector;
 use crate::workload::Workload;
@@ -147,11 +147,12 @@ impl SearchAlgorithm for Nasaic {
     /// bit-identical with any observer.
     ///
     /// Checkpoints fire per completed episode with state `{rng,
-    /// controller, outcome}`; the penalty bounds and the optimizer
-    /// selector are re-derived on resume (both are deterministic functions
-    /// of the configuration and the engine's pure evaluations), and the
-    /// controller is rebuilt from its configuration before its weights,
-    /// optimizer accumulators and trainer counters are restored.
+    /// controller, outcome}`, which a resume decodes before any engine
+    /// work; the penalty bounds and the optimizer selector are re-derived
+    /// (both are deterministic functions of the configuration and the
+    /// engine's pure evaluations), and the controller is rebuilt from its
+    /// configuration before its weights, optimizer accumulators and
+    /// trainer counters are restored.
     ///
     /// The search stays on the sequential shard fallback: the controller
     /// learns from every episode's reward before sampling the next one, so
@@ -162,10 +163,28 @@ impl SearchAlgorithm for Nasaic {
         ctx: &SearchContext<'_>,
         resume: Option<&SearchCheckpoint>,
         sink: &dyn CheckpointSink,
-    ) -> SearchOutcome {
+    ) -> Result<SearchOutcome, ConfigError> {
         let (workload, specs, hardware, engine) =
             (ctx.workload, &ctx.specs, ctx.hardware, ctx.engine);
         let observer = ctx.observer();
+        let mut controller = Controller::new(
+            self.controller_segments(workload, hardware),
+            ControllerConfig::default(),
+            self.seed,
+        );
+        let (mut rng, mut outcome, start_episode) = match resume {
+            Some(cp) => {
+                let progress = cp.progress_for("nasaic", self.seed, self.episodes)?;
+                let rng = cp.rng()?;
+                cp.restore_controller(&mut controller)?;
+                (rng, cp.restore_outcome(workload)?, progress)
+            }
+            None => (
+                StdRng::seed_from_u64(self.seed ^ 0x00c0_ffee),
+                SearchOutcome::empty(),
+                0,
+            ),
+        };
         let stats_start = engine.stats();
         let bounds = PenaltyBounds::estimate_with_engine(
             workload,
@@ -176,44 +195,6 @@ impl SearchAlgorithm for Nasaic {
             self.seed,
         );
         let selector = OptimizerSelector::new(self.hardware_trials);
-        let mut controller = Controller::new(
-            self.controller_segments(workload, hardware),
-            ControllerConfig::default(),
-            self.seed,
-        );
-        let (mut rng, mut outcome, start_episode) = match resume {
-            Some(cp) => {
-                cp.expect_run("nasaic", self.seed);
-                assert!(
-                    cp.progress <= self.episodes,
-                    "nasaic checkpoint progress {} exceeds the configured {} episodes",
-                    cp.progress,
-                    self.episodes
-                );
-                let rng = StdRng::from_state(
-                    checkpoint::rng_state_from_value(
-                        cp.state.get("rng").expect("nasaic checkpoint: rng"),
-                    )
-                    .expect("nasaic checkpoint: valid rng state"),
-                );
-                let state = checkpoint::controller_state_from_value(
-                    cp.state
-                        .get("controller")
-                        .expect("nasaic checkpoint: controller"),
-                )
-                .expect("nasaic checkpoint: valid controller state");
-                controller.restore_state(&state);
-                let outcome = cp
-                    .restore_outcome(workload)
-                    .expect("nasaic checkpoint: valid outcome");
-                (rng, outcome, cp.progress)
-            }
-            None => (
-                StdRng::seed_from_u64(self.seed ^ 0x00c0_ffee),
-                SearchOutcome::empty(),
-                0,
-            ),
-        };
         let mut cursor = CheckpointCursor::new("nasaic", self.seed);
         let m = workload.num_tasks();
 
@@ -374,7 +355,7 @@ impl SearchAlgorithm for Nasaic {
         }
         outcome.reward_history = controller.reward_history().to_vec();
         emit_search_finished(observer, &outcome, engine.stats().since(&stats_start));
-        outcome
+        Ok(outcome)
     }
 }
 

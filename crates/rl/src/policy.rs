@@ -386,22 +386,53 @@ impl PolicyNetwork {
     }
 
     /// Restore a snapshot taken by
-    /// [`state_snapshot`](Self::state_snapshot); panics on any shape
-    /// mismatch.
-    pub(crate) fn state_restore(&mut self, state: &crate::state::PolicyState) {
-        assert_eq!(
-            state.heads.len(),
-            self.heads.len(),
-            "policy snapshot has {} heads, network has {}",
-            state.heads.len(),
-            self.heads.len()
-        );
-        assert_eq!(state.w_x.shape(), self.cell.w_x.shape(), "w_x shape");
-        assert_eq!(state.w_h.shape(), self.cell.w_h.shape(), "w_h shape");
-        assert_eq!(state.b.shape(), self.cell.b.shape(), "b shape");
-        for ((u, c), (su, sc)) in self.heads.iter().zip(&state.heads) {
-            assert_eq!(su.shape(), u.shape(), "head weight shape");
-            assert_eq!(sc.shape(), c.shape(), "head bias shape");
+    /// [`state_snapshot`](Self::state_snapshot).  Every weight, head and
+    /// accumulator shape is checked before anything changes, so a rejected
+    /// snapshot leaves the network as it was.
+    pub(crate) fn state_restore(
+        &mut self,
+        state: &crate::state::PolicyState,
+    ) -> Result<(), String> {
+        if state.heads.len() != self.heads.len() || state.opt_heads.len() != self.heads.len() {
+            return Err(format!(
+                "controller snapshot has {} heads and {} head accumulator pairs, the network \
+                 has {} heads",
+                state.heads.len(),
+                state.opt_heads.len(),
+                self.heads.len()
+            ));
+        }
+        let mut checks = vec![
+            (
+                "w_x".to_string(),
+                &self.cell.w_x,
+                &state.w_x,
+                &state.opt_cell[0],
+            ),
+            (
+                "w_h".to_string(),
+                &self.cell.w_h,
+                &state.w_h,
+                &state.opt_cell[1],
+            ),
+            ("b".to_string(), &self.cell.b, &state.b, &state.opt_cell[2]),
+        ];
+        let heads = self.heads.iter().zip(&state.heads).zip(&state.opt_heads);
+        for (i, (((own_u, own_c), (u, c)), (acc_u, acc_c))) in heads.enumerate() {
+            checks.push((format!("head {i} weights"), own_u, u, acc_u));
+            checks.push((format!("head {i} bias"), own_c, c, acc_c));
+        }
+        for (name, own, weight, accumulator) in checks {
+            for (what, matrix) in [("", Some(weight)), (" accumulator", accumulator.as_ref())] {
+                if let Some((rows, cols)) = matrix.map(Matrix::shape).filter(|&s| s != own.shape())
+                {
+                    return Err(format!(
+                        "controller {name}{what} is {rows}x{cols}, the network's is {}x{}",
+                        own.rows(),
+                        own.cols()
+                    ));
+                }
+            }
         }
         self.cell.w_x = state.w_x.clone();
         self.cell.w_h = state.w_h.clone();
@@ -410,15 +441,11 @@ impl PolicyNetwork {
         self.opt_w_x.set_cache(state.opt_cell[0].clone());
         self.opt_w_h.set_cache(state.opt_cell[1].clone());
         self.opt_b.set_cache(state.opt_cell[2].clone());
-        assert_eq!(
-            state.opt_heads.len(),
-            self.opt_heads.len(),
-            "optimizer snapshot head count"
-        );
-        for ((opt_u, opt_c), (su, sc)) in self.opt_heads.iter_mut().zip(&state.opt_heads) {
-            opt_u.set_cache(su.clone());
-            opt_c.set_cache(sc.clone());
+        for ((opt_u, opt_c), (u, c)) in self.opt_heads.iter_mut().zip(&state.opt_heads) {
+            opt_u.set_cache(u.clone());
+            opt_c.set_cache(c.clone());
         }
+        Ok(())
     }
 }
 

@@ -67,12 +67,13 @@ impl PolicyNetwork {
 
     /// Restore a previously exported snapshot.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the snapshot's shapes do not match this network (the
-    /// checkpoint belongs to a different controller layout).
-    pub fn restore_state(&mut self, state: &PolicyState) {
-        self.state_restore(state);
+    /// Returns the first weight, head or accumulator whose shape does not
+    /// match this network (the snapshot belongs to another controller
+    /// layout); the network is then left unchanged.
+    pub fn restore_state(&mut self, state: &PolicyState) -> Result<(), String> {
+        self.state_restore(state)
     }
 }
 
@@ -102,13 +103,15 @@ impl Controller {
 
     /// Restore a previously exported snapshot.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the snapshot's policy shapes do not match this
-    /// controller's segment layout.
-    pub fn restore_state(&mut self, state: &ControllerState) {
-        self.policy_mut().restore_state(&state.policy);
+    /// Returns the first policy weight, head or accumulator whose shape
+    /// does not match this controller's segment layout; the controller is
+    /// then left unchanged.
+    pub fn restore_state(&mut self, state: &ControllerState) -> Result<(), String> {
+        self.policy_mut().restore_state(&state.policy)?;
         self.trainer_mut().restore_trainer_state(&state.trainer);
+        Ok(())
     }
 }
 
@@ -141,7 +144,7 @@ mod tests {
         let rng_state = rng.state();
 
         let mut restored = Controller::new(segments(), ControllerConfig::default(), 999);
-        restored.restore_state(&state);
+        restored.restore_state(&state).unwrap();
         let mut restored_rng = StdRng::from_state(rng_state);
 
         assert_eq!(original.baseline(), restored.baseline());
@@ -167,12 +170,11 @@ mod tests {
         assert_eq!(state.trainer.updates, 0);
         assert!(state.policy.opt_cell.iter().all(Option::is_none));
         let mut restored = Controller::new(segments(), ControllerConfig::default(), 3);
-        restored.restore_state(&state);
+        restored.restore_state(&state).unwrap();
         assert_eq!(original.greedy(), restored.greedy());
     }
 
     #[test]
-    #[should_panic]
     fn mismatched_layout_is_rejected() {
         let original = Controller::new(segments(), ControllerConfig::default(), 1);
         let state = original.export_state();
@@ -181,6 +183,49 @@ mod tests {
             ControllerConfig::default(),
             1,
         );
-        other.restore_state(&state);
+        let before = other.export_state();
+        assert!(other.restore_state(&state).is_err());
+        assert_eq!(
+            other.export_state(),
+            before,
+            "a rejected snapshot changed the controller"
+        );
+    }
+
+    #[test]
+    fn every_shape_is_checked_before_anything_changes() {
+        let mut trained = Controller::new(segments(), ControllerConfig::default(), 1);
+        let mut rng = StdRng::seed_from_u64(2);
+        let sample = trained.sample(&mut rng);
+        trained.feedback(&sample, 0.5);
+        let state = trained.export_state();
+        let tiny = Matrix::zeros(1, 1);
+        type Mutation = fn(&mut ControllerState, Matrix);
+        let mutations: [(&str, Mutation); 5] = [
+            ("w_x", |s, m| s.policy.w_x = m),
+            ("b", |s, m| s.policy.b = m),
+            ("head 1 bias", |s, m| s.policy.heads[1].1 = m),
+            ("w_x accumulator", |s, m| s.policy.opt_cell[0] = Some(m)),
+            ("head 0 weights accumulator", |s, m| {
+                s.policy.opt_heads[0].0 = Some(m)
+            }),
+        ];
+        for (name, mutate) in mutations {
+            let mut bad = state.clone();
+            mutate(&mut bad, tiny.clone());
+            let mut fresh = Controller::new(segments(), ControllerConfig::default(), 9);
+            let before = fresh.export_state();
+            let error = fresh.restore_state(&bad).unwrap_err();
+            assert!(error.contains(&format!("{name} is 1x1")), "{name}: {error}");
+            assert_eq!(
+                fresh.export_state(),
+                before,
+                "{name}: the controller changed"
+            );
+        }
+        let mut short = state.clone();
+        short.policy.opt_heads.pop();
+        let mut fresh = Controller::new(segments(), ControllerConfig::default(), 9);
+        assert!(fresh.restore_state(&short).is_err());
     }
 }

@@ -556,41 +556,6 @@ impl Shared {
             return;
         }
         job.set_state(JobState::Running);
-        // A bad checkpoint (unreadable, another version, a journal cut
-        // below its head, records that do not fit the workload) reruns the
-        // job from scratch.  Either way the run's first checkpoint replaces
-        // the files.  The records are replayed here, outside the job's
-        // `catch_unwind` below, so a record that still trips an assertion
-        // must not unwind the worker: it counts as a bad checkpoint too.
-        let resume = self
-            .job_path(job.id, "ckpt.json")
-            .filter(|path| FileCheckpointSink::head_exists(path))
-            .and_then(|path| {
-                let loaded = catch_unwind(|| {
-                    SearchCheckpoint::load_for_resume(&path, &job.scenario.workload())
-                });
-                match loaded {
-                    Ok(Ok(checkpoint)) => Some(checkpoint),
-                    Ok(Err(error)) => {
-                        eprintln!(
-                            "nasaic serve: ignoring bad checkpoint of job {}: {error}",
-                            job.id
-                        );
-                        None
-                    }
-                    Err(_) => {
-                        eprintln!(
-                            "nasaic serve: ignoring bad checkpoint of job {}: replaying its \
-                             records panicked",
-                            job.id
-                        );
-                        None
-                    }
-                }
-            });
-        if resume.is_some() && nasaic_telemetry::enabled() {
-            resumes_counter().inc();
-        }
         let engine = self.engines.engine_for(&job.scenario);
         let file_sink =
             self.job_path(job.id, "ckpt.json")
@@ -604,17 +569,40 @@ impl Shared {
         };
         let observer = JobObserver { job: job.clone() };
         let algorithm = job.scenario.search.algorithm;
+        let run = |resume: Option<&SearchCheckpoint>| {
+            job.scenario
+                .run_report_checkpointed(algorithm, &engine, &observer, resume, sink)
+        };
+        // The checkpoint is loaded and decoded inside the job's
+        // `catch_unwind`, and a driver decodes it before any work.  One
+        // that does not load (unreadable, another version, a journal cut
+        // below its head) or that the driver rejects (another algorithm or
+        // seed, a record or state that does not decode or fit) reruns the
+        // job from scratch; either way the run's first checkpoint replaces
+        // the files.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            job.scenario.run_report_checkpointed(
-                algorithm,
-                &engine,
-                &observer,
-                resume.as_ref(),
-                sink,
-            )
+            let checkpoint = self
+                .job_path(job.id, "ckpt.json")
+                .filter(|path| FileCheckpointSink::head_exists(path));
+            if let Some(path) = checkpoint {
+                match SearchCheckpoint::load(&path).and_then(|checkpoint| run(Some(&checkpoint))) {
+                    Ok(report) => {
+                        if nasaic_telemetry::enabled() {
+                            resumes_counter().inc();
+                        }
+                        return Ok(report);
+                    }
+                    Err(error) => eprintln!(
+                        "nasaic serve: ignoring bad checkpoint of job {}: {error}",
+                        job.id
+                    ),
+                }
+            }
+            run(None)
         }));
         let state = match result {
-            Ok(report) => JobState::Finished(report.to_value()),
+            Ok(Ok(report)) => JobState::Finished(report.to_value()),
+            Ok(Err(error)) => JobState::Failed(error.to_string()),
             Err(payload) => {
                 if payload.downcast_ref::<JobCancelled>().is_some() {
                     JobState::Cancelled

@@ -128,7 +128,9 @@ enum Kind {
 }
 
 /// One flag: its name, value kind and placeholder, the commands it
-/// applies to, and its prose in the usage text.
+/// applies to, and its prose in the usage text.  A command entry may name
+/// one of the command's `--request`s too (`client submit`): the flag then
+/// applies to that command only under that request.
 struct Flag {
     name: &'static str,
     kind: Kind,
@@ -141,16 +143,16 @@ struct Flag {
 #[rustfmt::skip]
 const FLAGS: &[Flag] = &[
     Flag { name: "--scenario", kind: Kind::Text, value: "<name|path>",
-           commands: &["run", "merge", "compare", "show", "profile", "client"],
+           commands: &["run", "merge", "compare", "show", "profile", "client submit"],
            help: "Registry name or path to a .toml/.json config" },
     Flag { name: "--budget-episodes", kind: Kind::Positive, value: "<N>",
-           commands: &["run", "merge", "compare", "show", "profile", "client"],
+           commands: &["run", "merge", "compare", "show", "profile", "client submit"],
            help: "Override the scenario's episode budget" },
     Flag { name: "--seed", kind: Kind::Id, value: "<N>",
-           commands: &["run", "merge", "compare", "show", "gen", "profile", "client"],
+           commands: &["run", "merge", "compare", "show", "gen", "profile", "client submit"],
            help: "Override the scenario's RNG seed" },
     Flag { name: "--algorithm", kind: Kind::Text, value: "<name>",
-           commands: &["run", "merge", "show", "profile", "client"],
+           commands: &["run", "merge", "show", "profile", "client submit"],
            help: "Override the scenario's algorithm" },
     Flag { name: "--algorithms", kind: Kind::Text, value: "<a,b,..>",
            commands: &["compare"],
@@ -246,10 +248,10 @@ const FLAGS: &[Flag] = &[
            help: "One of ping, submit, cancel, show-jobs, show-cache, show-incumbent, \
                   show-metrics, shutdown" },
     Flag { name: "--job", kind: Kind::Id, value: "<N>",
-           commands: &["client"],
+           commands: &["client cancel", "client show-incumbent"],
            help: "Job id for cancel/show-incumbent" },
     Flag { name: "--watch", kind: Kind::Switch, value: "",
-           commands: &["client"],
+           commands: &["client submit"],
            help: "Stream incumbent events to stderr and wait for the final report \
                   (with --request submit)" },
 ];
@@ -321,11 +323,10 @@ fn wrap<'a>(words: impl Iterator<Item = &'a str>, indent: usize) -> String {
 }
 
 impl Command {
-    /// The flags that apply to this command, in `FLAGS` order.
+    /// The flags that apply to this command under any request, in `FLAGS`
+    /// order.
     fn flags(&self) -> impl Iterator<Item = &'static Flag> + '_ {
-        FLAGS
-            .iter()
-            .filter(|flag| flag.commands.contains(&self.name))
+        FLAGS.iter().filter(|flag| flag.applies_to(self.name, None))
     }
 }
 
@@ -339,6 +340,17 @@ enum Value {
 }
 
 impl Flag {
+    /// Does this flag apply to `command` with `request` as its `--request`
+    /// (`None`: under any request)?
+    fn applies_to(&self, command: &str, request: Option<&str>) -> bool {
+        self.commands
+            .iter()
+            .any(|entry| match entry.split_once(' ') {
+                None => *entry == command,
+                Some((name, only)) => name == command && request.is_none_or(|given| given == only),
+            })
+    }
+
     /// Read this flag's value from `text`, checked against its kind.
     fn read(&self, text: &str) -> Result<Value, CliError> {
         let (value, wants) = match self.kind {
@@ -385,8 +397,9 @@ impl Options {
     /// Parse `<command> [flags]`: resolve the command, then reject an
     /// unknown or inapplicable flag (never ignore it: `compare
     /// --algorithm`, a typo for `--algorithms`, must not run all six
-    /// algorithms) and read each value by its flag's kind.  A flag given
-    /// twice keeps its last value.
+    /// algorithms) and read each value by its flag's kind.  Once every
+    /// value is read, a flag of another `--request` than the given one is
+    /// rejected too.  A flag given twice keeps its last value.
     fn parse(args: &[String]) -> Result<Self, CliError> {
         let (name, flags) = args
             .split_first()
@@ -398,6 +411,7 @@ impl Options {
                 CliError::new(format!("unknown command `{name}` (see `nasaic help`)"))
             })?;
         let mut values = HashMap::new();
+        let mut read = Vec::new();
         let mut flags = flags.iter();
         while let Some(given) = flags.next() {
             let flag = FLAGS
@@ -406,7 +420,7 @@ impl Options {
                 .ok_or_else(|| {
                     CliError::new(format!("unknown option `{given}` (see `nasaic help`)"))
                 })?;
-            if !flag.commands.contains(&command.name) {
+            if !flag.applies_to(command.name, None) {
                 let allowed: Vec<&str> = command.flags().map(|flag| flag.name).collect();
                 return Err(CliError::new(format!(
                     "`{given}` does not apply to `nasaic {}` (allowed: {})",
@@ -423,6 +437,18 @@ impl Options {
                 )?,
             };
             values.insert(flag.name, value);
+            read.push(flag);
+        }
+        if let Some(Value::Text(request)) = values.get("--request") {
+            if let Some(flag) = read
+                .iter()
+                .find(|flag| !flag.applies_to(command.name, Some(request)))
+            {
+                return Err(CliError::new(format!(
+                    "`{}` does not apply to `nasaic {} --request {request}`",
+                    flag.name, command.name
+                )));
+            }
         }
         Ok(Self { command, values })
     }
@@ -554,12 +580,12 @@ fn cmd_run(options: &Options) -> Result<String, CliError> {
     let scenario = options.scenario()?;
     let format = options.format()?;
     let shard = shard_flags(options)?;
+    let resume_path = options.text("--resume").unwrap_or_default();
+    let bad_checkpoint =
+        |error: ConfigError| CliError::new(format!("bad checkpoint {resume_path}: {error}"));
     let resume = options
         .text("--resume")
-        .map(|path| {
-            SearchCheckpoint::load_for_resume(Path::new(path), &scenario.workload())
-                .map_err(|e| CliError::new(format!("bad checkpoint {path}: {e}")))
-        })
+        .map(|path| SearchCheckpoint::load(Path::new(path)).map_err(bad_checkpoint))
         .transpose()?;
     let file_sink = match (
         options.text("--checkpoint"),
@@ -611,22 +637,18 @@ fn cmd_run(options: &Options) -> Result<String, CliError> {
                 })
                 .map_err(|e| CliError::new(format!("cannot write shard partial {out}: {e}")))
         }
-        None => {
-            let report = scenario.run_report_checkpointed(
-                algorithm,
-                &engine,
-                &observers,
-                resume.as_ref(),
-                sink,
-            );
-            match file_sink.as_ref().and_then(FileCheckpointSink::take_error) {
-                Some(error) => Err(CliError::new(format!(
-                    "cannot write checkpoint {}: {error}",
-                    options.text("--checkpoint").unwrap_or_default()
-                ))),
-                None => Ok(render_report(&report, format)),
-            }
-        }
+        None => scenario
+            .run_report_checkpointed(algorithm, &engine, &observers, resume.as_ref(), sink)
+            .map_err(bad_checkpoint)
+            .and_then(
+                |report| match file_sink.as_ref().and_then(FileCheckpointSink::take_error) {
+                    Some(error) => Err(CliError::new(format!(
+                        "cannot write checkpoint {}: {error}",
+                        options.text("--checkpoint").unwrap_or_default()
+                    ))),
+                    None => Ok(render_report(&report, format)),
+                },
+            ),
     };
     if let (Some(trace), Some(path)) = (trace, options.text("--trace")) {
         trace
@@ -870,13 +892,7 @@ fn cmd_profile(options: &Options) -> Result<String, CliError> {
     nasaic_telemetry::global().reset();
     let observer = nasaic_core::metrics::MetricsObserver::new();
     let started = std::time::Instant::now();
-    let report = scenario.run_report_checkpointed(
-        scenario.search.algorithm,
-        &engine,
-        &observer,
-        None,
-        &NullCheckpointSink,
-    );
+    let report = scenario.run_report_observed(scenario.search.algorithm, &engine, &observer);
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     let breakdown = nasaic_core::metrics::ProfileBreakdown::collect(wall_ms);
     nasaic_telemetry::set_enabled(was_enabled);
@@ -1179,10 +1195,21 @@ mod tests {
                 flag.name
             );
             assert!(!flag.commands.is_empty(), "{} applies nowhere", flag.name);
-            for command in flag.commands {
+            for entry in flag.commands {
+                let (command, request) = entry.split_once(' ').unwrap_or((entry, ""));
                 assert!(
-                    COMMANDS.iter().any(|row| row.name == *command),
+                    COMMANDS.iter().any(|row| row.name == command),
                     "{} names the unknown command `{command}`",
+                    flag.name
+                );
+                let requests = FLAGS
+                    .iter()
+                    .find(|row| row.name == "--request")
+                    .unwrap()
+                    .help;
+                assert!(
+                    request.is_empty() || requests.contains(request),
+                    "{} names the unknown request `{request}`",
                     flag.name
                 );
             }
@@ -1228,9 +1255,10 @@ mod tests {
                 args.push(JUNK[value].to_string());
             }
             if let Ok(options) = Options::parse(&args) {
+                let request = options.text("--request");
                 for flag in options.values.keys() {
                     let row = FLAGS.iter().find(|row| row.name == *flag).unwrap();
-                    proptest::prop_assert!(row.commands.contains(&options.command.name));
+                    proptest::prop_assert!(row.applies_to(options.command.name, request));
                 }
             }
         }
@@ -1267,6 +1295,93 @@ mod tests {
         ] {
             let err = run(args).unwrap_err().to_string();
             assert!(err.contains(message), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn client_flags_apply_only_to_the_requests_that_read_them() {
+        for (args, flag, request) in [
+            (
+                &["client", "--request", "ping", "--watch", "--scenario", "w1"][..],
+                "--watch",
+                "ping",
+            ),
+            (
+                &[
+                    "client",
+                    "--request",
+                    "ping",
+                    "--budget-episodes",
+                    "2",
+                    "--seed",
+                    "5",
+                ],
+                "--budget-episodes",
+                "ping",
+            ),
+            (
+                &["client", "--request", "show-jobs", "--job", "3"],
+                "--job",
+                "show-jobs",
+            ),
+            (
+                &["client", "--job", "3", "--request", "submit"],
+                "--job",
+                "submit",
+            ),
+            (
+                &[
+                    "client",
+                    "--request",
+                    "cancel",
+                    "--job",
+                    "3",
+                    "--algorithm",
+                    "x",
+                ],
+                "--algorithm",
+                "cancel",
+            ),
+        ] {
+            // Port 1 refuses connections: an error about anything but the
+            // flag would mean the request was sent.
+            let args: Vec<&str> = args
+                .iter()
+                .copied()
+                .chain(["--addr", "127.0.0.1:1"])
+                .collect();
+            let err = run(&args).unwrap_err().to_string();
+            assert_eq!(
+                err,
+                format!("`{flag}` does not apply to `nasaic client --request {request}`"),
+                "{args:?}"
+            );
+        }
+        for args in [
+            &[
+                "client",
+                "--request",
+                "submit",
+                "--scenario",
+                "w1",
+                "--seed",
+                "5",
+                "--watch",
+            ][..],
+            &[
+                "client",
+                "--request",
+                "cancel",
+                "--job",
+                "3",
+                "--addr",
+                "127.0.0.1:1",
+            ],
+            &["client", "--request", "show-incumbent", "--job", "3"],
+            &["client", "--request", "ping", "--output", "pong.json"],
+        ] {
+            let args: Vec<String> = args.iter().map(|arg| arg.to_string()).collect();
+            assert!(Options::parse(&args).is_ok(), "{args:?}");
         }
     }
 

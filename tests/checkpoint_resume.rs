@@ -247,18 +247,18 @@ fn resume_rejects_checkpoints_from_another_algorithm() {
         &sink,
     );
     let checkpoint = sink.checkpoints().pop().expect("a checkpoint");
-    let result = std::panic::catch_unwind(|| {
-        scenario.run_algorithm_checkpointed(
+    let error = scenario
+        .run_report_checkpointed(
             Algorithm::Evolutionary,
             &scenario.engine(),
             &NullObserver,
             Some(&checkpoint),
             &NullCheckpointSink,
         )
-    });
+        .expect_err("a monte-carlo checkpoint must not resume an evolutionary run");
     assert!(
-        result.is_err(),
-        "a monte-carlo checkpoint must not resume an evolutionary run"
+        error.message.contains("`monte-carlo`, not `evolutionary`"),
+        "{error}"
     );
 }
 

@@ -327,6 +327,149 @@ fn a_resume_from_a_record_that_does_not_fit_its_backbone_is_an_error_not_a_panic
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The node of `value` at the table keys `keys`.
+fn at<'a>(value: &'a mut value::ConfigValue, keys: &[&str]) -> &'a mut value::ConfigValue {
+    keys.iter().fold(value, |node, key| match node {
+        value::ConfigValue::Table(entries) => {
+            &mut entries.iter_mut().find(|(k, _)| k == key).expect(key).1
+        }
+        other => panic!("`{key}` of a non-table {other:?}"),
+    })
+}
+
+#[test]
+fn resuming_a_checkpoint_of_another_run_or_layout_is_a_bad_checkpoint_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("nasaic-cli-foreign-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let checkpoint = |name: &str, scenario: &str, episodes: &str| {
+        let head = dir.join(name);
+        let head_arg = head.to_str().unwrap();
+        cli(&[
+            "run",
+            "--scenario",
+            scenario,
+            "--budget-episodes",
+            episodes,
+            "--checkpoint",
+            head_arg,
+        ]);
+        head
+    };
+    let edit = |head: &std::path::Path, keys: &[&str], change: fn(&mut value::ConfigValue)| {
+        let mut root = value::parse_json(&std::fs::read_to_string(head).unwrap()).unwrap();
+        change(at(&mut root, keys));
+        std::fs::write(head, value::to_json_compact(&root)).unwrap();
+    };
+    let w1 = checkpoint("w1.ckpt", "w1", "2");
+    let longer = checkpoint("w1-4.ckpt", "w1", "4");
+    let rng = checkpoint("rng.ckpt", "w1", "2");
+    edit(&rng, &["state", "rng", "key"], |key| {
+        if let value::ConfigValue::Array(words) = key {
+            words.pop();
+        }
+    });
+    let w_x = checkpoint("w_x.ckpt", "w1", "2");
+    edit(&w_x, &["state", "controller", "policy", "w_x"], |matrix| {
+        let (rows, cols) = (
+            matrix.get("rows").unwrap().clone(),
+            matrix.get("cols").unwrap().clone(),
+        );
+        matrix.insert("rows", cols);
+        matrix.insert("cols", rows);
+    });
+    let accumulator = checkpoint("acc.ckpt", "w1", "2");
+    edit(
+        &accumulator,
+        &["state", "controller", "policy", "opt_cell"],
+        |slots| {
+            let mut tiny = value::ConfigValue::table();
+            tiny.insert("rows", value::ConfigValue::Integer(1));
+            tiny.insert("cols", value::ConfigValue::Integer(1));
+            tiny.insert(
+                "data",
+                value::ConfigValue::Str("3ff0000000000000".to_string()),
+            );
+            if let value::ConfigValue::Array(slots) = slots {
+                slots[0] = tiny;
+            }
+        },
+    );
+    let w2 = checkpoint("w2.ckpt", "w2", "2");
+    for (head, extra, reason) in [
+        (&w1, &["--seed", "5"][..], "taken at seed 2020, not 5"),
+        (
+            &w1,
+            &["--algorithm", "monte-carlo"],
+            "algorithm `nasaic`, not `monte-carlo`",
+        ),
+        (&longer, &[], "progress 4 exceeds"),
+        (&rng, &[], "rng key has 7 words"),
+        (&w_x, &[], "w_x is"),
+        (&accumulator, &[], "w_x accumulator is 1x1"),
+        (&w2, &["--scenario", "w3"], "heads"),
+    ] {
+        let scenario = if extra.contains(&"--scenario") {
+            &[][..]
+        } else {
+            &["--scenario", "w1"][..]
+        };
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_nasaic"))
+            .args([
+                "run",
+                "--budget-episodes",
+                "2",
+                "--resume",
+                head.to_str().unwrap(),
+            ])
+            .args(scenario)
+            .args(extra)
+            .output()
+            .expect("run nasaic");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{extra:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("bad checkpoint {}: ", head.display()))
+                && stderr.contains(reason),
+            "{extra:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{extra:?}: {stderr}");
+    }
+    // The untouched head still resumes to the direct run's report.
+    let resumed = cli(&[
+        "run",
+        "--scenario",
+        "w1",
+        "--budget-episodes",
+        "4",
+        "--resume",
+        w1.to_str().unwrap(),
+        "--format",
+        "json",
+    ]);
+    let direct = cli(&[
+        "run",
+        "--scenario",
+        "w1",
+        "--budget-episodes",
+        "4",
+        "--format",
+        "json",
+    ]);
+    let outcome = |json: &str| {
+        let report = value::parse_json(json).unwrap();
+        [
+            "episodes",
+            "explored",
+            "spec_compliant",
+            "pruned_episodes",
+            "best",
+        ]
+        .map(|field| report.get(field).cloned())
+    };
+    assert_eq!(outcome(&resumed), outcome(&direct));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn merging_partials_of_different_runs_is_an_error_not_a_panic() {
     let dir = std::env::temp_dir().join(format!("nasaic-cli-bad-merge-{}", std::process::id()));

@@ -12,7 +12,7 @@ use nasaic_core::algorithm::NullObserver;
 use nasaic_core::checkpoint::{
     journal_path, tmp_path, FileCheckpointSink, RecordingCheckpointSink,
 };
-use nasaic_core::scenario::value::{to_json, ConfigValue};
+use nasaic_core::scenario::value::{parse_json, to_json, ConfigValue};
 use nasaic_core::scenario::{registry, Algorithm, Scenario};
 use std::path::{Path, PathBuf};
 
@@ -601,6 +601,94 @@ fn a_checkpoint_record_that_cannot_be_rebuilt_reruns_its_job_and_the_worker_keep
     shutdown(&addr);
     handle.join().expect("clean shutdown");
     let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+#[test]
+fn a_corrupt_cache_export_is_discarded_and_the_worker_keeps_serving() {
+    let state_dir = temp_dir("bad-caches");
+    let scenario = quick_scenario(79);
+    let expected = scenario.run_report().to_value();
+
+    // A graceful shutdown's cache export...
+    let config = ServeConfig {
+        state_dir: Some(state_dir.clone()),
+        ..ephemeral_config()
+    };
+    let handle = Daemon::start(config).expect("first daemon");
+    let addr = handle.addr().to_string();
+    Client::connect(&addr)
+        .expect("connect")
+        .submit_watch(scenario.to_value(), |_| {})
+        .expect("first run");
+    shutdown(&addr);
+    handle.join().expect("clean shutdown");
+    // ...whose first hardware entry's accelerator has no sub-accelerators,
+    // which `Accelerator::new` asserts against.
+    let caches = state_dir.join("caches.json");
+    let mut root = parse_json(&std::fs::read_to_string(&caches).expect("caches.json"))
+        .expect("caches.json parses");
+    let mut engines = root
+        .get("engines")
+        .and_then(ConfigValue::as_array)
+        .expect("engines")
+        .to_vec();
+    let mut export = engines[0]
+        .get("caches")
+        .expect("an engine's caches")
+        .clone();
+    let mut hardware = export
+        .get("hardware")
+        .and_then(ConfigValue::as_array)
+        .expect("hardware")
+        .to_vec();
+    hardware[0].insert("subs", ConfigValue::Array(Vec::new()));
+    export.insert("hardware", ConfigValue::Array(hardware));
+    engines[0].insert("caches", export);
+    root.insert("engines", ConfigValue::Array(engines));
+    std::fs::write(&caches, to_json(&root)).expect("corrupt caches.json");
+
+    // One worker: if the import unwound it, the job would stay running and
+    // nothing after it would run.
+    let log_path = state_dir.join("stderr.log");
+    let log = std::fs::File::create(&log_path).expect("create stderr log");
+    let (mut child, addr) = spawn_daemon_with_stderr(&state_dir, &["--workers", "1"], log.into());
+    let mut client = Client::connect(&addr).expect("connect");
+    let submitted = client
+        .request(&Request::Submit {
+            scenario: scenario.to_value(),
+            watch: false,
+        })
+        .expect("submit");
+    let job_id = submitted
+        .get("job")
+        .and_then(ConfigValue::as_integer)
+        .expect("job id") as u64;
+    let report = wait_for_result(&mut client, &state_dir, job_id);
+    assert_eq!(
+        outcome_only(&report),
+        outcome_only(&expected),
+        "the job on a discarded cache diverged from the direct run"
+    );
+    let engines = client.request(&Request::ShowCache).expect("show cache");
+    assert!(engines.get("engines").is_some(), "{engines:?}");
+    let next = client
+        .submit_watch(quick_scenario(80).to_value(), |_| {})
+        .expect("a second job");
+    assert_eq!(
+        next.get("state").and_then(ConfigValue::as_str),
+        Some("finished"),
+        "{next:?}"
+    );
+    let _ = client.request(&Request::Shutdown);
+    let status = child.wait().expect("daemon exits after shutdown");
+    let stderr = std::fs::read_to_string(&log_path).expect("read stderr log");
+    let _ = std::fs::remove_dir_all(&state_dir);
+    assert!(status.success(), "{status}: {stderr}");
+    assert!(
+        stderr.contains("discarding persisted caches") && stderr.contains("no sub-accelerators"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 /// Job `job_id`'s `show jobs` row.

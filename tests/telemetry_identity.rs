@@ -19,13 +19,7 @@ fn run_once(scenario: &Scenario, telemetry: bool) -> RunReport {
     }
     let observer = MetricsObserver::new();
     let engine = scenario.engine();
-    let report = scenario.run_report_checkpointed(
-        scenario.search.algorithm,
-        &engine,
-        &observer,
-        None,
-        &NullCheckpointSink,
-    );
+    let report = scenario.run_report_observed(scenario.search.algorithm, &engine, &observer);
     nasaic_telemetry::set_enabled(false);
     report
 }
