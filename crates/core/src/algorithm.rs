@@ -8,13 +8,16 @@
 //!
 //! * [`SearchAlgorithm`] is the object-safe trait every driver implements:
 //!   `run_checkpointed(&self, ctx, resume, sink) -> Result<SearchOutcome,
-//!   ConfigError>`, with `run(&self, ctx)` as the plain no-resume case,
-//!   which cannot fail, plus shard-plan /
-//!   run-shard / merge-shards hooks for deterministic multi-process
-//!   execution (see [`crate::checkpoint`]).
+//!   SearchError>`, with `run(&self, ctx)` as the plain no-resume case,
+//!   plus shard-plan / run-shard / merge-shards hooks for deterministic
+//!   multi-process execution (see [`crate::checkpoint`]).
 //! * [`SearchContext`] bundles what the old signatures passed piecemeal —
 //!   workload, design specs, hardware space, shared [`EvalEngine`], seed,
 //!   a [`Budget`], and an optional [`SearchObserver`].
+//! * [`SearchRun`] is one run's handle, made by [`SearchContext::start`]:
+//!   a driver takes its snapshots through [`SearchRun::checkpoint`], where
+//!   a stop the observer asks for becomes [`SearchError::Cancelled`], and
+//!   ends its event stream through [`SearchRun::finish`].
 //! * [`Algorithm::instantiate`] is the one factory mapping an
 //!   [`Algorithm`] name plus a [`SearchSpec`] budget onto a configured
 //!   `Box<dyn SearchAlgorithm>`; the scenario runner, the `compare`
@@ -68,11 +71,11 @@
 //! ```
 
 use crate::checkpoint::{
-    merge_replay, CheckpointSink, NullCheckpointSink, SearchCheckpoint, ShardMode, ShardPartial,
-    ShardPlan,
+    merge_replay, solution_to_value, CheckpointSink, NullCheckpointSink, SearchCheckpoint,
+    ShardMode, ShardPartial, ShardPlan,
 };
 use crate::engine::{CacheStats, EvalEngine};
-use crate::log::{PhaseSummary, SearchOutcome};
+use crate::log::{ExploredSolution, PhaseSummary, SearchOutcome};
 use crate::scenario::value::{ConfigError, ConfigValue};
 use crate::scenario::{Algorithm, SearchSpec};
 use crate::spec::DesignSpecs;
@@ -183,8 +186,31 @@ impl<'a> SearchContext<'a> {
     }
 
     /// The attached observer, or the no-op [`NullObserver`].
-    pub fn observer(&self) -> &dyn SearchObserver {
+    pub fn observer(&self) -> &'a dyn SearchObserver {
         self.observer.unwrap_or(&NullObserver)
+    }
+
+    /// Start a run of `algorithm` at `seed` that offers its checkpoints to
+    /// `sink`.  A driver calls this once, before any engine work, since
+    /// the run's cache statistics are counted from here.
+    pub fn start<'r>(
+        &self,
+        algorithm: &'r str,
+        seed: u64,
+        sink: &'r dyn CheckpointSink,
+    ) -> SearchRun<'r>
+    where
+        'a: 'r,
+    {
+        SearchRun {
+            engine: self.engine,
+            observer: self.observer(),
+            sink,
+            algorithm,
+            seed,
+            records: 0,
+            stats_start: self.engine.stats(),
+        }
     }
 
     /// Restrict the context to shard `shard_index` of a strided `plan`:
@@ -216,6 +242,125 @@ impl std::fmt::Debug for SearchContext<'_> {
     }
 }
 
+/// One run of a search: the only way a driver takes snapshots, learns that
+/// it must stop, and ends its event stream.
+///
+/// [`SearchContext::start`] makes it.  The driver calls
+/// [`checkpoint`](Self::checkpoint) at every snapshot point, sizes its
+/// evaluation chunks with [`wants`](Self::wants), and passes its outcome
+/// through [`finish`](Self::finish) at the end.
+pub struct SearchRun<'r> {
+    engine: &'r EvalEngine,
+    observer: &'r dyn SearchObserver,
+    sink: &'r dyn CheckpointSink,
+    algorithm: &'r str,
+    seed: u64,
+    /// Explored records earlier checkpoints already handed to the sink.
+    /// It starts at 0 even for a resumed run, so every run's first
+    /// checkpoint is complete and a sink never depends on what an earlier
+    /// run handed it.
+    records: usize,
+    stats_start: CacheStats,
+}
+
+impl SearchRun<'_> {
+    /// Does the sink want a checkpoint after `progress` units?  The
+    /// sampling loops end each evaluation chunk at the next such unit.
+    pub fn wants(&self, progress: usize) -> bool {
+        self.sink.wants(progress)
+    }
+
+    /// The run's snapshot point after `progress` units, with `explored`
+    /// the outcome's records so far.
+    ///
+    /// Only if the sink wants this progress does it build the state tree,
+    /// encode the records added since the previous checkpoint, hand both
+    /// to the sink and announce the save on the observer stream.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SearchError::Cancelled`], before any of that, when the
+    /// observer asks the run to stop ([`SearchObserver::should_stop`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `explored` is shorter than the records already offered.
+    pub fn checkpoint(
+        &mut self,
+        progress: usize,
+        explored: &[ExploredSolution],
+        state: impl FnOnce() -> ConfigValue,
+    ) -> Result<(), SearchError> {
+        if self.observer.should_stop() {
+            return Err(SearchError::Cancelled);
+        }
+        if self.sink.wants(progress) {
+            // The span covers building the state tree and the new records
+            // and handing them to the sink (for a file sink: journal
+            // append plus head encode and write).
+            let _span = crate::metrics::maybe_time(crate::metrics::checkpoint_encode_wall);
+            let checkpoint = SearchCheckpoint {
+                records_from: self.records,
+                records: explored[self.records..]
+                    .iter()
+                    .map(solution_to_value)
+                    .collect(),
+                ..SearchCheckpoint::new(self.algorithm, self.seed, progress, state())
+            };
+            self.records = explored.len();
+            self.sink.on_checkpoint(&checkpoint);
+            self.observer
+                .on_event(&SearchEvent::CheckpointSaved { progress });
+        }
+        Ok(())
+    }
+
+    /// End the run: emit the final [`SearchEvent::SearchFinished`] summary
+    /// with the engine's cache counters since [`SearchContext::start`],
+    /// and hand the outcome back.  Trace consumers (and the CI
+    /// `nasaic-bench validate-trace` gate) rely on `search_finished` being
+    /// the stream's final event.
+    pub fn finish(self, outcome: SearchOutcome) -> SearchOutcome {
+        self.observer.on_event(&SearchEvent::SearchFinished {
+            episodes: outcome.episodes,
+            explored: outcome.explored.len(),
+            spec_compliant: outcome.spec_compliant.len(),
+            pruned_episodes: outcome.pruned_episodes,
+            cache: self.engine.stats().since(&self.stats_start),
+        });
+        outcome
+    }
+}
+
+/// Why a search returned without an outcome.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SearchError {
+    /// The resume checkpoint is of another algorithm or seed, past the
+    /// run's budget, or holds a state or record that does not decode or
+    /// fit the run.  Nothing has run then.
+    Checkpoint(ConfigError),
+    /// The observer asked the run to stop, and it did at its next snapshot
+    /// point, without a `search_finished` event.
+    Cancelled,
+}
+
+impl From<ConfigError> for SearchError {
+    fn from(error: ConfigError) -> Self {
+        SearchError::Checkpoint(error)
+    }
+}
+
+impl std::fmt::Display for SearchError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SearchError::Checkpoint(error) => error.fmt(f),
+            SearchError::Cancelled => f.write_str("the search was cancelled"),
+        }
+    }
+}
+
+impl std::error::Error for SearchError {}
+
 /// A co-exploration search algorithm: NASAIC, one of the five baselines,
 /// or a user-defined driver.
 ///
@@ -232,8 +377,9 @@ impl std::fmt::Debug for SearchContext<'_> {
 /// The one required entry point is
 /// [`run_checkpointed`](Self::run_checkpointed): a run that can start
 /// from a [`SearchCheckpoint`] and offers new checkpoints to a
-/// [`CheckpointSink`] as it progresses.  [`run`](Self::run) is the plain
-/// case (no resume, no sink).  The contract, gated by the resume-identity
+/// [`CheckpointSink`] through its [`SearchRun`] as it progresses.
+/// [`run`](Self::run) is the plain case (no resume, no sink).  The
+/// contract, gated by the resume-identity
 /// tests in `tests/checkpoint_resume.rs` and the resume proptest, is
 /// *bit-identity*: resuming any checkpoint and running to the full budget
 /// must produce exactly the outcome of the uninterrupted run.  A driver
@@ -274,23 +420,27 @@ pub trait SearchAlgorithm {
     ///
     /// # Errors
     ///
-    /// Returns the first error decoding `resume`: another algorithm or
-    /// seed, progress past the run's budget, or a state or record that
-    /// does not decode or does not fit the run.  Nothing has run then.
+    /// Returns [`SearchError::Checkpoint`] with the first error decoding
+    /// `resume` (nothing has run then), and [`SearchError::Cancelled`]
+    /// when the context's observer asked the run to stop.
     fn run_checkpointed(
         &self,
         ctx: &SearchContext<'_>,
         resume: Option<&SearchCheckpoint>,
         sink: &dyn CheckpointSink,
-    ) -> Result<SearchOutcome, ConfigError>;
+    ) -> Result<SearchOutcome, SearchError>;
 
     /// Run the search over the context's workload/specs/hardware through
     /// its engine, reporting progress to the context's observer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the context's observer asks the run to stop;
+    /// [`run_checkpointed`](Self::run_checkpointed) returns that as
+    /// [`SearchError::Cancelled`].
     fn run(&self, ctx: &SearchContext<'_>) -> SearchOutcome {
-        match self.run_checkpointed(ctx, None, &NullCheckpointSink) {
-            Ok(outcome) => outcome,
-            Err(error) => unreachable!("a run without a checkpoint decoded one: {error}"),
-        }
+        self.run_checkpointed(ctx, None, &NullCheckpointSink)
+            .unwrap_or_else(|error| panic!("{error}"))
     }
 
     /// How this driver splits one run across `shards` workers.  The
@@ -662,27 +812,6 @@ impl SearchEvent {
     }
 }
 
-/// Emit the final [`SearchEvent::SearchFinished`] summary for an outcome.
-///
-/// Every driver — including custom [`SearchAlgorithm`] implementations —
-/// must call this exactly once, at the very end of a run, with the
-/// cache-stat delta of the run (`engine.stats().since(&snapshot_at_start)`);
-/// trace consumers (and the CI `nasaic-bench validate-trace` gate)
-/// rely on `search_finished` being the stream's final event.
-pub fn emit_search_finished(
-    observer: &dyn SearchObserver,
-    outcome: &SearchOutcome,
-    cache: CacheStats,
-) {
-    observer.on_event(&SearchEvent::SearchFinished {
-        episodes: outcome.episodes,
-        explored: outcome.explored.len(),
-        spec_compliant: outcome.spec_compliant.len(),
-        pruned_episodes: outcome.pruned_episodes,
-        cache,
-    });
-}
-
 // ---------------------------------------------------------------------------
 // Observers
 // ---------------------------------------------------------------------------
@@ -692,13 +821,20 @@ pub fn emit_search_finished(
 /// Drivers call `on_event` strictly sequentially (candidate *evaluation*
 /// is batched in parallel, but bookkeeping — and therefore observation —
 /// happens in deterministic draw order), so implementations only need
-/// interior mutability, not lock-free concurrency.  Observers must not
-/// influence the search: the seeded outcome is identical with or without
-/// one.
+/// interior mutability, not lock-free concurrency.  An observer may only
+/// ask the run to stop ([`should_stop`](Self::should_stop)); otherwise
+/// the seeded outcome is identical with or without one.
 pub trait SearchObserver {
     /// Receive one event.  Implementations should be cheap; they run on
     /// the search's hot path.
     fn on_event(&self, event: &SearchEvent);
+
+    /// Should the run stop?  The driver asks at each snapshot point
+    /// ([`SearchRun::checkpoint`]) and, on `true`, returns
+    /// [`SearchError::Cancelled`] without finishing.
+    fn should_stop(&self) -> bool {
+        false
+    }
 }
 
 /// The no-op observer (the default when a context has none).
@@ -920,6 +1056,11 @@ impl SearchObserver for MulticastObserver<'_> {
         for target in &self.targets {
             target.on_event(event);
         }
+    }
+
+    /// True as soon as any target asks to stop.
+    fn should_stop(&self) -> bool {
+        self.targets.iter().any(|target| target.should_stop())
     }
 }
 

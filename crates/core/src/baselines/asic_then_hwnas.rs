@@ -7,16 +7,12 @@
 //! shows this is feasible but leaves accuracy on the table compared to true
 //! co-exploration.
 
-use crate::algorithm::{
-    emit_search_finished, SearchAlgorithm, SearchContext, SearchEvent, SearchObserver,
-};
+use crate::algorithm::{SearchAlgorithm, SearchContext, SearchError, SearchEvent, SearchRun};
 use crate::bounds::PenaltyBounds;
 use crate::candidate::Candidate;
-use crate::checkpoint::{self, CheckpointCursor, CheckpointSink, SearchCheckpoint};
-use crate::engine::EvalEngine;
+use crate::checkpoint::{self, CheckpointSink, SearchCheckpoint};
 use crate::log::{ExploredSolution, PhaseSummary, SearchOutcome};
 use crate::scenario::value::{ConfigError, ConfigValue};
-use crate::spec::DesignSpecs;
 use crate::workload::Workload;
 use nasaic_accel::{Accelerator, HardwareSpace};
 use nasaic_nn::layer::Architecture;
@@ -83,17 +79,15 @@ impl AsicThenHwNas {
     /// delimited by the sink's next snapshot point, so the one-batch
     /// evaluation survives when no sink wants checkpoints.  `resume` is
     /// the pre-decoded `(rng, incumbent, samples completed)` triple.
-    #[allow(clippy::too_many_arguments)]
     fn run_monte_carlo_hardware(
         &self,
-        workload: &Workload,
-        specs: &DesignSpecs,
-        hardware: &HardwareSpace,
-        engine: &EvalEngine,
-        observer: &dyn SearchObserver,
+        ctx: &SearchContext<'_>,
+        run: &mut SearchRun<'_>,
         resume: Option<McResume>,
-        sink: &dyn CheckpointSink,
-    ) -> Accelerator {
+    ) -> Result<Accelerator, SearchError> {
+        let (workload, specs, hardware, engine) =
+            (ctx.workload, &ctx.specs, ctx.hardware, ctx.engine);
+        let observer = ctx.observer();
         let reference: Vec<Architecture> = workload
             .tasks
             .iter()
@@ -107,13 +101,11 @@ impl AsicThenHwNas {
             })
             .collect();
         let runs = self.monte_carlo_runs.max(1);
-        let (mut rng, mut best, mut run) =
+        let (mut rng, mut best, mut done) =
             resume.unwrap_or_else(|| (StdRng::seed_from_u64(self.seed ^ 0xcccc), None, 0));
-        // The phase explores no (network, accelerator) records.
-        let mut cursor = CheckpointCursor::new(self.name(), self.seed);
-        while run < runs {
-            let chunk_end = (run + 1..runs).find(|&r| sink.wants(r)).unwrap_or(runs);
-            let accelerators: Vec<Accelerator> = (run..chunk_end)
+        while done < runs {
+            let chunk_end = (done + 1..runs).find(|&r| run.wants(r)).unwrap_or(runs);
+            let accelerators: Vec<Accelerator> = (done..chunk_end)
                 .map(|r| {
                     if r % 2 == 0 {
                         hardware.sample(&mut rng)
@@ -128,7 +120,7 @@ impl AsicThenHwNas {
                 |accelerator| engine.hardware_metrics(&reference, accelerator),
             );
             for (r, (accelerator, metrics)) in
-                (run..chunk_end).zip(accelerators.into_iter().zip(metrics))
+                (done..chunk_end).zip(accelerators.into_iter().zip(metrics))
             {
                 let feasible = metrics.is_feasible();
                 observer.on_event(&SearchEvent::EpisodeEvaluated {
@@ -150,8 +142,9 @@ impl AsicThenHwNas {
                     best = Some((distance, accelerator));
                 }
             }
-            run = chunk_end;
-            checkpoint::offer_checkpoint(sink, observer, &mut cursor, run, &[], || {
+            done = chunk_end;
+            // The phase explores no (network, accelerator) records.
+            run.checkpoint(done, &[], || {
                 let mut state = ConfigValue::table();
                 state.insert("phase", ConfigValue::Str("mc".to_string()));
                 state.insert("rng", checkpoint::rng_state_to_value(&rng.state()));
@@ -162,10 +155,11 @@ impl AsicThenHwNas {
                     state.insert("best", incumbent);
                 }
                 state
-            });
+            })?;
         }
-        best.map(|(_, acc)| acc)
-            .unwrap_or_else(|| hardware.sample_fully_allocated(&mut rng))
+        Ok(best
+            .map(|(_, acc)| acc)
+            .unwrap_or_else(|| hardware.sample_fully_allocated(&mut rng)))
     }
 
     /// Phase 2: hardware-aware NAS on a fixed accelerator design.
@@ -178,20 +172,16 @@ impl AsicThenHwNas {
     /// state `{rng, controller, outcome, accelerator}`.  `start` is the
     /// fresh or pre-decoded `(rng, controller, outcome, episodes
     /// completed)` tuple.
-    #[allow(clippy::too_many_arguments)]
     fn run_hardware_aware_nas(
         &self,
-        workload: &Workload,
-        specs: DesignSpecs,
+        ctx: &SearchContext<'_>,
+        run: &mut SearchRun<'_>,
         accelerator: &Accelerator,
-        engine: &EvalEngine,
-        observer: &dyn SearchObserver,
         (mut rng, mut controller, mut outcome, start_episode): NasStart,
-        sink: &dyn CheckpointSink,
         progress_offset: usize,
-    ) -> SearchOutcome {
-        let mut cursor = CheckpointCursor::new(self.name(), self.seed);
-        let scorer = engine.scorer(PenaltyBounds::from_specs(&specs, 3.0), self.rho);
+    ) -> Result<SearchOutcome, SearchError> {
+        let (workload, engine, observer) = (ctx.workload, ctx.engine, ctx.observer());
+        let scorer = engine.scorer(PenaltyBounds::from_specs(&ctx.specs, 3.0), self.rho);
         for episode in start_episode..self.nas_episodes {
             let sample = controller.sample(&mut rng);
             let architectures: Result<Vec<Architecture>, _> = workload
@@ -200,66 +190,58 @@ impl AsicThenHwNas {
                 .zip(&sample.segments)
                 .map(|(task, segment)| task.backbone.materialize(segment))
                 .collect();
-            let Ok(architectures) = architectures else {
-                controller.feedback(&sample, -self.rho);
-                observer.on_event(&SearchEvent::EpisodeEvaluated {
-                    episode,
-                    evaluations: 0,
-                    weighted_accuracy: None,
-                    any_compliant: false,
-                    reward: -self.rho,
-                    entropy: Some(sample.mean_entropy),
-                    baseline: controller.baseline(),
-                });
-                self.offer_nas(
-                    sink,
-                    observer,
-                    &mut cursor,
-                    progress_offset + episode + 1,
-                    &rng,
-                    &controller,
-                    &outcome,
-                    accelerator,
-                );
-                continue;
+            let (evaluations, weighted_accuracy, any_compliant, reward) = match architectures {
+                Ok(architectures) => {
+                    let candidate = Candidate::from_parts(architectures, accelerator.clone());
+                    let (evaluation, reward) = scorer.score(&candidate);
+                    controller.feedback(&sample, reward);
+                    let summary = (
+                        1,
+                        Some(evaluation.weighted_accuracy),
+                        evaluation.meets_specs(),
+                        reward,
+                    );
+                    outcome.record_observed(
+                        ExploredSolution {
+                            episode,
+                            candidate,
+                            evaluation,
+                            reward,
+                        },
+                        observer,
+                    );
+                    summary
+                }
+                Err(_) => {
+                    controller.feedback(&sample, -self.rho);
+                    (0, None, false, -self.rho)
+                }
             };
-            let candidate = Candidate::from_parts(architectures, accelerator.clone());
-            let (evaluation, reward) = scorer.score(&candidate);
-            controller.feedback(&sample, reward);
-            let weighted_accuracy = evaluation.weighted_accuracy;
-            let any_compliant = evaluation.meets_specs();
-            outcome.record_observed(
-                ExploredSolution {
-                    episode,
-                    candidate,
-                    evaluation,
-                    reward,
-                },
-                observer,
-            );
             observer.on_event(&SearchEvent::EpisodeEvaluated {
                 episode,
-                evaluations: 1,
-                weighted_accuracy: Some(weighted_accuracy),
+                evaluations,
+                weighted_accuracy,
                 any_compliant,
                 reward,
                 entropy: Some(sample.mean_entropy),
                 baseline: controller.baseline(),
             });
-            self.offer_nas(
-                sink,
-                observer,
-                &mut cursor,
-                progress_offset + episode + 1,
-                &rng,
-                &controller,
-                &outcome,
-                accelerator,
-            );
+            run.checkpoint(progress_offset + episode + 1, &outcome.explored, || {
+                let mut state = ConfigValue::table();
+                state.insert("phase", ConfigValue::Str("nas".to_string()));
+                state.insert("rng", checkpoint::rng_state_to_value(&rng.state()));
+                state.insert(
+                    "controller",
+                    checkpoint::controller_state_to_value(&controller.export_state()),
+                );
+                state.insert("outcome", checkpoint::outcome_counters_to_value(&outcome));
+                state.insert("accelerator", checkpoint::accelerator_to_value(accelerator));
+                state
+            })?;
         }
         outcome.episodes = self.nas_episodes;
         outcome.reward_history = controller.reward_history().to_vec();
-        outcome
+        Ok(outcome)
     }
 
     /// Phase 2's fresh controller: one architecture segment per task.
@@ -276,36 +258,6 @@ impl AsicThenHwNas {
             })
             .collect();
         Controller::new(segments, ControllerConfig::default(), self.seed ^ 0xdddd)
-    }
-
-    /// Offer a NAS-phase checkpoint (see
-    /// [`run_hardware_aware_nas`](Self::run_hardware_aware_nas) for the
-    /// progress and state conventions).
-    #[allow(clippy::too_many_arguments)]
-    fn offer_nas(
-        &self,
-        sink: &dyn CheckpointSink,
-        observer: &dyn SearchObserver,
-        cursor: &mut CheckpointCursor<'_>,
-        progress: usize,
-        rng: &StdRng,
-        controller: &Controller,
-        outcome: &SearchOutcome,
-        accelerator: &Accelerator,
-    ) {
-        let explored = &outcome.explored;
-        checkpoint::offer_checkpoint(sink, observer, cursor, progress, explored, || {
-            let mut state = ConfigValue::table();
-            state.insert("phase", ConfigValue::Str("nas".to_string()));
-            state.insert("rng", checkpoint::rng_state_to_value(&rng.state()));
-            state.insert(
-                "controller",
-                checkpoint::controller_state_to_value(&controller.export_state()),
-            );
-            state.insert("outcome", checkpoint::outcome_counters_to_value(outcome));
-            state.insert("accelerator", checkpoint::accelerator_to_value(accelerator));
-            state
-        });
     }
 }
 
@@ -334,11 +286,10 @@ impl SearchAlgorithm for AsicThenHwNas {
         ctx: &SearchContext<'_>,
         resume: Option<&SearchCheckpoint>,
         sink: &dyn CheckpointSink,
-    ) -> Result<SearchOutcome, ConfigError> {
-        let (workload, specs, hardware, engine) =
-            (ctx.workload, ctx.specs, ctx.hardware, ctx.engine);
+    ) -> Result<SearchOutcome, SearchError> {
+        let (workload, hardware) = (ctx.workload, ctx.hardware);
         let observer = ctx.observer();
-        let stats_start = engine.stats();
+        let mut run = ctx.start(self.name(), self.seed, sink);
         let runs = self.monte_carlo_runs.max(1);
         // A resume is decoded before any work: phase 1's `(rng, incumbent,
         // samples)`, or phase 2's accelerator and start.
@@ -382,9 +333,7 @@ impl SearchAlgorithm for AsicThenHwNas {
                     phase: "asic-monte-carlo".to_string(),
                     budget: self.monte_carlo_runs,
                 });
-                let accelerator = self.run_monte_carlo_hardware(
-                    workload, &specs, hardware, engine, observer, mc_resume, sink,
-                );
+                let accelerator = self.run_monte_carlo_hardware(ctx, &mut run, mc_resume)?;
                 let start = (
                     StdRng::seed_from_u64(self.seed ^ 0xeeee),
                     self.nas_controller(workload),
@@ -412,16 +361,8 @@ impl SearchAlgorithm for AsicThenHwNas {
                 budget: self.nas_episodes,
             });
         }
-        let mut outcome = self.run_hardware_aware_nas(
-            workload,
-            specs,
-            &accelerator,
-            engine,
-            observer,
-            nas_start,
-            sink,
-            runs,
-        );
+        let mut outcome =
+            self.run_hardware_aware_nas(ctx, &mut run, &accelerator, nas_start, runs)?;
         let nas_summary = PhaseSummary {
             name: "hw-nas".to_string(),
             episodes: self.nas_episodes,
@@ -435,8 +376,7 @@ impl SearchAlgorithm for AsicThenHwNas {
             summary: nas_summary.clone(),
         });
         outcome.phases = vec![hardware_summary, nas_summary];
-        emit_search_finished(observer, &outcome, engine.stats().since(&stats_start));
-        Ok(outcome)
+        Ok(run.finish(outcome))
     }
 }
 
@@ -472,10 +412,11 @@ fn spec_distance(value: f64, spec: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::{run_paper_workload, NullObserver};
+    use crate::algorithm::{run_paper_workload, Budget};
     use crate::checkpoint::NullCheckpointSink;
+    use crate::engine::EvalEngine;
     use crate::evaluator::{AccuracyOracle, Evaluator};
-    use crate::spec::WorkloadId;
+    use crate::spec::{DesignSpecs, WorkloadId};
 
     #[test]
     fn monte_carlo_hardware_is_close_to_specs() {
@@ -484,15 +425,12 @@ mod tests {
         let evaluator = Evaluator::new(&workload, specs, AccuracyOracle::default());
         let engine = EvalEngine::from(&evaluator);
         let hardware = HardwareSpace::paper_default(2);
-        let accelerator = AsicThenHwNas::fast(5).run_monte_carlo_hardware(
-            &workload,
-            &specs,
-            &hardware,
-            &engine,
-            &NullObserver,
-            None,
-            &NullCheckpointSink,
-        );
+        let ctx = SearchContext::new(&workload, specs, &hardware, &engine, 5, Budget::new(0, 0));
+        let driver = AsicThenHwNas::fast(5);
+        let mut run = ctx.start(driver.name(), 5, &NullCheckpointSink);
+        let accelerator = driver
+            .run_monte_carlo_hardware(&ctx, &mut run, None)
+            .unwrap();
         // The chosen design must at least fit the area spec (area does not
         // depend on the reference architectures).
         let area = evaluator.cost_model().area_um2(&accelerator);

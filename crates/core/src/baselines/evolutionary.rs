@@ -8,12 +8,10 @@
 //! indices and the per-sub-accelerator hardware choice indices, and whose
 //! fitness is exactly the Eq. 4 reward.
 
-use crate::algorithm::{
-    emit_search_finished, SearchAlgorithm, SearchContext, SearchEvent, SearchObserver,
-};
+use crate::algorithm::{SearchAlgorithm, SearchContext, SearchError, SearchEvent};
 use crate::bounds::PenaltyBounds;
 use crate::candidate::Candidate;
-use crate::checkpoint::{self, CheckpointCursor, CheckpointSink, SearchCheckpoint};
+use crate::checkpoint::{self, CheckpointSink, SearchCheckpoint};
 use crate::log::{ExploredSolution, SearchOutcome};
 use crate::scenario::value::{ConfigError, ConfigValue};
 use nasaic_nn::space::SearchSpace;
@@ -63,38 +61,29 @@ impl EvolutionarySearch {
             seed,
         }
     }
+}
 
-    /// Offer a checkpoint after `generation` scored generations.
-    #[allow(clippy::too_many_arguments)]
-    fn offer(
-        &self,
-        sink: &dyn CheckpointSink,
-        observer: &dyn SearchObserver,
-        cursor: &mut CheckpointCursor<'_>,
-        generation: usize,
-        rng: &StdRng,
-        population: &[Vec<usize>],
-        fitness: &[f64],
-        outcome: &SearchOutcome,
-    ) {
-        let explored = &outcome.explored;
-        checkpoint::offer_checkpoint(sink, observer, cursor, generation, explored, || {
-            let mut state = ConfigValue::table();
-            state.insert("rng", checkpoint::rng_state_to_value(&rng.state()));
-            state.insert(
-                "population",
-                ConfigValue::Array(
-                    population
-                        .iter()
-                        .map(|genome| checkpoint::usizes_to_value(genome))
-                        .collect(),
-                ),
-            );
-            state.insert("fitness", checkpoint::floats_to_value(fitness));
-            state.insert("outcome", checkpoint::outcome_counters_to_value(outcome));
-            state
-        });
-    }
+/// The search's checkpoint state after a scored generation.
+fn generation_state(
+    rng: &StdRng,
+    population: &[Vec<usize>],
+    fitness: &[f64],
+    outcome: &SearchOutcome,
+) -> ConfigValue {
+    let mut state = ConfigValue::table();
+    state.insert("rng", checkpoint::rng_state_to_value(&rng.state()));
+    state.insert(
+        "population",
+        ConfigValue::Array(
+            population
+                .iter()
+                .map(|genome| checkpoint::usizes_to_value(genome))
+                .collect(),
+        ),
+    );
+    state.insert("fitness", checkpoint::floats_to_value(fitness));
+    state.insert("outcome", checkpoint::outcome_counters_to_value(outcome));
+    state
 }
 
 impl SearchAlgorithm for EvolutionarySearch {
@@ -125,11 +114,11 @@ impl SearchAlgorithm for EvolutionarySearch {
         ctx: &SearchContext<'_>,
         resume: Option<&SearchCheckpoint>,
         sink: &dyn CheckpointSink,
-    ) -> Result<SearchOutcome, ConfigError> {
+    ) -> Result<SearchOutcome, SearchError> {
         let (workload, specs, hardware, engine) =
             (ctx.workload, ctx.specs, ctx.hardware, ctx.engine);
         let observer = ctx.observer();
-        let stats_start = engine.stats();
+        let mut run = ctx.start(self.name(), self.seed, sink);
         let scorer = engine.scorer(PenaltyBounds::from_specs(&specs, 3.0), self.rho);
         let arch_spaces: Vec<SearchSpace> = workload
             .tasks
@@ -197,7 +186,8 @@ impl SearchAlgorithm for EvolutionarySearch {
                         population.len(),
                         fitness.len(),
                         self.population.max(2)
-                    )));
+                    ))
+                    .into());
                 }
                 (
                     cp.rng()?,
@@ -216,7 +206,6 @@ impl SearchAlgorithm for EvolutionarySearch {
             ),
         };
         let mut evaluations = outcome.explored.len();
-        let mut cursor = CheckpointCursor::new(self.name(), self.seed);
         // Score one whole generation: decode every genome, evaluate the
         // decodable ones as a parallel batch, and record them in genome
         // order (identical bookkeeping to the old one-at-a-time loop).
@@ -274,16 +263,9 @@ impl SearchAlgorithm for EvolutionarySearch {
                 .collect();
             fitness = generation_fitness(&population, &mut outcome);
             generation_event(0, population.len(), &fitness, 0, &outcome);
-            self.offer(
-                sink,
-                observer,
-                &mut cursor,
-                0,
-                &rng,
-                &population,
-                &fitness,
-                &outcome,
-            );
+            run.checkpoint(0, &outcome.explored, || {
+                generation_state(&rng, &population, &fitness, &outcome)
+            })?;
         }
 
         for generation in start_generation..self.generations {
@@ -316,21 +298,13 @@ impl SearchAlgorithm for EvolutionarySearch {
                 compliant_before,
                 &outcome,
             );
-            self.offer(
-                sink,
-                observer,
-                &mut cursor,
-                generation + 1,
-                &rng,
-                &population,
-                &fitness,
-                &outcome,
-            );
+            run.checkpoint(generation + 1, &outcome.explored, || {
+                generation_state(&rng, &population, &fitness, &outcome)
+            })?;
         }
 
         outcome.episodes = self.generations;
-        emit_search_finished(observer, &outcome, engine.stats().since(&stats_start));
-        Ok(outcome)
+        Ok(run.finish(outcome))
     }
 }
 

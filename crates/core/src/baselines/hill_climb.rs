@@ -5,12 +5,10 @@
 //! architectures on a balanced accelerator and greedily accepts single-step
 //! moves that improve the Eq. 4 reward.
 
-use crate::algorithm::{
-    emit_search_finished, SearchAlgorithm, SearchContext, SearchEvent, SearchObserver,
-};
+use crate::algorithm::{SearchAlgorithm, SearchContext, SearchError, SearchEvent};
 use crate::bounds::PenaltyBounds;
 use crate::candidate::Candidate;
-use crate::checkpoint::{self, CheckpointCursor, CheckpointSink, SearchCheckpoint};
+use crate::checkpoint::{self, CheckpointSink, SearchCheckpoint};
 use crate::log::{ExploredSolution, SearchOutcome};
 use crate::scenario::value::{ConfigError, ConfigValue};
 use serde::{Deserialize, Serialize};
@@ -36,37 +34,27 @@ impl HillClimb {
             rho: 10.0,
         }
     }
+}
 
-    /// Offer a checkpoint after `step` accepted steps (the climb is
-    /// seedless, so the envelope's seed is fixed at 0).
-    #[allow(clippy::too_many_arguments)]
-    fn offer(
-        &self,
-        sink: &dyn CheckpointSink,
-        observer: &dyn SearchObserver,
-        cursor: &mut CheckpointCursor<'_>,
-        step: usize,
-        arch_indices: &[Vec<usize>],
-        hw_indices: &[usize],
-        outcome: &SearchOutcome,
-    ) {
-        let explored = &outcome.explored;
-        checkpoint::offer_checkpoint(sink, observer, cursor, step, explored, || {
-            let mut state = ConfigValue::table();
-            state.insert(
-                "arch_indices",
-                ConfigValue::Array(
-                    arch_indices
-                        .iter()
-                        .map(|indices| checkpoint::usizes_to_value(indices))
-                        .collect(),
-                ),
-            );
-            state.insert("hw_indices", checkpoint::usizes_to_value(hw_indices));
-            state.insert("outcome", checkpoint::outcome_counters_to_value(outcome));
-            state
-        });
-    }
+/// The climb's checkpoint state at a position.
+fn climb_state(
+    arch_indices: &[Vec<usize>],
+    hw_indices: &[usize],
+    outcome: &SearchOutcome,
+) -> ConfigValue {
+    let mut state = ConfigValue::table();
+    state.insert(
+        "arch_indices",
+        ConfigValue::Array(
+            arch_indices
+                .iter()
+                .map(|indices| checkpoint::usizes_to_value(indices))
+                .collect(),
+        ),
+    );
+    state.insert("hw_indices", checkpoint::usizes_to_value(hw_indices));
+    state.insert("outcome", checkpoint::outcome_counters_to_value(outcome));
+    state
 }
 
 impl SearchAlgorithm for HillClimb {
@@ -83,7 +71,7 @@ impl SearchAlgorithm for HillClimb {
     /// and re-visited neighbours (common as the climb slows down) come
     /// from the caches.  The climb has no RNG, so the checkpoint state is
     /// minimal: `{arch_indices, hw_indices, outcome}` at `progress` =
-    /// accepted steps.  The current evaluation and reward are re-derived
+    /// accepted steps, and the envelope's seed is fixed at 0.  The current evaluation and reward are re-derived
     /// by re-scoring the current position on resume (the scorer is pure).
     ///
     /// The climb stays on the sequential shard fallback: each step moves
@@ -94,11 +82,11 @@ impl SearchAlgorithm for HillClimb {
         ctx: &SearchContext<'_>,
         resume: Option<&SearchCheckpoint>,
         sink: &dyn CheckpointSink,
-    ) -> Result<SearchOutcome, ConfigError> {
+    ) -> Result<SearchOutcome, SearchError> {
         let (workload, specs, hardware, engine) =
             (ctx.workload, ctx.specs, ctx.hardware, ctx.engine);
         let observer = ctx.observer();
-        let stats_start = engine.stats();
+        let mut run = ctx.start(self.name(), 0, sink);
         let scorer = engine.scorer(PenaltyBounds::from_specs(&specs, 3.0), self.rho);
 
         let hw_space_search = hardware.search_space();
@@ -147,7 +135,6 @@ impl SearchAlgorithm for HillClimb {
             ConfigError::schema("checkpoint: the climb's position does not fit the search space")
         })?;
 
-        let mut cursor = CheckpointCursor::new(self.name(), 0);
         let (mut current_eval, mut current_reward) = scorer.score(&current);
         if resume.is_none() {
             let start_compliant = current_eval.meets_specs();
@@ -170,15 +157,9 @@ impl SearchAlgorithm for HillClimb {
                 entropy: None,
                 baseline: None,
             });
-            self.offer(
-                sink,
-                observer,
-                &mut cursor,
-                0,
-                &arch_indices,
-                &hw_indices,
-                &outcome,
-            );
+            run.checkpoint(0, &outcome.explored, || {
+                climb_state(&arch_indices, &hw_indices, &outcome)
+            })?;
         }
 
         for step in start_step..=self.max_steps {
@@ -251,18 +232,11 @@ impl SearchAlgorithm for HillClimb {
                 entropy: None,
                 baseline: None,
             });
-            self.offer(
-                sink,
-                observer,
-                &mut cursor,
-                step,
-                &arch_indices,
-                &hw_indices,
-                &outcome,
-            );
+            run.checkpoint(step, &outcome.explored, || {
+                climb_state(&arch_indices, &hw_indices, &outcome)
+            })?;
         }
-        emit_search_finished(observer, &outcome, engine.stats().since(&stats_start));
-        Ok(outcome)
+        Ok(run.finish(outcome))
     }
 }
 

@@ -25,9 +25,8 @@ pub use hill_climb::HillClimb;
 pub use monte_carlo::MonteCarloSearch;
 pub use nas_then_asic::NasThenAsic;
 
-use crate::algorithm::{SearchContext, SearchEvent};
+use crate::algorithm::{SearchContext, SearchError, SearchEvent, SearchRun};
 use crate::candidate::Candidate;
-use crate::checkpoint::{self, CheckpointCursor, CheckpointSink};
 use crate::log::{ExploredSolution, SearchOutcome};
 use crate::scenario::value::ConfigValue;
 use rand::rngs::StdRng;
@@ -42,25 +41,23 @@ use rand::rngs::StdRng;
 /// Every sample is drawn, so every shard walks the whole RNG stream, but
 /// only the samples the context [`owns`](SearchContext::owns) are
 /// evaluated and recorded.  The loop evaluates in chunks delimited by the
-/// sink's next snapshot point at `progress_offset + samples done` (one
-/// chunk, the whole run, when no sink wants checkpoints), and offers a
-/// checkpoint with `state(rng, outcome)` after each chunk.
-#[allow(clippy::too_many_arguments)]
+/// run's next wanted snapshot point at `progress_offset + samples done`
+/// (one chunk, the whole run, when no sink wants checkpoints), and takes a
+/// snapshot with `state(rng, outcome)` after each chunk.
 pub(crate) fn sampling_loop(
     ctx: &SearchContext<'_>,
-    sink: &dyn CheckpointSink,
-    cursor: &mut CheckpointCursor<'_>,
+    run: &mut SearchRun<'_>,
     (mut rng, mut outcome, from): (StdRng, SearchOutcome, usize),
     samples: usize,
     progress_offset: usize,
     mut draw: impl FnMut(&mut StdRng, usize) -> Candidate,
     state: impl Fn(&StdRng, &SearchOutcome) -> ConfigValue,
-) -> SearchOutcome {
+) -> Result<SearchOutcome, SearchError> {
     let observer = ctx.observer();
     let mut sample = from;
     while sample < samples {
         let chunk_end = (sample + 1..samples)
-            .find(|&s| sink.wants(progress_offset + s))
+            .find(|&s| run.wants(progress_offset + s))
             .unwrap_or(samples);
         let mut owned = Vec::new();
         let mut candidates = Vec::new();
@@ -97,15 +94,10 @@ pub(crate) fn sampling_loop(
         }
         sample = chunk_end;
         outcome.episodes = sample;
-        checkpoint::offer_checkpoint(
-            sink,
-            observer,
-            cursor,
-            progress_offset + sample,
-            &outcome.explored,
-            || state(&rng, &outcome),
-        );
+        run.checkpoint(progress_offset + sample, &outcome.explored, || {
+            state(&rng, &outcome)
+        })?;
     }
     outcome.episodes = samples;
-    outcome
+    Ok(outcome)
 }

@@ -22,11 +22,11 @@
 //!   draw order, reconstructing the exact single-process outcome.
 
 use super::sampling_loop;
-use crate::algorithm::{emit_search_finished, SearchAlgorithm, SearchContext};
+use crate::algorithm::{SearchAlgorithm, SearchContext, SearchError};
 use crate::candidate::Candidate;
-use crate::checkpoint::{self, CheckpointCursor, CheckpointSink, SearchCheckpoint, ShardPlan};
+use crate::checkpoint::{self, CheckpointSink, SearchCheckpoint, ShardPlan};
 use crate::log::SearchOutcome;
-use crate::scenario::value::{ConfigError, ConfigValue};
+use crate::scenario::value::ConfigValue;
 use crate::workload::Workload;
 use nasaic_accel::HardwareSpace;
 use rand::rngs::StdRng;
@@ -105,9 +105,9 @@ impl SearchAlgorithm for MonteCarloSearch {
         ctx: &SearchContext<'_>,
         resume: Option<&SearchCheckpoint>,
         sink: &dyn CheckpointSink,
-    ) -> Result<SearchOutcome, ConfigError> {
-        let (workload, hardware, engine) = (ctx.workload, ctx.hardware, ctx.engine);
-        let stats_start = engine.stats();
+    ) -> Result<SearchOutcome, SearchError> {
+        let (workload, hardware) = (ctx.workload, ctx.hardware);
+        let mut run = ctx.start(self.name(), self.seed, sink);
         let start = match resume {
             Some(cp) => {
                 let progress = cp.progress_for(self.name(), self.seed, self.runs)?;
@@ -119,11 +119,9 @@ impl SearchAlgorithm for MonteCarloSearch {
                 0,
             ),
         };
-        let mut cursor = CheckpointCursor::new(self.name(), self.seed);
         let outcome = sampling_loop(
             ctx,
-            sink,
-            &mut cursor,
+            &mut run,
             start,
             self.runs,
             0,
@@ -134,9 +132,8 @@ impl SearchAlgorithm for MonteCarloSearch {
                 state.insert("outcome", checkpoint::outcome_counters_to_value(outcome));
                 state
             },
-        );
-        emit_search_finished(ctx.observer(), &outcome, engine.stats().since(&stats_start));
-        Ok(outcome)
+        )?;
+        Ok(run.finish(outcome))
     }
 
     /// Every sample is independent: stride them across the shards.

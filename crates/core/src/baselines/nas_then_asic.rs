@@ -9,13 +9,10 @@
 //! workload.
 
 use super::sampling_loop;
-use crate::algorithm::{
-    emit_search_finished, NullObserver, SearchAlgorithm, SearchContext, SearchEvent, SearchObserver,
-};
+use crate::algorithm::{SearchAlgorithm, SearchContext, SearchError, SearchEvent, SearchRun};
 use crate::candidate::Candidate;
 use crate::checkpoint::{
-    self, CheckpointCursor, CheckpointSink, NullCheckpointSink, SearchCheckpoint, ShardMode,
-    ShardPartial, ShardPlan,
+    self, CheckpointSink, NullCheckpointSink, SearchCheckpoint, ShardMode, ShardPartial, ShardPlan,
 };
 use crate::engine::EvalEngine;
 use crate::log::{ExploredSolution, PhaseSummary, SearchOutcome};
@@ -72,21 +69,19 @@ impl NasThenAsic {
         }
     }
 
-    /// Phase 1 through a shared engine: repeat visits to an architecture
-    /// (common late in NAS convergence) hit the accuracy cache instead of
-    /// re-querying the oracle.  Returns one architecture per task.
-    pub fn run_nas_with_engine(
-        &self,
-        workload: &Workload,
-        engine: &EvalEngine,
-    ) -> Vec<Architecture> {
-        self.run_nas_observed(
-            workload,
-            engine,
-            &NullObserver,
-            self.fresh_nas(),
-            &NullCheckpointSink,
-        )
+    /// Phase 1 alone, over the context's workload and engine: repeat
+    /// visits to an architecture (common late in NAS convergence) hit the
+    /// accuracy cache instead of re-querying the oracle.  Returns one
+    /// architecture per task.
+    ///
+    /// # Panics
+    ///
+    /// As [`SearchAlgorithm::run`]: if the context's observer asks the run
+    /// to stop.
+    pub fn run_nas(&self, ctx: &SearchContext<'_>) -> Vec<Architecture> {
+        let mut run = ctx.start(self.name(), self.seed, &NullCheckpointSink);
+        self.run_nas_observed(ctx, &mut run, self.fresh_nas())
+            .unwrap_or_else(|error| panic!("{error}"))
     }
 
     /// A NAS phase from its first episode.
@@ -114,9 +109,8 @@ impl NasThenAsic {
         )
     }
 
-    /// The NAS loop from `start`, shared by
-    /// [`run_nas_with_engine`](Self::run_nas_with_engine) and the trait
-    /// path.  Episode events are numbered
+    /// The NAS loop from `start`, shared by [`run_nas`](Self::run_nas)
+    /// and the trait path.  Episode events are numbered
     /// `task_index * nas_episodes + episode` across the per-task searches.
     ///
     /// Checkpoints fire per NAS episode at `progress = task_index *
@@ -127,12 +121,11 @@ impl NasThenAsic {
     /// dropped, and resume builds a fresh controller for the next task.
     fn run_nas_observed(
         &self,
-        workload: &Workload,
-        engine: &EvalEngine,
-        observer: &dyn SearchObserver,
+        ctx: &SearchContext<'_>,
+        run: &mut SearchRun<'_>,
         start: NasStart,
-        sink: &dyn CheckpointSink,
-    ) -> Vec<Architecture> {
+    ) -> Result<Vec<Architecture>, SearchError> {
+        let (workload, engine, observer) = (ctx.workload, ctx.engine, ctx.observer());
         let NasStart {
             mut rng,
             done: mut architectures,
@@ -181,67 +174,18 @@ impl NasThenAsic {
                     baseline: controller.baseline(),
                 });
                 if episode + 1 < self.nas_episodes {
-                    self.offer_nas(
-                        sink,
-                        observer,
-                        task_index * self.nas_episodes + episode + 1,
-                        &rng,
-                        &architectures,
-                        Some(&controller),
-                        best.as_ref(),
-                    );
+                    // The phase explores no (network, accelerator) records.
+                    run.checkpoint(task_index * self.nas_episodes + episode + 1, &[], || {
+                        nas_state(&rng, &architectures, Some(&controller), best.as_ref())
+                    })?;
                 }
             }
             architectures.push(best.expect("NAS explored at least one architecture").1);
-            self.offer_nas(
-                sink,
-                observer,
-                (task_index + 1) * self.nas_episodes,
-                &rng,
-                &architectures,
-                None,
-                None,
-            );
+            run.checkpoint((task_index + 1) * self.nas_episodes, &[], || {
+                nas_state(&rng, &architectures, None, None)
+            })?;
         }
-        architectures
-    }
-
-    /// Offer a NAS-phase checkpoint (see
-    /// [`run_nas_observed`](Self::run_nas_observed) for the progress and
-    /// state conventions).
-    #[allow(clippy::too_many_arguments)]
-    fn offer_nas(
-        &self,
-        sink: &dyn CheckpointSink,
-        observer: &dyn SearchObserver,
-        progress: usize,
-        rng: &StdRng,
-        architectures: &[Architecture],
-        controller: Option<&Controller>,
-        best: Option<&(f64, Architecture)>,
-    ) {
-        // The phase explores no (network, accelerator) records, so every
-        // checkpoint's record cursor stays at 0.
-        let mut cursor = CheckpointCursor::new(self.name(), self.seed);
-        checkpoint::offer_checkpoint(sink, observer, &mut cursor, progress, &[], || {
-            let mut state = ConfigValue::table();
-            state.insert("phase", ConfigValue::Str("nas".to_string()));
-            state.insert("rng", checkpoint::rng_state_to_value(&rng.state()));
-            state.insert("done", checkpoint::architectures_to_value(architectures));
-            if let Some(controller) = controller {
-                state.insert(
-                    "controller",
-                    checkpoint::controller_state_to_value(&controller.export_state()),
-                );
-            }
-            if let Some((accuracy, arch)) = best {
-                let mut incumbent = ConfigValue::table();
-                incumbent.insert("accuracy", checkpoint::float_to_value(*accuracy));
-                incumbent.insert("values", checkpoint::architecture_to_value(arch));
-                state.insert("best", incumbent);
-            }
-            state
-        });
+        Ok(architectures)
     }
 
     /// Phase 2: brute-force hardware exploration for fixed architectures,
@@ -259,11 +203,11 @@ impl NasThenAsic {
     fn run_asic_sweep(
         &self,
         ctx: &SearchContext<'_>,
+        run: &mut SearchRun<'_>,
         architectures: &[Architecture],
         resume: Option<(StdRng, SearchOutcome, usize)>,
-        sink: &dyn CheckpointSink,
         progress_offset: usize,
-    ) -> SearchOutcome {
+    ) -> Result<SearchOutcome, SearchError> {
         // Warm the accuracy cache once up front: every sweep sample shares
         // these fixed architectures, so the parallel batch below can never
         // race duplicate oracle queries for them.
@@ -275,11 +219,9 @@ impl NasThenAsic {
                 0,
             )
         });
-        let mut cursor = CheckpointCursor::new(self.name(), self.seed);
         sampling_loop(
             ctx,
-            sink,
-            &mut cursor,
+            run,
             start,
             self.hardware_samples,
             progress_offset,
@@ -419,10 +361,10 @@ impl SearchAlgorithm for NasThenAsic {
         ctx: &SearchContext<'_>,
         resume: Option<&SearchCheckpoint>,
         sink: &dyn CheckpointSink,
-    ) -> Result<SearchOutcome, ConfigError> {
+    ) -> Result<SearchOutcome, SearchError> {
         let (workload, specs, engine) = (ctx.workload, ctx.specs, ctx.engine);
         let observer = ctx.observer();
-        let stats_start = engine.stats();
+        let mut run = ctx.start(self.name(), self.seed, sink);
         let nas_budget = self.nas_episodes * workload.num_tasks();
         // A resume is decoded before any work: the NAS phase's start, or
         // the sweep's architectures and `(rng, outcome, samples)`.
@@ -447,8 +389,7 @@ impl SearchAlgorithm for NasThenAsic {
                     phase: "nas".to_string(),
                     budget: nas_budget,
                 });
-                let architectures =
-                    self.run_nas_observed(workload, engine, observer, nas_start, sink);
+                let architectures = self.run_nas_observed(ctx, &mut run, nas_start)?;
                 (architectures, None)
             }
         };
@@ -465,15 +406,15 @@ impl SearchAlgorithm for NasThenAsic {
                 budget: self.hardware_samples,
             });
         }
-        let mut outcome = self.run_asic_sweep(ctx, &architectures, sweep_state, sink, nas_budget);
+        let mut outcome =
+            self.run_asic_sweep(ctx, &mut run, &architectures, sweep_state, nas_budget)?;
         let sweep_summary = self.sweep_summary(&outcome, &specs);
         observer.on_event(&SearchEvent::PhaseFinished {
             phase: "asic-sweep".to_string(),
             summary: sweep_summary.clone(),
         });
         outcome.phases = vec![nas_summary, sweep_summary];
-        emit_search_finished(observer, &outcome, engine.stats().since(&stats_start));
-        Ok(outcome)
+        Ok(run.finish(outcome))
     }
 
     /// The sweep's samples are independent: stride them across the
@@ -506,6 +447,34 @@ impl SearchAlgorithm for NasThenAsic {
     }
 }
 
+/// A NAS-phase checkpoint state (see
+/// [`NasThenAsic::run_nas_observed`] for the progress and state
+/// conventions).
+fn nas_state(
+    rng: &StdRng,
+    architectures: &[Architecture],
+    controller: Option<&Controller>,
+    best: Option<&(f64, Architecture)>,
+) -> ConfigValue {
+    let mut state = ConfigValue::table();
+    state.insert("phase", ConfigValue::Str("nas".to_string()));
+    state.insert("rng", checkpoint::rng_state_to_value(&rng.state()));
+    state.insert("done", checkpoint::architectures_to_value(architectures));
+    if let Some(controller) = controller {
+        state.insert(
+            "controller",
+            checkpoint::controller_state_to_value(&controller.export_state()),
+        );
+    }
+    if let Some((accuracy, arch)) = best {
+        let mut incumbent = ConfigValue::table();
+        incumbent.insert("accuracy", checkpoint::float_to_value(*accuracy));
+        incumbent.insert("values", checkpoint::architecture_to_value(arch));
+        state.insert("best", incumbent);
+    }
+    state
+}
+
 /// The explored solution with the fewest violated specs, ties broken by the
 /// smallest total relative excess over the specs.
 pub fn least_violating(outcome: &SearchOutcome, specs: &DesignSpecs) -> Option<ExploredSolution> {
@@ -529,9 +498,10 @@ pub fn least_violating(outcome: &SearchOutcome, specs: &DesignSpecs) -> Option<E
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::run_paper_workload;
+    use crate::algorithm::{run_paper_workload, Budget};
     use crate::evaluator::{AccuracyOracle, Evaluator};
     use crate::spec::WorkloadId;
+    use nasaic_accel::HardwareSpace;
 
     #[test]
     fn nas_phase_finds_high_accuracy_architectures() {
@@ -539,8 +509,9 @@ mod tests {
         let specs = DesignSpecs::for_workload(WorkloadId::W3);
         let evaluator = Evaluator::new(&workload, specs, AccuracyOracle::default());
         let engine = EvalEngine::from(&evaluator);
-        let baseline = NasThenAsic::fast(1);
-        let architectures = baseline.run_nas_with_engine(&workload, &engine);
+        let hardware = HardwareSpace::paper_default(2);
+        let ctx = SearchContext::new(&workload, specs, &hardware, &engine, 1, Budget::new(0, 0));
+        let architectures = NasThenAsic::fast(1).run_nas(&ctx);
         assert_eq!(architectures.len(), 2);
         let accuracies = evaluator.accuracies(&architectures);
         // Accuracy-only NAS should land well above the mid-point of the

@@ -647,7 +647,7 @@ pub struct CheckpointStats {
 /// head is at `<file>` itself.
 ///
 /// The first checkpoint must be complete (every run's is, see
-/// [`CheckpointCursor`]): it removes the head, temp head and journal an
+/// [`SearchRun`](crate::algorithm::SearchRun)): it removes the head, temp head and journal an
 /// earlier run left and starts afresh.  So resuming into the file the run
 /// was loaded from rewrites its whole history once, and a kill during that
 /// first write leaves no head — the run then starts over from scratch.
@@ -1123,66 +1123,6 @@ pub fn merge_replay(
     }
     merged.episodes = plan.items;
     Ok(merged)
-}
-
-/// Where a run stands in its checkpoint stream: the driver and seed its
-/// checkpoints carry, and how many explored records earlier checkpoints
-/// already handed to the sink.
-#[derive(Debug, Clone)]
-pub struct CheckpointCursor<'a> {
-    algorithm: &'a str,
-    seed: u64,
-    records: usize,
-}
-
-impl<'a> CheckpointCursor<'a> {
-    /// A cursor for a run of `algorithm` at `seed`.  It starts at record 0
-    /// even for a resumed run, so every run's first checkpoint is complete
-    /// and a sink never depends on what an earlier run handed it.
-    pub fn new(algorithm: &'a str, seed: u64) -> Self {
-        Self {
-            algorithm,
-            seed,
-            records: 0,
-        }
-    }
-}
-
-/// Offer a checkpoint to `sink` at `progress` — the one snapshot-point
-/// helper all drivers share.
-///
-/// Only if the sink wants it does this build the state tree, encode the
-/// records `explored[cursor..]` added since the previous checkpoint, and
-/// advance the cursor; the save is announced on the observer stream.
-///
-/// # Panics
-///
-/// Panics if `explored` is shorter than the records already offered.
-pub fn offer_checkpoint(
-    sink: &dyn CheckpointSink,
-    observer: &dyn crate::algorithm::SearchObserver,
-    cursor: &mut CheckpointCursor<'_>,
-    progress: usize,
-    explored: &[ExploredSolution],
-    state: impl FnOnce() -> ConfigValue,
-) {
-    if sink.wants(progress) {
-        // The span covers building the state tree and the new records and
-        // handing them to the sink (for a file sink: journal append plus
-        // head encode and write).
-        let _span = crate::metrics::maybe_time(crate::metrics::checkpoint_encode_wall);
-        let checkpoint = SearchCheckpoint {
-            records_from: cursor.records,
-            records: explored[cursor.records..]
-                .iter()
-                .map(solution_to_value)
-                .collect(),
-            ..SearchCheckpoint::new(cursor.algorithm, cursor.seed, progress, state())
-        };
-        cursor.records = explored.len();
-        sink.on_checkpoint(&checkpoint);
-        observer.on_event(&crate::algorithm::SearchEvent::CheckpointSaved { progress });
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -92,8 +92,8 @@ pub mod workload;
 /// Convenience re-exports for downstream users and examples.
 pub mod prelude {
     pub use crate::algorithm::{
-        emit_search_finished, Budget, MulticastObserver, NullObserver, ProgressObserver,
-        RecordingObserver, SearchAlgorithm, SearchContext, SearchEvent, SearchObserver,
+        Budget, MulticastObserver, NullObserver, ProgressObserver, RecordingObserver,
+        SearchAlgorithm, SearchContext, SearchError, SearchEvent, SearchObserver, SearchRun,
         TraceObserver, TRACE_SCHEMA_VERSION,
     };
     pub use crate::bounds::PenaltyBounds;

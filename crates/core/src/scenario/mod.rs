@@ -900,8 +900,9 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// As [`Scenario::run_algorithm_observed`], plus with the decode error
-    /// when the driver rejects `resume`
+    /// As [`Scenario::run_algorithm_observed`], plus with the
+    /// [`SearchError`](crate::algorithm::SearchError) when the driver
+    /// rejects `resume` or `observer` asks the run to stop
     /// ([`SearchAlgorithm::run_checkpointed`]);
     /// [`run_report_checkpointed`](Self::run_report_checkpointed) returns
     /// that error instead.
@@ -916,7 +917,7 @@ impl Scenario {
         self.with_driver(algorithm, engine, observer, |driver, ctx| {
             driver.run_checkpointed(ctx, resume, sink)
         })
-        .unwrap_or_else(|error| panic!("bad checkpoint: {error}"))
+        .unwrap_or_else(|error| panic!("{error}"))
     }
 
     /// The algorithm's shard plan for splitting this scenario's run over

@@ -1,9 +1,9 @@
 //! Result summaries the CLI emits: one [`RunReport`] per (scenario,
 //! algorithm) run, serializable as JSON, CSV or human-readable text.
 
-use super::value::{self, ConfigError, ConfigValue};
+use super::value::{self, ConfigValue};
 use super::{Algorithm, Scenario};
-use crate::algorithm::{NullObserver, SearchObserver};
+use crate::algorithm::{NullObserver, SearchError, SearchObserver};
 use crate::checkpoint::{CheckpointSink, NullCheckpointSink, SearchCheckpoint};
 use crate::engine::{CacheStats, EvalEngine};
 use crate::log::{PhaseSummary, SearchOutcome};
@@ -390,16 +390,20 @@ impl Scenario {
     /// [`SearchObserver`] streaming the run's events (the CLI's
     /// `nasaic run --trace` path).  Observation is passive: the report is
     /// identical (modulo wall time) to the unobserved run.
+    ///
+    /// # Panics
+    ///
+    /// If `observer` asks the run to stop;
+    /// [`run_report_checkpointed`](Self::run_report_checkpointed) returns
+    /// that as [`SearchError::Cancelled`].
     pub fn run_report_observed(
         &self,
         algorithm: Algorithm,
         engine: &EvalEngine,
         observer: &dyn SearchObserver,
     ) -> RunReport {
-        match self.run_report_checkpointed(algorithm, engine, observer, None, &NullCheckpointSink) {
-            Ok(report) => report,
-            Err(error) => unreachable!("a run without a checkpoint decoded one: {error}"),
-        }
+        self.run_report_checkpointed(algorithm, engine, observer, None, &NullCheckpointSink)
+            .unwrap_or_else(|error| panic!("{error}"))
     }
 
     /// [`run_report_observed`](Self::run_report_observed) with checkpoint
@@ -409,9 +413,9 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns the driver's error decoding `resume`
-    /// ([`SearchAlgorithm::run_checkpointed`](crate::algorithm::SearchAlgorithm::run_checkpointed));
-    /// nothing has run then.
+    /// Returns the driver's error decoding `resume`, before anything ran,
+    /// or [`SearchError::Cancelled`] when `observer` asked the run to stop
+    /// ([`SearchAlgorithm::run_checkpointed`](crate::algorithm::SearchAlgorithm::run_checkpointed)).
     pub fn run_report_checkpointed(
         &self,
         algorithm: Algorithm,
@@ -419,7 +423,7 @@ impl Scenario {
         observer: &dyn SearchObserver,
         resume: Option<&SearchCheckpoint>,
         sink: &dyn CheckpointSink,
-    ) -> Result<RunReport, ConfigError> {
+    ) -> Result<RunReport, SearchError> {
         let stats_before = engine.stats();
         let start = Instant::now();
         let outcome = self.with_driver(algorithm, engine, observer, |driver, ctx| {

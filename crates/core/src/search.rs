@@ -7,14 +7,14 @@
 //! early pruning, the evaluator produces accuracy and hardware cost, and
 //! the reward of Eq. 4 updates the controller.
 
-use crate::algorithm::{emit_search_finished, SearchAlgorithm, SearchContext, SearchEvent};
+use crate::algorithm::{SearchAlgorithm, SearchContext, SearchError, SearchEvent};
 use crate::bounds::PenaltyBounds;
 use crate::candidate::Candidate;
-use crate::checkpoint::{self, CheckpointCursor, CheckpointSink, SearchCheckpoint};
+use crate::checkpoint::{self, CheckpointSink, SearchCheckpoint};
 use crate::log::{ExploredSolution, SearchOutcome};
 use crate::penalty::Penalty;
 use crate::reward::Reward;
-use crate::scenario::value::{ConfigError, ConfigValue};
+use crate::scenario::value::ConfigValue;
 use crate::scenario::SearchSpec;
 use crate::selector::OptimizerSelector;
 use crate::workload::Workload;
@@ -163,7 +163,7 @@ impl SearchAlgorithm for Nasaic {
         ctx: &SearchContext<'_>,
         resume: Option<&SearchCheckpoint>,
         sink: &dyn CheckpointSink,
-    ) -> Result<SearchOutcome, ConfigError> {
+    ) -> Result<SearchOutcome, SearchError> {
         let (workload, specs, hardware, engine) =
             (ctx.workload, &ctx.specs, ctx.hardware, ctx.engine);
         let observer = ctx.observer();
@@ -185,7 +185,7 @@ impl SearchAlgorithm for Nasaic {
                 0,
             ),
         };
-        let stats_start = engine.stats();
+        let mut run = ctx.start(self.name(), self.seed, sink);
         let bounds = PenaltyBounds::estimate_with_engine(
             workload,
             hardware,
@@ -195,7 +195,6 @@ impl SearchAlgorithm for Nasaic {
             self.seed,
         );
         let selector = OptimizerSelector::new(self.hardware_trials);
-        let mut cursor = CheckpointCursor::new("nasaic", self.seed);
         let m = workload.num_tasks();
 
         for episode in start_episode..self.episodes {
@@ -335,27 +334,19 @@ impl SearchAlgorithm for Nasaic {
                 entropy: Some(joint_sample.mean_entropy),
                 baseline: controller.baseline(),
             });
-            checkpoint::offer_checkpoint(
-                sink,
-                observer,
-                &mut cursor,
-                episode + 1,
-                &outcome.explored,
-                || {
-                    let mut state = ConfigValue::table();
-                    state.insert("rng", checkpoint::rng_state_to_value(&rng.state()));
-                    state.insert(
-                        "controller",
-                        checkpoint::controller_state_to_value(&controller.export_state()),
-                    );
-                    state.insert("outcome", checkpoint::outcome_counters_to_value(&outcome));
-                    state
-                },
-            );
+            run.checkpoint(episode + 1, &outcome.explored, || {
+                let mut state = ConfigValue::table();
+                state.insert("rng", checkpoint::rng_state_to_value(&rng.state()));
+                state.insert(
+                    "controller",
+                    checkpoint::controller_state_to_value(&controller.export_state()),
+                );
+                state.insert("outcome", checkpoint::outcome_counters_to_value(&outcome));
+                state
+            })?;
         }
         outcome.reward_history = controller.reward_history().to_vec();
-        emit_search_finished(observer, &outcome, engine.stats().since(&stats_start));
-        Ok(outcome)
+        Ok(run.finish(outcome))
     }
 }
 

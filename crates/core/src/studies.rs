@@ -226,7 +226,10 @@ fn run_nas_unconstrained(specs: DesignSpecs, config: &StudyConfig) -> StudyRow {
         hardware_samples: 1,
         seed: config.seed,
     };
-    let architectures = baseline.run_nas_with_engine(&workload, &engine);
+    let hardware = HardwareSpace::paper_default(1);
+    let budget = Budget::new(baseline.nas_episodes, 0);
+    let ctx = SearchContext::new(&workload, specs, &hardware, &engine, config.seed, budget);
+    let architectures = baseline.run_nas(&ctx);
     let accelerator = Accelerator::single(SubAccelerator::new(Dataflow::Nvdla, 4096, 64));
     // The single network serves both W3 tasks; evaluate it twice (two
     // instances executing concurrently on the one accelerator).

@@ -107,7 +107,8 @@ impl Backbone {
     /// # Errors
     ///
     /// Returns the configuration constructor's reason: a ResNet vector
-    /// whose length is not odd and at least 3, a U-Net vector that is
+    /// whose length is not odd and at least 3 or whose block holds more
+    /// than `MAX_SKIP_CONVS` extra convolutions, a U-Net vector that is
     /// empty, has a height outside `1..=MAX_HEIGHT`, or is not longer than
     /// its height, or a zero filter count.
     pub fn try_materialize_values(&self, values: &[usize]) -> Result<Architecture, String> {

@@ -15,6 +15,12 @@ use crate::layer::{Architecture, LayerShape};
 use crate::space::{ChoicePoint, SearchSpace};
 use serde::{Deserialize, Serialize};
 
+/// The most extra convolutions `SK_i` one residual block may hold.  The
+/// search spaces offer at most 3; the bound keeps a vector read from a
+/// file (a checkpoint record, a shard partial) from sizing an unbounded
+/// layer list.
+pub const MAX_SKIP_CONVS: usize = 16;
+
 /// Configuration of one residual block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ResidualBlockConfig {
@@ -42,7 +48,8 @@ impl ResNetConfig {
     /// # Panics
     ///
     /// Panics if the vector length is not odd and at least 3
-    /// (`1 + 2 * blocks`) or a filter count is zero;
+    /// (`1 + 2 * blocks`), a filter count is zero or an `SK_i` exceeds
+    /// [`MAX_SKIP_CONVS`];
     /// [`try_from_hyperparameters`](Self::try_from_hyperparameters)
     /// returns that as an error instead.
     pub fn from_hyperparameters(dataset: Dataset, hyperparameters: &[usize]) -> Self {
@@ -57,7 +64,8 @@ impl ResNetConfig {
     /// # Errors
     ///
     /// Returns the reason when the vector length is not odd and at least 3,
-    /// or when a filter count (`FN_0` or an `FN_i`) is zero, which no
+    /// when an `SK_i` exceeds [`MAX_SKIP_CONVS`], or when a filter count
+    /// (`FN_0` or an `FN_i`) is zero, which no
     /// convolution layer accepts.
     pub fn try_from_hyperparameters(
         dataset: Dataset,
@@ -80,6 +88,12 @@ impl ResNetConfig {
         if stem_filters == 0 || blocks.iter().any(|block| block.filters == 0) {
             return Err(format!(
                 "ResNet filter counts must be > 0, got {hyperparameters:?}"
+            ));
+        }
+        if blocks.iter().any(|block| block.skip_convs > MAX_SKIP_CONVS) {
+            return Err(format!(
+                "ResNet blocks hold at most {MAX_SKIP_CONVS} extra convolutions, got \
+                 {hyperparameters:?}"
             ));
         }
         Ok(Self {
@@ -290,6 +304,21 @@ mod tests {
     fn cifar_space_cardinality_matches_options() {
         // 4 stem options * (4 * 3)^3
         assert_eq!(cifar10_search_space().cardinality(), 4 * 12u64.pow(3));
+    }
+
+    #[test]
+    fn an_unbounded_residual_depth_is_rejected_before_any_layer_is_built() {
+        let reason = ResNetConfig::try_from_hyperparameters(
+            Dataset::Cifar10,
+            &[8, 32, 0, 32, i64::MAX as usize, 32, 0],
+        )
+        .unwrap_err();
+        assert!(reason.contains("at most 16 extra convolutions"), "{reason}");
+        assert!(ResNetConfig::try_from_hyperparameters(
+            Dataset::Cifar10,
+            &[8, 32, 16, 32, 0, 32, 0]
+        )
+        .is_ok());
     }
 
     #[test]

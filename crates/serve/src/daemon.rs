@@ -20,7 +20,7 @@
 
 use crate::protocol::{self, Request, PROTOCOL_VERSION};
 use crate::ServeError;
-use nasaic_core::algorithm::{SearchEvent, SearchObserver};
+use nasaic_core::algorithm::{SearchError, SearchEvent, SearchObserver};
 use nasaic_core::checkpoint::{
     write_atomic, CheckpointSink, CheckpointStats, FileCheckpointSink, NullCheckpointSink,
     SearchCheckpoint,
@@ -188,11 +188,6 @@ pub fn engine_key(scenario: &Scenario) -> String {
     )
 }
 
-/// Cancellation sentinel: the job observer unwinds the driver with this
-/// payload through `resume_unwind`, which skips the panic hook, and the
-/// worker's `catch_unwind` tells it apart from a real panic.
-struct JobCancelled;
-
 /// Terminal and in-flight states of one job.
 #[derive(Debug, Clone, PartialEq)]
 enum JobState {
@@ -351,20 +346,18 @@ impl Job {
 }
 
 /// Streams incumbents to watchers, records them for `show incumbent`, and
-/// carries the cancellation flag into the running driver.  Observation is
-/// passive — outcomes are bit-identical to an unobserved run.
+/// asks the running driver to stop once the job is cancelled.  Observation
+/// is passive — outcomes are bit-identical to an unobserved run.
 struct JobObserver {
     job: Arc<Job>,
 }
 
 impl SearchObserver for JobObserver {
+    fn should_stop(&self) -> bool {
+        self.job.cancel.load(Ordering::Relaxed)
+    }
+
     fn on_event(&self, event: &SearchEvent) {
-        // The driver calls observers at episode boundaries with no engine
-        // lock held, so unwinding here is safe and prompt (at most one
-        // episode after the cancel landed).
-        if self.job.cancel.load(Ordering::Relaxed) {
-            std::panic::resume_unwind(Box::new(JobCancelled));
-        }
         if let SearchEvent::NewIncumbent { .. } = event {
             let mut value = event.to_value();
             value.insert("job", ConfigValue::Integer(self.job.id as i64));
@@ -545,6 +538,25 @@ impl Shared {
         job.set_state(state);
     }
 
+    /// Cancel a job that is not terminal.  A queued job leaves the queue
+    /// under the queue lock, so no worker can pick it up any more, and ends
+    /// `cancelled` at once; a job a worker already took gets the flag, and
+    /// its driver stops at its next snapshot point.
+    fn cancel(&self, job: &Arc<Job>) {
+        let mut queue = self.queue.lock().expect("queue lock");
+        match queue.iter().position(|queued| Arc::ptr_eq(queued, job)) {
+            Some(index) => {
+                queue.remove(index);
+                if nasaic_telemetry::enabled() {
+                    queue_depth_gauge().set(queue.len() as f64);
+                }
+                drop(queue);
+                self.finish_job(job, JobState::Cancelled, None);
+            }
+            None => job.cancel.store(true, Ordering::Relaxed),
+        }
+    }
+
     /// Run one job to a terminal state (worker thread).
     fn run_job(&self, job: &Arc<Job>) {
         let queue_wait = job.mark_started();
@@ -579,42 +591,42 @@ impl Shared {
         // below its head) or that the driver rejects (another algorithm or
         // seed, a record or state that does not decode or fit) reruns the
         // job from scratch; either way the run's first checkpoint replaces
-        // the files.
+        // the files.  A cancel stops a fresh and a resumed run alike, and
+        // `catch_unwind` only contains panics.
         let result = catch_unwind(AssertUnwindSafe(|| {
             let checkpoint = self
                 .job_path(job.id, "ckpt.json")
                 .filter(|path| FileCheckpointSink::head_exists(path));
             if let Some(path) = checkpoint {
-                match SearchCheckpoint::load(&path).and_then(|checkpoint| run(Some(&checkpoint))) {
-                    Ok(report) => {
-                        if nasaic_telemetry::enabled() {
-                            resumes_counter().inc();
-                        }
-                        return Ok(report);
-                    }
-                    Err(error) => eprintln!(
+                let resumed = SearchCheckpoint::load(&path)
+                    .map_err(SearchError::from)
+                    .and_then(|checkpoint| run(Some(&checkpoint)));
+                match resumed {
+                    Err(SearchError::Checkpoint(error)) => eprintln!(
                         "nasaic serve: ignoring bad checkpoint of job {}: {error}",
                         job.id
                     ),
+                    resumed => {
+                        if resumed.is_ok() && nasaic_telemetry::enabled() {
+                            resumes_counter().inc();
+                        }
+                        return resumed;
+                    }
                 }
             }
             run(None)
         }));
         let state = match result {
             Ok(Ok(report)) => JobState::Finished(report.to_value()),
+            Ok(Err(SearchError::Cancelled)) => JobState::Cancelled,
             Ok(Err(error)) => JobState::Failed(error.to_string()),
-            Err(payload) => {
-                if payload.downcast_ref::<JobCancelled>().is_some() {
-                    JobState::Cancelled
-                } else {
-                    let message = payload
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                        .unwrap_or_else(|| "job panicked".to_string());
-                    JobState::Failed(message)
-                }
-            }
+            Err(payload) => JobState::Failed(
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_else(|| "job panicked".to_string()),
+            ),
         };
         // A failed checkpoint write does not fail the job (the sink stops
         // and the search goes on), but it must not pass unseen.
@@ -1179,7 +1191,7 @@ fn handle_request(request: Request, shared: &Arc<Shared>, writer: &mut TcpStream
                         state.label()
                     ));
                 }
-                job.cancel.store(true, Ordering::Relaxed);
+                shared.cancel(&job);
                 let mut response = protocol::ok_response();
                 response.insert("job", ConfigValue::Integer(id as i64));
                 response.insert("cancelling", ConfigValue::Bool(true));

@@ -28,7 +28,7 @@
 //! `--shard-out FILE`; `nasaic merge --partials ...` folds the partials
 //! into the exact single-process report.
 
-use nasaic_core::algorithm::{MulticastObserver, ProgressObserver, TraceObserver};
+use nasaic_core::algorithm::{MulticastObserver, ProgressObserver, SearchError, TraceObserver};
 use nasaic_core::checkpoint::{
     CheckpointSink, FileCheckpointSink, NullCheckpointSink, SearchCheckpoint, ShardPartial,
 };
@@ -639,7 +639,10 @@ fn cmd_run(options: &Options) -> Result<String, CliError> {
         }
         None => scenario
             .run_report_checkpointed(algorithm, &engine, &observers, resume.as_ref(), sink)
-            .map_err(bad_checkpoint)
+            .map_err(|error| match error {
+                SearchError::Checkpoint(error) => bad_checkpoint(error),
+                cancelled => CliError::new(cancelled.to_string()),
+            })
             .and_then(
                 |report| match file_sink.as_ref().and_then(FileCheckpointSink::take_error) {
                     Some(error) => Err(CliError::new(format!(

@@ -167,3 +167,99 @@ fn context_budget_mirrors_the_search_spec() {
         scenario.search.total_evaluations()
     );
 }
+
+/// An observer that asks the run to stop once it has seen `after` events.
+struct StopAfter {
+    seen: std::sync::atomic::AtomicUsize,
+    after: usize,
+}
+
+impl SearchObserver for StopAfter {
+    fn on_event(&self, _event: &SearchEvent) {
+        self.seen.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+    }
+
+    fn should_stop(&self) -> bool {
+        self.seen.load(std::sync::atomic::Ordering::SeqCst) >= self.after
+    }
+}
+
+#[test]
+fn a_stop_cancels_the_run_at_its_next_snapshot_and_the_last_checkpoint_resumes() {
+    let mut scenario = shrink(registry::get("w1").unwrap());
+    for algorithm in Algorithm::all() {
+        scenario.search.algorithm = algorithm;
+        let full_recorder = RecordingObserver::new();
+        let full = scenario.run_algorithm_checkpointed(
+            algorithm,
+            &scenario.engine(),
+            &full_recorder,
+            None,
+            &RecordingCheckpointSink::every(1),
+        );
+        let full_events = full_recorder.events();
+        // Every snapshot point after progress 0 shows as a
+        // `checkpoint_saved` event under a sink that wants every unit.
+        let saved: Vec<usize> = (0..full_events.len())
+            .filter(|&i| full_events[i].kind() == "checkpoint_saved")
+            .collect();
+        let last = *saved.last().expect("a snapshot point");
+        for after in [1, 2, 3, last / 2, last, last + 1] {
+            let recorder = RecordingObserver::new();
+            let stop = StopAfter {
+                seen: std::sync::atomic::AtomicUsize::new(0),
+                after,
+            };
+            let mut observers = MulticastObserver::new();
+            observers.push(&recorder);
+            observers.push(&stop);
+            let sink = RecordingCheckpointSink::every(1);
+            let result = scenario.run_report_checkpointed(
+                algorithm,
+                &scenario.engine(),
+                &observers,
+                None,
+                &sink,
+            );
+            let events = recorder.events();
+            assert_eq!(
+                events,
+                full_events[..events.len()],
+                "{algorithm} after {after}"
+            );
+            if after > last {
+                // Asked after the last snapshot point: the run finishes.
+                let report = result.expect("a stop after the last snapshot point");
+                assert_eq!(events, full_events, "{algorithm} after {after}");
+                assert_eq!(report.explored, full.explored.len());
+                continue;
+            }
+            assert_eq!(
+                result.expect_err("the stop cancels the run"),
+                SearchError::Cancelled,
+                "{algorithm} after {after}"
+            );
+            // It stops at the first snapshot point after the stop was
+            // asked for, at the latest where the next checkpoint was due.
+            let due = *saved.iter().find(|&&i| i >= after).expect("a due snapshot");
+            assert!(
+                (after..=due).contains(&events.len()),
+                "{algorithm} after {after}: stopped after {} events, due at {due}",
+                events.len()
+            );
+            assert_eq!(recorder.count("search_finished"), 0);
+            let checkpoints = sink.checkpoints();
+            assert_eq!(checkpoints.len(), recorder.count("checkpoint_saved"));
+            if let Some(checkpoint) = checkpoints.last() {
+                let resumed = scenario.run_algorithm_checkpointed(
+                    algorithm,
+                    &scenario.engine(),
+                    &NullObserver,
+                    Some(checkpoint),
+                    &NullCheckpointSink,
+                );
+                assert_eq!(resumed, full, "{algorithm} after {after}: resume diverged");
+            }
+        }
+    }
+}

@@ -257,7 +257,9 @@ fn resume_rejects_checkpoints_from_another_algorithm() {
         )
         .expect_err("a monte-carlo checkpoint must not resume an evolutionary run");
     assert!(
-        error.message.contains("`monte-carlo`, not `evolutionary`"),
+        error
+            .to_string()
+            .contains("`monte-carlo`, not `evolutionary`"),
         "{error}"
     );
 }

@@ -236,7 +236,7 @@ fn corrupt_driver_state_is_rejected_before_the_run() {
             )
             .expect_err("a corrupt state must be rejected");
         assert!(
-            error.message.contains(reason),
+            error.to_string().contains(reason),
             "{algorithm} {keys:?}: {error}"
         );
     }
@@ -393,15 +393,17 @@ proptest! {
         let (scenario, checkpoint) = &mid_run_checkpoints()[base];
         let mut value = checkpoint.to_value();
         if let Some(must_fail) = mutate(&mut value, kind, pick) {
-            let resumed = SearchCheckpoint::from_value(&value).and_then(|mutated| {
-                scenario.run_report_checkpointed(
-                    scenario.search.algorithm,
-                    &scenario.engine(),
-                    &NullObserver,
-                    Some(&mutated),
-                    &NullCheckpointSink,
-                )
-            });
+            let resumed = SearchCheckpoint::from_value(&value)
+                .map_err(SearchError::from)
+                .and_then(|mutated| {
+                    scenario.run_report_checkpointed(
+                        scenario.search.algorithm,
+                        &scenario.engine(),
+                        &NullObserver,
+                        Some(&mutated),
+                        &NullCheckpointSink,
+                    )
+                });
             prop_assert!(
                 !must_fail || resumed.is_err(),
                 "{}: mutation {kind} at pick {pick} resumed",

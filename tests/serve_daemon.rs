@@ -12,6 +12,7 @@ use nasaic_core::algorithm::NullObserver;
 use nasaic_core::checkpoint::{
     journal_path, tmp_path, FileCheckpointSink, RecordingCheckpointSink,
 };
+use nasaic_core::scenario::generate::GeneratorSpec;
 use nasaic_core::scenario::value::{parse_json, to_json, ConfigValue};
 use nasaic_core::scenario::{registry, Algorithm, Scenario};
 use std::path::{Path, PathBuf};
@@ -425,6 +426,171 @@ fn cancel_stops_a_running_job_and_reports_cancelled() {
 
     shutdown(&addr);
     handle.join().expect("clean shutdown");
+}
+
+/// A scenario on which every algorithm runs for seconds: six generated
+/// networks of about 150 layers in all, on three sub-accelerators.  Even
+/// hill climbing, which stops at its first local optimum whatever its
+/// budget, takes about 5 s on it in a release build.
+fn slow_scenario(algorithm: Algorithm) -> Scenario {
+    let mut spec = GeneratorSpec::sized(150, 3, 3);
+    spec.layer_range = (145, 150);
+    spec.fit_network_count();
+    spec.network_count = 6;
+    let mut scenario = spec.generate().expect("the spec generates").scenario;
+    scenario.search.algorithm = algorithm;
+    scenario.search.episodes = 5_000;
+    scenario
+}
+
+/// Submit `scenario` without watching; return its job id.
+fn submit(client: &mut Client, scenario: &Scenario) -> i64 {
+    let response = client
+        .request(&Request::Submit {
+            scenario: scenario.to_value(),
+            watch: false,
+        })
+        .expect("submit");
+    response
+        .get("job")
+        .and_then(ConfigValue::as_integer)
+        .unwrap_or_else(|| panic!("submit rejected: {response:?}"))
+}
+
+/// Poll job `job_id` until it reads `state`, failing on any state but
+/// `passing` on the way.
+fn wait_for_state(client: &mut Client, job_id: i64, passing: &[&str], state: &str) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    loop {
+        let row = job_row(client, job_id);
+        match row.get("state").and_then(ConfigValue::as_str) {
+            Some(now) if now == state => return,
+            Some(now) if passing.contains(&now) => {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "job {job_id} never reached {state}: {row:?}"
+                );
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
+            _ => panic!("job {job_id} ended other than {state}: {row:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_running_job_of_every_algorithm_stops_on_cancel_and_its_worker_keeps_serving() {
+    let state_dir = temp_dir("cancel-every-algorithm");
+    let config = ServeConfig {
+        state_dir: Some(state_dir.clone()),
+        workers: 1,
+        ..ephemeral_config()
+    };
+    let handle = Daemon::start(config).expect("daemon starts");
+    let addr = handle.addr().to_string();
+    let mut client = Client::connect(&addr).expect("connect");
+    for algorithm in Algorithm::all() {
+        let job_id = submit(&mut client, &slow_scenario(algorithm));
+        wait_for_state(&mut client, job_id, &["queued"], "running");
+        let response = client
+            .request(&Request::Cancel { job: job_id as u64 })
+            .expect("cancel");
+        assert_eq!(
+            response.get("ok").and_then(ConfigValue::as_bool),
+            Some(true),
+            "{algorithm}: {response:?}"
+        );
+        wait_for_state(&mut client, job_id, &["running"], "cancelled");
+    }
+    // The one worker is free again, and its next job matches a direct run.
+    let scenario = quick_scenario(72);
+    let expected = scenario.run_report().to_value();
+    let response = client
+        .submit_watch(scenario.to_value(), |_| {})
+        .expect("a small job");
+    assert_eq!(
+        response.get("state").and_then(ConfigValue::as_str),
+        Some("finished"),
+        "{response:?}"
+    );
+    assert_eq!(
+        outcome_only(response.get("report").expect("report")),
+        outcome_only(&expected)
+    );
+    shutdown(&addr);
+    handle.join().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+#[test]
+fn cancelling_a_queued_job_ends_it_at_once_and_frees_its_queue_slot() {
+    let state_dir = temp_dir("cancel-queued");
+    let config = ServeConfig {
+        state_dir: Some(state_dir.clone()),
+        workers: 1,
+        queue_capacity: 1,
+        ..ephemeral_config()
+    };
+    let handle = Daemon::start(config.clone()).expect("daemon starts");
+    let addr = handle.addr().to_string();
+    let mut client = Client::connect(&addr).expect("connect");
+    // Job 1 holds the one worker; job 2 waits in the one queue slot.
+    let running = submit(&mut client, &slow_scenario(Algorithm::Nasaic));
+    wait_for_state(&mut client, running, &["queued"], "running");
+    let queued = submit(&mut client, &quick_scenario(91));
+    assert_eq!(
+        job_row(&mut client, queued)
+            .get("state")
+            .and_then(ConfigValue::as_str),
+        Some("queued")
+    );
+    let cancels = counter(&mut client, "nasaic_serve_cancels_total").unwrap_or(0);
+    let response = client
+        .request(&Request::Cancel { job: queued as u64 })
+        .expect("cancel");
+    assert_eq!(
+        response.get("ok").and_then(ConfigValue::as_bool),
+        Some(true),
+        "{response:?}"
+    );
+    // Ended at once, counted, persisted, and out of the queue: the next
+    // submit takes its slot.
+    assert_eq!(
+        job_row(&mut client, queued)
+            .get("state")
+            .and_then(ConfigValue::as_str),
+        Some("cancelled")
+    );
+    assert!(counter(&mut client, "nasaic_serve_cancels_total").unwrap_or(0) > cancels);
+    let result =
+        std::fs::read_to_string(state_dir.join("jobs").join(format!("{queued}.result.json")))
+            .expect("the cancelled job's result is persisted");
+    assert!(result.contains("\"cancelled\""), "{result}");
+    let next = submit(&mut client, &quick_scenario(92));
+    for job in [next, running] {
+        client
+            .request(&Request::Cancel { job: job as u64 })
+            .expect("cancel");
+        wait_for_state(&mut client, job, &["queued", "running"], "cancelled");
+    }
+    shutdown(&addr);
+    handle.join().expect("clean shutdown");
+
+    // A restart does not run the cancelled job.
+    let handle = Daemon::start(config).expect("daemon restarts");
+    let addr = handle.addr().to_string();
+    let mut client = Client::connect(&addr).expect("reconnect");
+    for job in [running, queued, next] {
+        assert_eq!(
+            job_row(&mut client, job)
+                .get("state")
+                .and_then(ConfigValue::as_str),
+            Some("cancelled"),
+            "job {job}"
+        );
+    }
+    shutdown(&addr);
+    handle.join().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&state_dir);
 }
 
 #[test]
@@ -901,9 +1067,39 @@ fn metrics_endpoint_serves_prometheus_families_after_a_job() {
 // Crash durability: the real binary, SIGKILLed mid-job.
 // ---------------------------------------------------------------------------
 
+/// A spawned `nasaic serve` process.  Dropping it kills and reaps the
+/// process, so a test that fails before its `shutdown` leaves no daemon
+/// behind; a test that waits for a clean exit does so through
+/// [`Child::wait`](std::process::Child::wait), after which the drop finds
+/// the process reaped and does nothing.
+struct DaemonProcess(std::process::Child);
+
+impl std::ops::Deref for DaemonProcess {
+    type Target = std::process::Child;
+
+    fn deref(&self) -> &std::process::Child {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for DaemonProcess {
+    fn deref_mut(&mut self) -> &mut std::process::Child {
+        &mut self.0
+    }
+}
+
+impl Drop for DaemonProcess {
+    fn drop(&mut self) {
+        // Errors are ignored: a drop must not panic, least of all while a
+        // failed test unwinds.
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 /// Start the real `nasaic serve` binary on an ephemeral port, wait for the
-/// addr file, and return (child, addr).
-fn spawn_daemon(state_dir: &Path, extra: &[&str]) -> (std::process::Child, String) {
+/// addr file, and return (daemon, addr).
+fn spawn_daemon(state_dir: &Path, extra: &[&str]) -> (DaemonProcess, String) {
     spawn_daemon_with_stderr(state_dir, extra, std::process::Stdio::null())
 }
 
@@ -912,7 +1108,7 @@ fn spawn_daemon_with_stderr(
     state_dir: &Path,
     extra: &[&str],
     stderr: std::process::Stdio,
-) -> (std::process::Child, String) {
+) -> (DaemonProcess, String) {
     let addr_file = state_dir.join("addr");
     let _ = std::fs::remove_file(&addr_file);
     let mut command = std::process::Command::new(env!("CARGO_BIN_EXE_nasaic"));
@@ -929,7 +1125,7 @@ fn spawn_daemon_with_stderr(
         .args(extra)
         .stdout(std::process::Stdio::null())
         .stderr(stderr);
-    let child = command.spawn().expect("spawn nasaic serve");
+    let child = DaemonProcess(command.spawn().expect("spawn nasaic serve"));
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     let addr = loop {
         if let Ok(text) = std::fs::read_to_string(&addr_file) {
@@ -949,8 +1145,8 @@ fn spawn_daemon_with_stderr(
 
 #[test]
 fn cancelling_a_job_writes_nothing_to_the_daemons_stderr() {
-    // A cancel unwinds the job without the panic machinery's report, so
-    // the binary's stderr keeps only its "listening" line.
+    // A cancel stops the job's driver at its next snapshot point, without
+    // unwinding, so the binary's stderr keeps only its "listening" line.
     let state_dir = temp_dir("cancel-stderr");
     let log_path = state_dir.join("stderr.log");
     let log = std::fs::File::create(&log_path).expect("create stderr log");
@@ -995,6 +1191,48 @@ fn cancelling_a_job_writes_nothing_to_the_daemons_stderr() {
     child.wait().expect("daemon exits after shutdown");
     let stderr = std::fs::read_to_string(&log_path).expect("read stderr log");
     let _ = std::fs::remove_dir_all(&state_dir);
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines.len(), 1, "{stderr}");
+    assert!(lines[0].contains("listening"), "{stderr}");
+}
+
+#[test]
+fn a_cancelled_resume_ends_cancelled_and_is_not_a_bad_checkpoint() {
+    // A job killed after its first checkpoint resumes on restart; a cancel
+    // then stops the resumed run, which must not be taken for a checkpoint
+    // that does not decode and rerun from scratch.
+    let state_dir = temp_dir("cancel-resumed");
+    let (mut child, addr) = spawn_daemon(&state_dir, &["--workers", "1"]);
+    let mut client = Client::connect(&addr).expect("connect");
+    let job_id = submit(&mut client, &slow_scenario(Algorithm::Nasaic));
+    let head = state_dir.join("jobs").join(format!("{job_id}.ckpt.json"));
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    // The head under its own name, renamed there complete: a temp head may
+    // still be in the middle of its write.
+    while !head.exists() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "job never checkpointed"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    child.kill().expect("kill daemon");
+    child.wait().expect("reap daemon");
+
+    let log_path = state_dir.join("stderr.log");
+    let log = std::fs::File::create(&log_path).expect("create stderr log");
+    let (mut child, addr) = spawn_daemon_with_stderr(&state_dir, &["--workers", "1"], log.into());
+    let mut client = Client::connect(&addr).expect("reconnect");
+    wait_for_state(&mut client, job_id, &["queued"], "running");
+    client
+        .request(&Request::Cancel { job: job_id as u64 })
+        .expect("cancel");
+    wait_for_state(&mut client, job_id, &["running"], "cancelled");
+    let _ = client.request(&Request::Shutdown);
+    let status = child.wait().expect("daemon exits after shutdown");
+    let stderr = std::fs::read_to_string(&log_path).expect("read stderr log");
+    let _ = std::fs::remove_dir_all(&state_dir);
+    assert!(status.success(), "{status}: {stderr}");
     let lines: Vec<&str> = stderr.lines().collect();
     assert_eq!(lines.len(), 1, "{stderr}");
     assert!(lines[0].contains("listening"), "{stderr}");
