@@ -1,16 +1,14 @@
-//! Shared helpers for the NASAIC benchmark harness.
+//! Shared helpers for `nasaic-bench`, the identity gates and perf
+//! snapshots of the search loop, the evaluator, the HAP scheduler,
+//! checkpointing, the daemon and telemetry.
 //!
-//! Every bench target regenerates one table or figure of the paper and
-//! prints it before running its Criterion measurements, so `cargo bench`
-//! doubles as the experiment-reproduction entry point.  The regeneration
-//! effort is controlled by the `NASAIC_BENCH_SCALE` environment variable:
+//! The paper's artefacts are regenerated elsewhere: `cargo run --release
+//! --example reproduce_all [quick|benchmark|paper]` prints Fig. 1, Tables I
+//! and II and Fig. 6, and `--example ablation_optimizers` the optimizer
+//! ablation.  The benchmark of record, with per-layer metrics under
+//! `--trace 1`, is `perfbench/`.
 //!
-//! * `quick` (default) — seconds per artefact;
-//! * `benchmark` — tens of seconds, the scale used for EXPERIMENTS.md;
-//! * `paper` — the paper's full effort (500 episodes, 10,000 Monte-Carlo
-//!   runs).
-//!
-//! The `nasaic-bench` binary holds the identity gates and perf snapshots:
+//! The binary's commands:
 //!
 //! ```text
 //! nasaic-bench <part> [--quick] [--check] [--label L] [--output P]
@@ -25,34 +23,11 @@
 //! ([`gate`]), the trajectory writer ([`Options::record`]), the machine
 //! fingerprint ([`machine`]) and the scenarios the parts run.
 
-use nasaic_core::experiments::ExperimentScale;
 use nasaic_core::scenario::value;
 use nasaic_core::scenario::value::ConfigValue::{self, Array, Float, Integer, Str};
 use nasaic_core::scenario::{registry, Scenario};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-
-/// Scale selected through the `NASAIC_BENCH_SCALE` environment variable.
-pub fn scale_from_env() -> ExperimentScale {
-    match std::env::var("NASAIC_BENCH_SCALE")
-        .unwrap_or_default()
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "paper" => ExperimentScale::Paper,
-        "benchmark" | "bench" => ExperimentScale::Benchmark,
-        _ => ExperimentScale::Quick,
-    }
-}
-
-/// Seed shared by all benchmark regenerations (override with
-/// `NASAIC_BENCH_SEED`).
-pub fn seed_from_env() -> u64 {
-    std::env::var("NASAIC_BENCH_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2020)
-}
 
 /// Today's UTC date as `YYYY-MM-DD`, for the `date` field every
 /// `BENCH_*.json` entry carries (`nasaic-bench lint` enforces it).
@@ -419,76 +394,9 @@ pub fn gate_scenario(name: &str) -> Scenario {
     scenario
 }
 
-pub mod sched_instances {
-    //! Canonical HAP instances shared by the `micro_sched` benchmark and
-    //! `nasaic-bench sched`, so every measurement runs the same workload.
-
-    use nasaic_accel::{Accelerator, Dataflow, SubAccelerator};
-    use nasaic_cost::{CostModel, WorkloadCosts};
-    use nasaic_nn::backbone::Backbone;
-    use nasaic_sched::HapProblem;
-
-    /// W1-sized instance: ResNet-9 + U-Net (39 layers) on a two-dataflow
-    /// accelerator under a tight latency constraint — the shape of the HAP
-    /// solve inside every NASAIC episode.
-    pub fn w1_problem() -> HapProblem {
-        let model = CostModel::paper_calibrated();
-        let archs = vec![
-            Backbone::ResNet9Cifar10.materialize_values(&[32, 128, 2, 256, 2, 256, 2]),
-            Backbone::UNetNuclei.materialize_values(&[4, 16, 32, 64, 128, 256]),
-        ];
-        let acc = Accelerator::new(vec![
-            SubAccelerator::new(Dataflow::Nvdla, 2048, 32),
-            SubAccelerator::new(Dataflow::Shidiannao, 2048, 32),
-        ]);
-        HapProblem::new(WorkloadCosts::build(&model, &archs, &acc), 8.0e5)
-    }
-
-    /// Paper-sized single network (18 layers) — within the raised
-    /// `EXACT_LAYER_LIMIT`, used for optimality-gap measurements.
-    pub fn realistic_problem() -> HapProblem {
-        let model = CostModel::paper_calibrated();
-        let archs =
-            vec![Backbone::ResNet9Cifar10.materialize_values(&[32, 128, 2, 256, 2, 256, 2])];
-        let acc = Accelerator::new(vec![
-            SubAccelerator::new(Dataflow::Nvdla, 2048, 32),
-            SubAccelerator::new(Dataflow::Shidiannao, 2048, 32),
-        ]);
-        HapProblem::new(WorkloadCosts::build(&model, &archs, &acc), 2.0e6)
-    }
-
-    /// The smallest ResNet-9 (9 layers) on a small two-dataflow design —
-    /// the historical exact-solver benchmark instance.
-    pub fn tiny_problem() -> HapProblem {
-        let model = CostModel::paper_calibrated();
-        let archs = vec![Backbone::ResNet9Cifar10.materialize_values(&[8, 32, 0, 32, 0, 32, 0])];
-        let acc = Accelerator::new(vec![
-            SubAccelerator::new(Dataflow::Nvdla, 1024, 16),
-            SubAccelerator::new(Dataflow::Shidiannao, 1024, 16),
-        ]);
-        HapProblem::new(WorkloadCosts::build(&model, &archs, &acc), 1.0e6)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_scale_is_quick() {
-        // The variable is unlikely to be set during unit tests; accept any
-        // valid parse but require a deterministic default when unset.
-        if std::env::var("NASAIC_BENCH_SCALE").is_err() {
-            assert_eq!(scale_from_env(), ExperimentScale::Quick);
-        }
-    }
-
-    #[test]
-    fn default_seed_is_stable() {
-        if std::env::var("NASAIC_BENCH_SEED").is_err() {
-            assert_eq!(seed_from_env(), 2020);
-        }
-    }
 
     fn parse(args: &[&str]) -> Result<Command, String> {
         Command::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
@@ -558,11 +466,29 @@ mod tests {
         );
     }
 
-    fn temp_path(tag: &str) -> PathBuf {
+    /// A fresh directory for one test's files, removed when the guard
+    /// drops, so a failing test cleans up as well as a passing one.
+    struct TempDir(PathBuf);
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    fn temp_dir(tag: &str) -> TempDir {
         let dir = std::env::temp_dir().join(format!("nasaic-bench-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create temp dir");
-        dir.join("BENCH_eval.json")
+        TempDir(dir)
     }
 
     fn fields(wall_ms: f64) -> Vec<(&'static str, ConfigValue)> {
@@ -571,7 +497,8 @@ mod tests {
 
     #[test]
     fn writer_creates_a_fresh_trajectory_file() {
-        let path = temp_path("fresh");
+        let dir = temp_dir("fresh");
+        let path = dir.join("BENCH_eval.json");
         let options = options(Part::Eval, path.clone());
         let entry = options.entry(ConfigValue::table(), fields(1.5));
         append_entry(&path, "eval_hotpath", entry.clone()).expect("append");
@@ -606,7 +533,8 @@ mod tests {
 
     #[test]
     fn appending_leaves_earlier_entries_byte_identical() {
-        let path = temp_path("append");
+        let dir = temp_dir("append");
+        let path = dir.join("BENCH_eval.json");
         let options = options(Part::Eval, path.clone());
         let mut machine = ConfigValue::table();
         machine.insert("parallel_ratio", ConfigValue::Float(1.07));
@@ -629,7 +557,8 @@ mod tests {
 
     #[test]
     fn unparsable_or_foreign_files_are_errors_and_stay_untouched() {
-        let path = temp_path("bad");
+        let dir = temp_dir("bad");
+        let path = dir.join("BENCH_eval.json");
         let entry = options(Part::Eval, path.clone()).entry(ConfigValue::table(), fields(1.0));
         for text in [
             "{\"schema\": 1, \"bench\": \"eval_hotpath\", \"entries\": [",

@@ -16,10 +16,14 @@
 //! Timing: a duplicate-bearing W1 episode stream (the shape the NASAIC
 //! controller actually produces) replayed through the naive path and
 //! through the optimised engine, appended to `BENCH_eval.json`
-//! (`"bench": "eval_hotpath"`).  The part **fails (exit 1) when the
-//! optimised path is not at least 2x faster per candidate**, so the perf
-//! floor is gated as well as correctness.  `--quick` shrinks the stream;
-//! the gates always run in full.
+//! (`"bench": "eval_hotpath"`).  The two sides alternate over 7 reps, and
+//! `naive_wall_ms` and `wall_ms` record each side's fastest rep.  Every
+//! optimised rep runs on a fresh single-threaded engine (`threads: 1`, as
+//! perfbench's `rl-w1` runs), so it starts with cold caches and spawns no
+//! threads per batch.  The part **fails (exit 1) when the optimised path is
+//! not at least 2x faster per candidate**, so the perf floor is gated as
+//! well as correctness.  `--quick` shrinks the stream; the gates always run
+//! in full.
 
 use nasaic_accel::HardwareSpace;
 use nasaic_accuracy::calibration;
@@ -30,7 +34,10 @@ use nasaic_nn::backbone::Backbone;
 use nasaic_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Alternating reps per side of the timed replay.
+const TIMED_REPS: usize = 7;
 
 fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
     let data = (0..rows * cols)
@@ -231,18 +238,29 @@ pub fn run(options: &Options) {
     let evaluations: usize = stream.iter().map(Vec::len).sum();
     println!(
         "== per-candidate measurement (w1, {episodes} episodes x (1 + {phi}) designs, \
-         {evaluations} evaluations) =="
+         {evaluations} evaluations, fastest of {TIMED_REPS} reps per side) =="
     );
-    let naive_start = Instant::now();
-    let naive_sum = run_naive(&evaluator, &stream);
-    let naive_wall = naive_start.elapsed();
-    // A fresh engine, so the optimised side starts with cold caches.
-    let engine = EvalEngine::new(evaluator.clone());
-    let engine_start = Instant::now();
-    let engine_sum = run_engine(&engine, &stream);
-    let engine_wall = engine_start.elapsed();
-    assert_eq!(naive_sum, engine_sum, "optimised path diverged from naive");
-    let stats = engine.stats();
+    // One pass per side lasts a few milliseconds, so a single pass reads
+    // whatever else the host was doing; the fastest of several does not.
+    let (mut naive_wall, mut engine_wall) = (Duration::MAX, Duration::MAX);
+    let mut stats = CacheStats::default();
+    for _ in 0..TIMED_REPS {
+        let start = Instant::now();
+        let naive_sum = run_naive(&evaluator, &stream);
+        naive_wall = naive_wall.min(start.elapsed());
+        let engine = EvalEngine::with_config(
+            evaluator.clone(),
+            EngineConfig {
+                threads: 1,
+                ..EngineConfig::default()
+            },
+        );
+        let start = Instant::now();
+        let engine_sum = run_engine(&engine, &stream);
+        engine_wall = engine_wall.min(start.elapsed());
+        assert_eq!(naive_sum, engine_sum, "optimised path diverged from naive");
+        stats = engine.stats();
+    }
     let naive_ns = naive_wall.as_nanos() as f64 / evaluations as f64;
     let engine_ns = engine_wall.as_nanos() as f64 / evaluations as f64;
     let speedup = naive_ns / engine_ns.max(1e-9);

@@ -176,6 +176,32 @@ pub fn trace(path: &Path) {
 mod tests {
     use super::*;
     use nasaic_bench::{append_entry, machine, Options, Part};
+    use std::path::PathBuf;
+
+    /// A fresh directory for one test's files, removed when the guard
+    /// drops, so a failing test cleans up as well as a passing one.
+    struct TempDir(PathBuf);
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    fn temp_dir(tag: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!("nasaic-bench-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        TempDir(dir)
+    }
 
     #[test]
     fn iso_date_validation() {
@@ -206,9 +232,7 @@ mod tests {
 
     #[test]
     fn lint_accepts_what_the_writer_produces_for_every_part() {
-        let dir = std::env::temp_dir().join(format!("nasaic-bench-lint-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let dir = temp_dir("lint");
         let machine = machine();
         for (i, part) in Part::ALL.into_iter().enumerate() {
             let options = Options {
@@ -231,8 +255,7 @@ mod tests {
 
     #[test]
     fn trace_check_requires_tagged_lines_ending_in_search_finished() {
-        let dir = std::env::temp_dir().join(format!("nasaic-bench-trace-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let dir = temp_dir("trace");
         let path = dir.join("trace.jsonl");
         for (text, ok) in [
             (

@@ -1,5 +1,5 @@
 //! `sched`: the incremental HAP solver against its retained naive
-//! reference, on the instances of `nasaic_bench::sched_instances`.
+//! reference, on three fixed HAP instances.
 //!
 //! Gate: the incremental solver is bit-identical to the reference on every
 //! instance across constraints, and the heuristic never beats the exact
@@ -9,9 +9,11 @@
 //! under `--quick`), appended to `BENCH_sched.json`
 //! (`"bench": "micro_sched"`).
 
-use nasaic_bench::sched_instances::{realistic_problem, tiny_problem, w1_problem};
+use nasaic_accel::{Accelerator, Dataflow, SubAccelerator};
 use nasaic_bench::{gate, round, Options};
 use nasaic_core::scenario::value::ConfigValue::{Float, Str};
+use nasaic_cost::{CostModel, WorkloadCosts};
+use nasaic_nn::backbone::Backbone;
 use nasaic_sched::schedule::simulate;
 use nasaic_sched::{
     solve_exact, solve_exact_unseeded, solve_heuristic, solve_heuristic_reference, Assignment,
@@ -42,6 +44,46 @@ fn measure<T>(budget: Duration, mut routine: impl FnMut() -> T) -> f64 {
         iterations += batch;
     }
     total.as_secs_f64() * 1e9 / iterations as f64
+}
+
+/// W1-sized instance: ResNet-9 + U-Net (39 layers) on a two-dataflow
+/// accelerator under a tight latency constraint — the shape of the HAP
+/// solve inside every NASAIC episode.
+fn w1_problem() -> HapProblem {
+    let model = CostModel::paper_calibrated();
+    let archs = vec![
+        Backbone::ResNet9Cifar10.materialize_values(&[32, 128, 2, 256, 2, 256, 2]),
+        Backbone::UNetNuclei.materialize_values(&[4, 16, 32, 64, 128, 256]),
+    ];
+    let acc = Accelerator::new(vec![
+        SubAccelerator::new(Dataflow::Nvdla, 2048, 32),
+        SubAccelerator::new(Dataflow::Shidiannao, 2048, 32),
+    ]);
+    HapProblem::new(WorkloadCosts::build(&model, &archs, &acc), 8.0e5)
+}
+
+/// Paper-sized single network (18 layers) — within the raised
+/// `EXACT_LAYER_LIMIT`, used for optimality-gap measurements.
+fn realistic_problem() -> HapProblem {
+    let model = CostModel::paper_calibrated();
+    let archs = vec![Backbone::ResNet9Cifar10.materialize_values(&[32, 128, 2, 256, 2, 256, 2])];
+    let acc = Accelerator::new(vec![
+        SubAccelerator::new(Dataflow::Nvdla, 2048, 32),
+        SubAccelerator::new(Dataflow::Shidiannao, 2048, 32),
+    ]);
+    HapProblem::new(WorkloadCosts::build(&model, &archs, &acc), 2.0e6)
+}
+
+/// The smallest ResNet-9 (9 layers) on a small two-dataflow design —
+/// the historical exact-solver benchmark instance.
+fn tiny_problem() -> HapProblem {
+    let model = CostModel::paper_calibrated();
+    let archs = vec![Backbone::ResNet9Cifar10.materialize_values(&[8, 32, 0, 32, 0, 32, 0])];
+    let acc = Accelerator::new(vec![
+        SubAccelerator::new(Dataflow::Nvdla, 1024, 16),
+        SubAccelerator::new(Dataflow::Shidiannao, 1024, 16),
+    ]);
+    HapProblem::new(WorkloadCosts::build(&model, &archs, &acc), 1.0e6)
 }
 
 /// The consistency suite; returns the failures (empty = pass).

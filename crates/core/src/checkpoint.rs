@@ -2219,8 +2219,7 @@ mod tests {
 
     #[test]
     fn file_sink_writes_parseable_checkpoints() {
-        let dir = std::env::temp_dir().join("nasaic-checkpoint-test");
-        fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("parseable");
         let path = dir.join("cp.json");
         let sink = FileCheckpointSink::new(&path, 2);
         assert!(!sink.wants(1));
@@ -2234,13 +2233,30 @@ mod tests {
         fs::remove_file(journal_path(&path)).unwrap();
     }
 
-    /// A fresh directory for one test's files.
-    fn test_dir(tag: &str) -> PathBuf {
+    /// A fresh directory for one test's files, removed when the guard
+    /// drops, so a failing test cleans up as well as a passing one.
+    struct TestDir(PathBuf);
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
+    impl std::ops::Deref for TestDir {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    fn test_dir(tag: &str) -> TestDir {
         let dir =
             std::env::temp_dir().join(format!("nasaic-checkpoint-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        dir
+        TestDir(dir)
     }
 
     /// An incremental checkpoint at `progress` carrying the stand-in
@@ -2267,7 +2283,8 @@ mod tests {
 
     #[test]
     fn file_sink_journals_only_new_records_and_load_reassembles_them() {
-        let path = test_dir("journal").join("run.ckpt");
+        let dir = test_dir("journal");
+        let path = dir.join("run.ckpt");
         let sink = FileCheckpointSink::new(&path, 1);
         sink.on_checkpoint(&increment(1, 0, 3));
         let first_head = fs::metadata(&path).unwrap().len();
@@ -2287,7 +2304,8 @@ mod tests {
 
     #[test]
     fn a_torn_journal_tail_loads_the_heads_checkpoint() {
-        let path = test_dir("torn").join("run.ckpt");
+        let dir = test_dir("torn");
+        let path = dir.join("run.ckpt");
         let sink = FileCheckpointSink::new(&path, 1);
         sink.on_checkpoint(&increment(1, 0, 2));
         // Killed mid-append: half a record past the head's count.
@@ -2297,7 +2315,8 @@ mod tests {
 
     #[test]
     fn records_appended_before_a_kill_are_ignored_then_truncated() {
-        let path = test_dir("extra").join("run.ckpt");
+        let dir = test_dir("extra");
+        let path = dir.join("run.ckpt");
         let sink = FileCheckpointSink::new(&path, 1);
         sink.on_checkpoint(&increment(1, 0, 2));
         // Killed between the append and the head rename: complete lines
@@ -2319,7 +2338,8 @@ mod tests {
 
     #[test]
     fn a_journal_shorter_than_its_head_is_an_error() {
-        let path = test_dir("short").join("run.ckpt");
+        let dir = test_dir("short");
+        let path = dir.join("run.ckpt");
         let sink = FileCheckpointSink::new(&path, 1);
         sink.on_checkpoint(&increment(1, 0, 3));
         let journal = journal_path(&path);
@@ -2352,7 +2372,8 @@ mod tests {
 
     #[test]
     fn a_file_sink_refuses_an_incomplete_first_checkpoint_and_stops() {
-        let path = test_dir("first").join("run.ckpt");
+        let dir = test_dir("first");
+        let path = dir.join("run.ckpt");
         let sink = FileCheckpointSink::new(&path, 1);
         sink.on_checkpoint(&increment(1, 0, 3));
         let (head, journal) = (
@@ -2372,7 +2393,8 @@ mod tests {
 
     #[test]
     fn a_fresh_run_replaces_an_earlier_runs_head_and_journal() {
-        let path = test_dir("fresh").join("run.ckpt");
+        let dir = test_dir("fresh");
+        let path = dir.join("run.ckpt");
         let sink = FileCheckpointSink::new(&path, 1);
         sink.on_checkpoint(&increment(1, 0, 3));
         let rerun = FileCheckpointSink::new(&path, 1);
@@ -2390,7 +2412,7 @@ mod tests {
         sink.on_checkpoint(&increment(1, 0, 2));
         sink.on_checkpoint(&increment(2, 2, 3));
         assert!(sink.take_error().is_none());
-        let mut names: Vec<_> = fs::read_dir(&dir)
+        let mut names: Vec<_> = fs::read_dir(&*dir)
             .unwrap()
             .map(|entry| entry.unwrap().file_name())
             .collect();
@@ -2402,7 +2424,8 @@ mod tests {
     #[test]
     fn a_head_left_only_at_its_temp_name_loads() {
         // Killed between removing the old head and renaming the new one in.
-        let path = test_dir("tmp-only").join("run.ckpt");
+        let dir = test_dir("tmp-only");
+        let path = dir.join("run.ckpt");
         let sink = FileCheckpointSink::new(&path, 1);
         sink.on_checkpoint(&increment(1, 0, 2));
         sink.on_checkpoint(&increment(2, 2, 4));
@@ -2421,14 +2444,15 @@ mod tests {
         assert!(FileCheckpointSink::head_exists(&path));
         FileCheckpointSink::remove_files(&path).unwrap();
         assert!(!FileCheckpointSink::head_exists(&path));
-        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
+        assert_eq!(fs::read_dir(&*dir).unwrap().count(), 0);
         FileCheckpointSink::remove_files(&path).unwrap();
     }
 
     #[test]
     fn a_head_beside_a_torn_temp_head_loads_the_head() {
         // Killed while writing the next head's temp file.
-        let path = test_dir("torn-tmp").join("run.ckpt");
+        let dir = test_dir("torn-tmp");
+        let path = dir.join("run.ckpt");
         let sink = FileCheckpointSink::new(&path, 1);
         sink.on_checkpoint(&increment(1, 0, 2));
         let head = fs::read_to_string(&path).unwrap();
@@ -2439,7 +2463,8 @@ mod tests {
 
     #[test]
     fn loading_without_either_head_names_the_head() {
-        let path = test_dir("no-head").join("run.ckpt");
+        let dir = test_dir("no-head");
+        let path = dir.join("run.ckpt");
         let error = SearchCheckpoint::load(&path).unwrap_err();
         let named = format!("cannot read {}:", path.display());
         assert!(error.message.starts_with(&named), "{error}");
@@ -2447,7 +2472,8 @@ mod tests {
 
     #[test]
     fn a_first_checkpoint_removes_a_stale_temp_head() {
-        let path = test_dir("stale-tmp").join("run.ckpt");
+        let dir = test_dir("stale-tmp");
+        let path = dir.join("run.ckpt");
         fs::write(tmp_path(&path), "{\"torn").unwrap();
         let sink = FileCheckpointSink::new(&path, 1);
         sink.on_checkpoint(&increment(1, 0, 1));
@@ -2458,7 +2484,8 @@ mod tests {
 
     #[test]
     fn a_failed_head_write_stops_the_sink() {
-        let path = test_dir("failed-head").join("run.ckpt");
+        let dir = test_dir("failed-head");
+        let path = dir.join("run.ckpt");
         let sink = FileCheckpointSink::new(&path, 1);
         sink.on_checkpoint(&increment(1, 0, 2));
         let head = fs::read(&path).unwrap();
@@ -2533,7 +2560,8 @@ mod tests {
 
     #[test]
     fn budgeted_wants_depends_on_progress_alone_between_checkpoints() {
-        let path = test_dir("budgeted-wants").join("run.ckpt");
+        let dir = test_dir("budgeted-wants");
+        let path = dir.join("run.ckpt");
         let sink = FileCheckpointSink::budgeted(&path);
         let probe = |sink: &FileCheckpointSink| (0..200).map(|p| sink.wants(p)).collect::<Vec<_>>();
         // Before the first checkpoint every unit is wanted.
@@ -2555,7 +2583,8 @@ mod tests {
     fn a_budgeted_sinks_first_checkpoint_is_its_first_unit_and_complete() {
         // A run resumed at progress 40: its first unit is wanted, and its
         // first checkpoint carries the whole history.
-        let path = test_dir("budgeted-first").join("run.ckpt");
+        let dir = test_dir("budgeted-first");
+        let path = dir.join("run.ckpt");
         let sink = FileCheckpointSink::budgeted(&path);
         assert!(sink.wants(41));
         sink.on_checkpoint(&complete(41, 3));
@@ -2647,7 +2676,6 @@ mod tests {
         assert_eq!(fs::read_to_string(&json).unwrap(), "json");
         assert_eq!(fs::read_to_string(&ckpt).unwrap(), "ckpt");
         assert_eq!(journal_path(&ckpt), dir.join("a.ckpt.journal"));
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -69,9 +69,8 @@ type AccuracyKey = (usize, String, Vec<usize>);
 /// constraint, so two engines built for scenarios with different latency
 /// specs can never be confused.  The evaluator's cost model — the other
 /// input `hardware_metrics` depends on — is *not* part of the key (it has
-/// no cheap hashable identity); per-engine caches make that safe today,
-/// and `Scenario::run_algorithm_with_engine` rejects engines whose cost
-/// model differs from the scenario's.
+/// no cheap hashable identity); that is safe because every `Evaluator`
+/// carries the paper-calibrated model and no API replaces it.
 type HardwareKey = (u64, Vec<(String, Vec<usize>)>, Accelerator);
 
 fn architectures_key(architectures: &[Architecture]) -> Vec<(String, Vec<usize>)> {
@@ -154,11 +153,6 @@ impl<K: Clone + Eq + Hash, V> BoundedCache<K, V> {
 
     fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.map.iter()
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.order.clear();
     }
 
     fn evict_to_fit(&mut self) {
@@ -427,18 +421,6 @@ impl EvalEngine {
                 .gauge("nasaic_engine_cache_hit_ratio", &labels)
                 .set(ratio);
         }
-    }
-
-    /// Drop all cached values (counters are kept).
-    pub fn clear_caches(&self) {
-        self.accuracy_cache
-            .write()
-            .expect("accuracy cache lock")
-            .clear();
-        self.hardware_cache
-            .write()
-            .expect("hardware cache lock")
-            .clear();
     }
 
     /// Export both memo caches as a serializable value, for warm-shard
@@ -1386,16 +1368,6 @@ mod tests {
         assert_eq!(results.len(), 4);
         assert!(results[1].is_none());
         assert!(results[0].is_some() && results[2].is_some() && results[3].is_some());
-    }
-
-    #[test]
-    fn clearing_caches_keeps_results_identical() {
-        let engine = w1_engine();
-        let candidates = random_candidates(3, 29);
-        let before = engine.evaluate_batch(&candidates);
-        engine.clear_caches();
-        let after = engine.evaluate_batch(&candidates);
-        assert_eq!(before, after);
     }
 
     #[test]

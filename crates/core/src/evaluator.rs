@@ -130,18 +130,6 @@ impl Evaluator {
         }
     }
 
-    /// Replace the cost model (e.g. for a re-calibrated technology).
-    pub fn with_cost_model(mut self, cost_model: CostModel) -> Self {
-        self.cost_model = cost_model;
-        self
-    }
-
-    /// Replace the accuracy combiner.
-    pub fn with_combiner(mut self, combiner: AccuracyCombiner) -> Self {
-        self.combiner = combiner;
-        self
-    }
-
     /// Replace the HAP scheduler policy (default:
     /// [`SchedulerPolicy::Heuristic`], the paper's solver — every other
     /// policy is opt-in because it changes which mapping the hardware

@@ -6,8 +6,9 @@
 //! and area and 0.76 % accuracy loss (W1); compared with hardware-aware NAS
 //! on a fixed ASIC design, NASAIC achieves 3.65 % higher accuracy (W2,
 //! STL-10).  This module recomputes those derived quantities from a
-//! [`Table1Result`] so integration tests and benches can check the *shape*
-//! (who wins, in which direction) rather than the absolute numbers.
+//! [`Table1Result`] so integration tests and `reproduce_all` can check
+//! the *shape* (who wins, in which direction) rather than the absolute
+//! numbers.
 
 use crate::experiments::table1::{Approach, Table1Result};
 use crate::spec::WorkloadId;

@@ -29,7 +29,8 @@ use std::fmt;
 pub enum ExperimentScale {
     /// Seconds: for unit/integration tests.
     Quick,
-    /// Tens of seconds: the default for `cargo bench` regeneration.
+    /// More effort than `Quick`, less than `Paper`: `cargo run --release
+    /// --example reproduce_all benchmark`.
     Benchmark,
     /// Paper-scale effort (500 episodes, 10,000 Monte-Carlo runs).
     Paper,

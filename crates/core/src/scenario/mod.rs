@@ -53,7 +53,6 @@ use crate::log::SearchOutcome;
 use crate::spec::DesignSpecs;
 use crate::workload::Workload;
 use nasaic_accel::{Dataflow, HardwareSpace, ResourceBudget};
-use nasaic_cost::CostModel;
 use nasaic_nn::backbone::Backbone;
 use nasaic_sched::{select_tier, SchedulerPolicy, TierDecision};
 use serde::{Deserialize, Serialize};
@@ -875,9 +874,9 @@ impl Scenario {
     /// # Panics
     ///
     /// Panics when `engine` was built for different design specs, a
-    /// different workload, or a non-default cost model.  An engine's
+    /// different workload, or another scheduler policy.  An engine's
     /// hardware metrics solve the HAP under *its own* latency spec and
-    /// cost model, and its accuracy cache is keyed by task position, so
+    /// scheduler, and its accuracy cache is keyed by task position, so
     /// reusing an engine across scenarios that disagree on any of these
     /// would silently evaluate this scenario against the other scenario's
     /// constraints.  Engines may only be shared across runs of the *same*
@@ -1039,13 +1038,6 @@ impl Scenario {
             engine.evaluator().scheduler(),
             self.name,
             self.search.scheduler,
-        );
-        assert!(
-            engine.evaluator().cost_model() == &CostModel::paper_calibrated(),
-            "engine/scenario mismatch: the engine's evaluator carries a non-default cost model; \
-             scenario engines always use the paper-calibrated model and the hardware cache does \
-             not key on the cost model, so a shared engine must come from this scenario's \
-             `Scenario::engine()`",
         );
     }
 
@@ -1282,28 +1274,6 @@ area_um2 = 4e9
         };
         // A shared engine must carry this scenario's specs: its hardware
         // cache solves the HAP under the *engine's* latency constraint.
-        scenario.run_algorithm_with_engine(Algorithm::MonteCarlo, &foreign);
-    }
-
-    #[test]
-    #[should_panic(expected = "engine/scenario mismatch")]
-    fn engine_with_foreign_cost_model_is_rejected() {
-        let mut scenario = Scenario::from_toml_str(minimal_toml()).unwrap();
-        scenario.search.episodes = 1;
-        scenario.search.hardware_trials = 1;
-        scenario.search.bound_samples = 2;
-        let foreign = {
-            let mut config = nasaic_cost::CostConfig::paper_calibrated();
-            config.mac_energy_nj *= 2.0;
-            EvalEngine::new(
-                Evaluator::new(
-                    &scenario.workload(),
-                    scenario.specs,
-                    AccuracyOracle::default(),
-                )
-                .with_cost_model(CostModel::new(config)),
-            )
-        };
         scenario.run_algorithm_with_engine(Algorithm::MonteCarlo, &foreign);
     }
 

@@ -1,7 +1,5 @@
 //! Scalar and vector activation functions used by the LSTM controller and
-//! the proxy MLP trainer, together with their derivatives.
-
-use crate::Matrix;
+//! the proxy MLP trainer.
 
 /// Logistic sigmoid `1 / (1 + e^-x)`.
 ///
@@ -18,19 +16,9 @@ pub fn sigmoid(x: f64) -> f64 {
     }
 }
 
-/// Derivative of the sigmoid expressed in terms of its output `y = sigmoid(x)`.
-pub fn sigmoid_derivative_from_output(y: f64) -> f64 {
-    y * (1.0 - y)
-}
-
 /// Hyperbolic tangent.
 pub fn tanh(x: f64) -> f64 {
     x.tanh()
-}
-
-/// Derivative of tanh expressed in terms of its output `y = tanh(x)`.
-pub fn tanh_derivative_from_output(y: f64) -> f64 {
-    1.0 - y * y
 }
 
 /// Rectified linear unit.
@@ -85,44 +73,6 @@ pub fn softmax_in_place(values: &mut [f64]) {
     }
 }
 
-/// Natural log of the softmax probability of index `chosen`.
-///
-/// # Panics
-///
-/// Panics if `chosen` is out of range or `logits` is empty.
-pub fn log_softmax_at(logits: &[f64], chosen: usize) -> f64 {
-    assert!(!logits.is_empty(), "log_softmax_at on empty logits");
-    assert!(chosen < logits.len(), "chosen index out of range");
-    let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let log_sum: f64 = logits.iter().map(|&v| (v - max).exp()).sum::<f64>().ln() + max;
-    logits[chosen] - log_sum
-}
-
-/// Cross-entropy loss between a probability vector and a one-hot target.
-///
-/// # Panics
-///
-/// Panics if `target` is out of range.
-pub fn cross_entropy(probabilities: &[f64], target: usize) -> f64 {
-    assert!(target < probabilities.len(), "target index out of range");
-    -(probabilities[target].max(1e-300)).ln()
-}
-
-/// Apply sigmoid element-wise to a matrix.
-pub fn sigmoid_matrix(m: &Matrix) -> Matrix {
-    m.map(sigmoid)
-}
-
-/// Apply tanh element-wise to a matrix.
-pub fn tanh_matrix(m: &Matrix) -> Matrix {
-    m.map(tanh)
-}
-
-/// Apply ReLU element-wise to a matrix.
-pub fn relu_matrix(m: &Matrix) -> Matrix {
-    m.map(relu)
-}
-
 /// Entropy (nats) of a probability distribution.  Probabilities of zero
 /// contribute zero.
 pub fn entropy(probabilities: &[f64]) -> f64 {
@@ -148,24 +98,6 @@ mod tests {
     fn sigmoid_extremes_saturate() {
         assert!(sigmoid(40.0) > 0.999999);
         assert!(sigmoid(-40.0) < 1e-6);
-    }
-
-    #[test]
-    fn sigmoid_derivative_matches_finite_difference() {
-        let x = 0.37;
-        let h = 1e-6;
-        let numeric = (sigmoid(x + h) - sigmoid(x - h)) / (2.0 * h);
-        let analytic = sigmoid_derivative_from_output(sigmoid(x));
-        assert!((numeric - analytic).abs() < 1e-8);
-    }
-
-    #[test]
-    fn tanh_derivative_matches_finite_difference() {
-        let x = -0.81;
-        let h = 1e-6;
-        let numeric = (tanh(x + h) - tanh(x - h)) / (2.0 * h);
-        let analytic = tanh_derivative_from_output(tanh(x));
-        assert!((numeric - analytic).abs() < 1e-8);
     }
 
     #[test]
@@ -214,35 +146,10 @@ mod tests {
     }
 
     #[test]
-    fn log_softmax_matches_log_of_softmax() {
-        let logits = [0.3, -1.2, 2.5, 0.0];
-        let p = softmax(&logits);
-        for (i, &probability) in p.iter().enumerate() {
-            assert!((log_softmax_at(&logits, i) - probability.ln()).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn cross_entropy_zero_for_certain_prediction() {
-        assert!(cross_entropy(&[1.0, 0.0], 0) < 1e-12);
-        assert!(cross_entropy(&[0.5, 0.5], 1) > 0.0);
-    }
-
-    #[test]
     fn entropy_maximised_by_uniform() {
         let uniform = entropy(&[0.25; 4]);
         let peaked = entropy(&[0.97, 0.01, 0.01, 0.01]);
         assert!(uniform > peaked);
         assert!((uniform - (4.0_f64).ln()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn matrix_activations_apply_elementwise() {
-        let m = Matrix::from_rows(&[&[-1.0, 0.0, 1.0][..]]);
-        assert_eq!(relu_matrix(&m).as_slice(), &[0.0, 0.0, 1.0]);
-        let s = sigmoid_matrix(&m);
-        assert!((s.as_slice()[1] - 0.5).abs() < 1e-12);
-        let t = tanh_matrix(&m);
-        assert!((t.as_slice()[2] - (1.0_f64).tanh()).abs() < 1e-12);
     }
 }

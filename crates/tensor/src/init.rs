@@ -36,23 +36,6 @@ pub fn he_uniform<R: Rng>(rng: &mut R, rows: usize, cols: usize) -> Matrix {
     uniform(rng, rows, cols, limit)
 }
 
-/// Approximate standard-normal initialisation scaled by `std`, built from a
-/// 12-term Irwin–Hall sum so it does not require a Gaussian sampler.
-pub fn normal_like<R: Rng>(rng: &mut R, rows: usize, cols: usize, std: f64) -> Matrix {
-    let data = (0..rows * cols)
-        .map(|_| {
-            let s: f64 = (0..12).map(|_| rng.gen_range(0.0..1.0)).sum::<f64>() - 6.0;
-            s * std
-        })
-        .collect();
-    Matrix::from_vec(rows, cols, data)
-}
-
-/// All-zero bias initialisation (a convenience alias that documents intent).
-pub fn zero_bias(rows: usize, cols: usize) -> Matrix {
-    Matrix::zeros(rows, cols)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,18 +70,5 @@ mod tests {
         let a = xavier_uniform(&mut StdRng::seed_from_u64(42), 5, 5);
         let b = xavier_uniform(&mut StdRng::seed_from_u64(42), 5, 5);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn normal_like_has_roughly_zero_mean() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let m = normal_like(&mut rng, 50, 50, 1.0);
-        let mean = m.sum() / m.len() as f64;
-        assert!(mean.abs() < 0.1, "mean was {mean}");
-    }
-
-    #[test]
-    fn zero_bias_is_zero() {
-        assert_eq!(zero_bias(3, 1), Matrix::zeros(3, 1));
     }
 }

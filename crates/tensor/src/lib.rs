@@ -4,8 +4,7 @@
 //! REINFORCE, and the accuracy-surrogate crate offers an optional proxy
 //! training path.  Both need a small, dependency-free tensor library:
 //! dense matrices, GEMM, element-wise math, common activations,
-//! parameter initialisation and first-order optimizers (SGD, RMSProp,
-//! Adam).  This crate provides exactly that — nothing more.
+//! parameter initialisation and first-order optimizers (RMSProp, Adam).  This crate provides exactly that — nothing more.
 //!
 //! # Example
 //!
@@ -30,7 +29,7 @@ pub mod matrix;
 pub mod optim;
 
 pub use matrix::Matrix;
-pub use optim::{Adam, GradientDescent, Optimizer, RmsProp};
+pub use optim::{Adam, Optimizer, RmsProp};
 
 /// Numerically stable mean of a slice. Returns `0.0` for an empty slice.
 ///

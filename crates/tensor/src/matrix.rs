@@ -380,24 +380,9 @@ impl Matrix {
         self.data.iter().sum()
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Largest absolute element value, or `0.0` for an empty matrix.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-    }
-
-    /// Clip every element into `[-limit, limit]` in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `limit` is negative.
-    pub fn clip_inplace(&mut self, limit: f64) {
-        assert!(limit >= 0.0, "clip limit must be non-negative");
-        self.map_inplace(|v| v.max(-limit).min(limit));
     }
 
     /// Concatenate two single-row matrices horizontally.
@@ -596,20 +581,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0][..], &[3.0, 4.0][..]]);
         assert_eq!(a.row(1), &[3.0, 4.0]);
         assert_eq!(a.column(0), vec![1.0, 3.0]);
-    }
-
-    #[test]
-    fn clip_limits_magnitude() {
-        let mut a = Matrix::from_rows(&[&[-10.0, 0.5][..], &[3.0, -0.1][..]]);
-        a.clip_inplace(1.0);
-        assert_eq!(a.max_abs(), 1.0);
-        assert_eq!(a[(0, 1)], 0.5);
-    }
-
-    #[test]
-    fn frobenius_norm_matches_hand_computation() {
-        let a = Matrix::from_rows(&[&[3.0, 4.0][..]]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 
     #[test]

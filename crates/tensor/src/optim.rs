@@ -2,8 +2,7 @@
 //!
 //! The paper trains its controller RNN with RMSProp (initial learning rate
 //! 0.99, exponential decay 0.5 every 50 steps); [`RmsProp`] mirrors that
-//! configuration, and plain SGD and Adam are provided for the proxy trainer
-//! and ablations.
+//! configuration, and Adam is provided for the proxy trainer.
 
 use crate::Matrix;
 
@@ -26,67 +25,6 @@ pub trait Optimizer {
 
     /// Override the learning rate (used by decay schedules).
     fn set_learning_rate(&mut self, lr: f64);
-}
-
-/// Plain (optionally momentum-accelerated) gradient descent.
-#[derive(Debug, Clone)]
-pub struct GradientDescent {
-    lr: f64,
-    momentum: f64,
-    velocity: Option<Matrix>,
-}
-
-impl GradientDescent {
-    /// Create a new SGD optimizer with the given learning rate and no
-    /// momentum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not strictly positive.
-    pub fn new(lr: f64) -> Self {
-        Self::with_momentum(lr, 0.0)
-    }
-
-    /// Create an SGD optimizer with classical momentum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0` or `momentum` is outside `[0, 1)`.
-    pub fn with_momentum(lr: f64, momentum: f64) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        Self {
-            lr,
-            momentum,
-            velocity: None,
-        }
-    }
-}
-
-impl Optimizer for GradientDescent {
-    fn step(&mut self, param: &mut Matrix, grad: &Matrix) {
-        assert_eq!(param.shape(), grad.shape(), "optimizer shape mismatch");
-        if self.momentum == 0.0 {
-            param.axpy(-self.lr, grad);
-            return;
-        }
-        let velocity = self
-            .velocity
-            .get_or_insert_with(|| Matrix::zeros(param.rows(), param.cols()));
-        for (v, g) in velocity.as_mut_slice().iter_mut().zip(grad.as_slice()) {
-            *v = self.momentum * *v + g;
-        }
-        param.axpy(-self.lr, velocity);
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
 }
 
 /// RMSProp optimizer, as used for the NASAIC controller RNN.
@@ -295,35 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut p = Matrix::filled(2, 2, 0.0);
-        let mut opt = GradientDescent::new(0.1);
-        for _ in 0..200 {
-            let g = quadratic_grad(&p);
-            opt.step(&mut p, &g);
-        }
-        assert!((p[(0, 0)] - 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn momentum_converges_faster_than_plain_sgd() {
-        let run = |mut opt: GradientDescent| {
-            let mut p = Matrix::filled(1, 1, 0.0);
-            for step in 0..50 {
-                let g = quadratic_grad(&p);
-                opt.step(&mut p, &g);
-                if (p[(0, 0)] - 3.0).abs() < 1e-3 {
-                    return step;
-                }
-            }
-            50
-        };
-        let plain = run(GradientDescent::new(0.05));
-        let momentum = run(GradientDescent::with_momentum(0.05, 0.9));
-        assert!(momentum <= plain);
-    }
-
-    #[test]
     fn rmsprop_converges_on_quadratic() {
         let mut p = Matrix::filled(1, 3, 10.0);
         let mut opt = RmsProp::new(0.05, 0.9);
@@ -372,12 +281,12 @@ mod tests {
     fn shape_mismatch_panics() {
         let mut p = Matrix::zeros(2, 2);
         let g = Matrix::zeros(1, 2);
-        GradientDescent::new(0.1).step(&mut p, &g);
+        RmsProp::new(0.1, 0.9).step(&mut p, &g);
     }
 
     #[test]
     #[should_panic]
     fn negative_learning_rate_rejected() {
-        GradientDescent::new(-0.1);
+        RmsProp::new(-0.1, 0.9);
     }
 }

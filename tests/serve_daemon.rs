@@ -35,11 +35,29 @@ fn ephemeral_config() -> ServeConfig {
     }
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
+/// A fresh state directory for one test, removed when the guard drops,
+/// so a failing test cleans up as well as a passing one.
+struct TempDir(PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+fn temp_dir(tag: &str) -> TempDir {
     let dir = std::env::temp_dir().join(format!("nasaic-serve-it-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
+    TempDir(dir)
 }
 
 fn shutdown(addr: &str) -> String {
@@ -481,7 +499,7 @@ fn wait_for_state(client: &mut Client, job_id: i64, passing: &[&str], state: &st
 fn a_running_job_of_every_algorithm_stops_on_cancel_and_its_worker_keeps_serving() {
     let state_dir = temp_dir("cancel-every-algorithm");
     let config = ServeConfig {
-        state_dir: Some(state_dir.clone()),
+        state_dir: Some(state_dir.to_path_buf()),
         workers: 1,
         ..ephemeral_config()
     };
@@ -518,14 +536,13 @@ fn a_running_job_of_every_algorithm_stops_on_cancel_and_its_worker_keeps_serving
     );
     shutdown(&addr);
     handle.join().expect("clean shutdown");
-    let _ = std::fs::remove_dir_all(&state_dir);
 }
 
 #[test]
 fn cancelling_a_queued_job_ends_it_at_once_and_frees_its_queue_slot() {
     let state_dir = temp_dir("cancel-queued");
     let config = ServeConfig {
-        state_dir: Some(state_dir.clone()),
+        state_dir: Some(state_dir.to_path_buf()),
         workers: 1,
         queue_capacity: 1,
         ..ephemeral_config()
@@ -590,7 +607,6 @@ fn cancelling_a_queued_job_ends_it_at_once_and_frees_its_queue_slot() {
     }
     shutdown(&addr);
     handle.join().expect("clean shutdown");
-    let _ = std::fs::remove_dir_all(&state_dir);
 }
 
 #[test]
@@ -658,7 +674,7 @@ fn warm_restart_imports_caches_and_changes_wall_time_only() {
     // First daemon: run the job cold, shut down gracefully (persists the
     // caches to state_dir/caches.json).
     let config = ServeConfig {
-        state_dir: Some(state_dir.clone()),
+        state_dir: Some(state_dir.to_path_buf()),
         ..ephemeral_config()
     };
     let handle = Daemon::start(config.clone()).expect("first daemon");
@@ -698,7 +714,6 @@ fn warm_restart_imports_caches_and_changes_wall_time_only() {
 
     shutdown(&addr);
     handle.join().expect("clean shutdown");
-    let _ = std::fs::remove_dir_all(&state_dir);
 }
 
 #[test]
@@ -735,7 +750,7 @@ fn a_checkpoint_record_that_cannot_be_rebuilt_reruns_its_job_and_the_worker_keep
     // One worker: if replaying the records unwound it, the job would stay
     // running and the second job below would never start.
     let config = ServeConfig {
-        state_dir: Some(state_dir.clone()),
+        state_dir: Some(state_dir.to_path_buf()),
         workers: 1,
         ..ephemeral_config()
     };
@@ -766,7 +781,6 @@ fn a_checkpoint_record_that_cannot_be_rebuilt_reruns_its_job_and_the_worker_keep
 
     shutdown(&addr);
     handle.join().expect("clean shutdown");
-    let _ = std::fs::remove_dir_all(&state_dir);
 }
 
 #[test]
@@ -777,7 +791,7 @@ fn a_corrupt_cache_export_is_discarded_and_the_worker_keeps_serving() {
 
     // A graceful shutdown's cache export...
     let config = ServeConfig {
-        state_dir: Some(state_dir.clone()),
+        state_dir: Some(state_dir.to_path_buf()),
         ..ephemeral_config()
     };
     let handle = Daemon::start(config).expect("first daemon");
@@ -848,7 +862,6 @@ fn a_corrupt_cache_export_is_discarded_and_the_worker_keeps_serving() {
     let _ = client.request(&Request::Shutdown);
     let status = child.wait().expect("daemon exits after shutdown");
     let stderr = std::fs::read_to_string(&log_path).expect("read stderr log");
-    let _ = std::fs::remove_dir_all(&state_dir);
     assert!(status.success(), "{status}: {stderr}");
     assert!(
         stderr.contains("discarding persisted caches") && stderr.contains("no sub-accelerators"),
@@ -873,7 +886,7 @@ fn job_row(client: &mut Client, job_id: i64) -> ConfigValue {
 fn a_finished_jobs_checkpoints_are_between_one_and_its_progress_units() {
     let state_dir = temp_dir("checkpoint-count");
     let config = ServeConfig {
-        state_dir: Some(state_dir.clone()),
+        state_dir: Some(state_dir.to_path_buf()),
         ..ephemeral_config()
     };
     let handle = Daemon::start(config).expect("daemon starts");
@@ -926,7 +939,6 @@ fn a_finished_jobs_checkpoints_are_between_one_and_its_progress_units() {
     }
     shutdown(&addr);
     handle.join().expect("clean shutdown");
-    let _ = std::fs::remove_dir_all(&state_dir);
 }
 
 #[test]
@@ -936,7 +948,7 @@ fn a_failed_checkpoint_write_is_reported_and_its_job_still_finishes() {
     std::fs::create_dir_all(journal_path(&state_dir.join("jobs").join("1.ckpt.json")))
         .expect("block the journal");
     let config = ServeConfig {
-        state_dir: Some(state_dir.clone()),
+        state_dir: Some(state_dir.to_path_buf()),
         ..ephemeral_config()
     };
     let handle = Daemon::start(config).expect("daemon starts");
@@ -982,7 +994,6 @@ fn a_failed_checkpoint_write_is_reported_and_its_job_still_finishes() {
     assert!(cleanup.is_some_and(|count| count >= 1), "{cleanup:?}");
     shutdown(&addr);
     handle.join().expect("clean shutdown");
-    let _ = std::fs::remove_dir_all(&state_dir);
 }
 
 #[test]
@@ -1190,7 +1201,6 @@ fn cancelling_a_job_writes_nothing_to_the_daemons_stderr() {
     let _ = client.request(&Request::Shutdown);
     child.wait().expect("daemon exits after shutdown");
     let stderr = std::fs::read_to_string(&log_path).expect("read stderr log");
-    let _ = std::fs::remove_dir_all(&state_dir);
     let lines: Vec<&str> = stderr.lines().collect();
     assert_eq!(lines.len(), 1, "{stderr}");
     assert!(lines[0].contains("listening"), "{stderr}");
@@ -1231,7 +1241,6 @@ fn a_cancelled_resume_ends_cancelled_and_is_not_a_bad_checkpoint() {
     let _ = client.request(&Request::Shutdown);
     let status = child.wait().expect("daemon exits after shutdown");
     let stderr = std::fs::read_to_string(&log_path).expect("read stderr log");
-    let _ = std::fs::remove_dir_all(&state_dir);
     assert!(status.success(), "{status}: {stderr}");
     let lines: Vec<&str> = stderr.lines().collect();
     assert_eq!(lines.len(), 1, "{stderr}");
@@ -1344,7 +1353,6 @@ fn killed_daemon_resumes_its_job_bit_identically_on_restart() {
     // Graceful shutdown of the second daemon.
     let _ = client.request(&Request::Shutdown);
     child.wait().expect("daemon exits after shutdown");
-    let _ = std::fs::remove_dir_all(&state_dir);
 
     // Second restart, from the same killed state with the job's journal
     // cut below its head: the checkpoint does not load, so the daemon
@@ -1380,7 +1388,6 @@ fn killed_daemon_resumes_its_job_bit_identically_on_restart() {
     }
     let _ = client.request(&Request::Shutdown);
     child.wait().expect("daemon exits after shutdown");
-    let _ = std::fs::remove_dir_all(&cut_dir);
 
     // Third restart, from the killed state with the head only at its temp
     // name: the daemon resumes the job from it rather than rerunning it.
@@ -1410,7 +1417,6 @@ fn killed_daemon_resumes_its_job_bit_identically_on_restart() {
     }
     let _ = client.request(&Request::Shutdown);
     child.wait().expect("daemon exits after shutdown");
-    let _ = std::fs::remove_dir_all(&tmp_dir);
 }
 
 /// A process's resident set (`VmRSS`), in KiB.
@@ -1463,7 +1469,6 @@ fn a_daemons_memory_stays_flat_once_its_engine_caches_are_full() {
     }
     let _ = client.request(&Request::Shutdown);
     child.wait().expect("daemon exits after shutdown");
-    let _ = std::fs::remove_dir_all(&state_dir);
     eprintln!("daemon VmRSS after each job (KiB): {resident:?}");
     let grown = resident[59].saturating_sub(resident[4]);
     assert!(
