@@ -87,6 +87,11 @@ pub struct PolicyNetwork {
     opt_w_h: RmsProp,
     opt_b: RmsProp,
     opt_heads: Vec<(RmsProp, RmsProp)>,
+    /// Gradient buffers that [`reinforce_update`](Self::reinforce_update)
+    /// reuses across updates; [`backward`](Self::backward) overwrites every
+    /// value, so nothing carries from one update (or a restore) to the
+    /// next.  `None` until the first update.
+    gradients: Option<PolicyGradients>,
 }
 
 impl PolicyNetwork {
@@ -137,6 +142,7 @@ impl PolicyNetwork {
             opt_w_h: RmsProp::new(0.05, 0.9),
             opt_b: RmsProp::new(0.05, 0.9),
             opt_heads,
+            gradients: None,
         }
     }
 
@@ -168,6 +174,7 @@ impl PolicyNetwork {
             inputs: Vec::with_capacity(steps),
             actions: Vec::with_capacity(steps),
         };
+        let mut pass = self.cell.forward_pass();
         for (t, (u, c)) in self.heads.iter().enumerate() {
             let input = match tape.actions.last() {
                 None => start_token,
@@ -175,7 +182,7 @@ impl PolicyNetwork {
             };
             let (past, next) = tape.hidden.split_at_mut((t + 1) * hidden);
             let h = &mut next[..hidden];
-            self.cell.forward(input, &past[t * hidden..], h);
+            pass.step(input, &past[t * hidden..], h);
             let logits = &mut tape.probabilities[self.offsets[t]..self.offsets[t + 1]];
             kernel::matvec(u.as_slice(), h, logits, u.rows(), hidden);
             for (logit, &bias) in logits.iter_mut().zip(c.as_slice()) {
@@ -261,73 +268,85 @@ impl PolicyNetwork {
         advantage: f64,
         entropy_beta: f64,
     ) -> PolicyGradients {
-        self.backward(&self.replay_tape(actions), advantage, entropy_beta)
+        let mut grads = self.zero_gradients();
+        self.backward(
+            &self.replay_tape(actions),
+            advantage,
+            entropy_beta,
+            &mut grads,
+        );
+        grads
+    }
+
+    /// Zero-valued gradient buffers matching this network's shapes.
+    fn zero_gradients(&self) -> PolicyGradients {
+        PolicyGradients {
+            cell: self.cell.zero_gradients(),
+            heads: self
+                .heads
+                .iter()
+                .map(|(u, c)| {
+                    (
+                        Matrix::zeros(u.rows(), u.cols()),
+                        Matrix::zeros(c.rows(), c.cols()),
+                    )
+                })
+                .collect(),
+        }
     }
 
     /// Backward sweep over a replayed tape — the only backward pass of the
-    /// network.
-    fn backward(&self, tape: &Tape, advantage: f64, entropy_beta: f64) -> PolicyGradients {
+    /// network.  Overwrites every value of `grads`.
+    fn backward(
+        &self,
+        tape: &Tape,
+        advantage: f64,
+        entropy_beta: f64,
+        grads: &mut PolicyGradients,
+    ) {
         let hidden = self.cell.hidden_size();
-        let mut cell_grads = self.cell.zero_gradients();
-        let mut head_grads: Vec<(Matrix, Matrix)> = self
-            .heads
-            .iter()
-            .map(|(u, c)| {
-                (
-                    Matrix::zeros(u.rows(), u.cols()),
-                    Matrix::zeros(c.rows(), c.cols()),
-                )
-            })
-            .collect();
         let mut dlogits = vec![0.0; self.cell.input_size()];
-        let mut dh = vec![0.0; hidden];
-        let mut dh_next = vec![0.0; hidden];
-        for (t, probabilities) in self.step_probabilities(tape).enumerate().rev() {
-            let action = tape.actions[t];
-            let step_entropy = entropy(probabilities);
-            // d(objective)/dlogits for ascent:
-            //   advantage * (onehot - p)  - entropy_beta * p * (ln p + H)
-            let dlogits = &mut dlogits[..probabilities.len()];
-            for (i, (d, &p)) in dlogits.iter_mut().zip(probabilities).enumerate() {
-                let onehot = if i == action { 1.0 } else { 0.0 };
-                let policy_term = advantage * (onehot - p);
-                let entropy_term = -entropy_beta * p * (p.max(1e-300).ln() + step_entropy);
-                *d = policy_term + entropy_term;
-            }
-            let h_prev = &tape.hidden[t * hidden..(t + 1) * hidden];
-            let h = &tape.hidden[(t + 1) * hidden..(t + 2) * hidden];
-            let (u, _) = &self.heads[t];
-            let (g_u, g_c) = &mut head_grads[t];
-            g_u.add_outer(dlogits, h);
-            for (g, &d) in g_c.as_mut_slice().iter_mut().zip(&*dlogits) {
-                *g += d;
-            }
-            // dh = U_t^T dlogits + (gradient from step t + 1)
-            kernel::matvec_tn(u.as_slice(), dlogits, &mut dh, u.rows(), hidden);
-            for (g, &next) in dh.iter_mut().zip(&dh_next) {
-                *g += next;
-            }
-            self.cell.backward(
-                tape.inputs[t],
-                h_prev,
-                h,
-                &mut dh,
-                &mut cell_grads,
-                &mut dh_next,
-            );
+        let head_grads = &mut grads.heads;
+        for (g_u, g_c) in head_grads.iter_mut() {
+            g_u.as_mut_slice().fill(0.0);
+            g_c.as_mut_slice().fill(0.0);
         }
-        PolicyGradients {
-            cell: cell_grads,
-            heads: head_grads,
-        }
+        // The recurrent sweep asks each step for the gradient its head
+        // sends into h_t: dh = U_t^T dlogits.
+        self.cell
+            .backward(&tape.inputs, &tape.hidden, &mut grads.cell, |t, dh| {
+                let probabilities = &tape.probabilities[self.offsets[t]..self.offsets[t + 1]];
+                let action = tape.actions[t];
+                let step_entropy = entropy(probabilities);
+                // d(objective)/dlogits for ascent:
+                //   advantage * (onehot - p)  - entropy_beta * p * (ln p + H)
+                let dlogits = &mut dlogits[..probabilities.len()];
+                for (i, (d, &p)) in dlogits.iter_mut().zip(probabilities).enumerate() {
+                    let onehot = if i == action { 1.0 } else { 0.0 };
+                    let policy_term = advantage * (onehot - p);
+                    let entropy_term = -entropy_beta * p * (p.max(1e-300).ln() + step_entropy);
+                    *d = policy_term + entropy_term;
+                }
+                let h = &tape.hidden[(t + 1) * hidden..(t + 2) * hidden];
+                let (u, _) = &self.heads[t];
+                let (g_u, g_c) = &mut head_grads[t];
+                g_u.add_outer(dlogits, h);
+                for (g, &d) in g_c.as_mut_slice().iter_mut().zip(&*dlogits) {
+                    *g += d;
+                }
+                kernel::matvec_tn(u.as_slice(), dlogits, dh, u.rows(), hidden);
+            });
     }
 
     /// Apply one REINFORCE update for a trajectory and its advantage.
     ///
     /// Gradients are clipped element-wise and applied with RMSProp (gradient
-    /// *ascent* on the objective, implemented by negating before the
-    /// optimizer step).
+    /// *ascent* on the objective): one pass per parameter
+    /// ([`RmsProp::ascend_clipped`]), bit for bit a clip-and-negate pass
+    /// followed by [`Optimizer::step`].
     pub fn reinforce_update(&mut self, actions: &[usize], advantage: f64, config: &UpdateConfig) {
+        let clip = config.gradient_clip;
+        assert!(clip >= 0.0, "clip limit must be non-negative");
         let tape = self.replay_tape(actions);
         // Anti-collapse guard: when the replayed trajectory's mean entropy
         // sits below the floor, scale the entropy bonus up in proportion.
@@ -342,26 +361,27 @@ impl PolicyNetwork {
                 entropy_beta *= config.entropy_floor / mean_entropy;
             }
         }
-        let mut grads = self.backward(&tape, advantage, entropy_beta);
-        let clip = config.gradient_clip;
-        assert!(clip >= 0.0, "clip limit must be non-negative");
+        let mut grads = self
+            .gradients
+            .take()
+            .unwrap_or_else(|| self.zero_gradients());
+        self.backward(&tape, advantage, entropy_beta, &mut grads);
         let cell = [
-            (&mut self.cell.w_x, &mut grads.cell.w_x, &mut self.opt_w_x),
-            (&mut self.cell.w_h, &mut grads.cell.w_h, &mut self.opt_w_h),
-            (&mut self.cell.b, &mut grads.cell.b, &mut self.opt_b),
+            (&mut self.cell.w_x, &grads.cell.w_x, &mut self.opt_w_x),
+            (&mut self.cell.w_h, &grads.cell.w_h, &mut self.opt_w_h),
+            (&mut self.cell.b, &grads.cell.b, &mut self.opt_b),
         ];
         let heads = self
             .heads
             .iter_mut()
-            .zip(&mut grads.heads)
+            .zip(&grads.heads)
             .zip(&mut self.opt_heads)
             .flat_map(|(((u, c), (g_u, g_c)), (opt_u, opt_c))| [(u, g_u, opt_u), (c, g_c, opt_c)]);
         for (param, grad, optimizer) in cell.into_iter().chain(heads) {
-            // Clip and negate in one pass (optimizers minimise).
-            grad.map_inplace(|v| -v.max(-clip).min(clip));
             optimizer.set_learning_rate(config.learning_rate);
-            optimizer.step(param, grad);
+            optimizer.ascend_clipped(param, grad, clip);
         }
+        self.gradients = Some(grads);
     }
 
     /// Snapshot weights + optimizer accumulators (see
@@ -601,6 +621,119 @@ mod tests {
             net.reinforce_update(&sample.actions, reward - baseline, &config);
         }
         assert_eq!(net.greedy_episode(), target);
+    }
+
+    /// `reinforce_update` as it was before the fused step: gradients from
+    /// `compute_gradients`, a clip-and-negate pass over each gradient, then
+    /// `Optimizer::step`.
+    fn reference_update(
+        net: &mut PolicyNetwork,
+        actions: &[usize],
+        advantage: f64,
+        config: &UpdateConfig,
+    ) {
+        let mut entropy_beta = config.entropy_beta;
+        if config.entropy_floor > 0.0 {
+            let tape = net.replay_tape(actions);
+            let steps = net.step_probabilities(&tape);
+            let count = steps.len();
+            let mean_entropy = (steps.map(entropy).sum::<f64>() / count.max(1) as f64).max(1e-3);
+            if mean_entropy < config.entropy_floor {
+                entropy_beta *= config.entropy_floor / mean_entropy;
+            }
+        }
+        let mut grads = net.compute_gradients(actions, advantage, entropy_beta);
+        let clip = config.gradient_clip;
+        let cell = [
+            (&mut net.cell.w_x, &mut grads.cell.w_x, &mut net.opt_w_x),
+            (&mut net.cell.w_h, &mut grads.cell.w_h, &mut net.opt_w_h),
+            (&mut net.cell.b, &mut grads.cell.b, &mut net.opt_b),
+        ];
+        let heads = net
+            .heads
+            .iter_mut()
+            .zip(&mut grads.heads)
+            .zip(&mut net.opt_heads)
+            .flat_map(|(((u, c), (g_u, g_c)), (opt_u, opt_c))| [(u, g_u, opt_u), (c, g_c, opt_c)]);
+        for (param, grad, optimizer) in cell.into_iter().chain(heads) {
+            grad.map_inplace(|v| -v.max(-clip).min(clip));
+            optimizer.set_learning_rate(config.learning_rate);
+            optimizer.step(param, grad);
+        }
+    }
+
+    /// Every weight and accumulator bit, in the snapshot's order.
+    fn state_bits(net: &PolicyNetwork) -> Vec<u64> {
+        let state = net.export_state();
+        let mut matrices = vec![&state.w_x, &state.w_h, &state.b];
+        matrices.extend(state.heads.iter().flat_map(|(u, c)| [u, c]));
+        matrices.extend(state.opt_cell.iter().flatten());
+        matrices.extend(
+            state
+                .opt_heads
+                .iter()
+                .flat_map(|(u, c)| [u.as_ref(), c.as_ref()])
+                .flatten(),
+        );
+        matrices
+            .into_iter()
+            .flat_map(|m| m.as_slice().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn fused_update_matches_clip_negate_and_optimizer_step_bit_for_bit() {
+        // The w1 controller's decision layout at its default hidden size.
+        let cardinalities = vec![4, 4, 3, 4, 3, 4, 3, 5, 3, 3, 3, 3, 3, 3, 17, 9, 3, 17, 9];
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut fused = PolicyNetwork::new(&mut rng, cardinalities, 32);
+        let mut reference = fused.clone();
+        let mut snapshot = None;
+        let (mut bound_clips, mut floors_active, mut negative_advantages) = (0, 0, 0);
+        for round in 0..300 {
+            let actions = fused.sample_episode(&mut rng).actions;
+            let advantage = rng.gen_range(-2.0..2.0);
+            let config = UpdateConfig {
+                learning_rate: [0.05, 0.01, 1e-3][round % 3],
+                entropy_beta: rng.gen_range(0.0..0.3),
+                // A floor above any entropy these heads can reach keeps
+                // the guard active; zero disables it.
+                entropy_floor: [0.0, 0.35, 10.0][round % 5 % 3],
+                // Tight clips bind on the large-advantage rounds.
+                gradient_clip: [5.0, 0.05, 1e-3][round % 7 % 3],
+            };
+            let unclipped = fused.compute_gradients(&actions, advantage, config.entropy_beta);
+            let largest = unclipped
+                .cell
+                .w_h
+                .max_abs()
+                .max(unclipped.cell.w_x.max_abs());
+            bound_clips += usize::from(largest > config.gradient_clip);
+            floors_active += usize::from(config.entropy_floor == 10.0);
+            negative_advantages += usize::from(advantage < 0.0);
+            fused.reinforce_update(&actions, advantage, &config);
+            reference_update(&mut reference, &actions, advantage, &config);
+            assert_eq!(state_bits(&fused), state_bits(&reference), "round {round}");
+            if round == 100 {
+                snapshot = Some(fused.export_state());
+            }
+            if round == 200 {
+                // Rewind both to round 100: the fused network's reused
+                // gradient buffers must not carry values across a restore.
+                let state = snapshot.take().expect("taken at round 100");
+                fused.restore_state(&state).expect("same layout");
+                reference.restore_state(&state).expect("same layout");
+            }
+        }
+        assert!(bound_clips > 100, "{bound_clips} rounds had a binding clip");
+        assert!(
+            floors_active > 50,
+            "{floors_active} rounds had the floor active"
+        );
+        assert!(
+            (100..200).contains(&negative_advantages),
+            "{negative_advantages} negative"
+        );
     }
 
     #[test]

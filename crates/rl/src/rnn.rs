@@ -10,11 +10,12 @@
 //! differences (see the tests here and in [`crate::policy`]).
 //!
 //! Every product keeps the accumulation order of the matmul composition it
-//! replaces: `W_h h` is a column of ascending-`k` dot products
-//! ([`kernel::matvec_add`]), and `W_x e_a` is the column gather
-//! [`kernel::gather_column`], which equals the one-hot matmul bit for bit
-//! while `W_x` is finite (pinned in `nasaic-tensor`'s kernel identity
-//! suite).  Gradient clipping keeps the weights finite.
+//! replaces: `W_h h` is the column kernel [`kernel::matvec_tn`] on `W_hᵀ`,
+//! which a [`ForwardPass`] transposes once for all of its steps and which
+//! sums each element in ascending `k` like the matmul; and `W_x e_a` is the
+//! column gather [`kernel::gather_column`], which equals the one-hot
+//! matmul bit for bit while `W_x` is finite (pinned in `nasaic-tensor`'s
+//! kernel identity suite).  Gradient clipping keeps the weights finite.
 
 use nasaic_tensor::{init, kernel, Matrix};
 use rand::Rng;
@@ -69,69 +70,83 @@ impl RnnCell {
         self.w_x.cols()
     }
 
-    /// One forward step on the one-hot input `e_input`: writes
-    /// `h = tanh(W_x e_input + W_h h_prev + b)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` is not below [`input_size`](Self::input_size) or
-    /// either slice is not [`hidden_size`](Self::hidden_size) long.
-    pub fn forward(&self, input: usize, h_prev: &[f64], h: &mut [f64]) {
-        let hidden = self.hidden_size();
-        assert_eq!(h_prev.len(), hidden, "previous hidden state length");
-        assert_eq!(h.len(), hidden, "hidden state length");
-        kernel::gather_column(self.w_x.as_slice(), input, h, hidden, self.input_size());
-        kernel::matvec_add(self.w_h.as_slice(), h_prev, h, hidden, hidden);
-        for (h_i, &b_i) in h.iter_mut().zip(self.b.as_slice()) {
-            *h_i = (*h_i + b_i).tanh();
+    /// Start a forward pass: copies `W_hᵀ` once for all of the pass's
+    /// steps.  The pass borrows the cell, so its copy cannot go stale.
+    pub fn forward_pass(&self) -> ForwardPass<'_> {
+        ForwardPass {
+            cell: self,
+            w_h_t: self.w_h.transpose(),
+            z: vec![0.0; self.hidden_size()],
         }
     }
 
-    /// One backward step through [`forward`](Self::forward).
+    /// Backpropagation through time over one forward pass — the only
+    /// backward pass of the cell.
     ///
-    /// On entry `grad` holds the gradient flowing into the step's hidden
-    /// state `h` (from the output head and from the next time step); it is
-    /// overwritten with the pre-activation gradient `dz`.  Parameter
-    /// gradients are accumulated into `grads`, and the gradient with
-    /// respect to `h_prev` is written to `dh_prev` so the caller can
-    /// continue the backward sweep.
+    /// `states` stacks the pass's hidden states `h_0 .. h_T`
+    /// ([`hidden_size`](Self::hidden_size) values each) and `inputs` holds
+    /// its `T` input columns.  The sweep runs from the last step to the
+    /// first.  At step `t`, `output_grad(t, dh)` overwrites `dh` with the
+    /// gradient that the step's output sends into `h_t`; the sweep adds the
+    /// gradient from step `t + 1` and turns the sum into the
+    /// pre-activation gradient `dz_t = dh ⊙ (1 - h_t²)`.
     ///
-    /// The `W_x` gradient `dz e_input^T` touches one column
-    /// ([`kernel::scatter_add_column`]); like the gather it equals the
-    /// rank-1 matmul update bit for bit while `dz` is finite.
+    /// `grads` is overwritten with the parameter gradients.  The `W_x`
+    /// gradient `dz_t e_inputᵀ` touches one column per step
+    /// ([`kernel::scatter_add_column`]; like the gather it equals the
+    /// rank-1 matmul update bit for bit while `dz_t` is finite), and the
+    /// `W_h` gradient `Σ_t dz_t h_{t-1}ᵀ` is one blocked pass after the
+    /// sweep ([`kernel::sum_outer_rev`]), in the sweep's order.
     ///
     /// # Panics
     ///
-    /// Panics if `input` is out of range or a slice has the wrong length.
+    /// Panics if an input is out of range or `states` does not hold
+    /// `inputs.len() + 1` hidden states.
     pub fn backward(
         &self,
-        input: usize,
-        h_prev: &[f64],
-        h: &[f64],
-        grad: &mut [f64],
+        inputs: &[usize],
+        states: &[f64],
         grads: &mut RnnGradients,
-        dh_prev: &mut [f64],
+        mut output_grad: impl FnMut(usize, &mut [f64]),
     ) {
         let hidden = self.hidden_size();
-        assert_eq!(h.len(), hidden, "hidden state length");
-        assert_eq!(grad.len(), hidden, "hidden gradient length");
-        // dz = dh * (1 - h^2)   (tanh derivative)
-        for (g, &h_i) in grad.iter_mut().zip(h) {
-            *g *= 1.0 - h_i * h_i;
+        let steps = inputs.len();
+        assert_eq!(states.len(), (steps + 1) * hidden, "hidden states length");
+        grads.w_x.as_mut_slice().fill(0.0);
+        grads.b.as_mut_slice().fill(0.0);
+        let mut dz = vec![0.0; steps * hidden];
+        let mut dh = vec![0.0; hidden];
+        let mut dh_next = vec![0.0; hidden];
+        for (t, &input) in inputs.iter().enumerate().rev() {
+            output_grad(t, &mut dh);
+            let h = &states[(t + 1) * hidden..(t + 2) * hidden];
+            let dz_t = &mut dz[t * hidden..(t + 1) * hidden];
+            // dz = (dh + dh_next) * (1 - h^2)   (tanh derivative)
+            for (((d, &g), &next), &h_i) in dz_t.iter_mut().zip(&dh).zip(&dh_next).zip(h) {
+                *d = (g + next) * (1.0 - h_i * h_i);
+            }
+            kernel::scatter_add_column(
+                grads.w_x.as_mut_slice(),
+                input,
+                dz_t,
+                hidden,
+                self.input_size(),
+            );
+            for (g_b, &dz_i) in grads.b.as_mut_slice().iter_mut().zip(&*dz_t) {
+                *g_b += dz_i;
+            }
+            // The zero state h_0 takes no gradient.
+            if t > 0 {
+                kernel::matvec_tn(self.w_h.as_slice(), dz_t, &mut dh_next, hidden, hidden);
+            }
         }
-        let dz = &*grad;
-        kernel::scatter_add_column(
-            grads.w_x.as_mut_slice(),
-            input,
-            dz,
+        kernel::sum_outer_rev(
+            grads.w_h.as_mut_slice(),
+            &dz,
+            &states[..steps * hidden],
             hidden,
-            self.input_size(),
+            hidden,
         );
-        grads.w_h.add_outer(dz, h_prev);
-        for (g_b, &dz_i) in grads.b.as_mut_slice().iter_mut().zip(dz) {
-            *g_b += dz_i;
-        }
-        kernel::matvec_tn(self.w_h.as_slice(), dz, dh_prev, hidden, hidden);
     }
 
     /// Zero-valued gradient buffers matching this cell's shapes.
@@ -140,6 +155,39 @@ impl RnnCell {
             w_x: Matrix::zeros(self.w_x.rows(), self.w_x.cols()),
             w_h: Matrix::zeros(self.w_h.rows(), self.w_h.cols()),
             b: Matrix::zeros(self.b.rows(), self.b.cols()),
+        }
+    }
+}
+
+/// One forward pass of an [`RnnCell`]: the cell plus its `W_hᵀ`, copied
+/// once by [`RnnCell::forward_pass`] so every step's `W_h h_prev` runs on
+/// the column kernel.
+#[derive(Debug)]
+pub struct ForwardPass<'a> {
+    cell: &'a RnnCell,
+    w_h_t: Matrix,
+    /// `W_h h_prev` of the current step.
+    z: Vec<f64>,
+}
+
+impl ForwardPass<'_> {
+    /// One forward step on the one-hot input `e_input`: writes
+    /// `h = tanh(W_x e_input + W_h h_prev + b)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` is not below the cell's
+    /// [`input_size`](RnnCell::input_size) or either slice is not
+    /// [`hidden_size`](RnnCell::hidden_size) long.
+    pub fn step(&mut self, input: usize, h_prev: &[f64], h: &mut [f64]) {
+        let cell = self.cell;
+        let hidden = cell.hidden_size();
+        assert_eq!(h_prev.len(), hidden, "previous hidden state length");
+        assert_eq!(h.len(), hidden, "hidden state length");
+        kernel::gather_column(cell.w_x.as_slice(), input, h, hidden, cell.input_size());
+        kernel::matvec_tn(self.w_h_t.as_slice(), h_prev, &mut self.z, hidden, hidden);
+        for ((h_i, &z_i), &b_i) in h.iter_mut().zip(&self.z).zip(cell.b.as_slice()) {
+            *h_i = (*h_i + z_i + b_i).tanh();
         }
     }
 }
@@ -153,10 +201,11 @@ mod tests {
     /// Run `inputs` through the cell from the zero state, returning every
     /// hidden state `h_0 .. h_T`.
     fn unroll(cell: &RnnCell, inputs: &[usize]) -> Vec<Vec<f64>> {
+        let mut pass = cell.forward_pass();
         let mut states = vec![vec![0.0; cell.hidden_size()]];
         for &input in inputs {
             let mut h = vec![0.0; cell.hidden_size()];
-            cell.forward(input, states.last().expect("non-empty"), &mut h);
+            pass.step(input, states.last().expect("non-empty"), &mut h);
             states.push(h);
         }
         states
@@ -164,21 +213,12 @@ mod tests {
 
     /// Gradients of `sum(h_T)` by backpropagation through `inputs`.
     fn sum_of_last_state_gradients(cell: &RnnCell, inputs: &[usize]) -> RnnGradients {
-        let states = unroll(cell, inputs);
+        let states = unroll(cell, inputs).concat();
         let mut grads = cell.zero_gradients();
-        let mut grad = vec![1.0; cell.hidden_size()];
-        let mut dh_prev = vec![0.0; cell.hidden_size()];
-        for (t, &input) in inputs.iter().enumerate().rev() {
-            cell.backward(
-                input,
-                &states[t],
-                &states[t + 1],
-                &mut grad,
-                &mut grads,
-                &mut dh_prev,
-            );
-            grad.copy_from_slice(&dh_prev);
-        }
+        let last = inputs.len() - 1;
+        cell.backward(inputs, &states, &mut grads, |t, dh| {
+            dh.fill(if t == last { 1.0 } else { 0.0 })
+        });
         grads
     }
 
@@ -205,7 +245,7 @@ mod tests {
             let z = &(&cell.w_x.matmul(&one_hot) + &cell.w_h.matmul(&Matrix::col_vector(&h_prev)))
                 + &cell.b;
             let mut h = vec![0.0; 7];
-            cell.forward(input, &h_prev, &mut h);
+            cell.forward_pass().step(input, &h_prev, &mut h);
             for (got, want) in h.iter().zip(z.as_slice()) {
                 assert_eq!(got.to_bits(), want.tanh().to_bits());
             }
@@ -261,7 +301,7 @@ mod tests {
     fn out_of_range_input_rejected() {
         let mut rng = StdRng::seed_from_u64(5);
         let cell = RnnCell::new(&mut rng, 3, 4);
-        cell.forward(3, &[0.0; 4], &mut [0.0; 4]);
+        cell.forward_pass().step(3, &[0.0; 4], &mut [0.0; 4]);
     }
 
     #[test]

@@ -163,6 +163,40 @@ mod tests {
     }
 
     #[test]
+    fn feedback_survives_the_learning_rate_decaying_to_zero() {
+        // The w1 layout under the default (stable) schedule, 0.05 halved
+        // every 200 updates: update 214 199 takes the last positive rate
+        // and update 214 200 the first that underflows to zero.
+        let w1 = vec![
+            Segment::new("dnn0", vec![4, 4, 3, 4, 3, 4, 3]),
+            Segment::new("dnn1", vec![5, 3, 3, 3, 3, 3]),
+            Segment::new("aic0", vec![3, 17, 9]),
+            Segment::new("aic1", vec![3, 17, 9]),
+        ];
+        let mut controller = Controller::new(w1, ControllerConfig::default(), 2020);
+        let mut rng = StdRng::seed_from_u64(4);
+        let sample = controller.sample(&mut rng);
+        controller.feedback(&sample, 0.5);
+        let mut state = controller.export_state();
+        state.trainer.updates = 214_199;
+        controller.restore_state(&state).unwrap();
+        for reward in [0.9, 0.1] {
+            let sample = controller.sample(&mut rng);
+            let before = controller.export_state().policy;
+            controller.feedback(&sample, reward);
+            let after = controller.export_state().policy;
+            // Both rates are too small to move a weight; the accumulators
+            // still take the squared gradients.
+            assert_eq!(
+                (after.w_x, after.w_h, after.heads),
+                (before.w_x, before.w_h, before.heads)
+            );
+            assert_ne!(after.opt_cell, before.opt_cell);
+        }
+        assert_eq!(controller.updates(), 214_201);
+    }
+
+    #[test]
     fn fresh_controller_state_round_trips_before_any_update() {
         let original = Controller::new(segments(), ControllerConfig::default(), 3);
         let state = original.export_state();

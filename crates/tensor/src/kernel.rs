@@ -20,6 +20,14 @@
 //! `tests/kernel_identity.rs::zero_skip_semantics`).  The kernels operate
 //! on raw row-major slices, so the per-element bounds checks of
 //! `Matrix`'s `Index` implementation never run on the hot path.
+//!
+//! Products that sum along a row-major matrix's leading index
+//! ([`matvec_tn`], [`sum_outer_rev`]) are register-blocked in the manner
+//! of Goto & van de Geijn, "Anatomy of High-Performance Matrix
+//! Multiplication" (ACM TOMS 2008): a block of 16 output
+//! accumulators stays in registers for the whole sum and is vectorised
+//! across the block, while each accumulator still starts at `+0.0` and
+//! adds its terms one at a time in the reference order.
 
 /// Rows of the right-hand operand kept hot per blocking step.
 ///
@@ -143,25 +151,86 @@ pub fn matvec(m: &[f64], x: &[f64], out: &mut [f64], rows: usize, cols: usize) {
     row_dots(m, x, rows, cols, |i, value| out[i] = value);
 }
 
-/// Accumulating matrix-vector product `out[i] = out[i] + (m * x)[i]`,
-/// where the product is computed exactly as [`matvec`] computes it and
-/// added last — the fused form of `&out + &m.matmul(x)`.
-pub fn matvec_add(m: &[f64], x: &[f64], out: &mut [f64], rows: usize, cols: usize) {
-    debug_assert_eq!(m.len(), rows * cols);
-    debug_assert_eq!(x.len(), cols);
-    debug_assert_eq!(out.len(), rows);
-    row_dots(m, x, rows, cols, |i, value| out[i] += value);
+/// Output elements one register block of the column kernels holds: eight
+/// SSE2 registers of two lanes, leaving the other eight for the loaded
+/// row and the broadcast coefficient.
+const J_BLOCK: usize = 16;
+
+/// `out[j] = Σ_s a_s * r_s[j]` over the `(a_s, r_s)` pairs of `terms`,
+/// each element summed from `+0.0` in the iteration order of `terms`.
+///
+/// The register block: [`J_BLOCK`] accumulators are held for a whole pass
+/// over `terms` and written once, instead of read and written per term as
+/// [`axpy_row`] does.  Every element still receives its terms one at a
+/// time in `terms`' order, so blocking cannot reorder any element's sum.
+/// Every `r_s` must be at least `out.len()` long.
+#[inline(always)]
+fn column_sums<'a>(out: &mut [f64], terms: impl Iterator<Item = (f64, &'a [f64])> + Clone) {
+    let mut blocks = out.chunks_exact_mut(J_BLOCK);
+    let mut j0 = 0;
+    for block in blocks.by_ref() {
+        let mut acc = [0.0; J_BLOCK];
+        for (a, row) in terms.clone() {
+            for (s, &r) in acc.iter_mut().zip(&row[j0..j0 + J_BLOCK]) {
+                *s += a * r;
+            }
+        }
+        block.copy_from_slice(&acc);
+        j0 += J_BLOCK;
+    }
+    let tail = blocks.into_remainder();
+    if tail.is_empty() {
+        return;
+    }
+    tail.fill(0.0);
+    for (a, row) in terms {
+        for (s, &r) in tail.iter_mut().zip(&row[j0..]) {
+            *s += a * r;
+        }
+    }
 }
 
 /// Transposed matrix-vector product `out = m^T * x` (`m` is
-/// `rows x cols` row-major, `x` has `rows` elements, `out` has `cols`).
+/// `rows x cols` row-major, `x` has `rows` elements, `out` has `cols`):
+/// `out[j] = Σ_k m[k, j] * x[k]`, summed from `+0.0` in ascending `k`.
+///
+/// Register-blocked over `j` (see the module docs).  Called on the
+/// transpose `wᵀ` of a matrix `w`, it is also the plain product `w * x`
+/// bit for bit, since `(wᵀ)ᵀ x` sums the same products in the same order.
 pub fn matvec_tn(m: &[f64], x: &[f64], out: &mut [f64], rows: usize, cols: usize) {
     debug_assert_eq!(m.len(), rows * cols);
     debug_assert_eq!(x.len(), rows);
     debug_assert_eq!(out.len(), cols);
-    out.fill(0.0);
-    for (k, &xk) in x.iter().enumerate() {
-        axpy_row(out, xk, &m[k * cols..(k + 1) * cols]);
+    if cols == 0 {
+        return;
+    }
+    column_sums(out, x.iter().copied().zip(m.chunks_exact(cols)));
+}
+
+/// Sum of outer products `out = Σ_t col_t row_tᵀ` (`out` is `m x n`
+/// row-major; `cols` stacks the `m`-long vectors `col_t`, `rows` the
+/// `n`-long `row_t`, one pair per step `t`), added from the last step to
+/// the first — the order of a backward sweep through time.
+///
+/// Bit for bit a zero fill followed by one [`add_outer`]`(out, col_t,
+/// row_t)` per `t`, from the last to the first, but register-blocked over
+/// each output row (see the module docs) instead of reading and writing
+/// all of `out` once per step.  It drops [`add_outer`]'s `+ 0.0`: that
+/// term only turns a `-0.0` product into `+0.0`, and adding `-0.0` or
+/// `+0.0` to an accumulator that is not `-0.0` gives the same result.  An
+/// accumulator that starts at `+0.0` never becomes `-0.0` under
+/// round-to-nearest, because `x + y` is `-0.0` only when both are `-0.0`.
+pub fn sum_outer_rev(out: &mut [f64], cols: &[f64], rows: &[f64], m: usize, n: usize) {
+    debug_assert_eq!(out.len(), m * n);
+    if m == 0 || n == 0 {
+        return;
+    }
+    debug_assert_eq!(cols.len() / m, rows.len() / n, "one column per row");
+    for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
+        // Each side reversed before the zip: a reversed zip would recount
+        // both sides' lengths, a division each, at every step.
+        let col_i = cols.chunks_exact(m).rev().map(move |col| col[i]);
+        column_sums(out_row, col_i.zip(rows.chunks_exact(n).rev()));
     }
 }
 
@@ -276,5 +345,15 @@ mod tests {
         assert_eq!(out, vec![3.0, 4.0, 5.0, 6.0, 8.0, 10.0]);
         add_outer(&mut out, &[1.0, 1.0], &[1.0, 1.0, 1.0]);
         assert_eq!(out, vec![4.0, 5.0, 6.0, 7.0, 9.0, 11.0]);
+        // The same two steps as one sum: [1 2] x [3 4 5] + [1 1] x [1 1 1].
+        let mut summed = vec![7.0; 6];
+        sum_outer_rev(
+            &mut summed,
+            &[1.0, 2.0, 1.0, 1.0],
+            &[3.0, 4.0, 5.0, 1.0, 1.0, 1.0],
+            2,
+            3,
+        );
+        assert_eq!(summed, out);
     }
 }

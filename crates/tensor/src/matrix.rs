@@ -174,11 +174,16 @@ impl Matrix {
     }
 
     /// Transpose into a caller-provided matrix, reusing its buffer.
+    ///
+    /// Fills each output row in turn, gathering one column of `self`.
     pub fn transpose_into(&self, out: &mut Matrix) {
         out.reset_shape(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
+        if self.rows == 0 {
+            return;
+        }
+        for (c, out_row) in out.data.chunks_exact_mut(self.rows).enumerate() {
+            for (slot, row) in out_row.iter_mut().zip(self.data.chunks_exact(self.cols)) {
+                *slot = row[c];
             }
         }
     }
@@ -557,7 +562,12 @@ mod tests {
     fn transpose_round_trip() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0][..], &[4.0, 5.0, 6.0][..]]);
         assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose().shape(), (3, 2));
+        assert_eq!(
+            a.transpose(),
+            Matrix::from_rows(&[&[1.0, 4.0][..], &[2.0, 5.0][..], &[3.0, 6.0][..]])
+        );
+        assert_eq!(Matrix::zeros(0, 3).transpose().shape(), (3, 0));
+        assert_eq!(Matrix::zeros(3, 0).transpose().shape(), (0, 3));
     }
 
     #[test]

@@ -23,7 +23,13 @@ pub trait Optimizer {
     /// The current learning rate.
     fn learning_rate(&self) -> f64;
 
-    /// Override the learning rate (used by decay schedules).
+    /// Override the learning rate (used by decay schedules).  A rate of
+    /// zero, where a decay schedule has underflowed, makes every later
+    /// step a zero step.
+    ///
+    /// # Panics
+    ///
+    /// Implementations panic if `lr` is negative or NaN.
     fn set_learning_rate(&mut self, lr: f64);
 }
 
@@ -76,23 +82,43 @@ impl RmsProp {
     pub fn decay(&self) -> f64 {
         self.decay
     }
-}
 
-impl Optimizer for RmsProp {
-    fn step(&mut self, param: &mut Matrix, grad: &Matrix) {
+    /// One step that *ascends* `grad` clipped element-wise to
+    /// `[-clip, clip]`: bit for bit [`Optimizer::step`] on the gradient
+    /// `-g.max(-clip).min(clip)`, but each gradient element is read once,
+    /// in the same pass as its parameter and accumulator, and never
+    /// written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `param` and `grad` have different shapes.
+    pub fn ascend_clipped(&mut self, param: &mut Matrix, grad: &Matrix, clip: f64) {
+        self.update(param, grad, |g| -g.max(-clip).min(clip));
+    }
+
+    /// The RMSProp pass over one parameter, on the gradient `map(g)`.
+    #[inline(always)]
+    fn update(&mut self, param: &mut Matrix, grad: &Matrix, map: impl Fn(f64) -> f64) {
         assert_eq!(param.shape(), grad.shape(), "optimizer shape mismatch");
         let cache = self
             .cache
             .get_or_insert_with(|| Matrix::zeros(param.rows(), param.cols()));
-        for ((p, g), c) in param
+        for ((p, &g), c) in param
             .as_mut_slice()
             .iter_mut()
             .zip(grad.as_slice())
             .zip(cache.as_mut_slice())
         {
+            let g = map(g);
             *c = self.decay * *c + (1.0 - self.decay) * g * g;
             *p -= self.lr * g / (c.sqrt() + self.epsilon);
         }
+    }
+}
+
+impl Optimizer for RmsProp {
+    fn step(&mut self, param: &mut Matrix, grad: &Matrix) {
+        self.update(param, grad, |g| g);
     }
 
     fn learning_rate(&self) -> f64 {
@@ -100,7 +126,7 @@ impl Optimizer for RmsProp {
     }
 
     fn set_learning_rate(&mut self, lr: f64) {
-        assert!(lr > 0.0, "learning rate must be positive");
+        assert!(lr >= 0.0, "learning rate must be non-negative");
         self.lr = lr;
     }
 }
@@ -175,7 +201,7 @@ impl Optimizer for Adam {
     }
 
     fn set_learning_rate(&mut self, lr: f64) {
-        assert!(lr > 0.0, "learning rate must be positive");
+        assert!(lr >= 0.0, "learning rate must be non-negative");
         self.lr = lr;
     }
 }
@@ -212,7 +238,10 @@ impl StepDecay {
         Self::new(0.99, 0.5, 50)
     }
 
-    /// Learning rate to use at a given (zero-based) step.
+    /// Learning rate to use at a given (zero-based) step.  After enough
+    /// decays `initial_lr * factor^k` underflows to exactly `0.0` (the
+    /// paper's schedule at step 53 750), and an optimizer given that rate
+    /// takes zero steps.
     pub fn learning_rate_at(&self, step: u64) -> f64 {
         self.initial_lr * self.factor.powf((step / self.period) as f64)
     }
@@ -274,6 +303,50 @@ mod tests {
         let schedule = StepDecay::paper_defaults();
         schedule.apply(&mut opt, 150);
         assert!((opt.learning_rate() - 0.99 * 0.125).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_schedule_that_underflows_gives_zero_steps() {
+        // The library's controller schedule (0.05, halved every 200
+        // updates) underflows at update 214 200, the paper's at 53 750.
+        let stable = StepDecay::new(0.05, 0.5, 200);
+        assert!(stable.learning_rate_at(214_199) > 0.0);
+        assert_eq!(
+            stable.learning_rate_at(214_200).to_bits(),
+            0.0_f64.to_bits()
+        );
+        let paper = StepDecay::paper_defaults();
+        assert!(paper.learning_rate_at(53_749) > 0.0);
+        assert_eq!(paper.learning_rate_at(53_750), 0.0);
+
+        let mut opt = RmsProp::new(0.05, 0.9);
+        stable.apply(&mut opt, 214_200);
+        assert_eq!(opt.learning_rate(), 0.0);
+        let mut p = Matrix::from_vec(1, 3, vec![0.5, -1.5, 2.0]);
+        let before = p.clone();
+        opt.step(&mut p, &Matrix::from_vec(1, 3, vec![1.0, -3.0, 0.25]));
+        assert_eq!(p, before);
+        assert!(opt
+            .cache()
+            .is_some_and(|c| c.as_slice().iter().all(|&v| v > 0.0)));
+    }
+
+    #[test]
+    fn clipped_ascent_is_step_on_the_clipped_negated_gradient() {
+        let grad = Matrix::from_vec(1, 5, vec![7.0, -7.0, 0.3, -0.0, -0.2]);
+        let (mut fused, mut stepped) = (RmsProp::new(0.05, 0.9), RmsProp::new(0.05, 0.9));
+        let (mut a, mut b) = (Matrix::filled(1, 5, 0.5), Matrix::filled(1, 5, 0.5));
+        let clip = 1.0;
+        for _ in 0..3 {
+            fused.ascend_clipped(&mut a, &grad, clip);
+            stepped.step(&mut b, &grad.map(|v| -v.max(-clip).min(clip)));
+        }
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a), bits(&b));
+        assert_eq!(
+            bits(fused.cache().expect("stepped")),
+            bits(stepped.cache().expect("stepped"))
+        );
     }
 
     #[test]

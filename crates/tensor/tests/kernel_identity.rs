@@ -7,7 +7,9 @@
 //! [`Matrix::matmul_reference`], so IEEE-754 rounding is applied in the
 //! same sequence and the results cannot differ.  Shapes are drawn to
 //! cover the edges the blocking logic has to get right: `0xN`, `Nx0`,
-//! `1xN`, and inner dimensions around and beyond the kernel block size.
+//! `1xN`, inner dimensions around and beyond the kernel block size, and
+//! output widths on both sides of the column kernels' 16-element register
+//! block, so their remainder path runs too.
 
 use nasaic_tensor::{kernel, Matrix};
 use proptest::prelude::*;
@@ -24,6 +26,25 @@ fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
                 0.0
             } else if rng.gen_bool(0.05) {
                 -0.0
+            } else {
+                rng.gen_range(-2.0..2.0)
+            }
+        })
+        .collect();
+    Matrix::from_vec(rows, cols, data)
+}
+
+/// Random matrix whose entries are `+0.0` or `-0.0` with probability
+/// `zeros`: at `1.0` every product is a signed zero.
+fn signed_zero_matrix(rng: &mut StdRng, rows: usize, cols: usize, zeros: f64) -> Matrix {
+    let data = (0..rows * cols)
+        .map(|_| {
+            if rng.gen_bool(zeros) {
+                if rng.gen_bool(0.5) {
+                    0.0
+                } else {
+                    -0.0
+                }
             } else {
                 rng.gen_range(-2.0..2.0)
             }
@@ -63,38 +84,59 @@ proptest! {
         assert_bits_equal(&a.matmul(&b), &a.matmul_reference(&b));
     }
 
-    /// Matrix-vector products (plain and transposed) match the
-    /// column-vector matmul composition bit for bit.
+    /// Matrix-vector products match the column-vector matmul composition
+    /// bit for bit: the plain product, and both ways the controller uses
+    /// the register-blocked column kernel — `mᵀ x` on the row-major matrix
+    /// (the backward's `U_tᵀ dlogits` and `W_hᵀ dz`), and `m x` read from
+    /// the transpose `mᵀ` (the forward's `W_h h`).  Widths straddle the
+    /// register block, and the operands may be dense in signed zeros.
     #[test]
     fn matvec_kernels_match_reference(
         seed in any::<u64>(),
         rows in 0usize..48,
-        cols in 0usize..48,
+        cols in 0usize..53,
+        zeros in prop_oneof![Just(0.2), Just(0.5), Just(1.0)],
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let m = random_matrix(&mut rng, rows, cols);
-        let x = random_matrix(&mut rng, cols, 1);
+        let m = signed_zero_matrix(&mut rng, rows, cols, zeros);
+        let x = signed_zero_matrix(&mut rng, cols, 1, zeros);
         let mut y = vec![7.0; 3]; // stale scratch
         m.matvec_into(x.as_slice(), &mut y);
-        assert_bits_equal(
-            &Matrix::col_vector(&y),
-            &m.matmul_reference(&x),
-        );
-        let xt = random_matrix(&mut rng, rows, 1);
+        let product = m.matmul_reference(&x);
+        assert_bits_equal(&Matrix::col_vector(&y), &product);
+        let mut from_transpose = Vec::new();
+        m.transpose().matvec_tn_into(x.as_slice(), &mut from_transpose);
+        assert_bits_equal(&Matrix::col_vector(&from_transpose), &product);
+        let xt = signed_zero_matrix(&mut rng, rows, 1, zeros);
         let mut yt = Vec::new();
         m.matvec_tn_into(xt.as_slice(), &mut yt);
         assert_bits_equal(
             &Matrix::col_vector(&yt),
             &m.transpose().matmul_reference(&xt),
         );
-        // The accumulating form adds the product last: `base + m * x`.
-        let base = random_matrix(&mut rng, rows, 1);
-        let mut accumulated = base.clone().into_vec();
-        kernel::matvec_add(m.as_slice(), x.as_slice(), &mut accumulated, rows, cols);
-        assert_bits_equal(
-            &Matrix::col_vector(&accumulated),
-            &(&base + &m.matmul_reference(&x)),
-        );
+    }
+
+    /// The one-pass `W_h` gradient: `Σ_t col_t row_tᵀ` from the last step
+    /// to the first is a zero fill followed by one `add_outer` per step in
+    /// that order, bit for bit, whatever `out` held before.
+    #[test]
+    fn outer_product_sum_matches_add_outer_sweep(
+        seed in any::<u64>(),
+        steps in 0usize..24,
+        m in 0usize..20,
+        n in 0usize..53,
+        zeros in prop_oneof![Just(0.2), Just(0.5), Just(1.0)],
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cols = signed_zero_matrix(&mut rng, steps, m, zeros);
+        let rows = signed_zero_matrix(&mut rng, steps, n, zeros);
+        let mut expected = Matrix::zeros(m, n);
+        for t in (0..steps).rev() {
+            expected.add_outer(cols.row(t), rows.row(t));
+        }
+        let mut summed = Matrix::filled(m, n, 7.0);
+        kernel::sum_outer_rev(summed.as_mut_slice(), cols.as_slice(), rows.as_slice(), m, n);
+        assert_bits_equal(&summed, &expected);
     }
 
     /// The recurrent step's one-hot input products: the column gather is
@@ -254,4 +296,34 @@ fn negative_zero_and_non_finite_caveats() {
     assert_eq!(dense[(0, 0)].to_bits(), 0.0_f64.to_bits());
     assert_eq!(scattered[(0, 1)].to_bits(), 0.0_f64.to_bits());
     assert_eq!(dense[(0, 1)].to_bits(), 0.0_f64.to_bits());
+}
+
+/// `sum_outer_rev` drops `add_outer`'s `+ 0.0`.  That term turns a `-0.0`
+/// product into `+0.0`; the kernel's accumulators start at `+0.0`, and
+/// `+0.0 + -0.0` is `+0.0` under round-to-nearest, so they never hold
+/// `-0.0` and the dropped term cannot show.  Pinned on the case where it
+/// would: every product `-0.0`, over one step and over several, on both
+/// sides of the register block.
+#[test]
+fn outer_product_sum_of_negative_zero_products_is_positive_zero() {
+    for (steps, m, n) in [(1, 3, 5), (4, 2, 16), (3, 5, 37)] {
+        // Even steps pair a -0.0 column with a positive row, odd steps a
+        // positive column with a -0.0 row: every product is -0.0.
+        let cols: Vec<f64> = (0..steps * m)
+            .map(|k| if (k / m) % 2 == 0 { -0.0 } else { 1.5 })
+            .collect();
+        let rows: Vec<f64> = (0..steps * n)
+            .map(|k| if (k / n) % 2 == 0 { 0.75 } else { -0.0 })
+            .collect();
+        let mut expected = Matrix::zeros(m, n);
+        for t in (0..steps).rev() {
+            expected.add_outer(&cols[t * m..(t + 1) * m], &rows[t * n..(t + 1) * n]);
+        }
+        let mut summed = vec![-0.0; m * n];
+        kernel::sum_outer_rev(&mut summed, &cols, &rows, m, n);
+        for (got, want) in summed.iter().zip(expected.as_slice()) {
+            assert_eq!(got.to_bits(), 0.0_f64.to_bits(), "{steps}x{m}x{n}");
+            assert_eq!(want.to_bits(), 0.0_f64.to_bits(), "{steps}x{m}x{n}");
+        }
+    }
 }
