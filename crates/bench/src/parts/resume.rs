@@ -1,9 +1,10 @@
 //! `resume`: what externalized search state costs and buys.
 //!
 //! Gates, on a shrunk W1 for every algorithm: resuming from the mid-run
-//! checkpoint must be bit-identical to the uninterrupted run, and a merged
-//! 4-shard outcome must be bit-identical to the single-process run, both
-//! through their JSON round trips.
+//! checkpoint must be bit-identical to the uninterrupted run, in its
+//! outcome and in its last checkpoint's driver state (controller, rng,
+//! counters), and a merged 4-shard outcome must be bit-identical to the
+//! single-process run, both through their JSON round trips.
 //!
 //! Timing, on the W1 snapshot (60 episodes, 6 under `--quick`), appended
 //! to `BENCH_resume.json` (`"bench": "resume"`):
@@ -61,16 +62,28 @@ fn identity_failures() -> Vec<String> {
                 continue;
             }
         };
+        let resumed_sink = RecordingCheckpointSink::every(1);
         let resumed = scenario.run_algorithm_checkpointed(
             algorithm,
             &scenario.engine(),
             &NullObserver,
             Some(&parsed),
-            &NullCheckpointSink,
+            &resumed_sink,
         );
+        // The state holds what the outcome does not: the controller fed by
+        // pruned episodes.  A resume from the last checkpoint takes none.
+        let end_state = resumed_sink
+            .checkpoints()
+            .pop()
+            .map_or_else(|| parsed.state.clone(), |c| c.state);
         if resumed != baseline {
             failures.push(format!(
                 "{algorithm}: resume from progress {} diverged from the uninterrupted run",
+                parsed.progress
+            ));
+        } else if checkpoints.last().map(|c| &c.state) != Some(&end_state) {
+            failures.push(format!(
+                "{algorithm}: resume from progress {} ended in another driver state",
                 parsed.progress
             ));
         }

@@ -324,7 +324,7 @@ impl SearchRun<'_> {
         self.observer.on_event(&SearchEvent::SearchFinished {
             episodes: outcome.episodes,
             explored: outcome.explored.len(),
-            spec_compliant: outcome.spec_compliant.len(),
+            spec_compliant: outcome.spec_compliant().count(),
             pruned_episodes: outcome.pruned_episodes,
             cache: self.engine.stats().since(&self.stats_start),
         });

@@ -240,7 +240,6 @@ impl AsicThenHwNas {
             })?;
         }
         outcome.episodes = self.nas_episodes;
-        outcome.reward_history = controller.reward_history().to_vec();
         Ok(outcome)
     }
 
@@ -367,7 +366,7 @@ impl SearchAlgorithm for AsicThenHwNas {
             name: "hw-nas".to_string(),
             episodes: self.nas_episodes,
             explored: outcome.explored.len(),
-            spec_compliant: outcome.spec_compliant.len(),
+            spec_compliant: outcome.spec_compliant().count(),
             best_weighted_accuracy: outcome.best_weighted_accuracy(),
             detail: format!("hardware-aware NAS on the fixed design {accelerator}"),
         };

@@ -243,13 +243,15 @@ impl SearchAlgorithm for EvolutionarySearch {
         let generation_event = |generation: usize,
                                 population: usize,
                                 fitness: &[f64],
-                                compliant_before: usize,
+                                explored_before: usize,
                                 outcome: &SearchOutcome| {
             observer.on_event(&SearchEvent::EpisodeEvaluated {
                 episode: generation,
                 evaluations: population,
                 weighted_accuracy: None,
-                any_compliant: outcome.spec_compliant.len() > compliant_before,
+                any_compliant: outcome.explored[explored_before..]
+                    .iter()
+                    .any(|solution| solution.evaluation.meets_specs()),
                 reward: fitness[argmax(fitness)],
                 entropy: None,
                 baseline: None,
@@ -289,13 +291,13 @@ impl SearchAlgorithm for EvolutionarySearch {
                 next_population.push(child);
             }
             population = next_population;
-            let compliant_before = outcome.spec_compliant.len();
+            let explored_before = outcome.explored.len();
             fitness = generation_fitness(&population, &mut outcome);
             generation_event(
                 generation + 1,
                 population.len(),
                 &fitness,
-                compliant_before,
+                explored_before,
                 &outcome,
             );
             run.checkpoint(generation + 1, &outcome.explored, || {
@@ -344,9 +346,7 @@ mod tests {
         let outcome = run_paper_workload(&EvolutionarySearch::fast(3), WorkloadId::W3);
         assert!(outcome.best.is_some(), "no compliant solution found");
         assert!(outcome.best_weighted_accuracy().unwrap() > 0.80);
-        for s in &outcome.spec_compliant {
-            assert!(s.evaluation.meets_specs());
-        }
+        assert!(outcome.spec_compliant().next().is_some());
     }
 
     #[test]

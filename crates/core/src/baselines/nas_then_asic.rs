@@ -326,7 +326,7 @@ impl NasThenAsic {
             name: "asic-sweep".to_string(),
             episodes: self.hardware_samples,
             explored: outcome.explored.len(),
-            spec_compliant: outcome.spec_compliant.len(),
+            spec_compliant: outcome.spec_compliant().count(),
             best_weighted_accuracy: outcome.best_weighted_accuracy(),
             detail: match &representative {
                 Some(solution) => format!(

@@ -34,7 +34,7 @@
 //!
 //! The invariant the whole module leans on: [`SearchOutcome`] is fully
 //! determined by its `explored` record sequence plus a handful of scalar
-//! counters — `best` and `spec_compliant` are derived by `record`.  Both
+//! counters — `best` is derived by `record`.  Both
 //! the outcome codec and shard merging therefore serialize only the
 //! record sequence and replay it on the way back in, and a checkpoint's
 //! record sequence only ever grows, which is what lets it be journaled.
@@ -43,10 +43,12 @@
 //! formatter, so every finite `f64` survives exactly.  Non-finite metrics
 //! (infeasible mappings carry `INFINITY` costs) are encoded as the strings
 //! `"inf"`, `"-inf"` and `"nan"` because the JSON grammar has no literal
-//! for them.  The controller's bulk state — weight and accumulator
-//! matrices, the trainer's reward history — is written as exact bits
-//! instead ([`matrix_to_value`]): one string per array, 16 hex digits per
-//! element, which is several times cheaper to write and to parse.
+//! for them.  The controller's bulk state — its weight and accumulator
+//! matrices — is written as exact bits instead ([`matrix_to_value`]): one
+//! string per matrix, 16 hex digits per element, which is several times
+//! cheaper to write and to parse.  Nothing in a head grows with the run
+//! but its integer counters, so a head's size is fixed by the search's
+//! shape, not its length.
 
 use std::ffi::OsString;
 use std::fs::{self, File};
@@ -73,9 +75,10 @@ use rand::rngs::{StdRng, StdRngState};
 /// The checkpoint format version this build writes (and the only one it
 /// accepts).  Version 2 carries the explored records in the envelope
 /// (`records_from`, `records`) instead of inside `state`; version 3
-/// writes controller matrices and reward histories as hex bit strings
-/// ([`matrix_to_value`]).
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// writes controller matrices as hex bit strings ([`matrix_to_value`]);
+/// version 4 drops the reward history that version 3 kept in the
+/// controller's trainer state and in the outcome counters.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 // ---------------------------------------------------------------------------
 // The checkpoint envelope
@@ -1044,8 +1047,8 @@ impl ShardPartial {
 ///
 /// A sequential plan returns shard 0's outcome.  A strided plan sorts
 /// every shard's records by `episode` (the global unit index) and replays
-/// them through [`SearchOutcome::record`], reconstructing `best` and
-/// `spec_compliant` exactly as the single-process run did; `episodes` is
+/// them through [`SearchOutcome::record`], reconstructing `best` exactly
+/// as the single-process run did; `episodes` is
 /// the plan's unit count, which every strided shard reports, and phases
 /// are taken from shard 0.
 ///
@@ -1418,8 +1421,8 @@ fn opt_matrix_from_value(value: &ConfigValue) -> Result<Option<Matrix>, ConfigEr
 }
 
 /// Encode a controller snapshot (policy weights, RMSProp accumulators,
-/// trainer baseline/counters).  The matrices ([`matrix_to_value`]) and the
-/// trainer's reward history are written as hex bit strings.
+/// trainer baseline and update count).  The matrices are written as hex
+/// bit strings ([`matrix_to_value`]).
 pub fn controller_state_to_value(state: &ControllerState) -> ConfigValue {
     let policy = &state.policy;
     let mut policy_table = ConfigValue::table();
@@ -1469,10 +1472,6 @@ pub fn controller_state_to_value(state: &ControllerState) -> ConfigValue {
         trainer_table.insert("baseline", float_to_value(baseline));
     }
     trainer_table.insert("updates", ConfigValue::Integer(trainer.updates as i64));
-    trainer_table.insert(
-        "reward_history",
-        float_bits_to_value(&trainer.reward_history),
-    );
     let mut root = ConfigValue::table();
     root.insert("policy", policy_table);
     root.insert("trainer", trainer_table);
@@ -1550,7 +1549,6 @@ pub fn controller_state_from_value(value: &ConfigValue) -> Result<ControllerStat
     let trainer = TrainerState {
         baseline,
         updates: int_field(trainer_value, "updates")? as u64,
-        reward_history: float_bits_from_value(field(trainer_value, "reward_history")?)?,
     };
     Ok(ControllerState { policy, trainer })
 }
@@ -1811,9 +1809,9 @@ pub fn phase_summary_from_value(value: &ConfigValue) -> Result<PhaseSummary, Con
 /// Encode a full search outcome (the shard partials' form).
 ///
 /// Only the `explored` record sequence and the scalar counters are
-/// written: `best` and `spec_compliant` are reconstructed by replaying the
-/// records through [`SearchOutcome::record`], which is exactly how every
-/// driver built them in the first place.
+/// written: `best` is reconstructed by replaying the records through
+/// [`SearchOutcome::record`], which is exactly how every driver built it
+/// in the first place.
 pub fn outcome_to_value(outcome: &SearchOutcome) -> ConfigValue {
     let mut root = ConfigValue::table();
     root.insert(
@@ -1838,7 +1836,6 @@ pub fn outcome_counters_to_value(outcome: &SearchOutcome) -> ConfigValue {
         "pruned_episodes",
         ConfigValue::Integer(outcome.pruned_episodes as i64),
     );
-    root.insert("reward_history", floats_to_value(&outcome.reward_history));
     root.insert(
         "phases",
         ConfigValue::Array(outcome.phases.iter().map(PhaseSummary::to_value).collect()),
@@ -1879,7 +1876,6 @@ fn outcome_from_parts(
     }
     outcome.episodes = usize_field(counters, "episodes")?;
     outcome.pruned_episodes = usize_field(counters, "pruned_episodes")?;
-    outcome.reward_history = floats_from_value(field(counters, "reward_history")?)?;
     for phase in array_field(counters, "phases")? {
         outcome.phases.push(phase_summary_from_value(phase)?);
     }
@@ -2015,8 +2011,9 @@ mod tests {
     }
 
     /// Every float of a controller snapshot as raw bits — each weight,
-    /// accumulator (`None` before the first update), the baseline and
-    /// every reward — so a comparison tells `-0.0` from `0.0` and sees NaN.
+    /// accumulator (`None` before the first update) and the baseline, with
+    /// the update count — so a comparison tells `-0.0` from `0.0` and sees
+    /// NaN.
     fn state_bits(state: &ControllerState) -> Vec<Option<MatrixBits>> {
         let policy = &state.policy;
         let mut out = vec![
@@ -2038,8 +2035,7 @@ mod tests {
         }
         let trainer = &state.trainer;
         out.push(trainer.baseline.map(|x| (0, 0, vec![x.to_bits()])));
-        let rewards = trainer.reward_history.iter().map(|x| x.to_bits());
-        out.push(Some((trainer.updates as usize, 0, rewards.collect())));
+        out.push(Some((trainer.updates as usize, 0, Vec::new())));
         out
     }
 
@@ -2204,7 +2200,6 @@ mod tests {
         outcome.record(sample_solution(2, true));
         outcome.episodes = 3;
         outcome.pruned_episodes = 1;
-        outcome.reward_history = vec![0.1, 0.2, 0.3];
         outcome.phases.push(PhaseSummary {
             name: "nas".to_string(),
             episodes: 3,
@@ -2620,23 +2615,23 @@ mod tests {
             error.message.contains("unsupported checkpoint version 1"),
             "{error}"
         );
-        // 2^32 + 3 must not wrap around to the supported version 3.
-        let wrapped =
-            complete(1, 0)
-                .to_json()
-                .replacen("\"version\": 3", "\"version\": 4294967299", 1);
+        // 2^32 + 4 must not wrap around to the supported version 4.
+        let json = complete(1, 0).to_json();
+        let wrapped = json.replacen("\"version\": 4", "\"version\": 4294967300", 1);
         let error = SearchCheckpoint::parse_json(&wrapped).unwrap_err();
-        assert!(error.message.contains("4294967299"), "{error}");
-        // Version 2 wrote controller state as decimal arrays; no reader
-        // for it is kept.
-        let v2 = complete(1, 0)
-            .to_json()
-            .replacen("\"version\": 3", "\"version\": 2", 1);
-        let error = SearchCheckpoint::parse_json(&v2).unwrap_err();
-        assert!(
-            error.message.contains("unsupported checkpoint version 2"),
-            "{error}"
-        );
+        assert!(error.message.contains("4294967300"), "{error}");
+        // Version 2 wrote controller state as decimal arrays and version 3
+        // kept the trainer's reward history; no reader for either is kept.
+        for old in [2, 3] {
+            let stale = json.replacen("\"version\": 4", &format!("\"version\": {old}"), 1);
+            let error = SearchCheckpoint::parse_json(&stale).unwrap_err();
+            assert!(
+                error
+                    .message
+                    .contains(&format!("unsupported checkpoint version {old}")),
+                "{error}"
+            );
+        }
     }
 
     #[test]

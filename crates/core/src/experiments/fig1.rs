@@ -161,8 +161,7 @@ pub fn run(scale: ExperimentScale, seed: u64) -> Fig1Result {
     // The "heuristic" square: among compliant MC solutions, the one closest
     // to the specs (largest normalised resource usage).
     let closest_to_specs = mc_outcome
-        .spec_compliant
-        .iter()
+        .spec_compliant()
         .max_by(|a, b| {
             let closeness = |s: &&crate::log::ExploredSolution| {
                 let m = &s.evaluation.metrics;

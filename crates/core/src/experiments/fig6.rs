@@ -140,8 +140,7 @@ pub fn run_panel_with_threads(
     ));
 
     let explored: Vec<ScatterPoint> = outcome
-        .spec_compliant
-        .iter()
+        .spec_compliant()
         .map(|s| ScatterPoint {
             latency_cycles: s.evaluation.metrics.latency_cycles,
             energy_nj: s.evaluation.metrics.energy_nj,

@@ -47,7 +47,7 @@
 //! scenario.search.bound_samples = 10;
 //! let outcome = scenario.run_outcome();
 //! // Every solution NASAIC reports satisfies the design specs.
-//! for solution in &outcome.spec_compliant {
+//! for solution in outcome.spec_compliant() {
 //!     assert!(solution.evaluation.meets_specs());
 //! }
 //! ```

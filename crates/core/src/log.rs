@@ -1,6 +1,5 @@
-//! Exploration logging: every evaluated solution, the spec-compliant
-//! subset, the best solution found, and per-phase summaries of the
-//! successive baselines.
+//! Exploration logging: every evaluated solution, the best solution
+//! found, and per-phase summaries of the successive baselines.
 
 use crate::algorithm::{SearchEvent, SearchObserver};
 use crate::candidate::Candidate;
@@ -76,19 +75,16 @@ impl PhaseSummary {
     }
 }
 
-/// The outcome of one NASAIC (or baseline) search run.
+/// The outcome of one NASAIC (or baseline) search run.  `best` is the one
+/// fact derived from `explored` that is stored: every improvement reads it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SearchOutcome {
     /// The best spec-compliant solution by weighted accuracy, if any.
     pub best: Option<ExploredSolution>,
-    /// Every spec-compliant solution found (the green diamonds of Fig. 6).
-    pub spec_compliant: Vec<ExploredSolution>,
     /// Every fully evaluated solution (capped by the search configuration).
     pub explored: Vec<ExploredSolution>,
     /// Number of episodes executed.
     pub episodes: usize,
-    /// Reward history over the run (for convergence plots).
-    pub reward_history: Vec<f64>,
     /// Number of episodes whose accuracy evaluation was skipped by early
     /// pruning (no feasible hardware design found).
     pub pruned_episodes: usize,
@@ -102,35 +98,34 @@ impl SearchOutcome {
     pub fn empty() -> Self {
         Self {
             best: None,
-            spec_compliant: Vec::new(),
             explored: Vec::new(),
             episodes: 0,
-            reward_history: Vec::new(),
             pruned_episodes: 0,
             phases: Vec::new(),
         }
     }
 
-    /// Record one evaluated solution, updating the compliant set and the
-    /// incumbent best.  Returns `true` when the solution became the new
-    /// best spec-compliant solution.
+    /// Record one evaluated solution, updating the incumbent best.
+    /// Returns `true` when the solution became the new best
+    /// spec-compliant solution (the only case that copies it).
     pub fn record(&mut self, solution: ExploredSolution) -> bool {
-        let mut improved = false;
-        if solution.evaluation.meets_specs() {
-            let better = match &self.best {
-                None => true,
-                Some(best) => {
-                    solution.evaluation.weighted_accuracy > best.evaluation.weighted_accuracy
-                }
-            };
-            if better {
-                self.best = Some(solution.clone());
-                improved = true;
-            }
-            self.spec_compliant.push(solution.clone());
+        let improved = solution.evaluation.meets_specs()
+            && self.best.as_ref().is_none_or(|best| {
+                solution.evaluation.weighted_accuracy > best.evaluation.weighted_accuracy
+            });
+        if improved {
+            self.best = Some(solution.clone());
         }
         self.explored.push(solution);
         improved
+    }
+
+    /// Every spec-compliant explored solution, in exploration order (the
+    /// green diamonds of Fig. 6).
+    pub fn spec_compliant(&self) -> impl Iterator<Item = &ExploredSolution> {
+        self.explored
+            .iter()
+            .filter(|solution| solution.evaluation.meets_specs())
     }
 
     /// [`record`](Self::record) with observation: emits a
@@ -161,7 +156,7 @@ impl SearchOutcome {
         if self.explored.is_empty() {
             return 0.0;
         }
-        self.spec_compliant.len() as f64 / self.explored.len() as f64
+        self.spec_compliant().count() as f64 / self.explored.len() as f64
     }
 }
 
@@ -178,7 +173,7 @@ impl fmt::Display for SearchOutcome {
             "search outcome: {} episodes, {} explored, {} spec-compliant ({} pruned)",
             self.episodes,
             self.explored.len(),
-            self.spec_compliant.len(),
+            self.spec_compliant().count(),
             self.pruned_episodes
         )?;
         match &self.best {
@@ -235,7 +230,7 @@ mod tests {
         outcome.record(compliant.clone());
         outcome.record(violating);
         assert_eq!(outcome.explored.len(), 2);
-        assert_eq!(outcome.spec_compliant.len(), 1);
+        assert_eq!(outcome.spec_compliant().count(), 1);
         assert_eq!(outcome.best.as_ref().unwrap().episode, 0);
         assert!(outcome.best_weighted_accuracy().unwrap() > 0.5);
         assert!((outcome.compliance_rate() - 0.5).abs() < 1e-12);
@@ -254,7 +249,7 @@ mod tests {
         outcome.record(second);
         outcome.record(worse);
         assert_eq!(outcome.best.as_ref().unwrap().episode, 1);
-        assert_eq!(outcome.spec_compliant.len(), 3);
+        assert_eq!(outcome.spec_compliant().count(), 3);
     }
 
     #[test]

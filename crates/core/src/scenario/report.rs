@@ -118,7 +118,7 @@ impl RunReport {
             seed: scenario.seed,
             episodes: outcome.episodes,
             explored: outcome.explored.len(),
-            spec_compliant: outcome.spec_compliant.len(),
+            spec_compliant: outcome.spec_compliant().count(),
             pruned_episodes: outcome.pruned_episodes,
             compliance_rate: outcome.compliance_rate(),
             best,

@@ -127,11 +127,6 @@ impl Controller {
         self.trainer.updates()
     }
 
-    /// Reward history (one entry per feedback call).
-    pub fn reward_history(&self) -> &[f64] {
-        self.trainer.reward_history()
-    }
-
     /// The trainer's current REINFORCE baseline (exponential moving
     /// average of rewards), or `None` before the first feedback — exposed
     /// as search telemetry for the episode event stream.

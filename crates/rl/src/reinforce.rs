@@ -101,7 +101,6 @@ pub struct ReinforceTrainer {
     schedule: StepDecay,
     baseline: Option<f64>,
     updates: u64,
-    reward_history: Vec<f64>,
 }
 
 impl ReinforceTrainer {
@@ -117,7 +116,6 @@ impl ReinforceTrainer {
             schedule,
             baseline: None,
             updates: 0,
-            reward_history: Vec::new(),
         }
     }
 
@@ -135,11 +133,6 @@ impl ReinforceTrainer {
     /// `None` before the first update.
     pub fn baseline(&self) -> Option<f64> {
         self.baseline
-    }
-
-    /// Rewards observed so far (for convergence diagnostics / plots).
-    pub fn reward_history(&self) -> &[f64] {
-        &self.reward_history
     }
 
     /// Discounted advantage for a reward observed now: the paper discounts
@@ -165,7 +158,6 @@ impl ReinforceTrainer {
     pub(crate) fn restore_trainer_state(&mut self, state: &crate::state::TrainerState) {
         self.baseline = state.baseline;
         self.updates = state.updates;
-        self.reward_history = state.reward_history.clone();
     }
 
     /// Apply one REINFORCE update for a sampled trajectory and its terminal
@@ -201,7 +193,6 @@ impl ReinforceTrainer {
             }
         });
         self.updates += 1;
-        self.reward_history.push(reward);
         advantage
     }
 }
@@ -225,7 +216,6 @@ mod tests {
         let baseline = trainer.baseline().unwrap();
         assert!((baseline - 0.8).abs() < 0.05, "baseline {baseline}");
         assert_eq!(trainer.updates(), 50);
-        assert_eq!(trainer.reward_history().len(), 50);
     }
 
     #[test]
@@ -266,21 +256,18 @@ mod tests {
             ..ReinforceConfig::paper()
         });
         let reward_of = |actions: &[usize]| if actions[0] == 2 { 1.0 } else { 0.2 };
-        for _ in 0..300 {
+        let mut tail = Vec::new();
+        for round in 0..300 {
             let s = policy.sample_episode(&mut rng);
             let r = reward_of(&s.actions);
             trainer.update(&mut policy, &s.actions, r);
+            if round >= 250 {
+                tail.push(r);
+            }
         }
         let greedy = policy.greedy_episode();
         assert_eq!(greedy[0], 2, "policy failed to find the rewarding arm");
-        // The late reward history should be dominated by the good arm.
-        let tail: Vec<f64> = trainer
-            .reward_history()
-            .iter()
-            .rev()
-            .take(50)
-            .cloned()
-            .collect();
+        // The last 50 rewards should be dominated by the good arm.
         let mean_tail = tail.iter().sum::<f64>() / tail.len() as f64;
         assert!(mean_tail > 0.7, "late mean reward {mean_tail}");
     }

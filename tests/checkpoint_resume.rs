@@ -6,6 +6,7 @@
 //! partials must survive their JSON round trip unchanged.
 
 use nasaic::core::prelude::*;
+use nasaic::core::scenario::value::{self, ConfigValue};
 
 /// Shrink a scenario to a test-sized budget (same shape, seconds not
 /// minutes).
@@ -40,31 +41,42 @@ fn resuming_any_checkpoint_reproduces_the_uninterrupted_run() {
                 "{name}/{algorithm}: taking checkpoints changed the outcome"
             );
             let checkpoints = sink.checkpoints();
-            assert!(
-                !checkpoints.is_empty(),
-                "{name}/{algorithm}: no checkpoints were offered"
-            );
+            let last = checkpoints
+                .last()
+                .unwrap_or_else(|| panic!("{name}/{algorithm}: no checkpoints were offered"));
 
             // Resume from the first, middle and last checkpoint, through
             // the serialized form (the proptest suite covers every index
-            // on generated scenarios).
+            // on generated scenarios).  The resumed run must end in the
+            // same driver state as well as the same outcome: the state
+            // holds what pruned episodes and undecodable samples fed the
+            // controller, which no record carries.
             let picks = [0, checkpoints.len() / 2, checkpoints.len() - 1];
             for &pick in &picks {
                 let checkpoint = &checkpoints[pick];
                 let parsed = SearchCheckpoint::parse_json(&checkpoint.to_json())
                     .expect("checkpoint JSON round trip");
                 assert_eq!(checkpoint, &parsed);
+                let resumed_sink = RecordingCheckpointSink::every(1);
                 let resumed = scenario.run_algorithm_checkpointed(
                     algorithm,
                     &scenario.engine(),
                     &NullObserver,
                     Some(&parsed),
-                    &NullCheckpointSink,
+                    &resumed_sink,
                 );
                 assert_eq!(
                     baseline, resumed,
                     "{name}/{algorithm}: resume from checkpoint {} (progress {}) diverged",
                     pick, checkpoint.progress
+                );
+                // A run resumed from the last checkpoint has nothing left
+                // to checkpoint; its last state is the one it resumed from.
+                // (`assert!`, not `assert_eq!`: a state dump is ~200 KB.)
+                let end = resumed_sink.checkpoints().pop().unwrap_or(parsed);
+                assert!(
+                    last.state == end.state,
+                    "{name}/{algorithm}: resume from checkpoint {pick} ended in another state"
                 );
             }
         }
@@ -265,13 +277,13 @@ fn resume_rejects_checkpoints_from_another_algorithm() {
 }
 
 /// A file sink that stops wanting checkpoints after `until` — a run cut
-/// off there, as a killed process would leave its files — and records the
-/// head's size after every checkpoint it took.
+/// off there, as a killed process would leave its files — and keeps the
+/// head's text after every checkpoint it took.
 struct CutOff<'a> {
     inner: &'a FileCheckpointSink,
     head: &'a std::path::Path,
     until: usize,
-    head_sizes: std::sync::Mutex<Vec<u64>>,
+    heads: std::sync::Mutex<Vec<String>>,
 }
 
 impl CheckpointSink for CutOff<'_> {
@@ -281,8 +293,8 @@ impl CheckpointSink for CutOff<'_> {
 
     fn on_checkpoint(&self, checkpoint: &SearchCheckpoint) {
         self.inner.on_checkpoint(checkpoint);
-        let size = std::fs::metadata(self.head).expect("head written").len();
-        self.head_sizes.lock().unwrap().push(size);
+        let text = std::fs::read_to_string(self.head).expect("head written");
+        self.heads.lock().unwrap().push(text);
     }
 }
 
@@ -314,7 +326,7 @@ fn a_file_checkpoint_cut_off_mid_run_loads_and_resumes_bit_identically() {
             inner: &file_sink,
             head: &head,
             until: midpoint.progress,
-            head_sizes: std::sync::Mutex::new(Vec::new()),
+            heads: std::sync::Mutex::new(Vec::new()),
         };
         let cut_run = scenario.run_algorithm_checkpointed(
             algorithm,
@@ -372,9 +384,9 @@ fn a_file_checkpoint_cut_off_mid_run_loads_and_resumes_bit_identically() {
         );
 
         // Heads hold fixed-size state only: records go to the journal.
-        let sizes = cut.head_sizes.into_inner().unwrap();
+        let heads = cut.heads.into_inner().unwrap();
         if matches!(algorithm, Algorithm::MonteCarlo | Algorithm::Evolutionary) {
-            let (first, last) = (sizes[0], sizes[sizes.len() - 1]);
+            let (first, last) = (heads[0].len(), heads[heads.len() - 1].len());
             assert!(
                 last <= first + 64,
                 "{algorithm}: the head grew from {first} to {last} bytes"
@@ -382,4 +394,54 @@ fn a_file_checkpoint_cut_off_mid_run_loads_and_resumes_bit_identically() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The characters the numbers of `value` take as JSON text.
+fn number_chars(value: &ConfigValue) -> usize {
+    match value {
+        ConfigValue::Integer(_) | ConfigValue::Float(_) => value::to_json_compact(value).len(),
+        ConfigValue::Array(items) => items.iter().map(number_chars).sum(),
+        ConfigValue::Table(entries) => entries.iter().map(|(_, v)| number_chars(v)).sum(),
+        ConfigValue::Bool(_) | ConfigValue::Str(_) => 0,
+    }
+}
+
+#[test]
+fn a_nasaic_head_does_not_grow_with_the_run() {
+    let dir = std::env::temp_dir().join(format!("nasaic-head-size-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut scenario = registry::get("w1").expect("built-in");
+    scenario.search.episodes = 100;
+    let head = dir.join("w1.ckpt");
+    let file_sink = FileCheckpointSink::new(&head, 1);
+    let sink = CutOff {
+        inner: &file_sink,
+        head: &head,
+        until: scenario.search.episodes,
+        heads: std::sync::Mutex::new(Vec::new()),
+    };
+    scenario.run_algorithm_checkpointed(
+        Algorithm::Nasaic,
+        &scenario.engine(),
+        &NullObserver,
+        None,
+        &sink,
+    );
+    let error = file_sink.take_error();
+    let heads = sink.heads.into_inner().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(error.is_none(), "the file sink failed: {error:?}");
+    // NASAIC checkpoints after every episode, so head `i` is progress i + 1.
+    assert_eq!(heads.len(), 100);
+    // Only the numbers (counters, rng position, baseline) may change
+    // length: the keys, the punctuation and the hex matrices may not.
+    let rest = |head: &str| head.len() - number_chars(&value::parse_json(head).unwrap());
+    let (early, late) = (&heads[9], &heads[99]);
+    assert_eq!(
+        rest(early),
+        rest(late),
+        "the head grew from {} bytes at progress 10 to {} at 100",
+        early.len(),
+        late.len()
+    );
 }

@@ -87,7 +87,7 @@ fn search_line(name: &str, algorithm: Algorithm) -> String {
         events.len(),
         digest.0,
         outcome.explored.len(),
-        outcome.spec_compliant.len(),
+        outcome.spec_compliant().count(),
     )
 }
 

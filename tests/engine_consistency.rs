@@ -5,8 +5,18 @@
 
 use nasaic::accel::HardwareSpace;
 use nasaic::core::prelude::*;
+use nasaic::core::scenario::value::ConfigValue;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The `state` of the last checkpoint `sink` recorded: the controller's
+/// weights, RMSProp accumulators, baseline and update count, and the rng.
+/// Outcome equality cannot see what pruned episodes and undecodable
+/// samples fed the controller, since no record carries it; this does.
+/// Compare states with `assert!`: a dump of one is ~200 KB.
+fn last_state(sink: &RecordingCheckpointSink) -> ConfigValue {
+    sink.checkpoints().pop().expect("the run checkpoints").state
+}
 
 fn random_candidates(workload: &Workload, count: usize, seed: u64) -> Vec<Candidate> {
     let hardware = HardwareSpace::paper_default(2);
@@ -115,20 +125,16 @@ fn search_outcome_is_unchanged_by_engine_thread_count() {
         let evaluator = Evaluator::new(&workload, specs, AccuracyOracle::default());
         let engine = EvalEngine::with_config(evaluator, config);
         let budget = Budget::new(search.episodes, search.hardware_trials);
-        search.run(&SearchContext::new(
-            &workload,
-            specs,
-            &hardware,
-            &engine,
-            search.seed,
-            budget,
-        ))
+        let ctx = SearchContext::new(&workload, specs, &hardware, &engine, search.seed, budget);
+        let sink = RecordingCheckpointSink::every(search.episodes);
+        let outcome = search.run_checkpointed(&ctx, None, &sink).unwrap();
+        (outcome, last_state(&sink))
     };
-    let serial = run(EngineConfig {
+    let (serial, serial_state) = run(EngineConfig {
         threads: 1,
         ..EngineConfig::default()
     });
-    let parallel = run(EngineConfig {
+    let (parallel, parallel_state) = run(EngineConfig {
         threads: 8,
         ..EngineConfig::default()
     });
@@ -137,10 +143,13 @@ fn search_outcome_is_unchanged_by_engine_thread_count() {
         parallel.best_weighted_accuracy()
     );
     assert_eq!(serial.explored.len(), parallel.explored.len());
-    assert_eq!(serial.reward_history, parallel.reward_history);
+    assert!(
+        serial_state == parallel_state,
+        "the controller state diverged"
+    );
     // And against the auto-sized default.
-    let auto = run(EngineConfig::default());
-    assert_eq!(auto.reward_history, serial.reward_history);
+    let (_, auto_state) = run(EngineConfig::default());
+    assert!(auto_state == serial_state, "the controller state diverged");
 }
 
 #[test]
@@ -178,11 +187,19 @@ fn generated_scenarios_are_bit_identical_across_engine_thread_counts() {
                 ..EngineConfig::default()
             },
         );
-        scenario.run_algorithm_with_engine(scenario.search.algorithm, &engine)
+        let sink = RecordingCheckpointSink::every(1);
+        let outcome = scenario.run_algorithm_checkpointed(
+            scenario.search.algorithm,
+            &engine,
+            &NullObserver,
+            None,
+            &sink,
+        );
+        (outcome, last_state(&sink))
     };
-    let serial = run(1);
-    let parallel = run(8);
-    assert_eq!(serial.reward_history, parallel.reward_history);
+    let (serial, serial_state) = run(1);
+    let (parallel, parallel_state) = run(8);
+    assert!(serial_state == parallel_state, "the driver state diverged");
     assert_eq!(
         serial.best_weighted_accuracy(),
         parallel.best_weighted_accuracy()

@@ -83,17 +83,22 @@ fn every_reported_solution_satisfies_the_specs() {
     // The paper's first observation on Fig. 6: NASAIC guarantees that all
     // explored (reported) solutions meet the design specs.
     let outcome = fast_demo("w3", 99).run_outcome();
-    for solution in &outcome.spec_compliant {
-        assert!(solution.evaluation.meets_specs());
-    }
-    // And the compliant list is exactly the subset of explored solutions
-    // whose evaluation meets the specs.
-    let recomputed = outcome
-        .explored
-        .iter()
-        .filter(|s| s.evaluation.meets_specs())
-        .count();
-    assert_eq!(recomputed, outcome.spec_compliant.len());
+    let compliant: Vec<&ExploredSolution> = outcome.spec_compliant().collect();
+    assert!(compliant.iter().all(|s| s.evaluation.meets_specs()));
+    // And the best is the compliant solution of highest weighted accuracy
+    // (the first one, on a tie).
+    let best = outcome
+        .best
+        .as_ref()
+        .expect("W3 search finds a compliant solution");
+    let first_max = compliant.iter().fold(compliant[0], |max, &s| {
+        if s.evaluation.weighted_accuracy > max.evaluation.weighted_accuracy {
+            s
+        } else {
+            max
+        }
+    });
+    assert_eq!(best, first_max);
 }
 
 #[test]
