@@ -1,7 +1,6 @@
 //! The heterogeneous accelerator: a set of sub-accelerators connected
 //! through NICs to a global interconnect and a shared global buffer.
 
-use crate::dataflow::Dataflow;
 use crate::subaccel::SubAccelerator;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -90,33 +89,10 @@ impl Accelerator {
         active.iter().any(|s| *s != first)
     }
 
-    /// `true` when at least two active sub-accelerators exist and all share
-    /// the same configuration.
-    pub fn is_homogeneous(&self) -> bool {
-        let active = self.active_subs();
-        active.len() >= 2 && !self.is_heterogeneous()
-    }
-
-    /// `true` when exactly one sub-accelerator is active.
-    pub fn is_single(&self) -> bool {
-        self.num_active() == 1
-    }
-
     /// `true` when the accelerator fits inside a resource budget
     /// (convenience mirror of [`crate::ResourceBudget::admits`]).
     pub fn is_within(&self, budget: &crate::ResourceBudget) -> bool {
         budget.admits(self)
-    }
-
-    /// The distinct dataflows used by active sub-accelerators.
-    pub fn dataflows_in_use(&self) -> Vec<Dataflow> {
-        let mut seen = Vec::new();
-        for s in self.active_subs() {
-            if !seen.contains(&s.dataflow) {
-                seen.push(s.dataflow);
-            }
-        }
-        seen
     }
 
     /// The paper's notation: one `<df, pe, bw>` triple per active
@@ -144,6 +120,7 @@ impl fmt::Display for Accelerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataflow::Dataflow;
 
     fn dla(pes: usize, bw: usize) -> SubAccelerator {
         SubAccelerator::new(Dataflow::Nvdla, pes, bw)
@@ -165,24 +142,25 @@ mod tests {
     fn heterogeneity_classification() {
         let hetero = Accelerator::new(vec![dla(1760, 56), shi(1152, 8)]);
         assert!(hetero.is_heterogeneous());
-        assert!(!hetero.is_homogeneous());
-        assert!(!hetero.is_single());
+        assert_eq!(hetero.num_active(), 2);
 
         let homo = Accelerator::homogeneous(dla(1408, 32), 2);
-        assert!(homo.is_homogeneous());
+        assert_eq!(homo.num_active(), 2);
         assert!(!homo.is_heterogeneous());
 
         let single = Accelerator::single(dla(3104, 24));
-        assert!(single.is_single());
+        assert_eq!(single.num_active(), 1);
         assert!(!single.is_heterogeneous());
-        assert!(!single.is_homogeneous());
     }
 
     #[test]
     fn same_dataflow_different_resources_is_heterogeneous() {
         let acc = Accelerator::new(vec![dla(2048, 32), dla(1024, 16)]);
         assert!(acc.is_heterogeneous());
-        assert_eq!(acc.dataflows_in_use(), vec![Dataflow::Nvdla]);
+        assert!(acc
+            .active_subs()
+            .iter()
+            .all(|s| s.dataflow == Dataflow::Nvdla));
     }
 
     #[test]
@@ -191,7 +169,7 @@ mod tests {
             dla(2048, 32),
             SubAccelerator::inactive(Dataflow::Shidiannao),
         ]);
-        assert!(acc.is_single());
+        assert_eq!(acc.num_active(), 1);
         assert!(acc.has_capacity());
         assert_eq!(acc.active_subs().len(), 1);
     }

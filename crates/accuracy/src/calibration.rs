@@ -134,21 +134,6 @@ fn curve_table() -> &'static [CalibrationCurve; 3] {
     })
 }
 
-/// The CIFAR-10 ResNet-9 calibration (memoised; see [`curve_for`]).
-pub fn cifar10_curve() -> CalibrationCurve {
-    curve_for(Backbone::ResNet9Cifar10)
-}
-
-/// The STL-10 ResNet-9 calibration (memoised; see [`curve_for`]).
-pub fn stl10_curve() -> CalibrationCurve {
-    curve_for(Backbone::ResNet9Stl10)
-}
-
-/// The Nuclei U-Net calibration (memoised; see [`curve_for`]).
-pub fn nuclei_curve() -> CalibrationCurve {
-    curve_for(Backbone::UNetNuclei)
-}
-
 /// The calibration curve for a backbone — a table lookup after the first
 /// call per process.
 pub fn curve_for(backbone: Backbone) -> CalibrationCurve {
@@ -170,7 +155,7 @@ mod tests {
 
     #[test]
     fn curve_is_monotone_in_capacity() {
-        let c = cifar10_curve();
+        let c = curve_for(Backbone::ResNet9Cifar10);
         let mut prev = 0.0;
         for step in 0..20 {
             let f = c.f_min + step as f64 * 0.2;
@@ -182,7 +167,7 @@ mod tests {
 
     #[test]
     fn curve_endpoints_match_paper_numbers() {
-        let c = cifar10_curve();
+        let c = curve_for(Backbone::ResNet9Cifar10);
         assert!((c.quality_at(c.f_min) - 0.7893).abs() < 1e-9);
         let large = NetworkStats::of(&Backbone::ResNet9Cifar10.largest_architecture());
         let q_large = c.quality_at(CalibrationCurve::capacity_feature(&large));
@@ -191,7 +176,7 @@ mod tests {
 
     #[test]
     fn curve_never_exceeds_ceiling() {
-        let c = nuclei_curve();
+        let c = curve_for(Backbone::UNetNuclei);
         assert!(c.quality_at(100.0) <= c.q_max);
         assert!(c.quality_at(c.f_min - 5.0) >= c.q_base - 1e-12);
     }
@@ -210,8 +195,8 @@ mod tests {
     fn stl10_curve_is_flatter_than_cifar() {
         // STL-10 accuracy range (71.6 - 77.6) is narrower than CIFAR-10's
         // (78.9 - 94.6); the curve amplitudes reflect that.
-        let cifar = cifar10_curve();
-        let stl = stl10_curve();
+        let cifar = curve_for(Backbone::ResNet9Cifar10);
+        let stl = curve_for(Backbone::ResNet9Stl10);
         assert!(cifar.q_max - cifar.q_base > stl.q_max - stl.q_base);
     }
 

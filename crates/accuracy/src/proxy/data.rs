@@ -99,11 +99,6 @@ impl SyntheticDataset {
     pub fn train_len(&self) -> usize {
         self.train_features.len()
     }
-
-    /// Number of validation examples.
-    pub fn val_len(&self) -> usize {
-        self.val_features.len()
-    }
 }
 
 #[cfg(test)]
@@ -118,7 +113,7 @@ mod tests {
         let ds = SyntheticDataset::gaussian_clusters(&mut rng, 4, 8, 50, 0.2);
         assert_eq!(ds.num_classes, 4);
         assert_eq!(ds.train_len(), 4 * 40);
-        assert_eq!(ds.val_len(), 4 * 10);
+        assert_eq!(ds.val_features.len(), 4 * 10);
         assert_eq!(ds.train_features[0].len(), 8);
         // Every class appears in validation.
         for class in 0..4 {

@@ -121,12 +121,6 @@ impl Mlp {
         &scratch.probs
     }
 
-    /// Class probabilities for one example (allocating convenience form).
-    pub fn predict_proba(&self, features: &[f64]) -> Vec<f64> {
-        let mut scratch = MlpScratch::new();
-        self.predict_proba_with(features, &mut scratch).to_vec()
-    }
-
     /// Most likely class for one example, using caller-provided scratch.
     pub fn predict_with(&self, features: &[f64], scratch: &mut MlpScratch) -> usize {
         self.predict_proba_with(features, scratch)
@@ -238,7 +232,8 @@ mod tests {
     fn predictions_are_valid_probabilities() {
         let mut rng = StdRng::seed_from_u64(1);
         let mlp = Mlp::new(&mut rng, 4, 8, 3, 0.01);
-        let p = mlp.predict_proba(&[0.1, -0.5, 0.3, 0.9]);
+        let mut scratch = MlpScratch::new();
+        let p = mlp.predict_proba_with(&[0.1, -0.5, 0.3, 0.9], &mut scratch);
         assert_eq!(p.len(), 3);
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(mlp.predict(&[0.1, -0.5, 0.3, 0.9]) < 3);
@@ -349,7 +344,9 @@ mod tests {
         // Inference paths agree too, through the same shared scratch.
         for x in &ds.val_features {
             let p_fast = fast.predict_proba_with(x, &mut scratch).to_vec();
-            let p_reference = reference.predict_proba(x);
+            let p_reference = reference
+                .predict_proba_with(x, &mut MlpScratch::new())
+                .to_vec();
             for (a, b) in p_fast.iter().zip(&p_reference) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }

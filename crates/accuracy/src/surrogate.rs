@@ -55,12 +55,6 @@ impl SurrogateModel {
         }
     }
 
-    /// Replace the residual seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     fn residual(
         &self,
         backbone: Backbone,
@@ -171,12 +165,12 @@ mod tests {
     #[test]
     fn different_seeds_decorrelate_residuals() {
         let arch = Backbone::ResNet9Cifar10.materialize_values(&[16, 64, 1, 128, 1, 128, 1]);
-        let a = SurrogateModel::paper_calibrated()
-            .with_seed(1)
-            .evaluate(Backbone::ResNet9Cifar10, &arch);
-        let b = SurrogateModel::paper_calibrated()
-            .with_seed(2)
-            .evaluate(Backbone::ResNet9Cifar10, &arch);
+        let seeded = |seed| SurrogateModel {
+            seed,
+            ..SurrogateModel::paper_calibrated()
+        };
+        let a = seeded(1).evaluate(Backbone::ResNet9Cifar10, &arch);
+        let b = seeded(2).evaluate(Backbone::ResNet9Cifar10, &arch);
         assert_ne!(a, b);
         assert!((a - b).abs() < 0.01);
     }

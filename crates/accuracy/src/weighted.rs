@@ -21,11 +21,6 @@ pub enum AccuracyCombiner {
 }
 
 impl AccuracyCombiner {
-    /// The paper's experimental setting: `alpha_1 = alpha_2 = 0.5`.
-    pub fn paper_equal_weights() -> Self {
-        AccuracyCombiner::Weighted(vec![0.5, 0.5])
-    }
-
     /// Combine per-task accuracies into one scalar.
     ///
     /// # Panics
@@ -69,7 +64,7 @@ mod tests {
     #[test]
     fn equal_weights_match_average() {
         let acc = [0.9285, 0.8374];
-        let weighted = AccuracyCombiner::paper_equal_weights().combine(&acc);
+        let weighted = AccuracyCombiner::Weighted(vec![0.5, 0.5]).combine(&acc);
         let average = AccuracyCombiner::Average.combine(&acc);
         assert!((weighted - average).abs() < 1e-12);
         assert!((weighted - 0.88295).abs() < 1e-9);
@@ -115,7 +110,7 @@ mod tests {
     fn display_names() {
         assert_eq!(AccuracyCombiner::Average.to_string(), "average");
         assert_eq!(AccuracyCombiner::Minimum.to_string(), "minimum");
-        assert!(AccuracyCombiner::paper_equal_weights()
+        assert!(AccuracyCombiner::Weighted(vec![0.5, 0.5])
             .to_string()
             .starts_with("weighted"));
     }

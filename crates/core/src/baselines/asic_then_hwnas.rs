@@ -16,7 +16,7 @@ use crate::scenario::value::{ConfigError, ConfigValue};
 use crate::workload::Workload;
 use nasaic_accel::{Accelerator, HardwareSpace};
 use nasaic_nn::layer::Architecture;
-use nasaic_rl::{Controller, ControllerConfig, Segment};
+use nasaic_rl::{Controller, ControllerConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -184,14 +184,9 @@ impl AsicThenHwNas {
         let scorer = engine.scorer(PenaltyBounds::from_specs(&ctx.specs, 3.0), self.rho);
         for episode in start_episode..self.nas_episodes {
             let sample = controller.sample(&mut rng);
-            let architectures: Result<Vec<Architecture>, _> = workload
-                .tasks
-                .iter()
-                .zip(&sample.segments)
-                .map(|(task, segment)| task.backbone.materialize(segment))
-                .collect();
+            let architectures = Candidate::decode_architectures(workload, &sample.actions);
             let (evaluations, weighted_accuracy, any_compliant, reward) = match architectures {
-                Ok(architectures) => {
+                Ok((architectures, _)) => {
                     let candidate = Candidate::from_parts(architectures, accelerator.clone());
                     let (evaluation, reward) = scorer.score(&candidate);
                     controller.feedback(&sample, reward);
@@ -243,19 +238,11 @@ impl AsicThenHwNas {
         Ok(outcome)
     }
 
-    /// Phase 2's fresh controller: one architecture segment per task.
-    fn nas_controller(&self, workload: &Workload) -> Controller {
-        let segments: Vec<Segment> = workload
-            .tasks
-            .iter()
-            .enumerate()
-            .map(|(i, task)| {
-                Segment::new(
-                    &format!("dnn{i}-{}", task.name),
-                    task.backbone.search_space().cardinalities(),
-                )
-            })
-            .collect();
+    /// Phase 2's fresh controller: the co-exploration controller's
+    /// architecture segments, one per task, without its hardware segments.
+    fn nas_controller(&self, workload: &Workload, hardware: &HardwareSpace) -> Controller {
+        let mut segments = workload.controller_segments(hardware);
+        segments.truncate(workload.num_tasks());
         Controller::new(segments, ControllerConfig::default(), self.seed ^ 0xdddd)
     }
 }
@@ -311,7 +298,7 @@ impl SearchAlgorithm for AsicThenHwNas {
                 } else {
                     let accelerator =
                         fitting_accelerator(cp.state_field("accelerator")?, hardware)?;
-                    let mut controller = self.nas_controller(workload);
+                    let mut controller = self.nas_controller(workload, hardware);
                     cp.restore_controller(&mut controller)?;
                     let outcome = cp.restore_outcome(workload)?;
                     (
@@ -335,7 +322,7 @@ impl SearchAlgorithm for AsicThenHwNas {
                 let accelerator = self.run_monte_carlo_hardware(ctx, &mut run, mc_resume)?;
                 let start = (
                     StdRng::seed_from_u64(self.seed ^ 0xeeee),
-                    self.nas_controller(workload),
+                    self.nas_controller(workload, hardware),
                     SearchOutcome::empty(),
                     0,
                 );

@@ -4,9 +4,9 @@
 //! optimization approaches, such as evolution algorithms, can also be
 //! applied" in place of the reinforcement-learning controller.  This module
 //! provides that alternative optimizer: a steady-state genetic algorithm
-//! whose genome is the concatenation of the per-task architecture choice
-//! indices and the per-sub-accelerator hardware choice indices, and whose
-//! fitness is exactly the Eq. 4 reward.
+//! whose genome is the controller's flat choice vector (the per-task
+//! architecture choice indices, then the per-sub-accelerator hardware
+//! choice indices), and whose fitness is exactly the Eq. 4 reward.
 
 use crate::algorithm::{SearchAlgorithm, SearchContext, SearchError, SearchEvent};
 use crate::bounds::PenaltyBounds;
@@ -14,7 +14,6 @@ use crate::candidate::Candidate;
 use crate::checkpoint::{self, CheckpointSink, SearchCheckpoint};
 use crate::log::{ExploredSolution, SearchOutcome};
 use crate::scenario::value::{ConfigError, ConfigValue};
-use nasaic_nn::space::SearchSpace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -120,43 +119,16 @@ impl SearchAlgorithm for EvolutionarySearch {
         let observer = ctx.observer();
         let mut run = ctx.start(self.name(), self.seed, sink);
         let scorer = engine.scorer(PenaltyBounds::from_specs(&specs, 3.0), self.rho);
-        let arch_spaces: Vec<SearchSpace> = workload
-            .tasks
-            .iter()
-            .map(|t| t.backbone.search_space())
-            .collect();
-        let hw_space = hardware.search_space();
 
-        // Genome layout: per-task architecture indices followed by the flat
-        // hardware indices.
-        let genome_layout: Vec<usize> = arch_spaces
-            .iter()
-            .map(SearchSpace::num_choices)
-            .chain(std::iter::once(hw_space.num_choices()))
+        // A genome is one flat choice vector, laid out as the controller's
+        // segments: each task's architecture choices, then the hardware
+        // choices.
+        let cardinalities: Vec<usize> = workload
+            .controller_segments(hardware)
+            .into_iter()
+            .flat_map(|segment| segment.cardinalities)
             .collect();
-        let genome_length: usize = genome_layout.iter().sum();
-        let cardinalities: Vec<usize> = arch_spaces
-            .iter()
-            .flat_map(|s| s.cardinalities())
-            .chain(hw_space.cardinalities())
-            .collect();
-        debug_assert_eq!(cardinalities.len(), genome_length);
-
-        let decode = |genome: &[usize]| -> Option<Candidate> {
-            let mut segments = Vec::with_capacity(workload.num_tasks() + 1);
-            let mut offset = 0;
-            for space in &arch_spaces {
-                segments.push(genome[offset..offset + space.num_choices()].to_vec());
-                offset += space.num_choices();
-            }
-            // Hardware indices are consumed 3 per sub-accelerator by
-            // `Candidate::from_segments`.
-            let hw = genome[offset..].to_vec();
-            for chunk in hw.chunks(3) {
-                segments.push(chunk.to_vec());
-            }
-            Candidate::from_segments(workload, hardware, &segments).ok()
-        };
+        let genome_length = cardinalities.len();
 
         let (mut rng, mut population, mut fitness, mut outcome, start_generation) = match resume {
             Some(cp) => {
@@ -209,34 +181,36 @@ impl SearchAlgorithm for EvolutionarySearch {
         // Score one whole generation: decode every genome, evaluate the
         // decodable ones as a parallel batch, and record them in genome
         // order (identical bookkeeping to the old one-at-a-time loop).
-        let mut generation_fitness = |population: &[Vec<usize>],
-                                      outcome: &mut SearchOutcome|
-         -> Vec<f64> {
-            let decoded: Vec<Option<Candidate>> = population.iter().map(|g| decode(g)).collect();
-            let candidates: Vec<Candidate> = decoded.iter().flatten().cloned().collect();
-            let mut scored = scorer.score_batch(&candidates).into_iter();
-            decoded
-                .into_iter()
-                .map(|candidate| {
-                    let Some(candidate) = candidate else {
-                        return -self.rho * 10.0;
-                    };
-                    let (evaluation, reward) =
-                        scored.next().expect("one score per decoded candidate");
-                    outcome.record_observed(
-                        ExploredSolution {
-                            episode: evaluations,
-                            candidate,
-                            evaluation,
-                            reward,
-                        },
-                        observer,
-                    );
-                    evaluations += 1;
-                    reward
-                })
-                .collect()
-        };
+        let mut generation_fitness =
+            |population: &[Vec<usize>], outcome: &mut SearchOutcome| -> Vec<f64> {
+                let decoded: Vec<Option<Candidate>> = population
+                    .iter()
+                    .map(|genome| Candidate::decode(workload, hardware, genome).ok())
+                    .collect();
+                let candidates: Vec<Candidate> = decoded.iter().flatten().cloned().collect();
+                let mut scored = scorer.score_batch(&candidates).into_iter();
+                decoded
+                    .into_iter()
+                    .map(|candidate| {
+                        let Some(candidate) = candidate else {
+                            return -self.rho * 10.0;
+                        };
+                        let (evaluation, reward) =
+                            scored.next().expect("one score per decoded candidate");
+                        outcome.record_observed(
+                            ExploredSolution {
+                                episode: evaluations,
+                                candidate,
+                                evaluation,
+                                reward,
+                            },
+                            observer,
+                        );
+                        evaluations += 1;
+                        reward
+                    })
+                    .collect()
+            };
 
         // One `EpisodeEvaluated` event per scored generation (the initial
         // population is generation 0).

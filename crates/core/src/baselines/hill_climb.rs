@@ -96,7 +96,12 @@ impl SearchAlgorithm for HillClimb {
             if arch_indices.len() != workload.num_tasks() {
                 return None;
             }
-            let architectures = Candidate::decode_architectures(workload, arch_indices).ok()?;
+            let architectures = workload
+                .tasks
+                .iter()
+                .zip(arch_indices)
+                .map(|(task, indices)| task.backbone.materialize(indices).ok())
+                .collect::<Option<Vec<_>>>()?;
             let accelerator = hardware.decode(hw_indices).ok()?;
             Some(Candidate::from_parts(architectures, accelerator))
         };

@@ -146,7 +146,7 @@ impl NasThenAsic {
             };
             for episode in first_episode..self.nas_episodes {
                 let sample = controller.sample(&mut rng);
-                let (accuracy, evaluated) = match task.backbone.materialize(&sample.segments[0]) {
+                let (accuracy, evaluated) = match task.backbone.materialize(&sample.actions) {
                     Ok(arch) => {
                         // Evaluate against the task whose backbone
                         // generated the architecture (a one-element

@@ -16,95 +16,60 @@ pub struct Candidate {
     pub architectures: Vec<Architecture>,
     /// The heterogeneous accelerator design.
     pub accelerator: Accelerator,
-    /// The controller index vectors that produced the architectures
-    /// (one per task).
-    pub architecture_indices: Vec<Vec<usize>>,
-    /// The controller index vector that produced the accelerator.
-    pub hardware_indices: Vec<usize>,
 }
 
 impl Candidate {
-    /// Decode a candidate from controller segments: the first `m` segments
-    /// are per-task architecture choices, the rest are per-sub-accelerator
-    /// hardware choices.
+    /// Decode a candidate from one flat choice vector, laid out as
+    /// [`Workload::controller_segments`] defines it: each task's
+    /// architecture choices, then every sub-accelerator's hardware
+    /// choices.
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeError`] if a segment does not fit its search space.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of segments differs from
-    /// `workload.num_tasks() + hardware.num_sub_accelerators()`.
-    pub fn from_segments(
+    /// Returns [`DecodeError`] if the vector is shorter or longer than the
+    /// layout, or a choice does not fit its search space.
+    pub fn decode(
         workload: &Workload,
         hardware: &HardwareSpace,
-        segments: &[Vec<usize>],
+        choices: &[usize],
     ) -> Result<Self, DecodeError> {
         let _span = crate::metrics::maybe_time(crate::metrics::candidate_decode_wall);
-        let m = workload.num_tasks();
-        let k = hardware.num_sub_accelerators();
-        assert_eq!(
-            segments.len(),
-            m + k,
-            "expected {m} architecture segments + {k} hardware segments, got {}",
-            segments.len()
-        );
-        let architectures = Self::decode_architectures(workload, &segments[..m])?;
-        let hardware_indices: Vec<usize> = segments[m..].iter().flatten().copied().collect();
-        let accelerator = hardware.decode(&hardware_indices)?;
+        let (architectures, hardware_choices) = Self::decode_architectures(workload, choices)?;
         Ok(Self {
             architectures,
-            accelerator,
-            architecture_indices: segments[..m].to_vec(),
-            hardware_indices,
+            accelerator: hardware.decode(hardware_choices)?,
         })
     }
 
-    /// Decode one architecture per task from its controller segment (the
-    /// architecture half of [`Candidate::from_segments`]).
+    /// Decode one architecture per task from the front of a flat choice
+    /// vector (the architecture half of [`Candidate::decode`]), and return
+    /// them with the choices that follow.
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeError`] if a segment does not fit its task's
-    /// search space.
-    pub fn decode_architectures(
+    /// Returns [`DecodeError`] if the vector is shorter than the tasks'
+    /// choices, or a choice does not fit its task's search space.
+    pub fn decode_architectures<'a>(
         workload: &Workload,
-        segments: &[Vec<usize>],
-    ) -> Result<Vec<Architecture>, DecodeError> {
-        workload
-            .tasks
-            .iter()
-            .zip(segments)
-            .map(|(task, segment)| task.backbone.materialize(segment))
-            .collect()
+        choices: &'a [usize],
+    ) -> Result<(Vec<Architecture>, &'a [usize]), DecodeError> {
+        let mut rest = choices;
+        let mut architectures = Vec::with_capacity(workload.num_tasks());
+        for task in &workload.tasks {
+            let space = task.backbone.search_space();
+            let (own, after) = rest.split_at(space.num_choices().min(rest.len()));
+            architectures.push(task.backbone.materialize_values(&space.decode(own)?));
+            rest = after;
+        }
+        Ok((architectures, rest))
     }
 
-    /// Build a candidate directly from concrete parts (used by baselines
-    /// that do not go through the controller).
+    /// Build a candidate directly from concrete parts.
     pub fn from_parts(architectures: Vec<Architecture>, accelerator: Accelerator) -> Self {
-        let architecture_indices = architectures
-            .iter()
-            .map(|a| a.hyperparameters.clone())
-            .collect();
         Self {
             architectures,
             accelerator,
-            architecture_indices,
-            hardware_indices: Vec::new(),
         }
-    }
-
-    /// Replace the accelerator while keeping the architectures (used by the
-    /// hardware-only exploration steps of the optimizer selector).
-    pub fn with_accelerator(
-        mut self,
-        accelerator: Accelerator,
-        hardware_indices: Vec<usize>,
-    ) -> Self {
-        self.accelerator = accelerator;
-        self.hardware_indices = hardware_indices;
-        self
     }
 
     /// Compact summary of the candidate in the paper's notation.
@@ -135,56 +100,69 @@ mod tests {
     use nasaic_accel::{Dataflow, SubAccelerator};
     use nasaic_nn::backbone::Backbone;
 
+    /// W1's layout: CIFAR ResNet (7 choices), Nuclei U-Net (6), then
+    /// two sub-accelerators of (dataflow, PE level, bandwidth level).
+    const W1_CHOICES: [usize; 19] = [
+        2, 2, 2, 3, 2, 3, 2, // CIFAR ResNet
+        2, 1, 1, 1, 1, 1, // Nuclei U-Net
+        1, 8, 4, // aic0: nvdla, mid PEs, mid BW
+        0, 8, 4, // aic1: shidiannao
+    ];
+
     #[test]
-    fn decodes_segments_into_architectures_and_accelerator() {
+    fn decodes_a_flat_vector_into_architectures_and_accelerator() {
         let workload = Workload::w1();
         let hardware = HardwareSpace::paper_default(2);
-        let segments = vec![
-            vec![2, 2, 2, 3, 2, 3, 2], // CIFAR ResNet
-            vec![2, 1, 1, 1, 1, 1],    // Nuclei U-Net
-            vec![1, 8, 4],             // aic0: nvdla, mid PEs, mid BW
-            vec![0, 8, 4],             // aic1: shidiannao
-        ];
-        let candidate = Candidate::from_segments(&workload, &hardware, &segments).unwrap();
+        let candidate = Candidate::decode(&workload, &hardware, &W1_CHOICES).unwrap();
         assert_eq!(candidate.architectures.len(), 2);
         assert_eq!(candidate.architectures[0].name, "resnet9-cifar10");
         assert_eq!(candidate.architectures[1].name, "unet-nuclei");
         assert_eq!(candidate.accelerator.sub_accelerators().len(), 2);
         assert!(candidate.accelerator.has_capacity());
         assert!(candidate.summary().contains("dla") || candidate.summary().contains("shi"));
+        let (architectures, hardware_choices) =
+            Candidate::decode_architectures(&workload, &W1_CHOICES).unwrap();
+        assert_eq!(architectures, candidate.architectures);
+        assert_eq!(hardware_choices, &W1_CHOICES[13..]);
     }
 
     #[test]
-    fn invalid_segment_indices_are_reported() {
+    fn invalid_choice_indices_are_reported() {
         let workload = Workload::w3();
         let hardware = HardwareSpace::paper_default(2);
-        let segments = vec![
-            vec![9, 0, 0, 0, 0, 0, 0], // index 9 out of range
-            vec![0, 0, 0, 0, 0, 0, 0],
-            vec![0, 0, 0],
-            vec![0, 0, 0],
-        ];
-        assert!(Candidate::from_segments(&workload, &hardware, &segments).is_err());
+        let mut choices = vec![0; 7 + 7 + 6];
+        choices[0] = 9; // index 9 out of range
+        assert!(matches!(
+            Candidate::decode(&workload, &hardware, &choices),
+            Err(DecodeError::IndexOutOfRange { index: 9, .. })
+        ));
     }
 
     #[test]
-    #[should_panic]
-    fn wrong_segment_count_panics() {
-        let workload = Workload::w3();
+    fn a_vector_of_the_wrong_length_is_reported() {
+        let workload = Workload::w1();
         let hardware = HardwareSpace::paper_default(2);
-        let _ = Candidate::from_segments(&workload, &hardware, &[vec![0; 7]]);
+        let wrong_length = |found| Err(DecodeError::WrongLength { expected: 6, found });
+        // A choice short: the hardware tail is one choice short.
+        let short = Candidate::decode(&workload, &hardware, &W1_CHOICES[..18]);
+        assert_eq!(short, wrong_length(5));
+        // A choice long: the hardware tail has one choice too many.
+        let long = [&W1_CHOICES[..], &[0]].concat();
+        assert_eq!(
+            Candidate::decode(&workload, &hardware, &long),
+            wrong_length(7)
+        );
+        // Too short even for the tasks: the second task's choices run out.
+        let tasks_short = Candidate::decode(&workload, &hardware, &W1_CHOICES[..10]);
+        assert_eq!(tasks_short, wrong_length(3));
     }
 
     #[test]
-    fn from_parts_and_with_accelerator() {
+    fn from_parts_keeps_the_parts() {
         let arch = Backbone::ResNet9Cifar10.materialize_values(&[8, 32, 0, 32, 0, 32, 0]);
         let acc = Accelerator::single(SubAccelerator::new(Dataflow::Nvdla, 1024, 32));
-        let candidate = Candidate::from_parts(vec![arch.clone()], acc);
-        assert_eq!(candidate.architectures[0], arch);
-        let other = Accelerator::single(SubAccelerator::new(Dataflow::Shidiannao, 512, 16));
-        let replaced = candidate.with_accelerator(other.clone(), vec![0, 2, 2]);
-        assert_eq!(replaced.accelerator, other);
-        assert_eq!(replaced.hardware_indices, vec![0, 2, 2]);
-        assert_eq!(replaced.architectures[0], arch);
+        let candidate = Candidate::from_parts(vec![arch.clone()], acc.clone());
+        assert_eq!(candidate.architectures, vec![arch]);
+        assert_eq!(candidate.accelerator, acc);
     }
 }

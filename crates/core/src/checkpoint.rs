@@ -77,8 +77,10 @@ use rand::rngs::{StdRng, StdRngState};
 /// (`records_from`, `records`) instead of inside `state`; version 3
 /// writes controller matrices as hex bit strings ([`matrix_to_value`]);
 /// version 4 drops the reward history that version 3 kept in the
-/// controller's trainer state and in the outcome counters.
-pub const CHECKPOINT_VERSION: u32 = 4;
+/// controller's trainer state and in the outcome counters; version 5
+/// drops the controller index vectors and the mapping flag that version 4
+/// wrote into every record ([`solution_to_value`]).
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 // ---------------------------------------------------------------------------
 // The checkpoint envelope
@@ -1655,35 +1657,21 @@ pub fn architectures_from_value(
         .collect()
 }
 
-/// Encode a candidate: its architectures ([`architectures_to_value`]), the
-/// controller index vectors, and its accelerator
-/// ([`accelerator_to_value`]).
+/// Encode a candidate: its architectures ([`architectures_to_value`]) and
+/// its accelerator ([`accelerator_to_value`]).
 pub fn candidate_to_value(candidate: &Candidate) -> ConfigValue {
     let mut root = ConfigValue::table();
     root.insert(
         "arch_values",
         architectures_to_value(&candidate.architectures),
     );
-    root.insert(
-        "arch_indices",
-        ConfigValue::Array(
-            candidate
-                .architecture_indices
-                .iter()
-                .map(|indices| usizes_to_value(indices))
-                .collect(),
-        ),
-    );
-    root.insert(
-        "hardware_indices",
-        usizes_to_value(&candidate.hardware_indices),
-    );
     root.insert("subs", accelerator_to_value(&candidate.accelerator));
     root
 }
 
 /// Decode a candidate written by [`candidate_to_value`], rebuilding the
-/// architectures from `workload`'s backbones.
+/// architectures from `workload`'s backbones.  Keys it does not read are
+/// ignored, such as the index vectors that records of format 4 carry.
 ///
 /// # Errors
 ///
@@ -1693,20 +1681,14 @@ pub fn candidate_from_value(
     value: &ConfigValue,
     workload: &Workload,
 ) -> Result<Candidate, ConfigError> {
-    let mut architecture_indices = Vec::new();
-    for indices in array_field(value, "arch_indices")? {
-        architecture_indices.push(usizes_from_value(indices)?);
-    }
-    Ok(Candidate {
-        architectures: architectures_from_value(field(value, "arch_values")?, &workload.tasks)?,
-        accelerator: accelerator_from_value(field(value, "subs")?)?,
-        architecture_indices,
-        hardware_indices: usizes_from_value(field(value, "hardware_indices")?)?,
-    })
+    Ok(Candidate::from_parts(
+        architectures_from_value(field(value, "arch_values")?, &workload.tasks)?,
+        accelerator_from_value(field(value, "subs")?)?,
+    ))
 }
 
 /// Encode an evaluation (accuracies, weighted accuracy, hardware metrics
-/// — possibly `INFINITY` — spec check, mapping feasibility).
+/// — possibly `INFINITY` — and spec check).
 pub fn evaluation_to_value(evaluation: &Evaluation) -> ConfigValue {
     let mut root = ConfigValue::table();
     root.insert("accuracies", floats_to_value(&evaluation.accuracies));
@@ -1729,14 +1711,11 @@ pub fn evaluation_to_value(evaluation: &Evaluation) -> ConfigValue {
         ConfigValue::Bool(evaluation.spec_check.energy),
     );
     root.insert("spec_area", ConfigValue::Bool(evaluation.spec_check.area));
-    root.insert(
-        "mapping_feasible",
-        ConfigValue::Bool(evaluation.mapping_feasible),
-    );
     root
 }
 
-/// Decode an evaluation written by [`evaluation_to_value`].
+/// Decode an evaluation written by [`evaluation_to_value`] (ignoring the
+/// `mapping_feasible` flag that records of format 4 carry).
 ///
 /// # Errors
 ///
@@ -1755,7 +1734,6 @@ pub fn evaluation_from_value(value: &ConfigValue) -> Result<Evaluation, ConfigEr
             energy: bool_field(value, "spec_energy")?,
             area: bool_field(value, "spec_area")?,
         },
-        mapping_feasible: bool_field(value, "mapping_feasible")?,
     })
 }
 
@@ -2126,9 +2104,33 @@ mod tests {
         assert_eq!(decoded, solution);
         // Infeasible mappings carry INFINITY metrics; they must survive.
         solution.evaluation.metrics = HardwareMetrics::infeasible();
-        solution.evaluation.mapping_feasible = false;
         let decoded = solution_from_value(&solution_to_value(&solution), &workload).unwrap();
         assert_eq!(decoded, solution);
+    }
+
+    #[test]
+    fn a_record_of_format_4_decodes_with_its_index_keys_unread() {
+        // A w1 NASAIC record as format 4 wrote it: with the controller
+        // index vectors and the mapping flag that format 5 drops.
+        let v4 = concat!(
+            r#"{"episode":0,"candidate":{"arch_values":[[8,64,2,32,1,64,1],[5,4,8,64,128,256]],"#,
+            r#""arch_indices":[[0,1,2,0,1,1,1],[4,0,0,2,2,2]],"hardware_indices":[2,14,3,0,11,3],"#,
+            r#""subs":[[2,2272,24],[0,1792,24]]},"evaluation":{"#,
+            r#""accuracies":[0.890349565795511,0.842541414879596],"#,
+            r#""weighted_accuracy":0.8664454903375536,"latency_cycles":798042.1428571428,"#,
+            r#""energy_nj":1538269296.3999999,"area_um2":5389870002.064884,"#,
+            r#""spec_latency":true,"spec_energy":true,"spec_area":false,"#,
+            r#""mapping_feasible":true},"reward":-2.6082295148246573}"#
+        );
+        let v5 = v4
+            .replace(r#""arch_indices":[[0,1,2,0,1,1,1],[4,0,0,2,2,2]],"#, "")
+            .replace(r#""hardware_indices":[2,14,3,0,11,3],"#, "")
+            .replace(r#","mapping_feasible":true"#, "");
+        let workload = Workload::w1();
+        let decode = |text: &str| solution_from_value(&value::parse_json(text).unwrap(), &workload);
+        let solution = decode(v4).unwrap();
+        assert_eq!(solution, decode(&v5).unwrap());
+        assert_eq!(value::to_json_compact(&solution_to_value(&solution)), v5);
     }
 
     #[test]
@@ -2615,20 +2617,21 @@ mod tests {
             error.message.contains("unsupported checkpoint version 1"),
             "{error}"
         );
-        // 2^32 + 4 must not wrap around to the supported version 4.
+        // 2^32 + 5 must not wrap around to the supported version 5.
         let json = complete(1, 0).to_json();
-        let wrapped = json.replacen("\"version\": 4", "\"version\": 4294967300", 1);
+        let wrapped = json.replacen("\"version\": 5", "\"version\": 4294967301", 1);
         let error = SearchCheckpoint::parse_json(&wrapped).unwrap_err();
-        assert!(error.message.contains("4294967300"), "{error}");
-        // Version 2 wrote controller state as decimal arrays and version 3
-        // kept the trainer's reward history; no reader for either is kept.
-        for old in [2, 3] {
-            let stale = json.replacen("\"version\": 4", &format!("\"version\": {old}"), 1);
+        assert!(error.message.contains("4294967301"), "{error}");
+        // Version 2 wrote controller state as decimal arrays, version 3
+        // kept the trainer's reward history and version 4 wrote index
+        // vectors into every record; no reader for any of them is kept.
+        for old in [2, 3, 4] {
+            let stale = json.replacen("\"version\": 5", &format!("\"version\": {old}"), 1);
             let error = SearchCheckpoint::parse_json(&stale).unwrap_err();
             assert!(
-                error
-                    .message
-                    .contains(&format!("unsupported checkpoint version {old}")),
+                error.message.contains(&format!(
+                    "unsupported checkpoint version {old} (this build reads 5)"
+                )),
                 "{error}"
             );
         }

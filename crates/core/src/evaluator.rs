@@ -70,8 +70,6 @@ pub struct Evaluation {
     pub metrics: HardwareMetrics,
     /// Per-spec satisfaction.
     pub spec_check: SpecCheck,
-    /// `true` when the mapper found a schedule within the latency spec.
-    pub mapping_feasible: bool,
 }
 
 impl Evaluation {
@@ -235,8 +233,8 @@ impl Evaluator {
 
     /// Assemble an [`Evaluation`] from precomputed accuracy and hardware
     /// results.  This is the single construction point shared with
-    /// [`crate::engine::EvalEngine`], so the cached path cannot drift from
-    /// the direct one.
+    /// [`crate::engine::EvalEngine`] and the NASAIC driver's records, so
+    /// the cached paths cannot drift from the direct one.
     pub fn assemble_evaluation(
         &self,
         accuracies: Vec<f64>,
@@ -247,7 +245,6 @@ impl Evaluator {
         Evaluation {
             accuracies,
             weighted_accuracy,
-            mapping_feasible: metrics.latency_cycles <= self.specs.latency_cycles,
             metrics,
             spec_check,
         }

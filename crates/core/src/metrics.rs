@@ -74,9 +74,9 @@ global_histogram!(
 );
 
 global_histogram!(
-    /// Wall time of decoding controller samples into candidates: one
-    /// sample per span in `Candidate::from_segments`, a whole episode per
-    /// span in the NASAIC driver (`nasaic_candidate_decode_wall_ns`).
+    /// Wall time of decoding flat choice vectors into candidates: one
+    /// vector per span in `Candidate::decode`, a whole episode per span in
+    /// the NASAIC driver (`nasaic_candidate_decode_wall_ns`).
     candidate_decode_wall,
     "nasaic_candidate_decode_wall_ns"
 );

@@ -18,8 +18,9 @@ use crate::scenario::value::ConfigValue;
 use crate::scenario::SearchSpec;
 use crate::selector::OptimizerSelector;
 use crate::workload::Workload;
-use nasaic_accel::HardwareSpace;
-use nasaic_rl::{Controller, ControllerConfig, ControllerSample};
+use nasaic_accel::{Accelerator, HardwareSpace};
+use nasaic_nn::space::DecodeError;
+use nasaic_rl::{Controller, ControllerConfig, ControllerSample, Segment};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -111,19 +112,20 @@ impl Nasaic {
         }
     }
 
-    /// A step's hardware indices: its hardware segments, in order.  In
-    /// homogeneous mode the controller predicts a single sub-accelerator,
-    /// whose segment is repeated once per sub-accelerator, so both modes
-    /// decode through one path.
-    fn hardware_indices(&self, hardware: &HardwareSpace, segments: &[Vec<usize>]) -> Vec<usize> {
-        let copies = if self.homogeneous {
-            hardware.num_sub_accelerators()
+    /// Decode a step's accelerator from its hardware choices, the tail of
+    /// its flat sample.  In homogeneous mode the controller predicts a
+    /// single sub-accelerator, whose choices are repeated once per
+    /// sub-accelerator, so both modes decode through one path.
+    fn decode_accelerator(
+        &self,
+        hardware: &HardwareSpace,
+        choices: &[usize],
+    ) -> Result<Accelerator, DecodeError> {
+        if self.homogeneous {
+            hardware.decode(&choices.repeat(hardware.num_sub_accelerators()))
         } else {
-            1
-        };
-        (0..copies)
-            .flat_map(|_| segments.iter().flatten().copied())
-            .collect()
+            hardware.decode(choices)
+        }
     }
 }
 
@@ -195,7 +197,12 @@ impl SearchAlgorithm for Nasaic {
             self.seed,
         );
         let selector = OptimizerSelector::new(self.hardware_trials);
-        let m = workload.num_tasks();
+        // A sample holds every task's architecture choices, then the
+        // hardware choices.
+        let architecture_choices: usize = controller.segments()[..workload.num_tasks()]
+            .iter()
+            .map(Segment::len)
+            .sum();
 
         for episode in start_episode..self.episodes {
             // Step 1: joint architecture + hardware prediction.
@@ -213,39 +220,29 @@ impl SearchAlgorithm for Nasaic {
                 };
                 // Architecture switch open: reuse the joint step's
                 // architecture decisions.
-                let arch_len: usize = joint_sample.segments[..m].iter().map(Vec::len).sum();
-                hw_sample.actions[..arch_len].copy_from_slice(&joint_sample.actions[..arch_len]);
-                for (segment, joint_segment) in hw_sample.segments[..m]
-                    .iter_mut()
-                    .zip(&joint_sample.segments[..m])
-                {
-                    segment.clone_from(joint_segment);
-                }
+                hw_sample.actions[..architecture_choices]
+                    .copy_from_slice(&joint_sample.actions[..architecture_choices]);
                 episode_samples.push(hw_sample);
             }
 
             // Decode the episode: its architectures once, from the joint
             // sample, and each step's accelerator from its own hardware
-            // segments.  An undecodable architecture leaves every step
+            // choices.  An undecodable architecture leaves every step
             // without a candidate.
             let (architectures, candidates) = {
                 let _span = crate::metrics::maybe_time(crate::metrics::candidate_decode_wall);
-                let architecture_indices = &joint_sample.segments[..m];
                 let architectures =
-                    Candidate::decode_architectures(workload, architecture_indices).ok();
+                    Candidate::decode_architectures(workload, &joint_sample.actions)
+                        .ok()
+                        .map(|(architectures, _)| architectures);
                 let candidates: Vec<Option<Candidate>> = episode_samples
                     .iter()
                     .map(|sample| {
                         let architectures = architectures.as_ref()?;
-                        let hardware_indices =
-                            self.hardware_indices(hardware, &sample.segments[m..]);
-                        let accelerator = hardware.decode(&hardware_indices).ok()?;
-                        Some(Candidate {
-                            architectures: architectures.clone(),
-                            accelerator,
-                            architecture_indices: architecture_indices.to_vec(),
-                            hardware_indices,
-                        })
+                        let hardware_choices = &sample.actions[architecture_choices..];
+                        let accelerator =
+                            self.decode_accelerator(hardware, hardware_choices).ok()?;
+                        Some(Candidate::from_parts(architectures.clone(), accelerator))
                     })
                     .collect();
                 (architectures, candidates)
@@ -281,7 +278,7 @@ impl SearchAlgorithm for Nasaic {
                     }
                     continue;
                 };
-                let (metrics, check) = hardware_evaluations[step]
+                let (metrics, _) = hardware_evaluations[step]
                     .expect("hardware evaluation exists for decodable candidates");
                 let penalty = Penalty::compute(&metrics, specs, &bounds);
                 let reward = match (step, &weighted) {
@@ -305,14 +302,10 @@ impl SearchAlgorithm for Nasaic {
                     joint_reward = reward.value();
                 }
 
-                if let (Some(accs), Some(w)) = (&accuracies, &weighted) {
-                    let evaluation = crate::evaluator::Evaluation {
-                        accuracies: accs.clone(),
-                        weighted_accuracy: *w,
-                        metrics,
-                        spec_check: check,
-                        mapping_feasible: metrics.latency_cycles <= specs.latency_cycles,
-                    };
+                if let Some(accuracies) = &accuracies {
+                    let evaluation = engine
+                        .evaluator()
+                        .assemble_evaluation(accuracies.clone(), metrics);
                     outcome.record_observed(
                         ExploredSolution {
                             episode,

@@ -43,15 +43,6 @@ impl SwitchState {
             hardware: true,
         }
     }
-
-    /// Hardware fixed, architecture explored (conventional NAS, used by the
-    /// ASIC→HW-NAS baseline).
-    pub fn architecture_only() -> Self {
-        Self {
-            architecture: true,
-            hardware: false,
-        }
-    }
 }
 
 /// The per-episode plan produced by the optimizer selector.
@@ -150,7 +141,6 @@ mod tests {
     fn switch_states_cover_paper_modes() {
         assert!(SwitchState::joint().architecture && SwitchState::joint().hardware);
         assert!(!SwitchState::hardware_only().architecture);
-        assert!(SwitchState::architecture_only().architecture);
-        assert!(!SwitchState::architecture_only().hardware);
+        assert!(SwitchState::hardware_only().hardware);
     }
 }

@@ -86,12 +86,6 @@ impl MappingAnalysis {
     pub fn latency_cycles(&self) -> f64 {
         self.compute_cycles.max(self.memory_cycles)
     }
-
-    /// `true` when the layer is limited by DRAM/NoC bandwidth rather than
-    /// by the PE array.
-    pub fn is_memory_bound(&self) -> bool {
-        self.memory_cycles > self.compute_cycles
-    }
 }
 
 /// The spatial parallelism a dataflow can exploit on a layer: how many MACs
@@ -228,7 +222,7 @@ mod tests {
         // Dense classifier: tiny compute, weight traffic dominates.
         let fc = LayerShape::dense("fc", 256, 10);
         let a = MappingAnalysis::analyze(&fc, &sub(Dataflow::Nvdla, 2048, 8), &config);
-        assert!(a.is_memory_bound());
+        assert!(a.memory_cycles > a.compute_cycles);
     }
 
     #[test]

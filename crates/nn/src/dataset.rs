@@ -64,14 +64,6 @@ impl Dataset {
         }
     }
 
-    /// Name of the quality metric reported for this dataset.
-    pub fn metric_name(&self) -> &'static str {
-        match self.task_kind() {
-            TaskKind::Classification => "accuracy",
-            TaskKind::Segmentation => "IOU",
-        }
-    }
-
     /// All datasets, in a stable order.
     pub fn all() -> [Dataset; 3] {
         [Dataset::Cifar10, Dataset::Stl10, Dataset::Nuclei]
@@ -104,12 +96,6 @@ mod tests {
         assert_eq!(Dataset::Cifar10.task_kind(), TaskKind::Classification);
         assert_eq!(Dataset::Stl10.task_kind(), TaskKind::Classification);
         assert_eq!(Dataset::Nuclei.task_kind(), TaskKind::Segmentation);
-    }
-
-    #[test]
-    fn metric_names_differ_by_task() {
-        assert_eq!(Dataset::Cifar10.metric_name(), "accuracy");
-        assert_eq!(Dataset::Nuclei.metric_name(), "IOU");
     }
 
     #[test]

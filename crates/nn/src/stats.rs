@@ -1,6 +1,6 @@
 //! Whole-network statistics used by accuracy surrogates and reports.
 
-use crate::layer::{Architecture, LayerKind};
+use crate::layer::Architecture;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -86,35 +86,6 @@ impl fmt::Display for NetworkStats {
     }
 }
 
-/// Per-layer report row (used by examples to print MAESTRO-style tables).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LayerReportRow {
-    /// Layer name.
-    pub name: String,
-    /// Operator kind.
-    pub kind: LayerKind,
-    /// MACs of the layer.
-    pub macs: u64,
-    /// Parameters of the layer.
-    pub params: u64,
-    /// Output activations of the layer.
-    pub output_activations: u64,
-}
-
-/// Build a per-layer report for an architecture.
-pub fn layer_report(arch: &Architecture) -> Vec<LayerReportRow> {
-    arch.layers
-        .iter()
-        .map(|l| LayerReportRow {
-            name: l.name.clone(),
-            kind: l.kind,
-            macs: l.macs(),
-            params: l.params(),
-            output_activations: l.output_activations(),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,16 +113,6 @@ mod tests {
         let resnet = NetworkStats::of(&Backbone::ResNet9Cifar10.largest_architecture());
         let unet = NetworkStats::of(&Backbone::UNetNuclei.largest_architecture());
         assert!(resnet.mean_channel_resolution_ratio > unet.mean_channel_resolution_ratio);
-    }
-
-    #[test]
-    fn layer_report_has_one_row_per_layer() {
-        let arch = Backbone::UNetNuclei.smallest_architecture();
-        let report = layer_report(&arch);
-        assert_eq!(report.len(), arch.num_layers());
-        assert_eq!(report[0].name, arch.layers[0].name);
-        let total: u64 = report.iter().map(|r| r.macs).sum();
-        assert_eq!(total, arch.total_macs());
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! hyperparameters (`nas(D_i)`); a sub-accelerator segment predicts the
 //! dataflow, PE and bandwidth allocation (`alloc(aic_k)`).
 //!
-//! [`Controller`] owns the flat [`PolicyNetwork`] plus the bookkeeping that
-//! splits the flat action vector back into per-segment slices.
+//! [`Controller`] owns the flat [`PolicyNetwork`] over all segments'
+//! decisions; a sample is one flat action vector, laid out segment after
+//! segment, which the caller decodes.
 
 use crate::policy::PolicyNetwork;
 use crate::reinforce::{ReinforceConfig, ReinforceTrainer};
@@ -68,14 +69,11 @@ impl Default for ControllerConfig {
     }
 }
 
-/// One controller prediction: the flat trajectory plus its per-segment
-/// split.
+/// One controller prediction: the flat trajectory over all segments.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ControllerSample {
-    /// Flat action vector over all segments.
+    /// Flat action vector: every segment's decisions, in segment order.
     pub actions: Vec<usize>,
-    /// Actions split per segment, in segment order.
-    pub segments: Vec<Vec<usize>>,
     /// Mean per-step entropy of the sampling distributions.
     pub mean_entropy: f64,
 }
@@ -117,11 +115,6 @@ impl Controller {
         &self.segments
     }
 
-    /// Total number of decisions across all segments.
-    pub fn num_decisions(&self) -> usize {
-        self.policy.num_steps()
-    }
-
     /// Number of policy updates applied so far.
     pub fn updates(&self) -> u64 {
         self.trainer.updates()
@@ -150,21 +143,10 @@ impl Controller {
         &mut self.trainer
     }
 
-    fn split(&self, actions: &[usize]) -> Vec<Vec<usize>> {
-        let mut out = Vec::with_capacity(self.segments.len());
-        let mut offset = 0;
-        for segment in &self.segments {
-            out.push(actions[offset..offset + segment.len()].to_vec());
-            offset += segment.len();
-        }
-        out
-    }
-
     /// Sample one candidate (architectures + hardware allocation).
     pub fn sample<R: Rng>(&self, rng: &mut R) -> ControllerSample {
         let episode = self.policy.sample_episode(rng);
         ControllerSample {
-            segments: self.split(&episode.actions),
             actions: episode.actions,
             mean_entropy: episode.mean_entropy,
         }
@@ -174,7 +156,6 @@ impl Controller {
     pub fn greedy(&self) -> ControllerSample {
         let actions = self.policy.greedy_episode();
         ControllerSample {
-            segments: self.split(&actions),
             actions,
             mean_entropy: 0.0,
         }
@@ -204,32 +185,20 @@ mod tests {
     }
 
     #[test]
-    fn sample_splits_actions_by_segment() {
-        let controller = Controller::new(nasaic_like_segments(), ControllerConfig::default(), 1);
-        let mut rng = StdRng::seed_from_u64(10);
-        let sample = controller.sample(&mut rng);
-        assert_eq!(sample.segments.len(), 4);
-        assert_eq!(sample.segments[0].len(), 7);
-        assert_eq!(sample.segments[1].len(), 6);
-        assert_eq!(sample.segments[2].len(), 3);
-        assert_eq!(sample.segments[3].len(), 3);
-        assert_eq!(
-            sample.actions.len(),
-            sample.segments.iter().map(Vec::len).sum::<usize>()
-        );
-        assert_eq!(controller.num_decisions(), 19);
-    }
-
-    #[test]
     fn sampled_actions_stay_in_range() {
         let controller = Controller::new(nasaic_like_segments(), ControllerConfig::default(), 2);
+        let cardinalities: Vec<usize> = controller
+            .segments()
+            .iter()
+            .flat_map(|segment| segment.cardinalities.iter().copied())
+            .collect();
+        assert_eq!(cardinalities.len(), 19);
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..50 {
             let sample = controller.sample(&mut rng);
-            for (segment, spec) in sample.segments.iter().zip(controller.segments()) {
-                for (a, &card) in segment.iter().zip(&spec.cardinalities) {
-                    assert!(*a < card);
-                }
+            assert_eq!(sample.actions.len(), cardinalities.len());
+            for (a, &card) in sample.actions.iter().zip(&cardinalities) {
+                assert!(*a < card);
             }
         }
     }
@@ -256,7 +225,7 @@ mod tests {
     fn greedy_sample_has_valid_segments() {
         let controller = Controller::new(nasaic_like_segments(), ControllerConfig::default(), 4);
         let greedy = controller.greedy();
-        assert_eq!(greedy.segments.len(), 4);
+        assert_eq!(greedy.actions.len(), 19);
         assert_eq!(greedy.mean_entropy, 0.0);
     }
 

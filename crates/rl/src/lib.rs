@@ -38,7 +38,8 @@
 //! let mut controller = Controller::new(segments, ControllerConfig::default(), 7);
 //! let mut rng = StdRng::seed_from_u64(1);
 //! let sample = controller.sample(&mut rng);
-//! assert_eq!(sample.segments.len(), 2);
+//! // One flat action vector: the architecture decisions, then the hardware.
+//! assert_eq!(sample.actions.len(), 5);
 //! controller.feedback(&sample, 0.9);
 //! ```
 

@@ -8,7 +8,7 @@
 //! energy under the latency bound; the workload fits the specs exactly when
 //! that minimum energy is itself within the energy bound.
 
-use crate::problem::{HapProblem, MappingSolution};
+use crate::problem::MappingSolution;
 
 /// Check the latency/energy design specs for a solved HAP instance.
 ///
@@ -19,16 +19,11 @@ pub fn meets_design_specs(solution: &MappingSolution, energy_spec: f64) -> bool 
     solution.feasible && solution.energy_nj <= energy_spec
 }
 
-/// Convenience wrapper: solve with the heuristic and apply the theorem.
-pub fn check_specs_heuristic(problem: &HapProblem, energy_spec: f64) -> bool {
-    let solution = crate::heuristic::solve_heuristic(problem);
-    meets_design_specs(&solution, energy_spec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::heuristic::solve_heuristic;
+    use crate::problem::HapProblem;
     use nasaic_accel::{Accelerator, Dataflow, SubAccelerator};
     use nasaic_cost::{CostModel, WorkloadCosts};
     use nasaic_nn::backbone::Backbone;
@@ -49,7 +44,6 @@ mod tests {
         let p = problem(1e9);
         let s = solve_heuristic(&p);
         assert!(meets_design_specs(&s, 1e12));
-        assert!(check_specs_heuristic(&p, 1e12));
     }
 
     #[test]
@@ -65,7 +59,6 @@ mod tests {
         let p = problem(1.0);
         let s = solve_heuristic(&p);
         assert!(!meets_design_specs(&s, f64::INFINITY));
-        assert!(!check_specs_heuristic(&p, f64::INFINITY));
     }
 
     #[test]

@@ -141,11 +141,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume the matrix and return its row-major storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow one row as a slice.
     ///
     /// # Panics
@@ -532,11 +527,11 @@ mod tests {
         let x = [1.0, -1.0, 2.0];
         let mut y = Vec::new();
         a.matvec_into(&x, &mut y);
-        assert_eq!(y, a.matmul(&Matrix::col_vector(&x)).into_vec());
+        assert_eq!(y, a.matmul(&Matrix::col_vector(&x)).as_slice());
         let z = [0.5, -0.25];
         let mut yt = Vec::new();
         a.matvec_tn_into(&z, &mut yt);
-        assert_eq!(yt, a.transpose().matmul(&Matrix::col_vector(&z)).into_vec());
+        assert_eq!(yt, a.transpose().matmul(&Matrix::col_vector(&z)).as_slice());
     }
 
     #[test]

@@ -445,3 +445,66 @@ fn a_nasaic_head_does_not_grow_with_the_run() {
         late.len()
     );
 }
+
+/// The keys of a table, in order.
+fn keys(value: &ConfigValue) -> Vec<&str> {
+    let entries = value.as_table().expect("a table");
+    entries.iter().map(|(key, _)| key.as_str()).collect()
+}
+
+#[test]
+fn a_journal_record_holds_each_fact_once() {
+    let dir = std::env::temp_dir().join(format!("nasaic-record-keys-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut scenario = shrink(registry::get("w1").expect("built-in"));
+    let mut journals = Vec::new();
+    for algorithm in Algorithm::all() {
+        scenario.search.algorithm = algorithm;
+        let head = dir.join(format!("{algorithm}.ckpt"));
+        let sink = FileCheckpointSink::new(&head, 1);
+        scenario.run_algorithm_checkpointed(
+            algorithm,
+            &scenario.engine(),
+            &NullObserver,
+            None,
+            &sink,
+        );
+        assert!(
+            sink.take_error().is_none(),
+            "{algorithm}: the file sink failed"
+        );
+        let journal = nasaic::core::checkpoint::journal_path(&head);
+        journals.push((algorithm, std::fs::read_to_string(journal).unwrap()));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    for (algorithm, journal) in journals {
+        assert!(
+            journal.lines().count() > 0,
+            "{algorithm} journalled no record"
+        );
+        for line in journal.lines() {
+            let record = value::parse_json(line).expect("a record parses");
+            assert_eq!(
+                keys(&record),
+                ["episode", "candidate", "evaluation", "reward"],
+                "{algorithm}"
+            );
+            let candidate = record.get("candidate").unwrap();
+            assert_eq!(keys(candidate), ["arch_values", "subs"], "{algorithm}");
+            assert_eq!(
+                keys(record.get("evaluation").unwrap()),
+                [
+                    "accuracies",
+                    "weighted_accuracy",
+                    "latency_cycles",
+                    "energy_nj",
+                    "area_um2",
+                    "spec_latency",
+                    "spec_energy",
+                    "spec_area"
+                ],
+                "{algorithm}"
+            );
+        }
+    }
+}
