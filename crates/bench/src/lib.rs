@@ -324,7 +324,7 @@ pub fn append_entry(path: &Path, bench: &str, entry: ConfigValue) -> Result<(), 
 /// The machine an entry was measured on: `nproc`, the `cpu` model, and
 /// `parallel_ratio`, how many CPUs' worth of throughput two CPU-bound
 /// threads get together (2.0 on two free cores, 1.0 when they share one).
-/// The probe runs for a fraction of a second.
+/// The probe runs for about a second.
 pub fn machine() -> ConfigValue {
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let cpu = std::fs::read_to_string("/proc/cpuinfo")
@@ -344,7 +344,9 @@ pub fn machine() -> ConfigValue {
 }
 
 /// A fixed CPU-bound loop run twice one after the other, over the same
-/// two runs on two threads at once.
+/// two runs on two threads at once: the fastest of five alternating rounds
+/// of each, so that a neighbour's burst during one round does not skew the
+/// ratio.
 fn parallel_ratio() -> f64 {
     fn spin() {
         let mut x = 0x9e37_79b9_7f4a_7c15_u64;
@@ -355,16 +357,20 @@ fn parallel_ratio() -> f64 {
         }
         std::hint::black_box(x);
     }
-    let start = Instant::now();
-    spin();
-    spin();
-    let sequential = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        scope.spawn(spin);
+    let (mut sequential, mut parallel) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        let start = Instant::now();
         spin();
-    });
-    sequential / start.elapsed().as_secs_f64().max(f64::MIN_POSITIVE)
+        spin();
+        sequential = sequential.min(start.elapsed().as_secs_f64());
+        let start = Instant::now();
+        std::thread::scope(|scope| {
+            scope.spawn(spin);
+            spin();
+        });
+        parallel = parallel.min(start.elapsed().as_secs_f64());
+    }
+    sequential / parallel.max(f64::MIN_POSITIVE)
 }
 
 /// W1 at seed 2020, the scenario the timed parts measure: 6 episodes under

@@ -283,21 +283,19 @@ impl SearchAlgorithm for AsicThenHwNas {
             None => (None, None),
             Some(cp) => {
                 let progress = cp.progress_for(self.name(), self.seed, runs + self.nas_episodes)?;
+                let state = cp.state_fields()?;
+                let fitting = |value| fitting_accelerator(value, hardware);
                 if progress <= runs {
-                    let best = match cp.state.get("best") {
+                    let best = match state.opt_table("best")? {
                         Some(incumbent) => Some((
-                            checkpoint::float_field(incumbent, "distance")?,
-                            fitting_accelerator(
-                                checkpoint::field(incumbent, "accelerator")?,
-                                hardware,
-                            )?,
+                            incumbent.decode("distance", checkpoint::float_from_value)?,
+                            incumbent.decode("accelerator", fitting)?,
                         )),
                         None => None,
                     };
                     (Some((cp.rng()?, best, progress)), None)
                 } else {
-                    let accelerator =
-                        fitting_accelerator(cp.state_field("accelerator")?, hardware)?;
+                    let accelerator = state.decode("accelerator", fitting)?;
                     let mut controller = self.nas_controller(workload, hardware);
                     cp.restore_controller(&mut controller)?;
                     let outcome = cp.restore_outcome(workload)?;
@@ -378,7 +376,7 @@ fn fitting_accelerator(
         || !hardware.budget().admits(&accelerator)
     {
         return Err(ConfigError::schema(format!(
-            "checkpoint: accelerator {accelerator} does not fit the hardware space"
+            "accelerator {accelerator} does not fit the hardware space"
         )));
     }
     Ok(accelerator)

@@ -133,14 +133,9 @@ impl SearchAlgorithm for EvolutionarySearch {
         let (mut rng, mut population, mut fitness, mut outcome, start_generation) = match resume {
             Some(cp) => {
                 let progress = cp.progress_for(self.name(), self.seed, self.generations)?;
-                let population = cp
-                    .state_field("population")?
-                    .as_array()
-                    .ok_or_else(|| ConfigError::schema("checkpoint: population is not an array"))?
-                    .iter()
-                    .map(checkpoint::usizes_from_value)
-                    .collect::<Result<Vec<_>, _>>()?;
-                let fitness = checkpoint::floats_from_value(cp.state_field("fitness")?)?;
+                let state = cp.state_fields()?;
+                let population = state.each("population", checkpoint::usizes_from_value)?;
+                let fitness = state.decode("fitness", checkpoint::floats_from_value)?;
                 let fits = |genome: &Vec<usize>| {
                     genome.len() == genome_length
                         && genome

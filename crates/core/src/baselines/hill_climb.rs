@@ -109,14 +109,9 @@ impl SearchAlgorithm for HillClimb {
         let (mut arch_indices, mut hw_indices, mut outcome, start_step) = match resume {
             Some(cp) => {
                 let progress = cp.progress_for(self.name(), 0, self.max_steps)?;
-                let arch_indices = cp
-                    .state_field("arch_indices")?
-                    .as_array()
-                    .ok_or_else(|| ConfigError::schema("checkpoint: arch_indices is not an array"))?
-                    .iter()
-                    .map(checkpoint::usizes_from_value)
-                    .collect::<Result<Vec<_>, _>>()?;
-                let hw_indices = checkpoint::usizes_from_value(cp.state_field("hw_indices")?)?;
+                let state = cp.state_fields()?;
+                let arch_indices = state.each("arch_indices", checkpoint::usizes_from_value)?;
+                let hw_indices = state.decode("hw_indices", checkpoint::usizes_from_value)?;
                 let outcome = cp.restore_outcome(workload)?;
                 (arch_indices, hw_indices, outcome, progress + 1)
             }

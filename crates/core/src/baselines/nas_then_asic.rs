@@ -255,19 +255,21 @@ impl NasThenAsic {
     ) -> Result<NasStart, ConfigError> {
         // `progress <= nas_episodes * num_tasks`, so `task <= num_tasks`.
         let task = progress / self.nas_episodes.max(1);
-        let done =
-            checkpoint::architectures_from_value(cp.state_field("done")?, &workload.tasks[..task])?;
+        let state = cp.state_fields()?;
+        let done = state.decode("done", |done| {
+            checkpoint::architectures_from_value(done, &workload.tasks[..task])
+        })?;
+        let mid_task = state.opt_table("controller")?.is_some();
         let (controller, best) = match workload.tasks.get(task) {
-            Some(current) if cp.state.get("controller").is_some() => {
+            Some(current) if mid_task => {
                 let mut controller = self.task_controller(task, current);
                 cp.restore_controller(&mut controller)?;
-                let best = match cp.state.get("best") {
+                let best = match state.opt_table("best")? {
                     Some(incumbent) => Some((
-                        checkpoint::float_field(incumbent, "accuracy")?,
-                        checkpoint::architecture_from_value(
-                            checkpoint::field(incumbent, "values")?,
-                            current,
-                        )?,
+                        incumbent.decode("accuracy", checkpoint::float_from_value)?,
+                        incumbent.decode("values", |values| {
+                            checkpoint::architecture_from_value(values, current)
+                        })?,
                     )),
                     None => None,
                 };
@@ -375,8 +377,9 @@ impl SearchAlgorithm for NasThenAsic {
             if progress <= nas_budget {
                 nas_start = self.decode_nas(cp, workload, progress)?;
             } else {
-                let architectures =
-                    checkpoint::architectures_from_value(cp.state_field("done")?, &workload.tasks)?;
+                let architectures = cp.state_fields()?.decode("done", |done| {
+                    checkpoint::architectures_from_value(done, &workload.tasks)
+                })?;
                 let outcome = cp.restore_outcome(workload)?;
                 sweep_start = Some((architectures, (cp.rng()?, outcome, progress - nas_budget)));
             }

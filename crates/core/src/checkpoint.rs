@@ -62,7 +62,7 @@ use crate::algorithm::Budget;
 use crate::candidate::Candidate;
 use crate::evaluator::Evaluation;
 use crate::log::{ExploredSolution, PhaseSummary, SearchOutcome};
-use crate::scenario::value::{self, ConfigError, ConfigValue, JsonObject};
+use crate::scenario::value::{self, ConfigError, ConfigValue, Fields, JsonObject};
 use crate::spec::SpecCheck;
 use crate::workload::{Task, Workload};
 use nasaic_accel::{Accelerator, Dataflow, SubAccelerator};
@@ -189,7 +189,8 @@ impl SearchCheckpoint {
     /// Returns a schema error for missing/ill-typed fields or an
     /// unsupported version.
     pub fn from_value(value: &ConfigValue) -> Result<Self, ConfigError> {
-        let raw = int_field(value, "version")?;
+        let fields = value.fields("checkpoint")?;
+        let raw: u64 = fields.uint("version")?;
         let version = u32::try_from(raw).unwrap_or(0);
         if version != CHECKPOINT_VERSION {
             return Err(ConfigError::schema(format!(
@@ -198,12 +199,12 @@ impl SearchCheckpoint {
         }
         Ok(Self {
             version,
-            algorithm: str_field(value, "algorithm")?.to_string(),
-            seed: int_field(value, "seed")? as u64,
-            progress: usize_field(value, "progress")?,
-            records_from: usize_field(value, "records_from")?,
-            records: array_field(value, "records")?.to_vec(),
-            state: field(value, "state")?.clone(),
+            algorithm: fields.str("algorithm")?.to_string(),
+            seed: fields.uint("seed")?,
+            progress: fields.uint("progress")?,
+            records_from: fields.uint("records_from")?,
+            records: fields.array("records")?.to_vec(),
+            state: fields.value("state")?.clone(),
         })
     }
 
@@ -326,13 +327,14 @@ impl SearchCheckpoint {
         Err(ConfigError::schema(mismatch))
     }
 
-    /// Field `key` of the driver state.
+    /// A view of the driver state for typed reads; errors name its fields
+    /// `checkpoint.state.<key>`.
     ///
     /// # Errors
     ///
-    /// Returns a schema error when the state has no such field.
-    pub fn state_field(&self, key: &str) -> Result<&ConfigValue, ConfigError> {
-        field(&self.state, key)
+    /// Returns a schema error when the state is not a table.
+    pub fn state_fields(&self) -> Result<Fields<'_>, ConfigError> {
+        self.state.fields("checkpoint.state")
     }
 
     /// The run's RNG, stored as `state.rng` ([`rng_state_to_value`]).
@@ -341,7 +343,9 @@ impl SearchCheckpoint {
     ///
     /// Returns the error of [`rng_state_from_value`].
     pub fn rng(&self) -> Result<StdRng, ConfigError> {
-        rng_state_from_value(self.state_field("rng")?).map(StdRng::from_state)
+        self.state_fields()?
+            .decode("rng", rng_state_from_value)
+            .map(StdRng::from_state)
     }
 
     /// Restore `controller` from `state.controller`
@@ -353,7 +357,9 @@ impl SearchCheckpoint {
     /// whose shape does not fit `controller`; the controller is then left
     /// unchanged.
     pub fn restore_controller(&self, controller: &mut Controller) -> Result<(), ConfigError> {
-        let state = controller_state_from_value(self.state_field("controller")?)?;
+        let state = self
+            .state_fields()?
+            .decode("controller", controller_state_from_value)?;
         controller
             .restore_state(&state)
             .map_err(|reason| ConfigError::schema(format!("checkpoint: {reason}")))
@@ -375,7 +381,11 @@ impl SearchCheckpoint {
                 self.records_from
             )));
         }
-        outcome_from_parts(&self.records, field(&self.state, "outcome")?, workload)
+        outcome_from_parts(
+            &self.records,
+            &self.state_fields()?.table("outcome")?,
+            workload,
+        )
     }
 }
 
@@ -1013,17 +1023,15 @@ impl ShardPartial {
     /// Returns a schema error for missing/ill-typed fields or candidates
     /// that do not fit the workload.
     pub fn from_value(value: &ConfigValue, workload: &Workload) -> Result<Self, ConfigError> {
-        let budget = field(value, "budget")?;
+        let fields = value.fields("shard partial")?;
+        let budget = fields.table("budget")?;
         Ok(Self {
-            algorithm: str_field(value, "algorithm")?.to_string(),
-            seed: int_field(value, "seed")? as u64,
-            budget: Budget::new(
-                usize_field(budget, "episodes")?,
-                usize_field(budget, "hardware_trials")?,
-            ),
-            shards: usize_field(value, "shards")?,
-            shard_index: usize_field(value, "shard_index")?,
-            outcome: outcome_from_value(field(value, "outcome")?, workload)?,
+            algorithm: fields.str("algorithm")?.to_string(),
+            seed: fields.uint("seed")?,
+            budget: Budget::new(budget.uint("episodes")?, budget.uint("hardware_trials")?),
+            shards: fields.uint("shards")?,
+            shard_index: fields.uint("shard_index")?,
+            outcome: fields.decode("outcome", |outcome| outcome_from_value(outcome, workload))?,
         })
     }
 
@@ -1134,47 +1142,6 @@ pub fn merge_replay(
 // Value codecs
 // ---------------------------------------------------------------------------
 
-pub(crate) fn field<'a>(table: &'a ConfigValue, key: &str) -> Result<&'a ConfigValue, ConfigError> {
-    table
-        .get(key)
-        .ok_or_else(|| ConfigError::schema(format!("checkpoint: missing field `{key}`")))
-}
-
-fn str_field<'a>(table: &'a ConfigValue, key: &str) -> Result<&'a str, ConfigError> {
-    field(table, key)?
-        .as_str()
-        .ok_or_else(|| ConfigError::schema(format!("checkpoint: field `{key}` is not a string")))
-}
-
-fn int_field(table: &ConfigValue, key: &str) -> Result<i64, ConfigError> {
-    field(table, key)?
-        .as_integer()
-        .ok_or_else(|| ConfigError::schema(format!("checkpoint: field `{key}` is not an integer")))
-}
-
-fn usize_field(table: &ConfigValue, key: &str) -> Result<usize, ConfigError> {
-    let raw = int_field(table, key)?;
-    usize::try_from(raw)
-        .map_err(|_| ConfigError::schema(format!("checkpoint: field `{key}` is negative ({raw})")))
-}
-
-fn bool_field(table: &ConfigValue, key: &str) -> Result<bool, ConfigError> {
-    field(table, key)?
-        .as_bool()
-        .ok_or_else(|| ConfigError::schema(format!("checkpoint: field `{key}` is not a boolean")))
-}
-
-pub(crate) fn float_field(table: &ConfigValue, key: &str) -> Result<f64, ConfigError> {
-    float_from_value(field(table, key)?)
-        .map_err(|_| ConfigError::schema(format!("checkpoint: field `{key}` is not a float")))
-}
-
-fn array_field<'a>(table: &'a ConfigValue, key: &str) -> Result<&'a [ConfigValue], ConfigError> {
-    field(table, key)?
-        .as_array()
-        .ok_or_else(|| ConfigError::schema(format!("checkpoint: field `{key}` is not an array")))
-}
-
 /// Encode one `f64` exactly: finite values as floats (the emitter uses the
 /// shortest round-trip formatting), non-finite ones as the strings
 /// `"inf"` / `"-inf"` / `"nan"` (JSON has no literal for them, and
@@ -1206,7 +1173,7 @@ pub fn float_from_value(value: &ConfigValue) -> Result<f64, ConfigError> {
         Some("-inf") => Ok(f64::NEG_INFINITY),
         Some("nan") => Ok(f64::NAN),
         _ => Err(ConfigError::schema(format!(
-            "checkpoint: expected a float, found {}",
+            "expected a float, found {}",
             value.kind()
         ))),
     }
@@ -1219,7 +1186,7 @@ pub(crate) fn floats_to_value(xs: &[f64]) -> ConfigValue {
 pub(crate) fn floats_from_value(value: &ConfigValue) -> Result<Vec<f64>, ConfigError> {
     value
         .as_array()
-        .ok_or_else(|| ConfigError::schema("checkpoint: expected a float array"))?
+        .ok_or_else(|| ConfigError::schema("expected a float array"))?
         .iter()
         .map(float_from_value)
         .collect()
@@ -1232,12 +1199,12 @@ pub(crate) fn usizes_to_value(xs: &[usize]) -> ConfigValue {
 pub(crate) fn usizes_from_value(value: &ConfigValue) -> Result<Vec<usize>, ConfigError> {
     value
         .as_array()
-        .ok_or_else(|| ConfigError::schema("checkpoint: expected an integer array"))?
+        .ok_or_else(|| ConfigError::schema("expected an integer array"))?
         .iter()
         .map(|item| {
             item.as_integer()
                 .and_then(|raw| usize::try_from(raw).ok())
-                .ok_or_else(|| ConfigError::schema("checkpoint: expected a non-negative integer"))
+                .ok_or_else(|| ConfigError::schema("expected a non-negative integer"))
         })
         .collect()
 }
@@ -1267,10 +1234,11 @@ pub fn rng_state_to_value(state: &StdRngState) -> ConfigValue {
 /// Returns a schema error for missing/ill-typed fields, a key that is not
 /// exactly 8 words, or a buffer index past the 64-word buffer.
 pub fn rng_state_from_value(value: &ConfigValue) -> Result<StdRngState, ConfigError> {
-    let words = array_field(value, "key")?;
+    let fields = value.fields("")?;
+    let words = fields.array("key")?;
     if words.len() != 8 {
         return Err(ConfigError::schema(format!(
-            "checkpoint: rng key has {} words, expected 8",
+            "rng key has {} words, expected 8",
             words.len()
         )));
     }
@@ -1279,17 +1247,15 @@ pub fn rng_state_from_value(value: &ConfigValue) -> Result<StdRngState, ConfigEr
         *slot = word
             .as_integer()
             .and_then(|raw| u32::try_from(raw).ok())
-            .ok_or_else(|| ConfigError::schema("checkpoint: rng key word out of range"))?;
+            .ok_or_else(|| ConfigError::schema("rng key word out of range"))?;
     }
-    let index = usize_field(value, "index")?;
+    let index = fields.uint("index")?;
     if index > 64 {
-        return Err(ConfigError::schema(format!(
-            "checkpoint: rng buffer index {index} exceeds 64"
-        )));
+        return Err(fields.invalid("index", format_args!("{index} exceeds 64")));
     }
     Ok(StdRngState {
         key,
-        counter: int_field(value, "counter")? as u64,
+        counter: fields.uint("counter")?,
         index,
     })
 }
@@ -1331,13 +1297,13 @@ const HEX_PAIRS: [[u8; 2]; 256] = {
 pub(crate) fn float_bits_from_value(value: &ConfigValue) -> Result<Vec<f64>, ConfigError> {
     let text = value.as_str().ok_or_else(|| {
         ConfigError::schema(format!(
-            "checkpoint: expected a hex float string, found {}",
+            "expected a hex float string, found {}",
             value.kind()
         ))
     })?;
     if !text.len().is_multiple_of(16) {
         return Err(ConfigError::schema(format!(
-            "checkpoint: hex float string has {} digits, not a multiple of 16",
+            "hex float string has {} digits, not a multiple of 16",
             text.len()
         )));
     }
@@ -1355,8 +1321,7 @@ pub(crate) fn float_bits_from_value(value: &ConfigValue) -> Result<Vec<f64>, Con
                 .find(|&&digit| HEX_VALUES[usize::from(digit)] > 0xf)
                 .expect("a byte was not a digit");
             return Err(ConfigError::schema(format!(
-                "checkpoint: hex float string holds byte 0x{digit:02x}, not a lowercase hex \
-                 digit"
+                "hex float string holds byte 0x{digit:02x}, not a lowercase hex digit"
             )));
         }
         xs.push(f64::from_bits(bits));
@@ -1396,12 +1361,13 @@ pub fn matrix_to_value(matrix: &Matrix) -> ConfigValue {
 /// than a lowercase hex digit, or an element count other than
 /// `rows * cols`.
 pub fn matrix_from_value(value: &ConfigValue) -> Result<Matrix, ConfigError> {
-    let rows = usize_field(value, "rows")?;
-    let cols = usize_field(value, "cols")?;
-    let data = float_bits_from_value(field(value, "data")?)?;
+    let fields = value.fields("")?;
+    let rows: usize = fields.uint("rows")?;
+    let cols = fields.uint("cols")?;
+    let data = fields.decode("data", float_bits_from_value)?;
     if rows.checked_mul(cols) != Some(data.len()) {
         return Err(ConfigError::schema(format!(
-            "checkpoint: matrix data has {} elements, expected {rows}x{cols}",
+            "matrix data has {} elements, expected {rows}x{cols}",
             data.len()
         )));
     }
@@ -1483,11 +1449,9 @@ pub fn controller_state_to_value(state: &ControllerState) -> ConfigValue {
 fn matrix_pair_from_value(value: &ConfigValue) -> Result<(Matrix, Matrix), ConfigError> {
     let pair = value
         .as_array()
-        .ok_or_else(|| ConfigError::schema("checkpoint: expected a matrix pair"))?;
+        .ok_or_else(|| ConfigError::schema("expected a matrix pair"))?;
     if pair.len() != 2 {
-        return Err(ConfigError::schema(
-            "checkpoint: matrix pair must have 2 entries",
-        ));
+        return Err(ConfigError::schema("matrix pair must have 2 entries"));
     }
     Ok((matrix_from_value(&pair[0])?, matrix_from_value(&pair[1])?))
 }
@@ -1497,11 +1461,9 @@ fn opt_matrix_pair_from_value(
 ) -> Result<(Option<Matrix>, Option<Matrix>), ConfigError> {
     let pair = value
         .as_array()
-        .ok_or_else(|| ConfigError::schema("checkpoint: expected an accumulator pair"))?;
+        .ok_or_else(|| ConfigError::schema("expected an accumulator pair"))?;
     if pair.len() != 2 {
-        return Err(ConfigError::schema(
-            "checkpoint: accumulator pair must have 2 entries",
-        ));
+        return Err(ConfigError::schema("accumulator pair must have 2 entries"));
     }
     Ok((
         opt_matrix_from_value(&pair[0])?,
@@ -1515,42 +1477,24 @@ fn opt_matrix_pair_from_value(
 ///
 /// Returns a schema error for missing/ill-typed fields.
 pub fn controller_state_from_value(value: &ConfigValue) -> Result<ControllerState, ConfigError> {
-    let policy_value = field(value, "policy")?;
-    let mut heads = Vec::new();
-    for head in array_field(policy_value, "heads")? {
-        heads.push(matrix_pair_from_value(head)?);
-    }
-    let cell_slots = array_field(policy_value, "opt_cell")?;
-    if cell_slots.len() != 3 {
-        return Err(ConfigError::schema(
-            "checkpoint: opt_cell must have 3 entries",
-        ));
-    }
-    let opt_cell = [
-        opt_matrix_from_value(&cell_slots[0])?,
-        opt_matrix_from_value(&cell_slots[1])?,
-        opt_matrix_from_value(&cell_slots[2])?,
-    ];
-    let mut opt_heads = Vec::new();
-    for head in array_field(policy_value, "opt_heads")? {
-        opt_heads.push(opt_matrix_pair_from_value(head)?);
-    }
+    let fields = value.fields("")?;
+    let policy = fields.table("policy")?;
+    let opt_cell = policy.each("opt_cell", opt_matrix_from_value)?;
+    let opt_cell: [Option<Matrix>; 3] = opt_cell
+        .try_into()
+        .map_err(|_| policy.invalid("opt_cell", "must have 3 entries"))?;
     let policy = PolicyState {
-        w_x: matrix_from_value(field(policy_value, "w_x")?)?,
-        w_h: matrix_from_value(field(policy_value, "w_h")?)?,
-        b: matrix_from_value(field(policy_value, "b")?)?,
-        heads,
+        w_x: policy.decode("w_x", matrix_from_value)?,
+        w_h: policy.decode("w_h", matrix_from_value)?,
+        b: policy.decode("b", matrix_from_value)?,
+        heads: policy.each("heads", matrix_pair_from_value)?,
         opt_cell,
-        opt_heads,
+        opt_heads: policy.each("opt_heads", opt_matrix_pair_from_value)?,
     };
-    let trainer_value = field(value, "trainer")?;
-    let baseline = match trainer_value.get("baseline") {
-        Some(raw) => Some(float_from_value(raw)?),
-        None => None,
-    };
+    let trainer = fields.table("trainer")?;
     let trainer = TrainerState {
-        baseline,
-        updates: int_field(trainer_value, "updates")? as u64,
+        baseline: trainer.opt_decode("baseline", float_from_value)?,
+        updates: trainer.uint("updates")?,
     };
     Ok(ControllerState { policy, trainer })
 }
@@ -1578,23 +1522,20 @@ pub fn accelerator_to_value(accelerator: &Accelerator) -> ConfigValue {
 pub fn accelerator_from_value(value: &ConfigValue) -> Result<Accelerator, ConfigError> {
     let triples = value
         .as_array()
-        .ok_or_else(|| ConfigError::schema("checkpoint: expected an array of sub-accelerators"))?;
+        .ok_or_else(|| ConfigError::schema("expected an array of sub-accelerators"))?;
     let mut subs = Vec::with_capacity(triples.len());
     for triple in triples {
         let [dataflow, pes, bandwidth] = usizes_from_value(triple)?[..] else {
             return Err(ConfigError::schema(
-                "checkpoint: sub-accelerator triple must have 3 entries",
+                "sub-accelerator triple must have 3 entries",
             ));
         };
-        let dataflow = Dataflow::from_index(dataflow).ok_or_else(|| {
-            ConfigError::schema(format!("checkpoint: unknown dataflow index {dataflow}"))
-        })?;
+        let dataflow = Dataflow::from_index(dataflow)
+            .ok_or_else(|| ConfigError::schema(format!("unknown dataflow index {dataflow}")))?;
         subs.push(SubAccelerator::new(dataflow, pes, bandwidth));
     }
     if subs.is_empty() {
-        return Err(ConfigError::schema(
-            "checkpoint: accelerator has no sub-accelerators",
-        ));
+        return Err(ConfigError::schema("accelerator has no sub-accelerators"));
     }
     Ok(Accelerator::new(subs))
 }
@@ -1619,7 +1560,7 @@ pub fn architecture_from_value(
 ) -> Result<Architecture, ConfigError> {
     task.backbone
         .try_materialize_values(&usizes_from_value(value)?)
-        .map_err(|reason| ConfigError::schema(format!("checkpoint: {reason}")))
+        .map_err(ConfigError::schema)
 }
 
 /// Encode architectures, one per task, as an array of
@@ -1642,10 +1583,10 @@ pub fn architectures_from_value(
 ) -> Result<Vec<Architecture>, ConfigError> {
     let values = value
         .as_array()
-        .ok_or_else(|| ConfigError::schema("checkpoint: expected an array of architectures"))?;
+        .ok_or_else(|| ConfigError::schema("expected an array of architectures"))?;
     if values.len() != tasks.len() {
         return Err(ConfigError::schema(format!(
-            "checkpoint: {} architectures for {} tasks",
+            "{} architectures for {} tasks",
             values.len(),
             tasks.len()
         )));
@@ -1681,9 +1622,12 @@ pub fn candidate_from_value(
     value: &ConfigValue,
     workload: &Workload,
 ) -> Result<Candidate, ConfigError> {
+    let fields = value.fields("")?;
     Ok(Candidate::from_parts(
-        architectures_from_value(field(value, "arch_values")?, &workload.tasks)?,
-        accelerator_from_value(field(value, "subs")?)?,
+        fields.decode("arch_values", |values| {
+            architectures_from_value(values, &workload.tasks)
+        })?,
+        fields.decode("subs", accelerator_from_value)?,
     ))
 }
 
@@ -1721,18 +1665,19 @@ pub fn evaluation_to_value(evaluation: &Evaluation) -> ConfigValue {
 ///
 /// Returns a schema error for missing/ill-typed fields.
 pub fn evaluation_from_value(value: &ConfigValue) -> Result<Evaluation, ConfigError> {
+    let fields = value.fields("")?;
     Ok(Evaluation {
-        accuracies: floats_from_value(field(value, "accuracies")?)?,
-        weighted_accuracy: float_field(value, "weighted_accuracy")?,
+        accuracies: fields.decode("accuracies", floats_from_value)?,
+        weighted_accuracy: fields.decode("weighted_accuracy", float_from_value)?,
         metrics: HardwareMetrics {
-            latency_cycles: float_field(value, "latency_cycles")?,
-            energy_nj: float_field(value, "energy_nj")?,
-            area_um2: float_field(value, "area_um2")?,
+            latency_cycles: fields.decode("latency_cycles", float_from_value)?,
+            energy_nj: fields.decode("energy_nj", float_from_value)?,
+            area_um2: fields.decode("area_um2", float_from_value)?,
         },
         spec_check: SpecCheck {
-            latency: bool_field(value, "spec_latency")?,
-            energy: bool_field(value, "spec_energy")?,
-            area: bool_field(value, "spec_area")?,
+            latency: fields.bool("spec_latency")?,
+            energy: fields.bool("spec_energy")?,
+            area: fields.bool("spec_area")?,
         },
     })
 }
@@ -1756,11 +1701,14 @@ pub fn solution_from_value(
     value: &ConfigValue,
     workload: &Workload,
 ) -> Result<ExploredSolution, ConfigError> {
+    let fields = value.fields("")?;
     Ok(ExploredSolution {
-        episode: usize_field(value, "episode")?,
-        candidate: candidate_from_value(field(value, "candidate")?, workload)?,
-        evaluation: evaluation_from_value(field(value, "evaluation")?)?,
-        reward: float_field(value, "reward")?,
+        episode: fields.uint("episode")?,
+        candidate: fields.decode("candidate", |candidate| {
+            candidate_from_value(candidate, workload)
+        })?,
+        evaluation: fields.decode("evaluation", evaluation_from_value)?,
+        reward: fields.decode("reward", float_from_value)?,
     })
 }
 
@@ -1770,17 +1718,14 @@ pub fn solution_from_value(
 ///
 /// Returns a schema error for missing/ill-typed fields.
 pub fn phase_summary_from_value(value: &ConfigValue) -> Result<PhaseSummary, ConfigError> {
-    let best_weighted_accuracy = match value.get("best_weighted_accuracy") {
-        Some(raw) => Some(float_from_value(raw)?),
-        None => None,
-    };
+    let fields = value.fields("")?;
     Ok(PhaseSummary {
-        name: str_field(value, "name")?.to_string(),
-        episodes: usize_field(value, "episodes")?,
-        explored: usize_field(value, "explored")?,
-        spec_compliant: usize_field(value, "spec_compliant")?,
-        best_weighted_accuracy,
-        detail: str_field(value, "detail")?.to_string(),
+        name: fields.str("name")?.to_string(),
+        episodes: fields.uint("episodes")?,
+        explored: fields.uint("explored")?,
+        spec_compliant: fields.uint("spec_compliant")?,
+        best_weighted_accuracy: fields.opt_decode("best_weighted_accuracy", float_from_value)?,
+        detail: fields.str("detail")?.to_string(),
     })
 }
 
@@ -1831,32 +1776,27 @@ pub fn outcome_from_value(
     value: &ConfigValue,
     workload: &Workload,
 ) -> Result<SearchOutcome, ConfigError> {
-    outcome_from_parts(array_field(value, "explored")?, value, workload)
+    let fields = value.fields("")?;
+    outcome_from_parts(fields.array("explored")?, &fields, workload)
 }
 
 /// Replay `records` into an outcome and restore the counters of
 /// [`outcome_counters_to_value`] from `counters`.
 fn outcome_from_parts(
     records: &[ConfigValue],
-    counters: &ConfigValue,
+    counters: &Fields<'_>,
     workload: &Workload,
 ) -> Result<SearchOutcome, ConfigError> {
     let mut outcome = SearchOutcome::empty();
     for (index, solution) in records.iter().enumerate() {
         let solution = solution_from_value(solution, workload).map_err(|error| {
-            let reason = error.message.strip_prefix("checkpoint: ");
-            ConfigError::schema(format!(
-                "checkpoint record {index}: {}",
-                reason.unwrap_or(&error.message)
-            ))
+            ConfigError::schema(format!("checkpoint record {index}: {}", error.message))
         })?;
         outcome.record(solution);
     }
-    outcome.episodes = usize_field(counters, "episodes")?;
-    outcome.pruned_episodes = usize_field(counters, "pruned_episodes")?;
-    for phase in array_field(counters, "phases")? {
-        outcome.phases.push(phase_summary_from_value(phase)?);
-    }
+    outcome.episodes = counters.uint("episodes")?;
+    outcome.pruned_episodes = counters.uint("pruned_episodes")?;
+    outcome.phases = counters.each("phases", phase_summary_from_value)?;
     Ok(outcome)
 }
 
@@ -2084,7 +2024,10 @@ mod tests {
             let mut matrix = good.clone();
             matrix.insert("data", data);
             let error = matrix_from_value(&matrix).expect_err(what);
-            assert!(error.message.starts_with("checkpoint:"), "{what}: {error}");
+            assert!(
+                error.message.starts_with("data: ") || error.message.starts_with("matrix data has"),
+                "{what}: {error}"
+            );
         }
         // A shape whose element count overflows is a mismatch too.
         let mut matrix = good.clone();
@@ -2750,9 +2693,16 @@ mod tests {
             best_weighted_accuracy: None,
             detail: "archs".to_string(),
         });
-        // A seed past `i64::MAX` survives the round trip.
-        let partial = ShardPartial::new(&plan, u64::MAX - 1, Budget::new(3, 1), 1, outcome);
+        // The largest seed a config holds survives the round trip; one
+        // past it was written as a negative integer and is rejected.
+        let mut partial = ShardPartial::new(&plan, i64::MAX as u64, Budget::new(3, 1), 1, outcome);
         let parsed = ShardPartial::parse_json(&partial.to_json(), &workload).unwrap();
         assert_eq!(parsed, partial);
+        partial.seed += 1;
+        let error = ShardPartial::parse_json(&partial.to_json(), &workload).unwrap_err();
+        assert_eq!(
+            error.message,
+            "shard partial.seed must be a non-negative integer, got -9223372036854775808"
+        );
     }
 }

@@ -519,8 +519,9 @@ impl EvalEngine {
     ///
     /// # Errors
     ///
-    /// Returns a schema error naming the offending entry (e.g.
-    /// `accuracy[3]`) for an unknown version, a declared length that does
+    /// Returns a schema error naming the offending field (e.g.
+    /// `cache export.accuracy[3].task`) for a missing or ill-typed field,
+    /// an unknown version, a declared length that does
     /// not match the actual array (a truncated or corrupted file), a task
     /// index out of range for this engine's workload (a stale export from
     /// another scenario), an accelerator that does not decode
@@ -529,129 +530,79 @@ impl EvalEngine {
     /// (accuracies outside `[0, 1]`, non-finite or negative hardware
     /// metrics).
     pub fn import_caches(&self, value: &ConfigValue) -> Result<(), ConfigError> {
-        let version = value
-            .get("version")
-            .and_then(ConfigValue::as_integer)
-            .ok_or_else(|| ConfigError::schema("cache export: missing version"))?;
+        let fields = value.fields("cache export")?;
+        let version: u64 = fields.uint("version")?;
         if version != 1 {
             return Err(ConfigError::schema(format!(
                 "cache export: unsupported version {version}"
             )));
         }
-        let entry_array = |key: &str| -> Result<&[ConfigValue], ConfigError> {
-            let array = value
-                .get(key)
-                .and_then(ConfigValue::as_array)
-                .ok_or_else(|| ConfigError::schema(format!("cache export: missing {key} array")))?;
-            // `*_len` is written by every export; tolerate its absence (a
-            // hand-built value) but when present it must match, so a
-            // truncated file fails loudly instead of importing a prefix.
-            if let Some(declared) = value
-                .get(&format!("{key}_len"))
-                .and_then(ConfigValue::as_integer)
-            {
-                if declared != array.len() as i64 {
-                    return Err(ConfigError::schema(format!(
-                        "cache export: {key} declares {declared} entries but holds {} \
-                         (truncated or corrupted file?)",
-                        array.len()
-                    )));
+        // `*_len` is written by every export; tolerate its absence (a
+        // hand-built value) but when present it must match, so a truncated
+        // file fails loudly instead of importing a prefix.
+        for (key, len_key) in [("accuracy", "accuracy_len"), ("hardware", "hardware_len")] {
+            let held = fields.array(key)?.len();
+            if let Some(declared) = fields.opt_uint::<usize>(len_key)? {
+                if declared != held {
+                    return Err(fields.invalid(
+                        len_key,
+                        format_args!(
+                            "declares {declared} entries, but {key} holds {held} (truncated or \
+                             corrupted file?)"
+                        ),
+                    ));
                 }
             }
-            Ok(array)
-        };
-        let entry_str = |entry: &ConfigValue, at: &str, key: &str| -> Result<String, ConfigError> {
-            entry
-                .get(key)
-                .and_then(ConfigValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| ConfigError::schema(format!("cache export: {at}: missing {key}")))
-        };
-        let entry_float =
-            |entry: &ConfigValue, at: &str, key: &str| -> Result<f64, ConfigError> {
-                checkpoint::float_from_value(entry.get(key).ok_or_else(|| {
-                    ConfigError::schema(format!("cache export: {at}: missing {key}"))
-                })?)
-                .map_err(|err| ConfigError::schema(format!("cache export: {at}: {key}: {err}")))
-            };
+        }
 
         let num_tasks = self.evaluator.workload().num_tasks();
-        let mut accuracy_entries: Vec<(AccuracyKey, f64)> = Vec::new();
-        for (index, entry) in entry_array("accuracy")?.iter().enumerate() {
-            let at = format!("accuracy[{index}]");
-            let task = entry
-                .get("task")
-                .and_then(ConfigValue::as_integer)
-                .ok_or_else(|| ConfigError::schema(format!("cache export: {at}: missing task")))?;
-            if task < 0 || task as usize >= num_tasks {
-                return Err(ConfigError::schema(format!(
-                    "cache export: {at}: task index {task} out of range for a \
-                     {num_tasks}-task workload (stale export from another scenario?)"
-                )));
-            }
-            let name = entry_str(entry, &at, "name")?;
-            let values = checkpoint::usizes_from_value(entry.get("values").ok_or_else(|| {
-                ConfigError::schema(format!("cache export: {at}: missing values"))
-            })?)
-            .map_err(|err| ConfigError::schema(format!("cache export: {at}: values: {err}")))?;
-            let accuracy = entry_float(entry, &at, "accuracy")?;
-            if !accuracy.is_finite() || !(0.0..=1.0).contains(&accuracy) {
-                return Err(ConfigError::schema(format!(
-                    "cache export: {at}: accuracy {accuracy} outside [0, 1]"
-                )));
-            }
-            accuracy_entries.push(((task as usize, name, values), accuracy));
-        }
-
-        let mut hardware_entries: Vec<(HardwareKey, HardwareMetrics)> = Vec::new();
-        for (index, entry) in entry_array("hardware")?.iter().enumerate() {
-            let at = format!("hardware[{index}]");
-            let latency_bits = entry
-                .get("latency_bits")
-                .and_then(ConfigValue::as_integer)
-                .ok_or_else(|| {
-                    ConfigError::schema(format!("cache export: {at}: missing latency_bits"))
-                })? as u64;
-            let mut archs = Vec::new();
-            for arch in entry
-                .get("archs")
-                .and_then(ConfigValue::as_array)
-                .ok_or_else(|| ConfigError::schema(format!("cache export: {at}: missing archs")))?
-            {
-                archs.push((
-                    entry_str(arch, &at, "name")?,
-                    checkpoint::usizes_from_value(arch.get("values").ok_or_else(|| {
-                        ConfigError::schema(format!("cache export: {at}: missing values"))
-                    })?)
-                    .map_err(|err| {
-                        ConfigError::schema(format!("cache export: {at}: values: {err}"))
-                    })?,
+        let accuracy_entries = fields.each_table("accuracy", |entry| {
+            let task: usize = entry.uint("task")?;
+            if task >= num_tasks {
+                return Err(entry.invalid(
+                    "task",
+                    format_args!(
+                        "{task} is out of range for a {num_tasks}-task workload (stale export \
+                         from another scenario?)"
+                    ),
                 ));
             }
-            let accelerator =
-                checkpoint::accelerator_from_value(entry.get("subs").ok_or_else(|| {
-                    ConfigError::schema(format!("cache export: {at}: missing subs"))
-                })?)
-                .map_err(|err| ConfigError::schema(format!("cache export: {at}: subs: {err}")))?;
-            let latency_cycles = entry_float(entry, &at, "latency_cycles")?;
-            let energy_nj = entry_float(entry, &at, "energy_nj")?;
-            let area_um2 = entry_float(entry, &at, "area_um2")?;
+            let name = entry.str("name")?.to_string();
+            let values = entry.decode("values", checkpoint::usizes_from_value)?;
+            let accuracy = entry.decode("accuracy", checkpoint::float_from_value)?;
+            if !accuracy.is_finite() || !(0.0..=1.0).contains(&accuracy) {
+                return Err(entry.invalid("accuracy", format_args!("{accuracy} is outside [0, 1]")));
+            }
+            Ok(((task, name, values), accuracy))
+        })?;
+
+        let hardware_entries = fields.each_table("hardware", |entry| {
+            let latency_bits = entry.uint("latency_bits")?;
+            let archs = entry.each_table("archs", |arch| {
+                Ok((
+                    arch.str("name")?.to_string(),
+                    arch.decode("values", checkpoint::usizes_from_value)?,
+                ))
+            })?;
+            let accelerator = entry.decode("subs", checkpoint::accelerator_from_value)?;
             // Metrics are non-negative; `+inf` is legitimate (the solver's
             // sentinel for an infeasible mapping), NaN never is.
-            for (field, value) in [
-                ("latency_cycles", latency_cycles),
-                ("energy_nj", energy_nj),
-                ("area_um2", area_um2),
-            ] {
+            let metric = |key| {
+                let value = entry.decode(key, checkpoint::float_from_value)?;
                 if value.is_nan() || value < 0.0 {
-                    return Err(ConfigError::schema(format!(
-                        "cache export: {at}: {field} {value} is not a non-negative metric"
-                    )));
+                    return Err(
+                        entry.invalid(key, format_args!("{value} is not a non-negative metric"))
+                    );
                 }
-            }
-            let metrics = HardwareMetrics::new(latency_cycles, energy_nj, area_um2);
-            hardware_entries.push(((latency_bits, archs, accelerator), metrics));
-        }
+                Ok(value)
+            };
+            let metrics = HardwareMetrics::new(
+                metric("latency_cycles")?,
+                metric("energy_nj")?,
+                metric("area_um2")?,
+            );
+            Ok(((latency_bits, archs, accelerator), metrics))
+        })?;
 
         let mut accuracy_cache = self.accuracy_cache.write().expect("accuracy cache lock");
         for (key, value) in accuracy_entries {

@@ -250,8 +250,8 @@ impl Evaluator {
         }
     }
 
-    /// Hardware-only evaluation (used by the optimizer selector when the
-    /// architecture switch is closed): metrics plus spec check, no
+    /// Hardware-only evaluation (the steps of a NASAIC episode whose
+    /// architecture switch `S_A` is open): metrics plus spec check, no
     /// accuracy.
     pub fn evaluate_hardware(
         &self,

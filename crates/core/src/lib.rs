@@ -12,10 +12,11 @@
 //! 1. **Controller** ([`nasaic_rl::Controller`]) — a recurrent policy with
 //!    one segment per DNN and one per sub-accelerator, predicting
 //!    architecture hyperparameters and hardware allocations.
-//! 2. **Optimizer selector** ([`selector`]) — interleaves one joint
-//!    (architecture + hardware) step with `phi` hardware-only steps and
-//!    early-prunes architectures for which no feasible hardware design was
-//!    found, skipping the expensive accuracy evaluation.
+//! 2. **Optimizer selector** (the episode loop of [`search::Nasaic`]) —
+//!    interleaves one joint (architecture + hardware) step with `phi`
+//!    hardware-only steps and early-prunes architectures for which no
+//!    feasible hardware design was found, skipping the expensive accuracy
+//!    evaluation.
 //! 3. **Evaluator** ([`evaluator`]) — the accuracy path (training /
 //!    surrogate) and the hardware path (cost model + HAP mapping and
 //!    scheduling), combined into the reward of Eq. 4.
@@ -84,7 +85,6 @@ pub mod penalty;
 pub mod reward;
 pub mod scenario;
 pub mod search;
-pub mod selector;
 pub mod spec;
 pub mod studies;
 pub mod workload;

@@ -368,146 +368,88 @@ impl Scenario {
     ///
     /// Returns a [`ConfigError`] describing the first schema violation.
     pub fn from_value(value: &ConfigValue) -> Result<Self, ConfigError> {
-        let table = value
-            .as_table()
-            .ok_or_else(|| ConfigError::schema("scenario config must be a table"))?;
-        check_keys(
-            table,
-            &[
-                "name",
-                "description",
-                "seed",
-                "tasks",
-                "specs",
-                "hardware",
-                "search",
-            ],
-            "scenario",
-        )?;
+        let root = value.strict_fields("scenario")?;
+        let name = root.str("name")?.to_string();
+        let description = root.opt_str("description")?.unwrap_or_default().to_string();
+        let seed = root.opt_uint("seed")?.unwrap_or(2020);
 
-        let name = req_str(value, "name", "scenario")?;
-        let description = opt_str(value, "description", "")?;
-        let seed = opt_u64(value, "seed", 2020)?;
-
-        let tasks_value = value
-            .get("tasks")
-            .ok_or_else(|| ConfigError::schema("scenario needs a [[tasks]] list"))?;
-        let tasks_list = tasks_value
-            .as_array()
-            .ok_or_else(|| ConfigError::schema("`tasks` must be an array of tables"))?;
-        if tasks_list.is_empty() {
-            return Err(ConfigError::schema("scenario needs at least one task"));
-        }
-        let mut tasks = Vec::with_capacity(tasks_list.len());
-        for (i, entry) in tasks_list.iter().enumerate() {
-            let ctx = format!("tasks[{i}]");
-            let entry_table = entry
-                .as_table()
-                .ok_or_else(|| ConfigError::schema(format!("{ctx} must be a table")))?;
-            check_keys(entry_table, &["name", "backbone", "weight"], &ctx)?;
-            let backbone_name = req_str(entry, "backbone", &ctx)?;
-            let backbone = Backbone::from_name(&backbone_name).ok_or_else(|| {
-                ConfigError::schema(format!(
-                    "{ctx}: unknown backbone `{backbone_name}` (expected one of: {})",
-                    Backbone::all().map(|b| b.name()).join(", ")
-                ))
+        let tasks = root.each_table("tasks", |task| {
+            let name = task.opt_str("name")?;
+            let backbone_name = task.str("backbone")?;
+            let backbone = Backbone::from_name(backbone_name).ok_or_else(|| {
+                task.invalid(
+                    "backbone",
+                    format_args!(
+                        "names an unknown backbone `{backbone_name}` (expected one of: {})",
+                        Backbone::all().map(|b| b.name()).join(", ")
+                    ),
+                )
             })?;
-            let task_name = match value_str(entry, "name")? {
-                Some(n) => n,
-                None => backbone.name().to_string(),
-            };
-            let weight = req_f64(entry, "weight", &ctx)?;
+            let weight = task.number("weight")?;
             if !(weight > 0.0 && weight <= 1.0) {
-                return Err(ConfigError::schema(format!(
-                    "{ctx}: weight must be in (0, 1], got {weight}"
-                )));
+                return Err(task.invalid("weight", format_args!("must be in (0, 1], got {weight}")));
             }
-            tasks.push(TaskSpec {
-                name: task_name,
+            task.finish()?;
+            Ok(TaskSpec {
+                name: name.unwrap_or(backbone.name()).to_string(),
                 backbone,
                 weight,
-            });
+            })
+        })?;
+        if tasks.is_empty() {
+            return Err(ConfigError::schema("scenario needs at least one task"));
         }
 
-        let specs_value = value
-            .get("specs")
-            .ok_or_else(|| ConfigError::schema("scenario needs a [specs] table"))?;
-        let specs_table = specs_value
-            .as_table()
-            .ok_or_else(|| ConfigError::schema("`specs` must be a table"))?;
-        check_keys(
-            specs_table,
-            &["latency_cycles", "energy_nj", "area_um2"],
-            "specs",
-        )?;
-        let latency = req_f64(specs_value, "latency_cycles", "specs")?;
-        let energy = req_f64(specs_value, "energy_nj", "specs")?;
-        let area = req_f64(specs_value, "area_um2", "specs")?;
-        for (key, bound) in [
-            ("latency_cycles", latency),
-            ("energy_nj", energy),
-            ("area_um2", area),
-        ] {
-            if bound <= 0.0 {
-                return Err(ConfigError::schema(format!(
-                    "specs.{key} must be positive, got {bound}"
-                )));
+        let specs_table = root.table("specs")?;
+        let bound = |key| {
+            let bound = specs_table.number(key)?;
+            if bound > 0.0 {
+                Ok(bound)
+            } else {
+                Err(specs_table.invalid(key, format_args!("must be positive, got {bound}")))
             }
-        }
-        let specs = DesignSpecs::new(latency, energy, area);
+        };
+        let specs = DesignSpecs::new(
+            bound("latency_cycles")?,
+            bound("energy_nj")?,
+            bound("area_um2")?,
+        );
+        specs_table.finish()?;
 
-        let hardware = match value.get("hardware") {
+        let hardware = match root.opt_table("hardware")? {
             None => HardwareSpec::paper(2),
             Some(hw) => {
-                let hw_table = hw
-                    .as_table()
-                    .ok_or_else(|| ConfigError::schema("`hardware` must be a table"))?;
-                check_keys(
-                    hw_table,
-                    &[
-                        "sub_accelerators",
-                        "max_pes",
-                        "max_bandwidth_gbps",
-                        "dataflows",
-                    ],
-                    "hardware",
-                )?;
-                let sub_accelerators = opt_usize(hw, "sub_accelerators", 2)?;
+                let sub_accelerators = hw.opt_uint("sub_accelerators")?.unwrap_or(2);
                 if sub_accelerators == 0 {
-                    return Err(ConfigError::schema(
-                        "hardware.sub_accelerators must be at least 1",
-                    ));
+                    return Err(hw.invalid("sub_accelerators", "must be at least 1"));
                 }
-                let max_pes = opt_usize(hw, "max_pes", 4096)?;
-                let max_bandwidth_gbps = opt_usize(hw, "max_bandwidth_gbps", 64)?;
-                if max_pes == 0 || max_bandwidth_gbps == 0 {
-                    return Err(ConfigError::schema(
-                        "hardware budget (max_pes, max_bandwidth_gbps) must be positive",
-                    ));
-                }
-                let dataflows = match hw.get("dataflows") {
-                    None => Dataflow::all().to_vec(),
-                    Some(list) => {
-                        let items = list.as_array().ok_or_else(|| {
-                            ConfigError::schema("hardware.dataflows must be an array of strings")
-                        })?;
-                        if items.is_empty() {
-                            return Err(ConfigError::schema(
-                                "hardware.dataflows must name at least one template",
-                            ));
-                        }
-                        let mut flows = Vec::with_capacity(items.len());
-                        for item in items {
-                            let text = item.as_str().ok_or_else(|| {
-                                ConfigError::schema("hardware.dataflows entries must be strings")
-                            })?;
-                            flows.push(Dataflow::from_str(text).map_err(|e| {
-                                ConfigError::schema(format!("hardware.dataflows: {e}"))
-                            })?);
-                        }
-                        flows
+                let max_pes = hw.opt_uint("max_pes")?.unwrap_or(4096);
+                let max_bandwidth_gbps = hw.opt_uint("max_bandwidth_gbps")?.unwrap_or(64);
+                for (key, budget) in [
+                    ("max_pes", max_pes),
+                    ("max_bandwidth_gbps", max_bandwidth_gbps),
+                ] {
+                    if budget == 0 {
+                        return Err(hw.invalid(key, "must be positive"));
                     }
+                }
+                let dataflows = match hw.opt_array("dataflows")? {
+                    None => Dataflow::all().to_vec(),
+                    Some([]) => {
+                        return Err(hw.invalid("dataflows", "must name at least one template"))
+                    }
+                    Some(items) => items
+                        .iter()
+                        .map(|item| {
+                            let text = item.as_str().ok_or_else(|| {
+                                hw.invalid("dataflows", "must be an array of strings")
+                            })?;
+                            Dataflow::from_str(text)
+                                .map_err(|e| hw.invalid("dataflows", format_args!("names an {e}")))
+                        })
+                        .collect::<Result<_, _>>()?,
                 };
+                hw.finish()?;
                 HardwareSpec {
                     sub_accelerators,
                     max_pes,
@@ -517,104 +459,69 @@ impl Scenario {
             }
         };
 
-        let search = match value.get("search") {
+        let search = match root.opt_table("search")? {
             None => SearchSpec::paper(),
-            Some(search_value) => {
-                let search_table = search_value
-                    .as_table()
-                    .ok_or_else(|| ConfigError::schema("`search` must be a table"))?;
-                check_keys(
-                    search_table,
-                    &[
-                        "algorithm",
-                        "episodes",
-                        "hardware_trials",
-                        "bound_samples",
-                        "rho",
-                        "homogeneous",
-                        "accuracy_in_hardware_reward",
-                        "population",
-                        "tournament",
-                        "mutation_rate",
-                        "scheduler",
-                    ],
-                    "search",
-                )?;
+            Some(search) => {
                 let defaults = SearchSpec::paper();
-                let algorithm = match value_str(search_value, "algorithm")? {
-                    None => Algorithm::Nasaic,
-                    Some(name) => Algorithm::from_str(&name)?,
+                let spec = SearchSpec {
+                    algorithm: match search.opt_str("algorithm")? {
+                        None => defaults.algorithm,
+                        Some(name) => Algorithm::from_str(name).map_err(|e| {
+                            search.invalid("algorithm", format_args!("names an {}", e.message))
+                        })?,
+                    },
+                    episodes: search.opt_uint("episodes")?.unwrap_or(defaults.episodes),
+                    hardware_trials: search
+                        .opt_uint("hardware_trials")?
+                        .unwrap_or(defaults.hardware_trials),
+                    bound_samples: search
+                        .opt_uint("bound_samples")?
+                        .unwrap_or(defaults.bound_samples),
+                    rho: search.opt_number("rho")?.unwrap_or(defaults.rho),
+                    homogeneous: search
+                        .opt_bool("homogeneous")?
+                        .unwrap_or(defaults.homogeneous),
+                    accuracy_in_hardware_reward: search
+                        .opt_bool("accuracy_in_hardware_reward")?
+                        .unwrap_or(defaults.accuracy_in_hardware_reward),
+                    population: search
+                        .opt_uint("population")?
+                        .unwrap_or(defaults.population),
+                    tournament: search
+                        .opt_uint("tournament")?
+                        .unwrap_or(defaults.tournament),
+                    mutation_rate: search
+                        .opt_number("mutation_rate")?
+                        .unwrap_or(defaults.mutation_rate),
+                    scheduler: match search.opt_str("scheduler")? {
+                        None => defaults.scheduler,
+                        Some(name) => name.parse::<SchedulerPolicy>().map_err(|e| {
+                            search.invalid("scheduler", format_args!("names an {e}"))
+                        })?,
+                    },
                 };
-                let episodes = opt_usize(search_value, "episodes", defaults.episodes)?;
-                if episodes == 0 {
-                    return Err(ConfigError::schema("search.episodes must be at least 1"));
+                if spec.episodes == 0 {
+                    return Err(search.invalid("episodes", "must be at least 1"));
                 }
-                let rho = match search_value.get("rho") {
-                    None => defaults.rho,
-                    Some(v) => v.as_float().ok_or_else(|| {
-                        ConfigError::schema(format!(
-                            "search.rho must be a number, got {}",
-                            v.kind()
-                        ))
-                    })?,
-                };
-                let population = opt_usize(search_value, "population", defaults.population)?;
                 // The evolutionary driver needs two parents; a population of
                 // 1 would also break the declared-budget arithmetic.
-                if population < 2 {
-                    return Err(ConfigError::schema("search.population must be at least 2"));
+                if spec.population < 2 {
+                    return Err(search.invalid("population", "must be at least 2"));
                 }
-                let tournament = opt_usize(search_value, "tournament", defaults.tournament)?;
-                if tournament == 0 {
-                    return Err(ConfigError::schema("search.tournament must be at least 1"));
+                if spec.tournament == 0 {
+                    return Err(search.invalid("tournament", "must be at least 1"));
                 }
-                let mutation_rate = match search_value.get("mutation_rate") {
-                    None => defaults.mutation_rate,
-                    Some(v) => v.as_float().ok_or_else(|| {
-                        ConfigError::schema(format!(
-                            "search.mutation_rate must be a number, got {}",
-                            v.kind()
-                        ))
-                    })?,
-                };
-                if !(0.0..=1.0).contains(&mutation_rate) {
-                    return Err(ConfigError::schema(format!(
-                        "search.mutation_rate must be in [0, 1], got {mutation_rate}"
-                    )));
+                if !(0.0..=1.0).contains(&spec.mutation_rate) {
+                    return Err(search.invalid(
+                        "mutation_rate",
+                        format_args!("must be in [0, 1], got {}", spec.mutation_rate),
+                    ));
                 }
-                let scheduler = match value_str(search_value, "scheduler")? {
-                    None => defaults.scheduler,
-                    Some(name) => name
-                        .parse::<SchedulerPolicy>()
-                        .map_err(|e| ConfigError::schema(format!("search.scheduler: {e}")))?,
-                };
-                SearchSpec {
-                    algorithm,
-                    episodes,
-                    hardware_trials: opt_usize(
-                        search_value,
-                        "hardware_trials",
-                        defaults.hardware_trials,
-                    )?,
-                    bound_samples: opt_usize(
-                        search_value,
-                        "bound_samples",
-                        defaults.bound_samples,
-                    )?,
-                    rho,
-                    homogeneous: opt_bool(search_value, "homogeneous", false)?,
-                    accuracy_in_hardware_reward: opt_bool(
-                        search_value,
-                        "accuracy_in_hardware_reward",
-                        true,
-                    )?,
-                    population,
-                    tournament,
-                    mutation_rate,
-                    scheduler,
-                }
+                search.finish()?;
+                spec
             }
         };
+        root.finish()?;
 
         Ok(Self {
             name,
@@ -1063,95 +970,6 @@ impl fmt::Display for Scenario {
     }
 }
 
-// -- schema helpers ---------------------------------------------------------
-
-fn check_keys(
-    entries: &[(String, ConfigValue)],
-    allowed: &[&str],
-    ctx: &str,
-) -> Result<(), ConfigError> {
-    for (key, _) in entries {
-        if !allowed.contains(&key.as_str()) {
-            return Err(ConfigError::schema(format!(
-                "unknown key `{key}` in {ctx} (allowed: {})",
-                allowed.join(", ")
-            )));
-        }
-    }
-    Ok(())
-}
-
-fn value_str(value: &ConfigValue, key: &str) -> Result<Option<String>, ConfigError> {
-    match value.get(key) {
-        None => Ok(None),
-        Some(v) => v.as_str().map(|s| Some(s.to_string())).ok_or_else(|| {
-            ConfigError::schema(format!("`{key}` must be a string, got {}", v.kind()))
-        }),
-    }
-}
-
-fn req_str(value: &ConfigValue, key: &str, ctx: &str) -> Result<String, ConfigError> {
-    value_str(value, key)?
-        .ok_or_else(|| ConfigError::schema(format!("{ctx} needs a `{key}` string")))
-}
-
-fn opt_str(value: &ConfigValue, key: &str, default: &str) -> Result<String, ConfigError> {
-    Ok(value_str(value, key)?.unwrap_or_else(|| default.to_string()))
-}
-
-fn req_f64(value: &ConfigValue, key: &str, ctx: &str) -> Result<f64, ConfigError> {
-    match value.get(key) {
-        None => Err(ConfigError::schema(format!("{ctx} needs a `{key}` number"))),
-        Some(v) => v.as_float().ok_or_else(|| {
-            ConfigError::schema(format!("{ctx}.{key} must be a number, got {}", v.kind()))
-        }),
-    }
-}
-
-/// Describe an offending value in an error: the value itself when it is a
-/// (wrong-range) integer, its kind otherwise.
-fn describe(v: &ConfigValue) -> String {
-    match v.as_integer() {
-        Some(i) => i.to_string(),
-        None => v.kind().to_string(),
-    }
-}
-
-fn opt_u64(value: &ConfigValue, key: &str, default: u64) -> Result<u64, ConfigError> {
-    match value.get(key) {
-        None => Ok(default),
-        Some(v) => match v.as_integer() {
-            Some(i) if i >= 0 => Ok(i as u64),
-            _ => Err(ConfigError::schema(format!(
-                "`{key}` must be a non-negative integer, got {}",
-                describe(v)
-            ))),
-        },
-    }
-}
-
-fn opt_usize(value: &ConfigValue, key: &str, default: usize) -> Result<usize, ConfigError> {
-    match value.get(key) {
-        None => Ok(default),
-        Some(v) => match v.as_integer() {
-            Some(i) if i >= 0 => Ok(i as usize),
-            _ => Err(ConfigError::schema(format!(
-                "`{key}` must be a non-negative integer, got {}",
-                describe(v)
-            ))),
-        },
-    }
-}
-
-fn opt_bool(value: &ConfigValue, key: &str, default: bool) -> Result<bool, ConfigError> {
-    match value.get(key) {
-        None => Ok(default),
-        Some(v) => v.as_bool().ok_or_else(|| {
-            ConfigError::schema(format!("`{key}` must be a boolean, got {}", v.kind()))
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1212,6 +1030,11 @@ area_um2 = 4e9
         let bad_weight = minimal_toml().replace("weight = 1.0", "weight = 1.5");
         let err = Scenario::from_toml_str(&bad_weight).unwrap_err();
         assert!(err.message.contains("weight"), "{err}");
+
+        // A misspelt required key fails as missing, naming the misspelling.
+        let misspelt = minimal_toml().replace("weight = 1.0", "weigth = 1.0");
+        let err = Scenario::from_toml_str(&misspelt).unwrap_err();
+        assert!(err.message.contains("holds: backbone, weigth"), "{err}");
 
         let err = Scenario::from_toml_str("name = \"empty\"\n").unwrap_err();
         assert!(err.message.contains("tasks"), "{err}");

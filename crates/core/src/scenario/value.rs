@@ -9,13 +9,26 @@
 //! bare keys, basic strings, integers, floats, booleans, inline arrays,
 //! `[table]` headers and `[[array-of-tables]]` headers — and rejects
 //! everything else with a line-numbered error instead of guessing.
+//! Strings take the escapes JSON defines (`\"`, `\\`, `\/`, `\b`, `\f`,
+//! `\n`, `\r`, `\t` and `\uXXXX`, a surrogate pair combining into one
+//! character), and the emitters escape every character below U+0020, so
+//! documents pass to and from other JSON tools.
 //!
 //! Nesting is bounded: a document whose tables and arrays nest deeper than
 //! 64 levels is rejected with a line-numbered error, so no input (a
 //! scenario file, a wire request, a checkpoint, a shard partial or a cache
 //! export) can exhaust the stack of the recursive parser, the emitters or
 //! the value's destructor.
+//!
+//! Every document the program reads is decoded through one reader,
+//! [`Fields`]: a view of one table whose typed reads fail with an error
+//! naming the field's path (`scenario.search.episodes`,
+//! `cache export.hardware[3].subs`) and the offending value.  A view made
+//! by [`ConfigValue::strict_fields`] (scenarios) also rejects keys it was
+//! not asked for; every other document ignores them, so a reader accepts
+//! what an older or newer writer adds.
 
+use std::cell::RefCell;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -181,6 +194,338 @@ impl ConfigValue {
             ConfigValue::Table(_) => "table",
         }
     }
+
+    /// A view of this table for typed reads, whose errors name it `name`
+    /// (`scenario`, `checkpoint`, `cache export`; with an empty name, a
+    /// field's path starts at its key).  The view ignores keys it is not
+    /// asked for.
+    pub fn fields<'a>(&'a self, name: &'a str) -> Result<Fields<'a>, ConfigError> {
+        Fields::new(Place::Root(name), self, None)
+    }
+
+    /// [`fields`](Self::fields) for a table that rejects unknown keys: the
+    /// view and every table read through it record the keys they are
+    /// asked for, and [`Fields::finish`] rejects any other.  A required
+    /// key such a table lacks is an error that lists the keys it holds.
+    pub fn strict_fields<'a>(&'a self, name: &'a str) -> Result<Fields<'a>, ConfigError> {
+        Fields::new(Place::Root(name), self, Some(RefCell::default()))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Typed field reads
+// ---------------------------------------------------------------------------
+
+/// Where a value sits in its document.  A place borrows its parent's, so a
+/// view costs no allocation; the path is written out only into an error.
+#[derive(Debug, Clone, Copy)]
+enum Place<'a> {
+    /// A document (or a value decoded on its own) by name.
+    Root(&'a str),
+    /// Field `key` of the table at the parent place.
+    Key(&'a Place<'a>, &'static str),
+    /// Item `index` of the array in field `key` of the parent place.
+    Item(&'a Place<'a>, &'static str, usize),
+}
+
+impl fmt::Display for Place<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (parent, key) = match *self {
+            Place::Root(name) => return f.write_str(name),
+            Place::Key(parent, key) | Place::Item(parent, key, _) => (parent, key),
+        };
+        match parent {
+            Place::Root("") => f.write_str(key)?,
+            parent => write!(f, "{parent}.{key}")?,
+        }
+        match self {
+            Place::Item(_, _, index) => write!(f, "[{index}]"),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The error for `value` at `place` where `expected` belongs.
+fn mismatch(place: &Place<'_>, expected: &str, value: &ConfigValue) -> ConfigError {
+    let shown = match value {
+        ConfigValue::Array(_) => "an array".to_string(),
+        ConfigValue::Table(_) => "a table".to_string(),
+        ConfigValue::Str(text) if text.len() > 40 => format!("a string of {} bytes", text.len()),
+        scalar => {
+            let mut text = String::new();
+            emit_scalar(scalar, &mut text);
+            text
+        }
+    };
+    match place {
+        Place::Root("") => ConfigError::schema(format!("expected {expected}, got {shown}")),
+        place => ConfigError::schema(format!("{place} must be {expected}, got {shown}")),
+    }
+}
+
+const STRING: &str = "a string";
+const UINT: &str = "a non-negative integer";
+const NUMBER: &str = "a number";
+const BOOLEAN: &str = "a boolean";
+const ARRAY: &str = "an array";
+const TABLE: &str = "a table";
+
+/// A view of one table of a parsed document, for typed reads.
+///
+/// Each read names the key it wants.  An absent key is `None` from the
+/// `opt_` reads and an error from the others; a present value of another
+/// kind is always an error.  Errors name the field by its path from the
+/// document's root — `scenario.tasks[1].weight must be a number, got
+/// "heavy"` — so no decoder restates where it is.  Values that another
+/// codec decodes ([`decode`](Self::decode), [`each`](Self::each)) get the
+/// path in front of that codec's error.
+#[derive(Debug)]
+pub struct Fields<'a> {
+    place: Place<'a>,
+    entries: &'a [(String, ConfigValue)],
+    /// The keys asked for so far, kept by a strict view only.
+    asked: Option<RefCell<Vec<&'static str>>>,
+}
+
+impl<'a> Fields<'a> {
+    fn new(
+        place: Place<'a>,
+        value: &'a ConfigValue,
+        asked: Option<RefCell<Vec<&'static str>>>,
+    ) -> Result<Self, ConfigError> {
+        match value {
+            ConfigValue::Table(entries) => Ok(Self {
+                place,
+                entries,
+                asked,
+            }),
+            other => Err(mismatch(&place, TABLE, other)),
+        }
+    }
+
+    /// A view of `value` at `place`, as strict as this one.
+    fn child<'s>(
+        &'s self,
+        place: Place<'s>,
+        value: &'s ConfigValue,
+    ) -> Result<Fields<'s>, ConfigError> {
+        Fields::new(
+            place,
+            value,
+            self.asked.as_ref().map(|_| RefCell::default()),
+        )
+    }
+
+    fn get(&self, key: &'static str) -> Option<&'a ConfigValue> {
+        if let Some(asked) = &self.asked {
+            let mut asked = asked.borrow_mut();
+            if !asked.contains(&key) {
+                asked.push(key);
+            }
+        }
+        self.entries
+            .iter()
+            .find(|(name, _)| name == key)
+            .map(|(_, value)| value)
+    }
+
+    /// The value at `key` through `convert`, which gives `None` for a value
+    /// that is not `expected`.
+    fn read<T>(
+        &self,
+        key: &'static str,
+        expected: &str,
+        convert: impl FnOnce(&'a ConfigValue) -> Option<T>,
+    ) -> Result<Option<T>, ConfigError> {
+        match self.get(key) {
+            None => Ok(None),
+            Some(value) => convert(value)
+                .map(Some)
+                .ok_or_else(|| mismatch(&Place::Key(&self.place, key), expected, value)),
+        }
+    }
+
+    fn require<T>(
+        &self,
+        key: &'static str,
+        expected: &str,
+        found: Option<T>,
+    ) -> Result<T, ConfigError> {
+        found.ok_or_else(|| {
+            let place = Place::Key(&self.place, key);
+            let mut message = format!("{place} is missing, expected {expected}");
+            // A strict view names the keys its table holds: a misspelt
+            // required key fails here, before `finish` would name it.
+            if self.asked.is_some() {
+                let held: Vec<&str> = self.entries.iter().map(|(name, _)| name.as_str()).collect();
+                let _ = write!(message, " ({} holds: {})", self.place, held.join(", "));
+            }
+            ConfigError::schema(message)
+        })
+    }
+
+    /// An error for field `key` that passed its type but not a check
+    /// beyond it: the field's path, then `reason` (`must be at least 1`).
+    pub fn invalid(&self, key: &'static str, reason: impl fmt::Display) -> ConfigError {
+        ConfigError::schema(format!("{} {reason}", Place::Key(&self.place, key)))
+    }
+
+    /// The value at `key`, of any kind.
+    pub fn value(&self, key: &'static str) -> Result<&'a ConfigValue, ConfigError> {
+        self.require(key, "a value", self.get(key))
+    }
+
+    /// The string at `key`.
+    pub fn str(&self, key: &'static str) -> Result<&'a str, ConfigError> {
+        self.require(key, STRING, self.opt_str(key)?)
+    }
+
+    /// The string at `key`, if present.
+    pub fn opt_str(&self, key: &'static str) -> Result<Option<&'a str>, ConfigError> {
+        self.read(key, STRING, ConfigValue::as_str)
+    }
+
+    /// The non-negative integer at `key`, as `T` (`u64`, `usize`).
+    pub fn uint<T: TryFrom<i64>>(&self, key: &'static str) -> Result<T, ConfigError> {
+        self.require(key, UINT, self.opt_uint(key)?)
+    }
+
+    /// The non-negative integer at `key`, if present.
+    pub fn opt_uint<T: TryFrom<i64>>(&self, key: &'static str) -> Result<Option<T>, ConfigError> {
+        self.read(key, UINT, |value| {
+            value
+                .as_integer()
+                .filter(|&int| int >= 0)
+                .and_then(|int| T::try_from(int).ok())
+        })
+    }
+
+    /// The number at `key` (an integer widens to a float).
+    pub fn number(&self, key: &'static str) -> Result<f64, ConfigError> {
+        self.require(key, NUMBER, self.opt_number(key)?)
+    }
+
+    /// The number at `key`, if present.
+    pub fn opt_number(&self, key: &'static str) -> Result<Option<f64>, ConfigError> {
+        self.read(key, NUMBER, ConfigValue::as_float)
+    }
+
+    /// The boolean at `key`.
+    pub fn bool(&self, key: &'static str) -> Result<bool, ConfigError> {
+        self.require(key, BOOLEAN, self.opt_bool(key)?)
+    }
+
+    /// The boolean at `key`, if present.
+    pub fn opt_bool(&self, key: &'static str) -> Result<Option<bool>, ConfigError> {
+        self.read(key, BOOLEAN, ConfigValue::as_bool)
+    }
+
+    /// The array at `key`.
+    pub fn array(&self, key: &'static str) -> Result<&'a [ConfigValue], ConfigError> {
+        self.require(key, ARRAY, self.opt_array(key)?)
+    }
+
+    /// The array at `key`, if present.
+    pub fn opt_array(&self, key: &'static str) -> Result<Option<&'a [ConfigValue]>, ConfigError> {
+        self.read(key, ARRAY, ConfigValue::as_array)
+    }
+
+    /// A view of the table at `key`.
+    pub fn table(&self, key: &'static str) -> Result<Fields<'_>, ConfigError> {
+        self.require(key, TABLE, self.opt_table(key)?)
+    }
+
+    /// A view of the table at `key`, if present.
+    pub fn opt_table(&self, key: &'static str) -> Result<Option<Fields<'_>>, ConfigError> {
+        self.get(key)
+            .map(|value| self.child(Place::Key(&self.place, key), value))
+            .transpose()
+    }
+
+    /// The value at `key` through the codec `decode`, whose error gets the
+    /// field's path in front.
+    pub fn decode<T>(
+        &self,
+        key: &'static str,
+        decode: impl FnOnce(&'a ConfigValue) -> Result<T, ConfigError>,
+    ) -> Result<T, ConfigError> {
+        self.require(key, "a value", self.opt_decode(key, decode)?)
+    }
+
+    /// [`decode`](Self::decode) for a key that may be absent.
+    pub fn opt_decode<T>(
+        &self,
+        key: &'static str,
+        decode: impl FnOnce(&'a ConfigValue) -> Result<T, ConfigError>,
+    ) -> Result<Option<T>, ConfigError> {
+        self.get(key)
+            .map(|value| {
+                decode(value).map_err(|error| within(&Place::Key(&self.place, key), error))
+            })
+            .transpose()
+    }
+
+    /// Every item of the array at `key` through the codec `decode`; an
+    /// error gets the item's path (`outcome.phases[2]`) in front.
+    pub fn each<T>(
+        &self,
+        key: &'static str,
+        mut decode: impl FnMut(&'a ConfigValue) -> Result<T, ConfigError>,
+    ) -> Result<Vec<T>, ConfigError> {
+        let items = self.array(key)?;
+        let mut decoded = Vec::with_capacity(items.len());
+        for (index, item) in items.iter().enumerate() {
+            decoded.push(
+                decode(item)
+                    .map_err(|error| within(&Place::Item(&self.place, key, index), error))?,
+            );
+        }
+        Ok(decoded)
+    }
+
+    /// Every item of the array of tables at `key`, each read through a view
+    /// named by its path (`scenario.tasks[1]`).
+    pub fn each_table<T>(
+        &self,
+        key: &'static str,
+        mut decode: impl FnMut(Fields<'_>) -> Result<T, ConfigError>,
+    ) -> Result<Vec<T>, ConfigError> {
+        let items = self.array(key)?;
+        let mut decoded = Vec::with_capacity(items.len());
+        for (index, item) in items.iter().enumerate() {
+            decoded.push(decode(
+                self.child(Place::Item(&self.place, key, index), item)?,
+            )?);
+        }
+        Ok(decoded)
+    }
+
+    /// End the reads of a strict view: a key it was not asked for is an
+    /// error that lists the keys it was.  A view from
+    /// [`ConfigValue::fields`] accepts every key.
+    pub fn finish(self) -> Result<(), ConfigError> {
+        let Some(asked) = self.asked else {
+            return Ok(());
+        };
+        let asked = asked.into_inner();
+        match self
+            .entries
+            .iter()
+            .find(|(key, _)| !asked.contains(&key.as_str()))
+        {
+            None => Ok(()),
+            Some((key, _)) => Err(ConfigError::schema(format!(
+                "unknown key `{key}` in {} (allowed: {})",
+                self.place,
+                asked.join(", ")
+            ))),
+        }
+    }
+}
+
+/// `error`, a codec's, with `place` in front.
+fn within(place: &Place<'_>, error: ConfigError) -> ConfigError {
+    ConfigError::schema(format!("{place}: {}", error.message))
 }
 
 // ---------------------------------------------------------------------------
@@ -536,10 +881,13 @@ impl Cursor {
                 Some('\\') => match self.bump() {
                     Some('"') => out.push('"'),
                     Some('\\') => out.push('\\'),
-                    Some('n') => out.push('\n'),
-                    Some('t') => out.push('\t'),
-                    Some('r') => out.push('\r'),
                     Some('/') => out.push('/'),
+                    Some('b') => out.push('\u{8}'),
+                    Some('f') => out.push('\u{c}'),
+                    Some('n') => out.push('\n'),
+                    Some('r') => out.push('\r'),
+                    Some('t') => out.push('\t'),
+                    Some('u') => out.push(self.parse_unicode_escape()?),
                     other => {
                         return Err(ConfigError::at(
                             self.line,
@@ -550,6 +898,45 @@ impl Cursor {
                 Some(c) => out.push(c),
             }
         }
+    }
+
+    /// The character of a `\uXXXX` escape whose `\u` was just read.  A high
+    /// surrogate must be followed by the `\uXXXX` of a low one, and the
+    /// pair is one character; a surrogate on its own is an error.
+    fn parse_unicode_escape(&mut self) -> Result<char, ConfigError> {
+        let first = self.parse_hex4()?;
+        let code = if (0xd800..0xdc00).contains(&first)
+            && self.bump() == Some('\\')
+            && self.bump() == Some('u')
+        {
+            let second = self.parse_hex4()?;
+            if !(0xdc00..0xe000).contains(&second) {
+                return Err(ConfigError::at(
+                    self.line,
+                    format!("surrogate `\\u{first:04x}` is not followed by a low surrogate"),
+                ));
+            }
+            0x10000 + ((first - 0xd800) << 10) + (second - 0xdc00)
+        } else {
+            first
+        };
+        char::from_u32(code).ok_or_else(|| {
+            ConfigError::at(
+                self.line,
+                format!("surrogate `\\u{first:04x}` is not part of a pair"),
+            )
+        })
+    }
+
+    fn parse_hex4(&mut self) -> Result<u32, ConfigError> {
+        let mut code = 0;
+        for _ in 0..4 {
+            let digit = self.bump().and_then(|c| c.to_digit(16)).ok_or_else(|| {
+                ConfigError::at(self.line, "a `\\u` escape needs four hex digits")
+            })?;
+            code = code * 16 + digit;
+        }
+        Ok(code)
     }
 
     fn parse_array(&mut self, syntax: ValueSyntax) -> Result<ConfigValue, ConfigError> {
@@ -889,24 +1276,31 @@ fn emit_scalar(value: &ConfigValue, out: &mut String) {
     }
 }
 
-/// Write `s` as a JSON string.  The scan is over bytes: every escaped
-/// character is ASCII and no byte of a multi-byte UTF-8 character is, so
-/// each escape sits on a char boundary, and each run between escapes is
-/// copied with one `push_str`.
+/// Write `s` as a JSON string, escaping `"`, `\` and every character below
+/// U+0020 (the short form where JSON has one, else `\u00XX`).  The scan is
+/// over bytes: every escaped character is ASCII and no byte of a
+/// multi-byte UTF-8 character is, so each escape sits on a char boundary,
+/// and each run between escapes is copied with one `push_str`.
 fn emit_string(s: &str, out: &mut String) {
     out.push('"');
     let mut plain = 0;
     for (i, byte) in s.bytes().enumerate() {
-        let escaped = match byte {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\t' => "\\t",
-            b'\r' => "\\r",
-            _ => continue,
-        };
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
+        }
         out.push_str(&s[plain..i]);
-        out.push_str(escaped);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            0x08 => out.push_str("\\b"),
+            0x0c => out.push_str("\\f"),
+            control => {
+                let _ = write!(out, "\\u{control:04x}");
+            }
+        }
         plain = i + 1;
     }
     out.push_str(&s[plain..]);
@@ -1200,6 +1594,124 @@ weight = 0.5
         assert_eq!(to_json_compact(&document), COMPACT);
         assert_eq!(parse_json(PRETTY).unwrap(), document);
         assert_eq!(parse_json(COMPACT).unwrap(), document);
+    }
+
+    #[test]
+    fn control_characters_and_surrogate_pairs_round_trip_through_every_emitter() {
+        let mut text: String = (0..0x20u8).map(char::from).collect();
+        text.push_str("é 😀");
+        let mut value = ConfigValue::table();
+        value.insert("text", ConfigValue::Str(text.clone()));
+        for emitted in [to_json(&value), to_json_compact(&value), to_toml(&value)] {
+            assert!(
+                !emitted.bytes().any(|byte| byte < 0x20 && byte != b'\n'),
+                "raw control byte in {emitted:?}"
+            );
+            let parsed = if emitted.starts_with('{') {
+                parse_json(&emitted)
+            } else {
+                parse_toml(&emitted)
+            };
+            assert_eq!(parsed.unwrap(), value, "{emitted}");
+        }
+        assert!(to_json_compact(&value).contains(r#"\u0000\u0001"#));
+        assert!(to_json_compact(&value).contains(r#"\b\t\n\u000b\f\r"#));
+        // The escapes other tools write: a surrogate pair is one
+        // character, a lone surrogate an error.
+        let parsed = parse_json(r#"{"text": "café \u0007 😀 \/"}"#).unwrap();
+        assert_eq!(
+            parsed.get("text").unwrap().as_str(),
+            Some("café \u{7} 😀 /")
+        );
+        for lone in [r#""\ud83d""#, r#""\ud83dA""#, r#""\ude00""#, r#""\u12""#] {
+            let error = parse_json(lone).unwrap_err();
+            assert!(
+                error.message.contains("surrogate") || error.message.contains("four hex"),
+                "{lone}: {error}"
+            );
+        }
+    }
+
+    fn reader_document() -> ConfigValue {
+        parse_json(
+            r#"{"name": "w1", "episodes": -3, "rho": 2, "watch": "yes",
+                "tasks": [{"weight": 0.5}, {"weight": "heavy"}], "extra": 1}"#,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn a_read_error_names_the_fields_path_and_the_offending_value() {
+        let document = reader_document();
+        let root = document.fields("scenario").unwrap();
+        assert_eq!(root.str("name").unwrap(), "w1");
+        assert_eq!(root.number("rho").unwrap(), 2.0);
+        assert_eq!(root.opt_uint::<u64>("seed").unwrap(), None);
+        let message = |error: ConfigError| error.message;
+        assert_eq!(
+            message(root.uint::<usize>("episodes").unwrap_err()),
+            "scenario.episodes must be a non-negative integer, got -3"
+        );
+        assert_eq!(
+            message(root.opt_bool("watch").unwrap_err()),
+            r#"scenario.watch must be a boolean, got "yes""#
+        );
+        assert_eq!(
+            message(root.str("description").unwrap_err()),
+            "scenario.description is missing, expected a string"
+        );
+        assert_eq!(
+            message(
+                root.each_table("tasks", |task| task.number("weight"))
+                    .unwrap_err()
+            ),
+            r#"scenario.tasks[1].weight must be a number, got "heavy""#
+        );
+        assert_eq!(
+            message(root.table("tasks").unwrap_err()),
+            "scenario.tasks must be a table, got an array"
+        );
+        assert_eq!(
+            message(
+                root.decode("name", |_| Err::<(), _>(ConfigError::schema("no")))
+                    .unwrap_err()
+            ),
+            "scenario.name: no"
+        );
+        assert_eq!(
+            message(ConfigValue::Integer(1).fields("").unwrap_err()),
+            "expected a table, got 1"
+        );
+    }
+
+    #[test]
+    fn finish_rejects_keys_a_strict_view_was_not_asked_for() {
+        let document = reader_document();
+        let strict = document.strict_fields("scenario").unwrap();
+        strict.str("name").unwrap();
+        strict.opt_uint::<u64>("seed").unwrap();
+        strict.number("rho").unwrap();
+        assert!(strict.uint::<u64>("episodes").is_err());
+        strict.value("watch").unwrap();
+        strict.array("tasks").unwrap();
+        assert_eq!(
+            strict.finish().unwrap_err().message,
+            "unknown key `extra` in scenario (allowed: name, seed, rho, episodes, watch, tasks)"
+        );
+        // A required key it lacks names the keys the table holds, so a
+        // misspelling shows before `finish`.  Without `finish`, or through
+        // a lenient view, extra keys pass.
+        let strict = document.strict_fields("scenario").unwrap();
+        assert_eq!(strict.str("name").unwrap(), "w1");
+        assert_eq!(
+            strict.number("extr").unwrap_err().message,
+            "scenario.extr is missing, expected a number \
+             (scenario holds: name, episodes, rho, watch, tasks, extra)"
+        );
+        drop(strict);
+        let lenient = document.fields("scenario").unwrap();
+        lenient.str("name").unwrap();
+        lenient.finish().unwrap();
     }
 
     #[test]

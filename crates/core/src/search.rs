@@ -3,9 +3,18 @@
 //! Ties together the controller (component ①), the optimizer selector
 //! (component ②) and the evaluator (component ③) exactly as in Fig. 4 of
 //! the paper: the controller predicts architectures and hardware
-//! allocations, the selector interleaves joint and hardware-only steps with
-//! early pruning, the evaluator produces accuracy and hardware cost, and
-//! the reward of Eq. 4 updates the controller.
+//! allocations, the evaluator produces accuracy and hardware cost, and the
+//! reward of Eq. 4 updates the controller.
+//!
+//! The optimizer selector is the shape of an episode.  It controls two
+//! switches, `S_A` (architecture exploration) and `S_H` (hardware
+//! exploration): each of the `beta` episodes takes one step with both
+//! closed — a fresh set of architectures and a hardware design — then
+//! `phi` steps with `S_A` open, which keep the episode's architectures
+//! and explore only hardware designs.  Because hardware evaluation is much
+//! cheaper than training, the selector also prunes early: when none of
+//! the episode's `1 + phi` hardware designs can meet the specs, the
+//! accuracy evaluation ("training") of its architectures is skipped.
 
 use crate::algorithm::{SearchAlgorithm, SearchContext, SearchError, SearchEvent};
 use crate::bounds::PenaltyBounds;
@@ -16,7 +25,6 @@ use crate::penalty::Penalty;
 use crate::reward::Reward;
 use crate::scenario::value::ConfigValue;
 use crate::scenario::SearchSpec;
-use crate::selector::OptimizerSelector;
 use crate::workload::Workload;
 use nasaic_accel::{Accelerator, HardwareSpace};
 use nasaic_nn::space::DecodeError;
@@ -150,11 +158,10 @@ impl SearchAlgorithm for Nasaic {
     ///
     /// Checkpoints fire per completed episode with state `{rng,
     /// controller, outcome}`, which a resume decodes before any engine
-    /// work; the penalty bounds and the optimizer selector are re-derived
-    /// (both are deterministic functions of the configuration and the
-    /// engine's pure evaluations), and the controller is rebuilt from its
-    /// configuration before its weights, optimizer accumulators and
-    /// trainer counters are restored.
+    /// work; the penalty bounds are re-derived (a deterministic function
+    /// of the configuration and the engine's pure evaluations), and the
+    /// controller is rebuilt from its configuration before its weights,
+    /// optimizer accumulators and trainer counters are restored.
     ///
     /// The search stays on the sequential shard fallback: the controller
     /// learns from every episode's reward before sampling the next one, so
@@ -196,7 +203,6 @@ impl SearchAlgorithm for Nasaic {
             self.bound_samples,
             self.seed,
         );
-        let selector = OptimizerSelector::new(self.hardware_trials);
         // A sample holds every task's architecture choices, then the
         // hardware choices.
         let architecture_choices: usize = controller.segments()[..workload.num_tasks()]
@@ -210,10 +216,10 @@ impl SearchAlgorithm for Nasaic {
                 let _span = crate::metrics::maybe_time(crate::metrics::controller_wall);
                 controller.sample(&mut rng)
             };
-            // Steps 2..: hardware-only predictions for the same architectures.
-            let plan = selector.plan_episode();
+            // Steps 2..=1 + phi: hardware-only predictions for the same
+            // architectures (the architecture switch `S_A` open).
             let mut episode_samples: Vec<ControllerSample> = vec![joint_sample.clone()];
-            for _ in 1..plan.len() {
+            for _ in 0..self.hardware_trials {
                 let mut hw_sample = {
                     let _span = crate::metrics::maybe_time(crate::metrics::controller_wall);
                     controller.sample(&mut rng)
@@ -257,7 +263,7 @@ impl SearchAlgorithm for Nasaic {
 
             // Early pruning: skip the accuracy evaluation when no hardware
             // design of the episode can satisfy the specs.
-            let accuracies = if selector.should_train(any_meets_specs) {
+            let accuracies = if any_meets_specs {
                 architectures.as_ref().map(|archs| engine.accuracies(archs))
             } else {
                 None
@@ -417,7 +423,7 @@ mod tests {
         let engine = scenario.engine();
         scenario.run_algorithm_checkpointed(Algorithm::Nasaic, &engine, &NullObserver, None, &sink);
         let last = sink.checkpoints().pop().expect("a last checkpoint");
-        let state = last.state_field("controller").unwrap();
+        let state = last.state.get("controller").unwrap();
         // Every episode gives (1 + hardware_trials) feedbacks.
         let updates = checkpoint::controller_state_from_value(state)
             .unwrap()

@@ -27,7 +27,7 @@ use nasaic_core::checkpoint::{
 };
 use nasaic_core::engine::{CacheStats, EngineConfig, EvalEngine};
 use nasaic_core::scenario::value::{parse_json, to_json};
-use nasaic_core::scenario::{ConfigValue, Scenario};
+use nasaic_core::scenario::{ConfigError, ConfigValue, Scenario};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufReader, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -836,50 +836,83 @@ impl Daemon {
     }
 }
 
-/// Parse `caches.json` into per-engine-key exports (missing file: empty;
-/// corrupt file: warn and start cold — a cache is an optimisation, never
-/// required state).
+/// Read and parse one state-dir file.
+fn read_state_file(path: &Path) -> Result<ConfigValue, ConfigError> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|error| ConfigError::schema(format!("cannot read it: {error}")))?;
+    parse_json(&text)
+}
+
+/// Parse `caches.json` into per-engine-key exports (missing file: empty).
+/// A file that does not decode is ignored and a row that does not decode
+/// is dropped, each with its reason on stderr: its engines start cold, as
+/// a cache is an optimisation, never required state.
 fn load_cache_exports(path: &Path) -> HashMap<String, ConfigValue> {
     let mut exports = HashMap::new();
-    let Ok(text) = std::fs::read_to_string(path) else {
+    if !path.exists() {
         return exports;
+    }
+    let file = read_state_file(path);
+    let rows = match &file {
+        Ok(file) => cache_rows(file),
+        Err(error) => Err(error.clone()),
     };
-    let parsed = match parse_json(&text) {
-        Ok(value) => value,
+    let rows = match rows {
+        Ok(rows) => rows,
         Err(error) => {
             eprintln!(
-                "nasaic serve: ignoring corrupt cache file {}: {error}",
+                "nasaic serve: ignoring cache file {}: {error}",
                 path.display()
             );
             return exports;
         }
     };
-    if parsed.get("version").and_then(ConfigValue::as_integer) != Some(1) {
-        eprintln!(
-            "nasaic serve: ignoring cache file {} with unknown version",
-            path.display()
-        );
-        return exports;
-    }
-    for row in parsed
-        .get("engines")
-        .and_then(ConfigValue::as_array)
-        .unwrap_or(&[])
-    {
-        let (Some(key), Some(caches)) = (
-            row.get("key").and_then(ConfigValue::as_str),
-            row.get("caches"),
-        ) else {
-            continue;
-        };
-        exports.insert(key.to_string(), caches.clone());
+    for (index, row) in rows.iter().enumerate() {
+        let decoded = row
+            .fields("")
+            .and_then(|row| Ok((row.str("key")?.to_string(), row.value("caches")?.clone())));
+        match decoded {
+            Ok((key, caches)) => {
+                exports.insert(key, caches);
+            }
+            Err(error) => eprintln!(
+                "nasaic serve: dropping engine row {index} of cache file {}: {error}",
+                path.display()
+            ),
+        }
     }
     exports
 }
 
+/// The engine rows of a parsed `caches.json`.
+fn cache_rows(file: &ConfigValue) -> Result<&[ConfigValue], ConfigError> {
+    let fields = file.fields("caches")?;
+    let version: u64 = fields.uint("version")?;
+    if version != 1 {
+        return Err(ConfigError::schema(format!(
+            "unsupported version {version}"
+        )));
+    }
+    fields.array("engines")
+}
+
+/// The terminal state a `<id>.result.json` records.
+fn result_state(value: &ConfigValue) -> Result<JobState, ConfigError> {
+    let result = value.fields("result")?;
+    match result.str("status")? {
+        "finished" => result
+            .decode("report", |report| report.fields("").map(|_| report.clone()))
+            .map(JobState::Finished),
+        "cancelled" => Ok(JobState::Cancelled),
+        "failed" => Ok(JobState::Failed(result.str("error")?.to_string())),
+        other => Err(result.invalid("status", format_args!("names no terminal state: `{other}`"))),
+    }
+}
+
 /// Scan the job journal: every `<id>.job.json` becomes a job, terminal if
-/// a matching `<id>.result.json` exists.  Returns the jobs plus the
-/// highest id seen.
+/// a matching `<id>.result.json` decodes.  A job file that does not decode
+/// is skipped, and a job whose result file does not decode reruns, each
+/// with its reason on stderr.  Returns the jobs plus the highest id seen.
 fn load_job_journal(jobs_dir: &Path) -> (Vec<Arc<Job>>, u64) {
     let mut jobs = Vec::new();
     let mut max_id = 0;
@@ -897,46 +930,27 @@ fn load_job_journal(jobs_dir: &Path) -> (Vec<Arc<Job>>, u64) {
     for id in ids {
         max_id = max_id.max(id);
         let path = jobs_dir.join(format!("{id}.job.json"));
-        let scenario = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| parse_json(&text).ok())
-            .and_then(|value| {
-                value
-                    .get("scenario")
-                    .and_then(|s| Scenario::from_value(s).ok())
-            });
-        let Some(scenario) = scenario else {
-            eprintln!(
-                "nasaic serve: ignoring unreadable job journal {}",
-                path.display()
-            );
-            continue;
+        let scenario = read_state_file(&path)
+            .and_then(|value| Scenario::from_value(value.fields("job")?.value("scenario")?));
+        let scenario = match scenario {
+            Ok(scenario) => scenario,
+            Err(error) => {
+                eprintln!(
+                    "nasaic serve: ignoring job file {}: {error}",
+                    path.display()
+                );
+                continue;
+            }
         };
         let job = Job::new(id, scenario);
         let result_path = jobs_dir.join(format!("{id}.result.json"));
-        if let Ok(text) = std::fs::read_to_string(&result_path) {
-            if let Ok(result) = parse_json(&text) {
-                let status = result
-                    .get("status")
-                    .and_then(ConfigValue::as_str)
-                    .unwrap_or("failed");
-                let state = match status {
-                    "finished" => JobState::Finished(
-                        result
-                            .get("report")
-                            .cloned()
-                            .unwrap_or(ConfigValue::table()),
-                    ),
-                    "cancelled" => JobState::Cancelled,
-                    _ => JobState::Failed(
-                        result
-                            .get("error")
-                            .and_then(ConfigValue::as_str)
-                            .unwrap_or("unknown failure")
-                            .to_string(),
-                    ),
-                };
-                job.set_state(state);
+        if result_path.exists() {
+            match read_state_file(&result_path).and_then(|value| result_state(&value)) {
+                Ok(state) => job.set_state(state),
+                Err(error) => eprintln!(
+                    "nasaic serve: rerunning job {id}: its result file {} does not decode: {error}",
+                    result_path.display()
+                ),
             }
         }
         jobs.push(Arc::new(job));

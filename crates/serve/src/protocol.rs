@@ -105,53 +105,40 @@ impl Request {
     /// # Errors
     ///
     /// Returns a schema error for a missing/unknown `cmd`, a missing
-    /// operand (`job`, `scenario`, `what`) or a malformed field.
+    /// operand (`job`, `scenario`, `what`) or a field of the wrong type
+    /// (a `watch` that is not a boolean, a negative `job`).
     pub fn from_value(value: &ConfigValue) -> Result<Self, ConfigError> {
-        let cmd = value
-            .get("cmd")
-            .and_then(ConfigValue::as_str)
-            .ok_or_else(|| ConfigError::schema("request: missing cmd"))?;
-        let job = |value: &ConfigValue| -> Result<u64, ConfigError> {
-            let id = value
-                .get("job")
-                .and_then(ConfigValue::as_integer)
-                .ok_or_else(|| ConfigError::schema(format!("request: {cmd} needs a job id")))?;
-            u64::try_from(id).map_err(|_| ConfigError::schema(format!("request: bad job id {id}")))
-        };
-        match cmd {
+        let fields = value.fields("request")?;
+        match fields.str("cmd")? {
             "ping" => Ok(Request::Ping),
-            "submit" => {
-                let scenario = value
-                    .get("scenario")
-                    .ok_or_else(|| ConfigError::schema("request: submit needs a scenario"))?
-                    .clone();
-                let watch = value
-                    .get("watch")
-                    .and_then(ConfigValue::as_bool)
-                    .unwrap_or(false);
-                Ok(Request::Submit { scenario, watch })
-            }
-            "cancel" => Ok(Request::Cancel { job: job(value)? }),
-            "show" => {
-                let what = value
-                    .get("what")
-                    .and_then(ConfigValue::as_str)
-                    .ok_or_else(|| ConfigError::schema("request: show needs `what`"))?;
-                match what {
-                    "jobs" => Ok(Request::ShowJobs),
-                    "cache" => Ok(Request::ShowCache),
-                    "incumbent" => Ok(Request::ShowIncumbent { job: job(value)? }),
-                    "metrics" => Ok(Request::ShowMetrics),
-                    other => Err(ConfigError::schema(format!(
-                        "request: unknown show leaf `{other}` (jobs, cache, incumbent, metrics)"
-                    ))),
-                }
-            }
+            "submit" => Ok(Request::Submit {
+                scenario: fields.value("scenario")?.clone(),
+                watch: fields.opt_bool("watch")?.unwrap_or(false),
+            }),
+            "cancel" => Ok(Request::Cancel {
+                job: fields.uint("job")?,
+            }),
+            "show" => match fields.str("what")? {
+                "jobs" => Ok(Request::ShowJobs),
+                "cache" => Ok(Request::ShowCache),
+                "incumbent" => Ok(Request::ShowIncumbent {
+                    job: fields.uint("job")?,
+                }),
+                "metrics" => Ok(Request::ShowMetrics),
+                other => Err(fields.invalid(
+                    "what",
+                    format_args!(
+                        "names an unknown show leaf `{other}` (jobs, cache, incumbent, metrics)"
+                    ),
+                )),
+            },
             "shutdown" => Ok(Request::Shutdown),
-            other => Err(ConfigError::schema(format!(
-                "request: unknown cmd `{other}` \
-                 (ping, submit, cancel, show, shutdown)"
-            ))),
+            other => Err(fields.invalid(
+                "cmd",
+                format_args!(
+                    "names an unknown cmd `{other}` (ping, submit, cancel, show, shutdown)"
+                ),
+            )),
         }
     }
 
@@ -275,12 +262,24 @@ mod tests {
     #[test]
     fn malformed_requests_are_rejected_with_a_reason() {
         for (line, needle) in [
-            (r#"{"nope":1}"#, "missing cmd"),
+            (r#"{"nope":1}"#, "request.cmd is missing"),
             (r#"{"cmd":"fly"}"#, "unknown cmd"),
-            (r#"{"cmd":"cancel"}"#, "needs a job id"),
-            (r#"{"cmd":"cancel","job":-4}"#, "bad job id"),
+            (r#"{"cmd":"cancel"}"#, "request.job is missing"),
+            (
+                r#"{"cmd":"cancel","job":-4}"#,
+                "request.job must be a non-negative integer, got -4",
+            ),
             (r#"{"cmd":"show","what":"weather"}"#, "unknown show leaf"),
-            (r#"{"cmd":"submit"}"#, "needs a scenario"),
+            (r#"{"cmd":"submit"}"#, "request.scenario is missing"),
+            (
+                r#"{"cmd":"submit","scenario":{},"watch":1}"#,
+                "request.watch must be a boolean, got 1",
+            ),
+            (
+                r#"{"cmd":"submit","scenario":{},"watch":"yes"}"#,
+                r#"request.watch must be a boolean, got "yes""#,
+            ),
+            (r#"[1]"#, "request must be a table, got an array"),
         ] {
             let err = Request::parse_line(line).expect_err(line).to_string();
             assert!(err.contains(needle), "{line} -> {err}");

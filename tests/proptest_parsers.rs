@@ -47,6 +47,30 @@ fn shrunk_w1() -> Scenario {
     scenario
 }
 
+/// [`shrunk_w1`] with a description of non-ASCII and control characters.
+fn described_w1() -> Scenario {
+    let mut scenario = shrunk_w1();
+    scenario.description = "café \u{7} ☃ 😀 \t\r\n \u{0}\u{1b}\u{7f}".to_string();
+    scenario
+}
+
+/// `json` as Python's `json.dumps` writes it by default: every non-ASCII
+/// character as a `\uXXXX` escape, one outside the Basic Multilingual
+/// Plane as a surrogate pair.
+fn ascii_escaped(json: &str) -> String {
+    let mut out = String::new();
+    for c in json.chars() {
+        if c.is_ascii() {
+            out.push(c);
+        } else {
+            for unit in c.encode_utf16(&mut [0; 2]) {
+                out.push_str(&format!("\\u{unit:04x}"));
+            }
+        }
+    }
+    out
+}
+
 fn fixtures() -> &'static Fixtures {
     static FIXTURES: OnceLock<Fixtures> = OnceLock::new();
     FIXTURES.get_or_init(|| {
@@ -57,6 +81,13 @@ fn fixtures() -> &'static Fixtures {
             documents.push((Parser::ScenarioToml, builtin.to_toml_string()));
             documents.push((Parser::ScenarioJson, builtin.to_json_string()));
         }
+        let described = described_w1();
+        documents.push((Parser::ScenarioToml, described.to_toml_string()));
+        documents.push((Parser::ScenarioJson, described.to_json_string()));
+        documents.push((
+            Parser::ScenarioJson,
+            ascii_escaped(&described.to_json_string()),
+        ));
         for request in requests(&scenario) {
             documents.push((Parser::RequestLine, to_json_compact(&request.to_value())));
         }
@@ -136,6 +167,19 @@ fn valid_documents_round_trip_through_every_parser() {
         assert_eq!(toml, builtin, "{name} through TOML");
         let json = Scenario::from_json_str(&builtin.to_json_string()).expect("JSON parses");
         assert_eq!(json, builtin, "{name} through JSON");
+    }
+    let described = described_w1();
+    let ascii = ascii_escaped(&described.to_json_string());
+    assert!(
+        ascii.contains(r"caf\u00e9 \u0007 \u2603 \ud83d\ude00"),
+        "{ascii}"
+    );
+    for (format, parsed) in [
+        ("TOML", Scenario::from_toml_str(&described.to_toml_string())),
+        ("JSON", Scenario::from_json_str(&described.to_json_string())),
+        ("ASCII-escaped JSON", Scenario::from_json_str(&ascii)),
+    ] {
+        assert_eq!(parsed.expect(format), described, "{format}");
     }
     for request in requests(&fixtures.scenario) {
         let line = to_json_compact(&request.to_value());

@@ -205,7 +205,7 @@ fn corrupt_driver_state_is_rejected_before_the_run() {
         (Algorithm::AsicThenHwNas, "accelerator", &["accelerator"],
          |subs| subs.push(subs[0].clone()), "does not fit the hardware space"),
         (Algorithm::NasThenAsic, "best", &["best", "values"],
-         Vec::clear, "checkpoint: "),
+         Vec::clear, "checkpoint.state.best.values: "),
         (Algorithm::NasThenAsic, "outcome", &["done"],
          |done| done.push(done[0].clone()), "3 architectures for 2 tasks"),
     ];

@@ -784,6 +784,44 @@ fn a_checkpoint_record_that_cannot_be_rebuilt_reruns_its_job_and_the_worker_keep
 }
 
 #[test]
+fn a_finished_result_without_its_report_reruns_the_job_on_restart() {
+    let state_dir = temp_dir("no-report");
+    let jobs_dir = state_dir.join("jobs");
+    std::fs::create_dir_all(&jobs_dir).expect("create jobs dir");
+    let scenario = quick_scenario(71);
+    let expected = scenario.run_report().to_value();
+
+    // A journaled job whose result file says `finished` but holds no report.
+    let mut entry = ConfigValue::table();
+    entry.insert("version", ConfigValue::Integer(1));
+    entry.insert("job", ConfigValue::Integer(1));
+    entry.insert("scenario", scenario.to_value());
+    std::fs::write(jobs_dir.join("1.job.json"), to_json(&entry)).expect("journal the job");
+    let mut result = ConfigValue::table();
+    result.insert("version", ConfigValue::Integer(1));
+    result.insert("job", ConfigValue::Integer(1));
+    result.insert("status", ConfigValue::Str("finished".to_string()));
+    std::fs::write(jobs_dir.join("1.result.json"), to_json(&result)).expect("write the result");
+
+    let config = ServeConfig {
+        state_dir: Some(state_dir.to_path_buf()),
+        ..ephemeral_config()
+    };
+    let handle = Daemon::start(config).expect("daemon starts");
+    let addr = handle.addr().to_string();
+    let mut client = Client::connect(&addr).expect("connect");
+    let report = wait_for_result(&mut client, &state_dir, 1);
+    assert_eq!(
+        outcome_only(&report),
+        outcome_only(&expected),
+        "the rerun diverged from the direct run"
+    );
+
+    shutdown(&addr);
+    handle.join().expect("clean shutdown");
+}
+
+#[test]
 fn a_corrupt_cache_export_is_discarded_and_the_worker_keeps_serving() {
     let state_dir = temp_dir("bad-caches");
     let scenario = quick_scenario(79);
